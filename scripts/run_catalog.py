@@ -1,7 +1,10 @@
 #!/usr/bin/env python3
 """Run every built-in catalog problem with its declared task.
 
-Prints one line per entry: id, task, exit code, and a short outcome note.
+Prints one line per entry: id, task, exit code, and a short outcome note,
+then the number of entries that failed: exit 5 (evaluation error), or exit
+4 other than a deliberate refusal of the domain.  Exits 1 when that number
+is non-zero.
 """
 
 import io
@@ -36,8 +39,10 @@ def main_script():
         if note:
             line += f"  ({note[:70]})"
         print(line)
-    print(f"\n{len(catalog.CATALOG)} entries")
-    return 0
+        if code == 5 or (code == 4 and not note.startswith("refused:")):
+            failures += 1
+    print(f"\n{len(catalog.CATALOG)} entries, {failures} failed with exit 4 or 5")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -690,7 +690,6 @@ def certify_holes(T: MapSpec, spec: HoledBallSpec,
                 return tuple(a + sm * (b - a) for a, b in zip(near, far))
 
             def circle_guaranteed(box):
-                d2 = _dist2_interval(box, cx, cy)
                 near = tuple(
                     min(max(c0, c.lo), c.hi) for c, c0 in zip(box.coords, (cx, cy))
                 )

@@ -9,10 +9,21 @@ Dekker splitting), so integer-valued and power-of-two arithmetic stays
 tight: ``[1,2] + [3,4]`` is exactly ``[4,6]``, and a zero endpoint stays an
 exact zero through sums and products.
 
+Multiplication follows the sign-case table of Moore's *Interval Analysis*:
+in eight of the nine sign cases one downward and one upward product give
+the result, and when both operands straddle zero four do.  Whenever a
+chosen product is zero or its exactness cannot be checked (underflow,
+overflow, huge operands) the kernel falls back to all eight directed
+endpoint products, so results, signed zeros included, equal that formula
+bit for bit.
+
 Transcendental endpoints (sin, cos, exp, tanh) rely on the platform libm
 being faithful to within one ulp and are padded by one ulp outward, with
 sin/cos additionally clamped to [-1, 1] and analysed for interior extrema
-against an interval enclosure of pi.
+against an interval enclosure of pi.  The extremum test screens each
+candidate ``c + 2*k*pi`` in plain floats and rounds outward only for the
+candidates that an error margin (derived in ``_hits_lattice``) cannot
+rule out; its decisions equal those of the all-interval evaluation.
 """
 
 from __future__ import annotations
@@ -169,6 +180,30 @@ def _pow_mag_up(x: float, n: int) -> float:
     return r
 
 
+def _mul8(a: float, b: float, c: float, d: float) -> "Interval":
+    """[a, b] * [c, d] from all four endpoint products, rounded both ways."""
+    lo = min(mul_down(a, c), mul_down(a, d), mul_down(b, c), mul_down(b, d))
+    hi = max(mul_up(a, c), mul_up(a, d), mul_up(b, c), mul_up(b, d))
+    return Interval(lo, hi)
+
+
+def _mul_mixed(a: float, b: float, c: float, d: float) -> "Interval":
+    """[a, b] * [c, d] for a < 0 < b and c < 0 < d.
+
+    The minimum is ad or bc (both negative) and the maximum is ac or bd
+    (both positive), so four directed products replace eight.
+    """
+    p1, e1 = _two_product(a, d)
+    p2, e2 = _two_product(b, c)
+    q1, f1 = _two_product(a, c)
+    q2, f2 = _two_product(b, d)
+    if e1 is None or e2 is None or f1 is None or f2 is None:
+        return _mul8(a, b, c, d)
+    lo = min(p1 if e1 >= 0.0 else next_down(p1), p2 if e2 >= 0.0 else next_down(p2))
+    hi = max(q1 if f1 <= 0.0 else next_up(q1), q2 if f2 <= 0.0 else next_up(q2))
+    return Interval(lo, hi)
+
+
 class Interval:
     """Closed real interval [lo, hi] with finite binary64 endpoints.
 
@@ -235,9 +270,40 @@ class Interval:
 
     def __mul__(self, other):
         a, b, c, d = self.lo, self.hi, other.lo, other.hi
-        lo = min(mul_down(a, c), mul_down(a, d), mul_down(b, c), mul_down(b, d))
-        hi = max(mul_up(a, c), mul_up(a, d), mul_up(b, c), mul_up(b, d))
-        return Interval(lo, hi)
+        # Sign-case table (Moore): pick the endpoint products that are the
+        # exact minimum and maximum of {ac, ad, bc, bd}.  When both picked
+        # products are nonzero and exactness-checked (e is not None), every
+        # other product's directed bound lies no further out, so the result
+        # equals _mul8's bit for bit: a product widened for underflow stays
+        # inside [-1e-280, 1e-280], and an endpoint left out of the picked
+        # pair is never larger in magnitude than one in it, so an operand
+        # past 1e290 already makes a picked e None.  Zero products go
+        # to _mul8 too, whose min/max order fixes the sign of a zero bound.
+        if a >= 0.0:
+            if c >= 0.0:
+                x1, y1, x2, y2 = a, c, b, d
+            elif d <= 0.0:
+                x1, y1, x2, y2 = b, c, a, d
+            else:
+                x1, y1, x2, y2 = b, c, b, d
+        elif b <= 0.0:
+            if c >= 0.0:
+                x1, y1, x2, y2 = a, d, b, c
+            elif d <= 0.0:
+                x1, y1, x2, y2 = b, d, a, c
+            else:
+                x1, y1, x2, y2 = a, d, a, c
+        elif c >= 0.0:
+            x1, y1, x2, y2 = a, d, b, d
+        elif d <= 0.0:
+            x1, y1, x2, y2 = b, c, a, c
+        else:
+            return _mul_mixed(a, b, c, d)
+        p, e = _two_product(x1, y1)
+        q, f = _two_product(x2, y2)
+        if e is None or f is None or p == 0.0 or q == 0.0:
+            return _mul8(a, b, c, d)
+        return Interval(p if e >= 0.0 else next_down(p), q if f <= 0.0 else next_up(q))
 
     def __truediv__(self, other):
         if other.lo <= 0.0 <= other.hi:
@@ -317,12 +383,45 @@ _ZERO = Interval(0.0, 0.0)
 
 
 def _hits_lattice(i: Interval, center: Interval, period: Interval) -> bool:
-    """Conservatively decide whether {center + k*period : k in Z} meets i."""
+    """Conservatively decide whether {center + k*period : k in Z} meets i.
+
+    For each k the critical point is enclosed by [add_down(k*P, c.lo),
+    add_up(k*P, c.hi)] with k*P rounded outward on the period endpoint
+    that the sign of k makes extreme; this equals the interval expression
+    ``Interval(k) * period + center`` bit for bit.
+
+    A plain-float pre-test skips k whose approximation
+    approx = fl(fl(k*P.lo) + c.lo) lies more than ``margin`` outside i.
+    For the enclosures used here (P = 2*pi, one ulp(2*pi) = 2**-50 wide;
+    |c| <= 4, at most 2**-51 wide) and u = 2**-53, each enclosure endpoint
+    differs from approx by at most
+      |k|*(P.hi - P.lo)        <= 2u*|k*P.lo|   (gap between the periods)
+      + (c.hi - c.lo)          <= 2**-51        (centre enclosure)
+      + directed rounding      <= 2u*|k*P| + 2u*|sum|
+      + rounding in approx     <= u*|k*P.lo| + u*|approx|,
+    and |k*P.lo| <= |approx| + 5, which totals below 9u*|approx| + 50u.
+    Rounding ``approx -/+ margin`` adds u*(|approx| + margin), for a total
+    below 10u*|approx| + 51u < 2**-49*|approx| + 2**-47: at most half of
+    the margin 2**-48*|approx| + 2**-45.  So a skipped k is one the
+    directed test rejects too.
+    """
     mid = 0.5 * (i.lo + i.hi)
-    k0 = round((mid - center.lo) / period.lo)
+    c_lo, c_hi = center.lo, center.hi
+    p_lo, p_hi = period.lo, period.hi
+    k0 = round((mid - c_lo) / p_lo)
     for k in (k0 - 2, k0 - 1, k0, k0 + 1, k0 + 2):
-        crit = Interval(float(k)) * period + center
-        if crit.lo <= i.hi and crit.hi >= i.lo:
+        k = float(k)
+        approx = k * p_lo + c_lo
+        margin = abs(approx) * 2.0**-48 + 2.0**-45
+        if approx - margin > i.hi or approx + margin < i.lo:
+            continue
+        if k >= 0.0:
+            lo = add_down(mul_down(k, p_lo), c_lo)
+            hi = add_up(mul_up(k, p_hi), c_hi)
+        else:
+            lo = add_down(mul_down(k, p_hi), c_lo)
+            hi = add_up(mul_up(k, p_lo), c_hi)
+        if lo <= i.hi and hi >= i.lo:
             return True
     return False
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fpcert import interval as iv
 from fpcert.interval import (
     Box,
     DegenerateAxisError,
@@ -13,6 +14,8 @@ from fpcert.interval import (
     Interval,
     IntervalDivisionError,
     apply,
+    mul_down,
+    mul_up,
 )
 
 
@@ -195,3 +198,138 @@ def test_box_contains_closed():
     assert b.contains_point((1.0, 1.0))
     with pytest.raises(DimensionMismatchError):
         b.contains_point((0.5,))
+
+
+# -- kernel equivalence against the straightforward formulas ---------------
+
+
+def _ref_mul(x, y):
+    """Eight directed endpoint products, the textbook interval product."""
+    a, b, c, d = x.lo, x.hi, y.lo, y.hi
+    lo = min(mul_down(a, c), mul_down(a, d), mul_down(b, c), mul_down(b, d))
+    hi = max(mul_up(a, c), mul_up(a, d), mul_up(b, c), mul_up(b, d))
+    return Interval(lo, hi)
+
+
+def _ref_hits_lattice(i, center, period):
+    """The lattice test written as interval expressions."""
+    mid = 0.5 * (i.lo + i.hi)
+    k0 = round((mid - center.lo) / period.lo)
+    for k in (k0 - 2, k0 - 1, k0, k0 + 1, k0 + 2):
+        crit = _ref_mul(Interval(float(k)), period) + center
+        if crit.lo <= i.hi and crit.hi >= i.lo:
+            return True
+    return False
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except ValueError as exc:  # DomainError included
+        return f"{type(exc).__name__}: {exc}"
+
+
+_SPECIAL_ENDPOINTS = (
+    0.0, -0.0, 1.0, -1.0, 0.5, -3.75, 5e-324, -5e-324, 1e-300, -1e-300,
+    1e-150, -1e-150, 1e-280, 1e150, -1e150, 1e290, -1e290,
+    math.nextafter(1e290, math.inf), -math.nextafter(1e290, math.inf),
+    1e300, -1e300, 1.7e308, -1.7e308,
+)
+
+
+def _random_endpoint(rng):
+    r = rng.random()
+    if r < 0.35:
+        return rng.choice(_SPECIAL_ENDPOINTS)
+    if r < 0.65:
+        return rng.uniform(-10.0, 10.0)
+    return math.copysign(10.0 ** rng.uniform(-320.0, 308.0), rng.random() - 0.5)
+
+
+def _random_interval(rng):
+    x = _random_endpoint(rng)
+    if rng.random() < 0.15:
+        return Interval(x, x)  # degenerate, keeps the sign of a zero
+    y = _random_endpoint(rng)
+    return Interval(min(x, y), max(x, y))
+
+
+def _mul_operand_pairs():
+    # Every interval over a few endpoints with both signed zeros, paired
+    # exhaustively, then seeded random pairs.
+    endpoints = (0.0, -0.0, -2.0, -1e-300, 1e-300, 3.0)
+    grid = [Interval(lo, hi) for lo in endpoints for hi in endpoints if lo <= hi]
+    yield from ((x, y) for x in grid for y in grid)
+    rng = random.Random(1788)
+    for _ in range(60000):
+        yield _random_interval(rng), _random_interval(rng)
+
+
+def test_mul_matches_eight_product_reference():
+    sign_cases = set()
+    for x, y in _mul_operand_pairs():
+        assert _outcome(x.__mul__, y) == _outcome(_ref_mul, x, y), (x, y)
+        sign_cases.add(tuple(
+            "P" if v.lo >= 0.0 else "N" if v.hi <= 0.0 else "M" for v in (x, y)
+        ))
+    assert len(sign_cases) == 9
+
+
+def _near_lattice_interval(rng):
+    k = rng.randint(-4 * 10**6, 4 * 10**6)
+    if rng.random() < 0.3:
+        k = int(rng.uniform(-1e15, 1e15) / (math.pi / 2))
+    x = k * (math.pi / 2)
+    r = rng.random()
+    if r < 0.3:
+        x += rng.uniform(-4, 4) * math.ulp(x or 1.0)
+    elif r < 0.6:
+        x += rng.uniform(-1e-9, 1e-9) * max(1.0, abs(x))
+    else:
+        x += rng.uniform(-1.0, 1.0)
+    width = rng.choice((0.0, 0.0, 1e-12, 7.0, rng.uniform(0.0, 7.0), rng.uniform(0.0, 1e-6)))
+    lo = x - rng.random() * width
+    hi = min(lo + width, 1e15)
+    lo = max(lo, -1e15)
+    return Interval(lo, max(lo, hi))
+
+
+def test_hits_lattice_matches_interval_reference():
+    rng = random.Random(7)
+    centers = (iv._HALF_PI, iv._NEG_HALF_PI, iv._ZERO, iv._PI)
+    hits = 0
+    for _ in range(8000):
+        i = _near_lattice_interval(rng)
+        for center in centers:
+            expected = _ref_hits_lattice(i, center, iv._TWO_PI)
+            assert iv._hits_lattice(i, center, iv._TWO_PI) == expected, (i, center)
+            hits += expected
+    assert 0 < hits < 4 * 8000
+
+
+def test_transcendental_kernels_enclose_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(315)
+    fns = {"sin": mpmath.sin, "cos": mpmath.cos, "exp": mpmath.exp, "tanh": mpmath.tanh}
+    checked = 0
+    with mpmath.workdps(60):
+        half_pi = mpmath.pi / 2
+        for _ in range(1500):
+            i = _near_lattice_interval(rng)
+            lo, hi = mpmath.mpf(i.lo), mpmath.mpf(i.hi)
+            points = [lo, hi, (lo + hi) / 2]
+            # Interior extrema of sin and cos sit on the lattice k*pi/2.
+            k = mpmath.ceil(lo / half_pi)
+            while k * half_pi <= hi and len(points) < 12:
+                points.append(k * half_pi)
+                k += 1
+            for name, fn in fns.items():
+                try:
+                    res = getattr(i, name)()
+                except DomainError:
+                    continue  # exp overflow
+                for p in points:
+                    value = fn(p)
+                    assert res.lo <= value <= res.hi, (name, i, p, value, res)
+                    checked += 1
+    assert checked > 15000
