@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import catalog as _catalog
@@ -74,21 +73,11 @@ def _emit(payload: dict, fmt: str):
             print(f"{key}: {value}")
 
 
-def _threads(value):
-    n = int(value)
-    if n < 1:
-        raise argparse.ArgumentTypeError("thread count must be >= 1")
-    return n
-
-
 def _add_common(p):
     p.add_argument("problem", help="problem file path, or @id from the catalog")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--stable", action="store_true",
                    help="omit timing fields so identical runs are byte-identical")
-    p.add_argument("--threads", type=_threads,
-                   default=int(os.environ.get("FPCERT_THREADS", "1")),
-                   help="worker cap; results are independent of it")
 
 
 def cmd_certify(args) -> int:

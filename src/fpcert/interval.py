@@ -24,6 +24,11 @@ against an interval enclosure of pi.  The extremum test screens each
 candidate ``c + 2*k*pi`` in plain floats and rounds outward only for the
 candidates that an error margin (derived in ``_hits_lattice``) cannot
 rule out; its decisions equal those of the all-interval evaluation.
+
+Each operation has one kernel that maps operand endpoints to a ``(lo, hi)``
+pair (``mul_pair``, ``div_pair``, ``pow_int_pair``, ``sin_pair``, ...).  The
+``Interval`` methods wrap them; map evaluation (``mapdsl``) calls them on
+plain endpoint pairs and builds an ``Interval`` only for each component.
 """
 
 from __future__ import annotations
@@ -60,14 +65,6 @@ def next_down(x: float) -> float:
     return math.nextafter(x, -_INF)
 
 
-def _two_sum(a: float, b: float):
-    """Return (s, e) with s = fl(a+b) and a + b = s + e exactly."""
-    s = a + b
-    bb = s - a
-    e = (a - (s - bb)) + (b - bb)
-    return s, e
-
-
 def _two_product(a: float, b: float):
     """Return (p, e) with p = fl(a*b) and a*b = p + e exactly.
 
@@ -91,13 +88,22 @@ def _two_product(a: float, b: float):
     return p, e
 
 
+# add_down and add_up take the rounding error e of s = fl(a + b) from
+# TwoSum (Knuth), a + b = s + e exactly, written out in each: the sum is
+# the commonest operation in map evaluation and a call costs more than it.
+
+
 def add_down(a: float, b: float) -> float:
-    s, e = _two_sum(a, b)
+    s = a + b
+    bb = s - a
+    e = (a - (s - bb)) + (b - bb)
     return s if e >= 0.0 else next_down(s)
 
 
 def add_up(a: float, b: float) -> float:
-    s, e = _two_sum(a, b)
+    s = a + b
+    bb = s - a
+    e = (a - (s - bb)) + (b - bb)
     return s if e <= 0.0 else next_up(s)
 
 
@@ -156,38 +162,66 @@ def sqrt_up(x: float) -> float:
 
 
 def _pow_mag_down(x: float, n: int) -> float:
-    """Lower bound for x**n, x >= 0, n >= 1."""
-    r = 1.0
+    """Lower bound for x**n, x >= 0, n >= 1.
+
+    The first factor taken into the result would be multiplied by 1.0;
+    on [1e-280, 1e290] that product is exact and equals the factor, so it
+    is skipped there (elsewhere mul_down widens it).
+    """
     base = x
+    while not n & 1:
+        base = mul_down(base, base)
+        n >>= 1
+    r = base if 1e-280 <= base <= 1e290 else mul_down(1.0, base)
+    n >>= 1
     while n:
+        base = mul_down(base, base)
         if n & 1:
             r = mul_down(r, base)
         n >>= 1
-        if n:
-            base = mul_down(base, base)
     return r
 
 
 def _pow_mag_up(x: float, n: int) -> float:
-    r = 1.0
+    """Upper bound for x**n, x >= 0, n >= 1 (see _pow_mag_down)."""
     base = x
+    while not n & 1:
+        base = mul_up(base, base)
+        n >>= 1
+    r = base if 1e-280 <= base <= 1e290 else mul_up(1.0, base)
+    n >>= 1
     while n:
+        base = mul_up(base, base)
         if n & 1:
             r = mul_up(r, base)
         n >>= 1
-        if n:
-            base = mul_up(base, base)
     return r
 
 
-def _mul8(a: float, b: float, c: float, d: float) -> "Interval":
+# -- endpoint-pair kernels -----------------------------------------------------
+#
+# Each kernel maps operand endpoints to the (lo, hi) pair of the result and
+# is the only implementation of its operation: the Interval methods wrap
+# them, and mapdsl evaluates maps on pairs directly.  Kernels do not check
+# their result; Interval(lo, hi), or interval_error at a caller that keeps
+# pairs, does.
+
+
+def interval_error(lo: float, hi: float) -> ValueError:
+    """The error for an endpoint pair that is not -inf < lo <= hi < inf."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        return DomainError(f"non-finite interval bound [{lo}, {hi}]")
+    return ValueError(f"interval lower bound {lo!r} exceeds upper bound {hi!r}")
+
+
+def _mul8(a: float, b: float, c: float, d: float):
     """[a, b] * [c, d] from all four endpoint products, rounded both ways."""
     lo = min(mul_down(a, c), mul_down(a, d), mul_down(b, c), mul_down(b, d))
     hi = max(mul_up(a, c), mul_up(a, d), mul_up(b, c), mul_up(b, d))
-    return Interval(lo, hi)
+    return lo, hi
 
 
-def _mul_mixed(a: float, b: float, c: float, d: float) -> "Interval":
+def _mul_mixed(a: float, b: float, c: float, d: float):
     """[a, b] * [c, d] for a < 0 < b and c < 0 < d.
 
     The minimum is ad or bc (both negative) and the maximum is ac or bd
@@ -201,7 +235,120 @@ def _mul_mixed(a: float, b: float, c: float, d: float) -> "Interval":
         return _mul8(a, b, c, d)
     lo = min(p1 if e1 >= 0.0 else next_down(p1), p2 if e2 >= 0.0 else next_down(p2))
     hi = max(q1 if f1 <= 0.0 else next_up(q1), q2 if f2 <= 0.0 else next_up(q2))
-    return Interval(lo, hi)
+    return lo, hi
+
+
+def mul_pair(a: float, b: float, c: float, d: float):
+    """[a, b] * [c, d]."""
+    # Sign-case table (Moore): pick the endpoint products that are the
+    # exact minimum and maximum of {ac, ad, bc, bd}.  When both picked
+    # products are nonzero and exactness-checked (e is not None), every
+    # other product's directed bound lies no further out, so the result
+    # equals _mul8's bit for bit: a product widened for underflow stays
+    # inside [-1e-280, 1e-280], and an endpoint left out of the picked
+    # pair is never larger in magnitude than one in it, so an operand
+    # past 1e290 already makes a picked e None.  Zero products go
+    # to _mul8 too, whose min/max order fixes the sign of a zero bound.
+    if a >= 0.0:
+        if c >= 0.0:
+            x1, y1, x2, y2 = a, c, b, d
+        elif d <= 0.0:
+            x1, y1, x2, y2 = b, c, a, d
+        else:
+            x1, y1, x2, y2 = b, c, b, d
+    elif b <= 0.0:
+        if c >= 0.0:
+            x1, y1, x2, y2 = a, d, b, c
+        elif d <= 0.0:
+            x1, y1, x2, y2 = b, d, a, c
+        else:
+            x1, y1, x2, y2 = a, d, a, c
+    elif c >= 0.0:
+        x1, y1, x2, y2 = a, d, b, d
+    elif d <= 0.0:
+        x1, y1, x2, y2 = b, c, a, c
+    else:
+        return _mul_mixed(a, b, c, d)
+    p, e = _two_product(x1, y1)
+    q, f = _two_product(x2, y2)
+    if e is None or f is None or p == 0.0 or q == 0.0:
+        return _mul8(a, b, c, d)
+    return (p if e >= 0.0 else next_down(p)), (q if f <= 0.0 else next_up(q))
+
+
+def div_pair(a: float, b: float, c: float, d: float):
+    """[a, b] / [c, d]; IntervalDivisionError when [c, d] contains zero."""
+    if c <= 0.0 <= d:
+        raise IntervalDivisionError(f"division by interval [{c}, {d}] containing zero")
+    lo = min(div_down(a, c), div_down(a, d), div_down(b, c), div_down(b, d))
+    hi = max(div_up(a, c), div_up(a, d), div_up(b, c), div_up(b, d))
+    return lo, hi
+
+
+def pow_int_pair(lo: float, hi: float, n):
+    """[lo, hi] ** n for an integer n; a negative n divides 1 by the power."""
+    if n != int(n):
+        raise DomainError("pow_int requires an integer exponent")
+    n = int(n)
+    if n == 0:
+        return 1.0, 1.0
+    if n < 0:
+        p_lo, p_hi = pow_int_pair(lo, hi, -n)
+        if not -_INF < p_lo <= p_hi < _INF:
+            raise interval_error(p_lo, p_hi)
+        return div_pair(1.0, 1.0, p_lo, p_hi)
+    if n % 2 == 1:
+        new_lo = _pow_mag_down(lo, n) if lo >= 0.0 else -_pow_mag_up(-lo, n)
+        new_hi = _pow_mag_up(hi, n) if hi >= 0.0 else -_pow_mag_down(-hi, n)
+        return new_lo, new_hi
+    if lo >= 0.0:
+        return _pow_mag_down(lo, n), _pow_mag_up(hi, n)
+    if hi <= 0.0:
+        return _pow_mag_down(-hi, n), _pow_mag_up(-lo, n)
+    return 0.0, _pow_mag_up(max(-lo, hi), n)
+
+
+def sqrt_pair(lo: float, hi: float):
+    if lo < 0.0:
+        raise DomainError(f"sqrt of interval [{lo}, {hi}] reaching below zero")
+    return sqrt_down(lo), sqrt_up(hi)
+
+
+def exp_pair(lo: float, hi: float):
+    try:
+        e_lo = math.exp(lo)
+        e_hi = math.exp(hi)
+    except OverflowError as exc:
+        raise DomainError("exp overflow") from exc
+    return max(0.0, next_down(e_lo)), next_up(e_hi)
+
+
+def tanh_pair(lo: float, hi: float):
+    return max(-1.0, next_down(math.tanh(lo))), min(1.0, next_up(math.tanh(hi)))
+
+
+def abs_pair(lo: float, hi: float):
+    if lo >= 0.0:
+        return lo, hi
+    if hi <= 0.0:
+        return -hi, -lo
+    return 0.0, max(-lo, hi)
+
+
+def min_pair(a: float, b: float, c: float, d: float):
+    return min(a, c), min(b, d)
+
+
+def max_pair(a: float, b: float, c: float, d: float):
+    return max(a, c), max(b, d)
+
+
+def sin_pair(lo: float, hi: float):
+    return _sin_cos(lo, hi, _HALF_PI, _NEG_HALF_PI, math.sin)
+
+
+def cos_pair(lo: float, hi: float):
+    return _sin_cos(lo, hi, _ZERO, _PI, math.cos)
 
 
 class Interval:
@@ -218,10 +365,8 @@ class Interval:
             hi = lo
         lo = float(lo)
         hi = float(hi)
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise DomainError(f"non-finite interval bound [{lo}, {hi}]")
-        if lo > hi:
-            raise ValueError(f"interval lower bound {lo!r} exceeds upper bound {hi!r}")
+        if not -_INF < lo <= hi < _INF:
+            raise interval_error(lo, hi)
         self.lo = lo
         self.hi = hi
 
@@ -269,109 +414,37 @@ class Interval:
         return Interval(sub_down(self.lo, other.hi), sub_up(self.hi, other.lo))
 
     def __mul__(self, other):
-        a, b, c, d = self.lo, self.hi, other.lo, other.hi
-        # Sign-case table (Moore): pick the endpoint products that are the
-        # exact minimum and maximum of {ac, ad, bc, bd}.  When both picked
-        # products are nonzero and exactness-checked (e is not None), every
-        # other product's directed bound lies no further out, so the result
-        # equals _mul8's bit for bit: a product widened for underflow stays
-        # inside [-1e-280, 1e-280], and an endpoint left out of the picked
-        # pair is never larger in magnitude than one in it, so an operand
-        # past 1e290 already makes a picked e None.  Zero products go
-        # to _mul8 too, whose min/max order fixes the sign of a zero bound.
-        if a >= 0.0:
-            if c >= 0.0:
-                x1, y1, x2, y2 = a, c, b, d
-            elif d <= 0.0:
-                x1, y1, x2, y2 = b, c, a, d
-            else:
-                x1, y1, x2, y2 = b, c, b, d
-        elif b <= 0.0:
-            if c >= 0.0:
-                x1, y1, x2, y2 = a, d, b, c
-            elif d <= 0.0:
-                x1, y1, x2, y2 = b, d, a, c
-            else:
-                x1, y1, x2, y2 = a, d, a, c
-        elif c >= 0.0:
-            x1, y1, x2, y2 = a, d, b, d
-        elif d <= 0.0:
-            x1, y1, x2, y2 = b, c, a, c
-        else:
-            return _mul_mixed(a, b, c, d)
-        p, e = _two_product(x1, y1)
-        q, f = _two_product(x2, y2)
-        if e is None or f is None or p == 0.0 or q == 0.0:
-            return _mul8(a, b, c, d)
-        return Interval(p if e >= 0.0 else next_down(p), q if f <= 0.0 else next_up(q))
+        return Interval(*mul_pair(self.lo, self.hi, other.lo, other.hi))
 
     def __truediv__(self, other):
-        if other.lo <= 0.0 <= other.hi:
-            raise IntervalDivisionError(
-                f"division by interval [{other.lo}, {other.hi}] containing zero"
-            )
-        a, b, c, d = self.lo, self.hi, other.lo, other.hi
-        lo = min(div_down(a, c), div_down(a, d), div_down(b, c), div_down(b, d))
-        hi = max(div_up(a, c), div_up(a, d), div_up(b, c), div_up(b, d))
-        return Interval(lo, hi)
+        return Interval(*div_pair(self.lo, self.hi, other.lo, other.hi))
 
     def abs(self) -> "Interval":
-        if self.lo >= 0.0:
-            return self
-        if self.hi <= 0.0:
-            return Interval(-self.hi, -self.lo)
-        return Interval(0.0, max(-self.lo, self.hi))
+        return Interval(*abs_pair(self.lo, self.hi))
 
     def min_with(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), min(self.hi, other.hi))
+        return Interval(*min_pair(self.lo, self.hi, other.lo, other.hi))
 
     def max_with(self, other: "Interval") -> "Interval":
-        return Interval(max(self.lo, other.lo), max(self.hi, other.hi))
+        return Interval(*max_pair(self.lo, self.hi, other.lo, other.hi))
 
     def pow_int(self, n: int) -> "Interval":
-        if n != int(n):
-            raise DomainError("pow_int requires an integer exponent")
-        n = int(n)
-        if n == 0:
-            return Interval(1.0, 1.0)
-        if n < 0:
-            return Interval(1.0, 1.0) / self.pow_int(-n)
-        lo, hi = self.lo, self.hi
-        if n % 2 == 1:
-            new_lo = _pow_mag_down(lo, n) if lo >= 0.0 else -_pow_mag_up(-lo, n)
-            new_hi = _pow_mag_up(hi, n) if hi >= 0.0 else -_pow_mag_down(-hi, n)
-            return Interval(new_lo, new_hi)
-        if lo >= 0.0:
-            return Interval(_pow_mag_down(lo, n), _pow_mag_up(hi, n))
-        if hi <= 0.0:
-            return Interval(_pow_mag_down(-hi, n), _pow_mag_up(-lo, n))
-        return Interval(0.0, _pow_mag_up(max(-lo, hi), n))
+        return Interval(*pow_int_pair(self.lo, self.hi, n))
 
     def sqrt(self) -> "Interval":
-        if self.lo < 0.0:
-            raise DomainError(
-                f"sqrt of interval [{self.lo}, {self.hi}] reaching below zero"
-            )
-        return Interval(sqrt_down(self.lo), sqrt_up(self.hi))
+        return Interval(*sqrt_pair(self.lo, self.hi))
 
     def exp(self) -> "Interval":
-        try:
-            lo = math.exp(self.lo)
-            hi = math.exp(self.hi)
-        except OverflowError as exc:
-            raise DomainError("exp overflow") from exc
-        return Interval(max(0.0, next_down(lo)), next_up(hi))
+        return Interval(*exp_pair(self.lo, self.hi))
 
     def tanh(self) -> "Interval":
-        lo = max(-1.0, next_down(math.tanh(self.lo)))
-        hi = min(1.0, next_up(math.tanh(self.hi)))
-        return Interval(lo, hi)
+        return Interval(*tanh_pair(self.lo, self.hi))
 
     def sin(self) -> "Interval":
-        return _sin_cos(self, _HALF_PI, _NEG_HALF_PI)
+        return Interval(*sin_pair(self.lo, self.hi))
 
     def cos(self) -> "Interval":
-        return _sin_cos(self, _ZERO, _PI, use_cos=True)
+        return Interval(*cos_pair(self.lo, self.hi))
 
 
 _PI_ENCLOSURE = Interval(math.pi, next_up(math.pi))  # math.pi rounds below pi
@@ -382,8 +455,8 @@ _NEG_HALF_PI = -_HALF_PI
 _ZERO = Interval(0.0, 0.0)
 
 
-def _hits_lattice(i: Interval, center: Interval, period: Interval) -> bool:
-    """Conservatively decide whether {center + k*period : k in Z} meets i.
+def _hits_lattice(lo: float, hi: float, center: Interval, period: Interval) -> bool:
+    """Conservatively decide whether {center + k*period : k in Z} meets [lo, hi].
 
     For each k the critical point is enclosed by [add_down(k*P, c.lo),
     add_up(k*P, c.hi)] with k*P rounded outward on the period endpoint
@@ -391,7 +464,7 @@ def _hits_lattice(i: Interval, center: Interval, period: Interval) -> bool:
     ``Interval(k) * period + center`` bit for bit.
 
     A plain-float pre-test skips k whose approximation
-    approx = fl(fl(k*P.lo) + c.lo) lies more than ``margin`` outside i.
+    approx = fl(fl(k*P.lo) + c.lo) lies more than ``margin`` outside [lo, hi].
     For the enclosures used here (P = 2*pi, one ulp(2*pi) = 2**-50 wide;
     |c| <= 4, at most 2**-51 wide) and u = 2**-53, each enclosure endpoint
     differs from approx by at most
@@ -405,7 +478,7 @@ def _hits_lattice(i: Interval, center: Interval, period: Interval) -> bool:
     the margin 2**-48*|approx| + 2**-45.  So a skipped k is one the
     directed test rejects too.
     """
-    mid = 0.5 * (i.lo + i.hi)
+    mid = 0.5 * (lo + hi)
     c_lo, c_hi = center.lo, center.hi
     p_lo, p_hi = period.lo, period.hi
     k0 = round((mid - c_lo) / p_lo)
@@ -413,34 +486,33 @@ def _hits_lattice(i: Interval, center: Interval, period: Interval) -> bool:
         k = float(k)
         approx = k * p_lo + c_lo
         margin = abs(approx) * 2.0**-48 + 2.0**-45
-        if approx - margin > i.hi or approx + margin < i.lo:
+        if approx - margin > hi or approx + margin < lo:
             continue
         if k >= 0.0:
-            lo = add_down(mul_down(k, p_lo), c_lo)
-            hi = add_up(mul_up(k, p_hi), c_hi)
+            crit_lo = add_down(mul_down(k, p_lo), c_lo)
+            crit_hi = add_up(mul_up(k, p_hi), c_hi)
         else:
-            lo = add_down(mul_down(k, p_hi), c_lo)
-            hi = add_up(mul_up(k, p_lo), c_hi)
-        if lo <= i.hi and hi >= i.lo:
+            crit_lo = add_down(mul_down(k, p_hi), c_lo)
+            crit_hi = add_up(mul_up(k, p_lo), c_hi)
+        if crit_lo <= hi and crit_hi >= lo:
             return True
     return False
 
 
-def _sin_cos(i: Interval, max_center: Interval, min_center: Interval, use_cos=False):
-    if i.hi - i.lo > 7.0 or abs(i.lo) > 1e15 or abs(i.hi) > 1e15:
-        return Interval(-1.0, 1.0)
-    fn = math.cos if use_cos else math.sin
-    v_lo = fn(i.lo)
-    v_hi = fn(i.hi)
-    if _hits_lattice(i, max_center, _TWO_PI):
-        hi = 1.0
+def _sin_cos(lo: float, hi: float, max_center: Interval, min_center: Interval, fn):
+    if hi - lo > 7.0 or abs(lo) > 1e15 or abs(hi) > 1e15:
+        return -1.0, 1.0
+    v_lo = fn(lo)
+    v_hi = fn(hi)
+    if _hits_lattice(lo, hi, max_center, _TWO_PI):
+        r_hi = 1.0
     else:
-        hi = min(1.0, max(next_up(v_lo), next_up(v_hi)))
-    if _hits_lattice(i, min_center, _TWO_PI):
-        lo = -1.0
+        r_hi = min(1.0, max(next_up(v_lo), next_up(v_hi)))
+    if _hits_lattice(lo, hi, min_center, _TWO_PI):
+        r_lo = -1.0
     else:
-        lo = max(-1.0, min(next_down(v_lo), next_down(v_hi)))
-    return Interval(lo, hi)
+        r_lo = max(-1.0, min(next_down(v_lo), next_down(v_hi)))
+    return r_lo, r_hi
 
 
 _UNARY_OPS = {

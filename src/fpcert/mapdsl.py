@@ -13,10 +13,17 @@ Expressions support + - * / ^INT, unary minus, parentheses, the functions
 sin cos exp tanh sqrt abs min max, the variables x1..xn and t, and decimal
 literals.  Every parsed map evaluates both over floats (eval_real) and over
 boxes (eval_interval); the interval semantics is the naive interval
-extension, which encloses the true image of the box.  Decimal literals
-evaluate to their nearest float in real semantics and to the tightest
-enclosing float interval in interval semantics, so constants like 0.1 never
-silently lose their true value.
+extension, which encloses the true image of the box.  Nodes evaluate to
+endpoint pairs ``(lo, hi)`` of plain floats (eval_pair): leaves read the
+endpoints of a box coordinate, of t or of a constant's enclosure, and
+operations call the pair kernels of ``interval``.  Each operation checks
+its result with ``-inf < lo <= hi < inf`` and raises exactly what
+``Interval(lo, hi)`` would, and an ``Interval`` is built only for each
+component.  Expressions nest at most ``MAX_DEPTH`` levels
+deep, so neither parsing nor evaluation can exhaust the stack.  Decimal
+literals evaluate to their nearest float in real semantics and to the
+tightest enclosing float interval in interval semantics, so constants like
+0.1 never silently lose their true value.
 
 Comment text after ``#`` and blank lines are ignored.
 """
@@ -32,9 +39,27 @@ from .interval import (
     DimensionMismatchError,
     DomainError,
     Interval,
+    abs_pair,
+    add_down,
+    add_up,
+    cos_pair,
+    div_pair,
+    exp_pair,
+    interval_error,
+    max_pair,
+    min_pair,
+    mul_pair,
     next_down,
     next_up,
+    pow_int_pair,
+    sin_pair,
+    sqrt_pair,
+    sub_down,
+    sub_up,
+    tanh_pair,
 )
+
+_INF = math.inf
 
 
 class ParseError(ValueError):
@@ -72,8 +97,9 @@ class Const(Expr):
     def eval_real(self, xs, t):
         return self.value
 
-    def eval_interval(self, xs, t):
-        return self.enclosure
+    def eval_pair(self, xs, t):
+        enc = self.enclosure
+        return enc.lo, enc.hi
 
     def to_source(self, prec=0):
         if self.value < 0:
@@ -89,8 +115,9 @@ class Var(Expr):
     def eval_real(self, xs, t):
         return xs[self.index]
 
-    def eval_interval(self, xs, t):
-        return xs[self.index]
+    def eval_pair(self, xs, t):
+        c = xs[self.index]
+        return c.lo, c.hi
 
     def to_source(self, prec=0):
         return f"x{self.index + 1}"
@@ -101,8 +128,8 @@ class Param(Expr):
     def eval_real(self, xs, t):
         return t
 
-    def eval_interval(self, xs, t):
-        return t
+    def eval_pair(self, xs, t):
+        return t.lo, t.hi
 
     def to_source(self, prec=0):
         return "t"
@@ -115,8 +142,9 @@ class Neg(Expr):
     def eval_real(self, xs, t):
         return -self.arg.eval_real(xs, t)
 
-    def eval_interval(self, xs, t):
-        return -self.arg.eval_interval(xs, t)
+    def eval_pair(self, xs, t):
+        lo, hi = self.arg.eval_pair(xs, t)
+        return -hi, -lo
 
     def to_source(self, prec=0):
         inner = f"-{self.arg.to_source(3)}"
@@ -142,16 +170,21 @@ class BinOp(Expr):
             raise DomainError("division by zero")
         return a / b
 
-    def eval_interval(self, xs, t):
-        a = self.left.eval_interval(xs, t)
-        b = self.right.eval_interval(xs, t)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        return a / b
+    def eval_pair(self, xs, t):
+        a, b = self.left.eval_pair(xs, t)
+        c, d = self.right.eval_pair(xs, t)
+        op = self.op
+        if op == "+":
+            lo, hi = add_down(a, c), add_up(b, d)
+        elif op == "-":
+            lo, hi = sub_down(a, d), sub_up(b, c)
+        elif op == "*":
+            lo, hi = mul_pair(a, b, c, d)
+        else:
+            lo, hi = div_pair(a, b, c, d)
+        if -_INF < lo <= hi < _INF:
+            return lo, hi
+        raise interval_error(lo, hi)
 
     def to_source(self, prec=0):
         mine = 1 if self.op in "+-" else 2
@@ -172,8 +205,11 @@ class Power(Expr):
             raise DomainError("zero base with negative exponent")
         return b ** self.exponent
 
-    def eval_interval(self, xs, t):
-        return self.base.eval_interval(xs, t).pow_int(self.exponent)
+    def eval_pair(self, xs, t):
+        lo, hi = pow_int_pair(*self.base.eval_pair(xs, t), self.exponent)
+        if -_INF < lo <= hi < _INF:
+            return lo, hi
+        raise interval_error(lo, hi)
 
     def to_source(self, prec=0):
         s = f"{self.base.to_source(4)}^{self.exponent}"
@@ -186,6 +222,17 @@ _REAL_FUNCS = {
     "exp": math.exp,
     "tanh": math.tanh,
     "abs": abs,
+}
+
+_PAIR_FUNCS = {
+    "sin": sin_pair,
+    "cos": cos_pair,
+    "exp": exp_pair,
+    "tanh": tanh_pair,
+    "sqrt": sqrt_pair,
+    "abs": abs_pair,
+    "min": min_pair,
+    "max": max_pair,
 }
 
 FUNCTION_ARITY = {
@@ -218,14 +265,16 @@ class Call(Expr):
             return max(vals)
         return _REAL_FUNCS[f](vals[0])
 
-    def eval_interval(self, xs, t):
-        vals = [a.eval_interval(xs, t) for a in self.args]
-        f = self.func
-        if f == "min":
-            return vals[0].min_with(vals[1])
-        if f == "max":
-            return vals[0].max_with(vals[1])
-        return getattr(vals[0], f if f != "abs" else "abs")()
+    def eval_pair(self, xs, t):
+        kernel = _PAIR_FUNCS[self.func]
+        args = self.args
+        if len(args) == 1:
+            lo, hi = kernel(*args[0].eval_pair(xs, t))
+        else:
+            lo, hi = kernel(*args[0].eval_pair(xs, t), *args[1].eval_pair(xs, t))
+        if -_INF < lo <= hi < _INF:
+            return lo, hi
+        raise interval_error(lo, hi)
 
     def to_source(self, prec=0):
         return f"{self.func}(" + ", ".join(a.to_source(0) for a in self.args) + ")"
@@ -253,6 +302,13 @@ def float_const(v: float) -> Const:
 # ---------------------------------------------------------------------------
 # Parsed maps
 # ---------------------------------------------------------------------------
+
+
+def _image(comp: Expr, xs, t) -> Interval:
+    """One component's enclosure over the box coordinates xs and t."""
+    if type(comp) is Var:  # a bare coordinate is its own image
+        return xs[comp.index]
+    return Interval(*comp.eval_pair(xs, t))
 
 
 @dataclass(frozen=True)
@@ -293,14 +349,14 @@ class MapSpec:
             raise DimensionMismatchError(
                 f"box of dimension {box.dim} for map of dimension {self.dim}"
             )
-        return Box(tuple(c.eval_interval(box.coords, t) for c in self.components))
+        return Box(tuple([_image(c, box.coords, t) for c in self.components]))
 
     def eval_component_interval(self, i: int, box: Box, t=None) -> Interval:
         if box.dim != self.dim:
             raise DimensionMismatchError(
                 f"box of dimension {box.dim} for map of dimension {self.dim}"
             )
-        return self.components[i].eval_interval(box.coords, t)
+        return _image(self.components[i], box.coords, t)
 
     def to_source(self) -> str:
         lines = [f"dim {self.dim}"]
@@ -384,6 +440,41 @@ def _tokenize_expr(text: str, line_no: int, col_offset: int):
     return toks
 
 
+MAX_DEPTH = 100
+"""Deepest expression the parser accepts, bounded two ways: at most this
+many operators, unary minuses, powers and calls on any path of the
+expression tree, and at most this many parentheses, calls and unary minuses
+open around any point of the text.  Evaluation recurses once per tree level
+and parsing about five frames per parenthesis, so both stay well inside
+Python's default recursion limit."""
+
+
+def _too_deep(line, col=None) -> ParseError:
+    return ParseError(f"expression nested deeper than {MAX_DEPTH} levels", line, col)
+
+
+def _tree_depth(root: Expr) -> int:
+    """Operator levels on the longest path of the tree, counted without
+    recursion (leaves count zero)."""
+    depth = 0
+    stack = [(root, 0)]
+    while stack:
+        e, above = stack.pop()
+        if isinstance(e, Neg):
+            kids = (e.arg,)
+        elif isinstance(e, BinOp):
+            kids = (e.left, e.right)
+        elif isinstance(e, Power):
+            kids = (e.base,)
+        elif isinstance(e, Call):
+            kids = e.args
+        else:
+            depth = max(depth, above)
+            continue
+        stack.extend((k, above + 1) for k in kids)
+    return depth
+
+
 class _ExprParser:
     def __init__(self, toks, dim, has_param, line_no):
         self.toks = toks
@@ -391,6 +482,7 @@ class _ExprParser:
         self.dim = dim
         self.has_param = has_param
         self.line_no = line_no
+        self.open = 0  # parentheses, calls and unary minuses around the position
 
     def peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -407,11 +499,21 @@ class _ExprParser:
         if tok.kind != "op" or tok.text != text:
             raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.line, tok.col)
 
+    def enter(self, tok):
+        """Open a parenthesis, call or unary minus (bounds the parser's recursion)."""
+        self.open += 1
+        if self.open > MAX_DEPTH:
+            raise _too_deep(tok.line, tok.col)
+
     def parse(self) -> Expr:
         e = self.parse_sum()
         tok = self.peek()
         if tok is not None:
             raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.col)
+        # Every tree level has its own token, so only a long expression can
+        # be too deep for evaluation.
+        if len(self.toks) > MAX_DEPTH and _tree_depth(e) > MAX_DEPTH:
+            raise _too_deep(self.line_no)
         return e
 
     def parse_sum(self) -> Expr:
@@ -438,7 +540,10 @@ class _ExprParser:
         tok = self.peek()
         if tok and tok.kind == "op" and tok.text == "-":
             self.take()
-            return Neg(self.parse_unary())
+            self.enter(tok)
+            e = Neg(self.parse_unary())
+            self.open -= 1
+            return e
         return self.parse_power()
 
     def parse_power(self) -> Expr:
@@ -461,14 +566,17 @@ class _ExprParser:
         if tok.kind == "num":
             return literal_const(tok.text)
         if tok.kind == "op" and tok.text == "(":
+            self.enter(tok)
             e = self.parse_sum()
             self.expect_op(")")
+            self.open -= 1
             return e
         if tok.kind == "ident":
             name = tok.text
             nxt = self.peek()
             if name in FUNCTION_ARITY and nxt and nxt.kind == "op" and nxt.text == "(":
                 self.take()
+                self.enter(tok)
                 args = [self.parse_sum()]
                 while True:
                     sep = self.take()
@@ -480,6 +588,7 @@ class _ExprParser:
                         raise ParseError(
                             f"expected ',' or ')', found {sep.text!r}", sep.line, sep.col
                         )
+                self.open -= 1
                 if len(args) != FUNCTION_ARITY[name]:
                     raise ParseError(
                         f"{name} takes {FUNCTION_ARITY[name]} argument(s), got {len(args)}",

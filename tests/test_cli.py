@@ -1,4 +1,10 @@
+import contextlib
+import hashlib
+import io
 import json
+from pathlib import Path
+
+import pytest
 
 from fpcert import catalog
 from fpcert.cli import main
@@ -94,6 +100,19 @@ def test_parse_error_exit_4(tmp_path, capsys):
     assert code == 4 and "x2" in err
 
 
+@pytest.mark.parametrize("expr", [
+    "(" * 3000 + "x1" + ")" * 3000,
+    "-" * 990 + "x1",
+    " + ".join(["0.001*x1"] * 1500),
+], ids=["3000-parentheses", "990-unary-minus", "1500-term-sum"])
+def test_deep_expression_exit_4(tmp_path, capsys, expr):
+    path = tmp_path / "deep.fp"
+    path.write_text(f"dim 1\nmap g1 = {expr}\ndomain rect [0,1]\n")
+    code, _, err = run(capsys, "certify", str(path))
+    assert code == 4
+    assert err.startswith("error: expression nested deeper than")
+
+
 def test_missing_domain_exit_4(tmp_path, capsys):
     path = tmp_path / "nodomain.fp"
     path.write_text("dim 1\nmap g1 = 0.5\n")
@@ -162,13 +181,38 @@ _EXPECTED_EXITS = {
 }
 
 
+def _entry_argv(entry_id):
+    entry = catalog.CATALOG[entry_id]
+    argv = [entry.task, "@" + entry_id]
+    for key, value in entry.kwargs.items():
+        argv += [f"--{key}", str(value)]
+    return argv
+
+
 def test_every_catalog_entry_has_expected_exit(capsys):
     assert set(_EXPECTED_EXITS) == set(catalog.CATALOG)
     for entry_id, expected in _EXPECTED_EXITS.items():
-        entry = catalog.CATALOG[entry_id]
-        argv = [entry.task, "@" + entry_id]
-        for key, value in entry.kwargs.items():
-            argv += [f"--{key}", str(value)]
-        code = main(argv)
+        code = main(_entry_argv(entry_id))
         capsys.readouterr()
         assert code == expected, (entry_id, code, expected)
+
+
+# sha256 of each catalog entry's `--format json --stable` stdout.  The table
+# pins the byte-identity of every answer across refactors; regenerate it
+# ({id: stable_json_digest(id) for id in catalog.CATALOG}, sorted, indent 2)
+# only for a deliberate change of output.
+_GOLDEN = Path(__file__).with_name("golden_stable_digests.json")
+
+
+def stable_json_digest(entry_id):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        main(_entry_argv(entry_id) + ["--format", "json", "--stable"])
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("entry_id", sorted(catalog.CATALOG))
+def test_catalog_stable_json_matches_golden_digest(entry_id):
+    golden = json.loads(_GOLDEN.read_text())
+    assert set(golden) == set(catalog.CATALOG)
+    assert stable_json_digest(entry_id) == golden[entry_id]

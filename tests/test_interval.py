@@ -302,9 +302,33 @@ def test_hits_lattice_matches_interval_reference():
         i = _near_lattice_interval(rng)
         for center in centers:
             expected = _ref_hits_lattice(i, center, iv._TWO_PI)
-            assert iv._hits_lattice(i, center, iv._TWO_PI) == expected, (i, center)
+            assert iv._hits_lattice(i.lo, i.hi, center, iv._TWO_PI) == expected, (i, center)
             hits += expected
     assert 0 < hits < 4 * 8000
+
+
+def _ref_pow_mag(x, n, mul):
+    """x**n by binary powering from r = 1.0, every product directed."""
+    r = 1.0
+    base = x
+    while n:
+        if n & 1:
+            r = mul(r, base)
+        n >>= 1
+        if n:
+            base = mul(base, base)
+    return r
+
+
+def test_pow_mag_matches_binary_powering_reference():
+    xs = [0.0, -0.0, 5e-324, 1e-320, 2.2250738585072014e-308, 1e-300,
+          1e-281, 1e-280, math.nextafter(1e-280, 0.0), 1e-279, 1e-150, 0.3, 1.0,
+          1.5, 2.0, 1e10, 1e150, 1e290, math.nextafter(1e290, math.inf), 1e291,
+          1e300, 1.7e308]
+    for x in xs:
+        for n in range(1, 10):
+            assert repr(iv._pow_mag_down(x, n)) == repr(_ref_pow_mag(x, n, mul_down)), (x, n)
+            assert repr(iv._pow_mag_up(x, n)) == repr(_ref_pow_mag(x, n, mul_up)), (x, n)
 
 
 def test_transcendental_kernels_enclose_mpmath():

@@ -3,10 +3,19 @@ import random
 import pytest
 
 from fpcert.interval import Box, DimensionMismatchError, DomainError, Interval
+from fpcert.corpus import random_expression_map
 from fpcert.mapdsl import (
+    MAX_DEPTH,
+    BinOp,
+    Const,
     EvaluationError,
+    Neg,
+    Param,
     ParseError,
+    Power,
     UnknownIdentifierError,
+    Var,
+    blend_with_parameter,
     parse_map,
     parse_program,
 )
@@ -150,3 +159,160 @@ def test_subdivision_convergence():
 def test_comments_and_blank_lines():
     m = parse_map("# a comment\ndim 1\n\nmap g1 = x1  # inline\n")
     assert m.eval_real((0.25,)) == (0.25,)
+
+
+# -- pair evaluation against the Interval-valued tree walk ------------------
+
+
+def _ref_eval(e, xs, t):
+    """Reference: the map AST evaluated node by node with Interval methods."""
+    if isinstance(e, Const):
+        return e.enclosure
+    if isinstance(e, Var):
+        return xs[e.index]
+    if isinstance(e, Param):
+        return t
+    if isinstance(e, Neg):
+        return -_ref_eval(e.arg, xs, t)
+    if isinstance(e, BinOp):
+        a = _ref_eval(e.left, xs, t)
+        b = _ref_eval(e.right, xs, t)
+        return {"+": a.__add__, "-": a.__sub__, "*": a.__mul__, "/": a.__truediv__}[e.op](b)
+    if isinstance(e, Power):
+        return _ref_eval(e.base, xs, t).pow_int(e.exponent)
+    vals = [_ref_eval(a, xs, t) for a in e.args]
+    if e.func == "min":
+        return vals[0].min_with(vals[1])
+    if e.func == "max":
+        return vals[0].max_with(vals[1])
+    return getattr(vals[0], e.func)()
+
+
+def _ref_eval_interval(m, box, t=None):
+    return Box(tuple(_ref_eval(c, box.coords, t) for c in m.components))
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except ValueError as exc:  # DomainError, IntervalDivisionError included
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _assert_same(m, box, t=None):
+    expected = _outcome(_ref_eval_interval, m, box, t)
+    assert _outcome(m.eval_interval, box, t) == expected, (m.to_source(), box.bounds(), t)
+    for i in range(m.dim):
+        ref = _outcome(_ref_eval, m.components[i], box.coords, t)
+        got = _outcome(m.eval_component_interval, i, box, t)
+        assert got == ref, (m.to_source(), i, box.bounds(), t)
+    return expected
+
+
+def _parametrized(m):
+    """m with every x1 read as x1*t, as a map taking the parameter t."""
+    lines = m.to_source().splitlines()
+    body = [ln.replace("x1", "(x1*t)") for ln in lines[1:]]
+    return parse_map("\n".join([lines[0], "param t"] + body) + "\n")
+
+
+def test_pair_evaluation_matches_interval_reference_on_random_maps():
+    from fpcert.corpus import random_box
+
+    rng = random.Random(2024)
+    params = 0
+    for k in range(240):
+        dim = rng.choice((1, 2, 3))
+        m = random_expression_map(rng, dim, depth=3 + k % 3)
+        scale = rng.choice((0.5, 2.0, 40.0))
+        for _ in range(4):
+            _assert_same(m, random_box(rng, dim, scale))
+        if k % 2 == 0:
+            mp = _parametrized(m)
+            lo = rng.uniform(-2.0, 2.0)
+            for t in (Interval(lo, lo + rng.uniform(0.0, 1.0)), Interval(lo)):
+                _assert_same(mp, random_box(rng, dim, scale), t)
+                params += 1
+    f = parse_map("dim 2\nmap g1 = x1*x2\nmap g2 = sin(x1)\n")
+    g = parse_map("dim 2\nmap g1 = x2^2 - 1\nmap g2 = x1 + 0.5\n")
+    blend = blend_with_parameter(f, g)
+    _assert_same(blend, Box.from_bounds([(-1, 2), (0.5, 3)]), Interval(0.25, 0.75))
+    assert params == 240
+
+
+_HAND_MAPS = (
+    "dim 1\nmap g1 = 1/x1\n",
+    "dim 1\nmap g1 = (x1 + 3)/(x1 - 5)\n",
+    "dim 1\nmap g1 = sqrt(x1) + sqrt(x1*x1 + 0.1)\n",
+    "dim 1\nmap g1 = exp(x1) - exp(-x1^2)\n",
+    "dim 1\nmap g1 = abs(x1) * abs(-x1 - 0.25)\n",
+    "dim 1\nmap g1 = x1^-1 + x1^-2 + x1^-3\n",
+    "dim 1\nmap g1 = x1^0 + x1^7 - x1^8\n",
+    "dim 2\nmap g1 = min(x1, x2) / max(x1, 2)\nmap g2 = tanh(x1/x2)\n",
+    "dim 2\nmap g1 = 1e300*x1 + x2\nmap g2 = 1e200*x1*x2\n",
+    "dim 2\nmap g1 = 1e308 + x1 + x2\nmap g2 = x1\n",
+    "dim 2\nmap g1 = 1/x1 + sqrt(x2)\nmap g2 = sqrt(x2) + 1/x1\n",
+)
+
+
+def test_pair_evaluation_matches_interval_reference_on_hand_maps():
+    rng = random.Random(5)
+    bounds = [(-1.0, 1.0), (0.0, 4.0), (2.0, 3.0), (-3.0, -0.5), (0.0, 0.0),
+              (-0.0, 0.0), (1e-300, 1e-200), (700.0, 800.0), (1e200, 1e300),
+              (1e308, 1.7e308), (4.0, 9.0), (-1e-320, 1e-320)]
+    outcomes = set()
+    for src in _HAND_MAPS:
+        m = parse_map(src)
+        for b in bounds:
+            for b2 in (b, rng.choice(bounds)):
+                box = Box.from_bounds([b, b2][: m.dim])
+                outcomes.add(_assert_same(m, box).split(":")[0])
+    assert {"IntervalDivisionError", "DomainError"} <= outcomes
+
+
+@pytest.mark.parametrize("src, bounds, error", [
+    ("dim 1\nmap g1 = 1/x1\n", [(-1, 1)],
+     "IntervalDivisionError: division by interval [-1.0, 1.0] containing zero"),
+    ("dim 1\nmap g1 = x1^-2\n", [(-1, 1)],
+     "IntervalDivisionError: division by interval [0.0, 1.0] containing zero"),
+    ("dim 1\nmap g1 = sqrt(x1)\n", [(-0.5, 1)],
+     "DomainError: sqrt of interval [-0.5, 1.0] reaching below zero"),
+    ("dim 1\nmap g1 = exp(x1)\n", [(1.0, 1000.0)], "DomainError: exp overflow"),
+    ("dim 1\nmap g1 = x1 + x1\n", [(1e308, 1e308)],
+     "DomainError: non-finite interval bound [1.7976931348623157e+308, inf]"),
+    ("dim 1\nmap g1 = x1 * x1\n", [(1e200, 1e200)],
+     "DomainError: non-finite interval bound [1.7976931348623157e+308, inf]"),
+    ("dim 1\nmap g1 = x1^-2\n", [(1e200, 1e200)],
+     "DomainError: non-finite interval bound [1.7976931348623155e+308, inf]"),
+    ("dim 2\nmap g1 = sqrt(x2) + 1/x1\nmap g2 = x1\n", [(-1, 1), (-1, 1)],
+     "DomainError: sqrt of interval [-1.0, 1.0] reaching below zero"),
+])
+def test_pair_evaluation_errors_match_interval_reference(src, bounds, error):
+    m = parse_map(src)
+    assert _assert_same(m, Box.from_bounds(bounds)) == error
+
+
+# -- nesting depth --------------------------------------------------------
+
+
+def test_depth_limit_accepts_the_limit_and_rejects_one_more():
+    def neg_chain(n):
+        return parse_map("dim 1\nmap g1 = " + "-" * n + "x1\n")
+
+    m = neg_chain(MAX_DEPTH)
+    assert m.eval_interval(Box.from_bounds([(1, 2)])).coords[0] == Interval(1, 2)
+    assert m.eval_real((1.5,)) == (1.5,)
+    with pytest.raises(ParseError, match="nested deeper than"):
+        neg_chain(MAX_DEPTH + 1)
+    flat = " + ".join(["x1"] * (MAX_DEPTH + 1))  # MAX_DEPTH operators
+    parse_map(f"dim 1\nmap g1 = {flat}\n")
+    with pytest.raises(ParseError, match="nested deeper than") as err:
+        parse_map(f"dim 1\nmap g1 = {flat} + x1\n")
+    assert err.value.line == 2
+    for deep_side in ("-" * MAX_DEPTH + "x1 + x1", "x1 * " + "-" * MAX_DEPTH + "x1"):
+        with pytest.raises(ParseError, match="nested deeper than"):
+            parse_map(f"dim 1\nmap g1 = {deep_side}\n")
+    parens = "(" * MAX_DEPTH + "x1" + ")" * MAX_DEPTH
+    parse_map(f"dim 1\nmap g1 = {parens}\n")
+    with pytest.raises(ParseError, match="nested deeper than"):
+        parse_map(f"dim 1\nmap g1 = ({parens})\n")
