@@ -12,11 +12,12 @@ connectedness, and is labelled accordingly.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 
 from .geometry import RectDomain
-from .interval import Box, Interval
+from .interval import Box, Interval, sub_down, sub_up
 from .localize import localize_fixed_points
 from .mapdsl import MapSpec
 
@@ -109,31 +110,22 @@ def trace_continuum(psi: MapSpec, t_range, x_box: Box, grid: int = 16,
     if check_start_index and psi.dim in (1, 2):
         from .degree import BoundaryZeroError, fixed_point_index
 
-        frozen = _bind_parameter(psi, a)
         try:
-            start_index = fixed_point_index(frozen, rect).value
+            start_index = fixed_point_index(psi.bind_interval(Interval(a)), rect).value
         except BoundaryZeroError:
             start_index = None
 
     # Adjacency: same-cell slabs touching in x, consecutive-cell slabs
     # intersecting in x (they share the dividing t value).
     adjacency = {s.id: [] for s in slabs}
-
-    def link(u, v):
-        adjacency[u.id].append(v.id)
-        adjacency[v.id].append(u.id)
-
     for cell in range(grid):
         group = per_cell[cell]
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                if group[i].box.intersects(group[j].box):
-                    link(group[i], group[j])
+        pairs = list(_touching_pairs(group))
         if cell + 1 < grid:
-            for u in group:
-                for v in per_cell[cell + 1]:
-                    if u.box.intersects(v.box):
-                        link(u, v)
+            pairs += _touching_pairs(group, per_cell[cell + 1])
+        for u, v in pairs:
+            adjacency[u.id].append(v.id)
+            adjacency[v.id].append(u.id)
     for ids in adjacency.values():
         ids.sort()
 
@@ -167,21 +159,34 @@ def trace_continuum(psi: MapSpec, t_range, x_box: Box, grid: int = 16,
     return ContinuumWitness(t_grid, slabs, [], False, max_t, exhausted, start_index)
 
 
-def _bind_parameter(psi: MapSpec, value: float) -> MapSpec:
-    """Freeze the parameter of psi to a point value."""
-    from .mapdsl import Param, Neg, BinOp, Power, Call, float_const
+def _lower_end(slab) -> float:
+    return slab.box.coords[0].lo
 
-    def subst(e):
-        if isinstance(e, Param):
-            return float_const(value)
-        if isinstance(e, Neg):
-            return Neg(subst(e.arg))
-        if isinstance(e, BinOp):
-            return BinOp(e.op, subst(e.left), subst(e.right))
-        if isinstance(e, Power):
-            return Power(subst(e.base), e.exponent)
-        if isinstance(e, Call):
-            return Call(e.func, tuple(subst(a) for a in e.args))
-        return e
 
-    return MapSpec(psi.dim, tuple(subst(c) for c in psi.components), has_param=False)
+def _touching_pairs(us, vs=None):
+    """Every pair (u, v), u from us and v from vs, whose boxes intersect
+    (touching counts); with vs omitted, every such pair of distinct slabs
+    of us, once.
+
+    A sweep on axis 0 over vs sorted by lower end.  Within one list, the
+    slabs after u that can meet u are those whose lower end is at most
+    u's upper end.  Across lists, with w the widest v on axis 0, a v that
+    meets u has its lower end in [u.lo - w, u.hi]; that window is rounded
+    outward, so it never drops a candidate.  Only candidates get the full
+    box test.
+    """
+    same = vs is None
+    vs = sorted(us if same else vs, key=_lower_end)
+    los = [_lower_end(v) for v in vs]
+    if same:
+        for i, u in enumerate(vs):
+            for v in vs[i + 1:bisect_right(los, u.box.coords[0].hi)]:
+                if u.box.intersects(v.box):
+                    yield u, v
+        return
+    w = max((sub_up(v.box.coords[0].hi, v.box.coords[0].lo) for v in vs), default=0.0)
+    for u in us:
+        x = u.box.coords[0]
+        for v in vs[bisect_left(los, sub_down(x.lo, w)):bisect_right(los, x.hi)]:
+            if u.box.intersects(v.box):
+                yield u, v

@@ -7,7 +7,9 @@ by one unit in the last place in the safe direction.  Exactness of float
 sums and products is detected with error-free transformations (TwoSum,
 Dekker splitting), so integer-valued and power-of-two arithmetic stays
 tight: ``[1,2] + [3,4]`` is exactly ``[4,6]``, and a zero endpoint stays an
-exact zero through sums and products.
+exact zero through sums and products.  The same splitting tells on which
+side of the exact quotient or square root the nearest float lies, so their
+bounds are the adjacent floats in the safe direction.
 
 Multiplication follows the sign-case table of Moore's *Interval Analysis*:
 in eight of the nine sign cases one downward and one upward product give
@@ -115,48 +117,77 @@ def sub_up(a: float, b: float) -> float:
     return add_up(a, -b)
 
 
+# A product of nonzero factors that underflows to a signed zero p is
+# inexact, but the factors' signs fix the side of zero it lies on: p is a
+# lower bound of a positive product and an upper bound of a negative one.
+# Widening it there too would break inclusion monotonicity against an
+# exact zero product of a wider operand.
+
+
 def mul_down(a: float, b: float) -> float:
     p, e = _two_product(a, b)
     if e is None:
-        return next_down(p)
+        return p if p == 0.0 and (a > 0.0) == (b > 0.0) else next_down(p)
     return p if e >= 0.0 else next_down(p)
 
 
 def mul_up(a: float, b: float) -> float:
     p, e = _two_product(a, b)
     if e is None:
-        return next_up(p)
+        return p if p == 0.0 and (a > 0.0) != (b > 0.0) else next_up(p)
     return p if e <= 0.0 else next_up(p)
+
+
+def _excess(q: float, b: float, a: float):
+    """Sign of q*b - a (-1, 0 or 1), or None when it cannot be established.
+
+    For q = fl(a/b) (or q = b = fl(sqrt(a))) and q*b = p + e exactly, p is
+    zero or lies within a factor of two of a, so p - a is exact (Sterbenz)
+    and comparing it with -e is exact.
+    """
+    p, e = _two_product(q, b)
+    if e is None:
+        return None
+    d = p - a
+    return (d > -e) - (d < -e)
+
+
+# Quotients and square roots are rounded to nearest and then moved one ulp
+# outward only when the nearest float lies on the wrong side of the exact
+# value, so each bound is the adjacent float in its direction (outside the
+# underflow and overflow bands, where _excess gives up and the bound is
+# always moved).  A bound moved even when already on the safe side would
+# break inclusion monotonicity against an exact quotient of a wider operand.
 
 
 def div_down(a: float, b: float) -> float:
     q = a / b
-    p, e = _two_product(q, b)
-    if e == 0.0 and p == a:
+    s = _excess(q, b, a)
+    if s is not None and (s <= 0 if b > 0.0 else s >= 0):
         return q
     return next_down(q)
 
 
 def div_up(a: float, b: float) -> float:
     q = a / b
-    p, e = _two_product(q, b)
-    if e == 0.0 and p == a:
+    s = _excess(q, b, a)
+    if s is not None and (s >= 0 if b > 0.0 else s <= 0):
         return q
     return next_up(q)
 
 
 def sqrt_down(x: float) -> float:
     s = math.sqrt(x)
-    p, e = _two_product(s, s)
-    if e == 0.0 and p == x:
+    c = _excess(s, s, x)
+    if c is not None and c <= 0:
         return s
     return max(0.0, next_down(s))
 
 
 def sqrt_up(x: float) -> float:
     s = math.sqrt(x)
-    p, e = _two_product(s, s)
-    if e == 0.0 and p == x:
+    c = _excess(s, s, x)
+    if c is not None and c >= 0:
         return s
     return next_up(s)
 

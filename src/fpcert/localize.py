@@ -89,8 +89,8 @@ class LocalizeResult:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-def _residual_coords(g: MapSpec, box: Box, t):
-    img = g.eval_interval(box, t)
+def _residual_coords(g: MapSpec, box: Box):
+    img = g.eval_interval(box)
     return [gi - xi for gi, xi in zip(img.coords, box.coords)]
 
 
@@ -121,6 +121,9 @@ def localize_fixed_points(g: MapSpec, rect: RectDomain, tol: float,
         raise DimensionMismatchError(f"map of dim {g.dim} over rectangle of dim {rect.dim}")
     if g.has_param and t is None:
         raise ValueError("parametrized map needs the parameter interval t")
+    # Bind the parameter once: subtrees free of x are then evaluated once
+    # per call, not on every box.
+    f = g if t is None else g.bind_interval(t)
 
     queue = deque([rect.box])
     survivors = []
@@ -134,7 +137,7 @@ def localize_fixed_points(g: MapSpec, rect: RectDomain, tol: float,
             break
         box = queue.popleft()
         examined += 1
-        diffs = _residual_coords(g, box, t)
+        diffs = _residual_coords(f, box)
         if any(d.lo > 0.0 or d.hi < 0.0 for d in diffs):
             discarded_volume += box.volume()
             continue
@@ -146,7 +149,7 @@ def localize_fixed_points(g: MapSpec, rect: RectDomain, tol: float,
         queue.append(right)
 
     for box in queue:  # budget exhausted: keep unpruned work as candidates
-        survivors.append((box, _residual_bound(_residual_coords(g, box, t))))
+        survivors.append((box, _residual_bound(_residual_coords(f, box))))
 
     enclosures = []
     for box, residual in survivors:
@@ -185,7 +188,7 @@ def region_fixed_point_free(g: MapSpec, root: Box, inside,
     def classify(box):
         if inside(box):
             return IRRELEVANT, None
-        diffs = _residual_coords(g, box, None)
+        diffs = _residual_coords(g, box)
         if any(d.lo > 0.0 or d.hi < 0.0 for d in diffs):
             return VERIFIED, None
         return UNKNOWN, None

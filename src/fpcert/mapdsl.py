@@ -19,8 +19,13 @@ endpoints of a box coordinate, of t or of a constant's enclosure, and
 operations call the pair kernels of ``interval``.  Each operation checks
 its result with ``-inf < lo <= hi < inf`` and raises exactly what
 ``Interval(lo, hi)`` would, and an ``Interval`` is built only for each
-component.  Expressions nest at most ``MAX_DEPTH`` levels
-deep, so neither parsing nor evaluation can exhaust the stack.  Decimal
+component.  ``MapSpec.bind_interval(t)`` binds the parameter once: every
+subtree free of x1..xn becomes a leaf holding its pair over t, so within a
+trace cell (one localize call) those subtrees are evaluated once, not once
+per box, with bit-identical enclosures.  ``children`` and ``with_children``
+are the one generic way to walk and rebuild a tree.  Expressions nest at
+most ``MAX_DEPTH`` levels deep, so neither parsing nor evaluation can
+exhaust the stack.  Decimal
 literals evaluate to their nearest float in real semantics and to the
 tightest enclosing float interval in interval semantics, so constants like
 0.1 never silently lose their true value.
@@ -147,7 +152,8 @@ class Neg(Expr):
         return -hi, -lo
 
     def to_source(self, prec=0):
-        inner = f"-{self.arg.to_source(3)}"
+        # A nested minus needs no parentheses: "--x1" parses as -(-x1).
+        inner = f"-{self.arg.to_source(2 if type(self.arg) is Neg else 3)}"
         return f"({inner})" if prec > 2 else inner
 
 
@@ -280,6 +286,79 @@ class Call(Expr):
         return f"{self.func}(" + ", ".join(a.to_source(0) for a in self.args) + ")"
 
 
+@dataclass(frozen=True)
+class Folded(Expr):
+    """A subtree free of x1..xn, replaced by its pair (MapSpec.bind_interval)."""
+
+    pair: tuple
+
+    def eval_real(self, xs, t):
+        raise _folded_error()
+
+    def eval_pair(self, xs, t):
+        return self.pair
+
+    def to_source(self, prec=0):
+        raise _folded_error()
+
+
+def _folded_error() -> TypeError:
+    return TypeError(
+        "a map bound by bind_interval holds enclosures, not expressions; "
+        "use the unbound map for real evaluation and source"
+    )
+
+
+def children(e: Expr) -> tuple:
+    """The direct subexpressions of e, in evaluation order."""
+    if isinstance(e, BinOp):
+        return (e.left, e.right)
+    if isinstance(e, Neg):
+        return (e.arg,)
+    if isinstance(e, Power):
+        return (e.base,)
+    if isinstance(e, Call):
+        return e.args
+    return ()
+
+
+def with_children(e: Expr, kids) -> Expr:
+    """e with its direct subexpressions replaced by kids (see children)."""
+    if isinstance(e, BinOp):
+        return BinOp(e.op, kids[0], kids[1])
+    if isinstance(e, Neg):
+        return Neg(kids[0])
+    if isinstance(e, Power):
+        return Power(kids[0], e.exponent)
+    if isinstance(e, Call):
+        return Call(e.func, tuple(kids))
+    return e
+
+
+def _fold(e: Expr, t):
+    """e with its maximal Var-free subtrees folded (_leaf), or None when e
+    contains no Var: the caller then folds it as part of a larger subtree."""
+    if type(e) is Var:
+        return e
+    kids = children(e)
+    done = [_fold(k, t) for k in kids]
+    if all(d is None for d in done):
+        return None
+    return with_children(e, [_leaf(k, t) if d is None else d for k, d in zip(kids, done)])
+
+
+def _leaf(e: Expr, t) -> Expr:
+    """A Var-free e as a Folded leaf holding its pair over t (the tree
+    walk's own result).  When its evaluation raises, e stays a node with
+    its subtrees folded, and raises again, in evaluation order, whenever
+    the bound map is evaluated."""
+    try:
+        return Folded(e.eval_pair((), t))
+    except (ArithmeticError, ValueError):
+        kids = children(e)
+        return with_children(e, [_leaf(k, t) for k in kids]) if kids else e
+
+
 def literal_const(text: str) -> Const:
     """Build a constant whose enclosure brackets the exact decimal value."""
     v = float(text)
@@ -350,6 +429,18 @@ class MapSpec:
                 f"box of dimension {box.dim} for map of dimension {self.dim}"
             )
         return Box(tuple([_image(c, box.coords, t) for c in self.components]))
+
+    def bind_interval(self, t: Interval) -> "MapSpec":
+        """This map with its parameter bound to the interval t.
+
+        The result takes no parameter, and its eval_interval(box) equals
+        eval_interval(box, t) bit for bit, errors included: subtrees free
+        of x1..xn are evaluated here, once, instead of on every box.
+        """
+        self._check_param(t)
+        folded = [_fold(c, t) for c in self.components]
+        return MapSpec(self.dim, tuple(_leaf(c, t) if f is None else f
+                                       for c, f in zip(self.components, folded)))
 
     def eval_component_interval(self, i: int, box: Box, t=None) -> Interval:
         if box.dim != self.dim:
@@ -460,17 +551,9 @@ def _tree_depth(root: Expr) -> int:
     stack = [(root, 0)]
     while stack:
         e, above = stack.pop()
-        if isinstance(e, Neg):
-            kids = (e.arg,)
-        elif isinstance(e, BinOp):
-            kids = (e.left, e.right)
-        elif isinstance(e, Power):
-            kids = (e.base,)
-        elif isinstance(e, Call):
-            kids = e.args
-        else:
+        kids = children(e)
+        if not kids:
             depth = max(depth, above)
-            continue
         stack.extend((k, above + 1) for k in kids)
     return depth
 

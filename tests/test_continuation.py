@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
-from fpcert.continuation import trace_continuum
-from fpcert.interval import Box
+from fpcert.continuation import Slab, _touching_pairs, trace_continuum
+from fpcert.interval import Box, Interval
 from fpcert.mapdsl import parse_map
 
 
@@ -84,3 +86,58 @@ def test_start_index_check():
 def test_requires_parametrized_map():
     with pytest.raises(ValueError):
         trace_continuum(parse_map("dim 1\nmap g1 = x1\n"), (0, 1), xbox())
+
+
+def _random_slabs(rng, dim, n, first_id, cuts):
+    """n slabs whose box corners are drawn from a few shared cut values, so
+    faces coincide and lower corners repeat; one slab is wide, as a cell's
+    unprocessed root is when its budget runs out."""
+    slabs = []
+    for k in range(n):
+        bounds = []
+        for _ in range(dim):
+            i = rng.randrange(len(cuts) - 1)
+            j = min(len(cuts) - 1, i + rng.choice((1, 1, 2, 3)))
+            bounds.append((cuts[i], cuts[j]))
+        if k == 0:
+            bounds[0] = (cuts[0], cuts[-1])
+        slabs.append(Slab(first_id + k, 0, Interval(0.0), Box.from_bounds(bounds), "CANDIDATE"))
+    rng.shuffle(slabs)
+    return slabs
+
+
+def test_sweep_links_exactly_the_intersecting_pairs():
+    rng = random.Random(12)
+    touching = equal_corners = 0
+    for case in range(300):
+        dim = rng.choice((1, 2, 3))
+        if case % 2:
+            cuts = sorted({round(rng.uniform(-2.0, 2.0), 3) for _ in range(12)})
+        else:
+            cuts = sorted({rng.uniform(-2.0, 2.0) for _ in range(12)})
+        us = _random_slabs(rng, dim, rng.randrange(0, 25), 0, cuts)
+        vs = _random_slabs(rng, dim, rng.randrange(0, 25), 100, cuts)
+        same = list(_touching_pairs(us))
+        assert len(same) == len({frozenset((u.id, v.id)) for u, v in same})
+        assert {frozenset((u.id, v.id)) for u, v in same} == {
+            frozenset((u.id, v.id)) for u in us for v in us
+            if u.id < v.id and u.box.intersects(v.box)
+        }
+        across = [(u.id, v.id) for u, v in _touching_pairs(us, vs)]
+        assert sorted(across) == sorted(
+            (u.id, v.id) for u in us for v in vs if u.box.intersects(v.box)
+        )
+        for u, v in same:
+            touching += any(a.hi == b.lo or b.hi == a.lo
+                            for a, b in zip(u.box.coords, v.box.coords))
+            equal_corners += u.box.coords[0].lo == v.box.coords[0].lo
+    assert touching > 100 and equal_corners > 100
+
+
+def test_sweep_window_is_rounded_outward():
+    # fl(u.lo - fl(v.hi - v.lo)) lies above v.lo here, so a window rounded
+    # to nearest would miss v, which touches u at 35.18...
+    v = Slab(0, 0, Interval(0.0), Box.from_bounds([(-4.83958426667953e-12, 35.18167389270949)]),
+             "CANDIDATE")
+    u = Slab(1, 1, Interval(0.0), Box.from_bounds([(35.18167389270949, 40.0)]), "CANDIDATE")
+    assert [(a.id, b.id) for a, b in _touching_pairs([u], [v])] == [(1, 0)]

@@ -159,6 +159,54 @@ def test_inclusion_monotonicity(op, outer_lo, w1, f0, f1, outer_lo2, w2, g0, g1)
     assert small.lo >= big.lo and small.hi <= big.hi
 
 
+def test_underflowing_product_keeps_the_side_its_signs_fix():
+    tiny = 6.589190613059125e-199  # tiny * tiny underflows to zero
+    small = Interval(0, tiny) * Interval(tiny)
+    assert repr(small) == "Interval(0.0, 5e-324)"
+    assert repr(Interval(-tiny, 0) * Interval(tiny)) == "Interval(-5e-324, -0.0)"
+    wide = Interval(0, 1) * Interval(tiny)
+    assert wide.lo <= small.lo and small.hi <= wide.hi
+    assert repr((mul_down(tiny, tiny), mul_up(tiny, tiny))) == "(0.0, 5e-324)"
+    assert repr((mul_down(-tiny, -tiny), mul_up(-tiny, -tiny))) == "(0.0, 5e-324)"
+    assert repr((mul_down(-tiny, tiny), mul_up(-tiny, tiny))) == "(-5e-324, -0.0)"
+    assert repr((mul_down(tiny, -tiny), mul_up(tiny, -tiny))) == "(-5e-324, -0.0)"
+
+
+def test_quotient_and_root_bounds_are_the_adjacent_floats():
+    from fractions import Fraction
+
+    # The cases that broke inclusion monotonicity: an underflowing quotient
+    # and a root just above an exact one.
+    assert (Interval(0, 5e-324) / Interval(2.0)).lo == 0.0
+    assert Interval(math.nextafter(2.0**-52, 1.0), 1.0).sqrt().lo == 2.0**-26
+    rng = random.Random(17)
+    for _ in range(20000):
+        a = rng.choice((-1, 1)) * rng.random() * 10.0 ** rng.uniform(-120, 120)
+        b = rng.choice((-1, 1)) * rng.choice((rng.random(), rng.randint(1, 99)))
+        b *= 10.0 ** rng.uniform(-120, 120)
+        exact = Fraction(a) / Fraction(b)
+        lo, hi = iv.div_down(a, b), iv.div_up(a, b)
+        assert lo <= exact <= hi, (a, b)
+        assert lo == hi or (iv.next_up(lo) > exact and iv.next_down(hi) < exact), (a, b)
+        x = abs(a)
+        lo, hi = iv.sqrt_down(x), iv.sqrt_up(x)
+        assert Fraction(lo) ** 2 <= x <= Fraction(hi) ** 2, x
+        assert lo == hi or (Fraction(iv.next_up(lo)) ** 2 > x
+                            and Fraction(iv.next_down(hi)) ** 2 < x), x
+
+
+def test_product_is_inclusion_monotone_in_the_underflow_band():
+    tiny = 6.589190613059125e-199
+    ends = (-1.0, -tiny, -1e-200, 0.0, 1e-200, tiny, 1.0)
+    ivs = [Interval(lo, hi) for lo in ends for hi in ends if lo <= hi]
+    nested = [(a, s) for a in ivs for s in ivs if a.lo <= s.lo and s.hi <= a.hi]
+    for a, a_sub in nested:
+        for b in ivs:
+            big = a * b
+            for small in (a_sub * b, b * a_sub):
+                assert big.lo <= small.lo and small.hi <= big.hi, (a, a_sub, b)
+
+
 def test_box_bisect_partitions():
     b = Box.from_bounds([(0, 2), (0, 1)])
     left, right = b.bisect(0)

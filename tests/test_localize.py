@@ -4,7 +4,7 @@ import random
 import pytest
 
 from fpcert.geometry import RectDomain
-from fpcert.interval import Box
+from fpcert.interval import Box, Interval
 from fpcert.localize import (
     PROVEN,
     NoCrossingError,
@@ -47,6 +47,20 @@ def test_translation_prunes_everything():
                                 rect((0, 1)), tol=1e-4)
     assert res.enclosures == []
     assert res.discarded_volume == pytest.approx(res.total_volume)
+
+
+def test_parameter_checks_survive_binding():
+    with pytest.raises(ValueError, match="map takes no parameter"):
+        localize_fixed_points(parse_map("dim 1\nmap g1 = x1 + 1\n"), rect((0, 1)),
+                              tol=0.1, t=Interval(0.0, 1.0))
+    psi = parse_map("dim 1\nparam t\nmap g1 = (x1 + t)/2\n")
+    with pytest.raises(ValueError, match="needs the parameter interval"):
+        localize_fixed_points(psi, rect((0, 1)), tol=0.1)
+    res = localize_fixed_points(psi, rect((0, 1)), tol=1e-3, t=Interval(0.25, 0.5),
+                                upgrade=False)
+    assert res.enclosures
+    assert all(e.box.coords[0].hi >= 0.25 - 1e-3 and e.box.coords[0].lo <= 0.5 + 1e-3
+               for e in res.enclosures)
 
 
 def test_budget_exhaustion_flagged():

@@ -9,6 +9,7 @@ from fpcert.mapdsl import (
     BinOp,
     Const,
     EvaluationError,
+    Folded,
     Neg,
     Param,
     ParseError,
@@ -316,3 +317,109 @@ def test_depth_limit_accepts_the_limit_and_rejects_one_more():
     parse_map(f"dim 1\nmap g1 = {parens}\n")
     with pytest.raises(ParseError, match="nested deeper than"):
         parse_map(f"dim 1\nmap g1 = ({parens})\n")
+
+
+def test_nested_minus_prints_without_parentheses_and_round_trips():
+    chain = parse_map("dim 1\nmap g1 = " + "-" * MAX_DEPTH + "x1\n")
+    assert chain.to_source() == "dim 1\nmap g1 = " + "-" * MAX_DEPTH + "x1\n"
+    assert parse_map(chain.to_source()) == chain
+    m = parse_map("dim 1\nmap g1 = -(-x1) * -(-(x1 + 1))\n")
+    assert m.to_source() == "dim 1\nmap g1 = --x1 * (--(x1 + 1.0))\n"
+    assert parse_map(m.to_source()) == m
+
+
+def test_random_maps_reparse_to_an_equal_tree():
+    rng = random.Random(31)
+    for k in range(200):
+        m = random_expression_map(rng, rng.choice((1, 2, 3)), depth=3 + k % 3)
+        assert parse_map(m.to_source()) == m, m.to_source()
+
+
+# -- binding the parameter ------------------------------------------------
+
+
+def _bound_outcomes(m, box, t):
+    """Bound and unbound outcomes (results or errors) of every evaluation."""
+    bound = m.bind_interval(t)
+    assert not bound.has_param
+    got = [_outcome(bound.eval_interval, box)]
+    want = [_outcome(m.eval_interval, box, t)]
+    for i in range(m.dim):
+        got.append(_outcome(bound.eval_component_interval, i, box))
+        want.append(_outcome(m.eval_component_interval, i, box, t))
+    return got, want
+
+
+def test_bound_map_matches_unbound_evaluation():
+    from fpcert.corpus import random_box
+
+    rng = random.Random(4048)
+    for k in range(120):
+        dim = rng.choice((1, 2, 3))
+        m = _parametrized(random_expression_map(rng, dim, depth=3 + k % 3))
+        lo = rng.uniform(-2.0, 2.0)
+        for t in (Interval(lo, lo + rng.uniform(0.0, 1.0)), Interval(lo)):
+            for _ in range(3):
+                box = random_box(rng, dim, rng.choice((0.5, 2.0, 40.0)))
+                got, want = _bound_outcomes(m, box, t)
+                assert got == want, (m.to_source(), box.bounds(), t)
+    f = parse_map("dim 2\nmap g1 = x1*x2\nmap g2 = sin(x1)\n")
+    g = parse_map("dim 2\nmap g1 = x2^2 - 1\nmap g2 = x1 + 0.5\n")
+    blend = blend_with_parameter(f, g)
+    for t in (Interval(0.25, 0.75), Interval(0.5)):
+        got, want = _bound_outcomes(blend, Box.from_bounds([(-1, 2), (0.5, 3)]), t)
+        assert got == want
+
+
+def test_bind_folds_every_subtree_free_of_x():
+    m = parse_map("dim 1\nparam t\nmap g1 = x1*(0.1 + 2*t^2) + sin(t)*x1 - 3\n")
+    t = Interval(0.0, 0.5)
+    (comp,) = m.bind_interval(t).components
+    (orig,) = m.components
+    # ((x1 * F) + (F * x1)) - F: only the operations on x1 are left.
+    leaves = (comp.left.left.right, comp.left.right.left, comp.right)
+    assert all(isinstance(f, Folded) for f in leaves)
+    assert comp.left.left.left == comp.left.right.right == Var(0)
+    assert leaves[0].pair == orig.left.left.right.eval_pair((), t)
+    assert leaves[1].pair == (t.sin().lo, t.sin().hi)
+    assert leaves[2].pair == (3.0, 3.0)
+
+
+@pytest.mark.parametrize("expr, bounds", [
+    ("1/(t - 0.5) + sqrt(x1 - 2)", (0.0, 1.0)),
+    ("1/(t - 0.5) + sqrt(x1 - 2)", (3.0, 4.0)),
+    ("sqrt(x1 - 2) + 1/(t - 0.5)", (0.0, 1.0)),
+    ("sqrt(x1 - 2) + 1/(t - 0.5)", (3.0, 4.0)),
+    ("sqrt(t - 2)", (0.0, 1.0)),
+    ("x1 + sqrt(t - 2)*x1", (0.0, 1.0)),
+])
+def test_bound_map_raises_the_first_error_of_the_unbound_map(expr, bounds):
+    m = parse_map(f"dim 1\nparam t\nmap g1 = {expr}\n")
+    got, want = _bound_outcomes(m, Box.from_bounds([bounds]), Interval(0.0, 1.0))
+    assert got == want
+    assert want[0].split(":")[0] in ("IntervalDivisionError", "DomainError")
+
+
+def test_bind_keeps_a_raising_subtree_and_folds_inside_it():
+    m = parse_map("dim 1\nparam t\nmap g1 = 1/(t - 0.5) + sqrt(x1 - 2)\n")
+    (comp,) = m.bind_interval(Interval(0.0, 1.0)).components
+    div = comp.left
+    assert isinstance(div, BinOp) and div.op == "/"
+    assert isinstance(div.left, Folded) and isinstance(div.right, Folded)
+    assert div.right.pair == (-0.5, 0.5)
+
+
+def test_bound_map_refuses_real_evaluation_and_source():
+    m = parse_map("dim 1\nparam t\nmap g1 = x1 + t\n")
+    bound = m.bind_interval(Interval(0.0, 1.0))
+    with pytest.raises(TypeError, match="bind_interval"):
+        bound.eval_real((0.5,))
+    with pytest.raises(TypeError, match="bind_interval"):
+        bound.to_source()
+
+
+def test_bind_checks_the_parameter():
+    with pytest.raises(ValueError, match="map takes no parameter"):
+        parse_map("dim 1\nmap g1 = x1\n").bind_interval(Interval(0.0))
+    with pytest.raises(ValueError, match="none was supplied"):
+        parse_map("dim 1\nparam t\nmap g1 = x1*t\n").bind_interval(None)
