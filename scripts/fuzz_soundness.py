@@ -17,10 +17,10 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
 
+from corpus import random_cone_problem, random_cylinder_problem, random_rect_problem  # noqa: E402
 from oracles import grid_zoom_min  # noqa: E402
 
 from fpcert.certify import CERTIFIED, certify_cone_shell, certify_cylinder, certify_miranda  # noqa: E402
-from fpcert.corpus import random_cone_problem, random_cylinder_problem, random_rect_problem  # noqa: E402
 
 
 def main():

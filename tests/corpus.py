@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import random
 
-from .geometry import ConeShellSpec, CylinderSpec, Functional, RectDomain
-from .interval import Box, Interval
-from .mapdsl import MapSpec, parse_map
+from fpcert.geometry import ConeShellSpec, CylinderSpec, Functional, RectDomain
+from fpcert.interval import Box, Interval
+from fpcert.mapdsl import MapSpec, parse_map
 
 
 def _fmt(v: float) -> str:

@@ -27,7 +27,7 @@ from fpcert.certify import (
     holes_index_cross_check,
 )
 from fpcert.continuation import trace_continuum
-from fpcert.corpus import (
+from corpus import (
     random_box,
     random_cone_problem,
     random_cylinder_problem,

@@ -57,7 +57,7 @@ def test_winding_contraction():
 
 def test_winding_matches_oracle_random():
     rng = random.Random(88)
-    from fpcert.corpus import random_polynomial_map_2d
+    from corpus import random_polynomial_map_2d
 
     r = rect((-1.2, 1.1), (-1.05, 1.15))
     checked = 0

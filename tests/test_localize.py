@@ -71,7 +71,7 @@ def test_budget_exhaustion_flagged():
 
 
 def test_pruning_never_discards_forced_fixed_point():
-    from fpcert.corpus import random_expression_map, sample_in_box
+    from corpus import random_expression_map, sample_in_box
 
     rng = random.Random(2024)
     kept = 0
@@ -103,7 +103,7 @@ def test_pruning_never_discards_forced_fixed_point():
 
 def test_coverage_accounting():
     rng = random.Random(31)
-    from fpcert.corpus import random_rect_problem
+    from corpus import random_rect_problem
 
     for _ in range(25):
         m, r = random_rect_problem(rng)

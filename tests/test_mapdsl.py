@@ -3,7 +3,7 @@ import random
 import pytest
 
 from fpcert.interval import Box, DimensionMismatchError, DomainError, Interval
-from fpcert.corpus import random_expression_map
+from corpus import random_expression_map
 from fpcert.mapdsl import (
     MAX_DEPTH,
     BinOp,
@@ -97,7 +97,7 @@ def test_eval_interval_naive_extension():
 
 
 def _random_sources(rng, n):
-    from fpcert.corpus import random_expression_map
+    from corpus import random_expression_map
 
     out = []
     for _ in range(n):
@@ -108,7 +108,7 @@ def _random_sources(rng, n):
 
 def test_fundamental_enclosure_fuzz():
     rng = random.Random(7)
-    from fpcert.corpus import random_box, sample_in_box
+    from corpus import random_box, sample_in_box
 
     for m in _random_sources(rng, 150):
         box = random_box(rng, m.dim)
@@ -128,7 +128,7 @@ def test_fundamental_enclosure_fuzz():
 
 def test_print_reparse_roundtrip():
     rng = random.Random(11)
-    from fpcert.corpus import random_box, sample_in_box
+    from corpus import random_box, sample_in_box
 
     for m in _random_sources(rng, 40):
         m2 = parse_map(m.to_source())
@@ -218,7 +218,7 @@ def _parametrized(m):
 
 
 def test_pair_evaluation_matches_interval_reference_on_random_maps():
-    from fpcert.corpus import random_box
+    from corpus import random_box
 
     rng = random.Random(2024)
     params = 0
@@ -351,7 +351,7 @@ def _bound_outcomes(m, box, t):
 
 
 def test_bound_map_matches_unbound_evaluation():
-    from fpcert.corpus import random_box
+    from corpus import random_box
 
     rng = random.Random(4048)
     for k in range(120):
