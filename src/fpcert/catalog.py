@@ -12,7 +12,7 @@ class CatalogEntry:
     task: str  # certify | localize | index | trace
     source: str
     kwargs: dict = field(default_factory=dict)
-    expect: str = ""
+    exit: int = field(kw_only=True)  # the CLI exit code the entry's task returns
 
 
 _ENTRIES = [
@@ -21,7 +21,7 @@ _ENTRIES = [
         "constant map 0.5 on [0,1]: compressive face conditions hold",
         "certify",
         "dim 1\nmap g1 = 0.5\ndomain rect [0,1]\n",
-        expect="CERTIFIED, directions (c), fixed point 0.5",
+        exit=0,
     ),
     CatalogEntry(
         "miranda-linear-2d",
@@ -29,14 +29,14 @@ _ENTRIES = [
         "certify",
         "dim 2\nmap g1 = 2*x1 - 0.5\nmap g2 = 0.25 + 0.5*x2\n"
         "domain rect [0,1] [0,1]\n",
-        expect="CERTIFIED, directions (e, c), fixed point (0.5, 0.5)",
+        exit=0,
     ),
     CatalogEntry(
         "miranda-translation",
         "translation x+1 on [0,1]: no fixed point, conditions refuted",
         "certify",
         "dim 1\nmap g1 = x1 + 1\ndomain rect [0,1]\n",
-        expect="REFUTED with witness",
+        exit=1,
     ),
     CatalogEntry(
         "cylinder-constant-compressive",
@@ -44,7 +44,7 @@ _ENTRIES = [
         "certify",
         "dim 2\nmap g1 = 0.5\nmap g2 = 0.5\ndomain cylinder [0,1] base [0,1]\n",
         {"form": "compressive"},
-        expect="CERTIFIED compressive, fixed point (0.5, 0.5)",
+        exit=0,
     ),
     CatalogEntry(
         "cylinder-linear-expansive",
@@ -53,14 +53,14 @@ _ENTRIES = [
         "dim 2\nmap g1 = 2*x1 - 0.5\nmap g2 = 0.25 + 0.5*x2\n"
         "domain cylinder [0,1] base [0,1]\n",
         {"form": "expansive"},
-        expect="CERTIFIED expansive, fixed point (0.5, 0.5)",
+        exit=0,
     ),
     CatalogEntry(
         "cylinder-translation",
         "height translation on the cylinder: refuted in either form",
         "certify",
         "dim 2\nmap g1 = x1 + 1\nmap g2 = x2\ndomain cylinder [0,1] base [0,1]\n",
-        expect="REFUTED",
+        exit=1,
     ),
     CatalogEntry(
         "cone-quadratic-expansive",
@@ -69,7 +69,7 @@ _ENTRIES = [
         "dim 2\nmap g1 = (x1 + x2)*x1\nmap g2 = (x1 + x2)*x2\n"
         "domain coneshell l=sum a=0.5 b=2\n",
         {"form": "expansive"},
-        expect="CERTIFIED expansive; fixed points fill the slice x1+x2 = 1",
+        exit=0,
     ),
     CatalogEntry(
         "cone-constant-compressive",
@@ -77,14 +77,14 @@ _ENTRIES = [
         "certify",
         "dim 2\nmap g1 = 0.75\nmap g2 = 0.75\ndomain coneshell l=sum a=1 b=2\n",
         {"form": "compressive"},
-        expect="CERTIFIED compressive, fixed point (0.75, 0.75)",
+        exit=0,
     ),
     CatalogEntry(
         "cone-scaling",
         "tripling map on the shell [1, 2]: no shell fixed point",
         "certify",
         "dim 2\nmap g1 = 3*x1\nmap g2 = 3*x2\ndomain coneshell l=sum a=1 b=2\n",
-        expect="REFUTED in both forms",
+        exit=1,
     ),
     CatalogEntry(
         "holes-two",
@@ -92,14 +92,14 @@ _ENTRIES = [
         "certify",
         "dim 2\nmap g1 = 2*tanh(x1)\nmap g2 = 0\n"
         "domain holedball R=4 hole (2,0,0.5) hole (-2,0,0.5)\n",
-        expect="CERTIFIED, index 1 - 2 = -1",
+        exit=0,
     ),
     CatalogEntry(
         "holes-single",
         "single hole with the constant map onto its centre: refused",
         "certify",
         "dim 2\nmap g1 = 0\nmap g2 = 0\ndomain holedball R=4 hole (0,0,0.5)\n",
-        expect="refused (single hole: index would vanish)",
+        exit=4,
     ),
     CatalogEntry(
         "holes-bad-constant",
@@ -107,35 +107,35 @@ _ENTRIES = [
         "certify",
         "dim 2\nmap g1 = 2\nmap g2 = 0\n"
         "domain holedball R=4 hole (2,0,0.5) hole (-2,0,0.5)\n",
-        expect="REFUTED with witness on hole 1's boundary",
+        exit=1,
     ),
     CatalogEntry(
         "annulus-rotation",
         "rotation by 90 degrees on a planar annulus: domain refused",
         "certify",
         "dim 2\nmap g1 = -x2\nmap g2 = x1\ndomain annulus r1=1 r2=2\n",
-        expect="UnsupportedDomain, exit 4",
+        exit=4,
     ),
     CatalogEntry(
         "rotation-shell",
         "rotation by 90 degrees leaves the orthant: shell certificate refuted",
         "certify",
         "dim 2\nmap g1 = -x2\nmap g2 = x1\ndomain coneshell l=euclid a=1 b=2\n",
-        expect="REFUTED (cone invariance fails)",
+        exit=1,
     ),
     CatalogEntry(
         "rotation-rect-offset",
         "rotation on a rectangle away from the origin: refuted",
         "certify",
         "dim 2\nmap g1 = -x2\nmap g2 = x1\ndomain rect [1,2] [1,2]\n",
-        expect="REFUTED",
+        exit=1,
     ),
     CatalogEntry(
         "rotation-rect-origin",
         "rotation on a rectangle around the origin: equality case, abstain",
         "certify",
         "dim 2\nmap g1 = -x2\nmap g2 = x1\ndomain rect [-1,1] [-1,1]\n",
-        expect="INDETERMINATE (face conditions hold only with equality)",
+        exit=2,
     ),
     CatalogEntry(
         "localize-cos",
@@ -143,7 +143,7 @@ _ENTRIES = [
         "localize",
         "dim 1\nmap g1 = cos(x1)\ndomain rect [0,1]\n",
         {"tol": 1e-8},
-        expect="one PROVEN enclosure of width <= 1e-8",
+        exit=0,
     ),
     CatalogEntry(
         "localize-linear-2d",
@@ -152,7 +152,7 @@ _ENTRIES = [
         "dim 2\nmap g1 = 2*x1 - 0.5\nmap g2 = 0.25 + 0.5*x2\n"
         "domain rect [0,1] [0,1]\n",
         {"tol": 1e-8},
-        expect="one PROVEN enclosure around (0.5, 0.5)",
+        exit=0,
     ),
     CatalogEntry(
         "localize-translation",
@@ -160,21 +160,21 @@ _ENTRIES = [
         "localize",
         "dim 1\nmap g1 = x1 + 1\ndomain rect [0,1]\n",
         {"tol": 1e-4},
-        expect="empty enclosure list, exit 1",
+        exit=1,
     ),
     CatalogEntry(
         "index-constant-inside",
         "constant map into the rectangle: index 1",
         "index",
         "dim 2\nmap g1 = 0.25\nmap g2 = 0.25\ndomain rect [0,1] [0,1]\n",
-        expect="value 1, verified",
+        exit=0,
     ),
     CatalogEntry(
         "index-constant-outside",
         "constant map outside the rectangle: index 0",
         "index",
         "dim 2\nmap g1 = 5\nmap g2 = 5\ndomain rect [0,1] [0,1]\n",
-        expect="value 0, verified",
+        exit=0,
     ),
     CatalogEntry(
         "index-squaring",
@@ -182,21 +182,21 @@ _ENTRIES = [
         "index",
         "dim 2\nmap g1 = x1 - (x1^2 - x2^2)\nmap g2 = x2 - 2*x1*x2\n"
         "domain rect [-1,1] [-1,1]\n",
-        expect="value 2, verified",
+        exit=0,
     ),
     CatalogEntry(
         "index-contraction",
         "halving map: index 1",
         "index",
         "dim 2\nmap g1 = 0.5*x1\nmap g2 = 0.5*x2\ndomain rect [-1,1] [-1,1]\n",
-        expect="value 1, verified",
+        exit=0,
     ),
     CatalogEntry(
         "index-identity",
         "identity map: boundary field vanishes, abstain",
         "index",
         "dim 1\nmap g1 = x1\ndomain rect [0,1]\n",
-        expect="abstention (boundary zero), exit 2",
+        exit=2,
     ),
     CatalogEntry(
         "index-holes",
@@ -204,7 +204,7 @@ _ENTRIES = [
         "index",
         "dim 2\nmap g1 = 2*tanh(x1)\nmap g2 = 0\n"
         "domain holedball R=4 hole (2,0,0.5) hole (-2,0,0.5)\n",
-        expect="value -1",
+        exit=0,
     ),
     CatalogEntry(
         "trace-linear",
@@ -212,7 +212,7 @@ _ENTRIES = [
         "trace",
         "dim 1\nparam t\nmap g1 = (x1 + t)/2\ndomain rect [-1,2]\n",
         {"grid": 16, "tol": 1e-3},
-        expect="complete chain following x = t",
+        exit=0,
     ),
     CatalogEntry(
         "trace-constant",
@@ -220,7 +220,7 @@ _ENTRIES = [
         "trace",
         "dim 1\nparam t\nmap g1 = t\ndomain rect [-1,2]\n",
         {"grid": 16, "tol": 1e-3},
-        expect="complete chain x = t",
+        exit=0,
     ),
     CatalogEntry(
         "trace-translation",
@@ -228,7 +228,7 @@ _ENTRIES = [
         "trace",
         "dim 1\nparam t\nmap g1 = x1 + 1\ndomain rect [-1,2]\n",
         {"grid": 8, "tol": 1e-3},
-        expect="complete = false at t = 0",
+        exit=1,
     ),
 ]
 

@@ -1,22 +1,29 @@
 """Three-valued certificates for fixed-point boundary hypotheses.
 
-Each certifier subdivides the relevant faces (or slice covers) adaptively
-and checks the theorem's boundary inequalities in interval arithmetic:
+Every certifier is a list of conditions.  A condition is one inequality
+``bound(box) relation threshold`` over a region given by seed boxes (a
+rectangle face, a cylinder base, a cone shell slice, the holed ball or a
+hole circle).  One engine, `check`, covers each region by adaptive
+subdivision and decides every cover box in interval arithmetic:
 
-  * CERTIFIED      every required inequality holds with a strict interval
-                   margin over a finite cover of the face; the target
-                   domain then provably contains a fixed point.
-  * REFUTED        some required inequality fails strictly on a whole
-                   sub-box that provably meets the constraint set; a
-                   witness point is reported and re-verified.
+  * CERTIFIED      every condition holds over a finite cover of its region;
+                   the target domain then provably contains a fixed point.
+  * REFUTED        some condition fails on a whole sub-box that provably
+                   meets the constraint set; a witness point is reported and
+                   re-verified by a point interval evaluation.
   * INDETERMINATE  neither could be established within the work budget.
                    Inequalities that hold only with exact equality land
                    here by design: outward rounding proves strict-margin
                    facts only, and a rigorous tool abstains otherwise.
 
-Containment conditions (cylinder base containment, cone invariance, ball
-containment) target closed sets and are verified with non-strict interval
-comparisons; the theorem hypotheses themselves need strict margins.
+Strict and closed.  The theorem hypotheses (rectangle faces, cylinder
+heights, cone slices) need a strict interval margin.  Containment
+conditions (cylinder base containment, cone invariance, the outer ball and
+the holes) target closed sets and are verified with non-strict interval
+comparisons.  Refutation, and the witness re-check, are always strict.
+
+Stop rule.  A condition list is checked in order and stops at its first
+REFUTED condition; an INDETERMINATE condition does not stop it.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .geometry import (
@@ -33,6 +41,7 @@ from .geometry import (
     HoledBallSpec,
     RectDomain,
     compressive_to_expansive,
+    dist2_interval,
     face,
 )
 from .interval import Box, DimensionMismatchError, Interval, mul_down, mul_up
@@ -114,76 +123,119 @@ class Certificate:
         return json.dumps(self.to_json_dict(stable=stable), indent=2)
 
 
-def _sorted_evidence(entries):
-    return sorted(entries, key=lambda e: (e.face, e.box.key()))
-
-
 # ---------------------------------------------------------------------------
-# One-sided inequality over a region
+# Conditions and the engine that checks them
 # ---------------------------------------------------------------------------
 
 
-def _check_bound(value_fn, seeds, face_id, relation, threshold, max_depth, max_boxes, stats):
-    """Verify value_fn(box) relation threshold over all seed boxes.
+@dataclass(frozen=True)
+class Condition:
+    """The inequality ``bound(box) relation threshold`` over the region
+    covered by the seed boxes.
 
-    Returns (status, evidence, witness).  Verification needs a strict
-    interval margin; refutation needs the whole sub-box range strictly on
-    the wrong side, and the reported witness (sub-box midpoint) is
-    re-verified by a point interval evaluation.
+    For '<=' and '>=' the threshold is a (verify, refute) pair: a box is
+    verified against the first value and refuted against the second.  Both
+    are the same number except where the threshold is itself rounded (a
+    squared radius: verify against its lower, refute against its upper
+    rounding).  For 'in' it is the target interval (lo, hi).  `relevant`
+    drops boxes that miss the region; a box may refute only when `meets`
+    proves it holds a point of the region, and `witness` picks that point.
     """
 
-    def classify(box):
-        bound = value_fn(box)
-        if relation == "<=":
-            if bound.hi < threshold:
-                return VERIFIED, bound
-            if bound.lo > threshold:
-                return VIOLATED, bound
+    face: str
+    seeds: tuple
+    bound: Callable[[Box], Interval]
+    relation: str  # '<=' | '>=' | 'in'
+    threshold: tuple
+    strict: bool = True
+    relevant: "Callable[[Box], bool] | None" = None
+    meets: "Callable[[Box], bool] | None" = None
+    witness: Callable[[Box], tuple] = Box.midpoint
+
+    def verdict(self, b: Interval) -> str:
+        t0, t1 = self.threshold
+        strict = self.strict
+        if self.relation == "<=":
+            holds, fails = (b.hi < t0 if strict else b.hi <= t0), b.lo > t1
+        elif self.relation == ">=":
+            holds, fails = (b.lo > t0 if strict else b.lo >= t0), b.hi < t1
         else:
-            if bound.lo > threshold:
-                return VERIFIED, bound
-            if bound.hi < threshold:
-                return VIOLATED, bound
-        return UNKNOWN, bound
+            holds = (t0 < b.lo and b.hi < t1) if strict else (t0 <= b.lo and b.hi <= t1)
+            fails = b.lo > t1 or b.hi < t0
+        return VERIFIED if holds else VIOLATED if fails else UNKNOWN
 
-    cover = adaptive_cover(seeds, classify, max_depth, max_boxes)
-    stats.boxes += cover.boxes_examined
-    stats.depth = max(stats.depth, cover.depth_reached)
-    evidence = [
-        EvidenceEntry(face_id, box, bound, relation, threshold)
-        for box, bound in cover.verified
-    ]
-    if cover.status == "violated":
-        box, bound = cover.violation
-        witness = box.midpoint()
-        point = Box(tuple(Interval(x) for x in witness))
-        at_point = value_fn(point)
-        ok = at_point.lo > threshold if relation == "<=" else at_point.hi < threshold
-        if not ok:  # box-wide violation should imply the point violates
-            return INDETERMINATE, evidence, None
-        evidence.append(EvidenceEntry(face_id, box, bound, relation, threshold))
-        return REFUTED, evidence, witness
-    if cover.status == "indeterminate":
-        evidence.extend(
-            EvidenceEntry(face_id, box, bound if bound is not None else value_fn(box),
-                          "unresolved", threshold)
-            for box, bound in cover.unresolved[:8]
-        )
-        return INDETERMINATE, evidence, None
-    return CERTIFIED, evidence, None
+    def classify(self, box: Box):
+        if self.relevant is not None and not self.relevant(box):
+            return IRRELEVANT, None
+        bound = self.bound(box)
+        tag = self.verdict(bound)
+        if tag == VIOLATED and self.meets is not None and not self.meets(box):
+            tag = UNKNOWN
+        return tag, bound
+
+    def entry(self, box: Box, bound: Interval, relation: str = "") -> EvidenceEntry:
+        # An 'in' condition reports the upper end of its target.
+        t0, t1 = self.threshold
+        return EvidenceEntry(self.face, box, bound, relation or self.relation,
+                             t1 if self.relation == "in" else t0)
 
 
-def _combine(statuses):
-    if any(s == REFUTED for s in statuses):
-        return REFUTED
-    if all(s == CERTIFIED for s in statuses):
-        return CERTIFIED
-    return INDETERMINATE
+def _point(p) -> Box:
+    return Box(tuple(Interval(x) for x in p))
 
 
-def _require_plain_map(m: MapSpec):
+def check(conditions, max_depth: int, max_boxes: int, stats: CertStats):
+    """Cover every condition's region in turn; stop at the first REFUTED.
+
+    Returns (status, evidence, witness).  Each verified cover box becomes an
+    evidence entry.  A violated box refutes only when the bound at its
+    witness point violates the condition as well; up to 8 unresolved boxes
+    of an open condition are attached with their bounds.
+    """
+    status, evidence = CERTIFIED, []
+    for cond in conditions:
+        cover = adaptive_cover(cond.seeds, cond.classify, max_depth, max_boxes)
+        stats.boxes += cover.boxes_examined
+        stats.depth = max(stats.depth, cover.depth_reached)
+        evidence.extend(cond.entry(box, bound) for box, bound in cover.verified)
+        if cover.status == "violated":
+            box, bound = cover.violation
+            witness = cond.witness(box)
+            if cond.verdict(cond.bound(_point(witness))) == VIOLATED:
+                evidence.append(cond.entry(box, bound))
+                return REFUTED, evidence, witness
+            status = INDETERMINATE
+        elif cover.status == "indeterminate":
+            status = INDETERMINATE
+            # Boxes left queued by the box budget carry no bound yet.
+            evidence.extend(
+                cond.entry(box, cond.bound(box) if bound is None else bound, "unresolved")
+                for box, bound in cover.unresolved[:8]
+            )
+    return status, evidence, None
+
+
+def _certificate(kind, domain, t0, stats, result, directions=None, index=None):
+    """Certificate from check()'s result; the index is kept only if CERTIFIED."""
+    outcome, evidence, witness = result
+    stats.seconds = time.perf_counter() - t0
+    return Certificate(
+        kind=kind,
+        outcome=outcome,
+        directions=directions,
+        domain=domain,
+        evidence=sorted(evidence, key=lambda e: (e.face, e.box.key())),
+        witness=witness,
+        stats=stats,
+        index=index if outcome == CERTIFIED else None,
+    )
+
+
+def _require_plain_map(m: MapSpec, dim: int, domain: str):
     if m.has_param:
         raise ValueError("certification expects a parameter-free map")
+    if m.dim != dim:
+        raise DimensionMismatchError(f"map of dim {m.dim} over {domain} of dim {dim}")
 
 
 # ---------------------------------------------------------------------------
@@ -191,14 +243,14 @@ def _require_plain_map(m: MapSpec):
 # ---------------------------------------------------------------------------
 
 
-def _face_conditions(rect: RectDomain, axis: int, direction: str):
-    a = rect.box.coords[axis].lo
-    b = rect.box.coords[axis].hi
-    lo_face = face(rect, axis, "-").as_box
-    hi_face = face(rect, axis, "+").as_box
-    if direction == "e":
-        return ((lo_face, "<=", a, f"x{axis + 1}-"), (hi_face, ">=", b, f"x{axis + 1}+"))
-    return ((lo_face, ">=", a, f"x{axis + 1}-"), (hi_face, "<=", b, f"x{axis + 1}+"))
+def _face_conditions(g: MapSpec, rect: RectDomain, axis: int, direction: str):
+    a, b = rect.box.coords[axis].lo, rect.box.coords[axis].hi
+    lo_rel, hi_rel = ("<=", ">=") if direction == "e" else (">=", "<=")
+    bound = lambda bx: g.eval_component_interval(axis, bx)
+    return (
+        Condition(f"x{axis + 1}-", (face(rect, axis, "-").as_box,), bound, lo_rel, (a, a)),
+        Condition(f"x{axis + 1}+", (face(rect, axis, "+").as_box,), bound, hi_rel, (b, b)),
+    )
 
 
 def certify_miranda(g: MapSpec, rect: RectDomain, directions="auto",
@@ -210,11 +262,7 @@ def certify_miranda(g: MapSpec, rect: RectDomain, directions="auto",
     A coordinate counts as REFUTED in auto mode only when both pairs fail
     provably.
     """
-    _require_plain_map(g)
-    if g.dim != rect.dim:
-        raise DimensionMismatchError(
-            f"map of dim {g.dim} over rectangle of dim {rect.dim}"
-        )
+    _require_plain_map(g, rect.dim, "rectangle")
     if directions != "auto":
         directions = tuple(directions)
         if len(directions) != g.dim or any(d not in ("e", "c") for d in directions):
@@ -222,72 +270,25 @@ def certify_miranda(g: MapSpec, rect: RectDomain, directions="auto",
 
     t0 = time.perf_counter()
     stats = CertStats()
-    evidence = []
-    assigned = []
-    witness = None
-    statuses = []
-
-    def run_direction(axis, d):
-        entries = []
-        st = []
-        wit = None
-        for box, rel, thr, fid in _face_conditions(rect, axis, d):
-            value_fn = lambda bx: g.eval_component_interval(axis, bx)
-            s, ev, w = _check_bound(value_fn, [box], fid, rel, thr,
-                                    max_depth, max_boxes, stats)
-            entries.extend(ev)
-            st.append(s)
-            if w is not None and wit is None:
-                wit = w
-            if s == REFUTED:
-                break
-        return _combine(st), entries, wit
-
+    outcome, evidence, witness, assigned = CERTIFIED, [], None, []
     for axis in range(g.dim):
-        if directions == "auto":
-            status_c, ev_c, wit_c = run_direction(axis, "c")
-            if status_c == CERTIFIED:
-                assigned.append("c")
-                statuses.append(CERTIFIED)
-                evidence.extend(ev_c)
-                continue
-            status_e, ev_e, wit_e = run_direction(axis, "e")
-            if status_e == CERTIFIED:
-                assigned.append("e")
-                statuses.append(CERTIFIED)
-                evidence.extend(ev_e)
-                continue
+        tried = []
+        for d in ("c", "e") if directions == "auto" else (directions[axis],):
+            tried.append(check(_face_conditions(g, rect, axis, d), max_depth, max_boxes, stats))
+            if tried[-1][0] == CERTIFIED:
+                assigned.append(d)
+                evidence.extend(tried[-1][1])
+                break
+        else:  # no pair certified: REFUTED only when every pair tried is
             assigned.append(None)
-            if status_c == REFUTED and status_e == REFUTED:
-                statuses.append(REFUTED)
-                evidence.extend(ev_c)
-                evidence.extend(ev_e)
-                if witness is None:
-                    witness = wit_c or wit_e
-            else:
-                statuses.append(INDETERMINATE)
-                evidence.extend(ev_c)
-                evidence.extend(ev_e)
-        else:
-            d = directions[axis]
-            status, ev, wit = run_direction(axis, d)
-            assigned.append(d if status == CERTIFIED else None)
-            statuses.append(status)
-            evidence.extend(ev)
-            if wit is not None and witness is None:
-                witness = wit
-
-    outcome = _combine(statuses)
-    stats.seconds = time.perf_counter() - t0
-    return Certificate(
-        kind="miranda",
-        outcome=outcome,
-        directions=tuple(assigned),
-        domain=rect,
-        evidence=_sorted_evidence(evidence),
-        witness=witness if outcome == REFUTED else None,
-        stats=stats,
-    )
+            for _status, ev, _witness in tried:
+                evidence.extend(ev)
+            if all(status == REFUTED for status, _ev, _witness in tried):
+                outcome, witness = REFUTED, witness or tried[0][2]
+            elif outcome == CERTIFIED:
+                outcome = INDETERMINATE
+    return _certificate("miranda", rect, t0, stats, (outcome, evidence, witness),
+                        directions=tuple(assigned))
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +306,7 @@ def certify_cylinder(T: MapSpec, cyl: CylinderSpec, form: str,
     map 2*x1 - T1, so compressive and expansive certificates agree by
     construction.
     """
-    _require_plain_map(T)
-    if T.dim != cyl.dim:
-        raise DimensionMismatchError(f"map of dim {T.dim} over cylinder of dim {cyl.dim}")
+    _require_plain_map(T, cyl.dim, "cylinder")
     if form == "compressive":
         inner = certify_cylinder(compressive_to_expansive(T), cyl, "expansive",
                                  max_depth=max_depth, max_boxes=max_boxes)
@@ -318,78 +317,20 @@ def certify_cylinder(T: MapSpec, cyl: CylinderSpec, form: str,
 
     t0 = time.perf_counter()
     stats = CertStats()
-    evidence = []
-    statuses = []
-    witness = None
-
-    # Containment of the base components over the whole cylinder.
-    full = cyl.full_box()
-    for j in range(cyl.base.dim):
-        target = cyl.base.coords[j]
-        comp = 1 + j
-
-        def containment(box, comp=comp, target=target):
-            img = T.eval_component_interval(comp, box)
-            if target.lo <= img.lo and img.hi <= target.hi:
-                return VERIFIED, img
-            if img.lo > target.hi or img.hi < target.lo:
-                return VIOLATED, img
-            return UNKNOWN, img
-
-        cover = adaptive_cover([full], containment, max_depth, max_boxes)
-        stats.boxes += cover.boxes_examined
-        stats.depth = max(stats.depth, cover.depth_reached)
-        fid = "interior"
-        evidence.extend(
-            EvidenceEntry(fid, box, img, "in", target.hi) for box, img in cover.verified
-        )
-        if cover.status == "violated":
-            box, img = cover.violation
-            witness = box.midpoint()
-            point = Box(tuple(Interval(x) for x in witness))
-            at_point = T.eval_component_interval(comp, point)
-            if at_point.lo > target.hi or at_point.hi < target.lo:
-                evidence.append(EvidenceEntry(fid, box, img, "in", target.hi))
-                statuses.append(REFUTED)
-                break
-            witness = None
-            statuses.append(INDETERMINATE)
-            break
-        statuses.append(CERTIFIED if cover.status == "verified" else INDETERMINATE)
-        if cover.status == "indeterminate":
-            evidence.extend(
-                EvidenceEntry(fid, box, img, "unresolved", target.hi)
-                for box, img in cover.unresolved[:8]
-            )
-
-    # Height conditions on the bases: T1 <= a on the left, T1 >= b on the right.
-    if REFUTED not in statuses:
-        a, b = cyl.t_range.lo, cyl.t_range.hi
-        for seed, rel, thr, fid in (
-            (cyl.left_base(), "<=", a, "left"),
-            (cyl.right_base(), ">=", b, "right"),
-        ):
-            value_fn = lambda bx: T.eval_component_interval(0, bx)
-            s, ev, w = _check_bound(value_fn, [seed], fid, rel, thr,
-                                    max_depth, max_boxes, stats)
-            statuses.append(s)
-            evidence.extend(ev)
-            if w is not None and witness is None:
-                witness = w
-            if s == REFUTED:
-                break
-
-    outcome = _combine(statuses)
-    stats.seconds = time.perf_counter() - t0
-    return Certificate(
-        kind="cylinder_expansive",
-        outcome=outcome,
-        directions=None,
-        domain=cyl,
-        evidence=_sorted_evidence(evidence),
-        witness=witness if outcome == REFUTED else None,
-        stats=stats,
-    )
+    full = (cyl.full_box(),)
+    # Containment of the base components over the whole cylinder, then the
+    # height conditions T1 <= a on the left base and T1 >= b on the right.
+    conditions = [
+        Condition("interior", full, lambda bx, comp=comp: T.eval_component_interval(comp, bx),
+                  "in", (target.lo, target.hi), strict=False)
+        for comp, target in enumerate(cyl.base.coords, start=1)
+    ]
+    height = lambda bx: T.eval_component_interval(0, bx)
+    a, b = cyl.t_range.lo, cyl.t_range.hi
+    conditions.append(Condition("left", (cyl.left_base(),), height, "<=", (a, a)))
+    conditions.append(Condition("right", (cyl.right_base(),), height, ">=", (b, b)))
+    return _certificate("cylinder_expansive", cyl, t0, stats,
+                        check(conditions, max_depth, max_boxes, stats))
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +345,45 @@ def _level_range_guarantee(functional, box: Box):
     orthant, so the extremes sit at the corner points; point interval
     evaluations bound them from both sides.
     """
-    lo_corner = Box(tuple(Interval(c.lo) for c in box.coords))
-    hi_corner = Box(tuple(Interval(c.hi) for c in box.coords))
-    return functional.value_interval(lo_corner), functional.value_interval(hi_corner)
+    return (functional.value_interval(_point(c.lo for c in box.coords)),
+            functional.value_interval(_point(c.hi for c in box.coords)))
+
+
+def _bisect_segment(p, q, below):
+    """The point of the segment from p to q where `below` turns false."""
+    s0, s1 = 0.0, 1.0
+    for _ in range(80):
+        sm = 0.5 * (s0 + s1)
+        if below([a + sm * (b - a) for a, b in zip(p, q)]):
+            s0 = sm
+        else:
+            s1 = sm
+    sm = 0.5 * (s0 + s1)
+    return tuple(a + sm * (b - a) for a, b in zip(p, q))
+
+
+def _level_conditions(f, lo: float, hi: float, target: float):
+    """relevant, meets and witness for the shell part lo <= l <= hi.
+
+    The witness is the point of the box diagonal, along which l is monotone,
+    at the level `target` clamped to the box's guaranteed level range.
+    """
+
+    def relevant(box):
+        lvl = f.value_interval(box)
+        return not (lvl.hi < lo or lvl.lo > hi)
+
+    def meets(box):
+        lo_val, hi_val = _level_range_guarantee(f, box)
+        return lo_val.hi <= hi and hi_val.lo >= lo
+
+    def witness(box):
+        lo_val, hi_val = _level_range_guarantee(f, box)
+        level = min(max(target, lo_val.hi), hi_val.lo)
+        return _bisect_segment([c.lo for c in box.coords], [c.hi for c in box.coords],
+                               lambda p: f.value(p) < level)
+
+    return {"relevant": relevant, "meets": meets, "witness": witness}
 
 
 def certify_cone_shell(T: MapSpec, spec: ConeShellSpec, form: str,
@@ -419,150 +396,28 @@ def certify_cone_shell(T: MapSpec, spec: ConeShellSpec, form: str,
     box, a sound superset of the slice.  Cone invariance of T over the
     shell is verified as well (componentwise T_i >= 0).
     """
-    _require_plain_map(T)
-    if T.dim != spec.dim:
-        raise DimensionMismatchError(f"map of dim {T.dim} over shell of dim {spec.dim}")
+    _require_plain_map(T, spec.dim, "shell")
     if form not in ("expansive", "compressive"):
         raise ValueError("form must be 'expansive' or 'compressive'")
 
     t0 = time.perf_counter()
     stats = CertStats()
-    evidence = []
-    statuses = []
-    witness = None
     f = spec.functional
-    root = spec.bounding_box()
-
-    def image_level(box):
-        return f.value_interval(T.eval_interval(box))
-
-    def slice_point_guaranteed(box, level):
-        lo_val, hi_val = _level_range_guarantee(f, box)
-        return lo_val.hi <= level and hi_val.lo >= level
-
-    def shell_point_guaranteed(box):
-        lo_val, hi_val = _level_range_guarantee(f, box)
-        return lo_val.hi <= spec.b and hi_val.lo >= spec.a
-
-    def find_level_point(box, level):
-        # Bisect along the box diagonal; l is monotone there.
-        lo = [c.lo for c in box.coords]
-        hi = [c.hi for c in box.coords]
-        s0, s1 = 0.0, 1.0
-        for _ in range(80):
-            sm = 0.5 * (s0 + s1)
-            p = [a + sm * (b - a) for a, b in zip(lo, hi)]
-            if f.value(p) < level:
-                s0 = sm
-            else:
-                s1 = sm
-        sm = 0.5 * (s0 + s1)
-        return tuple(a + sm * (b - a) for a, b in zip(lo, hi))
-
-    # Cone invariance: every component stays nonnegative over the shell cover.
-    cone_status = CERTIFIED
-    for comp in range(spec.dim):
-
-        def invariance(box, comp=comp):
-            lvl = f.value_interval(box)
-            if lvl.hi < spec.a or lvl.lo > spec.b:
-                return IRRELEVANT, None
-            img = T.eval_component_interval(comp, box)
-            if img.lo >= 0.0:
-                return VERIFIED, img
-            if img.hi < 0.0 and shell_point_guaranteed(box):
-                return VIOLATED, img
-            return UNKNOWN, img
-
-        cover = adaptive_cover([root], invariance, max_depth, max_boxes)
-        stats.boxes += cover.boxes_examined
-        stats.depth = max(stats.depth, cover.depth_reached)
-        evidence.extend(
-            EvidenceEntry("cone", box, img, ">=", 0.0) for box, img in cover.verified
-        )
-        if cover.status == "violated":
-            box, img = cover.violation
-            mid_shell = 0.5 * (spec.a + spec.b)
-            lo_val, hi_val = _level_range_guarantee(f, box)
-            level = min(max(mid_shell, lo_val.hi), hi_val.lo)
-            witness = find_level_point(box, level)
-            point = Box(tuple(Interval(x) for x in witness))
-            if T.eval_component_interval(comp, point).hi < 0.0:
-                evidence.append(EvidenceEntry("cone", box, img, ">=", 0.0))
-                cone_status = REFUTED
-                break
-            witness = None
-            cone_status = INDETERMINATE
-            break
-        if cover.status == "indeterminate":
-            cone_status = INDETERMINATE
-            evidence.extend(
-                EvidenceEntry("cone", box, img, "unresolved", 0.0)
-                for box, img in cover.unresolved[:8]
-            )
-    statuses.append(cone_status)
-
-    if cone_status != REFUTED:
-        if form == "expansive":
-            slice_specs = ((spec.a, "<=", "slice-a"), (spec.b, ">=", "slice-b"))
-        else:
-            slice_specs = ((spec.a, ">=", "slice-a"), (spec.b, "<=", "slice-b"))
-        for level, rel, fid in slice_specs:
-
-            def slice_check(box, level=level, rel=rel):
-                lvl = f.value_interval(box)
-                if lvl.hi < level or lvl.lo > level:
-                    return IRRELEVANT, None
-                bound = image_level(box)
-                if rel == "<=":
-                    if bound.hi < level:
-                        return VERIFIED, bound
-                    if bound.lo > level and slice_point_guaranteed(box, level):
-                        return VIOLATED, bound
-                else:
-                    if bound.lo > level:
-                        return VERIFIED, bound
-                    if bound.hi < level and slice_point_guaranteed(box, level):
-                        return VIOLATED, bound
-                return UNKNOWN, bound
-
-            cover = adaptive_cover([root], slice_check, max_depth, max_boxes)
-            stats.boxes += cover.boxes_examined
-            stats.depth = max(stats.depth, cover.depth_reached)
-            evidence.extend(
-                EvidenceEntry(fid, box, bound, rel, level) for box, bound in cover.verified
-            )
-            if cover.status == "violated":
-                box, bound = cover.violation
-                witness = find_level_point(box, level)
-                point = Box(tuple(Interval(x) for x in witness))
-                at_point = image_level(point)
-                violates = at_point.lo > level if rel == "<=" else at_point.hi < level
-                if not violates:
-                    witness = None
-                    statuses.append(INDETERMINATE)
-                    break
-                evidence.append(EvidenceEntry(fid, box, bound, rel, level))
-                statuses.append(REFUTED)
-                break
-            statuses.append(CERTIFIED if cover.status == "verified" else INDETERMINATE)
-            if cover.status == "indeterminate":
-                evidence.extend(
-                    EvidenceEntry(fid, box, bound, "unresolved", level)
-                    for box, bound in cover.unresolved[:8]
-                )
-
-    outcome = _combine(statuses)
-    stats.seconds = time.perf_counter() - t0
-    return Certificate(
-        kind=f"cone_{form}",
-        outcome=outcome,
-        directions=None,
-        domain=spec,
-        evidence=_sorted_evidence(evidence),
-        witness=witness if outcome == REFUTED else None,
-        stats=stats,
-    )
+    root = (spec.bounding_box(),)
+    shell = _level_conditions(f, spec.a, spec.b, 0.5 * (spec.a + spec.b))
+    conditions = [
+        Condition("cone", root, lambda bx, comp=comp: T.eval_component_interval(comp, bx),
+                  ">=", (0.0, 0.0), strict=False, **shell)
+        for comp in range(spec.dim)
+    ]
+    rel_a, rel_b = ("<=", ">=") if form == "expansive" else (">=", "<=")
+    for level, rel, fid in ((spec.a, rel_a, "slice-a"), (spec.b, rel_b, "slice-b")):
+        conditions.append(Condition(
+            fid, root, lambda bx: f.value_interval(T.eval_interval(bx)), rel,
+            (level, level), **_level_conditions(f, level, level, level),
+        ))
+    return _certificate(f"cone_{form}", spec, t0, stats,
+                        check(conditions, max_depth, max_boxes, stats))
 
 
 # ---------------------------------------------------------------------------
@@ -570,17 +425,39 @@ def certify_cone_shell(T: MapSpec, spec: ConeShellSpec, form: str,
 # ---------------------------------------------------------------------------
 
 
-def _dist2_interval(box: Box, cx: float, cy: float) -> Interval:
-    dx = box.coords[0] - Interval(cx)
-    dy = box.coords[1] - Interval(cy)
-    return dx.pow_int(2) + dy.pow_int(2)
+def _radial_segment(box: Box, cx: float, cy: float):
+    """The nearest and the farthest point of the box from (cx, cy)."""
+    near = tuple(min(max(c0, c.lo), c.hi) for c, c0 in zip(box.coords, (cx, cy)))
+    far = tuple(
+        c.lo if abs(c.lo - c0) >= abs(c.hi - c0) else c.hi
+        for c, c0 in zip(box.coords, (cx, cy))
+    )
+    return near, far
 
 
-def _image_dist2(T: MapSpec, box: Box, cx: float, cy: float) -> Interval:
-    img = T.eval_interval(box)
-    dx = img.coords[0] - Interval(cx)
-    dy = img.coords[1] - Interval(cy)
-    return dx.pow_int(2) + dy.pow_int(2)
+def _hole_condition(T: MapSpec, idx: int, cx: float, cy: float, r: float) -> Condition:
+    """T maps the boundary circle of hole idx into the closed hole; the
+    witness is the point of the box's radial segment on the circle."""
+    r2_lo, r2_hi = mul_down(r, r), mul_up(r, r)
+
+    def relevant(box):
+        d2 = dist2_interval(box, cx, cy)
+        return not (d2.hi < r2_lo or d2.lo > r2_hi)
+
+    def meets(box):
+        near, far = _radial_segment(box, cx, cy)
+        return (dist2_interval(_point(near), cx, cy).hi <= r2_lo
+                and dist2_interval(_point(far), cx, cy).lo >= r2_hi)
+
+    def witness(box):
+        return _bisect_segment(*_radial_segment(box, cx, cy),
+                               lambda p: math.hypot(p[0] - cx, p[1] - cy) < r)
+
+    return Condition(
+        f"hole-{idx}", (Box.from_bounds([(cx - r, cx + r), (cy - r, cy + r)]),),
+        lambda bx: dist2_interval(T.eval_interval(bx), cx, cy), "<=", (r2_lo, r2_hi),
+        strict=False, relevant=relevant, meets=meets, witness=witness,
+    )
 
 
 def certify_holes(T: MapSpec, spec: HoledBallSpec,
@@ -593,9 +470,7 @@ def certify_holes(T: MapSpec, spec: HoledBallSpec,
     integer 1 - n, which is nonzero exactly when the hole count differs
     from 1, and a fixed point exists in L.
     """
-    _require_plain_map(T)
-    if T.dim != 2:
-        raise DimensionMismatchError("holed-ball certification needs a map of dim 2")
+    _require_plain_map(T, 2, "holed ball")
     n = len(spec.holes)
     if n == 1:
         raise SingleHoleError(
@@ -606,198 +481,29 @@ def certify_holes(T: MapSpec, spec: HoledBallSpec,
 
     t0 = time.perf_counter()
     stats = CertStats()
-    evidence = []
-    statuses = []
-    witness = None
     R = spec.radius
     R2_lo, R2_hi = mul_down(R, R), mul_up(R, R)
-    root = Box.from_bounds([(-R, R), (-R, R)])
 
-    def in_domain_guaranteed(box):
-        # Some point of the box certainly lies in L: use the centre.
-        mid = box.midpoint()
-        p = Box(tuple(Interval(x) for x in mid))
-        if _dist2_interval(p, 0.0, 0.0).hi > R2_lo:
-            return None
-        for cx, cy, r in spec.holes:
-            if _dist2_interval(p, cx, cy).lo < mul_up(r, r):
-                return None
-        return mid
+    def in_domain(box):
+        # A box outside the ball, or strictly inside an open hole, misses L.
+        return dist2_interval(box, 0.0, 0.0).lo <= R2_hi and all(
+            dist2_interval(box, cx, cy).hi >= mul_down(r, r) for cx, cy, r in spec.holes)
 
-    def outer_check(box):
-        d2 = _dist2_interval(box, 0.0, 0.0)
-        if d2.lo > R2_hi:
-            return IRRELEVANT, None  # outside the ball
-        for cx, cy, r in spec.holes:
-            if _dist2_interval(box, cx, cy).hi < mul_down(r, r):
-                return IRRELEVANT, None  # strictly inside an open hole
-        img2 = _image_dist2(T, box, 0.0, 0.0)
-        if img2.hi <= R2_lo:
-            return VERIFIED, img2
-        if img2.lo > R2_hi and in_domain_guaranteed(box) is not None:
-            return VIOLATED, img2
-        return UNKNOWN, img2
+    def centre_in_domain(box):
+        p = _point(box.midpoint())
+        return dist2_interval(p, 0.0, 0.0).hi <= R2_lo and all(
+            dist2_interval(p, cx, cy).lo >= mul_up(r, r) for cx, cy, r in spec.holes)
 
-    cover = adaptive_cover([root], outer_check, max_depth, max_boxes)
-    stats.boxes += cover.boxes_examined
-    stats.depth = max(stats.depth, cover.depth_reached)
-    evidence.extend(
-        EvidenceEntry("outer", box, img2, "<=", R2_lo) for box, img2 in cover.verified
+    outer = Condition(
+        "outer", (Box.from_bounds([(-R, R), (-R, R)]),),
+        lambda bx: dist2_interval(T.eval_interval(bx), 0.0, 0.0), "<=", (R2_lo, R2_hi),
+        strict=False, relevant=in_domain, meets=centre_in_domain,
     )
-    if cover.status == "violated":
-        box, img2 = cover.violation
-        witness = in_domain_guaranteed(box)
-        point = Box(tuple(Interval(x) for x in witness))
-        if _image_dist2(T, point, 0.0, 0.0).lo > R2_hi:
-            evidence.append(EvidenceEntry("outer", box, img2, "<=", R2_lo))
-            statuses.append(REFUTED)
-        else:
-            witness = None
-            statuses.append(INDETERMINATE)
-    else:
-        statuses.append(CERTIFIED if cover.status == "verified" else INDETERMINATE)
-        if cover.status == "indeterminate":
-            evidence.extend(
-                EvidenceEntry("outer", box, img2, "unresolved", R2_lo)
-                for box, img2 in cover.unresolved[:8]
-            )
-
-    if REFUTED not in statuses:
-        for idx, (cx, cy, r) in enumerate(spec.holes):
-            r2_lo, r2_hi = mul_down(r, r), mul_up(r, r)
-            seed = Box.from_bounds([(cx - r, cx + r), (cy - r, cy + r)])
-            fid = f"hole-{idx}"
-
-            def circle_point(box):
-                # Point of the box on the circle, via the radial segment
-                # between the nearest and farthest box points.
-                near = tuple(
-                    min(max(c0, c.lo), c.hi) for c, c0 in zip(box.coords, (cx, cy))
-                )
-                far = tuple(
-                    c.lo if abs(c.lo - c0) >= abs(c.hi - c0) else c.hi
-                    for c, c0 in zip(box.coords, (cx, cy))
-                )
-                s0, s1 = 0.0, 1.0
-                for _ in range(80):
-                    sm = 0.5 * (s0 + s1)
-                    p = tuple(a + sm * (b - a) for a, b in zip(near, far))
-                    if math.hypot(p[0] - cx, p[1] - cy) < r:
-                        s0 = sm
-                    else:
-                        s1 = sm
-                sm = 0.5 * (s0 + s1)
-                return tuple(a + sm * (b - a) for a, b in zip(near, far))
-
-            def circle_guaranteed(box):
-                near = tuple(
-                    min(max(c0, c.lo), c.hi) for c, c0 in zip(box.coords, (cx, cy))
-                )
-                far = tuple(
-                    c.lo if abs(c.lo - c0) >= abs(c.hi - c0) else c.hi
-                    for c, c0 in zip(box.coords, (cx, cy))
-                )
-                pn = Box(tuple(Interval(x) for x in near))
-                pf = Box(tuple(Interval(x) for x in far))
-                return (
-                    _dist2_interval(pn, cx, cy).hi <= r2_lo
-                    and _dist2_interval(pf, cx, cy).lo >= r2_hi
-                )
-
-            def hole_check(box, cx=cx, cy=cy, r2_lo=r2_lo, r2_hi=r2_hi):
-                d2 = _dist2_interval(box, cx, cy)
-                if d2.hi < r2_lo or d2.lo > r2_hi:
-                    return IRRELEVANT, None  # box misses the circle
-                img2 = _image_dist2(T, box, cx, cy)
-                if img2.hi <= r2_lo:
-                    return VERIFIED, img2
-                if img2.lo > r2_hi and circle_guaranteed(box):
-                    return VIOLATED, img2
-                return UNKNOWN, img2
-
-            cover = adaptive_cover([seed], hole_check, max_depth, max_boxes)
-            stats.boxes += cover.boxes_examined
-            stats.depth = max(stats.depth, cover.depth_reached)
-            evidence.extend(
-                EvidenceEntry(fid, box, img2, "<=", r2_lo)
-                for box, img2 in cover.verified
-            )
-            if cover.status == "violated":
-                box, img2 = cover.violation
-                witness = circle_point(box)
-                point = Box(tuple(Interval(x) for x in witness))
-                if _image_dist2(T, point, cx, cy).lo > r2_hi:
-                    evidence.append(EvidenceEntry(fid, box, img2, "<=", r2_lo))
-                    statuses.append(REFUTED)
-                    break
-                witness = None
-                statuses.append(INDETERMINATE)
-                break
-            statuses.append(CERTIFIED if cover.status == "verified" else INDETERMINATE)
-            if cover.status == "indeterminate":
-                evidence.extend(
-                    EvidenceEntry(fid, box, img2, "unresolved", r2_lo)
-                    for box, img2 in cover.unresolved[:8]
-                )
-
-    outcome = _combine(statuses)
-    stats.seconds = time.perf_counter() - t0
-    return Certificate(
-        kind="holes",
-        outcome=outcome,
-        directions=None,
-        domain=spec,
-        evidence=_sorted_evidence(evidence),
-        witness=witness if outcome == REFUTED else None,
-        stats=stats,
-        index=(1 - n) if outcome == CERTIFIED else None,
-    )
-
-
-def holes_index_cross_check(T: MapSpec, spec: HoledBallSpec,
-                            max_depth: int = 20, max_boxes: int = 60000):
-    """Cross-check the 1 - n index by planar winding numbers on rectangles.
-
-    Computes the winding of Id - T around a rectangle containing the outer
-    ball and around a rectangle enclosing each hole, prunes the leftover
-    regions (outer rectangle minus the ball, hole rectangles minus their
-    balls) free of fixed points, and reports outer minus the hole sum.
-    Returns a dict with value and verified; verified is False when any
-    winding or pruning step could not be completed rigorously.
-    """
-    from .degree import BoundaryZeroError, winding_degree_2d
-    from .localize import region_fixed_point_free
-
-    R = spec.radius
-    pad = 0.125 * R
-    verified = True
-    try:
-        outer_rect = RectDomain(Box.from_bounds([(-R - pad, R + pad)] * 2))
-        outer = winding_degree_2d(T, outer_rect, max_depth=max_depth, max_boxes=max_boxes)
-        value = outer.value
-        verified &= outer.verified
-        verified &= region_fixed_point_free(
-            T, outer_rect.box,
-            inside=lambda box: _dist2_interval(box, 0.0, 0.0).hi <= mul_down(R, R),
-            max_depth=max_depth, max_boxes=max_boxes,
-        )
-        for cx, cy, r in spec.holes:
-            gap = 0.25 * r
-            hole_rect = RectDomain(
-                Box.from_bounds([(cx - r - gap, cx + r + gap), (cy - r - gap, cy + r + gap)])
-            )
-            w = winding_degree_2d(T, hole_rect, max_depth=max_depth, max_boxes=max_boxes)
-            value -= w.value
-            verified &= w.verified
-            verified &= region_fixed_point_free(
-                T, hole_rect.box,
-                inside=lambda box, cx=cx, cy=cy, r=r: _dist2_interval(box, cx, cy).hi
-                <= mul_down(r, r),
-                max_depth=max_depth, max_boxes=max_boxes,
-            )
-    except BoundaryZeroError:
-        return {"value": None, "verified": False}
-    return {"value": value, "verified": bool(verified)}
+    conditions = [outer] + [
+        _hole_condition(T, idx, cx, cy, r) for idx, (cx, cy, r) in enumerate(spec.holes)
+    ]
+    return _certificate("holes", spec, t0, stats,
+                        check(conditions, max_depth, max_boxes, stats), index=1 - n)
 
 
 # ---------------------------------------------------------------------------
@@ -810,13 +516,9 @@ def certify_problem(m: MapSpec, domain, form: str = "auto",
     """Certify a map over a parsed domain; form applies where meaningful."""
     kw = {} if max_boxes is None else {"max_boxes": max_boxes}
     if isinstance(domain, RectDomain):
-        if form == "auto":
-            directions = "auto"
-        elif form == "expansive":
-            directions = ("e",) * m.dim
-        elif form == "compressive":
-            directions = ("c",) * m.dim
-        else:
+        directions = {"auto": "auto", "expansive": ("e",) * m.dim,
+                      "compressive": ("c",) * m.dim}.get(form)
+        if directions is None:
             raise ValueError(f"unknown form {form!r}")
         return certify_miranda(m, domain, directions, max_depth=max_depth, **kw)
     if isinstance(domain, CylinderSpec):

@@ -28,10 +28,9 @@ from .certify import (
     UnsupportedDomainError,
     certify_holes,
     certify_problem,
-    holes_index_cross_check,
 )
 from .continuation import trace_continuum
-from .degree import BoundaryZeroError, fixed_point_index
+from .degree import BoundaryZeroError, fixed_point_index, holes_index_cross_check
 from .geometry import HoledBallSpec, RectDomain, parse_domain
 from .interval import DimensionMismatchError, DomainError
 from .localize import localize_fixed_points

@@ -16,6 +16,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 
+from .degree import BoundaryZeroError, fixed_point_index
 from .geometry import RectDomain
 from .interval import Box, Interval, sub_down, sub_up
 from .localize import localize_fixed_points
@@ -108,8 +109,6 @@ def trace_continuum(psi: MapSpec, t_range, x_box: Box, grid: int = 16,
 
     start_index = None
     if check_start_index and psi.dim in (1, 2):
-        from .degree import BoundaryZeroError, fixed_point_index
-
         try:
             start_index = fixed_point_index(psi.bind_interval(Interval(a)), rect).value
         except BoundaryZeroError:

@@ -16,8 +16,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .geometry import RectDomain
-from .interval import Box, DimensionMismatchError, Interval
+from .geometry import HoledBallSpec, RectDomain, dist2_interval
+from .interval import Box, DimensionMismatchError, Interval, mul_down
+from .localize import region_fixed_point_free
 from .mapdsl import MapSpec, blend_with_parameter
 from .subdivision import UNKNOWN, VERIFIED, adaptive_cover
 
@@ -178,6 +179,49 @@ def winding_degree_2d(f: MapSpec, rect: RectDomain,
     if total % 4 != 0:
         raise BoundaryZeroError("quarter-turn total not divisible by four")
     return DegreeResult(total // 4, True, evidence, segments=segments, depth=depth_reached)
+
+
+def holes_index_cross_check(T: MapSpec, spec: HoledBallSpec,
+                            max_depth: int = 20, max_boxes: int = 60000):
+    """Cross-check the 1 - n index by planar winding numbers on rectangles.
+
+    Computes the winding of Id - T around a rectangle containing the outer
+    ball and around a rectangle enclosing each hole, prunes the leftover
+    regions (outer rectangle minus the ball, hole rectangles minus their
+    balls) free of fixed points, and reports outer minus the hole sum.
+    Returns a dict with value and verified; verified is False when any
+    winding or pruning step could not be completed rigorously.
+    """
+    R = spec.radius
+    pad = 0.125 * R
+    verified = True
+    try:
+        outer_rect = RectDomain(Box.from_bounds([(-R - pad, R + pad)] * 2))
+        outer = winding_degree_2d(T, outer_rect, max_depth=max_depth, max_boxes=max_boxes)
+        value = outer.value
+        verified &= outer.verified
+        verified &= region_fixed_point_free(
+            T, outer_rect.box,
+            inside=lambda box: dist2_interval(box, 0.0, 0.0).hi <= mul_down(R, R),
+            max_depth=max_depth, max_boxes=max_boxes,
+        )
+        for cx, cy, r in spec.holes:
+            gap = 0.25 * r
+            hole_rect = RectDomain(
+                Box.from_bounds([(cx - r - gap, cx + r + gap), (cy - r - gap, cy + r + gap)])
+            )
+            w = winding_degree_2d(T, hole_rect, max_depth=max_depth, max_boxes=max_boxes)
+            value -= w.value
+            verified &= w.verified
+            verified &= region_fixed_point_free(
+                T, hole_rect.box,
+                inside=lambda box, cx=cx, cy=cy, r=r: dist2_interval(box, cx, cy).hi
+                <= mul_down(r, r),
+                max_depth=max_depth, max_boxes=max_boxes,
+            )
+    except BoundaryZeroError:
+        return {"value": None, "verified": False}
+    return {"value": value, "verified": bool(verified)}
 
 
 def fixed_point_index(f: MapSpec, rect: RectDomain,

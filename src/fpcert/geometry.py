@@ -280,6 +280,13 @@ class ConeShellSpec:
 # ---------------------------------------------------------------------------
 
 
+def dist2_interval(box: Box, cx: float, cy: float) -> Interval:
+    """Enclosure of the squared distance from the planar box to (cx, cy)."""
+    dx = box.coords[0] - Interval(cx)
+    dy = box.coords[1] - Interval(cy)
+    return dx.pow_int(2) + dy.pow_int(2)
+
+
 @dataclass(frozen=True)
 class HoledBallSpec:
     """Planar closed ball of radius R minus a collection of open holes.

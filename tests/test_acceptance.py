@@ -24,7 +24,6 @@ from fpcert.certify import (
     certify_holes,
     certify_miranda,
     certify_problem,
-    holes_index_cross_check,
 )
 from fpcert.continuation import trace_continuum
 from corpus import (
@@ -39,6 +38,7 @@ from corpus import (
 from fpcert.degree import (
     BoundaryZeroError,
     degree_1d,
+    holes_index_cross_check,
     homotopy_nonvanishing,
     winding_degree_2d,
 )

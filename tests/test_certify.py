@@ -1,8 +1,10 @@
 import json
+import math
 import random
 
 import pytest
 
+from fpcert import catalog
 from fpcert.certify import (
     ANNULUS_REFUSAL,
     CERTIFIED,
@@ -15,8 +17,8 @@ from fpcert.certify import (
     certify_holes,
     certify_miranda,
     certify_problem,
-    holes_index_cross_check,
 )
+from fpcert.degree import holes_index_cross_check
 from fpcert.geometry import (
     AnnulusSpec,
     ConeShellSpec,
@@ -26,9 +28,10 @@ from fpcert.geometry import (
     RectDomain,
     compressive_to_expansive,
     flip_coordinates,
+    parse_domain,
 )
 from fpcert.interval import Box, Interval
-from fpcert.mapdsl import parse_map
+from fpcert.mapdsl import parse_map, parse_program
 
 from oracles import grid_zoom_min
 
@@ -151,7 +154,7 @@ def test_cylinder_containment_failure():
 
 def test_cylinder_duality_by_construction():
     rng = random.Random(42)
-    from fpcert.corpus import random_cylinder_problem
+    from corpus import random_cylinder_problem
 
     for _ in range(25):
         T, cyl, _form = random_cylinder_problem(rng)
@@ -298,3 +301,26 @@ def test_certificate_json_schema():
     for entry in d["evidence"]:
         assert set(entry) == {"face", "box", "bound", "relation", "threshold"}
     json.dumps(d)  # serializable
+
+
+# Boxes still queued when the box budget runs out carry no bound from the
+# classifier; the certificate must fill it in and stay serialisable.
+_BUDGET_STOPPED = {
+    "cone": catalog.get("cone-quadratic-expansive").source,
+    "cylinder": "dim 2\nmap g1 = 2*x1 - 0.5\nmap g2 = 0.1 + 0.8*x2*x2 - 0.3*x2*x1\n"
+                "domain cylinder [0,1] base [0,1]\n",
+    "holes": "dim 2\nmap g1 = 0.5*x1 - 0.2*x2*x2\nmap g2 = 0.5*x2\n"
+             "domain holedball R=4 hole (2,0,0.5) hole (-2,0,0.5)\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BUDGET_STOPPED))
+def test_budget_stopped_certificate_serialises(name):
+    program = parse_program(_BUDGET_STOPPED[name])
+    domain = parse_domain(program.domain_line, program.map.dim, program.domain_line_no)
+    for max_boxes in range(1, 10):
+        cert = certify_problem(program.map, domain, max_boxes=max_boxes)
+        payload = json.loads(cert.to_json(stable=True))
+        assert any(e["relation"] == "unresolved" for e in payload["evidence"])
+        for entry in payload["evidence"]:
+            assert all(math.isfinite(v) for v in entry["bound"]), (max_boxes, entry)
