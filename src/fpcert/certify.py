@@ -128,7 +128,7 @@ class Certificate:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass
 class Condition:
     """The inequality ``bound(box) relation threshold`` over the region
     covered by the seed boxes.
