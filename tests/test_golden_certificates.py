@@ -2,9 +2,10 @@
 
 Every certificate's `to_json(stable=True)` is hashed and compared with
 `golden_certificate_digests.json`.  The corpus covers the four certifiers
-in every form, at the default depth and at a depth cap of 4 (which leaves
-cone, cylinder and holed-ball answers INDETERMINATE by the depth cap, not
-by the box budget).  Regenerate the table with
+in every form, at the default depth and at depth caps of 4 and 0, which
+leave cone, holed-ball and equality answers INDETERMINATE by the depth
+cap; no certificate in it stops on the box budget.  Regenerate the table
+with
 
     PYTHONPATH=src python tests/test_golden_certificates.py
 
