@@ -16,6 +16,12 @@ subdivision and decides every cover box in interval arithmetic:
                    here by design: outward rounding proves strict-margin
                    facts only, and a rigorous tool abstains otherwise.
 
+Undecidable boxes.  A box whose bound cannot cross the refutation threshold
+and whose witness point does not verify is final: no sub-box can verify or
+refute it (see `Condition.final`), so it is kept unresolved and not split.
+An equality face therefore ends INDETERMINATE after a handful of boxes
+instead of exhausting the budget.
+
 Strict and closed.  The theorem hypotheses (rectangle faces, cylinder
 heights, cone slices) need a strict interval margin.  Containment
 conditions (cylinder base containment, cone invariance, the outer ball and
@@ -44,9 +50,16 @@ from .geometry import (
     dist2_interval,
     face,
 )
-from .interval import Box, DimensionMismatchError, Interval, mul_down, mul_up
+from .interval import Box, DimensionMismatchError, DomainError, Interval, mul_down, mul_up
 from .mapdsl import MapSpec
-from .subdivision import IRRELEVANT, UNKNOWN, VERIFIED, VIOLATED, adaptive_cover
+from .subdivision import (
+    IRRELEVANT,
+    UNDECIDABLE,
+    UNKNOWN,
+    VERIFIED,
+    VIOLATED,
+    adaptive_cover,
+)
 
 CERTIFIED = "CERTIFIED"
 REFUTED = "REFUTED"
@@ -171,7 +184,36 @@ class Condition:
         tag = self.verdict(bound)
         if tag == VIOLATED and self.meets is not None and not self.meets(box):
             tag = UNKNOWN
+        elif tag == UNKNOWN and self.final(box, bound):
+            tag = UNDECIDABLE
         return tag, bound
+
+    def final(self, box: Box, b: Interval) -> bool:
+        """True when no sub-box of an undecided box can decide it.
+
+        No sub-box refutes when the bound cannot cross the refutation
+        threshold.  No sub-box verifies when the bound at the witness point
+        does not: evaluation is inclusion-monotone, so every sub-box that
+        holds the witness has a bound that contains the point bound.  The
+        witness must pass `relevant`, or that chain of sub-boxes could be
+        dropped as irrelevant deeper down.
+        """
+        t0, t1 = self.threshold
+        if self.relation == "<=":
+            safe = b.hi <= t1
+        elif self.relation == ">=":
+            safe = b.lo >= t1
+        else:
+            safe = t0 <= b.lo and b.hi <= t1
+        if not safe:  # the common case: skip the witness
+            return False
+        try:
+            p = _point(self.witness(box))
+            if self.relevant is not None and not self.relevant(p):
+                return False
+            return self.verdict(self.bound(p)) != VERIFIED
+        except DomainError:
+            return False
 
     def entry(self, box: Box, bound: Interval, relation: str = "") -> EvidenceEntry:
         # An 'in' condition reports the upper end of its target.

@@ -5,12 +5,15 @@ A classifier inspects one box and reports one of:
   * ``("verified", payload)``   the goal holds on the whole box,
   * ``("violated", payload)``   the goal provably fails on the whole box,
   * ``("irrelevant", payload)`` the box does not meet the constraint set,
-  * ``("unknown", payload)``    undecided; the box is bisected.
+  * ``("unknown", payload)``    undecided; the box is bisected,
+  * ``("undecidable", payload)`` undecided, and no sub-box can decide it
+    either; the box is kept unresolved and not bisected.
 
 Boxes are processed in deterministic breadth-first order, always splitting
 the widest splittable axis; a violation stops the search immediately.  Work
-is bounded by both a depth budget and a box-count budget, so undecidable
-(equality-touching) inputs terminate with leftover unresolved boxes.
+is bounded by both a depth budget and a box-count budget.  Undecidable
+(equality-touching) boxes stop early: the classifier marks them and they end
+unresolved at once, instead of being bisected until a budget runs out.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ VERIFIED = "verified"
 VIOLATED = "violated"
 IRRELEVANT = "irrelevant"
 UNKNOWN = "unknown"
+UNDECIDABLE = "undecidable"
 
 _MAX_STORED_UNRESOLVED = 64
 
@@ -57,6 +61,8 @@ def adaptive_cover(seeds, classify, max_depth: int, max_boxes: int) -> CoverResu
             result.status = "violated"
             result.violation = (box, payload)
             return result
+        elif tag == UNDECIDABLE:
+            _note_unresolved(result, box, payload)
         else:
             axis = _splittable_axis(box)
             if axis is None or depth >= max_depth:

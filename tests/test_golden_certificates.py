@@ -29,8 +29,10 @@ _FORMS = ("auto", "expansive", "compressive")
 _DEPTHS = (24, 4, 0)
 
 # Conditions that hold only with equality, or with no interval margin at
-# the sides of the base: INDETERMINATE by the depth cap.  At depth 24 they
-# would run into the box budget, so only the capped depths are kept.
+# the sides of the base.  The equality faces end INDETERMINATE after a few
+# undecidable boxes at any depth; the tight base has no undecidable boxes
+# and would run into the box budget at depth 24, so only the capped depths
+# are kept.
 _EQUALITY_CASES = (
     ("rect-identity", "dim 1\nmap g1 = x1\ndomain rect [0,1]\n"),
     ("rect-half-identity",
