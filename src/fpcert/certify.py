@@ -575,6 +575,9 @@ def certify_problem(m: MapSpec, domain, form: str = "auto",
 
 
 def _auto_form(certifier, m, domain, form, max_depth, kw):
+    """Try the compressive form, then the expansive one.  As in Miranda's
+    auto mode, the answer is REFUTED only when both forms are refuted;
+    otherwise it is the first INDETERMINATE certificate."""
     if form in ("expansive", "compressive"):
         return certifier(m, domain, form, max_depth=max_depth, **kw)
     if form != "auto":
@@ -584,5 +587,7 @@ def _auto_form(certifier, m, domain, form, max_depth, kw):
         return compressive
     expansive = certifier(m, domain, "expansive", max_depth=max_depth, **kw)
     if expansive.outcome == CERTIFIED:
+        return expansive
+    if compressive.outcome == REFUTED and expansive.outcome != REFUTED:
         return expansive
     return compressive

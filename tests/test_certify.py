@@ -288,6 +288,18 @@ def test_rotation_never_certified():
     assert certify_problem(rot, origin, max_boxes=4000).outcome == INDETERMINATE
 
 
+@pytest.mark.parametrize("max_boxes", [7, 8, 9])
+def test_auto_form_refutes_only_when_both_forms_do(max_boxes):
+    # With these budgets compressive is REFUTED and expansive INDETERMINATE
+    program = parse_program(catalog.get("cone-quadratic-expansive").source)
+    domain = parse_domain(program.domain_line, program.map.dim, program.domain_line_no)
+    forms = {form: certify_problem(program.map, domain, form=form, max_boxes=max_boxes)
+             for form in ("auto", "compressive", "expansive")}
+    assert forms["compressive"].outcome == REFUTED
+    assert forms["expansive"].outcome == INDETERMINATE
+    assert forms["auto"].to_json(stable=True) == forms["expansive"].to_json(stable=True)
+
+
 def test_certificate_json_schema():
     m = parse_map("dim 1\nmap g1 = 0.5\n")
     cert = certify_miranda(m, rect((0, 1)))
