@@ -22,6 +22,12 @@ refute it (see `Condition.final`), so it is kept unresolved and not split.
 An equality face therefore ends INDETERMINATE after a handful of boxes
 instead of exhausting the budget.
 
+Evaluation errors.  A box whose bound raises a `DomainError` (a naive
+enclosure of a denominator that holds zero, say) is undecided and split:
+smaller boxes may evaluate.  If it stays unresolved, its evidence entry
+carries no bound.  A witness whose point evaluation raises does not confirm
+a refutation.
+
 Strict and closed.  The theorem hypotheses (rectangle faces, cylinder
 heights, cone slices) need a strict interval margin.  Containment
 conditions (cylinder base containment, cone invariance, the outer ball and
@@ -85,7 +91,7 @@ ANNULUS_REFUSAL = (
 class EvidenceEntry:
     face: str
     box: Box
-    bound: Interval
+    bound: "Interval | None"  # None: the evaluation over the box raised
     relation: str  # '<=' | '>=' | 'in' | 'unresolved'
     threshold: float
 
@@ -93,7 +99,7 @@ class EvidenceEntry:
         return {
             "face": self.face,
             "box": self.box.bounds(),
-            "bound": [self.bound.lo, self.bound.hi],
+            "bound": None if self.bound is None else [self.bound.lo, self.bound.hi],
             "relation": self.relation,
             "threshold": self.threshold,
         }
@@ -177,10 +183,19 @@ class Condition:
             fails = b.lo > t1 or b.hi < t0
         return VERIFIED if holds else VIOLATED if fails else UNKNOWN
 
+    def bound_or_none(self, box: Box) -> "Interval | None":
+        """The bound over the box, or None where its evaluation raises."""
+        try:
+            return self.bound(box)
+        except DomainError:
+            return None
+
     def classify(self, box: Box):
         if self.relevant is not None and not self.relevant(box):
             return IRRELEVANT, None
-        bound = self.bound(box)
+        bound = self.bound_or_none(box)
+        if bound is None:  # undecided here: split, smaller boxes may evaluate
+            return UNKNOWN, None
         tag = self.verdict(bound)
         if tag == VIOLATED and self.meets is not None and not self.meets(box):
             tag = UNKNOWN
@@ -207,13 +222,11 @@ class Condition:
             safe = t0 <= b.lo and b.hi <= t1
         if not safe:  # the common case: skip the witness
             return False
-        try:
-            p = _point(self.witness(box))
-            if self.relevant is not None and not self.relevant(p):
-                return False
-            return self.verdict(self.bound(p)) != VERIFIED
-        except DomainError:
+        p = _point(self.witness(box))
+        if self.relevant is not None and not self.relevant(p):
             return False
+        point_bound = self.bound_or_none(p)
+        return point_bound is not None and self.verdict(point_bound) != VERIFIED
 
     def entry(self, box: Box, bound: Interval, relation: str = "") -> EvidenceEntry:
         # An 'in' condition reports the upper end of its target.
@@ -231,8 +244,10 @@ def check(conditions, max_depth: int, max_boxes: int, stats: CertStats):
 
     Returns (status, evidence, witness).  Each verified cover box becomes an
     evidence entry.  A violated box refutes only when the bound at its
-    witness point violates the condition as well; up to 8 unresolved boxes
-    of an open condition are attached with their bounds.
+    witness point violates the condition as well (a point evaluation that
+    raises does not confirm it); up to 8 unresolved boxes of an open
+    condition are attached with their bounds, or no bound where the
+    evaluation raises.
     """
     status, evidence = CERTIFIED, []
     for cond in conditions:
@@ -243,7 +258,8 @@ def check(conditions, max_depth: int, max_boxes: int, stats: CertStats):
         if cover.status == "violated":
             box, bound = cover.violation
             witness = cond.witness(box)
-            if cond.verdict(cond.bound(_point(witness))) == VIOLATED:
+            point_bound = cond.bound_or_none(_point(witness))
+            if point_bound is not None and cond.verdict(point_bound) == VIOLATED:
                 evidence.append(cond.entry(box, bound))
                 return REFUTED, evidence, witness
             status = INDETERMINATE
@@ -251,7 +267,8 @@ def check(conditions, max_depth: int, max_boxes: int, stats: CertStats):
             status = INDETERMINATE
             # Boxes left queued by the box budget carry no bound yet.
             evidence.extend(
-                cond.entry(box, cond.bound(box) if bound is None else bound, "unresolved")
+                cond.entry(box, cond.bound_or_none(box) if bound is None else bound,
+                           "unresolved")
                 for box, bound in cover.unresolved[:8]
             )
     return status, evidence, None

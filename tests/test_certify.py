@@ -109,6 +109,34 @@ def test_miranda_nonlinear():
     assert cert.outcome == CERTIFIED
 
 
+# The naive enclosure of x^2 - x + 1 over [0, 1] is [0, 2], though its
+# minimum is 0.75: dividing by it raises on the whole face, not on its halves.
+_RATIONAL = "0.5/(x{i}^2 - x{i} + 1)"
+
+
+def test_rational_map_certified_by_splitting_failed_boxes():
+    m = parse_map("dim 2\nmap g1 = " + _RATIONAL.format(i=2)
+                  + "\nmap g2 = " + _RATIONAL.format(i=1) + "\n")
+    cert = certify_miranda(m, rect((0, 1), (0, 1)))
+    assert cert.outcome == CERTIFIED
+    point, res = grid_zoom_min(m, [(0.0, 1.0), (0.0, 1.0)])
+    assert res <= 1e-8
+    one_d = parse_map("dim 1\nmap g1 = " + _RATIONAL.format(i=1) + "\n")
+    assert certify_miranda(one_d, rect((0, 1))).outcome == CERTIFIED
+    point, res = grid_zoom_min(one_d, [(0.0, 1.0)])
+    assert res <= 1e-8
+
+
+def test_unresolved_box_that_fails_to_evaluate_serialises():
+    m = parse_map("dim 2\nmap g1 = " + _RATIONAL.format(i=2) + "\nmap g2 = 0.5\n")
+    cert = certify_miranda(m, rect((0, 1), (0, 1)), max_depth=0)
+    assert cert.outcome == INDETERMINATE
+    payload = json.loads(cert.to_json(stable=True))
+    unresolved = [e for e in payload["evidence"] if e["relation"] == "unresolved"]
+    assert unresolved and all(e["bound"] is None for e in unresolved)
+    assert {e["face"] for e in unresolved} <= {"x1-", "x1+"}
+
+
 # ---------------------------------------------------------------------------
 # Cylinder
 # ---------------------------------------------------------------------------

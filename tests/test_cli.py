@@ -37,6 +37,19 @@ def test_certify_indeterminate_exit_2(capsys):
     assert code == 2
 
 
+def test_certify_rational_map_exit_0(capsys, tmp_path):
+    # The x1-face enclosure of y^2 - y + 1 (y = x2 + 1.5 in [0, 1]) holds
+    # zero; the certifier splits the face instead of exiting 4.
+    path = tmp_path / "rational.fp"
+    path.write_text("dim 2\n"
+                    "map g1 = 0.3*x1 - 0.35 + 0.1/((x2 + 1.5)^2 - (x2 + 1.5) + 1)\n"
+                    "map g2 = -0.2*x2 - 1.2\n"
+                    "domain rect [-1,0] [-1.5,-0.5]\n")
+    code, out, _ = run(capsys, "certify", str(path), "--format", "json", "--stable")
+    assert code == 0
+    assert json.loads(out)["outcome"] == "CERTIFIED"
+
+
 def test_annulus_exit_4_with_message(capsys):
     code, _, err = run(capsys, "certify", "@annulus-rotation")
     assert code == 4
