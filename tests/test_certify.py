@@ -80,11 +80,21 @@ def test_miranda_refuted_witness_reverified():
     assert img.lo > 1.0
 
 
+def _unresolved_faces(cert):
+    return {e.face for e in cert.evidence if e.relation == "unresolved"}
+
+
 def test_miranda_equality_abstains():
-    # identity map satisfies every condition with equality only
-    cert = certify_miranda(parse_map("dim 1\nmap g1 = x1\n"), rect((0, 1)),
-                           max_boxes=500)
-    assert cert.outcome == INDETERMINATE
+    # g1 = x1 satisfies the x1-face conditions with equality only; the
+    # faces are undecidable at once, not after the whole box budget
+    for source, domain in (
+        ("dim 1\nmap g1 = x1\n", rect((0, 1))),
+        ("dim 2\nmap g1 = x1\nmap g2 = 0.5 + 0.25*x2\n", rect((0, 1), (0, 1))),
+    ):
+        cert = certify_miranda(parse_map(source), domain)
+        assert cert.outcome == INDETERMINATE
+        assert cert.stats.boxes <= 16
+        assert _unresolved_faces(cert) == {"x1-", "x1+"}
 
 
 def test_miranda_monotone_refinement():
@@ -156,8 +166,10 @@ def test_cylinder_constant_compressive():
 def test_cylinder_height_identity_is_indeterminate():
     # T1 = t holds the compressive conditions with equality only
     T = parse_map("dim 2\nmap g1 = x1\nmap g2 = 0.5\n")
-    cert = certify_cylinder(T, _cyl01(), "compressive", max_boxes=2000)
+    cert = certify_cylinder(T, _cyl01(), "compressive")
     assert cert.outcome == INDETERMINATE
+    assert cert.stats.boxes <= 16
+    assert _unresolved_faces(cert) == {"left", "right"}
 
 
 def test_cylinder_linear_expansive():
