@@ -9,9 +9,10 @@ run exercises CERTIFIED, REFUTED and INDETERMINATE outcomes.
 
 from __future__ import annotations
 
+import math
 import random
 
-from fpcert.geometry import ConeShellSpec, CylinderSpec, Functional, RectDomain
+from fpcert.geometry import ConeShellSpec, CylinderSpec, Functional, HoledBallSpec, RectDomain
 from fpcert.interval import Box, Interval
 from fpcert.mapdsl import MapSpec, parse_map
 
@@ -138,6 +139,31 @@ def random_cone_problem(rng: random.Random):
         f"map g2 = {_fmt(lam)}*(x1 + x2)*x2\n"
     )
     return parse_map(src), spec, "expansive"
+
+
+def random_holed_ball_problem(rng: random.Random, n: int):
+    """Ball with n holes on the x1 axis; x1 -> x1 - s sin(w (x1 - p0)) / w.
+
+    s = 1 pulls every hole circle into its hole (CERTIFIED), s = -1 pushes
+    it out (REFUTED on a hole), and a large offset on x2 leaves the outer
+    ball (REFUTED on the outer condition).
+    """
+    period = rng.uniform(3.0, 5.0)
+    w = 2.0 * math.pi / period
+    p0 = -0.5 * (n - 1) * period
+    r = round(period * rng.uniform(0.12, 0.17), 6)
+    radius = round(-p0 + r + period * rng.uniform(0.1, 0.3), 4)
+    mu = round(rng.choice((-1.0, 1.0)) * rng.uniform(0.2, 0.4), 6)
+    kind = rng.choice(("pull", "pull", "push", "shift"))
+    s = -1.0 if kind == "push" else 1.0
+    off = 1.5 * radius if kind == "shift" else 0.0
+    src = (
+        "dim 2\n"
+        f"map g1 = x1 - {s / w!r}*sin({w!r}*(x1 + {-p0!r}))\n"
+        f"map g2 = {mu!r}*x2 + {off!r}\n"
+    )
+    holes = tuple((round(p0 + k * period, 6), 0.0, r) for k in range(n))
+    return parse_map(src), HoledBallSpec(radius, holes)
 
 
 def random_polynomial_map_2d(rng: random.Random, rect: RectDomain,

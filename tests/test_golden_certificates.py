@@ -14,15 +14,19 @@ only for a deliberate change of output.
 
 import hashlib
 import json
-import math
 import random
 from pathlib import Path
 
-from corpus import random_cone_problem, random_cylinder_problem, random_rect_problem
+from corpus import (
+    random_cone_problem,
+    random_cylinder_problem,
+    random_holed_ball_problem,
+    random_rect_problem,
+)
 
 from fpcert.certify import certify_problem
 from fpcert.geometry import HoledBallSpec, parse_domain
-from fpcert.mapdsl import parse_map, parse_program
+from fpcert.mapdsl import parse_program
 
 _GOLDEN = Path(__file__).with_name("golden_certificate_digests.json")
 _FORMS = ("auto", "expansive", "compressive")
@@ -45,31 +49,6 @@ _EQUALITY_CASES = (
 )
 
 
-def _holed_ball_problem(rng, n):
-    """Ball with n holes on the x1 axis; x1 -> x1 - s sin(w (x1 - p0)) / w.
-
-    s = 1 pulls every hole circle into its hole (CERTIFIED), s = -1 pushes
-    it out (REFUTED on a hole), and a large offset on x2 leaves the outer
-    ball (REFUTED on the outer condition).
-    """
-    period = rng.uniform(3.0, 5.0)
-    w = 2.0 * math.pi / period
-    p0 = -0.5 * (n - 1) * period
-    r = round(period * rng.uniform(0.12, 0.17), 6)
-    radius = round(-p0 + r + period * rng.uniform(0.1, 0.3), 4)
-    mu = round(rng.choice((-1.0, 1.0)) * rng.uniform(0.2, 0.4), 6)
-    kind = rng.choice(("pull", "pull", "push", "shift"))
-    s = -1.0 if kind == "push" else 1.0
-    off = 1.5 * radius if kind == "shift" else 0.0
-    src = (
-        "dim 2\n"
-        f"map g1 = x1 - {s / w!r}*sin({w!r}*(x1 + {-p0!r}))\n"
-        f"map g2 = {mu!r}*x2 + {off!r}\n"
-    )
-    holes = tuple((round(p0 + k * period, 6), 0.0, r) for k in range(n))
-    return parse_map(src), HoledBallSpec(radius, holes)
-
-
 def corpus_problems():
     """(name, map, domain, depths) for the whole corpus, in a fixed order."""
     rng = random.Random(7)
@@ -86,7 +65,7 @@ def corpus_problems():
         yield f"cone-{k}", m, spec, _DEPTHS
     rng = random.Random(7)
     for k in range(24):
-        m, spec = _holed_ball_problem(rng, 2 + k % 3)
+        m, spec = random_holed_ball_problem(rng, 2 + k % 3)
         yield f"holes-{k}", m, spec, _DEPTHS
     for name, source in _EQUALITY_CASES:
         program = parse_program(source)
