@@ -228,7 +228,7 @@ class Condition:
         point_bound = self.bound_or_none(p)
         return point_bound is not None and self.verdict(point_bound) != VERIFIED
 
-    def entry(self, box: Box, bound: Interval, relation: str = "") -> EvidenceEntry:
+    def entry(self, box: Box, bound: "Interval | None", relation: str = "") -> EvidenceEntry:
         # An 'in' condition reports the upper end of its target.
         t0, t1 = self.threshold
         return EvidenceEntry(self.face, box, bound, relation or self.relation,
@@ -265,7 +265,8 @@ def check(conditions, max_depth: int, max_boxes: int, stats: CertStats):
             status = INDETERMINATE
         elif cover.status == "indeterminate":
             status = INDETERMINATE
-            # Boxes left queued by the box budget carry no bound yet.
+            # Boxes left queued by the box budget, or whose evaluation
+            # raised, carry no bound from the classifier.
             evidence.extend(
                 cond.entry(box, cond.bound_or_none(box) if bound is None else bound,
                            "unresolved")
