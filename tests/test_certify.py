@@ -129,12 +129,10 @@ def test_rational_map_certified_by_splitting_failed_boxes():
                   + "\nmap g2 = " + _RATIONAL.format(i=1) + "\n")
     cert = certify_miranda(m, rect((0, 1), (0, 1)))
     assert cert.outcome == CERTIFIED
-    point, res = grid_zoom_min(m, [(0.0, 1.0), (0.0, 1.0)])
-    assert res <= 1e-8
+    assert grid_zoom_min(m, [(0.0, 1.0), (0.0, 1.0)])[1] <= 1e-8
     one_d = parse_map("dim 1\nmap g1 = " + _RATIONAL.format(i=1) + "\n")
     assert certify_miranda(one_d, rect((0, 1))).outcome == CERTIFIED
-    point, res = grid_zoom_min(one_d, [(0.0, 1.0)])
-    assert res <= 1e-8
+    assert grid_zoom_min(one_d, [(0.0, 1.0)])[1] <= 1e-8
 
 
 def test_unresolved_box_that_fails_to_evaluate_serialises():

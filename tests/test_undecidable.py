@@ -5,7 +5,9 @@ is sound only if no sub-box could decide it: the sub-boxes that hold the
 witness never verify, and no sub-box is violated.  The seeded problems
 below produce undecidable boxes on equality faces (rectangles and
 cylinders), in the rounding band of squared radii (holed balls) and on
-cone slices; every such box is checked against its sub-boxes.
+cone slices; with random corpus problems, every such box is checked
+against its sub-boxes.  The last two tests check the other direction: a
+box that smaller boxes can decide is still split.
 """
 
 import random
