@@ -171,17 +171,26 @@ class Condition:
     meets: "Callable[[Box], bool] | None" = None
     witness: Callable[[Box], tuple] = Box.midpoint
 
-    def verdict(self, b: Interval) -> str:
+    def fails(self, lo: float, hi: float) -> bool:
+        """The refutation rule: True when the bound [lo, hi] fails."""
         t0, t1 = self.threshold
+        if self.relation == "<=":
+            return lo > t1
+        if self.relation == ">=":
+            return hi < t1
+        return lo > t1 or hi < t0
+
+    def verdict(self, b: Interval) -> str:
+        t0 = self.threshold[0]
         strict = self.strict
         if self.relation == "<=":
-            holds, fails = (b.hi < t0 if strict else b.hi <= t0), b.lo > t1
+            holds = b.hi < t0 if strict else b.hi <= t0
         elif self.relation == ">=":
-            holds, fails = (b.lo > t0 if strict else b.lo >= t0), b.hi < t1
+            holds = b.lo > t0 if strict else b.lo >= t0
         else:
+            t1 = self.threshold[1]
             holds = (t0 < b.lo and b.hi < t1) if strict else (t0 <= b.lo and b.hi <= t1)
-            fails = b.lo > t1 or b.hi < t0
-        return VERIFIED if holds else VIOLATED if fails else UNKNOWN
+        return VERIFIED if holds else VIOLATED if self.fails(b.lo, b.hi) else UNKNOWN
 
     def bound_or_none(self, box: Box) -> "Interval | None":
         """The bound over the box, or None where its evaluation raises."""
@@ -213,15 +222,10 @@ class Condition:
         witness must pass `relevant`, or that chain of sub-boxes could be
         dropped as irrelevant deeper down.
         """
-        t0, t1 = self.threshold
-        if self.relation == "<=":
-            safe = b.hi <= t1
-        elif self.relation == ">=":
-            safe = b.lo >= t1
-        else:
-            safe = t0 <= b.lo and b.hi <= t1
-        if not safe:  # the common case: skip the witness
-            return False
+        # A sub-box's bound lies inside b and the failing values form rays,
+        # so some sub-box may refute only if an end of b fails as a point.
+        if self.fails(b.lo, b.lo) or self.fails(b.hi, b.hi):
+            return False  # the common case: skip the witness
         p = _point(self.witness(box))
         if self.relevant is not None and not self.relevant(p):
             return False
