@@ -41,11 +41,9 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--n", type=int, default=1000, help="total problem count")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--holes", type=int, default=None,
-                    help="holed-ball problem count (default n/10)")
     ap.add_argument("--residual", type=float, default=1e-6)
     args = ap.parse_args()
-    n_holes = args.n // 10 if args.holes is None else args.holes
+    n_holes = args.n // 10
 
     rng = random.Random(args.seed)
     counts = {"CERTIFIED": 0, "REFUTED": 0, "INDETERMINATE": 0}
