@@ -50,6 +50,28 @@ def test_certify_rational_map_exit_0(capsys, tmp_path):
     assert json.loads(out)["outcome"] == "CERTIFIED"
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_certify_map_undefined_on_a_face_exit_2(capsys, tmp_path, dim):
+    # sqrt(x1 - 2) raises on every box of the x1 faces.  Each such box is
+    # split down to the depth budget, and the run abstains (exit 2) with
+    # unresolved evidence that carries no bound, instead of an evaluation
+    # error (exit 5).
+    path = tmp_path / "undefined.fp"
+    path.write_text(f"dim {dim}\nmap g1 = sqrt(x1 - 2)\n"
+                    + ("map g2 = 0.5*x2 + 0.25\n" if dim == 2 else "")
+                    + "domain rect" + " [0,1]" * dim + "\n")
+    code, out, _ = run(capsys, "certify", str(path), "--format", "json", "--stable",
+                       "--max-depth", "6")
+    assert code == 2
+    cert = json.loads(out)
+    assert cert["outcome"] == "INDETERMINATE"
+    unresolved = [e for e in cert["evidence"] if e["relation"] == "unresolved"]
+    assert {e["face"] for e in unresolved} == {"x1-", "x1+"}
+    assert all(e["bound"] is None for e in unresolved)
+    # Both Miranda pairs (c and e) split each x1 face to depth 6.
+    assert cert["stats"]["boxes"] == (4 if dim == 1 else 4 * 127 + 2)
+
+
 def test_annulus_exit_4_with_message(capsys):
     code, _, err = run(capsys, "certify", "@annulus-rotation")
     assert code == 4
