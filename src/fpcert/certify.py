@@ -53,7 +53,7 @@ from .geometry import (
     HoledBallSpec,
     RectDomain,
     compressive_to_expansive,
-    dist2_interval,
+    dist2_pair,
     face,
 )
 from .interval import Box, DimensionMismatchError, DomainError, Interval, mul_down, mul_up
@@ -403,14 +403,15 @@ def certify_cylinder(T: MapSpec, cyl: CylinderSpec, form: str,
 
 
 def _level_range_guarantee(functional, box: Box):
-    """Rigorous enclosure of [min l, max l] over an orthant box.
+    """Rigorous enclosure of [min l, max l] over an orthant box, as the
+    (lo, hi) pairs of l at the lower and at the upper corner.
 
     The shell functionals are increasing in every coordinate on the
     orthant, so the extremes sit at the corner points; point interval
     evaluations bound them from both sides.
     """
-    return (functional.value_interval(_point(c.lo for c in box.coords)),
-            functional.value_interval(_point(c.hi for c in box.coords)))
+    return (functional.value_pair([(c.lo, c.lo) for c in box.coords]),
+            functional.value_pair([(c.hi, c.hi) for c in box.coords]))
 
 
 def _bisect_segment(p, q, below):
@@ -434,16 +435,16 @@ def _level_conditions(f, lo: float, hi: float, target: float):
     """
 
     def relevant(box):
-        lvl = f.value_interval(box)
-        return not (lvl.hi < lo or lvl.lo > hi)
+        lvl_lo, lvl_hi = f.value_pair([(c.lo, c.hi) for c in box.coords])
+        return not (lvl_hi < lo or lvl_lo > hi)
 
     def meets(box):
-        lo_val, hi_val = _level_range_guarantee(f, box)
-        return lo_val.hi <= hi and hi_val.lo >= lo
+        (_, min_hi), (max_lo, _) = _level_range_guarantee(f, box)
+        return min_hi <= hi and max_lo >= lo
 
     def witness(box):
-        lo_val, hi_val = _level_range_guarantee(f, box)
-        level = min(max(target, lo_val.hi), hi_val.lo)
+        (_, min_hi), (max_lo, _) = _level_range_guarantee(f, box)
+        level = min(max(target, min_hi), max_lo)
         return _bisect_segment([c.lo for c in box.coords], [c.hi for c in box.coords],
                                lambda p: f.value(p) < level)
 
@@ -477,7 +478,7 @@ def certify_cone_shell(T: MapSpec, spec: ConeShellSpec, form: str,
     rel_a, rel_b = ("<=", ">=") if form == "expansive" else (">=", "<=")
     for level, rel, fid in ((spec.a, rel_a, "slice-a"), (spec.b, rel_b, "slice-b")):
         conditions.append(Condition(
-            fid, root, lambda bx: f.value_interval(T.eval_interval(bx)), rel,
+            fid, root, lambda bx: Interval(*f.value_pair(T.eval_pairs(bx))), rel,
             (level, level), **_level_conditions(f, level, level, level),
         ))
     return _certificate(f"cone_{form}", spec, t0, stats,
@@ -499,19 +500,41 @@ def _radial_segment(box: Box, cx: float, cy: float):
     return near, far
 
 
+def _box_dist2(box: Box, cx: float, cy: float):
+    """(lo, hi) of the squared distance from the planar box to (cx, cy)."""
+    x, y = box.coords
+    return dist2_pair(x.lo, x.hi, y.lo, y.hi, cx, cy)
+
+
+def _point_dist2(p, cx: float, cy: float):
+    """(lo, hi) of the squared distance from the point p to (cx, cy)."""
+    return dist2_pair(p[0], p[0], p[1], p[1], cx, cy)
+
+
+def _image_dist2(T: MapSpec, cx: float, cy: float):
+    """The bound T(box) -> squared distance to (cx, cy), read from the
+    component pairs of T without building an image box."""
+
+    def bound(box):
+        (a, b), (c, d) = T.eval_pairs(box)
+        return Interval(*dist2_pair(a, b, c, d, cx, cy))
+
+    return bound
+
+
 def _hole_condition(T: MapSpec, idx: int, cx: float, cy: float, r: float) -> Condition:
     """T maps the boundary circle of hole idx into the closed hole; the
     witness is the point of the box's radial segment on the circle."""
     r2_lo, r2_hi = mul_down(r, r), mul_up(r, r)
 
     def relevant(box):
-        d2 = dist2_interval(box, cx, cy)
-        return not (d2.hi < r2_lo or d2.lo > r2_hi)
+        d2_lo, d2_hi = _box_dist2(box, cx, cy)
+        return not (d2_hi < r2_lo or d2_lo > r2_hi)
 
     def meets(box):
         near, far = _radial_segment(box, cx, cy)
-        return (dist2_interval(_point(near), cx, cy).hi <= r2_lo
-                and dist2_interval(_point(far), cx, cy).lo >= r2_hi)
+        return (_point_dist2(near, cx, cy)[1] <= r2_lo
+                and _point_dist2(far, cx, cy)[0] >= r2_hi)
 
     def witness(box):
         return _bisect_segment(*_radial_segment(box, cx, cy),
@@ -519,9 +542,36 @@ def _hole_condition(T: MapSpec, idx: int, cx: float, cy: float, r: float) -> Con
 
     return Condition(
         f"hole-{idx}", (Box.from_bounds([(cx - r, cx + r), (cy - r, cy + r)]),),
-        lambda bx: dist2_interval(T.eval_interval(bx), cx, cy), "<=", (r2_lo, r2_hi),
+        _image_dist2(T, cx, cy), "<=", (r2_lo, r2_hi),
         strict=False, relevant=relevant, meets=meets, witness=witness,
     )
+
+
+def _holed_ball_conditions(T: MapSpec, spec: HoledBallSpec) -> list:
+    """T(L) inside the closed outer ball, then each hole's condition."""
+    R = spec.radius
+    R2_lo, R2_hi = mul_down(R, R), mul_up(R, R)
+    # Each hole's r^2 rounded down and up, once, not once per box.
+    holes = [(cx, cy, mul_down(r, r), mul_up(r, r)) for cx, cy, r in spec.holes]
+
+    def in_domain(box):
+        # A box outside the ball, or strictly inside an open hole, misses L.
+        return _box_dist2(box, 0.0, 0.0)[0] <= R2_hi and all(
+            _box_dist2(box, cx, cy)[1] >= r2_lo for cx, cy, r2_lo, _ in holes)
+
+    def centre_in_domain(box):
+        p = box.midpoint()
+        return _point_dist2(p, 0.0, 0.0)[1] <= R2_lo and all(
+            _point_dist2(p, cx, cy)[0] >= r2_hi for cx, cy, _, r2_hi in holes)
+
+    outer = Condition(
+        "outer", (Box.from_bounds([(-R, R), (-R, R)]),),
+        _image_dist2(T, 0.0, 0.0), "<=", (R2_lo, R2_hi),
+        strict=False, relevant=in_domain, meets=centre_in_domain,
+    )
+    return [outer] + [
+        _hole_condition(T, idx, cx, cy, r) for idx, (cx, cy, r) in enumerate(spec.holes)
+    ]
 
 
 def certify_holes(T: MapSpec, spec: HoledBallSpec,
@@ -545,27 +595,7 @@ def certify_holes(T: MapSpec, spec: HoledBallSpec,
 
     t0 = time.perf_counter()
     stats = CertStats()
-    R = spec.radius
-    R2_lo, R2_hi = mul_down(R, R), mul_up(R, R)
-
-    def in_domain(box):
-        # A box outside the ball, or strictly inside an open hole, misses L.
-        return dist2_interval(box, 0.0, 0.0).lo <= R2_hi and all(
-            dist2_interval(box, cx, cy).hi >= mul_down(r, r) for cx, cy, r in spec.holes)
-
-    def centre_in_domain(box):
-        p = _point(box.midpoint())
-        return dist2_interval(p, 0.0, 0.0).hi <= R2_lo and all(
-            dist2_interval(p, cx, cy).lo >= mul_up(r, r) for cx, cy, r in spec.holes)
-
-    outer = Condition(
-        "outer", (Box.from_bounds([(-R, R), (-R, R)]),),
-        lambda bx: dist2_interval(T.eval_interval(bx), 0.0, 0.0), "<=", (R2_lo, R2_hi),
-        strict=False, relevant=in_domain, meets=centre_in_domain,
-    )
-    conditions = [outer] + [
-        _hole_condition(T, idx, cx, cy, r) for idx, (cx, cy, r) in enumerate(spec.holes)
-    ]
+    conditions = _holed_ball_conditions(T, spec)
     return _certificate("holes", spec, t0, stats,
                         check(conditions, max_depth, max_boxes, stats), index=1 - n)
 

@@ -16,6 +16,7 @@ follow the three-valued certificate logic so scripts can branch on them:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -118,7 +119,8 @@ def cmd_localize(args) -> int:
             "text",
         )
         for e in result.enclosures[:20]:
-            print(f"  {e.status} {e.box.bounds()} residual<= {e.residual.hi:.3g}")
+            bound = "-" if e.residual is None else f"{e.residual.hi:.3g}"
+            print(f"  {e.status} {e.box.bounds()} residual<= {bound}")
     if result.exhausted:
         return 3
     if result.proven:
@@ -243,9 +245,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused: building it costs
+    far more than a parse, and parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except CliError as exc:

@@ -8,16 +8,35 @@ every segment's interval image box excludes the origin (equivalently, lies
 in one of the four open axis half-planes); signed quarter-turn transitions
 between consecutive segments telescope to four times the winding number.
 The integer bookkeeping is exact, so a returned value is rigorous whenever
-every segment was classified.
+every segment was classified.  A segment whose evaluation raises (a
+denominator whose naive enclosure holds zero, say) is undecided and split
+like one whose image meets the origin; smaller segments may evaluate.
+
+The field F = Id - f is evaluated on ``(lo, hi)`` endpoint pairs: the map's
+component pairs (``MapSpec.eval_pairs``) are subtracted from the box
+coordinates with the pair kernels of ``interval``, each difference checked
+as ``Interval`` subtraction checks it, so enclosures and errors equal those
+of the ``Interval``-operator formula bit for bit.  An image ``Box`` is built
+only for the segments kept as evidence.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
-from .geometry import HoledBallSpec, RectDomain, dist2_interval
-from .interval import Box, DimensionMismatchError, Interval, mul_down
+from .geometry import HoledBallSpec, RectDomain, dist2_pair
+from .interval import (
+    Box,
+    DimensionMismatchError,
+    DomainError,
+    Interval,
+    interval_error,
+    mul_down,
+    sub_down,
+    sub_up,
+)
 from .localize import region_fixed_point_free
 from .mapdsl import MapSpec, blend_with_parameter
 from .subdivision import UNKNOWN, VERIFIED, adaptive_cover
@@ -47,10 +66,22 @@ class DegreeResult:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-def _field_interval(f: MapSpec, box: Box) -> Box:
-    """Interval image of F = Id - f over a box."""
-    img = f.eval_interval(box)
-    return Box(tuple(x - g for x, g in zip(box.coords, img.coords)))
+_INF = math.inf
+
+
+def _field_pairs(f: MapSpec, box: Box, t=None) -> list:
+    """Enclosure of F = Id - f over a box, one (lo, hi) pair per coordinate."""
+    out = []
+    for x, (g_lo, g_hi) in zip(box.coords, f.eval_pairs(box, t)):
+        lo, hi = sub_down(x.lo, g_hi), sub_up(x.hi, g_lo)
+        if not -_INF < lo <= hi < _INF:
+            raise interval_error(lo, hi)
+        out.append((lo, hi))
+    return out
+
+
+def _pairs_box(pairs) -> Box:
+    return Box(tuple(Interval(lo, hi) for lo, hi in pairs))
 
 
 def degree_1d(f: MapSpec, domain, max_depth: int = 24) -> DegreeResult:
@@ -68,11 +99,12 @@ def degree_1d(f: MapSpec, domain, max_depth: int = 24) -> DegreeResult:
     evidence = []
     for endpoint in (iv.lo, iv.hi):
         pt = Box((Interval(endpoint),))
-        fv = _field_interval(f, pt).coords[0]
-        evidence.append((pt, Box((fv,))))
-        if fv.hi < 0.0:
+        field = _field_pairs(f, pt)
+        evidence.append((pt, _pairs_box(field)))
+        (lo, hi), = field
+        if hi < 0.0:
             signs.append(-1)
-        elif fv.lo > 0.0:
+        elif lo > 0.0:
             signs.append(+1)
         else:
             raise BoundaryZeroError(
@@ -91,15 +123,15 @@ def degree_1d(f: MapSpec, domain, max_depth: int = 24) -> DegreeResult:
 _EAST, _NORTH, _WEST, _SOUTH = 0, 1, 2, 3
 
 
-def _half_plane(img: Box):
-    x, y = img.coords
-    if x.lo > 0.0:
+def _half_plane(field):
+    (x_lo, x_hi), (y_lo, y_hi) = field
+    if x_lo > 0.0:
         return _EAST
-    if y.lo > 0.0:
+    if y_lo > 0.0:
         return _NORTH
-    if x.hi < 0.0:
+    if x_hi < 0.0:
         return _WEST
-    if y.hi < 0.0:
+    if y_hi < 0.0:
         return _SOUTH
     return None
 
@@ -122,13 +154,13 @@ def winding_degree_2d(f: MapSpec, rect: RectDomain,
     if f.dim != 2:
         raise DimensionMismatchError("winding_degree_2d needs a map of dimension 2")
 
-    ordered = []  # (edge index, param start, halfplane, segment box, image box)
+    ordered = []  # half-plane code of each segment, counterclockwise
     evidence = []
     segments = 0
     depth_reached = 0
     boxes_used = 0
 
-    for edge_idx, (fix_axis, fix_val, mov_axis, start, end) in enumerate(_boundary_edges(rect)):
+    for fix_axis, fix_val, mov_axis, start, end in _boundary_edges(rect):
         stack = [(min(start, end), max(start, end), 0)]
         leaves = []
         while stack:
@@ -144,8 +176,12 @@ def winding_degree_2d(f: MapSpec, rect: RectDomain,
             coords[fix_axis] = Interval(fix_val)
             coords[mov_axis] = Interval(lo, hi)
             seg = Box(tuple(coords))
-            img = _field_interval(f, seg)
-            hp = _half_plane(img)
+            try:
+                field = _field_pairs(f, seg)
+            except DomainError:  # undecided here: split, smaller segments may evaluate
+                hp = None
+            else:
+                hp = _half_plane(field)
             if hp is None:
                 if depth >= max_depth or hi <= lo:
                     raise BoundaryZeroError(
@@ -158,18 +194,17 @@ def winding_degree_2d(f: MapSpec, rect: RectDomain,
                 stack.append((m, hi, depth + 1))
                 stack.append((lo, m, depth + 1))
                 continue
-            leaves.append((lo, hi, hp, seg, img))
+            leaves.append((lo, hi, hp, seg, field))
         leaves.sort(key=lambda item: item[0], reverse=(start > end))
-        for lo, hi, hp, seg, img in leaves:
-            param = lo if start < end else -hi
-            ordered.append((edge_idx, param, hp, seg, img))
-            evidence.append((seg, img))
+        for _lo, _hi, hp, seg, field in leaves:
+            ordered.append(hp)
+            evidence.append((seg, _pairs_box(field)))
             segments += 1
 
     total = 0
     for k in range(len(ordered)):
-        h0 = ordered[k][2]
-        h1 = ordered[(k + 1) % len(ordered)][2]
+        h0 = ordered[k]
+        h1 = ordered[(k + 1) % len(ordered)]
         step = ((h1 - h0 + 1) % 4) - 1
         if step == 2 or (h1 - h0) % 4 == 2:
             raise BoundaryZeroError(
@@ -179,6 +214,17 @@ def winding_degree_2d(f: MapSpec, rect: RectDomain,
     if total % 4 != 0:
         raise BoundaryZeroError("quarter-turn total not divisible by four")
     return DegreeResult(total // 4, True, evidence, segments=segments, depth=depth_reached)
+
+
+def _in_closed_disk(cx: float, cy: float, r: float):
+    """The test that a box lies in the closed disk of radius r about (cx, cy)."""
+    r2 = mul_down(r, r)
+
+    def inside(box):
+        x, y = box.coords
+        return dist2_pair(x.lo, x.hi, y.lo, y.hi, cx, cy)[1] <= r2
+
+    return inside
 
 
 def holes_index_cross_check(T: MapSpec, spec: HoledBallSpec,
@@ -201,8 +247,7 @@ def holes_index_cross_check(T: MapSpec, spec: HoledBallSpec,
         value = outer.value
         verified &= outer.verified
         verified &= region_fixed_point_free(
-            T, outer_rect.box,
-            inside=lambda box: dist2_interval(box, 0.0, 0.0).hi <= mul_down(R, R),
+            T, outer_rect.box, inside=_in_closed_disk(0.0, 0.0, R),
             max_depth=max_depth, max_boxes=max_boxes,
         )
         for cx, cy, r in spec.holes:
@@ -214,9 +259,7 @@ def holes_index_cross_check(T: MapSpec, spec: HoledBallSpec,
             value -= w.value
             verified &= w.verified
             verified &= region_fixed_point_free(
-                T, hole_rect.box,
-                inside=lambda box, cx=cx, cy=cy, r=r: dist2_interval(box, cx, cy).hi
-                <= mul_down(r, r),
+                T, hole_rect.box, inside=_in_closed_disk(cx, cy, r),
                 max_depth=max_depth, max_boxes=max_boxes,
             )
     except BoundaryZeroError:
@@ -247,11 +290,7 @@ def homotopy_nonvanishing(f: MapSpec, g: MapSpec, rect: RectDomain,
     blend = blend_with_parameter(f, g)
 
     def classify(aug: Box):
-        t = aug.coords[0]
-        xbox = Box(aug.coords[1:])
-        img = blend.eval_interval(xbox, t)
-        fx = Box(tuple(x - v for x, v in zip(xbox.coords, img.coords)))
-        if _half_plane(fx) is not None:
+        if _half_plane(_field_pairs(blend, Box(aug.coords[1:]), aug.coords[0])) is not None:
             return VERIFIED, None
         return UNKNOWN, None
 

@@ -8,6 +8,14 @@ cylinder duality transform on the height coordinate, the level-set
 retraction of the orthant cone, and the shell-to-cylinder homeomorphism
 h(x) = (l(x), x / l(x)).
 
+The enclosures the certifiers take over boxes, the squared distance to a
+point (`dist2_pair`) and a shell functional (`Functional.value_pair`), work
+on ``(lo, hi)`` endpoint pairs with the pair kernels of ``interval``, so a
+caller can pass a box's coordinates or a map's component pairs
+(``MapSpec.eval_pairs``) without building an ``Interval`` per step.  Each
+step checks its pair as ``Interval(lo, hi)`` would, so results and errors
+equal those of the ``Interval``-operator formulas bit for bit.
+
 Axis indices are 0-based throughout; the DSL surface (x1, g1, ...) is
 1-based and is translated at parse time.
 """
@@ -21,7 +29,17 @@ from .interval import (
     Box,
     DimensionMismatchError,
     Interval,
+    abs_pair,
+    add_down,
+    add_up,
     div_up,
+    interval_error,
+    max_pair,
+    mul_pair,
+    pow_int_pair,
+    sqrt_pair,
+    sub_down,
+    sub_up,
 )
 from .mapdsl import (
     BinOp,
@@ -30,6 +48,9 @@ from .mapdsl import (
     Var,
     float_const,
 )
+
+
+_INF = math.inf
 
 
 class OutsideShellError(ValueError):
@@ -199,21 +220,39 @@ class Functional:
             return max(abs(x) for x in p)
         return sum(c * x for c, x in zip(self.coeffs, p))
 
-    def value_interval(self, box: Box) -> Interval:
+    def value_pair(self, pairs):
+        """Enclosure (lo, hi) of the functional over the box whose
+        coordinates are the (lo, hi) pairs, accumulated coordinate by
+        coordinate from 0 (the sup norm: from the first |x_i|)."""
         if self.kind == "euclid":
-            acc = Interval(0.0)
-            for c in box.coords:
-                acc = acc + c.pow_int(2)
-            return acc.sqrt()
+            lo = hi = 0.0
+            for a, b in pairs:
+                s_lo, s_hi = pow_int_pair(a, b, 2)
+                if not -_INF < s_lo <= s_hi < _INF:
+                    raise interval_error(s_lo, s_hi)
+                lo, hi = add_down(lo, s_lo), add_up(hi, s_hi)
+                if not -_INF < lo <= hi < _INF:
+                    raise interval_error(lo, hi)
+            return sqrt_pair(lo, hi)
         if self.kind == "sup":
-            acc = box.coords[0].abs()
-            for c in box.coords[1:]:
-                acc = acc.max_with(c.abs())
-            return acc
-        acc = Interval(0.0)
-        for coef, c in zip(self.coeffs, box.coords):
-            acc = acc + Interval(coef) * c
-        return acc
+            # |x| and max of finite pairs are finite pairs: nothing to check.
+            pairs = iter(pairs)
+            lo, hi = abs_pair(*next(pairs))
+            for a, b in pairs:
+                lo, hi = max_pair(lo, hi, *abs_pair(a, b))
+            return lo, hi
+        lo = hi = 0.0
+        for coef, (a, b) in zip(self.coeffs, pairs):
+            k = float(coef)  # the coefficient's point interval
+            if not -_INF < k < _INF:
+                raise interval_error(k, k)
+            p_lo, p_hi = mul_pair(k, k, a, b)
+            if not -_INF < p_lo <= p_hi < _INF:
+                raise interval_error(p_lo, p_hi)
+            lo, hi = add_down(lo, p_lo), add_up(hi, p_hi)
+            if not -_INF < lo <= hi < _INF:
+                raise interval_error(lo, hi)
+        return lo, hi
 
     @classmethod
     def euclid(cls):
@@ -280,11 +319,29 @@ class ConeShellSpec:
 # ---------------------------------------------------------------------------
 
 
-def dist2_interval(box: Box, cx: float, cy: float) -> Interval:
-    """Enclosure of the squared distance from the planar box to (cx, cy)."""
-    dx = box.coords[0] - Interval(cx)
-    dy = box.coords[1] - Interval(cy)
-    return dx.pow_int(2) + dy.pow_int(2)
+def dist2_pair(a: float, b: float, c: float, d: float, cx: float, cy: float):
+    """Enclosure (lo, hi) of the squared distance from the planar box
+    [a, b] x [c, d] to the point (cx, cy), whose coordinates are finite.
+
+    The stages are those of (x - cx)^2 + (y - cy)^2 in interval arithmetic:
+    the two differences, the two squares, the sum, each checked in turn.
+    """
+    x_lo, x_hi = sub_down(a, cx), sub_up(b, cx)
+    y_lo, y_hi = sub_down(c, cy), sub_up(d, cy)
+    if not -_INF < x_lo <= x_hi < _INF:
+        raise interval_error(x_lo, x_hi)
+    if not -_INF < y_lo <= y_hi < _INF:
+        raise interval_error(y_lo, y_hi)
+    x_lo, x_hi = pow_int_pair(x_lo, x_hi, 2)
+    y_lo, y_hi = pow_int_pair(y_lo, y_hi, 2)
+    if not -_INF < x_lo <= x_hi < _INF:
+        raise interval_error(x_lo, x_hi)
+    if not -_INF < y_lo <= y_hi < _INF:
+        raise interval_error(y_lo, y_hi)
+    lo, hi = add_down(x_lo, y_lo), add_up(x_hi, y_hi)
+    if not -_INF < lo <= hi < _INF:
+        raise interval_error(lo, hi)
+    return lo, hi
 
 
 @dataclass(frozen=True)

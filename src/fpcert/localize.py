@@ -6,6 +6,11 @@ point.  Surviving boxes are bisected down to the requested width; each
 surviving leaf is upgraded to PROVEN when the face conditions certify a
 fixed point inside it, and stays CANDIDATE otherwise.  Discarded plus
 surviving boxes tile the input rectangle, so no fixed point is ever lost.
+
+A box whose residual evaluation raises a `DomainError` (a denominator whose
+naive enclosure holds zero, say) is undecided and split: smaller boxes may
+evaluate.  A leaf that still raises at the requested width stays CANDIDATE
+with no residual bound.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 
 from .certify import CERTIFIED, certify_miranda
 from .geometry import RectDomain
-from .interval import Box, DimensionMismatchError, Interval
+from .interval import Box, DimensionMismatchError, DomainError, Interval
 from .mapdsl import MapSpec
 from .subdivision import IRRELEVANT, UNKNOWN, VERIFIED, adaptive_cover
 
@@ -50,13 +55,14 @@ class NoCrossingError(ValueError):
 class Enclosure:
     box: Box
     status: str  # PROVEN | CANDIDATE
-    residual: Interval
+    residual: "Interval | None"  # None: the evaluation over the box raised
 
     def to_json_dict(self):
         return {
             "box": self.box.bounds(),
             "status": self.status,
-            "residual": [self.residual.lo, self.residual.hi],
+            "residual": None if self.residual is None
+            else [self.residual.lo, self.residual.hi],
         }
 
 
@@ -94,7 +100,9 @@ def _residual_coords(g: MapSpec, box: Box):
     return [gi - xi for gi, xi in zip(img.coords, box.coords)]
 
 
-def _residual_bound(diffs) -> Interval:
+def _residual_bound(diffs) -> "Interval | None":
+    if diffs is None:
+        return None
     lo = 0.0
     hi = 0.0
     for d in diffs:
@@ -137,10 +145,14 @@ def localize_fixed_points(g: MapSpec, rect: RectDomain, tol: float,
             break
         box = queue.popleft()
         examined += 1
-        diffs = _residual_coords(f, box)
-        if any(d.lo > 0.0 or d.hi < 0.0 for d in diffs):
-            discarded_volume += box.volume()
-            continue
+        try:
+            diffs = _residual_coords(f, box)
+        except DomainError:  # undecided here: split, smaller boxes may evaluate
+            diffs = None
+        else:
+            if any(d.lo > 0.0 or d.hi < 0.0 for d in diffs):
+                discarded_volume += box.volume()
+                continue
         if box.width <= tol:
             survivors.append((box, _residual_bound(diffs)))
             continue
@@ -149,12 +161,16 @@ def localize_fixed_points(g: MapSpec, rect: RectDomain, tol: float,
         queue.append(right)
 
     for box in queue:  # budget exhausted: keep unpruned work as candidates
-        survivors.append((box, _residual_bound(_residual_coords(f, box))))
+        try:
+            diffs = _residual_coords(f, box)
+        except DomainError:
+            diffs = None
+        survivors.append((box, _residual_bound(diffs)))
 
     enclosures = []
     for box, residual in survivors:
         status = CANDIDATE
-        if upgrade and not g.has_param:
+        if upgrade and not g.has_param and residual is not None:
             try:
                 cert = certify_miranda(g, RectDomain(box), "auto",
                                        max_depth=6, max_boxes=512)
@@ -188,7 +204,10 @@ def region_fixed_point_free(g: MapSpec, root: Box, inside,
     def classify(box):
         if inside(box):
             return IRRELEVANT, None
-        diffs = _residual_coords(g, box)
+        try:
+            diffs = _residual_coords(g, box)
+        except DomainError:  # undecided here: split, smaller boxes may evaluate
+            return UNKNOWN, None
         if any(d.lo > 0.0 or d.hi < 0.0 for d in diffs):
             return VERIFIED, None
         return UNKNOWN, None

@@ -19,7 +19,8 @@ endpoints of a box coordinate, of t or of a constant's enclosure, and
 operations call the pair kernels of ``interval``.  Each operation checks
 its result with ``-inf < lo <= hi < inf`` and raises exactly what
 ``Interval(lo, hi)`` would, and an ``Interval`` is built only for each
-component.  ``MapSpec.bind_interval(t)`` binds the parameter once: every
+component (``MapSpec.eval_pairs`` returns the component pairs themselves).
+``MapSpec.bind_interval(t)`` binds the parameter once: every
 subtree free of x1..xn becomes a leaf holding its pair over t, so within a
 trace cell (one localize call) those subtrees are evaluated once, not once
 per box, with bit-identical enclosures.  ``children`` and ``with_children``
@@ -429,6 +430,17 @@ class MapSpec:
                 f"box of dimension {box.dim} for map of dimension {self.dim}"
             )
         return Box(tuple([_image(c, box.coords, t) for c in self.components]))
+
+    def eval_pairs(self, box: Box, t=None) -> list:
+        """The component enclosures of eval_interval as (lo, hi) pairs,
+        bit for bit and with the same errors, building no Interval."""
+        self._check_param(t)
+        if box.dim != self.dim:
+            raise DimensionMismatchError(
+                f"box of dimension {box.dim} for map of dimension {self.dim}"
+            )
+        xs = box.coords
+        return [c.eval_pair(xs, t) for c in self.components]
 
     def bind_interval(self, t: Interval) -> "MapSpec":
         """This map with its parameter bound to the interval t.

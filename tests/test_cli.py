@@ -7,7 +7,10 @@ from pathlib import Path
 import pytest
 
 from fpcert import catalog
-from fpcert.cli import main
+from fpcert.cli import _parser, main
+from fpcert.mapdsl import parse_program
+
+from oracles import winding_rect
 
 
 def run(capsys, *argv):
@@ -119,6 +122,75 @@ def test_trace_commands(capsys):
     assert code == 1
     payload = json.loads(out)
     assert payload["max_t_reached"] == 0.0
+
+
+_RATIONAL = "0.5/(x1^2 - x1 + 1)"  # naive enclosure over [0, 1] divides by [0, 2]
+
+
+def test_localize_splits_a_box_whose_evaluation_raises(tmp_path, capsys):
+    path = tmp_path / "rational.fp"
+    path.write_text(f"dim 1\nmap g1 = {_RATIONAL}\ndomain rect [0,1]\n")
+    code, out, err = run(capsys, "localize", str(path), "--format", "json")
+    assert code == 0 and not err
+    assert any(e["status"] == "PROVEN" for e in json.loads(out)["enclosures"])
+
+
+def test_localize_leaf_that_raises_prints_no_residual(tmp_path, capsys):
+    path = tmp_path / "never.fp"
+    path.write_text("dim 1\nmap g1 = 1/(x1 - x1)\ndomain rect [0,1]\n")
+    code, out, _ = run(capsys, "localize", str(path), "--tol", "0.3")
+    assert code == 2 and "CANDIDATE" in out and "residual<= -" in out
+
+
+def test_index_splits_a_segment_whose_evaluation_raises(tmp_path, capsys):
+    path = tmp_path / "rational2.fp"
+    path.write_text(f"dim 2\nmap g1 = {_RATIONAL}\nmap g2 = 0.5*x2 + 0.25\n"
+                    "domain rect [0,1] [0,1]\n")
+    code, out, err = run(capsys, "index", str(path), "--format", "json")
+    payload = json.loads(out)
+    assert code == 0 and not err and payload["verified"]
+    m = parse_program(path.read_text()).map
+    assert payload["value"] == 1 == winding_rect(m, [(0, 1), (0, 1)])
+
+
+def test_index_fixed_point_on_the_boundary_exit_2(tmp_path, capsys):
+    # The fixed point (0.648..., 0) lies on the edge x2 = 0, so Id - f
+    # vanishes on the boundary and the index is undefined.
+    path = tmp_path / "edge.fp"
+    path.write_text(f"dim 2\nmap g1 = {_RATIONAL}\nmap g2 = 0.5*x2\n"
+                    "domain rect [0,1] [0,1]\n")
+    code, out, _ = run(capsys, "index", str(path), "--format", "json")
+    assert code == 2 and json.loads(out)["verified"] is False
+
+
+def test_reused_parser_answers_as_a_fresh_one(capsys):
+    calls = [
+        ["certify", "@miranda-linear-2d", "--format", "json", "--stable"],
+        ["index", "@index-holes", "--format", "json"],
+        ["localize", "@localize-cos", "--tol", "1e-8"],
+        ["trace", "@trace-linear"],
+        ["certify", "@miranda-linear-2d", "--form", "sideways"],  # usage error
+        ["certify", "@cylinder-constant-compressive", "--stable"],
+    ]
+
+    def answer(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    _parser.cache_clear()
+    reused = [answer(argv) for argv in calls]
+    assert _parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        _parser.cache_clear()
+        fresh.append(answer(argv))
+    assert reused == fresh
+    assert [code for code, _out, _err in reused] == [0, 0, 0, 0, ("SystemExit", 2), 0]
+    assert "invalid choice: 'sideways'" in reused[4][2]
 
 
 def test_problem_file_loading(tmp_path, capsys):

@@ -71,6 +71,19 @@ def test_winding_matches_oracle_random():
         checked += 1
 
 
+def test_winding_splits_segments_whose_evaluation_raises():
+    # The naive enclosure of x1^2 - x1 + 1 over the edges [0, 1] holds zero.
+    f = parse_map("dim 2\nmap g1 = 0.5/(x1^2 - x1 + 1)\nmap g2 = 0.5*x2 + 0.25\n")
+    got = winding_degree_2d(f, rect((0, 1), (0, 1)))
+    assert got.verified and got.value == 1 == winding_rect(f, [(0, 1), (0, 1)])
+
+
+def test_winding_segment_that_still_raises_is_a_boundary_zero():
+    f = parse_map("dim 2\nmap g1 = 1/(x1 - x1)\nmap g2 = x2\n")  # raises everywhere
+    with pytest.raises(BoundaryZeroError, match="at depth 3"):
+        winding_degree_2d(f, rect((0, 1), (0, 1)), max_depth=3)
+
+
 def test_fixed_point_index_dispatch():
     assert fixed_point_index(parse_map("dim 1\nmap g1 = 0.5\n"), rect((0, 1))).value == 1
     assert fixed_point_index(

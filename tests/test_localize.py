@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -6,11 +7,13 @@ import pytest
 from fpcert.geometry import RectDomain
 from fpcert.interval import Box, Interval
 from fpcert.localize import (
+    CANDIDATE,
     PROVEN,
     NoCrossingError,
     PathSamples,
     extract_crossing_subpath,
     localize_fixed_points,
+    region_fixed_point_free,
 )
 from fpcert.mapdsl import BinOp, MapSpec, float_const, parse_map
 
@@ -121,6 +124,41 @@ def test_enclosures_sorted_and_disjoint():
         assert e1.box.coords[0].hi <= e2.box.coords[0].lo + 1e-15
     assert any(e.box.contains_point((0.0,)) for e in res.enclosures)
     assert any(e.box.contains_point((1.0,)) for e in res.enclosures)
+
+
+# 0.5 / (x^2 - x + 1) on [0, 1]: the denominator is at least 0.75, but its
+# naive enclosure over [0, 1] is [0, 2], so evaluation on the whole interval
+# divides by an interval holding zero; on each half it evaluates.
+_RATIONAL = "0.5/(x1^2 - x1 + 1)"
+
+
+def test_box_whose_evaluation_raises_is_split():
+    m = parse_map(f"dim 1\nmap g1 = {_RATIONAL}\n")
+    res = localize_fixed_points(m, rect((0, 1)), tol=1e-9)
+    root = bisect_root(lambda x: 0.5 / (x * x - x + 1.0) - x, 0.0, 1.0)
+    assert not res.exhausted and res.proven
+    assert all(e.residual is not None for e in res.enclosures)
+    assert any(e.box.contains_point((root,)) for e in res.proven)
+    assert res.discarded_volume + res.surviving_volume == pytest.approx(1.0, rel=1e-12)
+
+
+def test_leaf_that_still_raises_stays_candidate_without_residual():
+    m = parse_map("dim 1\nmap g1 = 1/(x1 - x1)\n")  # raises on every box
+    res = localize_fixed_points(m, rect((0, 1)), tol=0.1)
+    assert res.enclosures and not res.exhausted
+    assert all(e.status == CANDIDATE and e.residual is None for e in res.enclosures)
+    assert res.surviving_volume == pytest.approx(1.0)
+    assert json.loads(res.to_json())["enclosures"][0]["residual"] is None
+    cut = localize_fixed_points(m, rect((0, 1)), tol=0.1, budget=3)
+    assert cut.exhausted and all(e.residual is None for e in cut.enclosures)
+
+
+def test_region_pruning_splits_boxes_whose_evaluation_raises():
+    far = parse_map(f"dim 2\nmap g1 = {_RATIONAL} + 3\nmap g2 = x2\n")
+    box = Box.from_bounds([(0, 1), (0, 1)])
+    assert region_fixed_point_free(far, box, inside=lambda b: False, max_depth=8)
+    never = parse_map("dim 2\nmap g1 = 1/(x1 - x1)\nmap g2 = x2\n")
+    assert not region_fixed_point_free(never, box, inside=lambda b: False, max_depth=4)
 
 
 # ---------------------------------------------------------------------------
