@@ -4,9 +4,12 @@
 Generates random map/domain problems (rectangles, cylinders, cone shells),
 certifies each, and confirms every CERTIFIED outcome with a dense-grid
 residual search.  Holed balls follow, from a random stream of their own, so
-the counts of the first line do not depend on them.  Any certificate the
-oracle cannot confirm is a soundness bug and is printed with its problem
-source.
+the counts of the first line do not depend on them; each CERTIFIED one is
+also cross-checked by planar winding numbers, whose verified value must be
+the certified index 1 - n.  Last, 2-D fixed point indices of random planar
+maps on random rectangles, from a third stream: every verified index must
+equal a dense angle-accumulation winding number.  Any answer an oracle
+cannot confirm is a soundness bug and is printed with its problem source.
 
     python scripts/fuzz_soundness.py --n 2000 --seed 7
 """
@@ -24,9 +27,10 @@ from corpus import (  # noqa: E402
     random_cone_problem,
     random_cylinder_problem,
     random_holed_ball_problem,
+    random_polynomial_map_2d,
     random_rect_problem,
 )
-from oracles import grid_zoom_min  # noqa: E402
+from oracles import grid_zoom_min, winding_rect  # noqa: E402
 
 from fpcert.certify import (  # noqa: E402
     CERTIFIED,
@@ -35,6 +39,13 @@ from fpcert.certify import (  # noqa: E402
     certify_holes,
     certify_miranda,
 )
+from fpcert.degree import (  # noqa: E402
+    BoundaryZeroError,
+    fixed_point_index,
+    holes_index_cross_check,
+)
+from fpcert.geometry import RectDomain  # noqa: E402
+from fpcert.interval import Box  # noqa: E402
 
 
 def main():
@@ -43,22 +54,25 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--residual", type=float, default=1e-6)
     args = ap.parse_args()
-    n_holes = args.n // 10
+    n_holes = n_index = args.n // 10
 
     rng = random.Random(args.seed)
     counts = {"CERTIFIED": 0, "REFUTED": 0, "INDETERMINATE": 0}
     violations = 0
     t0 = time.perf_counter()
 
-    def confirm(cert, m, domain_bounds, keep):
+    def violation(m, why):
         nonlocal violations
+        violations += 1
+        print("SOUNDNESS VIOLATION:")
+        print(m.to_source())
+        print(f"  {why}")
+
+    def confirm(cert, m, domain_bounds, keep):
         if cert.outcome == CERTIFIED:
             point, res = grid_zoom_min(m, domain_bounds, keep=keep)
             if point is None or res > args.residual:
-                violations += 1
-                print("SOUNDNESS VIOLATION:")
-                print(m.to_source())
-                print(f"  oracle residual {res}")
+                violation(m, f"oracle residual {res}")
 
     for k in range(args.n):
         roll = rng.random()
@@ -88,6 +102,7 @@ def main():
 
     rng = random.Random(f"{args.seed}:holes")
     hole_counts = dict.fromkeys(counts, 0)
+    cross_verified = 0
     t0 = time.perf_counter()
     for k in range(n_holes):
         m, spec = random_holed_ball_problem(rng, 2 + k % 3)
@@ -96,9 +111,38 @@ def main():
         keep = lambda p, spec=spec: math.hypot(*p) <= spec.radius and all(  # noqa: E731
             math.hypot(p[0] - cx, p[1] - cy) >= r for cx, cy, r in spec.holes)
         confirm(cert, m, [(-spec.radius, spec.radius)] * 2, keep)
+        if cert.outcome == CERTIFIED:
+            cross = holes_index_cross_check(m, spec)
+            cross_verified += cross["verified"]
+            if cross["verified"] and cross["value"] != cert.index:
+                violation(m, f"cross-check index {cross['value']}, certified {cert.index}")
     elapsed = time.perf_counter() - t0
     print(f"{n_holes} holed balls in {elapsed:.1f}s: "
           + ", ".join(f"{k}={v}" for k, v in hole_counts.items()))
+
+    rng = random.Random(f"{args.seed}:index")
+    index_verified = 0
+    t0 = time.perf_counter()
+    for _ in range(n_index):
+        bounds = []
+        for _axis in range(2):
+            lo = rng.uniform(-2.0, 1.0)
+            bounds.append((lo, lo + rng.uniform(0.5, 2.5)))
+        rect = RectDomain(Box.from_bounds(bounds))
+        m = random_polynomial_map_2d(rng, rect)
+        try:
+            result = fixed_point_index(m, rect)
+        except BoundaryZeroError:
+            continue
+        if result.verified:
+            index_verified += 1
+            expected = winding_rect(m, bounds)
+            if result.value != expected:
+                violation(m, f"index {result.value} on {bounds}, oracle winding {expected}")
+    elapsed = time.perf_counter() - t0
+    print(f"{n_index} 2-D indices in {elapsed:.1f}s: verified={index_verified}; "
+          f"holed-ball cross-checks verified={cross_verified} of "
+          f"{hole_counts[CERTIFIED]}")
     print(f"violations: {violations}")
     return 1 if violations else 0
 
