@@ -17,7 +17,13 @@ the result, and when both operands straddle zero four do.  Whenever a
 chosen product is zero or its exactness cannot be checked (underflow,
 overflow, huge operands) the kernel falls back to all eight directed
 endpoint products, so results, signed zeros included, equal that formula
-bit for bit.
+bit for bit.  ``mul_pair`` writes its two directed products out inline
+(range tests, Dekker split, error term and ``math.nextafter``), as the
+directed sums and differences do their TwoSum: these are the kernels
+every map evaluation runs most.  ``sqr_pair`` is the square, equal to
+``pow_int_pair(lo, hi, 2)`` bit for bit (the extra one-ulp widening
+``_pow_mag_*`` applies outside [1e-280, 1e290] included) at the cost of
+one directed product per bound; ``x^2`` nodes and squared distances use it.
 
 Transcendental endpoints (sin, cos, exp, tanh) rely on the platform libm
 being faithful to within one ulp and are padded by one ulp outward, with
@@ -57,6 +63,7 @@ class DimensionMismatchError(ValueError):
 
 _INF = math.inf
 _SPLITTER = 134217729.0  # 2**27 + 1, Dekker splitting constant
+_nextafter = math.nextafter
 
 
 def next_up(x: float) -> float:
@@ -90,31 +97,40 @@ def _two_product(a: float, b: float):
     return p, e
 
 
-# add_down and add_up take the rounding error e of s = fl(a + b) from
-# TwoSum (Knuth), a + b = s + e exactly, written out in each: the sum is
-# the commonest operation in map evaluation and a call costs more than it.
+# The directed sums and differences take the rounding error e of
+# s = fl(a + b) (or fl(a - b)) from TwoSum (Knuth), a + b = s + e exactly,
+# written out in each, and step off s with math.nextafter directly: the
+# sum is the commonest operation in map evaluation and a call costs more
+# than it.  A difference is TwoSum of a and -b, so a - b = s + e with
+# e = (a - (s - bb)) - (b + bb).
 
 
 def add_down(a: float, b: float) -> float:
     s = a + b
     bb = s - a
     e = (a - (s - bb)) + (b - bb)
-    return s if e >= 0.0 else next_down(s)
+    return s if e >= 0.0 else _nextafter(s, -_INF)
 
 
 def add_up(a: float, b: float) -> float:
     s = a + b
     bb = s - a
     e = (a - (s - bb)) + (b - bb)
-    return s if e <= 0.0 else next_up(s)
+    return s if e <= 0.0 else _nextafter(s, _INF)
 
 
 def sub_down(a: float, b: float) -> float:
-    return add_down(a, -b)
+    s = a - b
+    bb = s - a
+    e = (a - (s - bb)) - (b + bb)
+    return s if e >= 0.0 else _nextafter(s, -_INF)
 
 
 def sub_up(a: float, b: float) -> float:
-    return add_up(a, -b)
+    s = a - b
+    bb = s - a
+    e = (a - (s - bb)) - (b + bb)
+    return s if e <= 0.0 else _nextafter(s, _INF)
 
 
 # A product of nonzero factors that underflows to a signed zero p is
@@ -229,6 +245,39 @@ def _pow_mag_up(x: float, n: int) -> float:
     return r
 
 
+# The square's directed bounds: mul_down(x, x) and mul_up(x, x) with
+# _two_product written out for squares in [1e-280, 1e290], where its
+# exactness test passes and the extra product by 1.0 that _pow_mag_* takes
+# is exact and skipped.  The one-ulp step never leaves that range: the
+# only square rounding to 1e-280 is 1e-140 ** 2, which rounds down, and
+# the only one rounding to 1e290 is 1e145 ** 2, which rounds up.  Other
+# squares go through _pow_mag_*, so each result equals _pow_mag_*(x, 2).
+
+
+def _sqr_down(x: float) -> float:
+    p = x * x
+    if 1e-280 <= p <= 1e290:
+        t = _SPLITTER * x
+        h = t - (t - x)
+        r = x - h
+        if ((h * h - p) + h * r + r * h) + r * r < 0.0:
+            return _nextafter(p, -_INF)
+        return p
+    return _pow_mag_down(x, 2)
+
+
+def _sqr_up(x: float) -> float:
+    p = x * x
+    if 1e-280 <= p <= 1e290:
+        t = _SPLITTER * x
+        h = t - (t - x)
+        r = x - h
+        if ((h * h - p) + h * r + r * h) + r * r > 0.0:
+            return _nextafter(p, _INF)
+        return p
+    return _pow_mag_up(x, 2)
+
+
 # -- endpoint-pair kernels -----------------------------------------------------
 #
 # Each kernel maps operand endpoints to the (lo, hi) pair of the result and
@@ -300,11 +349,32 @@ def mul_pair(a: float, b: float, c: float, d: float):
         x1, y1, x2, y2 = b, c, a, c
     else:
         return _mul_mixed(a, b, c, d)
-    p, e = _two_product(x1, y1)
-    q, f = _two_product(x2, y2)
-    if e is None or f is None or p == 0.0 or q == 0.0:
+    # The two picked products, with _two_product written out: its
+    # exactness test as range tests, then Dekker's split and error term.
+    p = x1 * y1
+    q = x2 * y2
+    if not ((1e-280 <= p < _INF or -_INF < p <= -1e-280)
+            and (1e-280 <= q < _INF or -_INF < q <= -1e-280)
+            and -1e290 <= x1 <= 1e290 and -1e290 <= y1 <= 1e290
+            and -1e290 <= x2 <= 1e290 and -1e290 <= y2 <= 1e290):
         return _mul8(a, b, c, d)
-    return (p if e >= 0.0 else next_down(p)), (q if f <= 0.0 else next_up(q))
+    t = _SPLITTER * x1
+    x_hi = t - (t - x1)
+    x_lo = x1 - x_hi
+    t = _SPLITTER * y1
+    y_hi = t - (t - y1)
+    y_lo = y1 - y_hi
+    if ((x_hi * y_hi - p) + x_hi * y_lo + x_lo * y_hi) + x_lo * y_lo < 0.0:
+        p = _nextafter(p, -_INF)
+    t = _SPLITTER * x2
+    x_hi = t - (t - x2)
+    x_lo = x2 - x_hi
+    t = _SPLITTER * y2
+    y_hi = t - (t - y2)
+    y_lo = y2 - y_hi
+    if ((x_hi * y_hi - q) + x_hi * y_lo + x_lo * y_hi) + x_lo * y_lo > 0.0:
+        q = _nextafter(q, _INF)
+    return p, q
 
 
 def div_pair(a: float, b: float, c: float, d: float):
@@ -337,6 +407,15 @@ def pow_int_pair(lo: float, hi: float, n):
     if hi <= 0.0:
         return _pow_mag_down(-hi, n), _pow_mag_up(-lo, n)
     return 0.0, _pow_mag_up(max(-lo, hi), n)
+
+
+def sqr_pair(lo: float, hi: float):
+    """[lo, hi] ** 2, equal to pow_int_pair(lo, hi, 2) bit for bit."""
+    if lo >= 0.0:
+        return _sqr_down(lo), _sqr_up(hi)
+    if hi <= 0.0:
+        return _sqr_down(-hi), _sqr_up(-lo)
+    return 0.0, _sqr_up(max(-lo, hi))
 
 
 def sqrt_pair(lo: float, hi: float):

@@ -379,6 +379,58 @@ def test_pow_mag_matches_binary_powering_reference():
             assert repr(iv._pow_mag_up(x, n)) == repr(_ref_pow_mag(x, n, mul_up)), (x, n)
 
 
+def _ref_add(a, b, down):
+    """Directed sum from TwoSum, through next_down and next_up."""
+    s = a + b
+    bb = s - a
+    e = (a - (s - bb)) + (b - bb)
+    if down:
+        return s if e >= 0.0 else iv.next_down(s)
+    return s if e <= 0.0 else iv.next_up(s)
+
+
+def test_directed_sums_and_differences_match_two_sum_reference():
+    rng = random.Random(2718)
+    operands = [(x, y) for x in _SPECIAL_ENDPOINTS for y in _SPECIAL_ENDPOINTS]
+    for _ in range(40000):
+        x = _random_endpoint(rng)
+        y = rng.choice((_random_endpoint(rng), x, -x, x * (1.0 + rng.uniform(-1e-15, 1e-15))))
+        operands.append((x, y))
+    for a, b in operands:
+        assert repr(iv.add_down(a, b)) == repr(_ref_add(a, b, True)), (a, b)
+        assert repr(iv.add_up(a, b)) == repr(_ref_add(a, b, False)), (a, b)
+        assert repr(iv.sub_down(a, b)) == repr(_ref_add(a, -b, True)), (a, b)
+        assert repr(iv.sub_up(a, b)) == repr(_ref_add(a, -b, False)), (a, b)
+
+
+def _ulps_around(x, n):
+    """The 2n + 1 floats nearest x, x included."""
+    below = [x]
+    above = []
+    for _ in range(n):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter((above or [x])[-1], math.inf))
+    return below + above
+
+
+def test_square_matches_pow_int_two():
+    # Edges of the exactness range of the products: squares near 1e-280 and
+    # 1e290, the bounds themselves, overflow and underflow, signed zeros.
+    edges = [0.0, 5e-324, 1e-320, 2.2250738585072014e-308, 1e-300,
+             1e-280, math.nextafter(1e-280, 0.0), 1e-140, 1e-10, 0.1, 1.0, 3.0,
+             1e145, 1e154, 1e290, math.nextafter(1e290, math.inf), 1e300, 1.7e308]
+    edges += [-x for x in edges]
+    pairs = [(lo, hi) for lo in edges for hi in edges if lo <= hi]
+    for x in _ulps_around(1e-140, 2000) + _ulps_around(1e145, 2000):
+        pairs += [(x, x), (-x, x), (-x, -x), (x, 2.0 * x), (-x, 0.5 * x)]
+    rng = random.Random(1441)
+    for _ in range(40000):
+        x = _random_interval(rng)
+        pairs.append((x.lo, x.hi))
+    for lo, hi in pairs:
+        assert repr(iv.sqr_pair(lo, hi)) == repr(iv.pow_int_pair(lo, hi, 2)), (lo, hi)
+
+
 def test_transcendental_kernels_enclose_mpmath():
     mpmath = pytest.importorskip("mpmath")
     rng = random.Random(315)
