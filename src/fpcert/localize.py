@@ -2,15 +2,20 @@
 
 The pruning test discards a sub-box B as soon as some component of the
 interval residual g(B) - B excludes zero, which proves B holds no fixed
-point.  Surviving boxes are bisected down to the requested width; each
-surviving leaf is upgraded to PROVEN when the face conditions certify a
-fixed point inside it, and stays CANDIDATE otherwise.  Discarded plus
-surviving boxes tile the input rectangle, so no fixed point is ever lost.
+point.  The components are walked in order on endpoint pairs and the walk
+stops at the first one that excludes zero: one such component is the whole
+proof, so the others are not evaluated.  Surviving boxes are bisected down
+to the requested width; each surviving leaf is upgraded to PROVEN when the
+face conditions certify a fixed point inside it, and stays CANDIDATE
+otherwise.  Discarded plus surviving boxes tile the input rectangle, so no
+fixed point is ever lost.
 
-A box whose residual evaluation raises a `DomainError` (a denominator whose
-naive enclosure holds zero, say) is undecided and split: smaller boxes may
-evaluate.  A leaf that still raises at the requested width stays CANDIDATE
-with no residual bound.
+A component whose evaluation raises a `DomainError` (a denominator whose
+naive enclosure holds zero, say), or whose residual is not a finite pair,
+proves nothing on B and is skipped: another component may still exclude
+zero and discard B.  When none does, B is undecided and split, since
+smaller boxes may evaluate.  A leaf that still has a raising component at
+the requested width stays CANDIDATE with no residual bound.
 """
 
 from __future__ import annotations
@@ -22,7 +27,15 @@ from dataclasses import dataclass
 
 from .certify import CERTIFIED, certify_miranda
 from .geometry import RectDomain
-from .interval import Box, DimensionMismatchError, DomainError, Interval
+from .interval import (
+    Box,
+    DimensionMismatchError,
+    DomainError,
+    Interval,
+    abs_pair,
+    sub_down,
+    sub_up,
+)
 from .mapdsl import MapSpec
 from .subdivision import IRRELEVANT, UNKNOWN, VERIFIED, adaptive_cover
 
@@ -95,20 +108,48 @@ class LocalizeResult:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-def _residual_coords(g: MapSpec, box: Box):
-    img = g.eval_interval(box)
-    return [gi - xi for gi, xi in zip(img.coords, box.coords)]
+_PRUNED = "pruned"
+_INF = math.inf
 
 
-def _residual_bound(diffs) -> "Interval | None":
-    if diffs is None:
+def _residual_pairs(f: MapSpec, xs, prune: bool = True):
+    """The residual pairs (lo, hi) of g(B) - B over the box with coordinates
+    xs, component by component, for a map f that takes no parameter.
+
+    Returns _PRUNED at the first component whose residual excludes zero
+    (only when prune), None when some component raised, and the list of
+    pairs otherwise.  A component raises when its evaluation raises a
+    `DomainError` or its residual is not a pair that Interval(lo, hi)
+    accepts (lo <= hi always holds, so only a non-finite pair fails).
+    """
+    pairs = []
+    raised = False
+    for comp, x in zip(f.components, xs):
+        try:
+            lo, hi = comp.eval_pair(xs, None)
+        except DomainError:
+            raised = True
+            continue
+        lo = sub_down(lo, x.hi)
+        hi = sub_up(hi, x.lo)
+        if not -_INF < lo <= hi < _INF:
+            raised = True
+        elif prune and (lo > 0.0 or hi < 0.0):
+            return _PRUNED
+        else:
+            pairs.append((lo, hi))
+    return None if raised else pairs
+
+
+def _residual_bound(pairs) -> "Interval | None":
+    if pairs is None:
         return None
     lo = 0.0
     hi = 0.0
-    for d in diffs:
-        a = d.abs()
-        lo = max(lo, a.lo)
-        hi = max(hi, a.hi)
+    for p in pairs:
+        a_lo, a_hi = abs_pair(*p)
+        lo = max(lo, a_lo)
+        hi = max(hi, a_hi)
     return Interval(lo, hi)
 
 
@@ -145,27 +186,22 @@ def localize_fixed_points(g: MapSpec, rect: RectDomain, tol: float,
             break
         box = queue.popleft()
         examined += 1
-        try:
-            diffs = _residual_coords(f, box)
-        except DomainError:  # undecided here: split, smaller boxes may evaluate
-            diffs = None
-        else:
-            if any(d.lo > 0.0 or d.hi < 0.0 for d in diffs):
-                discarded_volume += box.volume()
-                continue
-        if box.width <= tol:
-            survivors.append((box, _residual_bound(diffs)))
+        pairs = _residual_pairs(f, box.coords)
+        if pairs is _PRUNED:
+            discarded_volume += box.volume()
             continue
+        if box.width <= tol:
+            survivors.append((box, _residual_bound(pairs)))
+            continue
+        # Undecided, or a component raised: split, smaller boxes may evaluate.
         left, right = _split_box(box, box.widest_axis())
         queue.append(left)
         queue.append(right)
 
-    for box in queue:  # budget exhausted: keep unpruned work as candidates
-        try:
-            diffs = _residual_coords(f, box)
-        except DomainError:
-            diffs = None
-        survivors.append((box, _residual_bound(diffs)))
+    # Budget exhausted: the unprocessed boxes are kept as candidates, not
+    # pruned, with the residual bound over all their components.
+    for box in queue:
+        survivors.append((box, _residual_bound(_residual_pairs(f, box.coords, prune=False))))
 
     enclosures = []
     for box, residual in survivors:
@@ -201,16 +237,17 @@ def region_fixed_point_free(g: MapSpec, root: Box, inside,
     the residual test, False when rigor ran out.
     """
 
+    if g.has_param:
+        raise ValueError("map takes a parameter t but none was supplied")
+    if root.dim != g.dim:
+        raise DimensionMismatchError(f"box of dimension {root.dim} for map of dimension {g.dim}")
+
     def classify(box):
         if inside(box):
             return IRRELEVANT, None
-        try:
-            diffs = _residual_coords(g, box)
-        except DomainError:  # undecided here: split, smaller boxes may evaluate
-            return UNKNOWN, None
-        if any(d.lo > 0.0 or d.hi < 0.0 for d in diffs):
+        if _residual_pairs(g, box.coords) is _PRUNED:
             return VERIFIED, None
-        return UNKNOWN, None
+        return UNKNOWN, None  # undecided, or a component raised: split
 
     cover = adaptive_cover([root], classify, max_depth, max_boxes)
     return cover.status == "verified"

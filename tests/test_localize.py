@@ -161,6 +161,62 @@ def test_region_pruning_splits_boxes_whose_evaluation_raises():
     assert not region_fixed_point_free(never, box, inside=lambda b: False, max_depth=4)
 
 
+# g1 = x1 + 1 has the residual [1 - w, 1 + w] on a box of width w in x1, so
+# it excludes zero on every box narrower than 1; g2 = 1/x2 raises on every
+# box that touches x2 = 0.  One excluding component is the whole proof that
+# a box holds no fixed point, so the raising one must not keep it alive.
+_EXCLUDED_WHILE_RAISING = (
+    "dim 2\nmap g1 = x1 + 1\nmap g2 = 1/x2\n",
+    "dim 2\nmap g1 = 1/x2\nmap g2 = x2 + 1\n",  # the raising component first
+)
+
+
+@pytest.mark.parametrize("source", _EXCLUDED_WHILE_RAISING)
+def test_box_excluded_by_one_component_is_pruned_although_another_raises(source):
+    m = parse_map(source)
+    box = Box.from_bounds([(-1, 1), (-1, 1)])
+    res = localize_fixed_points(m, RectDomain(box), tol=1e-2)
+    assert res.enclosures == [] and not res.exhausted
+    assert res.discarded_volume == pytest.approx(res.total_volume, rel=1e-12)
+    assert region_fixed_point_free(m, box, inside=lambda b: False, max_depth=8)
+
+
+def test_box_with_a_raising_component_and_none_excluding_is_split():
+    # g1 = x1 never excludes zero (its residual is [-w, w]); g2 raises on
+    # every box.  Every box is split down to tol and kept without a bound.
+    m = parse_map("dim 2\nmap g1 = x1\nmap g2 = 1/(x2 - x2)\n")
+    res = localize_fixed_points(m, rect((0, 1), (0, 1)), tol=0.25)
+    assert len(res.enclosures) > 1  # nothing pruned: every box split or kept
+    assert res.boxes_examined == 2 * len(res.enclosures) - 1
+    assert all(e.status == CANDIDATE and e.residual is None for e in res.enclosures)
+    assert all(d["residual"] is None for d in res.to_json_dict()["enclosures"])
+    assert res.surviving_volume == pytest.approx(1.0)
+    box = Box.from_bounds([(0, 1), (0, 1)])
+    assert not region_fixed_point_free(m, box, inside=lambda b: False, max_depth=4)
+
+
+def test_residual_that_overflows_counts_as_raising():
+    # g1 - x1 >= 2.7e308 on the whole rectangle: the residual pair is not
+    # finite, which Interval(lo, hi) rejects, so the box is undecided and
+    # split, as a raising component is, and its leaves carry no bound.
+    m = parse_map("dim 1\nmap g1 = 1.7e308\n")
+    res = localize_fixed_points(m, rect((-1.7e308, -1e308)), tol=2e307)
+    assert res.enclosures and not res.exhausted
+    assert all(e.status == CANDIDATE and e.residual is None for e in res.enclosures)
+    assert res.discarded_volume == 0.0
+
+
+def test_budget_tail_keeps_boxes_unpruned_with_their_residual_bound():
+    # The unprocessed queue is returned as it stands: a tail box whose
+    # residual excludes zero is kept, with the bound over all components.
+    m = parse_map("dim 2\nmap g1 = x1 + 1\nmap g2 = x2\n")
+    res = localize_fixed_points(m, rect((-1, 1), (-1, 1)), tol=1e-6, budget=1,
+                                upgrade=False)
+    assert res.exhausted and len(res.enclosures) == 2 and res.discarded_volume == 0.0
+    narrow = res.enclosures[1]  # x1 in [27/53*2 - 1, 1]: g1 excludes zero
+    assert narrow.residual == Interval(narrow.box.coords[0].lo, 2.0)
+
+
 # ---------------------------------------------------------------------------
 # Crossing sub-paths
 # ---------------------------------------------------------------------------
