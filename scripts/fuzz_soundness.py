@@ -8,8 +8,12 @@ the counts of the first line do not depend on them; each CERTIFIED one is
 also cross-checked by planar winding numbers, whose verified value must be
 the certified index 1 - n.  Last, 2-D fixed point indices of random planar
 maps on random rectangles, from a third stream: every verified index must
-equal a dense angle-accumulation winding number.  Any answer an oracle
-cannot confirm is a soundness bug and is printed with its problem source.
+equal a dense angle-accumulation winding number.  Then random planar maps
+localized on random rectangles, from a fourth stream: every PROVEN box
+must hold a point the grid oracle drives to a residual of at most 1e-9,
+and discarded plus surviving volume must equal the rectangle's.  Any
+answer an oracle cannot confirm is a soundness bug and is printed with its
+problem source.
 
     python scripts/fuzz_soundness.py --n 2000 --seed 7
 """
@@ -46,6 +50,7 @@ from fpcert.degree import (  # noqa: E402
 )
 from fpcert.geometry import RectDomain  # noqa: E402
 from fpcert.interval import Box  # noqa: E402
+from fpcert.localize import localize_fixed_points  # noqa: E402
 
 
 def main():
@@ -54,7 +59,7 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--residual", type=float, default=1e-6)
     args = ap.parse_args()
-    n_holes = n_index = args.n // 10
+    n_holes = n_index = n_localize = args.n // 10
 
     rng = random.Random(args.seed)
     counts = {"CERTIFIED": 0, "REFUTED": 0, "INDETERMINATE": 0}
@@ -120,15 +125,18 @@ def main():
     print(f"{n_holes} holed balls in {elapsed:.1f}s: "
           + ", ".join(f"{k}={v}" for k, v in hole_counts.items()))
 
-    rng = random.Random(f"{args.seed}:index")
-    index_verified = 0
-    t0 = time.perf_counter()
-    for _ in range(n_index):
+    def random_rect(rng):
         bounds = []
         for _axis in range(2):
             lo = rng.uniform(-2.0, 1.0)
             bounds.append((lo, lo + rng.uniform(0.5, 2.5)))
-        rect = RectDomain(Box.from_bounds(bounds))
+        return bounds, RectDomain(Box.from_bounds(bounds))
+
+    rng = random.Random(f"{args.seed}:index")
+    index_verified = 0
+    t0 = time.perf_counter()
+    for _ in range(n_index):
+        bounds, rect = random_rect(rng)
         m = random_polynomial_map_2d(rng, rect)
         try:
             result = fixed_point_index(m, rect)
@@ -143,6 +151,28 @@ def main():
     print(f"{n_index} 2-D indices in {elapsed:.1f}s: verified={index_verified}; "
           f"holed-ball cross-checks verified={cross_verified} of "
           f"{hole_counts[CERTIFIED]}")
+
+    rng = random.Random(f"{args.seed}:localize")
+    loc_counts = {"enclosures": 0, "PROVEN": 0, "exhausted": 0}
+    t0 = time.perf_counter()
+    for _ in range(n_localize):
+        bounds, rect = random_rect(rng)
+        m = random_polynomial_map_2d(rng, rect)
+        res = localize_fixed_points(m, rect, tol=1e-6, budget=20000)
+        loc_counts["enclosures"] += len(res.enclosures)
+        loc_counts["PROVEN"] += len(res.proven)
+        loc_counts["exhausted"] += res.exhausted
+        tiled = res.discarded_volume + res.surviving_volume
+        if not abs(tiled - res.total_volume) <= 1e-9 * res.total_volume:
+            violation(m, f"discarded plus surviving volume {tiled} != {res.total_volume} "
+                         f"on {bounds}")
+        for enc in res.proven:
+            _p, residual = grid_zoom_min(m, enc.box.bounds(), target=1e-13)
+            if not residual <= 1e-9:
+                violation(m, f"PROVEN box {enc.box.bounds()} oracle residual {residual}")
+    elapsed = time.perf_counter() - t0
+    print(f"{n_localize} localizations in {elapsed:.1f}s: "
+          + ", ".join(f"{k}={v}" for k, v in loc_counts.items()))
     print(f"violations: {violations}")
     return 1 if violations else 0
 
