@@ -250,8 +250,10 @@ def _pow_mag_up(x: float, n: int) -> float:
 # exactness test passes and the extra product by 1.0 that _pow_mag_* takes
 # is exact and skipped.  The one-ulp step never leaves that range: the
 # only square rounding to 1e-280 is 1e-140 ** 2, which rounds down, and
-# the only one rounding to 1e290 is 1e145 ** 2, which rounds up.  Other
-# squares go through _pow_mag_*, so each result equals _pow_mag_*(x, 2).
+# the only one rounding to 1e290 is 1e145 ** 2, which rounds up.  A
+# square that is or underflows to zero has the lower bound zero, as in
+# _pow_mag_down; the other squares go through _pow_mag_*.  So each result
+# equals _pow_mag_*(x, 2).
 
 
 def _sqr_down(x: float) -> float:
@@ -262,6 +264,8 @@ def _sqr_down(x: float) -> float:
         r = x - h
         if ((h * h - p) + h * r + r * h) + r * r < 0.0:
             return _nextafter(p, -_INF)
+        return p
+    if p == 0.0:
         return p
     return _pow_mag_down(x, 2)
 
