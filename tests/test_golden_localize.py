@@ -33,7 +33,7 @@ def _digest(result) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _unit_rect(rng: random.Random, dim: int) -> RectDomain:
+def _random_rect(rng: random.Random, dim: int) -> RectDomain:
     bounds = []
     for _ in range(dim):
         lo = rng.uniform(-2.0, 1.0)
@@ -52,7 +52,7 @@ def localize_cases():
             k += 1
     rng = random.Random(8)
     for k in range(8):
-        rect = _unit_rect(rng, 2)
+        rect = _random_rect(rng, 2)
         yield f"poly-{k}", random_polynomial_map_2d(rng, rect), rect
     rng = random.Random(8)
     for k in range(8):
@@ -66,7 +66,7 @@ def trace_cases():
     rng = random.Random(8)
     for k in range(6):
         dim = 1 + k % 2
-        rect = _unit_rect(rng, dim)
+        rect = _random_rect(rng, dim)
         if dim == 1:
             f = random_expression_map(rng, 1, depth=2)
             g = random_expression_map(rng, 1, depth=2)
