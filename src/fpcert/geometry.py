@@ -36,7 +36,7 @@ from .interval import (
     interval_error,
     max_pair,
     mul_pair,
-    sqr_pair,
+    pow_int_pair,
     sqrt_pair,
     sub_down,
     sub_up,
@@ -227,7 +227,7 @@ class Functional:
         if self.kind == "euclid":
             lo = hi = 0.0
             for a, b in pairs:
-                s_lo, s_hi = sqr_pair(a, b)
+                s_lo, s_hi = pow_int_pair(a, b, 2)
                 if not -_INF < s_lo <= s_hi < _INF:
                     raise interval_error(s_lo, s_hi)
                 lo, hi = add_down(lo, s_lo), add_up(hi, s_hi)
@@ -332,8 +332,8 @@ def dist2_pair(a: float, b: float, c: float, d: float, cx: float, cy: float):
         raise interval_error(x_lo, x_hi)
     if not -_INF < y_lo <= y_hi < _INF:
         raise interval_error(y_lo, y_hi)
-    x_lo, x_hi = sqr_pair(x_lo, x_hi)
-    y_lo, y_hi = sqr_pair(y_lo, y_hi)
+    x_lo, x_hi = pow_int_pair(x_lo, x_hi, 2)
+    y_lo, y_hi = pow_int_pair(y_lo, y_hi, 2)
     if not -_INF < x_lo <= x_hi < _INF:
         raise interval_error(x_lo, x_hi)
     if not -_INF < y_lo <= y_hi < _INF:

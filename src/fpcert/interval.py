@@ -20,10 +20,11 @@ endpoint products, so results, signed zeros included, equal that formula
 bit for bit.  ``mul_pair`` writes its two directed products out inline
 (range tests, Dekker split, error term and ``math.nextafter``), as the
 directed sums and differences do their TwoSum: these are the kernels
-every map evaluation runs most.  ``sqr_pair`` is the square, equal to
-``pow_int_pair(lo, hi, 2)`` bit for bit (the extra one-ulp widening
-``_pow_mag_*`` applies outside [1e-280, 1e290] included) at the cost of
-one directed product per bound; ``x^2`` nodes and squared distances use it.
+every map evaluation runs most.  ``pow_int_pair`` hands the exponent 2 to
+``sqr_pair``, which equals the generic power bit for bit (the extra one-ulp
+widening ``_pow_mag_*`` applies outside [1e-280, 1e290] included) at the
+cost of one directed product per bound; ``x^2`` nodes, squared distances
+and ``Interval.pow_int(2)`` all take it.
 
 Transcendental endpoints (sin, cos, exp, tanh) rely on the platform libm
 being faithful to within one ulp and are padded by one ulp outward, with
@@ -250,10 +251,9 @@ def _pow_mag_up(x: float, n: int) -> float:
 # exactness test passes and the extra product by 1.0 that _pow_mag_* takes
 # is exact and skipped.  The one-ulp step never leaves that range: the
 # only square rounding to 1e-280 is 1e-140 ** 2, which rounds down, and
-# the only one rounding to 1e290 is 1e145 ** 2, which rounds up.  A
-# square that is or underflows to zero has the lower bound zero, as in
-# _pow_mag_down; the other squares go through _pow_mag_*.  So each result
-# equals _pow_mag_*(x, 2).
+# the only one rounding to 1e290 is 1e145 ** 2, which rounds up.  The
+# other squares go through _pow_mag_*.  So each result equals
+# _pow_mag_*(x, 2).
 
 
 def _sqr_down(x: float) -> float:
@@ -264,8 +264,6 @@ def _sqr_down(x: float) -> float:
         r = x - h
         if ((h * h - p) + h * r + r * h) + r * r < 0.0:
             return _nextafter(p, -_INF)
-        return p
-    if p == 0.0:
         return p
     return _pow_mag_down(x, 2)
 
@@ -392,6 +390,8 @@ def div_pair(a: float, b: float, c: float, d: float):
 
 def pow_int_pair(lo: float, hi: float, n):
     """[lo, hi] ** n for an integer n; a negative n divides 1 by the power."""
+    if n == 2:
+        return sqr_pair(lo, hi)
     if n != int(n):
         raise DomainError("pow_int requires an integer exponent")
     n = int(n)
@@ -414,7 +414,8 @@ def pow_int_pair(lo: float, hi: float, n):
 
 
 def sqr_pair(lo: float, hi: float):
-    """[lo, hi] ** 2, equal to pow_int_pair(lo, hi, 2) bit for bit."""
+    """[lo, hi] ** 2, equal bit for bit to the even-power branch of
+    pow_int_pair with _pow_mag_*(x, 2)."""
     if lo >= 0.0:
         return _sqr_down(lo), _sqr_up(hi)
     if hi <= 0.0:

@@ -59,7 +59,6 @@ from .interval import (
     next_up,
     pow_int_pair,
     sin_pair,
-    sqr_pair,
     sqrt_pair,
     sub_down,
     sub_up,
@@ -214,10 +213,7 @@ class Power(Expr):
         return b ** self.exponent
 
     def eval_pair(self, xs, t):
-        if self.exponent == 2:
-            lo, hi = sqr_pair(*self.base.eval_pair(xs, t))
-        else:
-            lo, hi = pow_int_pair(*self.base.eval_pair(xs, t), self.exponent)
+        lo, hi = pow_int_pair(*self.base.eval_pair(xs, t), self.exponent)
         if -_INF < lo <= hi < _INF:
             return lo, hi
         raise interval_error(lo, hi)
