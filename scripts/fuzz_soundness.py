@@ -9,7 +9,8 @@ also cross-checked by planar winding numbers, whose verified value must be
 the certified index 1 - n.  Last, 2-D fixed point indices of random planar
 maps on random rectangles, from a third stream: every verified index must
 equal a dense angle-accumulation winding number.  Then random planar maps
-localized on random rectangles, from a fourth stream: every PROVEN box
+localized on random rectangles, from a fourth stream, every other one a
+random expression in sin, cos, tanh, min and max: every PROVEN box
 must hold a point the grid oracle drives to a residual of at most 1e-9,
 and discarded plus surviving volume must equal the rectangle's.  Any
 answer an oracle cannot confirm is a soundness bug and is printed with its
@@ -30,6 +31,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
 from corpus import (  # noqa: E402
     random_cone_problem,
     random_cylinder_problem,
+    random_expression_map,
     random_holed_ball_problem,
     random_polynomial_map_2d,
     random_rect_problem,
@@ -155,9 +157,12 @@ def main():
     rng = random.Random(f"{args.seed}:localize")
     loc_counts = {"enclosures": 0, "PROVEN": 0, "exhausted": 0}
     t0 = time.perf_counter()
-    for _ in range(n_localize):
+    for k in range(n_localize):
         bounds, rect = random_rect(rng)
-        m = random_polynomial_map_2d(rng, rect)
+        if k % 2:
+            m = random_expression_map(rng, 2)
+        else:
+            m = random_polynomial_map_2d(rng, rect)
         res = localize_fixed_points(m, rect, tol=1e-6, budget=20000)
         loc_counts["enclosures"] += len(res.enclosures)
         loc_counts["PROVEN"] += len(res.proven)

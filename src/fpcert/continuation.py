@@ -90,7 +90,8 @@ def trace_continuum(psi: MapSpec, t_range, x_box: Box, grid: int = 16,
     if not a < b:
         raise ValueError("parameter range must have positive width")
 
-    t_grid = tuple(a + (b - a) * j / grid for j in range(grid + 1))
+    # The last point is b itself: a + (b - a) can round below b.
+    t_grid = tuple(a + (b - a) * j / grid for j in range(grid)) + (b,)
     rect = RectDomain(x_box)
     slabs = []
     exhausted = False

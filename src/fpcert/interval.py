@@ -32,7 +32,11 @@ sin/cos additionally clamped to [-1, 1] and analysed for interior extrema
 against an interval enclosure of pi.  The extremum test screens each
 candidate ``c + 2*k*pi`` in plain floats and rounds outward only for the
 candidates that an error margin (derived in ``_hits_lattice``) cannot
-rule out; its decisions equal those of the all-interval evaluation.
+rule out; its decisions equal those of the all-interval evaluation.  On a
+narrow argument (width at most 6, magnitude at most 2**20) the screen
+rejects every candidate but the one nearest the midpoint, so each lattice
+is decided on that one alone (derived in ``_sin_cos``), with the same
+decisions.
 
 Each operation has one kernel that maps operand endpoints to a ``(lo, hi)``
 pair (``mul_pair``, ``div_pair``, ``pow_int_pair``, ``sin_pair``, ...).  The
@@ -614,20 +618,70 @@ def _hits_lattice(lo: float, hi: float, center: Interval, period: Interval) -> b
     return False
 
 
+# The extremum test on narrow arguments (see _sin_cos).
+_NARROW_WIDTH = 6.0
+_NARROW_MAG = 2.0**20
+_P_LO = _TWO_PI.lo
+_P_HI = _TWO_PI.hi
+
+
 def _sin_cos(lo: float, hi: float, max_center: Interval, min_center: Interval, fn):
-    if hi - lo > 7.0 or abs(lo) > 1e15 or abs(hi) > 1e15:
+    """Range of sin or cos over [lo, hi]: fn at the endpoints, padded one
+    ulp outward, or 1 and -1 where an extremum lattice meets [lo, hi].
+
+    On an argument with hi - lo <= W0 = 6 and |lo|, |hi| <= M0 = 2**20,
+    each lattice is decided on its nearest candidate k0 alone, with the
+    float pre-test and the directed test that _hits_lattice runs for k0;
+    other arguments go to _hits_lattice.  The decisions are the same, since
+    the pre-test rejects every other k there.  With u = 2**-53:
+
+      fl(hi - lo) <= 6 gives hi - lo <= 6 + 2**-51, and mid = fl(fl(lo +
+      hi)/2) is within u*2**20 = 2**-33 of the true midpoint, so [lo, hi]
+      lies within 3 + 2**-32 of mid.  For t = (mid - c.lo)/P.lo the float
+      quotient q differs from t by less than 2**-33 (|mid - c.lo| <=
+      2**20 + 4, two roundings), and k0 = round(q) is an integer nearest
+      q, so every k != k0 has |k - t| >= 1/2 - 2**-33: its exact candidate
+      k*P.lo + c.lo lies at least P.lo/2 - 2**-30 > 3.1415 from mid.  For
+      the candidates that _hits_lattice tries (|k - k0| <= 2), approx is
+      off that candidate by less than 2**-31, the margin is below 2**-27
+      and rounding approx -/+ margin adds at most 2**-32, so approx -
+      margin stays above mid + 3.14 >= hi (or approx + margin below lo).
+
+    The slack is (P.lo - W0)/2 > 0.14 on each side.  Every error above
+    grows with M0; the margin alone (2**-48*M0) would take most of the
+    slack by M0 = 2**45.  next_up and next_down are monotone, so they are
+    taken once, on the larger and the smaller endpoint value.
+    """
+    w = hi - lo
+    if w > 7.0 or abs(lo) > 1e15 or abs(hi) > 1e15:
         return -1.0, 1.0
-    v_lo = fn(lo)
-    v_hi = fn(hi)
-    if _hits_lattice(lo, hi, max_center, _TWO_PI):
-        r_hi = 1.0
+    if w <= _NARROW_WIDTH and -_NARROW_MAG <= lo and hi <= _NARROW_MAG:
+        mid = 0.5 * (lo + hi)
+        hit_max = _hits_nearest(lo, hi, mid, max_center.lo, max_center.hi)
+        hit_min = _hits_nearest(lo, hi, mid, min_center.lo, min_center.hi)
     else:
-        r_hi = min(1.0, max(next_up(v_lo), next_up(v_hi)))
-    if _hits_lattice(lo, hi, min_center, _TWO_PI):
-        r_lo = -1.0
-    else:
-        r_lo = max(-1.0, min(next_down(v_lo), next_down(v_hi)))
+        hit_max = _hits_lattice(lo, hi, max_center, _TWO_PI)
+        hit_min = _hits_lattice(lo, hi, min_center, _TWO_PI)
+    small = fn(lo)
+    big = fn(hi)
+    if big < small:
+        small, big = big, small
+    r_hi = 1.0 if hit_max else min(1.0, _nextafter(big, _INF))
+    r_lo = -1.0 if hit_min else max(-1.0, _nextafter(small, -_INF))
     return r_lo, r_hi
+
+
+def _hits_nearest(lo: float, hi: float, mid: float, c_lo: float, c_hi: float) -> bool:
+    """_hits_lattice's tests for the one candidate k0 on the 2*pi lattice
+    through [c_lo, c_hi]."""
+    k = float(round((mid - c_lo) / _P_LO))
+    approx = k * _P_LO + c_lo
+    margin = abs(approx) * 2.0**-48 + 2.0**-45
+    if approx - margin > hi or approx + margin < lo:
+        return False
+    if k >= 0.0:
+        return add_down(mul_down(k, _P_LO), c_lo) <= hi and add_up(mul_up(k, _P_HI), c_hi) >= lo
+    return add_down(mul_down(k, _P_HI), c_lo) <= hi and add_up(mul_up(k, _P_LO), c_hi) >= lo
 
 
 _UNARY_OPS = {
@@ -720,9 +774,16 @@ class Box:
         coords[axis] = ival
         return Box(tuple(coords))
 
-    def widest_axis(self) -> int:
-        widths = self.widths()
-        return max(range(self.dim), key=lambda i: widths[i])
+    def split_axis(self):
+        """The widest coordinate with a float strictly inside it (the first
+        on ties), or None when there is none: no split can shrink such a
+        box, since bisect would return it unchanged as one half."""
+        best, best_w = None, -1.0
+        for i, c in enumerate(self.coords):
+            w = c.hi - c.lo
+            if w > best_w and _nextafter(c.lo, _INF) < c.hi:
+                best, best_w = i, w
+        return best
 
     def bisect(self, axis: int):
         """Split at the midpoint of the chosen coordinate.

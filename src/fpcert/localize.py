@@ -190,11 +190,12 @@ def localize_fixed_points(g: MapSpec, rect: RectDomain, tol: float,
         if pairs is _PRUNED:
             discarded_volume += box.volume()
             continue
-        if box.width <= tol:
+        axis = None if box.width <= tol else box.split_axis()
+        if axis is None:
             survivors.append((box, _residual_bound(pairs)))
             continue
         # Undecided, or a component raised: split, smaller boxes may evaluate.
-        left, right = _split_box(box, box.widest_axis())
+        left, right = _split_box(box, axis)
         queue.append(left)
         queue.append(right)
 

@@ -64,7 +64,7 @@ def adaptive_cover(seeds, classify, max_depth: int, max_boxes: int) -> CoverResu
         elif tag == UNDECIDABLE:
             _note_unresolved(result, box, payload)
         else:
-            axis = _splittable_axis(box)
+            axis = box.split_axis()
             if axis is None or depth >= max_depth:
                 _note_unresolved(result, box, payload)
             else:
@@ -83,11 +83,3 @@ def _note_unresolved(result: CoverResult, box: Box, payload):
     if len(result.unresolved) < _MAX_STORED_UNRESOLVED:
         result.unresolved.append((box, payload))
 
-
-def _splittable_axis(box: Box):
-    widths = box.widths()
-    best, best_w = None, 0.0
-    for i, w in enumerate(widths):
-        if w > best_w:
-            best, best_w = i, w
-    return best

@@ -97,6 +97,22 @@ def test_localize_exits(capsys):
     assert code == 3
 
 
+def test_localize_keeps_a_box_it_cannot_split(tmp_path, capsys):
+    # tol below one ulp: boxes one ulp wide have no float inside to split
+    # at, so they are leaves, not requeued until the budget runs out.
+    path = tmp_path / "cos.fp"
+    path.write_text("dim 1\nmap g1 = cos(x1)\ndomain rect [0,1]\n")
+    code, out, _ = run(capsys, "localize", str(path), "--tol", "1e-17",
+                       "--budget", "3000", "--format", "json")
+    payload = json.loads(out)
+    assert code == 2 and not payload["exhausted"]
+    boxes = [json.dumps(e["box"]) for e in payload["enclosures"]]
+    assert boxes and len(set(boxes)) == len(boxes)
+    cover = payload["coverage"]
+    assert cover["discarded_volume"] + cover["surviving_volume"] == pytest.approx(
+        cover["total_volume"], rel=1e-12)
+
+
 def test_index_commands(capsys):
     code, out, _ = run(capsys, "index", "@index-constant-inside", "--format", "json")
     assert code == 0 and json.loads(out)["value"] == 1

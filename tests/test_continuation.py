@@ -65,6 +65,16 @@ def test_witness_soundness_residuals():
         assert best <= 10 * tol
 
 
+def test_grid_ends_at_the_range_end():
+    # a + (b - a) * 16 / 16 rounds to 0.8999999999999999 for (0.2, 0.9).
+    psi = parse_map("dim 1\nparam t\nmap g1 = (x1 + t)/2\n")
+    wit = trace_continuum(psi, (0.2, 0.9), xbox(), grid=16, tol=1e-3)
+    assert wit.t_grid[-1] == 0.9
+    assert wit.complete and wit.max_t_reached == 0.9
+    assert wit.chain_slabs()[-1].t.hi == 0.9
+    assert max(s.t.hi for s in wit.slabs) == 0.9
+
+
 def test_grid_refinement_monotone():
     for src in (
         "dim 1\nparam t\nmap g1 = (x1 + t)/2\n",

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -259,13 +260,19 @@ def _ref_mul(x, y):
     return Interval(lo, hi)
 
 
+@functools.lru_cache(maxsize=4096)
+def _ref_critical_pair(k, c_lo, c_hi, p_lo, p_hi):
+    crit = _ref_mul(Interval(float(k)), Interval(p_lo, p_hi)) + Interval(c_lo, c_hi)
+    return crit.lo, crit.hi
+
+
 def _ref_hits_lattice(i, center, period):
     """The lattice test written as interval expressions."""
     mid = 0.5 * (i.lo + i.hi)
     k0 = round((mid - center.lo) / period.lo)
     for k in (k0 - 2, k0 - 1, k0, k0 + 1, k0 + 2):
-        crit = _ref_mul(Interval(float(k)), period) + center
-        if crit.lo <= i.hi and crit.hi >= i.lo:
+        crit_lo, crit_hi = _ref_critical_pair(k, center.lo, center.hi, period.lo, period.hi)
+        if crit_lo <= i.hi and crit_hi >= i.lo:
             return True
     return False
 
@@ -353,6 +360,93 @@ def test_hits_lattice_matches_interval_reference():
             assert iv._hits_lattice(i.lo, i.hi, center, iv._TWO_PI) == expected, (i, center)
             hits += expected
     assert 0 < hits < 4 * 8000
+
+
+_SIN_COS = (
+    (iv.sin_pair, iv._HALF_PI, iv._NEG_HALF_PI, math.sin),
+    (iv.cos_pair, iv._ZERO, iv._PI, math.cos),
+)
+
+
+def _ref_sin_cos(lo, hi, hit_max, hit_min, fn):
+    """sin or cos over [lo, hi] from the lattice decisions and each
+    endpoint value padded one ulp outward."""
+    if hi - lo > 7.0 or abs(lo) > 1e15 or abs(hi) > 1e15:
+        return -1.0, 1.0
+    v_lo = fn(lo)
+    v_hi = fn(hi)
+    r_hi = 1.0 if hit_max else min(1.0, max(iv.next_up(v_lo), iv.next_up(v_hi)))
+    r_lo = -1.0 if hit_min else max(-1.0, min(iv.next_down(v_lo), iv.next_down(v_hi)))
+    return r_lo, r_hi
+
+
+# The kernel's narrow-argument range: hi - lo <= W0, |lo|, |hi| <= M0.
+_W0 = 6.0
+_M0 = 2.0**20
+
+
+def _lattice_endpoint(rng, span):
+    """A multiple of pi/2 in [-span, span] a few ulps off, or a uniform
+    point: ends on or next to a critical point decide on its enclosure."""
+    if rng.random() < 0.5:
+        return rng.uniform(-span, span)
+    x = rng.randint(-int(span / (math.pi / 2)), int(span / (math.pi / 2))) * (math.pi / 2)
+    return x + rng.randint(-4, 4) * math.ulp(x or 1.0)
+
+
+def _sin_cos_arguments():
+    rng = random.Random(4242)
+    for _ in range(4000):
+        i = _near_lattice_interval(rng)
+        yield i.lo, i.hi
+    # Narrow arguments in [-50, 50]; spans between two critical points of
+    # about 2*pi put both candidates near the ends.
+    for _ in range(100000):
+        lo = _lattice_endpoint(rng, 50.0)
+        r = rng.random()
+        if r < 0.4:
+            hi = lo + rng.choice((0.0, math.ulp(lo or 1.0), _W0, math.nextafter(_W0, math.inf),
+                                  rng.uniform(0.0, 7.5), 10.0 ** rng.uniform(-12.0, 0.0)))
+        elif r < 0.7:
+            hi = lo + rng.randint(1, 4) * (math.pi / 2) + rng.randint(-4, 4) * math.ulp(lo or 1.0)
+        else:
+            hi = lo + rng.uniform(5.5, 6.5)
+        yield min(lo, hi), max(lo, hi)
+    # Widths W0 and just above it, at magnitudes up to 1e15, where the
+    # candidate nearest the midpoint is least clear.
+    for _ in range(4000):
+        x = math.copysign(10.0 ** rng.uniform(0.0, 15.0), rng.random() - 0.5)
+        for w in (_W0, math.nextafter(_W0, math.inf)):
+            yield x, x + w
+    # Endpoints at -M0, M0 and their float neighbours.
+    ends = [e for m in (-_M0, _M0) for e in _ulps_around(m, 2)]
+    for e in ends:
+        for w in (0.0, 1e-9, 1.0, 3.0, _W0, math.nextafter(_W0, math.inf)):
+            for lo, hi in ((e, e + w), (e - w, e)):
+                yield lo, hi
+
+
+def test_sin_cos_match_lattice_reference():
+    # The outputs equal the reference's by repr, and on every argument that
+    # the kernel decides on one candidate per lattice, that candidate's
+    # decision equals the reference's over all five.
+    hits = narrow = 0
+    for lo, hi in _sin_cos_arguments():
+        i = Interval(lo, hi)
+        is_narrow = hi - lo <= iv._NARROW_WIDTH and -iv._NARROW_MAG <= lo and hi <= iv._NARROW_MAG
+        narrow += is_narrow
+        mid = 0.5 * (lo + hi)
+        for kernel, max_center, min_center, fn in _SIN_COS:
+            hit_max = _ref_hits_lattice(i, max_center, iv._TWO_PI)
+            hit_min = _ref_hits_lattice(i, min_center, iv._TWO_PI)
+            expected = _outcome(_ref_sin_cos, lo, hi, hit_max, hit_min, fn)
+            assert _outcome(kernel, lo, hi) == expected, (kernel.__name__, lo, hi)
+            if is_narrow:
+                for center, hit in ((max_center, hit_max), (min_center, hit_min)):
+                    assert iv._hits_nearest(lo, hi, mid, center.lo, center.hi) == hit, (
+                        lo, hi, center)
+                    hits += hit
+    assert narrow > 70000 and hits > 10000
 
 
 def _ref_pow_mag(x, n, mul):
