@@ -380,7 +380,8 @@ def _ref_sin_cos(lo, hi, hit_max, hit_min, fn):
     return r_lo, r_hi
 
 
-# The kernel's narrow-argument range: hi - lo <= W0, |lo|, |hi| <= M0.
+# The kernel's narrow-argument range, hi - lo <= W0 and |lo|, |hi| <= M0,
+# written out so that the edge cases stay put if its constants change.
 _W0 = 6.0
 _M0 = 2.0**20
 
