@@ -240,6 +240,14 @@ def test_box_bisect_degenerate_axis():
         b.bisect(0)
 
 
+def test_box_split_axis_needs_a_float_inside():
+    one = 1.0
+    ulp_wide = (one, math.nextafter(one, math.inf))
+    assert Box.from_bounds([ulp_wide, ulp_wide]).split_axis() is None
+    assert Box.from_bounds([(1e6, math.nextafter(1e6, math.inf)), (0.0, 1e-11)]).split_axis() == 1
+    assert Box.from_bounds([(0, 1), (2, 3), (0, 0.5)]).split_axis() == 0
+
+
 def test_box_contains_closed():
     b = Box.from_bounds([(0, 1), (0, 1)])
     assert b.contains_point((0.5, 0.5))

@@ -6,10 +6,12 @@ witness never verify, and no sub-box is violated.  The seeded problems
 below produce undecidable boxes on equality faces (rectangles and
 cylinders), in the rounding band of squared radii (holed balls) and on
 cone slices; with random corpus problems, every such box is checked
-against its sub-boxes.  The last two tests check the other direction: a
+against its sub-boxes.  A box one ulp wide, which no split can shrink, is
+kept unresolved at once.  The last two tests check the other direction: a
 box that smaller boxes can decide is still split.
 """
 
+import math
 import random
 from decimal import Decimal
 
@@ -155,10 +157,18 @@ def test_random_problems(undecidable):
     _check_sound(undecidable, rng, require=False)
 
 
+def test_box_no_split_can_shrink_is_unresolved_at_once():
+    # Bisecting a coordinate one ulp wide returns the box unchanged as one
+    # half, so splitting it again and again would only spend the budget.
+    box = Box.from_bounds([(1.0, math.nextafter(1.0, math.inf))])
+    cover = subdivision.adaptive_cover([box], lambda b: (subdivision.UNKNOWN, None),
+                                       max_depth=30, max_boxes=1000)
+    assert cover.boxes_examined == 1 and cover.unresolved_count == 1
+
+
 # The rule must not stop boxes that smaller boxes can decide.  In both maps
 # below a box's bound touches the refutation threshold while every point of
 # the region verifies with a margin.
-
 
 def test_touching_bound_with_verifying_witness_is_split():
     # On the face x1 = 0 the bound of g1 reaches 0 exactly, while g1 itself
