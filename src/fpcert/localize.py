@@ -5,7 +5,8 @@ interval residual g(B) - B excludes zero, which proves B holds no fixed
 point.  The components are walked in order on endpoint pairs and the walk
 stops at the first one that excludes zero: one such component is the whole
 proof, so the others are not evaluated.  Surviving boxes are bisected down
-to the requested width; each surviving leaf is upgraded to PROVEN when the
+to the requested width, or until no coordinate has a float strictly inside
+it to split at; each surviving leaf is upgraded to PROVEN when the
 face conditions certify a fixed point inside it, and stays CANDIDATE
 otherwise.  Discarded plus surviving boxes tile the input rectangle, so no
 fixed point is ever lost.
