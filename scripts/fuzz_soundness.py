@@ -12,7 +12,10 @@ equal a dense angle-accumulation winding number.  Then random planar maps
 localized on random rectangles, from a fourth stream, every other one a
 random expression in sin, cos, tanh, min and max: every PROVEN box
 must hold a point the grid oracle drives to a residual of at most 1e-9,
-and discarded plus surviving volume must equal the rectangle's.  Any
+and discarded plus surviving volume must equal the rectangle's.  Last,
+from a fifth stream, trig maps with a fixed point planted inside their
+rectangle take the same checks, and the planted point must lie in an
+enclosure.  Any
 answer an oracle cannot confirm is a soundness bug and is printed with its
 problem source.
 
@@ -33,6 +36,7 @@ from corpus import (  # noqa: E402
     random_cylinder_problem,
     random_expression_map,
     random_holed_ball_problem,
+    random_planted_trig_map,
     random_polynomial_map_2d,
     random_rect_problem,
 )
@@ -154,15 +158,7 @@ def main():
           f"holed-ball cross-checks verified={cross_verified} of "
           f"{hole_counts[CERTIFIED]}")
 
-    rng = random.Random(f"{args.seed}:localize")
-    loc_counts = {"enclosures": 0, "PROVEN": 0, "exhausted": 0}
-    t0 = time.perf_counter()
-    for k in range(n_localize):
-        bounds, rect = random_rect(rng)
-        if k % 2:
-            m = random_expression_map(rng, 2)
-        else:
-            m = random_polynomial_map_2d(rng, rect)
+    def localize_and_check(m, bounds, rect, loc_counts, planted=None):
         res = localize_fixed_points(m, rect, tol=1e-6, budget=20000)
         loc_counts["enclosures"] += len(res.enclosures)
         loc_counts["PROVEN"] += len(res.proven)
@@ -175,9 +171,36 @@ def main():
             _p, residual = grid_zoom_min(m, enc.box.bounds(), target=1e-13)
             if not residual <= 1e-9:
                 violation(m, f"PROVEN box {enc.box.bounds()} oracle residual {residual}")
+        # A planted fixed point is a decimal: its float may sit an ulp off.
+        if planted is not None and not any(
+                all(c.lo - 1e-12 <= v <= c.hi + 1e-12 for c, v in zip(e.box.coords, planted))
+                for e in res.enclosures):
+            violation(m, f"planted fixed point {planted} lies in no enclosure on {bounds}")
+
+    rng = random.Random(f"{args.seed}:localize")
+    loc_counts = {"enclosures": 0, "PROVEN": 0, "exhausted": 0}
+    t0 = time.perf_counter()
+    for k in range(n_localize):
+        bounds, rect = random_rect(rng)
+        if k % 2:
+            m = random_expression_map(rng, 2)
+        else:
+            m = random_polynomial_map_2d(rng, rect)
+        localize_and_check(m, bounds, rect, loc_counts)
     elapsed = time.perf_counter() - t0
     print(f"{n_localize} localizations in {elapsed:.1f}s: "
           + ", ".join(f"{k}={v}" for k, v in loc_counts.items()))
+
+    rng = random.Random(f"{args.seed}:planted")
+    planted_counts = dict.fromkeys(loc_counts, 0)
+    t0 = time.perf_counter()
+    for _ in range(n_localize):
+        bounds, rect = random_rect(rng)
+        m, p = random_planted_trig_map(rng, rect)
+        localize_and_check(m, bounds, rect, planted_counts, planted=p)
+    elapsed = time.perf_counter() - t0
+    print(f"{n_localize} planted trig localizations in {elapsed:.1f}s: "
+          + ", ".join(f"{k}={v}" for k, v in planted_counts.items()))
     print(f"violations: {violations}")
     return 1 if violations else 0
 

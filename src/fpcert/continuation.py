@@ -98,8 +98,7 @@ def trace_continuum(psi: MapSpec, t_range, x_box: Box, grid: int = 16,
     per_cell = []
     for cell in range(grid):
         t_iv = Interval(t_grid[cell], t_grid[cell + 1])
-        res = localize_fixed_points(psi, rect, tol, budget=budget_per_cell,
-                                    t=t_iv, upgrade=False)
+        res = localize_fixed_points(psi, rect, tol, budget=budget_per_cell, t=t_iv)
         exhausted = exhausted or res.exhausted
         cell_slabs = []
         for enc in res.enclosures:

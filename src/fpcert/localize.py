@@ -6,9 +6,18 @@ point.  The components are walked in order on endpoint pairs and the walk
 stops at the first one that excludes zero: one such component is the whole
 proof, so the others are not evaluated.  Surviving boxes are bisected down
 to the requested width, or until no coordinate has a float strictly inside
-it to split at; each surviving leaf is upgraded to PROVEN when the
-face conditions certify a fixed point inside it, and stays CANDIDATE
-otherwise.  Discarded plus surviving boxes tile the input rectangle, so no
+it to split at.
+
+With the upgrade on, a map without parameter whose Jacobian exists (it
+calls no abs, min or max; see `mapdsl.jacobian`) also takes the Krawczyk
+test on the surviving boxes wider than the requested width.  It discards
+a box whose Krawczyk image misses it, and proves a box whose image lies
+inside its interior holds exactly one fixed point, then contracts that box
+to a PROVEN leaf, usually far narrower than the requested width and off
+the 27/53 grid.  Each leaf this does not prove is upgraded to PROVEN when
+the face conditions certify a fixed point inside it (Miranda), and stays
+CANDIDATE otherwise.  Discarded plus surviving boxes tile the input
+rectangle, and every discarded part is proven free of fixed points, so no
 fixed point is ever lost.
 
 A component whose evaluation raises a `DomainError` (a denominator whose
@@ -34,10 +43,14 @@ from .interval import (
     DomainError,
     Interval,
     abs_pair,
+    add_down,
+    add_up,
+    mul_pair,
+    mul_up,
     sub_down,
     sub_up,
 )
-from .mapdsl import MapSpec
+from .mapdsl import MapSpec, jacobian
 from .subdivision import IRRELEVANT, UNKNOWN, VERIFIED, adaptive_cover
 
 PROVEN = "PROVEN"
@@ -113,15 +126,15 @@ _PRUNED = "pruned"
 _INF = math.inf
 
 
-def _residual_pairs(f: MapSpec, xs, prune: bool = True):
+def _residual_pairs(f: MapSpec, xs):
     """The residual pairs (lo, hi) of g(B) - B over the box with coordinates
     xs, component by component, for a map f that takes no parameter.
 
-    Returns _PRUNED at the first component whose residual excludes zero
-    (only when prune), None when some component raised, and the list of
-    pairs otherwise.  A component raises when its evaluation raises a
-    `DomainError` or its residual is not a pair that Interval(lo, hi)
-    accepts (lo <= hi always holds, so only a non-finite pair fails).
+    Returns _PRUNED at the first component whose residual excludes zero,
+    None when some component raised, and the list of pairs otherwise.  A
+    component raises when its evaluation raises a `DomainError` or its
+    residual is not a pair that Interval(lo, hi) accepts (lo <= hi always
+    holds, so only a non-finite pair fails).
     """
     pairs = []
     raised = False
@@ -135,7 +148,7 @@ def _residual_pairs(f: MapSpec, xs, prune: bool = True):
         hi = sub_up(hi, x.lo)
         if not -_INF < lo <= hi < _INF:
             raised = True
-        elif prune and (lo > 0.0 or hi < 0.0):
+        elif lo > 0.0 or hi < 0.0:
             return _PRUNED
         else:
             pairs.append((lo, hi))
@@ -154,6 +167,123 @@ def _residual_bound(pairs) -> "Interval | None":
     return Interval(lo, hi)
 
 
+def _inverse(a):
+    """The float inverse of the square matrix a (a list of rows) by
+    Gauss-Jordan elimination with partial pivoting, or None when a pivot is
+    zero or an entry is not finite.  Only an approximation: the Krawczyk
+    operator is an enclosure for any preconditioner."""
+    n = len(a)
+    rows = [list(r) + [1.0 if i == j else 0.0 for j in range(n)] for i, r in enumerate(a)]
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: abs(rows[r][col]))
+        rows[col], rows[piv] = rows[piv], rows[col]
+        p = rows[col][col]
+        if p == 0.0 or not math.isfinite(p):
+            return None
+        pivot_row = [v / p for v in rows[col]]
+        rows[col] = pivot_row
+        for r in range(n):
+            if r != col and rows[r][col] != 0.0:
+                k = rows[r][col]
+                rows[r] = [v - k * w for v, w in zip(rows[r], pivot_row)]
+    inv = [r[n:] for r in rows]
+    if not all(math.isfinite(v) for r in inv for v in r):
+        return None
+    return inv
+
+
+def _krawczyk(f: MapSpec, jac, xs):
+    """The Krawczyk operator K(X) = m - Y F(m) + (I - Y F'(X))(X - m) of
+    F = Id - g over the box X with coordinates xs, where m is X's midpoint,
+    F'(X) the naive enclosure of the Jacobian `jac` over X and Y a float
+    inverse of mid F'(X), evaluated with directed rounding.
+
+    Returns (K, rho): K as a list of (lo, hi) pairs and rho the row-sum
+    norm of I - Y F'(X), rounded up.  Every fixed point of g in X lies in K
+    (the mean value theorem row by row), so K disjoint from X proves X holds
+    none, and K inside the interior of X proves X holds exactly one
+    (Krawczyk 1969; Moore 1977).  Returns (None, 2.0) when an evaluation
+    raises, mid F'(X) is singular or K is not finite.
+    """
+    n = len(xs)
+    ms = [c.mid for c in xs]
+    point = [Interval(m) for m in ms]
+    try:
+        fm = []
+        for comp, m in zip(f.components, ms):
+            lo, hi = comp.eval_pair(point, None)
+            fm.append((sub_down(m, hi), sub_up(m, lo)))
+        dF = []  # F'(X) = I - Dg(X)
+        for i, row in enumerate(jac):
+            dF_row = []
+            for j, d in enumerate(row):
+                delta = 1.0 if i == j else 0.0
+                if d is None:
+                    dF_row.append((delta, delta))
+                else:
+                    lo, hi = d.eval_pair(xs, None)
+                    dF_row.append((sub_down(delta, hi), sub_up(delta, lo)))
+            dF.append(dF_row)
+    except DomainError:
+        return None, 2.0
+    y = _inverse([[0.5 * lo + 0.5 * hi for lo, hi in r] for r in dF])
+    if y is None:
+        return None, 2.0
+    # X - m lies in [-r, r], so C (X - m) lies in [-|C| r, |C| r].
+    rad = [max(sub_up(m, c.lo), sub_up(c.hi, m)) for c, m in zip(xs, ms)]
+    K = []
+    rho = 0.0
+    for i in range(n):
+        yi = y[i]
+        # K_i - m_i = -(Y F(m))_i + (C (X - m))_i, summed before m_i is
+        # added, so that the small terms cost no rounding at m's scale.
+        k_lo = k_hi = 0.0
+        for k in range(n):
+            lo, hi = mul_pair(yi[k], yi[k], *fm[k])
+            k_lo = sub_down(k_lo, hi)
+            k_hi = sub_up(k_hi, lo)
+        row_norm = 0.0
+        spread = 0.0
+        for j in range(n):
+            c_lo = c_hi = 1.0 if i == j else 0.0  # C_ij = (I - Y F'(X))_ij
+            for k in range(n):
+                lo, hi = mul_pair(yi[k], yi[k], *dF[k][j])
+                c_lo = sub_down(c_lo, hi)
+                c_hi = sub_up(c_hi, lo)
+            mag = max(-c_lo, c_hi)
+            row_norm = add_up(row_norm, mag)
+            spread = add_up(spread, mul_up(mag, rad[j]))
+        k_lo = add_down(ms[i], sub_down(k_lo, spread))
+        k_hi = add_up(ms[i], add_up(k_hi, spread))
+        if not -_INF < k_lo <= k_hi < _INF:
+            return None, 2.0
+        K.append((k_lo, k_hi))
+        rho = max(rho, row_norm)
+    return K, rho
+
+
+def _contract(f: MapSpec, jac, box: Box, K, tol: float):
+    """Iterate X <- K(X) & X from a K(X) inside the interior of X while the
+    width at least halves.  Every step keeps the fixed point that X holds,
+    so the last box holds it too.
+
+    Returns (X, leaf).  X is a leaf once it is at most tol wide, has no
+    splittable axis, or a step left it unchanged: then the rounding of K
+    is as wide as X, and no sub-box can be proven either.
+    """
+    while True:
+        x = Box(tuple(Interval(max(lo, c.lo), min(hi, c.hi))
+                      for (lo, hi), c in zip(K, box.coords)))
+        if x.width <= tol or x.split_axis() is None or x == box:
+            return x, True
+        if x.width > 0.5 * box.width:
+            return x, False
+        box = x
+        K, _rho = _krawczyk(f, jac, box.coords)
+        if K is None:
+            return box, False
+
+
 def localize_fixed_points(g: MapSpec, rect: RectDomain, tol: float,
                           budget: int = 200_000, t: "Interval | None" = None,
                           upgrade: bool = True) -> LocalizeResult:
@@ -162,8 +292,21 @@ def localize_fixed_points(g: MapSpec, rect: RectDomain, tol: float,
     For parametrized maps pass the parameter range as the interval t:
     surviving boxes then enclose fixed points of g(t, .) for every t in
     that range jointly.  Budget counts processed boxes; on exhaustion the
-    unprocessed queue is returned as CANDIDATE enclosures and the result is
-    flagged.  Output order is canonical (lexicographic lower corner).
+    unprocessed queue is returned as CANDIDATE enclosures, less the boxes
+    the residual test discards, and the result is flagged.  Output order
+    is canonical (lexicographic lower corner).
+
+    With upgrade, a map without parameter that calls no abs, min or max
+    also takes the Krawczyk test on every box that survives the residual
+    test and is wider than tol: K(X) disjoint from X discards X, and K(X)
+    inside the interior of X proves X holds exactly one fixed point.  Then
+    X is contracted (_contract) to a PROVEN leaf, unique within X, or split
+    as usual when the contraction stops halving its width above tol.  A
+    failed test with rho = |I - Y F'(X)| > 1 postpones the test on X's
+    descendants until their width is at most width(X)/rho, since a box
+    must shrink about that much before K(X) can fit inside it; after an
+    evaluation error or a singular midpoint matrix the test waits until
+    the width halves.  Leaves this does not prove take the Miranda upgrade.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -174,8 +317,9 @@ def localize_fixed_points(g: MapSpec, rect: RectDomain, tol: float,
     # Bind the parameter once: subtrees free of x are then evaluated once
     # per call, not on every box.
     f = g if t is None else g.bind_interval(t)
+    jac = jacobian(g) if upgrade and not g.has_param else None
 
-    queue = deque([rect.box])
+    queue = deque([(rect.box, _INF)])  # (box, width at most which K is tried)
     survivors = []
     discarded_volume = 0.0
     examined = 0
@@ -185,30 +329,51 @@ def localize_fixed_points(g: MapSpec, rect: RectDomain, tol: float,
         if examined >= budget:
             exhausted = True
             break
-        box = queue.popleft()
+        box, limit = queue.popleft()
         examined += 1
         pairs = _residual_pairs(f, box.coords)
         if pairs is _PRUNED:
             discarded_volume += box.volume()
             continue
-        axis = None if box.width <= tol else box.split_axis()
+        width = box.width
+        if jac is not None and tol < width <= limit:
+            K, rho = _krawczyk(f, jac, box.coords)
+            if K is not None and any(hi < c.lo or lo > c.hi
+                                     for (lo, hi), c in zip(K, box.coords)):
+                discarded_volume += box.volume()
+                continue
+            if K is not None and all(c.lo < lo and hi < c.hi
+                                     for (lo, hi), c in zip(K, box.coords)):
+                x, leaf = _contract(f, jac, box, K, tol)
+                discarded_volume += box.volume() - x.volume()
+                if leaf:
+                    survivors.append((x, _residual_bound(_residual_pairs(f, x.coords)), PROVEN))
+                    continue
+                box, width = x, x.width  # stopped halving above tol: split it
+            elif rho > 1.0:  # 2.0 after an evaluation error or singular matrix
+                limit = width / rho
+        axis = None if width <= tol else box.split_axis()
         if axis is None:
-            survivors.append((box, _residual_bound(pairs)))
+            survivors.append((box, _residual_bound(pairs), CANDIDATE))
             continue
         # Undecided, or a component raised: split, smaller boxes may evaluate.
         left, right = _split_box(box, axis)
-        queue.append(left)
-        queue.append(right)
+        queue.append((left, limit))
+        queue.append((right, limit))
 
-    # Budget exhausted: the unprocessed boxes are kept as candidates, not
-    # pruned, with the residual bound over all their components.
-    for box in queue:
-        survivors.append((box, _residual_bound(_residual_pairs(f, box.coords, prune=False))))
+    # Budget exhausted: the unprocessed boxes the residual test does not
+    # discard are kept as candidates, with the bound over all components.
+    for box, _limit in queue:
+        pairs = _residual_pairs(f, box.coords)
+        if pairs is _PRUNED:
+            discarded_volume += box.volume()
+        else:
+            survivors.append((box, _residual_bound(pairs), CANDIDATE))
 
     enclosures = []
-    for box, residual in survivors:
-        status = CANDIDATE
-        if upgrade and not g.has_param and residual is not None:
+    for box, residual, status in survivors:
+        if (status == CANDIDATE and upgrade and not g.has_param
+                and residual is not None):
             try:
                 cert = certify_miranda(g, RectDomain(box), "auto",
                                        max_depth=6, max_boxes=512)

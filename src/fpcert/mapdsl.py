@@ -24,9 +24,11 @@ component (``MapSpec.eval_pairs`` returns the component pairs themselves).
 subtree free of x1..xn becomes a leaf holding its pair over t, so within a
 trace cell (one localize call) those subtrees are evaluated once, not once
 per box, with bit-identical enclosures.  ``children`` and ``with_children``
-are the one generic way to walk and rebuild a tree.  Expressions nest at
-most ``MAX_DEPTH`` levels deep, so neither parsing nor evaluation can
-exhaust the stack.  Decimal
+are the one generic way to walk and rebuild a tree.  ``derivative`` builds
+a partial derivative as an ordinary expression tree, evaluated like any
+other, and ``jacobian`` collects them for a map that calls no abs, min or
+max.  Expressions nest at most ``MAX_DEPTH`` levels deep, so neither
+parsing, differentiation nor evaluation can exhaust the stack.  Decimal
 literals evaluate to their nearest float in real semantics and to the
 tightest enclosing float interval in interval semantics, so constants like
 0.1 never silently lose their true value.
@@ -380,6 +382,115 @@ def float_const(v: float) -> Const:
 
 
 # ---------------------------------------------------------------------------
+# Symbolic derivatives
+# ---------------------------------------------------------------------------
+
+
+class NotDifferentiable(ValueError):
+    """The expression calls abs, min or max, which have kinks."""
+
+
+_ONE = float_const(1.0)
+_TWO = float_const(2.0)
+
+
+def _mul(a, b):
+    """a * b for derivative terms, None standing for zero; a factor _ONE is
+    left out, which changes no enclosure (multiplying by [1, 1] is exact)."""
+    if a is None or b is None:
+        return None
+    if a is _ONE:
+        return b
+    if b is _ONE:
+        return a
+    return BinOp("*", a, b)
+
+
+def _add(a, b):
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return BinOp("+", a, b)
+
+
+def derivative(e: Expr, j: int) -> "Expr | None":
+    """The partial derivative of e in x_{j+1} (j 0-based) as an expression
+    tree, or None where it is identically zero; zero terms are dropped.
+
+    The result reuses the subtrees of e and evaluates with eval_pair like
+    any expression, so its naive extension over a box encloses the
+    derivative wherever every subexpression of e is defined: a quotient's
+    derivative holds its denominator, and sqrt's holds the root itself in a
+    denominator, so the evaluation raises instead where e may be singular.
+    Raises NotDifferentiable at a call of abs, min or max, even one free
+    of x_{j+1}, so that a map has a Jacobian only when it is smooth.
+    """
+    kind = type(e)
+    if kind is Var:
+        return _ONE if e.index == j else None
+    if kind is Neg:
+        d = derivative(e.arg, j)
+        return None if d is None else Neg(d)
+    if kind is BinOp:
+        u, v = e.left, e.right
+        du, dv = derivative(u, j), derivative(v, j)
+        if e.op == "+":
+            return _add(du, dv)
+        if e.op == "-":
+            if dv is None:
+                return du
+            return Neg(dv) if du is None else BinOp("-", du, dv)
+        if e.op == "*":
+            return _add(_mul(du, v), _mul(u, dv))
+        if dv is None:  # (u/v)' = u'/v - u v'/v^2
+            return None if du is None else BinOp("/", du, v)
+        term = BinOp("/", _mul(u, dv), Power(v, 2))
+        return Neg(term) if du is None else BinOp("-", BinOp("/", du, v), term)
+    if kind is Power:
+        du = derivative(e.base, j)
+        n = e.exponent
+        if du is None or n == 0:
+            return None
+        if n == 1:
+            return du
+        inner = e.base if n == 2 else Power(e.base, n - 1)
+        # The literal's enclosure holds n also past 2**53, where float(n)
+        # rounds; past the float range it raises DomainError.
+        return _mul(BinOp("*", literal_const(str(n)), inner), du)
+    if kind is Call:
+        if e.func in ("abs", "min", "max"):
+            raise NotDifferentiable(f"{e.func} has no derivative at its kink")
+        u = e.args[0]
+        du = derivative(u, j)
+        if du is None:
+            return None
+        if e.func == "sqrt":
+            return BinOp("/", du, BinOp("*", _TWO, e))
+        if e.func == "sin":
+            outer = Call("cos", (u,))
+        elif e.func == "cos":
+            outer = Neg(Call("sin", (u,)))
+        elif e.func == "exp":
+            outer = e
+        else:  # tanh
+            outer = BinOp("-", _ONE, Power(e, 2))
+        return _mul(outer, du)
+    return None  # Const, Param and Folded are free of x
+
+
+def jacobian(m: "MapSpec"):
+    """The rows (dg_i/dx_1, ..., dg_i/dx_n) of m's Jacobian, with None for
+    an entry that is identically zero, or None when m calls abs, min or
+    max (NotDifferentiable) or has an exponent past the float range."""
+    try:
+        return tuple(tuple(derivative(c, j) for j in range(m.dim))
+                     for c in m.components)
+    except (NotDifferentiable, DomainError):
+        return None
+
+
+# ---------------------------------------------------------------------------
 # Parsed maps
 # ---------------------------------------------------------------------------
 
@@ -549,7 +660,9 @@ many operators, unary minuses, powers and calls on any path of the
 expression tree, and at most this many parentheses, calls and unary minuses
 open around any point of the text.  Evaluation recurses once per tree level
 and parsing about five frames per parenthesis, so both stay well inside
-Python's default recursion limit."""
+Python's default recursion limit.  A derivative recurses once per level
+too, and its tree is at most about three times as deep as the expression
+(the quotient rule nests the denominator's derivative three levels down)."""
 
 
 def _too_deep(line, col=None) -> ParseError:

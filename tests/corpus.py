@@ -209,6 +209,27 @@ def random_expression_map(rng: random.Random, dim: int, depth: int = 3) -> MapSp
     return parse_map(f"dim {dim}\n" + "\n".join(lines) + "\n")
 
 
+def random_planted_trig_map(rng: random.Random, rect: RectDomain):
+    """Planar map p + A (x - p) plus a sin term and a cos term that vanish
+    at p, with p drawn inside the rectangle: p is a fixed point, and an
+    isolated one unless I - A - (the terms' slopes at p) is singular, which
+    the slope ranges make rare.  Returns (map, p)."""
+    p = [float(_fmt(c.lo + rng.uniform(0.2, 0.8) * (c.hi - c.lo))) for c in rect.box.coords]
+    lines = []
+    for i in range(2):
+        terms = [_fmt(p[i])]
+        for j in range(2):
+            slope = rng.uniform(-1.5, 1.5) if i == j else rng.uniform(-0.6, 0.6)
+            terms.append(f"{_fmt(slope)}*(x{j + 1} - {_fmt(p[j])})")
+        for fn in ("sin", "cos"):
+            k = rng.randrange(2)
+            arg = f"{_fmt(rng.uniform(0.5, 3.0))}*(x{k + 1} - {_fmt(p[k])})"
+            amp = _fmt(rng.uniform(-0.4, 0.4))
+            terms.append(f"{amp}*sin({arg})" if fn == "sin" else f"{amp}*(cos({arg}) - 1)")
+        lines.append(f"map g{i + 1} = " + " + ".join(terms))
+    return parse_map("dim 2\n" + "\n".join(lines) + "\n"), tuple(p)
+
+
 def random_box(rng: random.Random, dim: int, scale: float = 2.0) -> Box:
     bounds = []
     for _ in range(dim):

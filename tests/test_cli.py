@@ -87,30 +87,49 @@ def test_single_hole_exit_4(capsys):
     assert "single hole" in err
 
 
-def test_localize_exits(capsys):
+def test_localize_exits(tmp_path, capsys):
     code, _, _ = run(capsys, "localize", "@localize-cos", "--tol", "1e-8")
     assert code == 0
     code, _, _ = run(capsys, "localize", "@localize-translation")
     assert code == 1
-    code, _, _ = run(capsys, "localize", "@localize-cos", "--tol", "1e-8",
-                     "--budget", "5")
+    # The Krawczyk test proves cos(x1) on its first box, so the budget runs
+    # out only on the bisection path, which a map calling abs takes.
+    path = tmp_path / "cos_abs.fp"
+    path.write_text("dim 1\nmap g1 = cos(abs(x1))\ndomain rect [0,1]\n")
+    code, _, _ = run(capsys, "localize", str(path), "--tol", "1e-8", "--budget", "5")
     assert code == 3
+
+
+def _localize_json(capsys, path, source, *argv):
+    path.write_text(source)
+    code, out, _ = run(capsys, "localize", str(path), *argv, "--format", "json")
+    payload = json.loads(out)
+    cover = payload["coverage"]
+    assert cover["discarded_volume"] + cover["surviving_volume"] == pytest.approx(
+        cover["total_volume"], rel=1e-12)
+    return code, payload
 
 
 def test_localize_keeps_a_box_it_cannot_split(tmp_path, capsys):
     # tol below one ulp: boxes one ulp wide have no float inside to split
     # at, so they are leaves, not requeued until the budget runs out.
-    path = tmp_path / "cos.fp"
-    path.write_text("dim 1\nmap g1 = cos(x1)\ndomain rect [0,1]\n")
-    code, out, _ = run(capsys, "localize", str(path), "--tol", "1e-17",
-                       "--budget", "3000", "--format", "json")
-    payload = json.loads(out)
+    # cos(abs(x1)) has no Jacobian and takes the bisection path.
+    code, payload = _localize_json(capsys, tmp_path / "cos_abs.fp",
+                                   "dim 1\nmap g1 = cos(abs(x1))\ndomain rect [0,1]\n",
+                                   "--tol", "1e-17", "--budget", "3000")
     assert code == 2 and not payload["exhausted"]
     boxes = [json.dumps(e["box"]) for e in payload["enclosures"]]
     assert boxes and len(set(boxes)) == len(boxes)
-    cover = payload["coverage"]
-    assert cover["discarded_volume"] + cover["surviving_volume"] == pytest.approx(
-        cover["total_volume"], rel=1e-12)
+    # cos(x1) takes the Krawczyk path: the contraction stops where the
+    # rounding of K(X) is as wide as X, and that box is a PROVEN leaf.
+    code, payload = _localize_json(capsys, tmp_path / "cos.fp",
+                                   "dim 1\nmap g1 = cos(x1)\ndomain rect [0,1]\n",
+                                   "--tol", "1e-17", "--budget", "3000")
+    assert code == 0 and not payload["exhausted"]
+    [enc] = payload["enclosures"]
+    assert enc["status"] == "PROVEN"
+    (lo, hi), = enc["box"]
+    assert lo < 0.7390851332151607 < hi and hi - lo < 1e-15
 
 
 def test_index_commands(capsys):

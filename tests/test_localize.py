@@ -17,7 +17,7 @@ from fpcert.localize import (
 )
 from fpcert.mapdsl import BinOp, MapSpec, float_const, parse_map
 
-from oracles import bisect_root, last_traversal_exact
+from oracles import bisect_root, grid_zoom_min, last_traversal_exact
 
 
 def rect(*bounds):
@@ -206,15 +206,123 @@ def test_residual_that_overflows_counts_as_raising():
     assert res.discarded_volume == 0.0
 
 
-def test_budget_tail_keeps_boxes_unpruned_with_their_residual_bound():
-    # The unprocessed queue is returned as it stands: a tail box whose
-    # residual excludes zero is kept, with the bound over all components.
+def test_budget_tail_discards_boxes_a_component_excludes():
+    # The unprocessed queue takes the residual test: a tail box where one
+    # component excludes zero holds no fixed point and is discarded, and
+    # the others are kept with the bound over all components.
     m = parse_map("dim 2\nmap g1 = x1 + 1\nmap g2 = x2\n")
     res = localize_fixed_points(m, rect((-1, 1), (-1, 1)), tol=1e-6, budget=1,
                                 upgrade=False)
-    assert res.exhausted and len(res.enclosures) == 2 and res.discarded_volume == 0.0
-    narrow = res.enclosures[1]  # x1 in [27/53*2 - 1, 1]: g1 excludes zero
-    assert narrow.residual == Interval(narrow.box.coords[0].lo, 2.0)
+    assert res.exhausted and len(res.enclosures) == 1
+    split = 27 / 53 * 2 - 1  # x1 in [split, 1]: g1 - x1 = 1 excludes zero
+    kept = res.enclosures[0]
+    assert kept.box.coords[0] == Interval(-1.0, split)
+    # g1 - x1 = [1 - (split + 1), 1 + (split + 1)] is the wider residual
+    assert kept.residual.lo == 0.0 and kept.residual.hi == pytest.approx(2.0 + split)
+    assert res.discarded_volume == pytest.approx((1.0 - split) * 2.0, rel=1e-15)
+    assert res.discarded_volume + res.surviving_volume == pytest.approx(4.0, rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# The Krawczyk test
+# ---------------------------------------------------------------------------
+
+_TRIG = ("dim 2\nmap g1 = 0.9*sin(3*x1) + 0.3*x2^2\n"
+         "map g2 = 0.8*cos(2*x2 - x1) + 0.1*x1*x2\n")
+# p + 2 R(60 deg) (x - p) with p = (0.3, 0.2): Id - Dg has a weak diagonal,
+# so Miranda in these coordinates refutes every box around p.
+_ROTATION = ("dim 2\nmap g1 = 0.3 + 2*(0.5*(x1 - 0.3) - 0.8660254037844386*(x2 - 0.2))\n"
+             "map g2 = 0.2 + 2*(0.8660254037844386*(x1 - 0.3) + 0.5*(x2 - 0.2))\n")
+
+
+def _assert_proven_boxes_hold_fixed_points(m, res):
+    for e in res.proven:
+        _p, residual = grid_zoom_min(m, e.box.bounds(), target=1e-13)
+        assert residual <= 1e-9, e.box.bounds()
+    tiled = res.discarded_volume + res.surviving_volume
+    assert tiled == pytest.approx(res.total_volume, rel=1e-9)
+
+
+def test_trig_map_fixed_points_are_proven():
+    m = parse_map(_TRIG)
+    res = localize_fixed_points(m, rect((-2, 2), (-2, 2)), tol=1e-7)
+    assert len(res.enclosures) == 3 and len(res.proven) == 3
+    assert all(e.box.width <= 1e-7 for e in res.enclosures)
+    _assert_proven_boxes_hold_fixed_points(m, res)
+    bisected = localize_fixed_points(m, rect((-2, 2), (-2, 2)), tol=1e-7, upgrade=False)
+    assert res.boxes_examined < bisected.boxes_examined / 4
+
+
+def test_rotation_map_fixed_point_is_proven():
+    m = parse_map(_ROTATION)
+    res = localize_fixed_points(m, rect((-1, 1), (-1, 1)), tol=1e-7)
+    assert len(res.enclosures) == 1 and len(res.proven) == 1
+    assert res.proven[0].box.contains_point((0.3, 0.2))
+    _assert_proven_boxes_hold_fixed_points(m, res)
+
+
+def test_rational_map_fixed_point_is_proven():
+    m = parse_map(f"dim 1\nmap g1 = {_RATIONAL}\n")
+    res = localize_fixed_points(m, rect((0, 1)), tol=1e-7)
+    assert len(res.enclosures) == 1 and len(res.proven) == 1
+    root = bisect_root(lambda x: 0.5 / (x * x - x + 1.0) - x, 0.0, 1.0)
+    assert res.proven[0].box.contains_point((root,))
+
+
+def test_krawczyk_exclusion_keeps_the_volume_tiled():
+    # x^2 + 0.3 has no real fixed point.  On [0.2, 0.4] the residual
+    # [-0.06, 0.26] holds zero, but K = [0.475, 0.575] misses the box.
+    m = parse_map("dim 1\nmap g1 = x1^2 + 0.3\n")
+    res = localize_fixed_points(m, rect((0.2, 0.4)), tol=1e-7)
+    assert res.enclosures == [] and res.boxes_examined == 1
+    assert res.discarded_volume + res.surviving_volume == res.total_volume
+    assert localize_fixed_points(m, rect((0.2, 0.4)), tol=1e-7,
+                                 upgrade=False).boxes_examined > 1
+    wide = localize_fixed_points(m, rect((-3, 3)), tol=1e-7)
+    assert wide.enclosures == []
+    assert wide.discarded_volume == pytest.approx(wide.total_volume, rel=1e-12)
+
+
+def test_krawczyk_image_encloses_the_exact_operator(monkeypatch):
+    # The operator encloses its exact value for any preconditioner Y, so
+    # fix Y and compare with K computed in rational arithmetic: for
+    # g = x^2 + c, F = x - x^2 - c and F'(X) = 1 - [2a, 2b] on X = [a, b].
+    from fractions import Fraction as Q
+
+    from fpcert import localize
+    from fpcert.mapdsl import jacobian
+
+    rng = random.Random(77)
+    for _ in range(300):
+        c = rng.choice((0.25, -0.5, 0.125))
+        a = rng.uniform(-2.0, 2.0)
+        b = a + rng.uniform(1e-6, 1.0)
+        y = rng.uniform(-3.0, 3.0)
+        m = parse_map(f"dim 1\nmap g1 = x1^2 + {c}\n")
+        monkeypatch.setattr(localize, "_inverse", lambda _a, y=y: [[y]])
+        (X,) = Box.from_bounds([(a, b)]).coords
+        [(k_lo, k_hi)], _rho = localize._krawczyk(m, jacobian(m), (X,))
+        mid = Q(X.mid)
+        centre = mid - Q(y) * (mid - mid * mid - Q(c))
+        ends = [1 - Q(y) * (1 - 2 * Q(e)) for e in (a, b)]
+        spread = [cv * (Q(e) - mid) for cv in ends for e in (a, b)]
+        assert k_lo <= centre + min(spread) and centre + max(spread) <= k_hi, (a, b, y, c)
+
+
+def test_krawczyk_path_never_loses_a_planted_fixed_point():
+    from corpus import random_planted_trig_map
+
+    rng = random.Random(2025)
+    for _ in range(60):
+        bounds = [(lo, lo + rng.uniform(0.5, 2.5))
+                  for lo in (rng.uniform(-2.0, 1.0), rng.uniform(-2.0, 1.0))]
+        r = rect(*bounds)
+        m, p = random_planted_trig_map(rng, r)
+        res = localize_fixed_points(m, r, tol=1e-6, budget=20000)
+        assert not res.exhausted
+        assert any(all(c.lo - 1e-12 <= v <= c.hi + 1e-12 for c, v in zip(e.box.coords, p))
+                   for e in res.enclosures), (m.to_source(), p)
+        _assert_proven_boxes_hold_fixed_points(m, res)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,21 @@
+import math
 import random
 
 import pytest
 
 from fpcert.interval import Box, DimensionMismatchError, DomainError, Interval
-from corpus import random_expression_map
+from corpus import (
+    random_box,
+    random_expression_map,
+    random_polynomial_map_2d,
+    random_rect_problem,
+    sample_in_box,
+)
+from fpcert.geometry import RectDomain
 from fpcert.mapdsl import (
     MAX_DEPTH,
     BinOp,
+    Call,
     Const,
     EvaluationError,
     Folded,
@@ -17,6 +26,8 @@ from fpcert.mapdsl import (
     UnknownIdentifierError,
     Var,
     blend_with_parameter,
+    derivative,
+    jacobian,
     parse_map,
     parse_program,
 )
@@ -423,3 +434,151 @@ def test_bind_checks_the_parameter():
         parse_map("dim 1\nmap g1 = x1\n").bind_interval(Interval(0.0))
     with pytest.raises(ValueError, match="none was supplied"):
         parse_map("dim 1\nparam t\nmap g1 = x1*t\n").bind_interval(None)
+
+
+# -- symbolic derivatives ----------------------------------------------------
+
+
+def _mp_eval(mpmath, e, xs):
+    """e at the mpmath point xs, with the float value of every constant."""
+    if isinstance(e, Const):
+        return mpmath.mpf(e.value)
+    if isinstance(e, Var):
+        return xs[e.index]
+    if isinstance(e, Neg):
+        return -_mp_eval(mpmath, e.arg, xs)
+    if isinstance(e, BinOp):
+        a = _mp_eval(mpmath, e.left, xs)
+        b = _mp_eval(mpmath, e.right, xs)
+        return {"+": a + b, "-": a - b, "*": a * b}[e.op] if e.op != "/" else a / b
+    if isinstance(e, Power):
+        return _mp_eval(mpmath, e.base, xs) ** e.exponent
+    assert isinstance(e, Call) and e.func in ("sin", "cos", "exp", "tanh", "sqrt")
+    return getattr(mpmath, e.func)(_mp_eval(mpmath, e.args[0], xs))
+
+
+def _differentiable_maps(rng, n):
+    """(map, box) pairs from the corpus generators that have a Jacobian."""
+    out = []
+    while len(out) < n:
+        kind = len(out) % 3
+        if kind == 0:
+            m, rect = random_rect_problem(rng)
+            box = rect.box
+        elif kind == 1:
+            box = random_box(rng, 2)
+            m = random_polynomial_map_2d(rng, RectDomain(box))
+        else:
+            dim = rng.choice((1, 2))
+            m = random_expression_map(rng, dim)
+            box = random_box(rng, dim)
+        if jacobian(m) is not None:
+            out.append((m, box))
+    return out
+
+
+def _exact_partial(mpmath, comp, point, j):
+    xs = [mpmath.mpf(v) for v in point]
+
+    def along(v):
+        ys = list(xs)
+        ys[j] = v
+        return _mp_eval(mpmath, comp, ys)
+
+    return mpmath.diff(along, xs[j])
+
+
+def test_partial_derivatives_match_mpmath_at_seeded_points():
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(71)
+    checked = 0
+    with mpmath.workdps(40):
+        for m, box in _differentiable_maps(rng, 90):
+            jac = jacobian(m)
+            for _ in range(4):
+                point = sample_in_box(rng, box)
+                for i, comp in enumerate(m.components):
+                    for j in range(m.dim):
+                        d = jac[i][j]
+                        exact = _exact_partial(mpmath, comp, point, j)
+                        got = 0.0 if d is None else d.eval_real(point, None)
+                        assert abs(got - exact) <= 1e-9 * max(1.0, abs(exact)), (
+                            m.to_source(), i, j, point, got, exact)
+                        checked += 1
+    assert checked > 1000
+
+
+def test_partial_derivative_pairs_enclose_sampled_derivatives():
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(72)
+    with mpmath.workdps(40):
+        for m, box in _differentiable_maps(rng, 60):
+            jac = jacobian(m)
+            for i, comp in enumerate(m.components):
+                for j in range(m.dim):
+                    d = jac[i][j]
+                    try:
+                        lo, hi = (0.0, 0.0) if d is None else d.eval_pair(box.coords, None)
+                    except DomainError:
+                        continue  # no enclosure claimed
+                    for _ in range(5):
+                        point = sample_in_box(rng, box)
+                        exact = _exact_partial(mpmath, comp, point, j)
+                        assert lo <= exact <= hi, (m.to_source(), i, j, point, (lo, hi))
+
+
+@pytest.mark.parametrize("expr", ["abs(x1)", "min(x1, 0.5)", "max(x1, x1^2)",
+                                  "x1 + 0*abs(0.5)"])
+def test_abs_min_and_max_give_no_jacobian(expr):
+    assert jacobian(parse_map(f"dim 1\nmap g1 = {expr}\n")) is None
+    assert jacobian(parse_map(f"dim 2\nmap g1 = sin(x1)\nmap g2 = {expr}\n")) is None
+
+
+def test_derivative_rules_on_hand_maps():
+    rules = {  # the derivative at x1 = 0.5
+        "sin(2*x1)": 2 * math.cos(1.0),
+        "cos(x1^3)": -math.sin(0.125) * 3 * 0.25,
+        "exp(-x1)": -math.exp(-0.5),
+        "tanh(x1)": 1 - math.tanh(0.5) ** 2,
+        "sqrt(x1)": 0.5 / math.sqrt(0.5),
+        "1/x1": -4.0,
+        "x1^-2": -2 * 0.5 ** -3,
+        "x1^0 + 3": 0.0,
+    }
+    for expr, want in rules.items():
+        (d,), = jacobian(parse_map(f"dim 1\nmap g1 = {expr}\n"))
+        got = 0.0 if d is None else d.eval_real((0.5,), None)
+        assert got == pytest.approx(want, rel=1e-15), expr
+    assert derivative(parse_map("dim 2\nmap g1 = x2\nmap g2 = 7\n").components[1], 0) is None
+
+
+def test_derivative_of_a_singular_expression_raises_where_it_is_singular():
+    for expr in ("sqrt(x1)", "1/x1", "x1^-3", "x2/(x1 - 0.5)"):
+        m = parse_map(f"dim 2\nmap g1 = {expr}\nmap g2 = x2\n")
+        d = jacobian(m)[0][0]
+        with pytest.raises(DomainError):
+            d.eval_pair(Box.from_bounds([(0.0, 1.0), (1.0, 2.0)]).coords, None)
+
+
+_DEEP_CHAINS = {
+    "minus": "-" * MAX_DEPTH + "x1",
+    "sin": "sin(" * MAX_DEPTH + "x1" + ")" * MAX_DEPTH,
+    "tanh": "tanh(" * MAX_DEPTH + "x1" + ")" * MAX_DEPTH,
+    "product": " * ".join(["x1"] * (MAX_DEPTH + 1)),
+    "quotient": "x1/(" * (MAX_DEPTH - 1) + "x1" + ")" * (MAX_DEPTH - 1),
+    "sqrt": "sqrt(" * MAX_DEPTH + "x1" + ")" * MAX_DEPTH,
+    "power": "(" * (MAX_DEPTH - 1) + "x1" + "^1)" * (MAX_DEPTH - 1) + "^3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DEEP_CHAINS))
+def test_map_at_max_depth_differentiates_and_evaluates(name):
+    m = parse_map(f"dim 1\nmap g1 = {_DEEP_CHAINS[name]}\n")
+    (d,), = jacobian(m)
+    box = Box.from_bounds([(0.5, 0.75)])
+    try:
+        lo, hi = d.eval_pair(box.coords, None)
+        assert lo <= hi
+    except DomainError:
+        pass  # an enclosure may overflow or divide by zero; it must not recurse
+    assert math.isfinite(d.eval_real((0.625,), None))
