@@ -15,7 +15,8 @@ must hold a point the grid oracle drives to a residual of at most 1e-9,
 and discarded plus surviving volume must equal the rectangle's.  Last,
 from a fifth stream, trig maps with a fixed point planted inside their
 rectangle take the same checks, and the planted point must lie in an
-enclosure.  Any
+enclosure; then, from a sixth stream, the same with an abs or min term
+whose kink passes through the planted point.  Any
 answer an oracle cannot confirm is a soundness bug and is printed with its
 problem source.
 
@@ -36,6 +37,7 @@ from corpus import (  # noqa: E402
     random_cylinder_problem,
     random_expression_map,
     random_holed_ball_problem,
+    random_planted_kinked_map,
     random_planted_trig_map,
     random_polynomial_map_2d,
     random_rect_problem,
@@ -191,16 +193,19 @@ def main():
     print(f"{n_localize} localizations in {elapsed:.1f}s: "
           + ", ".join(f"{k}={v}" for k, v in loc_counts.items()))
 
-    rng = random.Random(f"{args.seed}:planted")
-    planted_counts = dict.fromkeys(loc_counts, 0)
-    t0 = time.perf_counter()
-    for _ in range(n_localize):
-        bounds, rect = random_rect(rng)
-        m, p = random_planted_trig_map(rng, rect)
-        localize_and_check(m, bounds, rect, planted_counts, planted=p)
-    elapsed = time.perf_counter() - t0
-    print(f"{n_localize} planted trig localizations in {elapsed:.1f}s: "
-          + ", ".join(f"{k}={v}" for k, v in planted_counts.items()))
+    for stream, make in (("planted", random_planted_trig_map),
+                         ("kinked", random_planted_kinked_map)):
+        rng = random.Random(f"{args.seed}:{stream}")
+        planted_counts = dict.fromkeys(loc_counts, 0)
+        t0 = time.perf_counter()
+        for _ in range(n_localize):
+            bounds, rect = random_rect(rng)
+            m, p = make(rng, rect)
+            localize_and_check(m, bounds, rect, planted_counts, planted=p)
+        elapsed = time.perf_counter() - t0
+        label = "trig" if stream == "planted" else "kinked trig"
+        print(f"{n_localize} planted {label} localizations in {elapsed:.1f}s: "
+              + ", ".join(f"{k}={v}" for k, v in planted_counts.items()))
     print(f"violations: {violations}")
     return 1 if violations else 0
 

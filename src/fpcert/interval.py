@@ -39,9 +39,10 @@ is decided on that one alone (derived in ``_sin_cos``), with the same
 decisions.
 
 Each operation has one kernel that maps operand endpoints to a ``(lo, hi)``
-pair (``mul_pair``, ``div_pair``, ``pow_int_pair``, ``sin_pair``, ...).  The
-``Interval`` methods wrap them; map evaluation (``mapdsl``) calls them on
-plain endpoint pairs and builds an ``Interval`` only for each component.
+pair (``mul_pair``, ``div_pair``, ``pow_int_pair``, ``sin_pair``, ...).  Map
+evaluation (``mapdsl``) calls them on plain endpoint pairs and builds an
+``Interval``, the value type of coordinates and enclosures, only for each
+component; the ten ``Interval`` operators wrap the kernels for other callers.
 """
 
 from __future__ import annotations
@@ -518,13 +519,7 @@ class Interval:
     def is_subset(self, other: "Interval") -> bool:
         return other.lo <= self.lo and self.hi <= other.hi
 
-    def hull(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
-
     # -- arithmetic --------------------------------------------------------
-
-    def __neg__(self):
-        return Interval(-self.hi, -self.lo)
 
     def __add__(self, other):
         return Interval(add_down(self.lo, other.lo), add_up(self.hi, other.hi))
@@ -537,15 +532,6 @@ class Interval:
 
     def __truediv__(self, other):
         return Interval(*div_pair(self.lo, self.hi, other.lo, other.hi))
-
-    def abs(self) -> "Interval":
-        return Interval(*abs_pair(self.lo, self.hi))
-
-    def min_with(self, other: "Interval") -> "Interval":
-        return Interval(*min_pair(self.lo, self.hi, other.lo, other.hi))
-
-    def max_with(self, other: "Interval") -> "Interval":
-        return Interval(*max_pair(self.lo, self.hi, other.lo, other.hi))
 
     def pow_int(self, n: int) -> "Interval":
         return Interval(*pow_int_pair(self.lo, self.hi, n))
@@ -566,11 +552,10 @@ class Interval:
         return Interval(*cos_pair(self.lo, self.hi))
 
 
-_PI_ENCLOSURE = Interval(math.pi, next_up(math.pi))  # math.pi rounds below pi
-_PI = _PI_ENCLOSURE
+_PI = Interval(math.pi, next_up(math.pi))  # math.pi rounds below pi
 _TWO_PI = Interval(2.0 * math.pi, 2.0 * next_up(math.pi))
 _HALF_PI = Interval(math.pi / 2.0, next_up(math.pi) / 2.0)
-_NEG_HALF_PI = -_HALF_PI
+_NEG_HALF_PI = Interval(-(next_up(math.pi) / 2.0), -(math.pi / 2.0))
 _ZERO = Interval(0.0, 0.0)
 
 
@@ -682,40 +667,6 @@ def _hits_nearest(lo: float, hi: float, mid: float, c_lo: float, c_hi: float) ->
     if k >= 0.0:
         return add_down(mul_down(k, _P_LO), c_lo) <= hi and add_up(mul_up(k, _P_HI), c_hi) >= lo
     return add_down(mul_down(k, _P_HI), c_lo) <= hi and add_up(mul_up(k, _P_LO), c_hi) >= lo
-
-
-_UNARY_OPS = {
-    "neg": Interval.__neg__,
-    "abs": Interval.abs,
-    "sqrt": Interval.sqrt,
-    "sin": Interval.sin,
-    "cos": Interval.cos,
-    "exp": Interval.exp,
-    "tanh": Interval.tanh,
-}
-
-_BINARY_OPS = {
-    "add": Interval.__add__,
-    "sub": Interval.__sub__,
-    "mul": Interval.__mul__,
-    "div": Interval.__truediv__,
-    "min": Interval.min_with,
-    "max": Interval.max_with,
-}
-
-
-def apply(op: str, a: Interval, b=None) -> Interval:
-    """Dispatch an interval operation by name (fuzzing surface).
-
-    Binary ops take b as an Interval; pow_int takes b as an integer.
-    """
-    if op in _UNARY_OPS:
-        return _UNARY_OPS[op](a)
-    if op == "pow_int":
-        return a.pow_int(b)
-    if op in _BINARY_OPS:
-        return _BINARY_OPS[op](a, b)
-    raise ValueError(f"unknown interval operation {op!r}")
 
 
 @dataclass(frozen=True)

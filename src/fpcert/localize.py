@@ -8,17 +8,14 @@ proof, so the others are not evaluated.  Surviving boxes are bisected down
 to the requested width, or until no coordinate has a float strictly inside
 it to split at.
 
-With the upgrade on, a map without parameter whose Jacobian exists (it
-calls no abs, min or max; see `mapdsl.jacobian`) also takes the Krawczyk
-test on the surviving boxes wider than the requested width.  It discards
-a box whose Krawczyk image misses it, and proves a box whose image lies
-inside its interior holds exactly one fixed point, then contracts that box
-to a PROVEN leaf, usually far narrower than the requested width and off
-the 27/53 grid.  Each leaf this does not prove is upgraded to PROVEN when
-the face conditions certify a fixed point inside it (Miranda), and stays
-CANDIDATE otherwise.  Discarded plus surviving boxes tile the input
-rectangle, and every discarded part is proven free of fixed points, so no
-fixed point is ever lost.
+With the upgrade on, a map without parameter also takes the Krawczyk
+test (at abs, min and max with Clarke's generalized gradient, see
+`mapdsl.derivative`), which discards boxes, proves that a box holds
+exactly one fixed point, and contracts a proven box far below the
+requested width and off the 27/53 grid; and each leaf without a
+Krawczyk proof takes a Poincare-Miranda sign test on its faces.  Every
+discarded part is proven free of fixed points and discarded plus
+surviving boxes tile the input rectangle, so no fixed point is lost.
 
 A component whose evaluation raises a `DomainError` (a denominator whose
 naive enclosure holds zero, say), or whose residual is not a finite pair,
@@ -32,10 +29,9 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
-from .certify import CERTIFIED, certify_miranda
 from .geometry import RectDomain
 from .interval import (
     Box,
@@ -187,9 +183,7 @@ def _inverse(a):
                 k = rows[r][col]
                 rows[r] = [v - k * w for v, w in zip(rows[r], pivot_row)]
     inv = [r[n:] for r in rows]
-    if not all(math.isfinite(v) for r in inv for v in r):
-        return None
-    return inv
+    return inv if all(math.isfinite(v) for r in inv for v in r) else None
 
 
 def _krawczyk(f: MapSpec, jac, xs):
@@ -263,15 +257,14 @@ def _krawczyk(f: MapSpec, jac, xs):
 
 
 def _contract(f: MapSpec, jac, box: Box, K, tol: float):
-    """Iterate X <- K(X) & X from a K(X) inside the interior of X while the
-    width at least halves.  Every step keeps the fixed point that X holds,
-    so the last box holds it too.
-
-    Returns (X, leaf).  X is a leaf once it is at most tol wide, has no
-    splittable axis, or a step left it unchanged: then the rounding of K
-    is as wide as X, and no sub-box can be proven either.
-    """
+    """Iterate X <- K(X) & X, which keeps every fixed point in X, while the
+    width at least halves.  Returns (X, leaf), or (None, True) once some
+    K(X) misses X, which then holds no fixed point.  X is a leaf once it is
+    at most tol wide, has no splittable axis, or a step left it unchanged:
+    then the rounding of K is as wide as X, and no sub-box can be proven."""
     while True:
+        if any(hi < c.lo or lo > c.hi for (lo, hi), c in zip(K, box.coords)):
+            return None, True
         x = Box(tuple(Interval(max(lo, c.lo), min(hi, c.hi))
                       for (lo, hi), c in zip(K, box.coords)))
         if x.width <= tol or x.split_axis() is None or x == box:
@@ -282,6 +275,24 @@ def _contract(f: MapSpec, jac, box: Box, K, tol: float):
         K, _rho = _krawczyk(f, jac, box.coords)
         if K is None:
             return box, False
+
+
+def _faces_straddle(f: MapSpec, xs) -> bool:
+    """The Poincare-Miranda test on the box with coordinates xs: for every
+    i, g_i is strictly above x_i on the face x_i = lo and strictly below on
+    x_i = hi, or the reverse; True proves a fixed point in the box exists.
+    It is depth 0 of `certify.certify_miranda` in auto mode."""
+    for i, (comp, c) in enumerate(zip(f.components, xs)):
+        sides = []
+        for end in (c.lo, c.hi):
+            try:
+                lo, hi = comp.eval_pair(xs[:i] + (Interval(end),) + xs[i + 1:], None)
+            except DomainError:
+                return False
+            sides.append((lo > end) - (hi < end))  # 1 above, -1 below, 0 neither
+        if sides != [1, -1] and sides != [-1, 1]:
+            return False
+    return True
 
 
 def localize_fixed_points(g: MapSpec, rect: RectDomain, tol: float,
@@ -296,17 +307,20 @@ def localize_fixed_points(g: MapSpec, rect: RectDomain, tol: float,
     the residual test discards, and the result is flagged.  Output order
     is canonical (lexicographic lower corner).
 
-    With upgrade, a map without parameter that calls no abs, min or max
-    also takes the Krawczyk test on every box that survives the residual
-    test and is wider than tol: K(X) disjoint from X discards X, and K(X)
-    inside the interior of X proves X holds exactly one fixed point.  Then
-    X is contracted (_contract) to a PROVEN leaf, unique within X, or split
-    as usual when the contraction stops halving its width above tol.  A
-    failed test with rho = |I - Y F'(X)| > 1 postpones the test on X's
-    descendants until their width is at most width(X)/rho, since a box
-    must shrink about that much before K(X) can fit inside it; after an
-    evaluation error or a singular midpoint matrix the test waits until
-    the width halves.  Leaves this does not prove take the Miranda upgrade.
+    With upgrade, a map without parameter takes the Krawczyk test on every
+    surviving box wider than tol.  K(X) disjoint from X discards X.  K(X)
+    inside the interior of X proves X holds exactly one fixed point and
+    gives X a proof id, which its descendants inherit: they skip the
+    interior test and are only pruned, excluded or contracted (_contract).
+    A failed test on a box without a proof id, with rho = |I - Y F'(X)| >
+    1, postpones the test until the width is at most width(X)/rho, since
+    a box must shrink about that much before K(X) can fit inside it (it
+    halves after an evaluation error or a singular midpoint matrix).
+
+    PROVEN is decided once, on the leaves: the only leaf that carries a
+    proof id holds exactly one fixed point, since every dropped part of
+    the proven box holds none, and any other leaf with a finite residual
+    holds at least one when its faces pass the sign test (_faces_straddle).
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -317,10 +331,13 @@ def localize_fixed_points(g: MapSpec, rect: RectDomain, tol: float,
     # Bind the parameter once: subtrees free of x are then evaluated once
     # per call, not on every box.
     f = g if t is None else g.bind_interval(t)
-    jac = jacobian(g) if upgrade and not g.has_param else None
+    prove = upgrade and not g.has_param
+    jac = jacobian(g) if prove else None
 
-    queue = deque([(rect.box, _INF)])  # (box, width at most which K is tried)
-    survivors = []
+    # (box, width at most which K is tried, proof id or None)
+    queue = deque([(rect.box, _INF, None)])
+    survivors = []  # (box, residual pairs, proof id or None)
+    proofs = 0
     discarded_volume = 0.0
     examined = 0
     exhausted = False
@@ -329,59 +346,57 @@ def localize_fixed_points(g: MapSpec, rect: RectDomain, tol: float,
         if examined >= budget:
             exhausted = True
             break
-        box, limit = queue.popleft()
+        box, limit, proof = queue.popleft()
         examined += 1
         pairs = _residual_pairs(f, box.coords)
         if pairs is _PRUNED:
             discarded_volume += box.volume()
             continue
         width = box.width
-        if jac is not None and tol < width <= limit:
+        if jac is not None and tol < width and (proof is not None or width <= limit):
             K, rho = _krawczyk(f, jac, box.coords)
-            if K is not None and any(hi < c.lo or lo > c.hi
-                                     for (lo, hi), c in zip(K, box.coords)):
-                discarded_volume += box.volume()
-                continue
-            if K is not None and all(c.lo < lo and hi < c.hi
-                                     for (lo, hi), c in zip(K, box.coords)):
+            if K is not None and proof is None and all(
+                    c.lo < lo and hi < c.hi for (lo, hi), c in zip(K, box.coords)):
+                proof, proofs = proofs, proofs + 1
+            if K is not None and (proof is not None or any(
+                    hi < c.lo or lo > c.hi for (lo, hi), c in zip(K, box.coords))):
                 x, leaf = _contract(f, jac, box, K, tol)
+                pairs = _PRUNED if x is None else _residual_pairs(f, x.coords)
+                if pairs is _PRUNED:
+                    discarded_volume += box.volume()
+                    continue
                 discarded_volume += box.volume() - x.volume()
                 if leaf:
-                    survivors.append((x, _residual_bound(_residual_pairs(f, x.coords)), PROVEN))
+                    survivors.append((x, pairs, proof))
                     continue
                 box, width = x, x.width  # stopped halving above tol: split it
-            elif rho > 1.0:  # 2.0 after an evaluation error or singular matrix
+            elif proof is None and rho > 1.0:  # 2.0 after an error or singular matrix
                 limit = width / rho
         axis = None if width <= tol else box.split_axis()
         if axis is None:
-            survivors.append((box, _residual_bound(pairs), CANDIDATE))
+            survivors.append((box, pairs, proof))
             continue
         # Undecided, or a component raised: split, smaller boxes may evaluate.
         left, right = _split_box(box, axis)
-        queue.append((left, limit))
-        queue.append((right, limit))
+        queue.append((left, limit, proof))
+        queue.append((right, limit, proof))
 
     # Budget exhausted: the unprocessed boxes the residual test does not
-    # discard are kept as candidates, with the bound over all components.
-    for box, _limit in queue:
+    # discard are kept, with their proof ids and the bound over all components.
+    for box, _limit, proof in queue:
         pairs = _residual_pairs(f, box.coords)
         if pairs is _PRUNED:
             discarded_volume += box.volume()
         else:
-            survivors.append((box, _residual_bound(pairs), CANDIDATE))
+            survivors.append((box, pairs, proof))
 
+    heirs = Counter(proof for _box, _pairs, proof in survivors)
     enclosures = []
-    for box, residual, status in survivors:
-        if (status == CANDIDATE and upgrade and not g.has_param
-                and residual is not None):
-            try:
-                cert = certify_miranda(g, RectDomain(box), "auto",
-                                       max_depth=6, max_boxes=512)
-                if cert.outcome == CERTIFIED:
-                    status = PROVEN
-            except ValueError:
-                pass
-        enclosures.append(Enclosure(box, status, residual))
+    for box, pairs, proof in survivors:
+        proven = prove and ((proof is not None and heirs[proof] == 1)
+                            or (pairs is not None and _faces_straddle(f, box.coords)))
+        enclosures.append(Enclosure(box, PROVEN if proven else CANDIDATE,
+                                    _residual_bound(pairs)))
 
     enclosures.sort(key=lambda e: e.box.key())
     surviving_volume = math.fsum(e.box.volume() for e in enclosures)

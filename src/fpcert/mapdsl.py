@@ -26,9 +26,10 @@ trace cell (one localize call) those subtrees are evaluated once, not once
 per box, with bit-identical enclosures.  ``children`` and ``with_children``
 are the one generic way to walk and rebuild a tree.  ``derivative`` builds
 a partial derivative as an ordinary expression tree, evaluated like any
-other, and ``jacobian`` collects them for a map that calls no abs, min or
-max.  Expressions nest at most ``MAX_DEPTH`` levels deep, so neither
-parsing, differentiation nor evaluation can exhaust the stack.  Decimal
+other (at abs, min and max an enclosure of Clarke's generalized
+gradient), and ``jacobian`` collects them.  Expressions nest at most
+``MAX_DEPTH`` levels deep, so neither parsing, differentiation nor
+evaluation can exhaust the stack.  Decimal
 literals evaluate to their nearest float in real semantics and to the
 tightest enclosing float interval in interval semantics, so constants like
 0.1 never silently lose their true value.
@@ -231,6 +232,8 @@ _REAL_FUNCS = {
     "exp": math.exp,
     "tanh": math.tanh,
     "abs": abs,
+    "min": min,
+    "max": max,
 }
 
 _PAIR_FUNCS = {
@@ -268,11 +271,7 @@ class Call(Expr):
             if vals[0] < 0.0:
                 raise DomainError(f"sqrt of negative value {vals[0]}")
             return math.sqrt(vals[0])
-        if f == "min":
-            return min(vals)
-        if f == "max":
-            return max(vals)
-        return _REAL_FUNCS[f](vals[0])
+        return _REAL_FUNCS[f](*vals)
 
     def eval_pair(self, xs, t):
         kernel = _PAIR_FUNCS[self.func]
@@ -305,6 +304,33 @@ class Folded(Expr):
         raise _folded_error()
 
 
+@dataclass(frozen=True)
+class Select(Expr):
+    """The derivative at a kink (abs, min, max; the parser has no select):
+    neg where cond < 0, pos where cond > 0, and where cond may be 0 the
+    hull of both (eval_pair) or pos (eval_real), elements of Clarke's
+    generalized gradient.  A neg that is Neg(pos) is not evaluated again."""
+
+    cond: Expr
+    neg: Expr
+    pos: Expr
+
+    def eval_real(self, xs, t):
+        branch = self.neg if self.cond.eval_real(xs, t) < 0.0 else self.pos
+        return branch.eval_real(xs, t)
+
+    def eval_pair(self, xs, t):
+        lo, hi = self.cond.eval_pair(xs, t)
+        if hi < 0.0:
+            return self.neg.eval_pair(xs, t)
+        if lo > 0.0:
+            return self.pos.eval_pair(xs, t)
+        c, d = self.pos.eval_pair(xs, t)
+        neg = self.neg
+        a, b = (-d, -c) if type(neg) is Neg and neg.arg is self.pos else neg.eval_pair(xs, t)
+        return min(a, c), max(b, d)
+
+
 def _folded_error() -> TypeError:
     return TypeError(
         "a map bound by bind_interval holds enclosures, not expressions; "
@@ -322,6 +348,8 @@ def children(e: Expr) -> tuple:
         return (e.base,)
     if isinstance(e, Call):
         return e.args
+    if isinstance(e, Select):
+        return (e.cond, e.neg, e.pos)
     return ()
 
 
@@ -335,6 +363,8 @@ def with_children(e: Expr, kids) -> Expr:
         return Power(kids[0], e.exponent)
     if isinstance(e, Call):
         return Call(e.func, tuple(kids))
+    if isinstance(e, Select):
+        return Select(*kids)
     return e
 
 
@@ -386,10 +416,7 @@ def float_const(v: float) -> Const:
 # ---------------------------------------------------------------------------
 
 
-class NotDifferentiable(ValueError):
-    """The expression calls abs, min or max, which have kinks."""
-
-
+_ZERO = float_const(0.0)
 _ONE = float_const(1.0)
 _TWO = float_const(2.0)
 
@@ -423,8 +450,9 @@ def derivative(e: Expr, j: int) -> "Expr | None":
     derivative wherever every subexpression of e is defined: a quotient's
     derivative holds its denominator, and sqrt's holds the root itself in a
     denominator, so the evaluation raises instead where e may be singular.
-    Raises NotDifferentiable at a call of abs, min or max, even one free
-    of x_{j+1}, so that a map has a Jacobian only when it is smooth.
+    At abs(u), min(u, v) and max(u, v) it is a Select on the sign of u or
+    u - v, whose naive extension encloses Clarke's generalized gradient,
+    as the Krawczyk test's mean value theorem needs (Clarke 1983, 2.6.5).
     """
     kind = type(e)
     if kind is Var:
@@ -459,12 +487,18 @@ def derivative(e: Expr, j: int) -> "Expr | None":
         # rounds; past the float range it raises DomainError.
         return _mul(BinOp("*", literal_const(str(n)), inner), du)
     if kind is Call:
-        if e.func in ("abs", "min", "max"):
-            raise NotDifferentiable(f"{e.func} has no derivative at its kink")
         u = e.args[0]
         du = derivative(u, j)
+        if e.func in ("min", "max"):
+            dv = derivative(e.args[1], j)
+            if du is None and dv is None:
+                return None
+            pair = (_ZERO if du is None else du, _ZERO if dv is None else dv)
+            return Select(BinOp("-", u, e.args[1]), *(pair if e.func == "min" else pair[::-1]))
         if du is None:
             return None
+        if e.func == "abs":
+            return Select(u, Neg(du), du)
         if e.func == "sqrt":
             return BinOp("/", du, BinOp("*", _TWO, e))
         if e.func == "sin":
@@ -481,12 +515,12 @@ def derivative(e: Expr, j: int) -> "Expr | None":
 
 def jacobian(m: "MapSpec"):
     """The rows (dg_i/dx_1, ..., dg_i/dx_n) of m's Jacobian, with None for
-    an entry that is identically zero, or None when m calls abs, min or
-    max (NotDifferentiable) or has an exponent past the float range."""
+    an entry that is identically zero, or None when m has an exponent past
+    the float range."""
     try:
         return tuple(tuple(derivative(c, j) for j in range(m.dim))
                      for c in m.components)
-    except (NotDifferentiable, DomainError):
+    except DomainError:
         return None
 
 

@@ -12,9 +12,36 @@ from __future__ import annotations
 import math
 import random
 
+from fpcert import interval as iv
 from fpcert.geometry import ConeShellSpec, CylinderSpec, Functional, HoledBallSpec, RectDomain
 from fpcert.interval import Box, Interval
 from fpcert.mapdsl import MapSpec, parse_map
+
+UNARY_OPS = {
+    "neg": lambda lo, hi: (-hi, -lo),
+    "abs": iv.abs_pair,
+    "sqrt": iv.sqrt_pair,
+    "sin": iv.sin_pair,
+    "cos": iv.cos_pair,
+    "exp": iv.exp_pair,
+    "tanh": iv.tanh_pair,
+}
+BINARY_OPS = {
+    "add": lambda a, b, c, d: (iv.add_down(a, c), iv.add_up(b, d)),
+    "sub": lambda a, b, c, d: (iv.sub_down(a, d), iv.sub_up(b, c)),
+    "mul": iv.mul_pair,
+    "div": iv.div_pair,
+    "min": iv.min_pair,
+    "max": iv.max_pair,
+}
+
+
+def apply_op(op: str, a: Interval, b: "Interval | None" = None) -> Interval:
+    """An interval operation by name on the pair kernels, as map evaluation
+    runs it (the fuzzing surface of the interval tests)."""
+    if op in UNARY_OPS:
+        return Interval(*UNARY_OPS[op](a.lo, a.hi))
+    return Interval(*BINARY_OPS[op](a.lo, a.hi, b.lo, b.hi))
 
 
 def _fmt(v: float) -> str:
@@ -214,6 +241,28 @@ def random_planted_trig_map(rng: random.Random, rect: RectDomain):
     at p, with p drawn inside the rectangle: p is a fixed point, and an
     isolated one unless I - A - (the terms' slopes at p) is singular, which
     the slope ranges make rare.  Returns (map, p)."""
+    lines, p = _planted_trig_lines(rng, rect)
+    return parse_map("dim 2\n" + "\n".join(lines) + "\n"), p
+
+
+def random_planted_kinked_map(rng: random.Random, rect: RectDomain):
+    """random_planted_trig_map plus a kink through the planted point p in
+    one component: a*abs(x_k - p_k) or a*min(x_k - p_k, c*(x_l - p_l)).
+    Both terms vanish at p, so p stays a fixed point, where the map is not
+    differentiable.  Returns (map, p)."""
+    lines, p = _planted_trig_lines(rng, rect)
+    i, k = rng.randrange(2), rng.randrange(2)
+    amp = _fmt(rng.uniform(-0.4, 0.4))
+    if rng.randrange(2):
+        kink = f"abs(x{k + 1} - {_fmt(p[k])})"
+    else:
+        slope = _fmt(rng.uniform(-1.5, 1.5))
+        kink = f"min(x{k + 1} - {_fmt(p[k])}, {slope}*(x{2 - k} - {_fmt(p[1 - k])}))"
+    lines[i] += f" + {amp}*{kink}"
+    return parse_map("dim 2\n" + "\n".join(lines) + "\n"), p
+
+
+def _planted_trig_lines(rng: random.Random, rect: RectDomain):
     p = [float(_fmt(c.lo + rng.uniform(0.2, 0.8) * (c.hi - c.lo))) for c in rect.box.coords]
     lines = []
     for i in range(2):
@@ -227,7 +276,7 @@ def random_planted_trig_map(rng: random.Random, rect: RectDomain):
             amp = _fmt(rng.uniform(-0.4, 0.4))
             terms.append(f"{amp}*sin({arg})" if fn == "sin" else f"{amp}*(cos({arg}) - 1)")
         lines.append(f"map g{i + 1} = " + " + ".join(terms))
-    return parse_map("dim 2\n" + "\n".join(lines) + "\n"), tuple(p)
+    return lines, tuple(p)
 
 
 def random_box(rng: random.Random, dim: int, scale: float = 2.0) -> Box:

@@ -87,15 +87,22 @@ def test_single_hole_exit_4(capsys):
     assert "single hole" in err
 
 
+# cos(x1) plus zero times a term whose derivative cannot be evaluated:
+# sqrt(abs(x1 - x1)) is [0, sqrt(w)] on a box of width w, and its
+# derivative divides by that, so the Krawczyk step raises on every box and
+# the map takes the bisection path.
+_NO_KRAWCZYK = "cos(x1) + 0*sqrt(abs(x1 - x1))"
+
+
 def test_localize_exits(tmp_path, capsys):
     code, _, _ = run(capsys, "localize", "@localize-cos", "--tol", "1e-8")
     assert code == 0
     code, _, _ = run(capsys, "localize", "@localize-translation")
     assert code == 1
     # The Krawczyk test proves cos(x1) on its first box, so the budget runs
-    # out only on the bisection path, which a map calling abs takes.
-    path = tmp_path / "cos_abs.fp"
-    path.write_text("dim 1\nmap g1 = cos(abs(x1))\ndomain rect [0,1]\n")
+    # out only on the bisection path, which _NO_KRAWCZYK takes.
+    path = tmp_path / "cos_no_krawczyk.fp"
+    path.write_text(f"dim 1\nmap g1 = {_NO_KRAWCZYK}\ndomain rect [0,1]\n")
     code, _, _ = run(capsys, "localize", str(path), "--tol", "1e-8", "--budget", "5")
     assert code == 3
 
@@ -113,9 +120,8 @@ def _localize_json(capsys, path, source, *argv):
 def test_localize_keeps_a_box_it_cannot_split(tmp_path, capsys):
     # tol below one ulp: boxes one ulp wide have no float inside to split
     # at, so they are leaves, not requeued until the budget runs out.
-    # cos(abs(x1)) has no Jacobian and takes the bisection path.
-    code, payload = _localize_json(capsys, tmp_path / "cos_abs.fp",
-                                   "dim 1\nmap g1 = cos(abs(x1))\ndomain rect [0,1]\n",
+    code, payload = _localize_json(capsys, tmp_path / "cos_no_krawczyk.fp",
+                                   f"dim 1\nmap g1 = {_NO_KRAWCZYK}\ndomain rect [0,1]\n",
                                    "--tol", "1e-17", "--budget", "3000")
     assert code == 2 and not payload["exhausted"]
     boxes = [json.dumps(e["box"]) for e in payload["enclosures"]]

@@ -18,7 +18,7 @@ from corpus import random_box, random_expression_map, random_holed_ball_problem
 from fpcert.certify import _holed_ball_conditions, _radial_segment
 from fpcert.degree import _field_pairs, _in_closed_disk
 from fpcert.geometry import Functional, HoledBallSpec, dist2_pair
-from fpcert.interval import Box, Interval, mul_down, mul_up
+from fpcert.interval import Box, Interval, abs_pair, max_pair, mul_down, mul_up
 from fpcert.mapdsl import blend_with_parameter, parse_map
 
 # -- the replaced formulas -------------------------------------------------
@@ -37,10 +37,10 @@ def _ref_value(f, box):
             acc = acc + c.pow_int(2)
         return acc.sqrt()
     if f.kind == "sup":
-        acc = box.coords[0].abs()
+        acc = abs_pair(box.coords[0].lo, box.coords[0].hi)
         for c in box.coords[1:]:
-            acc = acc.max_with(c.abs())
-        return acc
+            acc = max_pair(*acc, *abs_pair(c.lo, c.hi))
+        return Interval(*acc)
     acc = Interval(0.0)
     for coef, c in zip(f.coeffs, box.coords):
         acc = acc + Interval(coef) * c

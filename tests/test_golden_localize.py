@@ -3,7 +3,7 @@
 The sha256 of every result's `to_json_dict()` (canonical JSON, sorted
 keys) is compared with `golden_localize_digests.json`.  The maps come from
 `tests/corpus.py` and never raise on a box: 1-D and 2-D, localized with
-and without the upgrade (the Krawczyk test, then Miranda on the leaves
+and without the upgrade (the Krawczyk test, then the face sign test on the leaves
 it does not prove), and with a small box budget so that the
 budget-exhausted tail is covered too; then parametrized blends of them,
 traced over t in [0, 1].  Regenerate the table with

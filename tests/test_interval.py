@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpus import BINARY_OPS, UNARY_OPS, apply_op
 from fpcert import interval as iv
 from fpcert.interval import (
     Box,
@@ -14,7 +15,6 @@ from fpcert.interval import (
     DomainError,
     Interval,
     IntervalDivisionError,
-    apply,
     mul_down,
     mul_up,
 )
@@ -35,10 +35,10 @@ def test_construction_rejects_non_finite():
 def test_exact_endpoint_arithmetic():
     assert Interval(1, 2) + Interval(3, 4) == Interval(4, 6)
     assert Interval(-1, 2) * Interval(-3, 1) == Interval(-6, 3)
-    assert -Interval(1, 2) == Interval(-2, -1)
-    assert Interval(-3, 2).abs() == Interval(0, 3)
-    assert Interval(1, 2).min_with(Interval(0, 5)) == Interval(0, 2)
-    assert Interval(1, 2).max_with(Interval(0, 5)) == Interval(1, 5)
+    assert apply_op("neg", Interval(1, 2)) == Interval(-2, -1)
+    assert apply_op("abs", Interval(-3, 2)) == Interval(0, 3)
+    assert apply_op("min", Interval(1, 2), Interval(0, 5)) == Interval(0, 2)
+    assert apply_op("max", Interval(1, 2), Interval(0, 5)) == Interval(1, 5)
 
 
 def test_sin_covers_peak():
@@ -82,8 +82,8 @@ def test_pow_int_negative_exponent():
     assert p.lo <= 0.25 and p.hi >= 0.5
 
 
-_ops_unary = ("neg", "abs", "sqrt", "sin", "cos", "exp", "tanh")
-_ops_binary = ("add", "sub", "mul", "div", "min", "max")
+_ops_unary = tuple(UNARY_OPS)
+_ops_binary = tuple(BINARY_OPS)
 
 
 def _ref(op, x, y=None):
@@ -124,7 +124,7 @@ def test_containment_soundness_random_ops():
             b = Interval(blo, blo + rng.uniform(0, 10))
             y = b.lo + rng.random() * (b.hi - b.lo)
         try:
-            res = apply(op, a, b)
+            res = apply_op(op, a, b)
         except (DomainError, OverflowError):
             continue
         exact = _ref(op, x, y)
@@ -153,8 +153,8 @@ def test_inclusion_monotonicity(op, outer_lo, w1, f0, f1, outer_lo2, w2, g0, g1)
     t0, t1 = sorted((b.lo + g0 * w2, b.lo + g1 * w2))
     b_sub = Interval(t0, t1)
     try:
-        big = apply(op, a, b if op in _ops_binary else None)
-        small = apply(op, a_sub, b_sub if op in _ops_binary else None)
+        big = apply_op(op, a, b if op in _ops_binary else None)
+        small = apply_op(op, a_sub, b_sub if op in _ops_binary else None)
     except (DomainError, OverflowError):
         return
     assert small.lo >= big.lo and small.hi <= big.hi
@@ -368,6 +368,16 @@ def test_hits_lattice_matches_interval_reference():
             assert iv._hits_lattice(i.lo, i.hi, center, iv._TWO_PI) == expected, (i, center)
             hits += expected
     assert 0 < hits < 4 * 8000
+
+
+def test_pi_constants_enclose_their_values():
+    from fractions import Fraction
+
+    pi = iv._PI
+    assert Fraction(pi.lo) < Fraction("3.14159265358979323846264338327950288") < Fraction(pi.hi)
+    assert iv._HALF_PI == Interval(pi.lo / 2.0, pi.hi / 2.0)
+    assert iv._NEG_HALF_PI == Interval(-iv._HALF_PI.hi, -iv._HALF_PI.lo)
+    assert iv._TWO_PI == Interval(2.0 * pi.lo, 2.0 * pi.hi)
 
 
 _SIN_COS = (

@@ -309,20 +309,151 @@ def test_krawczyk_image_encloses_the_exact_operator(monkeypatch):
         assert k_lo <= centre + min(spread) and centre + max(spread) <= k_hi, (a, b, y, c)
 
 
-def test_krawczyk_path_never_loses_a_planted_fixed_point():
-    from corpus import random_planted_trig_map
+def _random_rect_2d(rng):
+    return rect(*[(lo, lo + rng.uniform(0.5, 2.5))
+                  for lo in (rng.uniform(-2.0, 1.0), rng.uniform(-2.0, 1.0))])
 
-    rng = random.Random(2025)
-    for _ in range(60):
-        bounds = [(lo, lo + rng.uniform(0.5, 2.5))
-                  for lo in (rng.uniform(-2.0, 1.0), rng.uniform(-2.0, 1.0))]
-        r = rect(*bounds)
-        m, p = random_planted_trig_map(rng, r)
+
+def _localize_planted(make, rng, count):
+    """Localize count planted maps from make(rng, rect) and check that each
+    planted point lies in an enclosure; returns the number PROVEN."""
+    proven = 0
+    for _ in range(count):
+        r = _random_rect_2d(rng)
+        m, p = make(rng, r)
         res = localize_fixed_points(m, r, tol=1e-6, budget=20000)
         assert not res.exhausted
         assert any(all(c.lo - 1e-12 <= v <= c.hi + 1e-12 for c, v in zip(e.box.coords, p))
                    for e in res.enclosures), (m.to_source(), p)
         _assert_proven_boxes_hold_fixed_points(m, res)
+        proven += len(res.proven)
+    return proven
+
+
+def test_krawczyk_path_never_loses_a_planted_fixed_point():
+    from corpus import random_planted_trig_map
+
+    _localize_planted(random_planted_trig_map, random.Random(2025), 60)
+
+
+def test_krawczyk_path_never_loses_a_planted_kinked_fixed_point():
+    # The kink of an abs or min term passes through the planted point.
+    from corpus import random_planted_kinked_map
+
+    assert _localize_planted(random_planted_kinked_map, random.Random(2026), 30) >= 20
+
+
+# ---------------------------------------------------------------------------
+# Maps with kinks, inherited proofs and the face test
+# ---------------------------------------------------------------------------
+
+# (source, rectangle, number of fixed points, fixed points known exactly,
+# boxes the per-leaf Miranda upgrade took before kinks had derivatives)
+_KINKED = (
+    ("dim 2\nmap g1 = 0.9*sin(3*x1) + 0.3*abs(x2)\n"
+     "map g2 = 0.8*cos(2*x2 - x1) + 0.1*min(x1, x2)\n", [(-2, 2)] * 2, 3, (), 665),
+    ("dim 1\nmap g1 = max(0.5*x1, 0.2 - x1)\n", [(-2, 2)], 1, ((0.1,),), 53),
+    ("dim 2\nmap g1 = 0.5*abs(x1) + 0.3\nmap g2 = 0.5*x2 - 0.1\n", [(-2, 2)] * 2, 1,
+     ((0.6, -0.2),), 873),
+)
+
+
+@pytest.mark.parametrize("source, bounds, count, known, before", _KINKED)
+def test_maps_with_kinks_have_every_fixed_point_proven(source, bounds, count, known, before):
+    m = parse_map(source)
+    res = localize_fixed_points(m, rect(*bounds), tol=1e-7)
+    assert len(res.enclosures) == count and len(res.proven) == count
+    assert res.boxes_examined < before
+    _assert_proven_boxes_hold_fixed_points(m, res)
+    for p in known:
+        assert any(e.box.contains_point(p) for e in res.proven), p
+
+
+# At x1 = 0.3, I - Dg is singular, so the Krawczyk test never passes; the
+# face test proves the leaf that holds the root.  In 2-D the root needs x2
+# off the faces of the rectangle: on x2 = 0, g2 - x2 is 0 and has no sign.
+_DEGENERATE = (
+    ("dim 1\nmap g1 = x1 - (x1 - 0.3)^3\n", [(0, 1)], (0.3,)),
+    ("dim 2\nmap g1 = x1 - (x1 - 0.3)^3\nmap g2 = 0.5*x2\n", [(0, 1), (-1, 1)], (0.3, 0.0)),
+)
+
+
+@pytest.mark.parametrize("source, bounds, root", _DEGENERATE)
+def test_face_test_proves_a_degenerate_root(source, bounds, root):
+    m = parse_map(source)
+    res = localize_fixed_points(m, rect(*bounds), tol=1e-3)
+    assert len(res.proven) == 1 and len(res.enclosures) > 1
+    assert res.proven[0].box.contains_point(root)
+    assert not any(e.box.contains_point(root) for e in res.enclosures
+                   if e.status == CANDIDATE)
+
+
+def test_face_test_is_depth_zero_of_the_miranda_certificate():
+    # The reference is certify_miranda in auto mode on the leaf: at depth 0
+    # it evaluates each face once, as the face test does, so the two agree
+    # on every leaf; splitting the faces (depth 6) proves a superset.
+    from corpus import random_expression_map, random_polynomial_map_2d, random_rect_problem
+
+    from fpcert import localize
+    from fpcert.certify import CERTIFIED, certify_miranda
+
+    rng = random.Random(41)
+    leaves = proven = 0
+    for k in range(150):
+        if k % 3 == 0:
+            m, r = random_rect_problem(rng)
+        else:
+            r = _random_rect_2d(rng)
+            m = random_polynomial_map_2d(rng, r) if k % 3 == 1 else random_expression_map(rng, 2)
+        for e in localize_fixed_points(m, r, tol=0.1, upgrade=False).enclosures:
+            if e.residual is None:
+                continue
+            leaves += 1
+            faces = localize._faces_straddle(m, e.box.coords)
+            certified = [certify_miranda(m, RectDomain(e.box), "auto", max_depth=depth,
+                                         max_boxes=512).outcome == CERTIFIED for depth in (0, 6)]
+            assert faces == certified[0] and faces <= certified[1], (m.to_source(), e.box.bounds())
+            proven += faces
+    assert leaves >= 450 and proven >= 40, (leaves, proven)
+
+
+def test_a_stalled_proof_is_inherited_by_its_descendants(monkeypatch):
+    # The first box is proven.  Contraction collapses x2 to one ulp, then
+    # stops halving in x1, and the box is split.  Its halves inherit the
+    # proof: one is excluded, and the other is the one PROVEN leaf.
+    from fpcert import localize
+
+    stalls = []
+    contract = localize._contract
+
+    def spy(f, jac, box, K, tol):
+        x, leaf = contract(f, jac, box, K, tol)
+        stalls.append(x is not None and not leaf)
+        return x, leaf
+
+    monkeypatch.setattr(localize, "_contract", spy)
+    m = parse_map(_KINKED[2][0])
+    res = localize_fixed_points(m, rect((-2, 2), (-2, 2)), tol=1e-7)
+    assert stalls[0] and len(stalls) > 1
+    assert len(res.enclosures) == 1 and len(res.proven) == 1
+    _assert_proven_boxes_hold_fixed_points(m, res)
+
+
+def test_proof_shared_by_several_leaves_proves_none_of_them(monkeypatch):
+    # With the contraction switched off, a proven box is split like any
+    # other box, and its descendants, which carry its proof, meet only the
+    # residual test.  The naive enclosure of x1 - 0.5*x1 is loose, so
+    # several leaves survive around the fixed point 0.5: their union holds
+    # it, and none of them alone is PROVEN by the proof they share.
+    from fpcert import localize
+
+    m = parse_map("dim 1\nmap g1 = x1 - 0.5*x1 + 0.25\n")
+    assert len(localize_fixed_points(m, rect((0, 1)), tol=1e-3).proven) == 1
+    monkeypatch.setattr(localize, "_contract", lambda f, jac, box, K, tol: (box, False))
+    monkeypatch.setattr(localize, "_faces_straddle", lambda f, xs: False)
+    res = localize_fixed_points(m, rect((0, 1)), tol=1e-3)
+    assert len(res.enclosures) > 1 and not res.proven
+    assert any(e.box.contains_point((0.5,)) for e in res.enclosures)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from fpcert.interval import Box, DimensionMismatchError, DomainError, Interval
 from corpus import (
+    apply_op,
     random_box,
     random_expression_map,
     random_polynomial_map_2d,
@@ -23,13 +24,16 @@ from fpcert.mapdsl import (
     Param,
     ParseError,
     Power,
+    Select,
     UnknownIdentifierError,
     Var,
     blend_with_parameter,
+    children,
     derivative,
     jacobian,
     parse_map,
     parse_program,
+    with_children,
 )
 
 
@@ -177,7 +181,8 @@ def test_comments_and_blank_lines():
 
 
 def _ref_eval(e, xs, t):
-    """Reference: the map AST evaluated node by node with Interval methods."""
+    """Reference: the map AST evaluated node by node with Interval methods,
+    and abs, min, max and minus with the pair kernels (apply_op)."""
     if isinstance(e, Const):
         return e.enclosure
     if isinstance(e, Var):
@@ -185,7 +190,7 @@ def _ref_eval(e, xs, t):
     if isinstance(e, Param):
         return t
     if isinstance(e, Neg):
-        return -_ref_eval(e.arg, xs, t)
+        return apply_op("neg", _ref_eval(e.arg, xs, t))
     if isinstance(e, BinOp):
         a = _ref_eval(e.left, xs, t)
         b = _ref_eval(e.right, xs, t)
@@ -193,10 +198,8 @@ def _ref_eval(e, xs, t):
     if isinstance(e, Power):
         return _ref_eval(e.base, xs, t).pow_int(e.exponent)
     vals = [_ref_eval(a, xs, t) for a in e.args]
-    if e.func == "min":
-        return vals[0].min_with(vals[1])
-    if e.func == "max":
-        return vals[0].max_with(vals[1])
+    if e.func in ("abs", "min", "max"):
+        return apply_op(e.func, *vals)
     return getattr(vals[0], e.func)()
 
 
@@ -453,12 +456,19 @@ def _mp_eval(mpmath, e, xs):
         return {"+": a + b, "-": a - b, "*": a * b}[e.op] if e.op != "/" else a / b
     if isinstance(e, Power):
         return _mp_eval(mpmath, e.base, xs) ** e.exponent
-    assert isinstance(e, Call) and e.func in ("sin", "cos", "exp", "tanh", "sqrt")
-    return getattr(mpmath, e.func)(_mp_eval(mpmath, e.args[0], xs))
+    if isinstance(e, Select):
+        branch = e.neg if _mp_eval(mpmath, e.cond, xs) < 0 else e.pos
+        return _mp_eval(mpmath, branch, xs)
+    args = [_mp_eval(mpmath, a, xs) for a in e.args]
+    if e.func in ("abs", "min", "max"):
+        return {"abs": abs, "min": min, "max": max}[e.func](*args)
+    assert e.func in ("sin", "cos", "exp", "tanh", "sqrt")
+    return getattr(mpmath, e.func)(*args)
 
 
 def _differentiable_maps(rng, n):
-    """(map, box) pairs from the corpus generators that have a Jacobian."""
+    """(map, box) pairs from the corpus generators that have a Jacobian:
+    every map, those with abs, min or max included."""
     out = []
     while len(out) < n:
         kind = len(out) % 3
@@ -492,8 +502,10 @@ def test_partial_derivatives_match_mpmath_at_seeded_points():
     mpmath = pytest.importorskip("mpmath")
     rng = random.Random(71)
     checked = 0
+    maps = _differentiable_maps(rng, 90)
+    assert sum(any(f in m.to_source() for f in ("abs", "min", "max")) for m, _b in maps) >= 5
     with mpmath.workdps(40):
-        for m, box in _differentiable_maps(rng, 90):
+        for m, box in maps:
             jac = jacobian(m)
             for _ in range(4):
                 point = sample_in_box(rng, box)
@@ -527,11 +539,41 @@ def test_partial_derivative_pairs_enclose_sampled_derivatives():
                         assert lo <= exact <= hi, (m.to_source(), i, j, point, (lo, hi))
 
 
-@pytest.mark.parametrize("expr", ["abs(x1)", "min(x1, 0.5)", "max(x1, x1^2)",
-                                  "x1 + 0*abs(0.5)"])
-def test_abs_min_and_max_give_no_jacobian(expr):
-    assert jacobian(parse_map(f"dim 1\nmap g1 = {expr}\n")) is None
-    assert jacobian(parse_map(f"dim 2\nmap g1 = sin(x1)\nmap g2 = {expr}\n")) is None
+# expression -> (box, enclosure of its derivative) cases: decided boxes
+# take one branch, and boxes where the kink may lie take the hull of both.
+_KINK_DERIVATIVES = {
+    "abs(x1)": (((-1.0, 2.0), (-1.0, 1.0)), ((0.5, 2.0), (1.0, 1.0)),
+                ((-2.0, -0.5), (-1.0, -1.0))),
+    "abs(x1^2 - 1)": (((-0.5, 0.5), (-1.0, 1.0)),),  # -2 x1 on the box
+    "min(x1, 0.5)": (((0.6, 1.0), (0.0, 0.0)), ((0.0, 0.4), (1.0, 1.0)),
+                     ((0.0, 1.0), (0.0, 1.0))),
+    "max(x1, 0.5)": (((0.6, 1.0), (1.0, 1.0)), ((0.0, 0.4), (0.0, 0.0))),
+    "max(x1, x1^2)": (((0.5, 2.0), (1.0, 4.0)),  # the hull of 1 and 2 x1
+                      ((2.0, 3.0), (4.0, 6.0))),
+    "max(3*x1, x1)": (((-1.0, 1.0), (1.0, 3.0)),),
+    "x1 + 0*abs(0.5)": (((-1.0, 1.0), (1.0, 1.0)),),
+}
+
+
+@pytest.mark.parametrize("expr", sorted(_KINK_DERIVATIVES))
+def test_kinks_differentiate_to_selects(expr):
+    for source in (f"dim 1\nmap g1 = {expr}\n",
+                   f"dim 2\nmap g1 = sin(x1)\nmap g2 = {expr.replace('x1', 'x2')}\n"):
+        m = parse_map(source)
+        d = jacobian(m)[-1][-1]
+        for bounds, want in _KINK_DERIVATIVES[expr]:
+            coords = Box.from_bounds([bounds] * m.dim).coords
+            assert d.eval_pair(coords, None) == want, (source, bounds)
+    assert jacobian(parse_map("dim 1\nmap g1 = abs(0.5) + min(1, 2)\n")) == ((None,),)
+
+
+def test_select_is_internal_and_evaluates_off_the_kink():
+    (d,), = jacobian(parse_map("dim 1\nmap g1 = min(x1, 0.5)\n"))
+    assert isinstance(d, Select)
+    assert d.eval_real((0.25,), None) == 1.0 and d.eval_real((0.75,), None) == 0.0
+    assert children(with_children(d, children(d))) == children(d)
+    with pytest.raises(UnknownIdentifierError):
+        parse_map("dim 1\nmap g1 = select(x1, 0, 1)\n")
 
 
 def test_derivative_rules_on_hand_maps():
@@ -568,6 +610,9 @@ _DEEP_CHAINS = {
     "quotient": "x1/(" * (MAX_DEPTH - 1) + "x1" + ")" * (MAX_DEPTH - 1),
     "sqrt": "sqrt(" * MAX_DEPTH + "x1" + ")" * MAX_DEPTH,
     "power": "(" * (MAX_DEPTH - 1) + "x1" + "^1)" * (MAX_DEPTH - 1) + "^3",
+    # kinks that the box straddles at every level: each is evaluated once
+    "abs": "abs(" * (MAX_DEPTH - 1) + "x1 - 0.625" + ")" * (MAX_DEPTH - 1),
+    "min": "min(" * MAX_DEPTH + "x1" + ", 0.625)" * MAX_DEPTH,
 }
 
 
