@@ -16,7 +16,11 @@ and discarded plus surviving volume must equal the rectangle's.  Last,
 from a fifth stream, trig maps with a fixed point planted inside their
 rectangle take the same checks, and the planted point must lie in an
 enclosure; then, from a sixth stream, the same with an abs or min term
-whose kink passes through the planted point.  Any
+whose kink passes through the planted point.  Last, from a seventh
+stream, 1-D and 2-D families with a planted polynomial branch of fixed
+points, the only one in their box, are traced over t in [0, 1]: every
+PROVEN slab must hold the branch at sampled t of its cell, and every
+proven chain must meet the branch.  Any
 answer an oracle cannot confirm is a soundness bug and is printed with its
 problem source.
 
@@ -33,10 +37,12 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
 
 from corpus import (  # noqa: E402
+    branch_point,
     random_cone_problem,
     random_cylinder_problem,
     random_expression_map,
     random_holed_ball_problem,
+    random_planted_branch_family,
     random_planted_kinked_map,
     random_planted_trig_map,
     random_polynomial_map_2d,
@@ -51,6 +57,7 @@ from fpcert.certify import (  # noqa: E402
     certify_holes,
     certify_miranda,
 )
+from fpcert.continuation import trace_continuum  # noqa: E402
 from fpcert.degree import (  # noqa: E402
     BoundaryZeroError,
     fixed_point_index,
@@ -58,7 +65,7 @@ from fpcert.degree import (  # noqa: E402
 )
 from fpcert.geometry import RectDomain  # noqa: E402
 from fpcert.interval import Box  # noqa: E402
-from fpcert.localize import localize_fixed_points  # noqa: E402
+from fpcert.localize import PROVEN, localize_fixed_points  # noqa: E402
 
 
 def main():
@@ -206,6 +213,36 @@ def main():
         label = "trig" if stream == "planted" else "kinked trig"
         print(f"{n_localize} planted {label} localizations in {elapsed:.1f}s: "
               + ", ".join(f"{k}={v}" for k, v in planted_counts.items()))
+    def on_branch(coeffs, slab, samples=9):
+        """Whether the slab holds the branch at every one of `samples`
+        parameters of its cell (a decimal literal's float may sit an ulp
+        off, hence the slack)."""
+        return all(
+            all(c.lo - 1e-12 <= v <= c.hi + 1e-12 for c, v in zip(slab.box.coords, point))
+            for point in (branch_point(coeffs, slab.t.lo + k * (slab.t.hi - slab.t.lo)
+                                       / (samples - 1)) for k in range(samples)))
+
+    rng = random.Random(f"{args.seed}:trace")
+    trace_counts = {"slabs": 0, "PROVEN": 0, "proven chains": 0, "exhausted": 0}
+    t0 = time.perf_counter()
+    for k in range(n_localize):
+        m, coeffs, box = random_planted_branch_family(rng, 1 + k % 2)
+        wit = trace_continuum(m, (0.0, 1.0), box, grid=rng.choice((4, 8, 16)),
+                              tol=1e-3 if m.dim == 1 else 0.05, budget_per_cell=20000)
+        trace_counts["slabs"] += len(wit.slabs)
+        trace_counts["proven chains"] += wit.proven
+        trace_counts["exhausted"] += wit.exhausted
+        for slab in wit.slabs:
+            if slab.status == PROVEN:
+                trace_counts["PROVEN"] += 1
+                if not on_branch(coeffs, slab):
+                    violation(m, f"PROVEN slab {slab.box.bounds()} on t in "
+                                 f"[{slab.t.lo}, {slab.t.hi}] misses the branch {coeffs}")
+        if wit.proven and not any(on_branch(coeffs, s, samples=2) for s in wit.chain_slabs()):
+            violation(m, f"proven chain never meets the branch {coeffs}")
+    elapsed = time.perf_counter() - t0
+    print(f"{n_localize} planted branch traces in {elapsed:.1f}s: "
+          + ", ".join(f"{k}={v}" for k, v in trace_counts.items()))
     print(f"violations: {violations}")
     return 1 if violations else 0
 

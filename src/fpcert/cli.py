@@ -180,6 +180,7 @@ def cmd_trace(args) -> int:
         _emit(
             {
                 "complete": witness.complete,
+                "proven": witness.proven,
                 "cells": len(witness.t_grid) - 1,
                 "chain": len(witness.chain),
                 "max_t_reached": witness.max_t_reached,

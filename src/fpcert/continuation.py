@@ -2,11 +2,22 @@
 
 The parameter range is cut into grid cells; on each cell the fixed points
 of psi(t, .) are enclosed jointly for every t in the cell (the parameter
-enters localization as an interval), giving slabs in (t, x) space.  A
-breadth-first search then looks for a chain of slabs overlapping as point
-sets that connects the t = a side to the t = b side.  Such a discrete
-chain is evidence of the guaranteed connected branch, not a proof of
-connectedness, and is labelled accordingly.
+enters localization as an interval), giving slabs in (t, x) space.
+
+A slab that the Krawczyk test proves (`localize_fixed_points`) comes
+with a uniqueness box U: for every t of its cell, U holds exactly one
+fixed point x(t), which lies in the slab and is continuous in t.  Two
+such slabs of consecutive cells glue when one slab's box lies in the
+other's U: at the shared t the two fixed points then both lie in that U,
+so they are equal and the two branches join continuously.  A chain of
+glued slabs from the t = a side to the t = b side is therefore a proof
+of a continuous branch of fixed points across the parameter range, and
+the witness reports it `proven`.
+
+When no glued chain exists, a breadth-first search looks for a chain of
+slabs overlapping as point sets instead.  Such a chain is evidence of
+the guaranteed connected branch, not a proof of connectedness, and is
+labelled accordingly (`proven` false).
 """
 
 from __future__ import annotations
@@ -30,6 +41,7 @@ class Slab:
     t: Interval
     box: Box
     status: str
+    unique: "Box | None" = None  # see Enclosure.unique
 
     def to_json_dict(self):
         return {
@@ -50,6 +62,7 @@ class ContinuumWitness:
     max_t_reached: float
     exhausted: bool = False
     start_index: "int | None" = None
+    proven: bool = False  # the chain is glued: a proof of a continuous branch
 
     def chain_slabs(self):
         by_id = {s.id: s for s in self.slabs}
@@ -58,6 +71,7 @@ class ContinuumWitness:
     def to_json_dict(self):
         return {
             "complete": self.complete,
+            "proven": self.proven,
             "cells": len(self.t_grid) - 1,
             "chain": [
                 {"t": [s.t.lo, s.t.hi], "box": s.box.bounds()} for s in self.chain_slabs()
@@ -78,8 +92,9 @@ def trace_continuum(psi: MapSpec, t_range, x_box: Box, grid: int = 16,
     """Trace fixed-point enclosures of psi(t, .) across the parameter range.
 
     Returns a witness whose chain, when complete, projects onto the whole
-    parameter interval.  When some cell has no surviving enclosure the
-    chain necessarily breaks there and max_t_reached reports how far the
+    parameter interval; it is `proven` when its slabs glue (see the module
+    docstring).  When some cell has no surviving enclosure the chain
+    necessarily breaks there and max_t_reached reports how far the
     connected component of the t = a side extends.
     """
     if not psi.has_param:
@@ -102,7 +117,7 @@ def trace_continuum(psi: MapSpec, t_range, x_box: Box, grid: int = 16,
         exhausted = exhausted or res.exhausted
         cell_slabs = []
         for enc in res.enclosures:
-            slab = Slab(len(slabs), cell, t_iv, enc.box, enc.status)
+            slab = Slab(len(slabs), cell, t_iv, enc.box, enc.status, enc.unique)
             slabs.append(slab)
             cell_slabs.append(slab)
         per_cell.append(cell_slabs)
@@ -114,48 +129,70 @@ def trace_continuum(psi: MapSpec, t_range, x_box: Box, grid: int = 16,
         except BoundaryZeroError:
             start_index = None
 
-    # Adjacency: same-cell slabs touching in x, consecutive-cell slabs
-    # intersecting in x (they share the dividing t value).
+    # Glued edges join consecutive-cell slabs; adjacency joins same-cell
+    # slabs touching in x and consecutive-cell slabs intersecting in x
+    # (they share the dividing t value).  Glued slabs intersect, so their
+    # pairs are among the latter.
+    glued = {s.id: [] for s in slabs}
     adjacency = {s.id: [] for s in slabs}
     for cell in range(grid):
         group = per_cell[cell]
         pairs = list(_touching_pairs(group))
         if cell + 1 < grid:
-            pairs += _touching_pairs(group, per_cell[cell + 1])
+            across = list(_touching_pairs(group, per_cell[cell + 1]))
+            for u, v in across:
+                if _glue(u, v):
+                    glued[u.id].append(v.id)
+            pairs += across
         for u, v in pairs:
             adjacency[u.id].append(v.id)
             adjacency[v.id].append(u.id)
     for ids in adjacency.values():
         ids.sort()
+    for ids in glued.values():
+        ids.sort()
 
     starts = [s.id for s in per_cell[0]] if per_cell else []
-    goal_cells = grid - 1
-    parent = {}
-    seen = set(starts)
-    queue = deque(starts)
-    goal = None
-    while queue:
-        sid = queue.popleft()
-        if slabs[sid].cell == goal_cells:
-            goal = sid
-            break
-        for nxt in adjacency[sid]:
-            if nxt not in seen:
-                seen.add(nxt)
-                parent[nxt] = sid
-                queue.append(nxt)
-
-    if goal is not None:
-        chain = [goal]
-        while chain[-1] in parent:
-            chain.append(parent[chain[-1]])
-        chain.reverse()
+    proven_starts = [sid for sid in starts if slabs[sid].unique is not None]
+    chain, _seen = _search(slabs, glued, proven_starts, grid - 1)
+    if chain:
+        return ContinuumWitness(t_grid, slabs, chain, True, b, exhausted, start_index, True)
+    chain, seen = _search(slabs, adjacency, starts, grid - 1)
+    if chain:
         return ContinuumWitness(t_grid, slabs, chain, True, b, exhausted, start_index)
-
     max_t = a
     for sid in seen:
         max_t = max(max_t, slabs[sid].t.hi)
     return ContinuumWitness(t_grid, slabs, [], False, max_t, exhausted, start_index)
+
+
+def _glue(u, v) -> bool:
+    """Whether slabs u and v of consecutive cells are both Krawczyk-proven
+    and one's box lies in the other's uniqueness box."""
+    return (u.unique is not None and v.unique is not None
+            and (u.box.is_subset(v.unique) or v.box.is_subset(u.unique)))
+
+
+def _search(slabs, edges, starts, goal_cell):
+    """Breadth-first search along edges from the start slab ids to a slab
+    of goal_cell.  Returns (chain of slab ids, or [], the ids reached)."""
+    parent = {}
+    seen = set(starts)
+    queue = deque(starts)
+    while queue:
+        sid = queue.popleft()
+        if slabs[sid].cell == goal_cell:
+            chain = [sid]
+            while chain[-1] in parent:
+                chain.append(parent[chain[-1]])
+            chain.reverse()
+            return chain, seen
+        for nxt in edges[sid]:
+            if nxt not in seen:
+                seen.add(nxt)
+                parent[nxt] = sid
+                queue.append(nxt)
+    return [], seen
 
 
 def _lower_end(slab) -> float:

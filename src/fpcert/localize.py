@@ -8,14 +8,16 @@ proof, so the others are not evaluated.  Surviving boxes are bisected down
 to the requested width, or until no coordinate has a float strictly inside
 it to split at.
 
-With the upgrade on, a map without parameter also takes the Krawczyk
-test (at abs, min and max with Clarke's generalized gradient, see
-`mapdsl.derivative`), which discards boxes, proves that a box holds
-exactly one fixed point, and contracts a proven box far below the
-requested width and off the 27/53 grid; and each leaf without a
-Krawczyk proof takes a Poincare-Miranda sign test on its faces.  Every
-discarded part is proven free of fixed points and discarded plus
-surviving boxes tile the input rectangle, so no fixed point is lost.
+With the upgrade on, every box also takes the Krawczyk test (at abs,
+min and max with Clarke's generalized gradient, see `mapdsl.derivative`),
+which discards boxes, proves that a box holds exactly one fixed point,
+and contracts a proven box far below the requested width and off the
+27/53 grid; and each leaf without a Krawczyk proof takes a
+Poincare-Miranda sign test on its faces.  A parametrized map takes the
+same tests on its map with the parameter bound to an interval T, so a
+proof holds for every t in T at once.  Every discarded part is proven
+free of fixed points and discarded plus surviving boxes tile the input
+rectangle, so no fixed point is lost.
 
 A component whose evaluation raises a `DomainError` (a denominator whose
 naive enclosure holds zero, say), or whose residual is not a finite pair,
@@ -79,6 +81,10 @@ class Enclosure:
     box: Box
     status: str  # PROVEN | CANDIDATE
     residual: "Interval | None"  # None: the evaluation over the box raised
+    # For a Krawczyk-PROVEN box, the box X at which K(X) inside int X held:
+    # it holds exactly one fixed point (for every t in T), the one in box.
+    # None otherwise.  Not part of the JSON output.
+    unique: "Box | None" = None
 
     def to_json_dict(self):
         return {
@@ -261,7 +267,12 @@ def _contract(f: MapSpec, jac, box: Box, K, tol: float):
     width at least halves.  Returns (X, leaf), or (None, True) once some
     K(X) misses X, which then holds no fixed point.  X is a leaf once it is
     at most tol wide, has no splittable axis, or a step left it unchanged:
-    then the rounding of K is as wide as X, and no sub-box can be proven."""
+    then the rounding of K is as wide as X, and no sub-box can be proven.
+
+    When f has its parameter bound to an interval T, the caller keeps X as
+    a leaf also when the width stopped halving: the fixed point moves with
+    t across T, so X cannot shrink below that motion, and splitting X
+    would leave two boxes with one proof between them, neither proven."""
     while True:
         if any(hi < c.lo or lo > c.hi for (lo, hi), c in zip(K, box.coords)):
             return None, True
@@ -302,25 +313,33 @@ def localize_fixed_points(g: MapSpec, rect: RectDomain, tol: float,
 
     For parametrized maps pass the parameter range as the interval t:
     surviving boxes then enclose fixed points of g(t, .) for every t in
-    that range jointly.  Budget counts processed boxes; on exhaustion the
+    that range jointly, and a PROVEN box holds a fixed point for every t
+    in it.  Budget counts processed boxes; on exhaustion the
     unprocessed queue is returned as CANDIDATE enclosures, less the boxes
     the residual test discards, and the result is flagged.  Output order
     is canonical (lexicographic lower corner).
 
-    With upgrade, a map without parameter takes the Krawczyk test on every
-    surviving box wider than tol.  K(X) disjoint from X discards X.  K(X)
+    With upgrade, every surviving box wider than tol takes the Krawczyk
+    test, on g with t bound to its interval.  K(X) disjoint from X discards X.  K(X)
     inside the interior of X proves X holds exactly one fixed point and
     gives X a proof id, which its descendants inherit: they skip the
     interior test and are only pruned, excluded or contracted (_contract).
     A failed test on a box without a proof id, with rho = |I - Y F'(X)| >
     1, postpones the test until the width is at most width(X)/rho, since
     a box must shrink about that much before K(X) can fit inside it (it
-    halves after an evaluation error or a singular midpoint matrix).
+    halves after an evaluation error or a singular midpoint matrix).  With
+    t given, a proven box whose contraction stops halving is a leaf even
+    above tol: its fixed point x(t) moves across t, which bounds its width
+    from below.
 
     PROVEN is decided once, on the leaves: the only leaf that carries a
     proof id holds exactly one fixed point, since every dropped part of
     the proven box holds none, and any other leaf with a finite residual
     holds at least one when its faces pass the sign test (_faces_straddle).
+    The first kind keeps its proven box as `Enclosure.unique`.  With t an
+    interval T, K(X) inside int X proves for every t in T that X holds
+    exactly one fixed point x(t); x(t) is continuous in t, since its graph
+    is closed in the compact T x X.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -331,13 +350,12 @@ def localize_fixed_points(g: MapSpec, rect: RectDomain, tol: float,
     # Bind the parameter once: subtrees free of x are then evaluated once
     # per call, not on every box.
     f = g if t is None else g.bind_interval(t)
-    prove = upgrade and not g.has_param
-    jac = jacobian(g) if prove else None
+    jac = jacobian(f) if upgrade else None
 
     # (box, width at most which K is tried, proof id or None)
     queue = deque([(rect.box, _INF, None)])
     survivors = []  # (box, residual pairs, proof id or None)
-    proofs = 0
+    proven_boxes = []  # proof id -> the box it was proven on
     discarded_volume = 0.0
     examined = 0
     exhausted = False
@@ -357,7 +375,8 @@ def localize_fixed_points(g: MapSpec, rect: RectDomain, tol: float,
             K, rho = _krawczyk(f, jac, box.coords)
             if K is not None and proof is None and all(
                     c.lo < lo and hi < c.hi for (lo, hi), c in zip(K, box.coords)):
-                proof, proofs = proofs, proofs + 1
+                proof = len(proven_boxes)
+                proven_boxes.append(box)
             if K is not None and (proof is not None or any(
                     hi < c.lo or lo > c.hi for (lo, hi), c in zip(K, box.coords))):
                 x, leaf = _contract(f, jac, box, K, tol)
@@ -366,7 +385,7 @@ def localize_fixed_points(g: MapSpec, rect: RectDomain, tol: float,
                     discarded_volume += box.volume()
                     continue
                 discarded_volume += box.volume() - x.volume()
-                if leaf:
+                if leaf or t is not None:
                     survivors.append((x, pairs, proof))
                     continue
                 box, width = x, x.width  # stopped halving above tol: split it
@@ -393,10 +412,11 @@ def localize_fixed_points(g: MapSpec, rect: RectDomain, tol: float,
     heirs = Counter(proof for _box, _pairs, proof in survivors)
     enclosures = []
     for box, pairs, proof in survivors:
-        proven = prove and ((proof is not None and heirs[proof] == 1)
-                            or (pairs is not None and _faces_straddle(f, box.coords)))
+        unique = proven_boxes[proof] if proof is not None and heirs[proof] == 1 else None
+        proven = unique is not None or (upgrade and pairs is not None
+                                        and _faces_straddle(f, box.coords))
         enclosures.append(Enclosure(box, PROVEN if proven else CANDIDATE,
-                                    _residual_bound(pairs)))
+                                    _residual_bound(pairs), unique))
 
     enclosures.sort(key=lambda e: e.box.key())
     surviving_volume = math.fsum(e.box.volume() for e in enclosures)

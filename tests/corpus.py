@@ -279,6 +279,51 @@ def _planted_trig_lines(rng: random.Random, rect: RectDomain):
     return lines, tuple(p)
 
 
+def random_planted_branch_family(rng: random.Random, dim: int):
+    """A family g(t, x) = b(t) + A (x - b(t)) + q (x_k - b_k(t))^2 e_i
+    around a planted quadratic branch b(t) = c0 + c1 t + c2 t^2, traced
+    over t in [0, 1] in a box that holds the branch with a margin.
+
+    I - A is diagonally dominant by d >= 0.35, so |(I - A)^-1| <= 1/d in
+    the max norm, and |q| <= 0.3 d / R with R the box's widest side.  A
+    second fixed point x = b(t) + u would need |u| >= d / |q| > R, so b(t)
+    is the only fixed point in the box for every t.  Returns (map, the
+    triples (c0, c1, c2), one per coordinate, box).
+    """
+    coeffs = [tuple(float(_fmt(v)) for v in (rng.uniform(-1.0, 1.0), rng.uniform(-0.6, 0.6),
+                                              rng.uniform(-0.3, 0.3)))
+              for _ in range(dim)]
+    bounds = []
+    for c0, c1, c2 in coeffs:
+        ts = [0.0, 1.0] + ([-c1 / (2.0 * c2)] if c2 and 0.0 < -c1 / (2.0 * c2) < 1.0 else [])
+        vals = [c0 + c1 * t + c2 * t * t for t in ts]
+        bounds.append((float(_fmt(min(vals) - rng.uniform(0.2, 0.5))),
+                       float(_fmt(max(vals) + rng.uniform(0.2, 0.5)))))
+    radius = max(hi - lo for lo, hi in bounds)
+    diag = [rng.choice((rng.uniform(-1.5, 0.5), rng.uniform(1.5, 2.5))) for _ in range(dim)]
+    rows = [[diag[i] if i == j else rng.uniform(-0.15, 0.15) for j in range(dim)]
+            for i in range(dim)]
+    margin = min(abs(1.0 - diag[i]) - sum(abs(rows[i][j]) for j in range(dim) if j != i)
+                 for i in range(dim))
+    q = rng.uniform(-0.3, 0.3) * margin / radius
+    i, k = rng.randrange(dim), rng.randrange(dim)
+    us = [f"(x{j + 1} - ({c0!r} + {c1!r}*t + {c2!r}*t^2))" for j, (c0, c1, c2) in enumerate(coeffs)]
+    lines = []
+    for r, (c0, c1, c2) in enumerate(coeffs):
+        terms = [f"{c0!r} + {c1!r}*t + {c2!r}*t^2"]
+        terms += [f"{_fmt(rows[r][j])}*{us[j]}" for j in range(dim)]
+        if r == i:
+            terms.append(f"{_fmt(q)}*{us[k]}^2")
+        lines.append(f"map g{r + 1} = " + " + ".join(terms))
+    m = parse_map(f"dim {dim}\nparam t\n" + "\n".join(lines) + "\n")
+    return m, coeffs, Box.from_bounds(bounds)
+
+
+def branch_point(coeffs, t: float):
+    """The planted branch of random_planted_branch_family at t."""
+    return tuple(c0 + c1 * t + c2 * t * t for c0, c1, c2 in coeffs)
+
+
 def random_box(rng: random.Random, dim: int, scale: float = 2.0) -> Box:
     bounds = []
     for _ in range(dim):

@@ -554,6 +554,15 @@ def test_criterion_9_continuation_witness():
         for s in chain:
             covered = Interval(min(covered.lo, s.t.lo), max(covered.hi, s.t.hi))
         assert covered == Interval(0.0, 1.0)  # t-projection covers [0, 1]
+        # The branch x = t moves 1/16 across each cell, so a PROVEN slab,
+        # which holds x(t) for every t of its cell, is that wide; only
+        # CANDIDATE slabs are bisected down to tol.
+        assert wit.proven
         for s in chain:
-            assert s.box.width <= 1e-3
+            assert s.status == "PROVEN"
+            assert all(s.box.contains_point((s.t.lo + k * (s.t.hi - s.t.lo) / 64,))
+                       for k in range(65))
+            assert s.box.width <= (s.t.hi - s.t.lo) + 1e-3
+        for s in wit.slabs:
+            assert s.status == "PROVEN" or s.box.width <= 1e-3
         assert elapsed < 5.0

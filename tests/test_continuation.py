@@ -1,9 +1,16 @@
+import dataclasses
+import json
 import random
 
 import pytest
+from corpus import branch_point, random_planted_branch_family
+from oracles import residual_inf
 
-from fpcert.continuation import Slab, _touching_pairs, trace_continuum
+from fpcert import catalog, continuation
+from fpcert.cli import main
+from fpcert.continuation import Slab, _glue, _touching_pairs, trace_continuum
 from fpcert.interval import Box, Interval
+from fpcert.localize import PROVEN
 from fpcert.mapdsl import parse_map
 
 
@@ -91,6 +98,86 @@ def test_start_index_check():
     wit = trace_continuum(psi, (0, 1), xbox(), grid=4, tol=1e-3,
                           check_start_index=True)
     assert wit.start_index == 1
+
+
+@pytest.mark.parametrize("entry_id, proven", [
+    ("trace-linear", True), ("trace-constant", True), ("trace-translation", False)])
+def test_catalog_families_report_proven_branches(capsys, entry_id, proven):
+    argv = ["trace", "@" + entry_id]
+    for key, value in catalog.CATALOG[entry_id].kwargs.items():
+        argv += [f"--{key}", str(value)]
+    assert main(argv + ["--format", "json"]) == (0 if proven else 1)
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["proven"] is proven and payload["complete"] is proven
+    main(argv)
+    assert f"proven: {proven}" in capsys.readouterr().out.splitlines()
+
+
+def test_proven_chain_is_one_proven_slab_per_cell():
+    # x = t moves 1/16 across each cell: its proven slabs are that wide,
+    # far above tol, and each lies in the next one's uniqueness box.
+    psi = parse_map("dim 1\nparam t\nmap g1 = (x1 + t)/2\n")
+    wit = trace_continuum(psi, (0, 1), xbox(), grid=16, tol=1e-3)
+    assert wit.proven and len(wit.slabs) == 16
+    chain = wit.chain_slabs()
+    assert [s.cell for s in chain] == list(range(16))
+    assert all(s.status == PROVEN and s.box.is_subset(s.unique) for s in chain)
+    assert all(_glue(u, v) for u, v in zip(chain, chain[1:]))
+    assert all(s.box.width > 0.06 for s in chain)
+
+
+def test_fold_family_has_no_proven_branch():
+    # x = x^2 + t - 1/4 has the two fixed points (1 +- sqrt(2 - 4t))/2,
+    # which meet at the fold t = 1/2 and vanish past it.
+    psi = parse_map("dim 1\nparam t\nmap g1 = x1*x1 + t - 0.25\n")
+    wit = trace_continuum(psi, (0, 1), xbox(), grid=16, tol=1e-3)
+    assert not wit.complete and not wit.proven
+    assert wit.max_t_reached == 0.5625
+    assert wit.to_json_dict()["proven"] is False
+
+
+def test_planted_branches_lie_in_proven_slabs():
+    rng = random.Random(2024)
+    for k in range(24):
+        m, coeffs, box = random_planted_branch_family(rng, 1 + k % 2)
+        grid = 8 if k % 3 else 16
+        wit = trace_continuum(m, (0, 1), box, grid=grid, tol=1e-3 if m.dim == 1 else 0.05)
+        assert wit.proven and wit.complete, m.to_source()
+        for cell in range(grid):
+            proven = [s for s in wit.slabs if s.cell == cell and s.status == PROVEN]
+            assert len(proven) == 1, (m.to_source(), cell)
+            slab = proven[0]
+            assert wit.chain_slabs()[cell] is slab
+            for j in range(9):
+                t = slab.t.lo + j * (slab.t.hi - slab.t.lo) / 8
+                p = branch_point(coeffs, t)
+                assert residual_inf(m, p, t) <= 1e-12
+                # The literals are decimals: the float branch may sit an ulp off.
+                assert all(c.lo - 1e-12 <= v <= c.hi + 1e-12
+                           for c, v in zip(slab.box.coords, p)), (m.to_source(), t)
+
+
+def test_shrunk_uniqueness_boxes_break_the_glue(monkeypatch):
+    psi = parse_map("dim 1\nparam t\nmap g1 = (x1 + t)/2\n")
+    u, v = trace_continuum(psi, (0, 1), xbox(), grid=4, tol=1e-3).chain_slabs()[:2]
+    assert _glue(u, v)
+    # Off the neighbour's enclosure, each box proves nothing about it.
+    u_cut, v_cut = (dataclasses.replace(s, unique=s.box) for s in (u, v))
+    assert _glue(u_cut, v) or _glue(u, v_cut)
+    assert not _glue(u_cut, v_cut)
+    assert not _glue(dataclasses.replace(u, unique=None), v)
+
+    localize = continuation.localize_fixed_points
+
+    def shrunk(*args, **kwargs):
+        res = localize(*args, **kwargs)
+        res.enclosures = [dataclasses.replace(e, unique=None if e.unique is None else e.box)
+                          for e in res.enclosures]
+        return res
+
+    monkeypatch.setattr(continuation, "localize_fixed_points", shrunk)
+    wit = trace_continuum(psi, (0, 1), xbox(), grid=4, tol=1e-3)
+    assert wit.complete and not wit.proven
 
 
 def test_requires_parametrized_map():
