@@ -149,14 +149,13 @@ def trace_continuum(psi: MapSpec, t_range, x_box: Box, grid: int = 16,
             adjacency[v.id].append(u.id)
     for ids in adjacency.values():
         ids.sort()
-    for ids in glued.values():
-        ids.sort()
 
     starts = [s.id for s in per_cell[0]] if per_cell else []
     proven_starts = [sid for sid in starts if slabs[sid].unique is not None]
     chain, _seen = _search(slabs, glued, proven_starts, grid - 1)
     if chain:
-        return ContinuumWitness(t_grid, slabs, chain, True, b, exhausted, start_index, True)
+        return ContinuumWitness(t_grid, slabs, chain, True, b, exhausted, start_index,
+                                proven=True)
     chain, seen = _search(slabs, adjacency, starts, grid - 1)
     if chain:
         return ContinuumWitness(t_grid, slabs, chain, True, b, exhausted, start_index)

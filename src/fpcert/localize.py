@@ -314,16 +314,17 @@ def localize_fixed_points(g: MapSpec, rect: RectDomain, tol: float,
     For parametrized maps pass the parameter range as the interval t:
     surviving boxes then enclose fixed points of g(t, .) for every t in
     that range jointly, and a PROVEN box holds a fixed point for every t
-    in it.  Budget counts processed boxes; on exhaustion the
+    in that range.  Budget counts processed boxes; on exhaustion the
     unprocessed queue is returned as CANDIDATE enclosures, less the boxes
     the residual test discards, and the result is flagged.  Output order
     is canonical (lexicographic lower corner).
 
     With upgrade, every surviving box wider than tol takes the Krawczyk
-    test, on g with t bound to its interval.  K(X) disjoint from X discards X.  K(X)
-    inside the interior of X proves X holds exactly one fixed point and
-    gives X a proof id, which its descendants inherit: they skip the
-    interior test and are only pruned, excluded or contracted (_contract).
+    test, on g with t bound to its interval.  K(X) disjoint from X
+    discards X.  K(X) inside the interior of X proves X holds exactly one
+    fixed point and gives X a proof id, which its descendants inherit:
+    they skip the interior test and are only pruned, excluded or
+    contracted (_contract).
     A failed test on a box without a proof id, with rho = |I - Y F'(X)| >
     1, postpones the test until the width is at most width(X)/rho, since
     a box must shrink about that much before K(X) can fit inside it (it

@@ -307,11 +307,11 @@ def random_planted_branch_family(rng: random.Random, dim: int):
                  for i in range(dim))
     q = rng.uniform(-0.3, 0.3) * margin / radius
     i, k = rng.randrange(dim), rng.randrange(dim)
-    us = [f"(x{j + 1} - ({c0!r} + {c1!r}*t + {c2!r}*t^2))" for j, (c0, c1, c2) in enumerate(coeffs)]
+    branch = [f"({c0!r} + {c1!r}*t + {c2!r}*t^2)" for c0, c1, c2 in coeffs]
+    us = [f"(x{j + 1} - {b})" for j, b in enumerate(branch)]
     lines = []
-    for r, (c0, c1, c2) in enumerate(coeffs):
-        terms = [f"{c0!r} + {c1!r}*t + {c2!r}*t^2"]
-        terms += [f"{_fmt(rows[r][j])}*{us[j]}" for j in range(dim)]
+    for r in range(dim):
+        terms = [branch[r]] + [f"{_fmt(rows[r][j])}*{us[j]}" for j in range(dim)]
         if r == i:
             terms.append(f"{_fmt(q)}*{us[k]}^2")
         lines.append(f"map g{r + 1} = " + " + ".join(terms))
