@@ -2,22 +2,24 @@
 
 In dimension one the index is the Bolzano sign rule on F = Id - f at the
 endpoints, each sign proven by a point interval evaluation.  In dimension
-two the winding number of F along the rectangle boundary is computed by
-quadrant transition accumulation: the oriented boundary is subdivided until
-every segment's interval image box excludes the origin (equivalently, lies
-in one of the four open axis half-planes); signed quarter-turn transitions
-between consecutive segments telescope to four times the winding number.
-The integer bookkeeping is exact, so a returned value is rigorous whenever
-every segment was classified.  A segment whose evaluation raises (a
-denominator whose naive enclosure holds zero, say) is undecided and split
-like one whose image meets the origin; smaller segments may evaluate.
+two the winding number of F along a closed curve is computed by quadrant
+transition accumulation.  The curve is a list of pieces, each a parameter
+interval with a map to plane boxes that enclose its part of the curve: a
+rectangle boundary is four edges, a circle one arc in the angle.  Each
+piece is covered with ``adaptive_cover`` until every leaf's interval image
+box excludes the origin (equivalently, lies in one of the four open axis
+half-planes); signed quarter-turn transitions between consecutive leaves
+telescope to four times the winding number.  The integer bookkeeping is
+exact, so a returned value is rigorous whenever every leaf was classified.
+A leaf whose evaluation raises (a denominator whose naive enclosure holds
+zero, say) is undecided and split like one whose image meets the origin;
+smaller leaves may evaluate.
 
 The field F = Id - f is evaluated on ``(lo, hi)`` endpoint pairs: the map's
 component pairs (``MapSpec.eval_pairs``) are subtracted from the box
 coordinates with the pair kernels of ``interval``, each difference checked
 as ``Interval`` subtraction checks it, so enclosures and errors equal those
-of the ``Interval``-operator formula bit for bit.  An image ``Box`` is built
-only for the segments kept as evidence.
+of the ``Interval``-operator formula bit for bit.
 """
 
 from __future__ import annotations
@@ -26,18 +28,23 @@ import json
 import math
 from dataclasses import dataclass
 
-from .geometry import HoledBallSpec, RectDomain, dist2_pair
+from .geometry import HoledBallSpec, RectDomain
 from .interval import (
     Box,
     DimensionMismatchError,
     DomainError,
     Interval,
+    add_down,
+    add_up,
+    cos_pair,
     interval_error,
     mul_down,
+    mul_up,
+    next_up,
+    sin_pair,
     sub_down,
     sub_up,
 )
-from .localize import region_fixed_point_free
 from .mapdsl import MapSpec, blend_with_parameter
 from .subdivision import UNKNOWN, VERIFIED, adaptive_cover
 
@@ -50,7 +57,6 @@ class BoundaryZeroError(ArithmeticError):
 class DegreeResult:
     value: int
     verified: bool
-    boundary_evidence: list  # (segment box, image box)
     segments: int
     depth: int
 
@@ -67,6 +73,7 @@ class DegreeResult:
 
 
 _INF = math.inf
+_TWO_PI_UP = 2.0 * next_up(math.pi)  # math.pi rounds below pi
 
 
 def _field_pairs(f: MapSpec, box: Box, t=None) -> list:
@@ -80,11 +87,7 @@ def _field_pairs(f: MapSpec, box: Box, t=None) -> list:
     return out
 
 
-def _pairs_box(pairs) -> Box:
-    return Box(tuple(Interval(lo, hi) for lo, hi in pairs))
-
-
-def degree_1d(f: MapSpec, domain, max_depth: int = 24) -> DegreeResult:
+def degree_1d(f: MapSpec, domain) -> DegreeResult:
     """Bolzano sign degree of Id - f on an interval domain."""
     if f.dim != 1:
         raise DimensionMismatchError("degree_1d needs a map of dimension 1")
@@ -96,12 +99,8 @@ def degree_1d(f: MapSpec, domain, max_depth: int = 24) -> DegreeResult:
         iv = Interval(*domain)
 
     signs = []
-    evidence = []
     for endpoint in (iv.lo, iv.hi):
-        pt = Box((Interval(endpoint),))
-        field = _field_pairs(f, pt)
-        evidence.append((pt, _pairs_box(field)))
-        (lo, hi), = field
+        (lo, hi), = _field_pairs(f, Box((Interval(endpoint),)))
         if hi < 0.0:
             signs.append(-1)
         elif lo > 0.0:
@@ -116,7 +115,7 @@ def degree_1d(f: MapSpec, domain, max_depth: int = 24) -> DegreeResult:
         value = -1
     else:
         value = 0
-    return DegreeResult(value, True, evidence, segments=2, depth=0)
+    return DegreeResult(value, True, segments=2, depth=0)
 
 
 # Half-plane codes, counterclockwise: x>0, y>0, x<0, y<0.
@@ -136,70 +135,77 @@ def _half_plane(field):
     return None
 
 
-def _boundary_edges(rect: RectDomain):
-    """Counterclockwise oriented edges as (fixed axis, fixed value,
-    moving axis, start, end)."""
+def _rect_pieces(rect: RectDomain) -> list:
+    """The rectangle boundary, counterclockwise, as four edge pieces whose
+    parameter is the moving coordinate."""
     (x, y) = rect.box.coords
-    return (
-        (1, y.lo, 0, x.lo, x.hi),  # bottom, left to right
-        (0, x.hi, 1, y.lo, y.hi),  # right, bottom to top
-        (1, y.hi, 0, x.hi, x.lo),  # top, right to left
-        (0, x.lo, 1, y.hi, y.lo),  # left, top to bottom
-    )
+
+    def edge(moving, fixed, fix_axis, reverse):
+        def enclose(param):
+            p = param.coords[0]
+            return Box((fixed, p) if fix_axis == 0 else (p, fixed))
+        return Box((moving,)), enclose, reverse
+
+    return [
+        edge(x, Interval(y.lo), 1, False),  # bottom, left to right
+        edge(y, Interval(x.hi), 0, False),  # right, bottom to top
+        edge(x, Interval(y.hi), 1, True),  # top, right to left
+        edge(y, Interval(x.lo), 0, True),  # left, top to bottom
+    ]
 
 
-def winding_degree_2d(f: MapSpec, rect: RectDomain,
-                      max_depth: int = 24, max_boxes: int = 40000) -> DegreeResult:
-    """Winding number of Id - f along the rectangle boundary."""
-    if f.dim != 2:
-        raise DimensionMismatchError("winding_degree_2d needs a map of dimension 2")
+def _circle_pieces(cx: float, cy: float, r: float) -> list:
+    """The circle of radius r > 0 about (cx, cy), counterclockwise, as one
+    arc in the angle.  The arc ends at a float above 2 pi, so its leaves
+    cover the whole circle, and the last leaf shares the point at angle 0
+    with the first."""
 
-    ordered = []  # half-plane code of each segment, counterclockwise
-    evidence = []
-    segments = 0
-    depth_reached = 0
-    boxes_used = 0
+    def enclose(param):
+        t = param.coords[0]
+        c_lo, c_hi = cos_pair(t.lo, t.hi)
+        s_lo, s_hi = sin_pair(t.lo, t.hi)
+        return Box((
+            Interval(add_down(cx, mul_down(r, c_lo)), add_up(cx, mul_up(r, c_hi))),
+            Interval(add_down(cy, mul_down(r, s_lo)), add_up(cy, mul_up(r, s_hi))),
+        ))
 
-    for fix_axis, fix_val, mov_axis, start, end in _boundary_edges(rect):
-        stack = [(min(start, end), max(start, end), 0)]
-        leaves = []
-        while stack:
-            lo, hi, depth = stack.pop()
-            boxes_used += 1
-            if boxes_used > max_boxes:
+    return [(Box((Interval(0.0, _TWO_PI_UP),)), enclose, False)]
+
+
+def _winding(f: MapSpec, pieces, max_depth: int, max_boxes: int) -> DegreeResult:
+    """Winding number of Id - f along the closed curve made of the pieces.
+
+    A piece is (seed, enclose, reverse): the seed box of its parameter, a
+    map from a parameter box to a plane box enclosing that part of the
+    curve, and whether the curve runs down the parameter.  One budget of
+    max_boxes serves all pieces.
+    """
+    ordered = []  # half-plane code of each leaf, along the curve
+    depth = 0
+    budget = max_boxes
+    for seed, enclose, reverse in pieces:
+        def classify(param, enclose=enclose):
+            try:
+                hp = _half_plane(_field_pairs(f, enclose(param)))
+            except DomainError:  # undecided here: split, smaller leaves may evaluate
+                hp = None
+            return (UNKNOWN, None) if hp is None else (VERIFIED, hp)
+
+        cover = adaptive_cover([seed], classify, max_depth, budget)
+        budget -= cover.boxes_examined
+        depth = max(depth, cover.depth_reached)
+        if cover.status != "verified":
+            if budget <= 0:
                 raise BoundaryZeroError(
                     "boundary subdivision budget exhausted before the field could be "
                     "proven nonvanishing"
                 )
-            depth_reached = max(depth_reached, depth)
-            coords = [None, None]
-            coords[fix_axis] = Interval(fix_val)
-            coords[mov_axis] = Interval(lo, hi)
-            seg = Box(tuple(coords))
-            try:
-                field = _field_pairs(f, seg)
-            except DomainError:  # undecided here: split, smaller segments may evaluate
-                hp = None
-            else:
-                hp = _half_plane(field)
-            if hp is None:
-                if depth >= max_depth or hi <= lo:
-                    raise BoundaryZeroError(
-                        "a boundary segment's field image could not be separated "
-                        f"from the origin at depth {depth}"
-                    )
-                m = lo + 0.5 * (hi - lo)
-                if not lo < m < hi:
-                    raise BoundaryZeroError("boundary segment too thin to split")
-                stack.append((m, hi, depth + 1))
-                stack.append((lo, m, depth + 1))
-                continue
-            leaves.append((lo, hi, hp, seg, field))
-        leaves.sort(key=lambda item: item[0], reverse=(start > end))
-        for _lo, _hi, hp, seg, field in leaves:
-            ordered.append(hp)
-            evidence.append((seg, _pairs_box(field)))
-            segments += 1
+            raise BoundaryZeroError(
+                "a boundary segment's field image could not be separated "
+                f"from the origin at depth {cover.depth_reached}"
+            )
+        cover.verified.sort(key=lambda leaf: leaf[0].coords[0].lo, reverse=reverse)
+        ordered += [hp for _param, hp in cover.verified]
 
     total = 0
     for k in range(len(ordered)):
@@ -213,65 +219,44 @@ def winding_degree_2d(f: MapSpec, rect: RectDomain,
         total += step
     if total % 4 != 0:
         raise BoundaryZeroError("quarter-turn total not divisible by four")
-    return DegreeResult(total // 4, True, evidence, segments=segments, depth=depth_reached)
+    return DegreeResult(total // 4, True, segments=len(ordered), depth=depth)
 
 
-def _in_closed_disk(cx: float, cy: float, r: float):
-    """The test that a box lies in the closed disk of radius r about (cx, cy)."""
-    r2 = mul_down(r, r)
-
-    def inside(box):
-        x, y = box.coords
-        return dist2_pair(x.lo, x.hi, y.lo, y.hi, cx, cy)[1] <= r2
-
-    return inside
+def winding_degree_2d(f: MapSpec, rect: RectDomain,
+                      max_depth: int = 24, max_boxes: int = 40000) -> DegreeResult:
+    """Winding number of Id - f along the rectangle boundary."""
+    if f.dim != 2:
+        raise DimensionMismatchError("winding_degree_2d needs a map of dimension 2")
+    return _winding(f, _rect_pieces(rect), max_depth, max_boxes)
 
 
 def holes_index_cross_check(T: MapSpec, spec: HoledBallSpec,
                             max_depth: int = 20, max_boxes: int = 60000):
-    """Cross-check the 1 - n index by planar winding numbers on rectangles.
+    """Cross-check the 1 - n index by winding numbers on the domain's circles.
 
-    Computes the winding of Id - T around a rectangle containing the outer
-    ball and around a rectangle enclosing each hole, prunes the leftover
-    regions (outer rectangle minus the ball, hole rectangles minus their
-    balls) free of fixed points, and reports outer minus the hole sum.
-    Returns a dict with value and verified; verified is False when any
-    winding or pruning step could not be completed rigorously.
+    The index of T over the holed ball is the degree of Id - T on the outer
+    disk minus its degree on each hole, provided Id - T vanishes on none of
+    the circles.  Winds Id - T around the outer circle and around each hole
+    circle, each walk with its own budget, and reports outer minus the hole
+    sum.  Returns a dict with value and verified; value is None and
+    verified False when some winding could not be completed rigorously.
     """
-    R = spec.radius
-    pad = 0.125 * R
-    verified = True
+    if T.dim != 2:
+        raise DimensionMismatchError("holes_index_cross_check needs a map of dimension 2")
     try:
-        outer_rect = RectDomain(Box.from_bounds([(-R - pad, R + pad)] * 2))
-        outer = winding_degree_2d(T, outer_rect, max_depth=max_depth, max_boxes=max_boxes)
-        value = outer.value
-        verified &= outer.verified
-        verified &= region_fixed_point_free(
-            T, outer_rect.box, inside=_in_closed_disk(0.0, 0.0, R),
-            max_depth=max_depth, max_boxes=max_boxes,
-        )
+        value = _winding(T, _circle_pieces(0.0, 0.0, spec.radius), max_depth, max_boxes).value
         for cx, cy, r in spec.holes:
-            gap = 0.25 * r
-            hole_rect = RectDomain(
-                Box.from_bounds([(cx - r - gap, cx + r + gap), (cy - r - gap, cy + r + gap)])
-            )
-            w = winding_degree_2d(T, hole_rect, max_depth=max_depth, max_boxes=max_boxes)
-            value -= w.value
-            verified &= w.verified
-            verified &= region_fixed_point_free(
-                T, hole_rect.box, inside=_in_closed_disk(cx, cy, r),
-                max_depth=max_depth, max_boxes=max_boxes,
-            )
+            value -= _winding(T, _circle_pieces(cx, cy, r), max_depth, max_boxes).value
     except BoundaryZeroError:
         return {"value": None, "verified": False}
-    return {"value": value, "verified": bool(verified)}
+    return {"value": value, "verified": True}
 
 
 def fixed_point_index(f: MapSpec, rect: RectDomain,
                       max_depth: int = 24, max_boxes: int = 40000) -> DegreeResult:
     """Fixed point index of f over a rectangle: degree of Id - f."""
     if f.dim == 1:
-        return degree_1d(f, rect, max_depth=max_depth)
+        return degree_1d(f, rect)
     if f.dim == 2:
         return winding_degree_2d(f, rect, max_depth=max_depth, max_boxes=max_boxes)
     raise DimensionMismatchError("fixed point index implemented for dimensions 1 and 2")
@@ -294,11 +279,8 @@ def homotopy_nonvanishing(f: MapSpec, g: MapSpec, rect: RectDomain,
             return VERIFIED, None
         return UNKNOWN, None
 
-    for fix_axis, fix_val, mov_axis, start, end in _boundary_edges(rect):
-        coords = [None, None]
-        coords[fix_axis] = Interval(fix_val)
-        coords[mov_axis] = Interval(min(start, end), max(start, end))
-        seed = Box((Interval(0.0, 1.0),) + tuple(coords))
+    for edge, enclose, _reverse in _rect_pieces(rect):
+        seed = Box((Interval(0.0, 1.0),) + enclose(edge).coords)
         cover = adaptive_cover([seed], classify, max_depth, max_boxes)
         if cover.status != "verified":
             return False

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from fpcert import catalog
 from fpcert.cli import _parser, main
 from fpcert.mapdsl import parse_program
 
+from corpus import random_holed_ball_problem
 from oracles import winding_rect
 
 
@@ -154,6 +156,21 @@ def test_index_holes(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["value"] == -1 and payload["verified"]
+
+
+def test_index_holed_ball_with_fixed_points_near_the_ball(tmp_path, capsys):
+    # The 14th holed ball of the seed-7 fuzz stream: T has fixed points
+    # just outside the ball, which a winding on a padded rectangle counts.
+    rng = random.Random("7:holes")
+    for k in range(14):
+        m, spec = random_holed_ball_problem(rng, 2 + k % 3)
+    holes = " ".join(f"hole ({cx!r},{cy!r},{r!r})" for cx, cy, r in spec.holes)
+    path = tmp_path / "holes.fp"
+    path.write_text(m.to_source() + f"domain holedball R={spec.radius!r} {holes}\n")
+    code, out, _ = run(capsys, "index", str(path), "--format", "json")
+    payload = json.loads(out)
+    assert code == 0 and payload["verified"] is True
+    assert payload["value"] == payload["cross_check"] == 1 - 3
 
 
 def test_trace_commands(capsys):

@@ -2,19 +2,26 @@ import random
 
 import pytest
 
+from fpcert import degree
+from fpcert.certify import CERTIFIED, certify_holes
 from fpcert.degree import (
     BoundaryZeroError,
+    _circle_pieces,
+    _field_pairs,
+    _winding,
     degree_1d,
     fixed_point_index,
+    holes_index_cross_check,
     homotopy_nonvanishing,
     winding_degree_2d,
 )
 from fpcert.geometry import RectDomain
-from fpcert.interval import Box
+from fpcert.interval import Box, DomainError
 from fpcert.localize import localize_fixed_points
 from fpcert.mapdsl import parse_map
 
-from oracles import winding_rect
+from corpus import random_holed_ball_problem, random_polynomial_map_2d
+from oracles import winding_circle, winding_rect
 
 
 def rect(*bounds):
@@ -57,8 +64,6 @@ def test_winding_contraction():
 
 def test_winding_matches_oracle_random():
     rng = random.Random(88)
-    from corpus import random_polynomial_map_2d
-
     r = rect((-1.2, 1.1), (-1.05, 1.15))
     checked = 0
     while checked < 25:
@@ -82,6 +87,68 @@ def test_winding_segment_that_still_raises_is_a_boundary_zero():
     f = parse_map("dim 2\nmap g1 = 1/(x1 - x1)\nmap g2 = x2\n")  # raises everywhere
     with pytest.raises(BoundaryZeroError, match="at depth 3"):
         winding_degree_2d(f, rect((0, 1), (0, 1)), max_depth=3)
+
+
+def test_winding_budget_is_shared_by_the_four_edges(monkeypatch):
+    # The squaring field is symmetric under a quarter turn, so each edge
+    # needs the same number of boxes N; a budget of 2N covers any one edge.
+    f = parse_map("dim 2\nmap g1 = x1 - (x1^2 - x2^2)\nmap g2 = x2 - 2*x1*x2\n")
+    r = rect((-1, 1), (-1, 1))
+    counts = []
+    cover = degree.adaptive_cover
+
+    def counting_cover(*args):
+        result = cover(*args)
+        counts.append(result.boxes_examined)
+        return result
+
+    monkeypatch.setattr(degree, "adaptive_cover", counting_cover)
+    assert winding_degree_2d(f, r).value == 2
+    n = counts[0]
+    assert counts == [n] * 4 and n > 1
+    with pytest.raises(BoundaryZeroError, match="budget exhausted"):
+        winding_degree_2d(f, r, max_boxes=2 * n)
+    assert winding_degree_2d(f, r, max_boxes=4 * n).value == 2
+
+
+def test_circle_walk_matches_oracle_random():
+    rng = random.Random(17)
+    checked = 0
+    while checked < 20:
+        cx, cy, radius = rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5), rng.uniform(0.2, 1.0)
+        box = rect((cx - radius, cx + radius), (cy - radius, cy + radius))
+        f = random_polynomial_map_2d(rng, box)
+        try:
+            got = _winding(f, _circle_pieces(cx, cy, radius), 24, 40000)
+        except BoundaryZeroError:
+            continue
+        assert got.value == winding_circle(f, (cx, cy), radius)
+        checked += 1
+
+
+def test_circle_walk_splits_arcs_whose_evaluation_raises():
+    f = parse_map("dim 2\nmap g1 = 0.5/(x1^2 - x1 + 1)\nmap g2 = 0.5*x2 + 0.25\n")
+    (seed, enclose, _reverse), = pieces = _circle_pieces(0.5, 0.5, 0.5)
+    with pytest.raises(DomainError):
+        _field_pairs(f, enclose(seed))
+    got = _winding(f, pieces, 24, 40000)
+    assert got.value == 1 == winding_circle(f, (0.5, 0.5), 0.5)
+
+
+def test_holed_ball_cross_check_on_the_seed_7_stream():
+    # The stream of scripts/fuzz_soundness.py --seed 7: these maps have
+    # fixed points just outside the ball, so only the ball's own circles
+    # give the index.
+    rng = random.Random("7:holes")
+    certified = 0
+    for k in range(30):
+        m, spec = random_holed_ball_problem(rng, 2 + k % 3)
+        if certify_holes(m, spec).outcome != CERTIFIED:
+            continue
+        certified += 1
+        assert holes_index_cross_check(m, spec) == {
+            "value": 1 - len(spec.holes), "verified": True}, k
+    assert certified == 12
 
 
 def test_fixed_point_index_dispatch():

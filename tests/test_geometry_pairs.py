@@ -4,10 +4,10 @@
 (lo, hi) endpoint pairs.  The references below are the formulas they
 replaced, written with `Interval` operators; every result must equal its
 reference bit for bit (compared by repr, so signed zeros count), and every
-error must have the same type and message.  The holed-ball domain tests
-and the cross-check's disk test, which now read hoisted squared radii, must
-decide every box as the references do, including boxes whose squared
-distance lands exactly on a rounded r^2.
+error must have the same type and message.  The holed-ball domain tests,
+which now read hoisted squared radii, must decide every box as the
+references do, including boxes whose squared distance lands exactly on a
+rounded r^2.
 """
 
 import math
@@ -16,7 +16,7 @@ import random
 from corpus import random_box, random_expression_map, random_holed_ball_problem
 
 from fpcert.certify import _holed_ball_conditions, _radial_segment
-from fpcert.degree import _field_pairs, _in_closed_disk
+from fpcert.degree import _field_pairs
 from fpcert.geometry import Functional, HoledBallSpec, dist2_pair
 from fpcert.interval import Box, Interval, abs_pair, max_pair, mul_down, mul_up
 from fpcert.mapdsl import blend_with_parameter, parse_map
@@ -316,8 +316,6 @@ def test_holed_ball_domain_tests_decide_as_the_reference():
     decisions = set()
     for spec, boxes in cases:
         outer, *holes = _holed_ball_conditions(identity, spec)
-        disks = [_in_closed_disk(0.0, 0.0, spec.radius)] + [
-            _in_closed_disk(cx, cy, r) for cx, cy, r in spec.holes]
         for box in boxes:
             pairs = [
                 (outer.relevant, _ref_in_domain, (spec, box)),
@@ -326,9 +324,6 @@ def test_holed_ball_domain_tests_decide_as_the_reference():
             for cond, (cx, cy, r) in zip(holes, spec.holes):
                 pairs.append((cond.relevant, _ref_hole_relevant, (box, cx, cy, r)))
                 pairs.append((cond.meets, _ref_hole_meets, (box, cx, cy, r)))
-            for disk, (cx, cy, r) in zip(disks, ((0.0, 0.0, spec.radius),) + spec.holes):
-                pairs.append((disk, lambda b, cx=cx, cy=cy, r=r:
-                              _ref_dist2(b, cx, cy).hi <= mul_down(r, r), (box,)))
             for k, (got, ref, args) in enumerate(pairs):
                 expected = _outcome(ref, *args)
                 assert _outcome(got, box) == expected, (k, spec, box.bounds())

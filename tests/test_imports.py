@@ -1,7 +1,8 @@
 """The import graph of the fpcert modules, read from their relative imports
 (``from .x import ...`` and ``from . import x``) with ast: it has no cycle,
-and localize imports neither certify nor degree, since it decides PROVEN
-by its own rule."""
+localize imports neither certify nor degree, since it decides PROVEN by
+its own rule, and degree imports neither localize nor certify, since its
+winding walks need no fixed point free region."""
 
 import ast
 from pathlib import Path
@@ -62,3 +63,9 @@ def test_localize_imports_no_certifier():
     deps = _import_graph()["localize"]
     assert "mapdsl" in deps
     assert not deps & {"certify", "degree"}, deps
+
+
+def test_degree_imports_neither_localize_nor_certify():
+    deps = _import_graph()["degree"]
+    assert "subdivision" in deps
+    assert not deps & {"localize", "certify"}, deps
