@@ -274,7 +274,7 @@ def check(conditions, max_depth: int, max_boxes: int, stats: CertStats):
             evidence.extend(
                 cond.entry(box, cond.bound_or_none(box) if bound is None else bound,
                            "unresolved")
-                for box, bound in cover.unresolved[:8]
+                for box, bound in cover.unresolved
             )
     return status, evidence, None
 

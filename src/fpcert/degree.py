@@ -87,20 +87,18 @@ def _field_pairs(f: MapSpec, box: Box, t=None) -> list:
     return out
 
 
-def degree_1d(f: MapSpec, domain) -> DegreeResult:
+def degree_1d(f: MapSpec, rect: RectDomain) -> DegreeResult:
     """Bolzano sign degree of Id - f on an interval domain."""
     if f.dim != 1:
         raise DimensionMismatchError("degree_1d needs a map of dimension 1")
-    if isinstance(domain, RectDomain):
-        iv = domain.box.coords[0]
-    elif isinstance(domain, Interval):
-        iv = domain
-    else:
-        iv = Interval(*domain)
-
     signs = []
-    for endpoint in (iv.lo, iv.hi):
-        (lo, hi), = _field_pairs(f, Box((Interval(endpoint),)))
+    for endpoint in (rect.box.coords[0].lo, rect.box.coords[0].hi):
+        try:
+            (lo, hi), = _field_pairs(f, Box((Interval(endpoint),)))
+        except DomainError as exc:
+            raise BoundaryZeroError(
+                f"Id - f does not evaluate at endpoint {endpoint}: {exc}"
+            ) from exc
         if hi < 0.0:
             signs.append(-1)
         elif lo > 0.0:

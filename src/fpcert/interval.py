@@ -13,30 +13,31 @@ bounds are the adjacent floats in the safe direction.
 
 Multiplication follows the sign-case table of Moore's *Interval Analysis*:
 in eight of the nine sign cases one downward and one upward product give
-the result, and when both operands straddle zero four do.  Whenever a
-chosen product is zero or its exactness cannot be checked (underflow,
-overflow, huge operands) the kernel falls back to all eight directed
-endpoint products, so results, signed zeros included, equal that formula
-bit for bit.  ``mul_pair`` writes its two directed products out inline
-(range tests, Dekker split, error term and ``math.nextafter``), as the
-directed sums and differences do their TwoSum: these are the kernels
-every map evaluation runs most.  ``pow_int_pair`` hands the exponent 2 to
-``sqr_pair``, which equals the generic power bit for bit (the extra one-ulp
-widening ``_pow_mag_*`` applies outside [1e-280, 1e290] included) at the
-cost of one directed product per bound; ``x^2`` nodes, squared distances
-and ``Interval.pow_int(2)`` all take it.
+the result.  When both operands straddle zero, or a chosen product is zero
+or its exactness cannot be checked (underflow, overflow, huge operands),
+the kernel takes all eight directed endpoint products, so results, signed
+zeros included, equal that formula bit for bit.  ``mul_pair`` writes its
+two directed products out inline (range tests, Dekker split, error term
+and ``math.nextafter``), as the directed sums and differences do their
+TwoSum: these are the kernels every map evaluation runs most.  Integer
+powers take one power-by-squaring loop, ``_pow_mag``, run with the
+downward product for a lower bound and the upward one for an upper bound.
+``pow_int_pair`` hands the exponent 2 to ``sqr_pair``, which equals that
+loop bit for bit (its extra one-ulp widening outside [1e-280, 1e290]
+included) at the cost of one directed product per bound; ``x^2`` nodes,
+squared distances and ``Interval.pow_int(2)`` all take it.
 
 Transcendental endpoints (sin, cos, exp, tanh) rely on the platform libm
 being faithful to within one ulp and are padded by one ulp outward, with
 sin/cos additionally clamped to [-1, 1] and analysed for interior extrema
-against an interval enclosure of pi.  The extremum test screens each
-candidate ``c + 2*k*pi`` in plain floats and rounds outward only for the
-candidates that an error margin (derived in ``_hits_lattice``) cannot
-rule out; its decisions equal those of the all-interval evaluation.  On a
-narrow argument (width at most 6, magnitude at most 2**20) the screen
-rejects every candidate but the one nearest the midpoint, so each lattice
-is decided on that one alone (derived in ``_sin_cos``), with the same
-decisions.
+against an interval enclosure of pi.  One test, ``_hits_candidate``,
+decides a candidate ``c + 2*k*pi``: it screens it in plain floats and
+rounds outward only when an error margin (derived there) cannot rule it
+out, with the decision of the all-interval evaluation.  ``_hits_lattice``
+runs it on the five candidates nearest the midpoint.  On a narrow argument
+(width at most 6, magnitude at most 2**20) the screen rejects every
+candidate but the nearest, so each lattice is decided on that one alone
+(derived in ``_sin_cos``), with the same decisions.
 
 Each operation has one kernel that maps operand endpoints to a ``(lo, hi)``
 pair (``mul_pair``, ``div_pair``, ``pow_int_pair``, ``sin_pair``, ...).  Map
@@ -214,51 +215,36 @@ def sqrt_up(x: float) -> float:
     return next_up(s)
 
 
-def _pow_mag_down(x: float, n: int) -> float:
-    """Lower bound for x**n, x >= 0, n >= 1.
+def _pow_mag(x: float, n: int, mul) -> float:
+    """A directed bound for x**n, x >= 0, n >= 1: the lower bound with
+    mul = mul_down, the upper with mul = mul_up.
 
     The first factor taken into the result would be multiplied by 1.0;
     on [1e-280, 1e290] that product is exact and equals the factor, so it
-    is skipped there (elsewhere mul_down widens it).
+    is skipped there (elsewhere mul widens it).
     """
     base = x
     while not n & 1:
-        base = mul_down(base, base)
+        base = mul(base, base)
         n >>= 1
-    r = base if 1e-280 <= base <= 1e290 else mul_down(1.0, base)
+    r = base if 1e-280 <= base <= 1e290 else mul(1.0, base)
     n >>= 1
     while n:
-        base = mul_down(base, base)
+        base = mul(base, base)
         if n & 1:
-            r = mul_down(r, base)
-        n >>= 1
-    return r
-
-
-def _pow_mag_up(x: float, n: int) -> float:
-    """Upper bound for x**n, x >= 0, n >= 1 (see _pow_mag_down)."""
-    base = x
-    while not n & 1:
-        base = mul_up(base, base)
-        n >>= 1
-    r = base if 1e-280 <= base <= 1e290 else mul_up(1.0, base)
-    n >>= 1
-    while n:
-        base = mul_up(base, base)
-        if n & 1:
-            r = mul_up(r, base)
+            r = mul(r, base)
         n >>= 1
     return r
 
 
 # The square's directed bounds: mul_down(x, x) and mul_up(x, x) with
 # _two_product written out for squares in [1e-280, 1e290], where its
-# exactness test passes and the extra product by 1.0 that _pow_mag_* takes
+# exactness test passes and the extra product by 1.0 that _pow_mag takes
 # is exact and skipped.  The one-ulp step never leaves that range: the
 # only square rounding to 1e-280 is 1e-140 ** 2, which rounds down, and
 # the only one rounding to 1e290 is 1e145 ** 2, which rounds up.  The
-# other squares go through _pow_mag_*.  So each result equals
-# _pow_mag_*(x, 2).
+# other squares go through _pow_mag.  So each result equals
+# _pow_mag(x, 2, mul_down) and _pow_mag(x, 2, mul_up).
 
 
 def _sqr_down(x: float) -> float:
@@ -270,7 +256,7 @@ def _sqr_down(x: float) -> float:
         if ((h * h - p) + h * r + r * h) + r * r < 0.0:
             return _nextafter(p, -_INF)
         return p
-    return _pow_mag_down(x, 2)
+    return _pow_mag(x, 2, mul_down)
 
 
 def _sqr_up(x: float) -> float:
@@ -282,7 +268,7 @@ def _sqr_up(x: float) -> float:
         if ((h * h - p) + h * r + r * h) + r * r > 0.0:
             return _nextafter(p, _INF)
         return p
-    return _pow_mag_up(x, 2)
+    return _pow_mag(x, 2, mul_up)
 
 
 # -- endpoint-pair kernels -----------------------------------------------------
@@ -302,26 +288,9 @@ def interval_error(lo: float, hi: float) -> ValueError:
 
 
 def _mul8(a: float, b: float, c: float, d: float):
-    """[a, b] * [c, d] from all four endpoint products, rounded both ways."""
+    """[a, b] * [c, d] from all eight directed endpoint products."""
     lo = min(mul_down(a, c), mul_down(a, d), mul_down(b, c), mul_down(b, d))
     hi = max(mul_up(a, c), mul_up(a, d), mul_up(b, c), mul_up(b, d))
-    return lo, hi
-
-
-def _mul_mixed(a: float, b: float, c: float, d: float):
-    """[a, b] * [c, d] for a < 0 < b and c < 0 < d.
-
-    The minimum is ad or bc (both negative) and the maximum is ac or bd
-    (both positive), so four directed products replace eight.
-    """
-    p1, e1 = _two_product(a, d)
-    p2, e2 = _two_product(b, c)
-    q1, f1 = _two_product(a, c)
-    q2, f2 = _two_product(b, d)
-    if e1 is None or e2 is None or f1 is None or f2 is None:
-        return _mul8(a, b, c, d)
-    lo = min(p1 if e1 >= 0.0 else next_down(p1), p2 if e2 >= 0.0 else next_down(p2))
-    hi = max(q1 if f1 <= 0.0 else next_up(q1), q2 if f2 <= 0.0 else next_up(q2))
     return lo, hi
 
 
@@ -335,7 +304,9 @@ def mul_pair(a: float, b: float, c: float, d: float):
     # inside [-1e-280, 1e-280], and an endpoint left out of the picked
     # pair is never larger in magnitude than one in it, so an operand
     # past 1e290 already makes a picked e None.  Zero products go
-    # to _mul8 too, whose min/max order fixes the sign of a zero bound.
+    # to _mul8 too, whose min/max order fixes the sign of a zero bound,
+    # and so do two operands that straddle zero, where no one pair of
+    # products is extreme.
     if a >= 0.0:
         if c >= 0.0:
             x1, y1, x2, y2 = a, c, b, d
@@ -355,7 +326,7 @@ def mul_pair(a: float, b: float, c: float, d: float):
     elif d <= 0.0:
         x1, y1, x2, y2 = b, c, a, c
     else:
-        return _mul_mixed(a, b, c, d)
+        return _mul8(a, b, c, d)
     # The two picked products, with _two_product written out: its
     # exactness test as range tests, then Dekker's split and error term.
     p = x1 * y1
@@ -408,19 +379,19 @@ def pow_int_pair(lo: float, hi: float, n):
             raise interval_error(p_lo, p_hi)
         return div_pair(1.0, 1.0, p_lo, p_hi)
     if n % 2 == 1:
-        new_lo = _pow_mag_down(lo, n) if lo >= 0.0 else -_pow_mag_up(-lo, n)
-        new_hi = _pow_mag_up(hi, n) if hi >= 0.0 else -_pow_mag_down(-hi, n)
+        new_lo = _pow_mag(lo, n, mul_down) if lo >= 0.0 else -_pow_mag(-lo, n, mul_up)
+        new_hi = _pow_mag(hi, n, mul_up) if hi >= 0.0 else -_pow_mag(-hi, n, mul_down)
         return new_lo, new_hi
     if lo >= 0.0:
-        return _pow_mag_down(lo, n), _pow_mag_up(hi, n)
+        return _pow_mag(lo, n, mul_down), _pow_mag(hi, n, mul_up)
     if hi <= 0.0:
-        return _pow_mag_down(-hi, n), _pow_mag_up(-lo, n)
-    return 0.0, _pow_mag_up(max(-lo, hi), n)
+        return _pow_mag(-hi, n, mul_down), _pow_mag(-lo, n, mul_up)
+    return 0.0, _pow_mag(max(-lo, hi), n, mul_up)
 
 
 def sqr_pair(lo: float, hi: float):
     """[lo, hi] ** 2, equal bit for bit to the even-power branch of
-    pow_int_pair with _pow_mag_*(x, 2)."""
+    pow_int_pair with _pow_mag(x, 2, mul)."""
     if lo >= 0.0:
         return _sqr_down(lo), _sqr_up(hi)
     if hi <= 0.0:
@@ -557,48 +528,49 @@ _TWO_PI = Interval(2.0 * math.pi, 2.0 * next_up(math.pi))
 _HALF_PI = Interval(math.pi / 2.0, next_up(math.pi) / 2.0)
 _NEG_HALF_PI = Interval(-(next_up(math.pi) / 2.0), -(math.pi / 2.0))
 _ZERO = Interval(0.0, 0.0)
+_P_LO = _TWO_PI.lo
+_P_HI = _TWO_PI.hi
 
 
-def _hits_lattice(lo: float, hi: float, center: Interval, period: Interval) -> bool:
-    """Conservatively decide whether {center + k*period : k in Z} meets [lo, hi].
+def _hits_candidate(lo: float, hi: float, k: float, c_lo: float, c_hi: float) -> bool:
+    """Conservatively decide whether the critical point k*2*pi + c, for c in
+    [c_lo, c_hi] and a float integer k, may lie in [lo, hi].
 
-    For each k the critical point is enclosed by [add_down(k*P, c.lo),
-    add_up(k*P, c.hi)] with k*P rounded outward on the period endpoint
-    that the sign of k makes extreme; this equals the interval expression
-    ``Interval(k) * period + center`` bit for bit.
+    The critical point is enclosed by [add_down(k*P, c_lo), add_up(k*P,
+    c_hi)] with k*P rounded outward on the end of the period enclosure P =
+    _TWO_PI that the sign of k makes extreme; this equals the interval
+    expression ``Interval(k) * _TWO_PI + Interval(c_lo, c_hi)`` bit for bit.
 
-    A plain-float pre-test skips k whose approximation
-    approx = fl(fl(k*P.lo) + c.lo) lies more than ``margin`` outside [lo, hi].
-    For the enclosures used here (P = 2*pi, one ulp(2*pi) = 2**-50 wide;
-    |c| <= 4, at most 2**-51 wide) and u = 2**-53, each enclosure endpoint
-    differs from approx by at most
+    A plain-float pre-test first rejects a k whose approximation
+    approx = fl(fl(k*P.lo) + c_lo) lies more than ``margin`` outside
+    [lo, hi].  P is one ulp(2*pi) = 2**-50 wide, and for the centres used
+    here (|c| <= 4, at most 2**-51 wide) and u = 2**-53, each enclosure
+    endpoint differs from approx by at most
       |k|*(P.hi - P.lo)        <= 2u*|k*P.lo|   (gap between the periods)
-      + (c.hi - c.lo)          <= 2**-51        (centre enclosure)
+      + (c_hi - c_lo)          <= 2**-51        (centre enclosure)
       + directed rounding      <= 2u*|k*P| + 2u*|sum|
       + rounding in approx     <= u*|k*P.lo| + u*|approx|,
     and |k*P.lo| <= |approx| + 5, which totals below 9u*|approx| + 50u.
     Rounding ``approx -/+ margin`` adds u*(|approx| + margin), for a total
     below 10u*|approx| + 51u < 2**-49*|approx| + 2**-47: at most half of
-    the margin 2**-48*|approx| + 2**-45.  So a skipped k is one the
-    directed test rejects too.
+    the margin 2**-48*|approx| + 2**-45.  So a k the pre-test rejects is
+    one the directed test rejects too.
     """
-    mid = 0.5 * (lo + hi)
-    c_lo, c_hi = center.lo, center.hi
-    p_lo, p_hi = period.lo, period.hi
-    k0 = round((mid - c_lo) / p_lo)
+    approx = k * _P_LO + c_lo
+    margin = abs(approx) * 2.0**-48 + 2.0**-45
+    if approx - margin > hi or approx + margin < lo:
+        return False
+    if k >= 0.0:
+        return add_down(mul_down(k, _P_LO), c_lo) <= hi and add_up(mul_up(k, _P_HI), c_hi) >= lo
+    return add_down(mul_down(k, _P_HI), c_lo) <= hi and add_up(mul_up(k, _P_LO), c_hi) >= lo
+
+
+def _hits_lattice(lo: float, hi: float, c_lo: float, c_hi: float) -> bool:
+    """Conservatively decide whether {c + k*2*pi : k in Z, c in [c_lo, c_hi]}
+    meets [lo, hi], testing the five candidates around the midpoint."""
+    k0 = round((0.5 * (lo + hi) - c_lo) / _P_LO)
     for k in (k0 - 2, k0 - 1, k0, k0 + 1, k0 + 2):
-        k = float(k)
-        approx = k * p_lo + c_lo
-        margin = abs(approx) * 2.0**-48 + 2.0**-45
-        if approx - margin > hi or approx + margin < lo:
-            continue
-        if k >= 0.0:
-            crit_lo = add_down(mul_down(k, p_lo), c_lo)
-            crit_hi = add_up(mul_up(k, p_hi), c_hi)
-        else:
-            crit_lo = add_down(mul_down(k, p_hi), c_lo)
-            crit_hi = add_up(mul_up(k, p_lo), c_hi)
-        if crit_lo <= hi and crit_hi >= lo:
+        if _hits_candidate(lo, hi, float(k), c_lo, c_hi):
             return True
     return False
 
@@ -606,8 +578,6 @@ def _hits_lattice(lo: float, hi: float, center: Interval, period: Interval) -> b
 # The extremum test on narrow arguments (see _sin_cos).
 _NARROW_WIDTH = 6.0
 _NARROW_MAG = 2.0**20
-_P_LO = _TWO_PI.lo
-_P_HI = _TWO_PI.hi
 
 
 def _sin_cos(lo: float, hi: float, max_center: Interval, min_center: Interval, fn):
@@ -615,10 +585,10 @@ def _sin_cos(lo: float, hi: float, max_center: Interval, min_center: Interval, f
     ulp outward, or 1 and -1 where an extremum lattice meets [lo, hi].
 
     On an argument with hi - lo <= W0 = 6 and |lo|, |hi| <= M0 = 2**20,
-    each lattice is decided on its nearest candidate k0 alone, with the
-    float pre-test and the directed test that _hits_lattice runs for k0;
-    other arguments go to _hits_lattice.  The decisions are the same, since
-    the pre-test rejects every other k there.  With u = 2**-53:
+    each lattice is decided by _hits_candidate on its nearest candidate k0
+    alone; other arguments go to _hits_lattice, which also tries k0 -/+ 1
+    and k0 -/+ 2.  The decisions are the same, since the pre-test rejects
+    every other k there.  With u = 2**-53:
 
       fl(hi - lo) <= 6 gives hi - lo <= 6 + 2**-51, and mid = fl(fl(lo +
       hi)/2) is within u*2**20 = 2**-33 of the true midpoint, so [lo, hi]
@@ -642,11 +612,13 @@ def _sin_cos(lo: float, hi: float, max_center: Interval, min_center: Interval, f
         return -1.0, 1.0
     if w <= _NARROW_WIDTH and -_NARROW_MAG <= lo and hi <= _NARROW_MAG:
         mid = 0.5 * (lo + hi)
-        hit_max = _hits_nearest(lo, hi, mid, max_center.lo, max_center.hi)
-        hit_min = _hits_nearest(lo, hi, mid, min_center.lo, min_center.hi)
+        c_lo, c_hi = max_center.lo, max_center.hi
+        hit_max = _hits_candidate(lo, hi, float(round((mid - c_lo) / _P_LO)), c_lo, c_hi)
+        c_lo, c_hi = min_center.lo, min_center.hi
+        hit_min = _hits_candidate(lo, hi, float(round((mid - c_lo) / _P_LO)), c_lo, c_hi)
     else:
-        hit_max = _hits_lattice(lo, hi, max_center, _TWO_PI)
-        hit_min = _hits_lattice(lo, hi, min_center, _TWO_PI)
+        hit_max = _hits_lattice(lo, hi, max_center.lo, max_center.hi)
+        hit_min = _hits_lattice(lo, hi, min_center.lo, min_center.hi)
     small = fn(lo)
     big = fn(hi)
     if big < small:
@@ -654,19 +626,6 @@ def _sin_cos(lo: float, hi: float, max_center: Interval, min_center: Interval, f
     r_hi = 1.0 if hit_max else min(1.0, _nextafter(big, _INF))
     r_lo = -1.0 if hit_min else max(-1.0, _nextafter(small, -_INF))
     return r_lo, r_hi
-
-
-def _hits_nearest(lo: float, hi: float, mid: float, c_lo: float, c_hi: float) -> bool:
-    """_hits_lattice's tests for the one candidate k0 on the 2*pi lattice
-    through [c_lo, c_hi]."""
-    k = float(round((mid - c_lo) / _P_LO))
-    approx = k * _P_LO + c_lo
-    margin = abs(approx) * 2.0**-48 + 2.0**-45
-    if approx - margin > hi or approx + margin < lo:
-        return False
-    if k >= 0.0:
-        return add_down(mul_down(k, _P_LO), c_lo) <= hi and add_up(mul_up(k, _P_HI), c_hi) >= lo
-    return add_down(mul_down(k, _P_HI), c_lo) <= hi and add_up(mul_up(k, _P_LO), c_hi) >= lo
 
 
 @dataclass(frozen=True)

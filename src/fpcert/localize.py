@@ -49,7 +49,7 @@ from .interval import (
     sub_up,
 )
 from .mapdsl import MapSpec, jacobian
-from .subdivision import IRRELEVANT, UNKNOWN, VERIFIED, adaptive_cover
+from .subdivision import UNKNOWN, VERIFIED, adaptive_cover
 
 PROVEN = "PROVEN"
 CANDIDATE = "CANDIDATE"
@@ -431,13 +431,12 @@ def localize_fixed_points(g: MapSpec, rect: RectDomain, tol: float,
     )
 
 
-def region_fixed_point_free(g: MapSpec, root: Box, inside,
+def region_fixed_point_free(g: MapSpec, root: Box,
                             max_depth: int = 20, max_boxes: int = 60000) -> bool:
-    """Prove the part of root outside `inside` holds no fixed point of g.
+    """Prove root holds no fixed point of g.
 
-    `inside(box) -> bool` must certify that a box lies entirely within the
-    excluded region.  Returns True when every remaining box was pruned by
-    the residual test, False when rigor ran out.
+    Returns True when every box was pruned by the residual test, False
+    when rigor ran out.
     """
 
     if g.has_param:
@@ -446,8 +445,6 @@ def region_fixed_point_free(g: MapSpec, root: Box, inside,
         raise DimensionMismatchError(f"box of dimension {root.dim} for map of dimension {g.dim}")
 
     def classify(box):
-        if inside(box):
-            return IRRELEVANT, None
         if _residual_pairs(g, box.coords) is _PRUNED:
             return VERIFIED, None
         return UNKNOWN, None  # undecided, or a component raised: split

@@ -393,8 +393,11 @@ def _leaf(e: Expr, t) -> Expr:
 
 
 def literal_const(text: str) -> Const:
-    """Build a constant whose enclosure brackets the exact decimal value."""
+    """Build a constant whose enclosure brackets the exact decimal value;
+    DomainError when the value is past the float range."""
     v = float(text)
+    if not math.isfinite(v):
+        raise DomainError("decimal literal past the float range")
     exact = Fraction(text)
     fv = Fraction(v)
     if fv == exact:
@@ -806,7 +809,10 @@ class _ExprParser:
     def parse_atom(self) -> Expr:
         tok = self.take()
         if tok.kind == "num":
-            return literal_const(tok.text)
+            try:
+                return literal_const(tok.text)
+            except DomainError as exc:
+                raise ParseError(str(exc), tok.line, tok.col) from None
         if tok.kind == "op" and tok.text == "(":
             self.enter(tok)
             e = self.parse_sum()

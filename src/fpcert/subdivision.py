@@ -29,7 +29,7 @@ IRRELEVANT = "irrelevant"
 UNKNOWN = "unknown"
 UNDECIDABLE = "undecidable"
 
-_MAX_STORED_UNRESOLVED = 64
+_MAX_STORED_UNRESOLVED = 8
 
 
 @dataclass

@@ -188,7 +188,7 @@ def _axiom_excision(rng, instances=50):
         cut = xr.lo + xr.width * rng.uniform(0.55, 0.8)
         r1 = RectDomain(r.box.replace_coord(0, Interval(xr.lo, cut)))
         r2_box = r.box.replace_coord(0, Interval(cut, xr.hi))
-        if not region_fixed_point_free(f, r2_box, inside=lambda box: False):
+        if not region_fixed_point_free(f, r2_box):
             continue
         try:
             w = winding_degree_2d(f, r, max_boxes=8000)

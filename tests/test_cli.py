@@ -221,6 +221,15 @@ def test_index_fixed_point_on_the_boundary_exit_2(tmp_path, capsys):
     assert code == 2 and json.loads(out)["verified"] is False
 
 
+def test_index_1d_endpoint_that_raises_exit_2(tmp_path, capsys):
+    # sqrt(x1 - 2) is undefined at both endpoints of [0, 1]: the index is
+    # unverified, as on a 2-D boundary that never evaluates.
+    path = tmp_path / "undefined.fp"
+    path.write_text("dim 1\nmap g1 = sqrt(x1 - 2)\ndomain rect [0,1]\n")
+    code, out, _ = run(capsys, "index", str(path), "--format", "json")
+    assert code == 2 and json.loads(out)["verified"] is False
+
+
 def test_reused_parser_answers_as_a_fresh_one(capsys):
     calls = [
         ["certify", "@miranda-linear-2d", "--format", "json", "--stable"],
@@ -259,10 +268,12 @@ def test_problem_file_loading(tmp_path, capsys):
 
 
 def test_parse_error_exit_4(tmp_path, capsys):
+    # An unknown variable, and a decimal literal past the float range.
     path = tmp_path / "bad.fp"
-    path.write_text("dim 1\nmap g1 = x2\ndomain rect [0,1]\n")
-    code, _, err = run(capsys, "certify", str(path))
-    assert code == 4 and "x2" in err
+    for expr, fragment in (("x2", "x2"), ("1e999", "past the float range (line 2, column 10)")):
+        path.write_text(f"dim 1\nmap g1 = {expr}\ndomain rect [0,1]\n")
+        code, _, err = run(capsys, "certify", str(path))
+        assert code == 4 and fragment in err, err
 
 
 @pytest.mark.parametrize("expr", [

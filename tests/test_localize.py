@@ -156,9 +156,9 @@ def test_leaf_that_still_raises_stays_candidate_without_residual():
 def test_region_pruning_splits_boxes_whose_evaluation_raises():
     far = parse_map(f"dim 2\nmap g1 = {_RATIONAL} + 3\nmap g2 = x2\n")
     box = Box.from_bounds([(0, 1), (0, 1)])
-    assert region_fixed_point_free(far, box, inside=lambda b: False, max_depth=8)
+    assert region_fixed_point_free(far, box, max_depth=8)
     never = parse_map("dim 2\nmap g1 = 1/(x1 - x1)\nmap g2 = x2\n")
-    assert not region_fixed_point_free(never, box, inside=lambda b: False, max_depth=4)
+    assert not region_fixed_point_free(never, box, max_depth=4)
 
 
 # g1 = x1 + 1 has the residual [1 - w, 1 + w] on a box of width w in x1, so
@@ -178,7 +178,7 @@ def test_box_excluded_by_one_component_is_pruned_although_another_raises(source)
     res = localize_fixed_points(m, RectDomain(box), tol=1e-2)
     assert res.enclosures == [] and not res.exhausted
     assert res.discarded_volume == pytest.approx(res.total_volume, rel=1e-12)
-    assert region_fixed_point_free(m, box, inside=lambda b: False, max_depth=8)
+    assert region_fixed_point_free(m, box, max_depth=8)
 
 
 def test_box_with_a_raising_component_and_none_excluding_is_split():
@@ -192,7 +192,7 @@ def test_box_with_a_raising_component_and_none_excluding_is_split():
     assert all(d["residual"] is None for d in res.to_json_dict()["enclosures"])
     assert res.surviving_volume == pytest.approx(1.0)
     box = Box.from_bounds([(0, 1), (0, 1)])
-    assert not region_fixed_point_free(m, box, inside=lambda b: False, max_depth=4)
+    assert not region_fixed_point_free(m, box, max_depth=4)
 
 
 def test_residual_that_overflows_counts_as_raising():

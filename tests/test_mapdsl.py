@@ -594,6 +594,11 @@ def test_derivative_rules_on_hand_maps():
     assert derivative(parse_map("dim 2\nmap g1 = x2\nmap g2 = 7\n").components[1], 0) is None
 
 
+def test_jacobian_is_none_for_an_exponent_past_the_float_range():
+    # The derivative's factor 10**400 is a decimal literal past the float range.
+    assert jacobian(parse_map(f"dim 1\nmap g1 = 0.5*x1^{10**400}\n")) is None
+
+
 def test_derivative_of_a_singular_expression_raises_where_it_is_singular():
     for expr in ("sqrt(x1)", "1/x1", "x1^-3", "x2/(x1 - 0.5)"):
         m = parse_map(f"dim 2\nmap g1 = {expr}\nmap g2 = x2\n")
