@@ -1,21 +1,29 @@
-"""Byte-identity guard for certificates over a fixed-seed problem corpus.
+"""Byte-identity guard and outcome ratchet for certificates over a
+fixed-seed problem corpus.
 
 Every certificate's `to_json(stable=True)` is hashed and compared with
 `golden_certificate_digests.json`.  The corpus covers the four certifiers
 in every form, at the default depth and at depth caps of 4 and 0, which
 leave cone, holed-ball and equality answers INDETERMINATE by the depth
-cap; no certificate in it stops on the box budget.  Regenerate the table
-with
+cap; no certificate in it stops on the box budget.
+
+`golden_certificate_outcomes.json` holds each key's outcome and box count.
+It is a ratchet: a key keeps its outcome or goes from INDETERMINATE to
+CERTIFIED, and never examines more boxes.  One pass over the corpus serves
+both tests.  Regenerate the tables with
 
     PYTHONPATH=src python tests/test_golden_certificates.py
 
-only for a deliberate change of output.
+only for a deliberate change of output.  The outcome table is rewritten
+only when the new results pass the ratchet, so it can only tighten.
 """
 
 import hashlib
 import json
 import random
 from pathlib import Path
+
+import pytest
 
 from corpus import (
     random_cone_problem,
@@ -24,11 +32,12 @@ from corpus import (
     random_rect_problem,
 )
 
-from fpcert.certify import certify_problem
+from fpcert.certify import CERTIFIED, INDETERMINATE, certify_problem
 from fpcert.geometry import HoledBallSpec, parse_domain
 from fpcert.mapdsl import parse_program
 
 _GOLDEN = Path(__file__).with_name("golden_certificate_digests.json")
+_OUTCOMES = Path(__file__).with_name("golden_certificate_outcomes.json")
 _FORMS = ("auto", "expansive", "compressive")
 _DEPTHS = (24, 4, 0)
 
@@ -73,25 +82,64 @@ def corpus_problems():
         yield name, program.map, domain, _DEPTHS[1:]
 
 
-def corpus_digests():
-    digests = {}
+def corpus_results():
+    """(digests, outcomes) of the whole corpus, from one pass: the hash of
+    each certificate's stable JSON, and its outcome and box count."""
+    digests, outcomes = {}, {}
     for name, m, domain, depths in corpus_problems():
         forms = ("auto",) if isinstance(domain, HoledBallSpec) else _FORMS
         for form in forms:
             for depth in depths:
                 cert = certify_problem(m, domain, form=form, max_depth=depth)
+                key = f"{name}/{form}/d{depth}"
                 text = cert.to_json(stable=True)
-                digests[f"{name}/{form}/d{depth}"] = hashlib.sha256(text.encode()).hexdigest()
-    return digests
+                digests[key] = hashlib.sha256(text.encode()).hexdigest()
+                outcomes[key] = {"outcome": cert.outcome, "boxes": cert.stats.boxes}
+    return digests, outcomes
 
 
-def test_certificates_match_golden_digests():
+def ratchet_breaks(golden, got):
+    """The keys whose outcome moved other than INDETERMINATE -> CERTIFIED,
+    or whose box count grew."""
+    return sorted(
+        key for key, new in got.items()
+        if new["boxes"] > golden[key]["boxes"]
+        or new["outcome"] not in (golden[key]["outcome"],
+                                  CERTIFIED if golden[key]["outcome"] == INDETERMINATE
+                                  else golden[key]["outcome"])
+    )
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return corpus_results()
+
+
+def test_certificates_match_golden_digests(corpus):
     golden = json.loads(_GOLDEN.read_text())
-    got = corpus_digests()
+    got, _outcomes = corpus
     assert set(got) == set(golden)
     changed = sorted(key for key in got if got[key] != golden[key])
     assert not changed, changed
 
 
+def test_no_certificate_loses_its_outcome_or_gains_boxes(corpus):
+    golden = json.loads(_OUTCOMES.read_text())
+    _digests, got = corpus
+    assert set(got) == set(golden)
+    broken = ratchet_breaks(golden, got)
+    assert not broken, [(key, golden[key], got[key]) for key in broken]
+
+
+def _write(path, table):
+    path.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
+
+
 if __name__ == "__main__":
-    _GOLDEN.write_text(json.dumps(corpus_digests(), indent=2, sort_keys=True) + "\n")
+    digests, outcomes = corpus_results()
+    _write(_GOLDEN, digests)
+    if _OUTCOMES.exists():
+        old = json.loads(_OUTCOMES.read_text())
+        if set(old) == set(outcomes) and ratchet_breaks(old, outcomes):
+            raise SystemExit(f"outcome ratchet broken: {ratchet_breaks(old, outcomes)}")
+    _write(_OUTCOMES, outcomes)
