@@ -28,6 +28,20 @@ smaller boxes may evaluate.  If it stays unresolved, its evidence entry
 carries no bound.  A witness whose point evaluation raises does not confirm
 a refutation.
 
+Mean-value bounds.  The holed-ball conditions (the outer ball and each
+hole) try a second bound on every box the naive bound leaves undecided.  It
+reads the squared distance from T's component pairs, each the naive
+enclosure intersected with the mean-value form
+g_i(m) + sum_j Dg_ij(X) (X_j - m_j) at the box midpoint m, with the
+Jacobian of `mapdsl.jacobian`, built once per certificate (Moore 1966).
+`derivative` raises wherever g may be singular and encloses Clarke's
+generalized gradient at abs, min and max, so the form holds on every box
+where both evaluations succeed (Lebourg's mean value theorem); where one
+raises, the naive bound stands.  An evidence entry carries the bound its
+verdict used: the naive one on a box that bound decides, the tightened one
+otherwise.  Cone slices, rectangle faces and cylinder conditions keep the
+naive bound: there the second evaluation decides no more boxes.
+
 Strict and closed.  The theorem hypotheses (rectangle faces, cylinder
 heights, cone slices) need a strict interval margin.  Containment
 conditions (cylinder base containment, cone invariance, the outer ball and
@@ -56,8 +70,21 @@ from .geometry import (
     dist2_pair,
     face,
 )
-from .interval import Box, DimensionMismatchError, DomainError, Interval, mul_down, mul_up
-from .mapdsl import MapSpec
+from .interval import (
+    Box,
+    DimensionMismatchError,
+    DomainError,
+    Interval,
+    add_down,
+    add_up,
+    interval_error,
+    mul_down,
+    mul_pair,
+    mul_up,
+    sub_down,
+    sub_up,
+)
+from .mapdsl import MapSpec, jacobian
 from .subdivision import (
     IRRELEVANT,
     UNDECIDABLE,
@@ -70,6 +97,8 @@ from .subdivision import (
 CERTIFIED = "CERTIFIED"
 REFUTED = "REFUTED"
 INDETERMINATE = "INDETERMINATE"
+
+_INF = math.inf
 
 
 class UnsupportedDomainError(ValueError):
@@ -159,6 +188,8 @@ class Condition:
     rounding).  For 'in' it is the target interval (lo, hi).  `relevant`
     drops boxes that miss the region; a box may refute only when `meets`
     proves it holds a point of the region, and `witness` picks that point.
+    `tighten`, where given, is a second bound, inside the first, tried only
+    on a box the first leaves undecided; where it raises, the first stands.
     """
 
     face: str
@@ -170,6 +201,7 @@ class Condition:
     relevant: "Callable[[Box], bool] | None" = None
     meets: "Callable[[Box], bool] | None" = None
     witness: Callable[[Box], tuple] = Box.midpoint
+    tighten: "Callable[[Box], Interval] | None" = None
 
     def fails(self, lo: float, hi: float) -> bool:
         """The refutation rule: True when the bound [lo, hi] fails."""
@@ -206,6 +238,12 @@ class Condition:
         if bound is None:  # undecided here: split, smaller boxes may evaluate
             return UNKNOWN, None
         tag = self.verdict(bound)
+        if tag == UNKNOWN and self.tighten is not None:
+            try:
+                bound = self.tighten(box)
+                tag = self.verdict(bound)
+            except DomainError:  # the first bound stands
+                pass
         if tag == VIOLATED and self.meets is not None and not self.meets(box):
             tag = UNKNOWN
         elif tag == UNKNOWN and self.final(box, bound):
@@ -511,18 +549,43 @@ def _point_dist2(p, cx: float, cy: float):
     return dist2_pair(p[0], p[0], p[1], p[1], cx, cy)
 
 
-def _image_dist2(T: MapSpec, cx: float, cy: float):
-    """The bound T(box) -> squared distance to (cx, cy), read from the
-    component pairs of T without building an image box."""
+def _mean_value_pairs(T: MapSpec, jac, box: Box) -> list:
+    """T's component pairs over the box, each the naive enclosure cut by the
+    mean-value form g_i(m) + sum_j Dg_ij(X) (X_j - m_j), m the box midpoint,
+    with directed rounding.  Raises DomainError where an evaluation raises
+    or a sum is not finite."""
+    xs = box.coords
+    ms = box.midpoint()
+    point = tuple(Interval(m) for m in ms)
+    out = []
+    for comp, row, (n_lo, n_hi) in zip(T.components, jac, T.eval_pairs(box)):
+        lo, hi = comp.eval_pair(point, None)
+        for d, x, m in zip(row, xs, ms):
+            if d is not None:
+                p_lo, p_hi = mul_pair(*d.eval_pair(xs, None), sub_down(x.lo, m), sub_up(x.hi, m))
+                lo, hi = add_down(lo, p_lo), add_up(hi, p_hi)
+        if not -_INF < lo <= hi < _INF:
+            raise interval_error(lo, hi)
+        out.append((max(lo, n_lo), min(hi, n_hi)))
+    return out
 
-    def bound(box):
-        (a, b), (c, d) = T.eval_pairs(box)
+
+def _image_dist2(T: MapSpec, jac, cx: float, cy: float):
+    """The bounds T(box) -> squared distance to (cx, cy), read from the
+    component pairs of T without building an image box: the naive one, and
+    the one on mean-value pairs (None without a Jacobian)."""
+
+    def of_pairs(pairs):
+        (a, b), (c, d) = pairs
         return Interval(*dist2_pair(a, b, c, d, cx, cy))
 
-    return bound
+    bound = lambda box: of_pairs(T.eval_pairs(box))
+    if jac is None:
+        return bound, None
+    return bound, lambda box: of_pairs(_mean_value_pairs(T, jac, box))
 
 
-def _hole_condition(T: MapSpec, idx: int, cx: float, cy: float, r: float) -> Condition:
+def _hole_condition(T: MapSpec, jac, idx: int, cx: float, cy: float, r: float) -> Condition:
     """T maps the boundary circle of hole idx into the closed hole; the
     witness is the point of the box's radial segment on the circle."""
     r2_lo, r2_hi = mul_down(r, r), mul_up(r, r)
@@ -540,15 +603,18 @@ def _hole_condition(T: MapSpec, idx: int, cx: float, cy: float, r: float) -> Con
         return _bisect_segment(*_radial_segment(box, cx, cy),
                                lambda p: math.hypot(p[0] - cx, p[1] - cy) < r)
 
+    bound, tighten = _image_dist2(T, jac, cx, cy)
     return Condition(
         f"hole-{idx}", (Box.from_bounds([(cx - r, cx + r), (cy - r, cy + r)]),),
-        _image_dist2(T, cx, cy), "<=", (r2_lo, r2_hi),
-        strict=False, relevant=relevant, meets=meets, witness=witness,
+        bound, "<=", (r2_lo, r2_hi),
+        strict=False, relevant=relevant, meets=meets, witness=witness, tighten=tighten,
     )
 
 
 def _holed_ball_conditions(T: MapSpec, spec: HoledBallSpec) -> list:
-    """T(L) inside the closed outer ball, then each hole's condition."""
+    """T(L) inside the closed outer ball, then each hole's condition, each
+    tightened by the mean-value form where T has a Jacobian."""
+    jac = jacobian(T)
     R = spec.radius
     R2_lo, R2_hi = mul_down(R, R), mul_up(R, R)
     # Each hole's r^2 rounded down and up, once, not once per box.
@@ -564,13 +630,13 @@ def _holed_ball_conditions(T: MapSpec, spec: HoledBallSpec) -> list:
         return _point_dist2(p, 0.0, 0.0)[1] <= R2_lo and all(
             _point_dist2(p, cx, cy)[0] >= r2_hi for cx, cy, _, r2_hi in holes)
 
+    bound, tighten = _image_dist2(T, jac, 0.0, 0.0)
     outer = Condition(
-        "outer", (Box.from_bounds([(-R, R), (-R, R)]),),
-        _image_dist2(T, 0.0, 0.0), "<=", (R2_lo, R2_hi),
-        strict=False, relevant=in_domain, meets=centre_in_domain,
+        "outer", (Box.from_bounds([(-R, R), (-R, R)]),), bound, "<=", (R2_lo, R2_hi),
+        strict=False, relevant=in_domain, meets=centre_in_domain, tighten=tighten,
     )
     return [outer] + [
-        _hole_condition(T, idx, cx, cy, r) for idx, (cx, cy, r) in enumerate(spec.holes)
+        _hole_condition(T, jac, idx, cx, cy, r) for idx, (cx, cy, r) in enumerate(spec.holes)
     ]
 
 

@@ -238,3 +238,32 @@ def last_traversal_exact(svals, hvals, a, b):
     if best is None:
         return None
     return float(best[0]), float(best[1])
+
+
+def mp_eval(mpmath, e, xs):
+    """The expression tree e of a parsed map at the point xs (mpmath
+    numbers), in mpmath at its working precision, with the float value of
+    every constant.  Only the tree is shared with the package: none of its
+    arithmetic runs."""
+    from fpcert.mapdsl import BinOp, Const, Neg, Power, Select, Var
+
+    if isinstance(e, Const):
+        return mpmath.mpf(e.value)
+    if isinstance(e, Var):
+        return xs[e.index]
+    if isinstance(e, Neg):
+        return -mp_eval(mpmath, e.arg, xs)
+    if isinstance(e, BinOp):
+        a = mp_eval(mpmath, e.left, xs)
+        b = mp_eval(mpmath, e.right, xs)
+        return {"+": a + b, "-": a - b, "*": a * b}[e.op] if e.op != "/" else a / b
+    if isinstance(e, Power):
+        return mp_eval(mpmath, e.base, xs) ** e.exponent
+    if isinstance(e, Select):
+        branch = e.neg if mp_eval(mpmath, e.cond, xs) < 0 else e.pos
+        return mp_eval(mpmath, branch, xs)
+    args = [mp_eval(mpmath, a, xs) for a in e.args]
+    if e.func in ("abs", "min", "max"):
+        return {"abs": abs, "min": min, "max": max}[e.func](*args)
+    assert e.func in ("sin", "cos", "exp", "tanh", "sqrt")
+    return getattr(mpmath, e.func)(*args)

@@ -1,11 +1,14 @@
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from fpcert import catalog
 from fpcert.certify import (
+    _holed_ball_conditions,
+    _mean_value_pairs,
     ANNULUS_REFUSAL,
     CERTIFIED,
     INDETERMINATE,
@@ -30,10 +33,12 @@ from fpcert.geometry import (
     flip_coordinates,
     parse_domain,
 )
-from fpcert.interval import Box, Interval
-from fpcert.mapdsl import parse_map, parse_program
+from fpcert.interval import Box, DomainError, Interval
+from fpcert.mapdsl import jacobian, parse_map, parse_program
+from fpcert.subdivision import UNKNOWN
 
-from oracles import grid_zoom_min
+from corpus import random_holed_ball_problem
+from oracles import grid_zoom_min, mp_eval
 
 
 def rect(*bounds):
@@ -310,6 +315,137 @@ def test_holes_constant_into_one_hole_refuted():
     # witness sits on the other hole's boundary
     wx, wy = cert.witness
     assert abs((wx + 2.0) ** 2 + wy ** 2 - 0.25) < 1e-6
+
+
+# Mean-value bounds: maps of the holed-ball corpus, and hand-written maps
+# with kinks, quotients and roots, whose derivative may raise on a box.
+_KINKED_MAPS = (
+    "dim 2\nmap g1 = x1 - 0.3*abs(x1 - x2) + 0.1*x2\nmap g2 = min(x1, 0.5*x2) + 0.2*x1*x2\n",
+    "dim 2\nmap g1 = x1/(2 + x2^2) - 0.1*x1\nmap g2 = sqrt(1 + x1^2) - x2/3\n",
+    "dim 2\nmap g1 = x1 - sin(x1)/(1.5 + cos(x2))\n"
+    "map g2 = sqrt(abs(x1 - 1)) - max(x2, 0.2*x1)\n",
+    "dim 2\nmap g1 = 0.5*(x1 + abs(x1)) - 1/(3 + x1*x2)\n"
+    "map g2 = x2 - 0.25*sqrt(x1^2 + x2^2 + 1)*x2\n",
+    "dim 2\nmap g1 = x1 - 0.2*sqrt(abs(x1*x2))\nmap g2 = 0.5*x2 + 0.1*abs(x1)\n",
+)
+
+
+def _mean_value_maps(rng):
+    maps = [random_holed_ball_problem(rng, 2 + k % 3)[0] for k in range(12)]
+    return maps + [parse_map(src) for src in _KINKED_MAPS]
+
+
+def _mean_value_boxes(rng, n):
+    """Square boxes from 2e-4 to 3 wide about centres in [-3, 3]^2."""
+    boxes = []
+    for _ in range(n):
+        h = 10.0 ** rng.uniform(-4.0, 0.2)
+        cx, cy = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
+        boxes.append(Box.from_bounds([(cx - h, cx + h), (cy - h, cy + h)]))
+    return boxes
+
+
+def _sample_points(rng, box):
+    (a, b), (c, d) = box.bounds()
+    return [(a, c), (b, d), (a, d), (b, c), box.midpoint()] + [
+        (rng.uniform(a, b), rng.uniform(c, d)) for _ in range(4)]
+
+
+def test_mean_value_pairs_enclose_the_image_inside_the_naive_pairs():
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(1966)
+    tighter = raised = 0
+    with mpmath.workdps(40):
+        for m in _mean_value_maps(rng):
+            jac = jacobian(m)
+            for box in _mean_value_boxes(rng, 60):
+                try:
+                    naive = m.eval_pairs(box)
+                except DomainError:
+                    continue
+                try:
+                    pairs = _mean_value_pairs(m, jac, box)
+                except DomainError:
+                    raised += 1
+                    continue
+                for (lo, hi), (n_lo, n_hi) in zip(pairs, naive):
+                    assert n_lo <= lo <= hi <= n_hi, (m.to_source(), box.bounds())
+                    tighter += (n_lo, n_hi) != (lo, hi)
+                for p in _sample_points(rng, box):
+                    xs = [mpmath.mpf(v) for v in p]
+                    for comp, (lo, hi) in zip(m.components, pairs):
+                        v = mp_eval(mpmath, comp, xs)
+                        assert lo <= v <= hi, (m.to_source(), box.bounds(), p)
+    assert tighter > 500 and raised >= 5, (tighter, raised)
+
+
+def test_mean_value_sums_round_outward():
+    # The mean-value form summed exactly, in rationals, from the same
+    # enclosures of g(m) and Dg(X): the computed pair must hold it.
+    rng = random.Random(2004)
+    checked = 0
+    for m in _mean_value_maps(rng):
+        jac = jacobian(m)
+        for box in _mean_value_boxes(rng, 40):
+            try:
+                naive = m.eval_pairs(box)
+                pairs = _mean_value_pairs(m, jac, box)
+            except DomainError:
+                continue
+            xs = box.coords
+            ms = box.midpoint()
+            point = tuple(Interval(v) for v in ms)
+            for comp, row, (lo, hi), (n_lo, n_hi) in zip(m.components, jac, pairs, naive):
+                g_lo, g_hi = comp.eval_pair(point, None)
+                s_lo, s_hi = Fraction(g_lo), Fraction(g_hi)
+                for d, x, mj in zip(row, xs, ms):
+                    if d is not None:
+                        d_lo, d_hi = d.eval_pair(xs, None)
+                        ends = [Fraction(u) * (Fraction(v) - Fraction(mj))
+                                for u in (d_lo, d_hi) for v in (x.lo, x.hi)]
+                        s_lo += min(ends)
+                        s_hi += max(ends)
+                assert lo <= max(s_lo, n_lo) and hi >= min(s_hi, n_hi), (
+                    m.to_source(), box.bounds())
+                checked += 1
+    assert checked > 500
+
+
+def test_holed_ball_evidence_keeps_the_naive_bound_where_it_decides():
+    # A box the naive bound verifies records that bound; a box only the
+    # mean-value bound verifies records the bound its verdict used.
+    rng = random.Random(15)
+    kept = tightened = 0
+    for k in range(24):
+        m, spec = random_holed_ball_problem(rng, 2 + k % 3)
+        conditions = {c.face: c for c in _holed_ball_conditions(m, spec)}
+        cert = certify_holes(m, spec)
+        for e in cert.evidence:
+            if e.relation == "unresolved":
+                continue
+            cond = conditions[e.face]
+            naive = cond.bound(e.box)
+            if cond.verdict(naive) != UNKNOWN:
+                assert e.bound == naive, (k, e)
+                kept += 1
+            else:
+                assert e.bound.is_subset(naive) and e.bound != naive, (k, e)
+                assert cond.verdict(e.bound) == cond.classify(e.box)[0], (k, e)
+                tightened += 1
+    assert kept > 200 and tightened > 30, (kept, tightened)
+
+
+def test_holed_ball_classify_keeps_the_naive_bound_where_tightening_raises():
+    # sqrt(x1^2 + x2^2) has a derivative that divides by zero on every box
+    # holding the origin, so the naive bound, which holds, must stand.
+    T = parse_map("dim 2\nmap g1 = 1.9*sqrt(x1^2 + x2^2)\nmap g2 = 0.25*x2\n")
+    outer, *_holes = _holed_ball_conditions(T, _two_holes())
+    box = Box.from_bounds([(-1.0, 3.5), (-1.0, 1.0)])
+    naive = outer.bound(box)
+    assert outer.verdict(naive) == UNKNOWN
+    with pytest.raises(DomainError):
+        outer.tighten(box)
+    assert outer.classify(box) == (UNKNOWN, naive)
 
 
 # ---------------------------------------------------------------------------

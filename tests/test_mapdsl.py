@@ -35,6 +35,7 @@ from fpcert.mapdsl import (
     parse_program,
     with_children,
 )
+from oracles import mp_eval
 
 
 def test_parse_minimal():
@@ -442,30 +443,6 @@ def test_bind_checks_the_parameter():
 # -- symbolic derivatives ----------------------------------------------------
 
 
-def _mp_eval(mpmath, e, xs):
-    """e at the mpmath point xs, with the float value of every constant."""
-    if isinstance(e, Const):
-        return mpmath.mpf(e.value)
-    if isinstance(e, Var):
-        return xs[e.index]
-    if isinstance(e, Neg):
-        return -_mp_eval(mpmath, e.arg, xs)
-    if isinstance(e, BinOp):
-        a = _mp_eval(mpmath, e.left, xs)
-        b = _mp_eval(mpmath, e.right, xs)
-        return {"+": a + b, "-": a - b, "*": a * b}[e.op] if e.op != "/" else a / b
-    if isinstance(e, Power):
-        return _mp_eval(mpmath, e.base, xs) ** e.exponent
-    if isinstance(e, Select):
-        branch = e.neg if _mp_eval(mpmath, e.cond, xs) < 0 else e.pos
-        return _mp_eval(mpmath, branch, xs)
-    args = [_mp_eval(mpmath, a, xs) for a in e.args]
-    if e.func in ("abs", "min", "max"):
-        return {"abs": abs, "min": min, "max": max}[e.func](*args)
-    assert e.func in ("sin", "cos", "exp", "tanh", "sqrt")
-    return getattr(mpmath, e.func)(*args)
-
-
 def _differentiable_maps(rng, n):
     """(map, box) pairs from the corpus generators that have a Jacobian:
     every map, those with abs, min or max included."""
@@ -493,7 +470,7 @@ def _exact_partial(mpmath, comp, point, j):
     def along(v):
         ys = list(xs)
         ys[j] = v
-        return _mp_eval(mpmath, comp, ys)
+        return mp_eval(mpmath, comp, ys)
 
     return mpmath.diff(along, xs[j])
 
