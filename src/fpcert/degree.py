@@ -13,7 +13,9 @@ telescope to four times the winding number.  The integer bookkeeping is
 exact, so a returned value is rigorous whenever every leaf was classified.
 A leaf whose evaluation raises (a denominator whose naive enclosure holds
 zero, say) is undecided and split like one whose image meets the origin;
-smaller leaves may evaluate.
+smaller leaves may evaluate.  If the field raises at the leaf's parameter
+midpoint too, the walk stops there: raising is inclusion-monotone for the
+pair kernels, so every leaf holding that point raises as well.
 
 The field F = Id - f is evaluated on ``(lo, hi)`` endpoint pairs: the map's
 component pairs (``MapSpec.eval_pairs``) are subtracted from the box
@@ -46,7 +48,7 @@ from .interval import (
     sub_up,
 )
 from .mapdsl import MapSpec, blend_with_parameter
-from .subdivision import UNKNOWN, VERIFIED, adaptive_cover
+from .subdivision import UNDECIDABLE, UNKNOWN, VERIFIED, adaptive_cover
 
 
 class BoundaryZeroError(ArithmeticError):
@@ -185,8 +187,13 @@ def _winding(f: MapSpec, pieces, max_depth: int, max_boxes: int) -> DegreeResult
         def classify(param, enclose=enclose):
             try:
                 hp = _half_plane(_field_pairs(f, enclose(param)))
-            except DomainError:  # undecided here: split, smaller leaves may evaluate
-                hp = None
+            except DomainError:
+                mid = Box(tuple(Interval(t) for t in param.midpoint()))
+                try:
+                    _field_pairs(f, enclose(mid))
+                except DomainError:  # so does every leaf holding the midpoint
+                    return UNDECIDABLE, None
+                hp = None  # smaller leaves may evaluate
             return (UNKNOWN, None) if hp is None else (VERIFIED, hp)
 
         cover = adaptive_cover([seed], classify, max_depth, budget)

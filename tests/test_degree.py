@@ -85,8 +85,30 @@ def test_winding_splits_segments_whose_evaluation_raises():
 
 def test_winding_segment_that_still_raises_is_a_boundary_zero():
     f = parse_map("dim 2\nmap g1 = 1/(x1 - x1)\nmap g2 = x2\n")  # raises everywhere
-    with pytest.raises(BoundaryZeroError, match="at depth 3"):
+    with pytest.raises(BoundaryZeroError, match="at depth 0"):
         winding_degree_2d(f, rect((0, 1), (0, 1)), max_depth=3)
+
+
+def test_winding_stops_where_the_field_raises_at_a_midpoint(monkeypatch):
+    # The field raises at the first edge's midpoint, so no cover of that
+    # edge can finish: the walk stops on its seed instead of running down
+    # the default depth and box budget.
+    counts = []
+    cover = degree.adaptive_cover
+
+    def counting_cover(*args):
+        result = cover(*args)
+        counts.append(result.boxes_examined)
+        return result
+
+    monkeypatch.setattr(degree, "adaptive_cover", counting_cover)
+    for source in ("dim 2\nmap g1 = 1/(x1 - x1)\nmap g2 = x2\n",
+                   "dim 2\nmap g1 = x1 + sqrt(-0.5 - x1*0)\nmap g2 = x2\n",
+                   "dim 2\nmap g1 = 1/(x1 - 0.5)\nmap g2 = x2\n"):
+        counts.clear()
+        with pytest.raises(BoundaryZeroError):
+            winding_degree_2d(parse_map(source), rect((0, 1), (0, 1)))
+        assert sum(counts) <= 3, (source, counts)
 
 
 def test_winding_budget_is_shared_by_the_four_edges(monkeypatch):
