@@ -122,12 +122,13 @@ def main():
 
     rng = random.Random(f"{args.seed}:holes")
     hole_counts = dict.fromkeys(counts, 0)
-    cross_verified = 0
+    cross_verified = hole_boxes = 0
     t0 = time.perf_counter()
     for k in range(n_holes):
         m, spec = random_holed_ball_problem(rng, 2 + k % 3)
         cert = certify_holes(m, spec)
         hole_counts[cert.outcome] += 1
+        hole_boxes += cert.stats.boxes
         keep = lambda p, spec=spec: math.hypot(*p) <= spec.radius and all(  # noqa: E731
             math.hypot(p[0] - cx, p[1] - cy) >= r for cx, cy, r in spec.holes)
         confirm(cert, m, [(-spec.radius, spec.radius)] * 2, keep)
@@ -138,7 +139,8 @@ def main():
                 violation(m, f"cross-check index {cross['value']}, certified {cert.index}")
     elapsed = time.perf_counter() - t0
     print(f"{n_holes} holed balls in {elapsed:.1f}s: "
-          + ", ".join(f"{k}={v}" for k, v in hole_counts.items()))
+          + ", ".join(f"{k}={v}" for k, v in hole_counts.items())
+          + f" boxes={hole_boxes}")
 
     def random_rect(rng):
         bounds = []
