@@ -39,7 +39,8 @@ generalized gradient at abs, min and max, so the form holds on every box
 where both evaluations succeed (Lebourg's mean value theorem); where one
 raises, the naive bound stands.  An evidence entry carries the bound its
 verdict used: the naive one on a box that bound decides, the tightened one
-otherwise.  Cone slices, rectangle faces and cylinder conditions keep the
+otherwise; a box left queued by the box budget had no verdict and carries
+its naive bound.  Cone slices, rectangle faces and cylinder conditions keep the
 naive bound: there the second evaluation decides no more boxes.
 
 Strict and closed.  The theorem hypotheses (rectangle faces, cylinder
@@ -256,12 +257,17 @@ class Condition:
         No sub-box refutes when the bound cannot cross the refutation
         threshold.  No sub-box verifies when the bound at the witness point
         does not: evaluation is inclusion-monotone, so every sub-box that
-        holds the witness has a bound that contains the point bound.  The
-        witness must pass `relevant`, or that chain of sub-boxes could be
-        dropped as irrelevant deeper down.
+        holds the witness has a naive bound that contains the point bound.
+        A `tighten` bound of such a sub-box holds the witness's image only,
+        which the point bound encloses up to its rounding, so a witness
+        that misses by rounding alone may leave a box unresolved that a
+        sub-box would verify; it never verifies one.  The witness must pass
+        `relevant`, or that chain of sub-boxes could be dropped as
+        irrelevant deeper down.
         """
-        # A sub-box's bound lies inside b and the failing values form rays,
-        # so some sub-box may refute only if an end of b fails as a point.
+        # A sub-box's bound holds its image, which lies inside b, and the
+        # failing values form rays, so some sub-box may refute only if an
+        # end of b fails as a point.
         if self.fails(b.lo, b.lo) or self.fails(b.hi, b.hi):
             return False  # the common case: skip the witness
         p = _point(self.witness(box))

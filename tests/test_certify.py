@@ -7,8 +7,6 @@ import pytest
 
 from fpcert import catalog
 from fpcert.certify import (
-    _holed_ball_conditions,
-    _mean_value_pairs,
     ANNULUS_REFUSAL,
     CERTIFIED,
     INDETERMINATE,
@@ -20,6 +18,8 @@ from fpcert.certify import (
     certify_holes,
     certify_miranda,
     certify_problem,
+    _holed_ball_conditions,
+    _mean_value_pairs,
 )
 from fpcert.degree import holes_index_cross_check
 from fpcert.geometry import (
@@ -35,7 +35,7 @@ from fpcert.geometry import (
 )
 from fpcert.interval import Box, DomainError, Interval
 from fpcert.mapdsl import jacobian, parse_map, parse_program
-from fpcert.subdivision import UNKNOWN
+from fpcert.subdivision import UNKNOWN, VERIFIED, VIOLATED
 
 from corpus import random_holed_ball_problem
 from oracles import grid_zoom_min, mp_eval
@@ -412,8 +412,8 @@ def test_mean_value_sums_round_outward():
 
 
 def test_holed_ball_evidence_keeps_the_naive_bound_where_it_decides():
-    # A box the naive bound verifies records that bound; a box only the
-    # mean-value bound verifies records the bound its verdict used.
+    # Every decided entry records the bound its verdict used: the naive
+    # bound where that decides the box, else the mean-value bound.
     rng = random.Random(15)
     kept = tightened = 0
     for k in range(24):
@@ -424,13 +424,14 @@ def test_holed_ball_evidence_keeps_the_naive_bound_where_it_decides():
             if e.relation == "unresolved":
                 continue
             cond = conditions[e.face]
+            tag, bound = cond.classify(e.box)
+            assert tag in (VERIFIED, VIOLATED) and bound == e.bound, (k, e)
             naive = cond.bound(e.box)
-            if cond.verdict(naive) != UNKNOWN:
-                assert e.bound == naive, (k, e)
+            if cond.verdict(naive) == tag:
+                assert bound == naive, (k, e)
                 kept += 1
             else:
-                assert e.bound.is_subset(naive) and e.bound != naive, (k, e)
-                assert cond.verdict(e.bound) == cond.classify(e.box)[0], (k, e)
+                assert bound.is_subset(naive) and bound != naive, (k, e)
                 tightened += 1
     assert kept > 200 and tightened > 30, (kept, tightened)
 

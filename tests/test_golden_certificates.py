@@ -101,13 +101,13 @@ def corpus_results():
 def ratchet_breaks(golden, got):
     """The keys whose outcome moved other than INDETERMINATE -> CERTIFIED,
     or whose box count grew."""
-    return sorted(
-        key for key, new in got.items()
-        if new["boxes"] > golden[key]["boxes"]
-        or new["outcome"] not in (golden[key]["outcome"],
-                                  CERTIFIED if golden[key]["outcome"] == INDETERMINATE
-                                  else golden[key]["outcome"])
-    )
+
+    def allowed(old):
+        return (old, CERTIFIED) if old == INDETERMINATE else (old,)
+
+    return sorted(key for key, new in got.items()
+                  if new["boxes"] > golden[key]["boxes"]
+                  or new["outcome"] not in allowed(golden[key]["outcome"]))
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +129,18 @@ def test_no_certificate_loses_its_outcome_or_gains_boxes(corpus):
     assert set(got) == set(golden)
     broken = ratchet_breaks(golden, got)
     assert not broken, [(key, golden[key], got[key]) for key in broken]
+
+
+def test_ratchet_allows_only_fewer_boxes_and_indeterminate_to_certified():
+    old = {k: {"outcome": o, "boxes": 10} for k, o in
+           (("a", "INDETERMINATE"), ("b", "CERTIFIED"), ("c", "REFUTED"))}
+
+    def moved(key, outcome, boxes):
+        return ratchet_breaks(old, {**old, key: {"outcome": outcome, "boxes": boxes}})
+
+    assert moved("a", "CERTIFIED", 9) == [] and moved("c", "REFUTED", 10) == []
+    assert moved("a", "REFUTED", 10) == ["a"] and moved("b", "INDETERMINATE", 1) == ["b"]
+    assert moved("c", "CERTIFIED", 10) == ["c"] and moved("b", "CERTIFIED", 11) == ["b"]
 
 
 def _write(path, table):
