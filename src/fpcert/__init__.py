@@ -25,18 +25,13 @@ from .geometry import (
     AnnulusSpec,
     ConeShellSpec,
     CylinderSpec,
-    Face,
     Functional,
     HoledBallSpec,
     RectDomain,
-    clamp_projection,
     compressive_to_expansive,
-    cone_retraction,
     face,
     flip_coordinates,
     parse_domain,
-    shell_homeomorphism,
-    shell_homeomorphism_inv,
 )
 from .interval import (
     Box,
@@ -49,9 +44,6 @@ from .interval import (
 from .localize import (
     Enclosure,
     LocalizeResult,
-    NoCrossingError,
-    PathSamples,
-    extract_crossing_subpath,
     localize_fixed_points,
 )
 from .mapdsl import (

@@ -24,9 +24,10 @@ instead of exhausting the budget.
 
 Evaluation errors.  A box whose bound raises a `DomainError` (a naive
 enclosure of a denominator that holds zero, say) is undecided and split:
-smaller boxes may evaluate.  If it stays unresolved, its evidence entry
-carries no bound.  A witness whose point evaluation raises does not confirm
-a refutation.
+smaller boxes may evaluate.  So is a box whose relevance test raises, by
+the rule of `subdivision.adaptive_cover`.  If it stays unresolved, its
+evidence entry carries no bound.  A witness whose point evaluation raises
+does not confirm a refutation.
 
 Mean-value bounds.  The holed-ball conditions (the outer ball and each
 hole) try a second bound on every box the naive bound leaves undecided.  It
@@ -356,8 +357,8 @@ def _face_conditions(g: MapSpec, rect: RectDomain, axis: int, direction: str):
     lo_rel, hi_rel = ("<=", ">=") if direction == "e" else (">=", "<=")
     bound = lambda bx: g.eval_component_interval(axis, bx)
     return (
-        Condition(f"x{axis + 1}-", (face(rect, axis, "-").as_box,), bound, lo_rel, (a, a)),
-        Condition(f"x{axis + 1}+", (face(rect, axis, "+").as_box,), bound, hi_rel, (b, b)),
+        Condition(f"x{axis + 1}-", (face(rect, axis, "-"),), bound, lo_rel, (a, a)),
+        Condition(f"x{axis + 1}+", (face(rect, axis, "+"),), bound, hi_rel, (b, b)),
     )
 
 

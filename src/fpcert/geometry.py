@@ -3,10 +3,8 @@
 Rectangles carry their faces, cylinders a height interval over a box base,
 cone shells live in the nonnegative orthant between two level sets of a
 positive functional, and holed balls are planar disks minus disjoint holes.
-The module also builds the coordinate-flip of a map (2*x_i - g_i), the
-cylinder duality transform on the height coordinate, the level-set
-retraction of the orthant cone, and the shell-to-cylinder homeomorphism
-h(x) = (l(x), x / l(x)).
+The module also builds the coordinate-flip of a map (2*x_i - g_i) and the
+cylinder duality transform on the height coordinate.
 
 The enclosures the certifiers take over boxes, the squared distance to a
 point (`dist2_pair`) and a shell functional (`Functional.value_pair`), work
@@ -53,10 +51,6 @@ from .mapdsl import (
 _INF = math.inf
 
 
-class OutsideShellError(ValueError):
-    """Point offered to the shell homeomorphism lies outside the shell."""
-
-
 # ---------------------------------------------------------------------------
 # Rectangles and faces
 # ---------------------------------------------------------------------------
@@ -79,33 +73,16 @@ class RectDomain:
         return {"type": "rect", "bounds": self.box.bounds()}
 
 
-@dataclass(frozen=True)
-class Face:
-    parent: RectDomain
-    axis: int
-    sign: str  # '-' or '+'
-    as_box: Box
-
-
-def face(rect: RectDomain, axis: int, sign: str) -> Face:
+def face(rect: RectDomain, axis: int, sign: str) -> Box:
+    """The face of the rectangle on which coordinate `axis` is pinned to its
+    lower ('-') or upper ('+') bound, as a box."""
     if not 0 <= axis < rect.dim:
         raise IndexError(f"axis {axis} out of range for dimension {rect.dim}")
     if sign not in ("-", "+"):
         raise ValueError("sign must be '-' or '+'")
     c = rect.box.coords[axis]
     pinned = c.lo if sign == "-" else c.hi
-    return Face(rect, axis, sign, rect.box.replace_coord(axis, Interval(pinned)))
-
-
-def clamp_projection(point, rect: RectDomain):
-    """Componentwise clamp into the rectangle; identity on interior points."""
-    if len(point) != rect.dim:
-        raise DimensionMismatchError(
-            f"point of dimension {len(point)} for rectangle of dimension {rect.dim}"
-        )
-    return tuple(
-        min(c.hi, max(float(x), c.lo)) for x, c in zip(point, rect.box.coords)
-    )
+    return rect.box.replace_coord(axis, Interval(pinned))
 
 
 # ---------------------------------------------------------------------------
@@ -395,59 +372,6 @@ class AnnulusSpec:
 
     def to_json_dict(self):
         return {"type": "annulus", "r1": self.r1, "r2": self.r2}
-
-
-# ---------------------------------------------------------------------------
-# Cone retraction and the shell homeomorphism
-# ---------------------------------------------------------------------------
-
-
-def cone_retraction(p, a: float, spec: ConeShellSpec, y):
-    """Retract a cone point onto the a-level set of the shell functional.
-
-    Implements r_a(x) = a * (x + (a - l(x))^2 y) / l(x + (a - l(x))^2 y)
-    for a direction y in the cone with l(y) > 0.  Exact identity on points
-    already at level a.
-    """
-    f = spec.functional
-    if a <= 0.0:
-        raise ValueError("retraction level must be positive")
-    if any(v < 0.0 for v in p) or any(v < 0.0 for v in y):
-        raise ValueError("retraction operates on points of the orthant cone")
-    if f.value(y) <= 0.0:
-        raise ValueError("direction point must have positive functional value")
-    lx = f.value(p)
-    if lx == a:
-        return tuple(float(v) for v in p)
-    s = (a - lx) ** 2
-    shifted = tuple(v + s * w for v, w in zip(p, y))
-    denom = f.value(shifted)
-    if denom <= 0.0:
-        raise ZeroDivisionError("degenerate retraction denominator")
-    return tuple(a * v / denom for v in shifted)
-
-
-def shell_homeomorphism(p, spec: ConeShellSpec):
-    """Map a shell point to (level, unit-level point): h(x) = (l(x), x/l(x))."""
-    f = spec.functional
-    t = f.value(p)
-    if not spec.a <= t <= spec.b:
-        raise OutsideShellError(
-            f"functional value {t} outside shell [{spec.a}, {spec.b}]"
-        )
-    if t <= 0.0:
-        raise OutsideShellError("homeomorphism needs a strictly positive level")
-    return t, tuple(float(v) / t for v in p)
-
-
-def shell_homeomorphism_inv(t: float, u, spec: ConeShellSpec, unit_tol: float = 1e-9):
-    """Inverse of the shell homeomorphism: (t, u) -> t*u with l(u) = 1."""
-    if not spec.a <= t <= spec.b:
-        raise OutsideShellError(f"level {t} outside shell [{spec.a}, {spec.b}]")
-    lu = spec.functional.value(u)
-    if abs(lu - 1.0) > unit_tol:
-        raise OutsideShellError(f"functional value of u is {lu}, expected 1")
-    return tuple(t * float(v) for v in u)
 
 
 # ---------------------------------------------------------------------------

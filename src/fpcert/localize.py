@@ -1,4 +1,4 @@
-"""Branch-and-prune localization of fixed points, and crossing sub-paths.
+"""Branch-and-prune localization of fixed points.
 
 The pruning test discards a sub-box B as soon as some component of the
 interval residual g(B) - B excludes zero, which proves B holds no fixed
@@ -70,10 +70,6 @@ def _split_box(box: Box, axis: int):
         box.replace_coord(axis, Interval(c.lo, m)),
         box.replace_coord(axis, Interval(m, c.hi)),
     )
-
-
-class NoCrossingError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -452,98 +448,3 @@ def region_fixed_point_free(g: MapSpec, root: Box,
     cover = adaptive_cover([root], classify, max_depth, max_boxes)
     return cover.status == "verified"
 
-
-# ---------------------------------------------------------------------------
-# Piecewise-linear crossing sub-paths
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PathSamples:
-    """Sampled path: nodes (s, point) with s strictly increasing 0 -> 1."""
-
-    nodes: tuple
-
-    def __post_init__(self):
-        if len(self.nodes) < 2:
-            raise ValueError("a path needs at least two samples")
-        params = [s for s, _p in self.nodes]
-        if params[0] != 0.0 or params[-1] != 1.0:
-            raise ValueError("path parameters must run from 0 to 1")
-        if any(b <= a for a, b in zip(params, params[1:])):
-            raise ValueError("path parameters must be strictly increasing")
-        dim = len(self.nodes[0][1])
-        if any(len(p) != dim for _s, p in self.nodes):
-            raise DimensionMismatchError("inconsistent point dimensions along the path")
-
-    @classmethod
-    def from_points(cls, params, points):
-        return cls(tuple((float(s), tuple(float(x) for x in p))
-                         for s, p in zip(params, points)))
-
-
-def extract_crossing_subpath(path: PathSamples, func: MapSpec, component: int,
-                             a: float, b: float):
-    """Find [s0, s1] on which h(s) = func(path(s))[component] sweeps [a, b].
-
-    For an ascending crossing (h(0) <= a, h(1) >= b) the returned pair has
-    h(s0) = a, h(s1) = b and h within [a, b] in between; the descending
-    case is symmetric with the roles of a and b swapped.  When several full
-    traversals exist the one with the largest s0 is returned.  Values are
-    computed on the piecewise-linear interpolant of the sampled h values,
-    exactly on linear pieces up to float rounding.
-    """
-    if a >= b:
-        raise ValueError("need a < b")
-    svals = [s for s, _p in path.nodes]
-    hvals = [func.eval_real(p)[component] for _s, p in path.nodes]
-
-    if hvals[0] <= a and hvals[-1] >= b:
-        return _last_traversal(svals, hvals, a, b)
-    if hvals[0] >= b and hvals[-1] <= a:
-        neg_h = [-v for v in hvals]
-        return _last_traversal(svals, neg_h, -b, -a)
-    raise NoCrossingError(
-        f"path values start at {hvals[0]} and end at {hvals[-1]}, "
-        f"never sweeping [{a}, {b}]"
-    )
-
-
-def _last_traversal(svals, hvals, a, b):
-    s0 = None
-    best = None
-    for k in range(len(svals) - 1):
-        sk, sk1 = svals[k], svals[k + 1]
-        hk, hk1 = hvals[k], hvals[k + 1]
-        if hk1 == hk:
-            if hk == a:
-                s0 = sk1
-            elif hk == b:
-                if s0 is not None:
-                    best = (s0, sk)
-                    s0 = None
-            elif hk < a:
-                s0 = None
-            continue
-        slope = (hk1 - hk) / (sk1 - sk)
-
-        def s_at(level):
-            s = sk + (level - hk) / slope
-            return min(max(s, sk), sk1)
-
-        events = []
-        if min(hk, hk1) <= a <= max(hk, hk1):
-            events.append((s_at(a), "a"))
-        if min(hk, hk1) <= b <= max(hk, hk1):
-            events.append((s_at(b), "b"))
-        events.sort()
-        for s, tag in events:
-            if tag == "a":
-                s0 = None if slope < 0 else s
-            else:
-                if s0 is not None:
-                    best = (s0, s)
-                    s0 = None
-    if best is None:
-        raise NoCrossingError(f"no full traversal of [{a}, {b}] found")
-    return best

@@ -14,6 +14,12 @@ the widest splittable axis; a violation stops the search immediately.  Work
 is bounded by both a depth budget and a box-count budget.  Undecidable
 (equality-touching) boxes stop early: the classifier marks them and they end
 unresolved at once, instead of being bisected until a budget runs out.
+
+A classifier that raises a `DomainError` on a box (a denominator whose naive
+enclosure holds zero, a bound past the float range) leaves that box unknown:
+it is split, since smaller boxes may evaluate, or ends unresolved at the
+depth or box cap.  An unknown box never verifies or refutes anything, so
+this is sound for every caller.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .interval import Box
+from .interval import Box, DomainError
 
 VERIFIED = "verified"
 VIOLATED = "violated"
@@ -52,7 +58,10 @@ def adaptive_cover(seeds, classify, max_depth: int, max_boxes: int) -> CoverResu
         box, depth = queue.popleft()
         result.boxes_examined += 1
         result.depth_reached = max(result.depth_reached, depth)
-        tag, payload = classify(box)
+        try:
+            tag, payload = classify(box)
+        except DomainError:  # undecided here: smaller boxes may evaluate
+            tag, payload = UNKNOWN, None
         if tag == VERIFIED:
             result.verified.append((box, payload))
         elif tag == IRRELEVANT:

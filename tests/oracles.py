@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 
 
 def bisect_root(fn, lo: float, hi: float, iters: int = 200) -> float:
@@ -183,61 +182,6 @@ def winding_circle(m, center, radius: float, n: int = 8192) -> int:
         for k in range(n)
     ]
     return _accumulate_winding(pts, m)
-
-
-def last_traversal_exact(svals, hvals, a, b):
-    """Last full [a, b] traversal of a piecewise-linear interpolant.
-
-    Dense sampling locates candidate traversals; endpoints are then solved
-    exactly in rational arithmetic on the linear pieces.
-    """
-    S = [Fraction(s) for s in svals]
-    H = [Fraction(h) for h in hvals]
-    A, B = Fraction(a), Fraction(b)
-
-    def crossings(level):
-        hits = []
-        for k in range(len(S) - 1):
-            h0, h1 = H[k], H[k + 1]
-            if h0 == h1:
-                if h0 == level:
-                    hits.append((S[k], k, 0))
-                    hits.append((S[k + 1], k, 0))
-                continue
-            if min(h0, h1) <= level <= max(h0, h1):
-                s = S[k] + (level - h0) * (S[k + 1] - S[k]) / (h1 - h0)
-                slope = 1 if h1 > h0 else -1
-                hits.append((s, k, slope))
-        return hits
-
-    a_hits = crossings(A)
-    b_hits = crossings(B)
-
-    def value_at(s):
-        for k in range(len(S) - 1):
-            if S[k] <= s <= S[k + 1]:
-                if H[k + 1] == H[k]:
-                    return H[k]
-                return H[k] + (s - S[k]) * (H[k + 1] - H[k]) / (S[k + 1] - S[k])
-        raise ValueError("parameter out of range")
-
-    best = None
-    for s0, _k0, slope0 in a_hits:
-        if slope0 < 0:
-            continue
-        later_b = [s1 for s1, _k, _sl in b_hits if s1 > s0]
-        if not later_b:
-            continue
-        s1 = min(later_b)
-        # between s0 and s1 the interpolant must stay in [A, B]
-        breakpoints = [s for s in S if s0 < s < s1]
-        ok = all(A <= value_at(s) <= B for s in breakpoints)
-        ok = ok and A <= value_at(s0) <= B and A <= value_at(s1) <= B
-        if ok and (best is None or s0 > best[0]):
-            best = (s0, s1)
-    if best is None:
-        return None
-    return float(best[0]), float(best[1])
 
 
 def mp_eval(mpmath, e, xs):

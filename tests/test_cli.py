@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import random
 from pathlib import Path
 
@@ -75,6 +76,27 @@ def test_certify_map_undefined_on_a_face_exit_2(capsys, tmp_path, dim):
     assert all(e["bound"] is None for e in unresolved)
     # Both Miranda pairs (c and e) split each x1 face to depth 6.
     assert cert["stats"]["boxes"] == (4 if dim == 1 else 4 * 127 + 2)
+
+
+def test_certify_holed_ball_past_the_float_range_fails_soft(capsys, tmp_path):
+    # Squared distances near the rim overflow, so the outer condition's
+    # domain test raises on those boxes of its cover.  They stay undecided
+    # (split, then unresolved at the depth cap) instead of ending the run
+    # with an error (exit 4); the first hole's condition then refutes.
+    path = tmp_path / "huge.fp"
+    path.write_text("dim 2\nmap g1 = x1/2\nmap g2 = x2/2\n"
+                    "domain holedball R=1.5e154 hole (-5e153,0,1e153) hole (5e153,0,1e153)\n")
+    code, out, err = run(capsys, "certify", str(path), "--format", "json", "--stable",
+                         "--max-depth", "6")
+    assert code == 1 and err == ""
+    cert = json.loads(out)
+    assert cert["outcome"] == "REFUTED"
+    assert {e["face"] for e in cert["evidence"] if e["relation"] == "unresolved"} == {"outer"}
+    # The witness lies on the first hole's circle and T maps it outside that
+    # hole, checked in plain floats with a wide margin.
+    x, y = cert["witness"]
+    assert math.hypot(x + 5e153, y) == pytest.approx(1e153, rel=1e-9)
+    assert math.hypot(x / 2 + 5e153, y / 2) > 2e153
 
 
 def test_annulus_exit_4_with_message(capsys):

@@ -196,6 +196,15 @@ def test_homotopy_invariance_basic():
     assert winding_degree_2d(f, r).value == winding_degree_2d(g, r).value
 
 
+def test_homotopy_with_a_pole_on_the_boundary_is_not_verified():
+    # 1/(x1 - 0.5) raises on every box of the edges x2 = 0 and x2 = 1 that
+    # holds x1 = 0.5: those boxes are split and end unresolved, so the check
+    # answers False instead of raising.
+    f = parse_map("dim 2\nmap g1 = 1/(x1 - 0.5)\nmap g2 = x2\n")
+    g = parse_map("dim 2\nmap g1 = 0.25\nmap g2 = 0.25\n")
+    assert homotopy_nonvanishing(f, g, rect((0, 1), (0, 1)), max_boxes=2000) is False
+
+
 def test_two_zero_localization_and_multiplicity():
     # F = Id - f = (x1^2 - 0.25, x2): zeros at (+-0.5, 0), indices +1 and -1
     f = parse_map("dim 2\nmap g1 = x1 - (x1^2 - 0.25)\nmap g2 = 0\n")

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -10,15 +9,10 @@ from fpcert.geometry import (
     Functional,
     HoledBallSpec,
     RectDomain,
-    clamp_projection,
     compressive_to_expansive,
-    cone_retraction,
     face,
     flip_coordinates,
     parse_domain,
-    shell_homeomorphism,
-    shell_homeomorphism_inv,
-    OutsideShellError,
 )
 from fpcert.interval import Box, Interval
 from fpcert.mapdsl import parse_map
@@ -31,23 +25,14 @@ def _rect01_2d():
 def test_face_pins_coordinate():
     r = _rect01_2d()
     f = face(r, 0, "-")
-    assert f.as_box.coords[0] == Interval(0.0)
-    assert f.as_box.coords[1] == Interval(0.0, 1.0)
+    assert f.coords[0] == Interval(0.0)
+    assert f.coords[1] == Interval(0.0, 1.0)
     f = face(r, 1, "+")
-    assert f.as_box.coords[1] == Interval(1.0)
+    assert f.coords[1] == Interval(1.0)
     with pytest.raises(IndexError):
         face(r, 2, "-")
-
-
-def test_clamp_projection():
-    r = _rect01_2d()
-    assert clamp_projection((1.5, -0.3), r) == (1.0, 0.0)
-    assert clamp_projection((0.5, 0.5), r) == (0.5, 0.5)
-    rng = random.Random(3)
-    for _ in range(50):
-        p = (rng.uniform(-3, 3), rng.uniform(-3, 3))
-        once = clamp_projection(p, r)
-        assert clamp_projection(once, r) == once
+    with pytest.raises(ValueError):
+        face(r, 0, "0")
 
 
 def test_flip_simple():
@@ -91,90 +76,6 @@ def test_transform_double_application():
     for _ in range(100):
         p = (rng.uniform(-2, 2), rng.uniform(-2, 2))
         assert m.eval_real(p) == double.eval_real(p)
-
-
-def _random_cone_point(rng, dim, scale=3.0):
-    return tuple(rng.uniform(0.0, scale) for _ in range(dim))
-
-
-@pytest.mark.parametrize(
-    "functional",
-    [Functional.euclid(), Functional.sup(), Functional.ones(3)],
-    ids=["euclid", "sup", "linear"],
-)
-def test_retraction_laws(functional):
-    spec = ConeShellSpec(3, functional, 0.5, 4.0)
-    rng = random.Random(101)
-    y = (0.3, 1.0, 0.7)
-    a = 1.25
-    for _ in range(1000):
-        p = _random_cone_point(rng, 3)
-        r = cone_retraction(p, a, spec, y)
-        assert all(v >= 0.0 for v in r)
-        assert abs(functional.value(r) - a) <= 1e-12 * a
-        rr = cone_retraction(r, a, spec, y)
-        assert all(abs(u - v) <= 1e-12 * max(1.0, abs(u)) for u, v in zip(r, rr))
-
-
-def test_retraction_identity_on_level():
-    spec = ConeShellSpec(2, Functional.euclid(), 4.0, 6.0)
-    assert cone_retraction((3.0, 4.0), 5.0, spec, (1.0, 0.0)) == (3.0, 4.0)
-
-
-def test_retraction_from_origin():
-    spec = ConeShellSpec(2, Functional.euclid(), 0.5, 2.0)
-    assert cone_retraction((0.0, 0.0), 1.0, spec, (1.0, 0.0)) == (1.0, 0.0)
-
-
-def test_retraction_linear_form_value():
-    # direct formula evaluation cross-checked in exact rational arithmetic
-    spec = ConeShellSpec(2, Functional.ones(2), 0.5, 3.0)
-    got = cone_retraction((2.0, 0.0), 1.0, spec, (1.0, 1.0))
-    x, y, a = (Fraction(2), Fraction(0)), (Fraction(1), Fraction(1)), Fraction(1)
-    lx = x[0] + x[1]
-    shift = (a - lx) ** 2
-    num = (x[0] + shift * y[0], x[1] + shift * y[1])
-    denom = num[0] + num[1]
-    expect = (float(a * num[0] / denom), float(a * num[1] / denom))
-    assert got == expect == (0.75, 0.25)
-    assert sum(got) == 1.0
-
-
-def test_shell_homeomorphism_roundtrip_examples():
-    spec = ConeShellSpec(2, Functional.euclid(), 1.0, 6.0)
-    t, u = shell_homeomorphism((3.0, 4.0), spec)
-    assert t == 5.0 and u == (0.6, 0.8)
-    assert shell_homeomorphism_inv(t, u, spec) == (3.0, 4.0)
-
-    lin = ConeShellSpec(2, Functional.ones(2), 0.5, 2.0)
-    t, u = shell_homeomorphism((0.5, 0.5), lin)
-    assert t == 1.0 and u == (0.5, 0.5)
-
-
-def test_shell_homeomorphism_roundtrip_random():
-    spec = ConeShellSpec(3, Functional.euclid(), 0.5, 5.0)
-    rng = random.Random(77)
-    worst = 0.0
-    n = 0
-    while n < 1000:
-        p = _random_cone_point(rng, 3)
-        level = spec.functional.value(p)
-        if not spec.a <= level <= spec.b or level == 0.0:
-            continue
-        n += 1
-        t, u = shell_homeomorphism(p, spec)
-        back = shell_homeomorphism_inv(t, u, spec)
-        err = max(abs(x - y) for x, y in zip(p, back))
-        worst = max(worst, err / max(1.0, max(abs(v) for v in p)))
-    assert worst <= 1e-12
-
-
-def test_shell_homeomorphism_outside():
-    spec = ConeShellSpec(2, Functional.euclid(), 1.0, 2.0)
-    with pytest.raises(OutsideShellError):
-        shell_homeomorphism((5.0, 5.0), spec)
-    with pytest.raises(OutsideShellError):
-        shell_homeomorphism_inv(1.5, (0.9, 0.9), spec)
 
 
 def test_holed_ball_validation():

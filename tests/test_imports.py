@@ -2,12 +2,18 @@
 (``from .x import ...`` and ``from . import x``) with ast: it has no cycle,
 localize imports neither certify nor degree, since it decides PROVEN by
 its own rule, and degree imports neither localize nor certify, since its
-winding walks need no fixed point free region."""
+winding walks need no fixed point free region.
+
+The traced benchmark (``perfbench/tracing.py``) patches fpcert functions
+and ``Interval`` operators by name; every name it lists must still exist."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
-_SRC = Path(__file__).resolve().parent.parent / "src" / "fpcert"
+_ROOT = Path(__file__).resolve().parent.parent
+_SRC = _ROOT / "src" / "fpcert"
 
 
 def _import_graph():
@@ -69,3 +75,22 @@ def test_degree_imports_neither_localize_nor_certify():
     deps = _import_graph()["degree"]
     assert "subdivision" in deps
     assert not deps & {"localize", "certify"}, deps
+
+
+def _perfbench_tracing():
+    # perfbench is a directory of scripts, not a package: load by path.
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  _ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_perfbench_traced_names_resolve():
+    tracing = _perfbench_tracing()
+    names = {module for module, _function in tracing.FUNCTIONS} | {"interval"}
+    modules = {name: importlib.import_module(f"fpcert.{name}") for name in names}
+    for module, function in tracing.FUNCTIONS:
+        tracing._resolve(modules, module, function)  # raises when one is gone
+    interval = modules["interval"].Interval
+    assert [m for _op, m in tracing.INTERVAL_OPS if m not in interval.__dict__] == []

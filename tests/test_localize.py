@@ -9,15 +9,12 @@ from fpcert.interval import Box, Interval
 from fpcert.localize import (
     CANDIDATE,
     PROVEN,
-    NoCrossingError,
-    PathSamples,
-    extract_crossing_subpath,
     localize_fixed_points,
     region_fixed_point_free,
 )
 from fpcert.mapdsl import BinOp, MapSpec, float_const, parse_map
 
-from oracles import bisect_root, grid_zoom_min, last_traversal_exact
+from oracles import bisect_root, grid_zoom_min
 
 
 def rect(*bounds):
@@ -454,98 +451,3 @@ def test_proof_shared_by_several_leaves_proves_none_of_them(monkeypatch):
     res = localize_fixed_points(m, rect((0, 1)), tol=1e-3)
     assert len(res.enclosures) > 1 and not res.proven
     assert any(e.box.contains_point((0.5,)) for e in res.enclosures)
-
-
-# ---------------------------------------------------------------------------
-# Crossing sub-paths
-# ---------------------------------------------------------------------------
-
-
-def _identity_1d():
-    return parse_map("dim 1\nmap g1 = x1\n")
-
-
-def _path_from_values(svals, hvals):
-    return PathSamples.from_points(svals, [(h,) for h in hvals])
-
-
-def test_crossing_linear():
-    # h(s) = 3s - 1 sampled on its own graph
-    svals = [0.0, 0.25, 0.5, 0.75, 1.0]
-    hvals = [3 * s - 1 for s in svals]
-    path = _path_from_values(svals, hvals)
-    s0, s1 = extract_crossing_subpath(path, _identity_1d(), 0, 0.0, 1.0)
-    assert s0 == pytest.approx(1 / 3, abs=1e-15)
-    assert s1 == pytest.approx(2 / 3, abs=1e-15)
-
-
-def test_crossing_identity():
-    path = _path_from_values([0.0, 1.0], [0.0, 1.0])
-    assert extract_crossing_subpath(path, _identity_1d(), 0, 0.0, 1.0) == (0.0, 1.0)
-
-
-def test_crossing_oscillating_last_traversal():
-    svals = [0.0, 1 / 3, 2 / 3, 1.0]
-    hvals = [-1.0, 2.0, -1.0, 2.0]
-    expected = last_traversal_exact(svals, hvals, 0.0, 1.0)
-    assert expected == pytest.approx((7 / 9, 8 / 9), abs=1e-15)
-    path = _path_from_values(svals, hvals)
-    s0, s1 = extract_crossing_subpath(path, _identity_1d(), 0, 0.0, 1.0)
-    assert (s0, s1) == pytest.approx(expected, abs=1e-12)
-
-
-def test_crossing_contract_random_paths():
-    rng = random.Random(404)
-    for _ in range(200):
-        n = rng.randrange(3, 12)
-        svals = sorted(rng.random() for _ in range(n - 2))
-        svals = [0.0] + svals + [1.0]
-        if any(b <= a for a, b in zip(svals, svals[1:])):
-            continue
-        hvals = [rng.uniform(-3, 3) for _ in svals]
-        hvals[0] = rng.uniform(-3, -1.01)
-        hvals[-1] = rng.uniform(1.01, 3)
-        a, b = -1.0, 1.0
-        path = _path_from_values(svals, hvals)
-        s0, s1 = extract_crossing_subpath(path, _identity_1d(), 0, a, b)
-        expected = last_traversal_exact(svals, hvals, a, b)
-        assert expected is not None
-        assert (s0, s1) == pytest.approx(expected, abs=1e-12)
-
-        def interp(s):
-            for k in range(len(svals) - 1):
-                if svals[k] <= s <= svals[k + 1]:
-                    f = (s - svals[k]) / (svals[k + 1] - svals[k])
-                    return hvals[k] + f * (hvals[k + 1] - hvals[k])
-            raise AssertionError
-
-        assert abs(interp(s0) - a) <= 1e-12
-        assert abs(interp(s1) - b) <= 1e-12
-        for i in range(1000):
-            s = s0 + (s1 - s0) * i / 999
-            assert a - 1e-9 <= interp(s) <= b + 1e-9
-
-
-def test_crossing_descending():
-    svals = [0.0, 1.0]
-    hvals = [2.0, -1.0]
-    path = _path_from_values(svals, hvals)
-    s0, s1 = extract_crossing_subpath(path, _identity_1d(), 0, 0.0, 1.0)
-    assert s0 < s1
-    # descending: h(s0) = b, h(s1) = a
-    assert 2.0 - 3.0 * s0 == pytest.approx(1.0, abs=1e-15)
-    assert 2.0 - 3.0 * s1 == pytest.approx(0.0, abs=1e-15)
-
-
-def test_no_crossing():
-    path = _path_from_values([0.0, 1.0], [0.0, 0.5])
-    with pytest.raises(NoCrossingError):
-        extract_crossing_subpath(path, _identity_1d(), 0, 0.0, 1.0)
-
-
-def test_path_validation():
-    with pytest.raises(ValueError):
-        PathSamples.from_points([0.0, 0.5], [(0.0,), (1.0,)])  # must end at 1
-    with pytest.raises(ValueError):
-        PathSamples.from_points([0.0, 0.7, 0.7, 1.0],
-                                [(0.0,), (1.0,), (2.0,), (3.0,)])
