@@ -19,8 +19,9 @@ enclosure; then, from a sixth stream, the same with an abs or min term
 whose kink passes through the planted point.  Last, from a seventh
 stream, 1-D and 2-D families with a planted polynomial branch of fixed
 points, the only one in their box, are traced over t in [0, 1]: every
-PROVEN slab must hold the branch at sampled t of its cell, and every
-proven chain must meet the branch.  Any
+PROVEN slab must hold the branch at sampled t of its cell, every
+proven chain must meet the branch, and on every slab the map bound to
+its cell's t must give the pairs, or the error, of the unbound map.  Any
 answer an oracle cannot confirm is a soundness bug and is printed with its
 problem source.
 
@@ -224,8 +225,15 @@ def main():
             for point in (branch_point(coeffs, slab.t.lo + k * (slab.t.hi - slab.t.lo)
                                        / (samples - 1)) for k in range(samples)))
 
+    def pairs_or_error(fn, *fn_args):
+        try:
+            return fn(*fn_args)
+        except (ArithmeticError, ValueError) as exc:
+            return f"{type(exc).__name__}: {exc}"
+
     rng = random.Random(f"{args.seed}:trace")
-    trace_counts = {"slabs": 0, "PROVEN": 0, "proven chains": 0, "exhausted": 0}
+    trace_counts = {"slabs": 0, "PROVEN": 0, "proven chains": 0, "exhausted": 0,
+                    "bind checks": 0}
     t0 = time.perf_counter()
     for k in range(n_localize):
         m, coeffs, box = random_planted_branch_family(rng, 1 + k % 2)
@@ -234,7 +242,15 @@ def main():
         trace_counts["slabs"] += len(wit.slabs)
         trace_counts["proven chains"] += wit.proven
         trace_counts["exhausted"] += wit.exhausted
+        bound = {}  # cell -> m bound to the cell's t
         for slab in wit.slabs:
+            if slab.cell not in bound:
+                bound[slab.cell] = m.bind_interval(slab.t)
+            trace_counts["bind checks"] += 1
+            got = pairs_or_error(bound[slab.cell].eval_pairs, slab.box)
+            if got != pairs_or_error(m.eval_pairs, slab.box, slab.t):
+                violation(m, f"map bound to t in [{slab.t.lo}, {slab.t.hi}] gives {got} "
+                             f"on {slab.box.bounds()}, not its value there")
             if slab.status == PROVEN:
                 trace_counts["PROVEN"] += 1
                 if not on_branch(coeffs, slab):

@@ -556,16 +556,19 @@ def _point_dist2(p, cx: float, cy: float):
     return dist2_pair(p[0], p[0], p[1], p[1], cx, cy)
 
 
-def _mean_value_pairs(T: MapSpec, jac, box: Box) -> list:
-    """T's component pairs over the box, each the naive enclosure cut by the
-    mean-value form g_i(m) + sum_j Dg_ij(X) (X_j - m_j), m the box midpoint,
-    with directed rounding.  Raises DomainError where an evaluation raises
-    or a sum is not finite."""
+def _mean_value_pairs(T: MapSpec, jac, box: Box, naive=None) -> list:
+    """T's component pairs over the box, each the naive enclosure (`naive`,
+    where the caller has it, else T.eval_pairs(box)) cut by the mean-value
+    form g_i(m) + sum_j Dg_ij(X) (X_j - m_j), m the box midpoint, with
+    directed rounding.  Raises DomainError where an evaluation raises or a
+    sum is not finite."""
     xs = box.coords
     ms = box.midpoint()
     point = tuple(Interval(m) for m in ms)
+    if naive is None:
+        naive = T.eval_pairs(box)
     out = []
-    for comp, row, (n_lo, n_hi) in zip(T.components, jac, T.eval_pairs(box)):
+    for comp, row, (n_lo, n_hi) in zip(T.components, jac, naive):
         lo, hi = comp.eval_pair(point, None)
         for d, x, m in zip(row, xs, ms):
             if d is not None:
@@ -586,10 +589,20 @@ def _image_dist2(T: MapSpec, jac, cx: float, cy: float):
         (a, b), (c, d) = pairs
         return Interval(*dist2_pair(a, b, c, d, cx, cy))
 
-    bound = lambda box: of_pairs(T.eval_pairs(box))
-    if jac is None:
-        return bound, None
-    return bound, lambda box: of_pairs(_mean_value_pairs(T, jac, box))
+    # The box the naive bound last evaluated, with its pairs: the
+    # mean-value bound runs on that same box and reuses them.
+    last = [None, None]
+
+    def bound(box):
+        pairs = T.eval_pairs(box)
+        last[:] = box, pairs
+        return of_pairs(pairs)
+
+    def tighten(box):
+        naive = last[1] if last[0] is box else None
+        return of_pairs(_mean_value_pairs(T, jac, box, naive))
+
+    return bound, None if jac is None else tighten
 
 
 def _hole_condition(T: MapSpec, jac, idx: int, cx: float, cy: float, r: float) -> Condition:

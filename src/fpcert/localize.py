@@ -338,14 +338,15 @@ def localize_fixed_points(g: MapSpec, rect: RectDomain, tol: float,
     exactly one fixed point x(t); x(t) is continuous in t, since its graph
     is closed in the compact T x X.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:  # NaN too
         raise ValueError("tol must be positive")
     if g.dim != rect.dim:
         raise DimensionMismatchError(f"map of dim {g.dim} over rectangle of dim {rect.dim}")
     if g.has_param and t is None:
         raise ValueError("parametrized map needs the parameter interval t")
     # Bind the parameter once: subtrees free of x are then evaluated once
-    # per call, not on every box.
+    # per call, not on every box.  The bind applies the map's fold plan,
+    # built on its first bind, so a trace cell does not walk the tree.
     f = g if t is None else g.bind_interval(t)
     jac = jacobian(f) if upgrade else None
 

@@ -23,7 +23,10 @@ component (``MapSpec.eval_pairs`` returns the component pairs themselves).
 ``MapSpec.bind_interval(t)`` binds the parameter once: every
 subtree free of x1..xn becomes a leaf holding its pair over t, so within a
 trace cell (one localize call) those subtrees are evaluated once, not once
-per box, with bit-identical enclosures.  ``children`` and ``with_children``
+per box, with bit-identical enclosures.  Which subtrees fold is read from
+the tree once per map, into a fold plan, so a bind walks no tree: it
+rebuilds the nodes above the variables and evaluates the folded
+subtrees.  ``children`` and ``with_children``
 are the one generic way to walk and rebuild a tree.  ``derivative`` builds
 a partial derivative as an ordinary expression tree, evaluated like any
 other (at abs, min and max an enclosure of Clarke's generalized
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, partial
 from fractions import Fraction
 
 from .interval import (
@@ -368,16 +372,19 @@ def with_children(e: Expr, kids) -> Expr:
     return e
 
 
-def _fold(e: Expr, t):
-    """e with its maximal Var-free subtrees folded (_leaf), or None when e
-    contains no Var: the caller then folds it as part of a larger subtree."""
+def _fold_plan(e: Expr):
+    """A function t -> e with its maximal Var-free subtrees folded (_leaf),
+    or None when e contains no Var: the caller then folds it as part of a
+    larger subtree.  Built once from e's shape, so a call rebuilds only the
+    nodes on paths to a Var and walks no Var-free subtree but to fold it."""
     if type(e) is Var:
-        return e
+        return lambda t: e
     kids = children(e)
-    done = [_fold(k, t) for k in kids]
-    if all(d is None for d in done):
+    plans = [_fold_plan(k) for k in kids]
+    if all(p is None for p in plans):
         return None
-    return with_children(e, [_leaf(k, t) if d is None else d for k, d in zip(kids, done)])
+    steps = [partial(_leaf, k) if p is None else p for k, p in zip(kids, plans)]
+    return lambda t: with_children(e, [step(t) for step in steps])
 
 
 def _leaf(e: Expr, t) -> Expr:
@@ -590,17 +597,24 @@ class MapSpec:
         xs = box.coords
         return [c.eval_pair(xs, t) for c in self.components]
 
+    @cached_property
+    def _fold_plans(self) -> tuple:
+        """Per component, its bind function t -> bound tree (_fold_plan),
+        or None for a component free of x1..xn; built on the first bind."""
+        return tuple(_fold_plan(c) for c in self.components)
+
     def bind_interval(self, t: Interval) -> "MapSpec":
         """This map with its parameter bound to the interval t.
 
         The result takes no parameter, and its eval_interval(box) equals
         eval_interval(box, t) bit for bit, errors included: subtrees free
-        of x1..xn are evaluated here, once, instead of on every box.
+        of x1..xn are evaluated here, once, instead of on every box.  The
+        tree's shape is read once per map, into a fold plan; each bind
+        only applies it.
         """
         self._check_param(t)
-        folded = [_fold(c, t) for c in self.components]
-        return MapSpec(self.dim, tuple(_leaf(c, t) if f is None else f
-                                       for c, f in zip(self.components, folded)))
+        return MapSpec(self.dim, tuple(_leaf(c, t) if p is None else p(t)
+                                       for c, p in zip(self.components, self._fold_plans)))
 
     def eval_component_interval(self, i: int, box: Box, t=None) -> Interval:
         if box.dim != self.dim:

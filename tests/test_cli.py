@@ -204,6 +204,16 @@ def test_trace_commands(capsys):
     assert payload["max_t_reached"] == 0.0
 
 
+@pytest.mark.parametrize("argv", [
+    ("localize", "@localize-cos"),
+    ("trace", "@trace-linear"),
+])
+def test_nan_tolerance_exit_4(capsys, argv):
+    code, _, err = run(capsys, *argv, "--tol", "nan")
+    assert code == 4
+    assert "tol must be positive" in err
+
+
 _RATIONAL = "0.5/(x1^2 - x1 + 1)"  # naive enclosure over [0, 1] divides by [0, 2]
 
 

@@ -20,6 +20,7 @@ from fpcert.mapdsl import (
     Const,
     EvaluationError,
     Folded,
+    MapSpec,
     Neg,
     Param,
     ParseError,
@@ -400,14 +401,17 @@ def test_bind_folds_every_subtree_free_of_x():
     assert leaves[2].pair == (3.0, 3.0)
 
 
-@pytest.mark.parametrize("expr, bounds", [
+_RAISING_BINDS = [
     ("1/(t - 0.5) + sqrt(x1 - 2)", (0.0, 1.0)),
     ("1/(t - 0.5) + sqrt(x1 - 2)", (3.0, 4.0)),
     ("sqrt(x1 - 2) + 1/(t - 0.5)", (0.0, 1.0)),
     ("sqrt(x1 - 2) + 1/(t - 0.5)", (3.0, 4.0)),
     ("sqrt(t - 2)", (0.0, 1.0)),
     ("x1 + sqrt(t - 2)*x1", (0.0, 1.0)),
-])
+]
+
+
+@pytest.mark.parametrize("expr, bounds", _RAISING_BINDS)
 def test_bound_map_raises_the_first_error_of_the_unbound_map(expr, bounds):
     m = parse_map(f"dim 1\nparam t\nmap g1 = {expr}\n")
     got, want = _bound_outcomes(m, Box.from_bounds([bounds]), Interval(0.0, 1.0))
@@ -422,6 +426,97 @@ def test_bind_keeps_a_raising_subtree_and_folds_inside_it():
     assert isinstance(div, BinOp) and div.op == "/"
     assert isinstance(div.left, Folded) and isinstance(div.right, Folded)
     assert div.right.pair == (-0.5, 0.5)
+
+
+def _leaf_reference(e, t):
+    """A Var-free e folded to its pair over t, or, where that raises, kept
+    with its subtrees folded (the bind's leaf rule, restated here)."""
+    try:
+        return Folded(e.eval_pair((), t))
+    except (ArithmeticError, ValueError):
+        kids = children(e)
+        return with_children(e, [_leaf_reference(k, t) for k in kids]) if kids else e
+
+
+def _fold_reference(e, t):
+    """e with its maximal Var-free subtrees folded, found by walking the
+    whole tree at every bind; None when e holds no Var."""
+    if type(e) is Var:
+        return e
+    kids = children(e)
+    done = [_fold_reference(k, t) for k in kids]
+    if all(d is None for d in done):
+        return None
+    return with_children(
+        e, [_leaf_reference(k, t) if d is None else d for k, d in zip(kids, done)])
+
+
+def _bind_reference(m, t):
+    comps = []
+    for c in m.components:
+        folded = _fold_reference(c, t)
+        comps.append(_leaf_reference(c, t) if folded is None else folded)
+    return MapSpec(m.dim, tuple(comps))
+
+
+def _random_family(rng, dim, depth):
+    """A random parametrized map: a random map in x1..x(dim+1) with its last
+    variable read as t, so t mixes with x and with constants."""
+    m = random_expression_map(rng, dim + 1, depth)
+    lines = m.to_source().replace(f"x{dim + 1}", "t").splitlines()
+    return parse_map("\n".join([f"dim {dim}", "param t"] + lines[1:dim + 1]) + "\n")
+
+
+def test_bind_plan_matches_a_fresh_walk_of_the_tree():
+    rng = random.Random(1717)
+    folded = 0
+    for k in range(120):
+        m = _random_family(rng, rng.choice((1, 2, 3)), depth=3 + k % 3)
+        lo = rng.uniform(-2.0, 2.0)
+        for t in (Interval(lo, lo + rng.uniform(0.0, 1.0)), Interval(lo),
+                  Interval(-lo - 1.0, -lo)):
+            bound = m.bind_interval(t)
+            assert bound == _bind_reference(m, t), (m.to_source(), t)
+            folded += "Folded" in repr(bound)
+    assert folded > 200
+    for expr, _ in _RAISING_BINDS:
+        m = parse_map(f"dim 1\nparam t\nmap g1 = {expr}\n")
+        for t in (Interval(0.0, 1.0), Interval(2.5, 3.0), Interval(0.5)):
+            assert m.bind_interval(t) == _bind_reference(m, t), (expr, t)
+
+
+def test_a_second_bind_walks_no_tree(monkeypatch):
+    import fpcert.mapdsl as mapdsl
+
+    walked = []
+
+    def counting_children(e):
+        walked.append(e)
+        return children(e)
+
+    monkeypatch.setattr(mapdsl, "children", counting_children)
+    m = parse_map("dim 2\nparam t\nmap g1 = x1*(0.1 + 2*t^2) + sin(t)*x2 - 3\n"
+                  "map g2 = (t - 1)^2 + cos(x1*t)\n")
+    first = m.bind_interval(Interval(0.0, 0.5))
+    assert walked  # the plan is built here
+    walked.clear()
+    second = m.bind_interval(Interval(0.25, 0.75))
+    assert walked == [] and second != first
+
+
+def test_binds_at_two_parameters_hold_their_own_pairs():
+    m = parse_map("dim 1\nparam t\nmap g1 = x1*(1 + t) + t^2\n")
+    box = Box.from_bounds([(-1.0, 2.0)])
+    seen = []
+    for t in (Interval(0.0, 0.5), Interval(1.0, 2.0)):
+        (comp,) = m.bind_interval(t).components
+        slope, shift = comp.left.right, comp.right
+        one_plus_t = Interval(1.0) + t
+        assert slope.pair == (one_plus_t.lo, one_plus_t.hi)
+        assert shift.pair == (t.pow_int(2).lo, t.pow_int(2).hi)
+        assert m.bind_interval(t).eval_pairs(box) == m.eval_pairs(box, t)
+        seen.append((slope.pair, shift.pair))
+    assert seen[0][0] != seen[1][0] and seen[0][1] != seen[1][1]
 
 
 def test_bound_map_refuses_real_evaluation_and_source():
