@@ -3,10 +3,13 @@
 
 Prints one line per entry: id, task, exit code, and a short outcome note,
 then the number of entries that failed: those whose exit code differs from
-the entry's declared `exit`.  Exits 1 when that number is non-zero.
+the entry's declared `exit`, and those whose JSON report is not byte for
+byte what `json.dumps(json.loads(report), indent=2)` writes.  Exits 1 when
+that number is non-zero.
 """
 
 import io
+import json
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -25,7 +28,16 @@ def run_entry(entry):
         code = main(argv)
     elapsed = time.perf_counter() - t0
     note = err.getvalue().strip().splitlines()
-    return code, elapsed, note[0] if note else ""
+    return code, elapsed, note[0] if note else "", out.getvalue()
+
+
+def is_indent2_json(report):
+    """Whether report (stdout, one trailing newline) is exactly the text of
+    json.dumps(json.loads(report), indent=2)."""
+    try:
+        return report == json.dumps(json.loads(report), indent=2) + "\n"
+    except ValueError:
+        return False
 
 
 def main_script():
@@ -33,11 +45,14 @@ def main_script():
     failures = 0
     for entry_id in sorted(catalog.CATALOG):
         entry = catalog.CATALOG[entry_id]
-        code, elapsed, note = run_entry(entry)
+        code, elapsed, note, report = run_entry(entry)
         line = f"{entry_id:<{width}} {entry.task:<9} exit={code}  {elapsed:6.2f}s"
         if code != entry.exit:
             failures += 1
             line += f"  FAILED, expected exit {entry.exit}"
+        elif report and not is_indent2_json(report):
+            failures += 1
+            line += "  FAILED, report differs from json.dumps(indent=2)"
         if note:
             line += f"  ({note[:70]})"
         print(line)

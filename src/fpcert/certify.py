@@ -56,12 +56,12 @@ REFUTED condition; an INDETERMINATE condition does not stop it.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
 
+from . import jsonout
 from .geometry import (
     AnnulusSpec,
     ConeShellSpec,
@@ -170,7 +170,7 @@ class Certificate:
         }
 
     def to_json(self, stable=False):
-        return json.dumps(self.to_json_dict(stable=stable), indent=2)
+        return jsonout.dumps(self.to_json_dict(stable=stable))
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from . import catalog as _catalog
+from . import jsonout
 from .certify import (
     CERTIFIED,
     INDETERMINATE,
@@ -67,7 +67,7 @@ def _load_problem(ref: str, need_domain: bool = True):
 
 def _emit(payload: dict, fmt: str):
     if fmt == "json":
-        print(json.dumps(payload, indent=2))
+        print(jsonout.dumps(payload))
     else:
         for key, value in payload.items():
             print(f"{key}: {value}")

@@ -22,11 +22,11 @@ labelled accordingly (`proven` false).
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 
+from . import jsonout
 from .degree import BoundaryZeroError, fixed_point_index
 from .geometry import RectDomain
 from .interval import Box, Interval, sub_down, sub_up
@@ -83,7 +83,7 @@ class ContinuumWitness:
         }
 
     def to_json(self):
-        return json.dumps(self.to_json_dict(), indent=2)
+        return jsonout.dumps(self.to_json_dict())
 
 
 def trace_continuum(psi: MapSpec, t_range, x_box: Box, grid: int = 16,

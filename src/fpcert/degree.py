@@ -26,10 +26,10 @@ of the ``Interval``-operator formula bit for bit.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
+from . import jsonout
 from .geometry import HoledBallSpec, RectDomain
 from .interval import (
     Box,
@@ -71,7 +71,7 @@ class DegreeResult:
         }
 
     def to_json(self):
-        return json.dumps(self.to_json_dict(), indent=2)
+        return jsonout.dumps(self.to_json_dict())
 
 
 _INF = math.inf

@@ -29,11 +29,11 @@ the requested width stays CANDIDATE with no residual bound.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter, deque
 from dataclasses import dataclass
 
+from . import jsonout
 from .geometry import RectDomain
 from .interval import (
     Box,
@@ -117,7 +117,7 @@ class LocalizeResult:
         }
 
     def to_json(self):
-        return json.dumps(self.to_json_dict(), indent=2)
+        return jsonout.dumps(self.to_json_dict())
 
 
 _PRUNED = "pruned"

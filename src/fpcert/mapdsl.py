@@ -11,7 +11,8 @@ expression per component::
 
 Expressions support + - * / ^INT, unary minus, parentheses, the functions
 sin cos exp tanh sqrt abs min max, the variables x1..xn and t, and decimal
-literals.  Every parsed map evaluates both over floats (eval_real) and over
+literals, in ASCII digits and letters (whitespace is what str.isspace
+accepts).  Every parsed map evaluates over floats (eval_real) and over
 boxes (eval_interval); the interval semantics is the naive interval
 extension, which encloses the true image of the box.  Nodes evaluate to
 endpoint pairs ``(lo, hi)`` of plain floats (eval_pair): leaves read the
@@ -32,10 +33,11 @@ a partial derivative as an ordinary expression tree, evaluated like any
 other (at abs, min and max an enclosure of Clarke's generalized
 gradient), and ``jacobian`` collects them.  Expressions nest at most
 ``MAX_DEPTH`` levels deep, so neither parsing, differentiation nor
-evaluation can exhaust the stack.  Decimal
-literals evaluate to their nearest float in real semantics and to the
-tightest enclosing float interval in interval semantics, so constants like
-0.1 never silently lose their true value.
+evaluation can exhaust the stack.  Decimal literals evaluate to their
+nearest float in real semantics and to the tightest enclosing float
+interval, chosen in integer arithmetic, in interval semantics, so constants
+like 0.1 never silently lose their true value.  A literal above the float
+range is a parse error; one below it is enclosed in [0, 5e-324].
 
 Comment text after ``#`` and blank lines are ignored.
 """
@@ -43,9 +45,10 @@ Comment text after ``#`` and blank lines are ignored.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property, partial
-from fractions import Fraction
+from typing import NamedTuple
 
 from .interval import (
     Box,
@@ -399,21 +402,43 @@ def _leaf(e: Expr, t) -> Expr:
         return with_children(e, [_leaf(k, t) for k in kids]) if kids else e
 
 
+_DECIMAL = re.compile(r"([-+]?)([0-9]*)(?:\.([0-9]*))?(?:[eE]([-+]?)0*([0-9]*))?")
+# Significant digits that literal_const compares.  Every float is a multiple
+# of 2**-1074, hence of 10**-1074, and below 10**309: none lies strictly
+# between two multiples of the 1400th digit, so a 1 can stand for the rest.
+_KEEP = 1400
+
+
 def literal_const(text: str) -> Const:
     """Build a constant whose enclosure brackets the exact decimal value;
-    DomainError when the value is past the float range."""
+    DomainError when the value is past the float range.  The value n * 10**e
+    is compared with the float's integer ratio.  A literal that rounds to
+    zero is decided by its sign; any other has |e| <= 323 + the digits of
+    n, at most _KEEP + 1, so no power of ten is much longer than the literal."""
     v = float(text)
     if not math.isfinite(v):
         raise DomainError("decimal literal past the float range")
-    exact = Fraction(text)
-    fv = Fraction(v)
-    if fv == exact:
-        enc = Interval(v, v)
-    elif fv < exact:
-        enc = Interval(v, next_up(v))
-    else:
-        enc = Interval(next_down(v), v)
-    return Const(v, enc)
+    match = _DECIMAL.fullmatch(text)
+    if match is None:
+        raise ValueError(f"not a decimal literal: {text!r}")
+    sign, whole, frac, exp_sign, exp = match.groups("")
+    digits = (whole + frac).rstrip("0")
+    e = len(whole) - len(digits)
+    digits = digits.lstrip("0")
+    a, b = len(digits), 0  # a / b compares |exact| with |v|, here with v = 0
+    if v:
+        e += int(exp_sign + (exp or "0"))
+        if len(digits) > _KEEP:
+            e += len(digits) - _KEEP - 1
+            digits = digits[:_KEEP] + "1"
+        p, q = abs(v).as_integer_ratio()
+        n = int(digits)
+        a, b = (n * 10**e * q, p) if e >= 0 else (n * q, p * 10**-e)
+    if a == b:
+        return Const(v, Interval(v, v))
+    if (a > b) == (sign != "-"):
+        return Const(v, Interval(v, next_up(v)))
+    return Const(v, Interval(next_down(v), v))
 
 
 def float_const(v: float) -> Const:
@@ -653,55 +678,31 @@ def blend_with_parameter(f: MapSpec, g: MapSpec) -> MapSpec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str  # num | ident | op
     text: str
     line: int
     col: int
 
 
+# A number, an identifier, an operator, or any other character but
+# whitespace (\s, as str.isspace), which is an error; finditer skips the
+# whitespace between tokens.  Digits and letters are ASCII only.
+_TOKEN = re.compile(r"((?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?)"
+                    r"|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^(),])|(\S)")
+_KINDS = (None, "num", "ident", "op")
+
+
 def _tokenize_expr(text: str, line_no: int, col_offset: int):
     toks = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        col = col_offset + i + 1
-        if ch.isdigit() or ch == ".":
-            j = i
-            seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                if text[j] == ".":
-                    seen_dot = True
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            tok = text[i:j]
-            if tok == ".":
-                raise ParseError("stray '.'", line_no, col)
-            toks.append(_Tok("num", tok, line_no, col))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Tok("ident", text[i:j], line_no, col))
-            i = j
-        elif ch in "+-*/^(),":
-            toks.append(_Tok("op", ch, line_no, col))
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line_no, col)
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex
+        col = col_offset + m.start(group) + 1
+        if group == 4:
+            raise ParseError("stray '.'" if m[4] == "." else f"unexpected character {m[4]!r}",
+                             line_no, col)
+        # tuple.__new__ skips _Tok's Python-level __new__.
+        toks.append(tuple.__new__(_Tok, (_KINDS[group], m[group], line_no, col)))
     return toks
 
 
@@ -900,7 +901,7 @@ def parse_program(source: str) -> ParsedProgram:
             if dim is not None:
                 raise ParseError("duplicate dim declaration", line_no)
             rest = line[3:].strip()
-            if not rest.isdigit() or int(rest) < 1:
+            if not (rest.isascii() and rest.isdigit()) or int(rest) < 1:
                 raise ParseError("dim expects a positive integer", line_no)
             dim = int(rest)
         elif head == "param":
@@ -919,7 +920,7 @@ def parse_program(source: str) -> ParsedProgram:
                 raise ParseError("map line needs '='", line_no)
             name, expr_text = body.split("=", 1)
             name = name.strip()
-            if not (name.startswith("g") and name[1:].isdigit()):
+            if not (name.startswith("g") and name[1:].isascii() and name[1:].isdigit()):
                 raise ParseError(f"map component must be named g1..g{dim}", line_no)
             idx = int(name[1:])
             if not 1 <= idx <= dim:

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
+from fractions import Fraction
 
 
 def bisect_root(fn, lo: float, hi: float, iters: int = 200) -> float:
@@ -25,6 +27,71 @@ def bisect_root(fn, lo: float, hi: float, iters: int = 200) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def decimal_enclosure(text: str):
+    """The tightest float interval (lo, hi) around the exact value of the
+    decimal literal text, decided in Fraction arithmetic: (v, v) for its
+    nearest float v when v is exact, else v and its neighbour on the side
+    of the exact value.  The reference for mapdsl.literal_const; literals
+    longer than Python's int-string limit are read in full."""
+    v = float(text)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        exact = Fraction(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    if Fraction(v) == exact:
+        return v, v
+    if Fraction(v) < exact:
+        return v, math.nextafter(v, math.inf)
+    return math.nextafter(v, -math.inf), v
+
+
+def tokenize_reference(text: str):
+    """The expression lexer as a character loop: (tokens, error), tokens
+    as (kind, text, column) up to the first bad character and error None
+    or (message, column).  A number is ASCII digits with at most one dot
+    and at least one digit, then an exponent only where a digit follows
+    e, e+ or e-; an identifier is an ASCII letter or _ then ASCII letters,
+    digits and _; whitespace is what str.isspace accepts."""
+    def digit(c):
+        return "0" <= c <= "9"
+
+    def word(c):
+        return c.isascii() and (c.isalnum() or c == "_")
+
+    toks, i, n = [], 0, len(text)
+    while i < n:
+        ch, j = text[i], i + 1
+        if ch.isspace():
+            i = j
+            continue
+        if digit(ch) or (ch == "." and j < n and digit(text[j])):
+            j = i
+            while j < n and digit(text[j]):
+                j += 1
+            if j < n and text[j] == ".":
+                j += 1
+                while j < n and digit(text[j]):
+                    j += 1
+            k = j + 1 + (j + 1 < n and text[j + 1] in "+-")
+            if j < n and text[j] in "eE" and k < n and digit(text[k]):
+                j = k
+                while j < n and digit(text[j]):
+                    j += 1
+            toks.append(("num", text[i:j], i + 1))
+        elif word(ch) and not digit(ch):
+            while j < n and word(text[j]):
+                j += 1
+            toks.append(("ident", text[i:j], i + 1))
+        elif ch in "+-*/^(),":
+            toks.append(("op", ch, i + 1))
+        else:
+            return toks, ("stray '.'" if ch == "." else f"unexpected character {ch!r}", i + 1)
+        i = j
+    return toks, None
 
 
 def residual_inf(m, point, t=None) -> float:

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -300,10 +301,14 @@ def test_problem_file_loading(tmp_path, capsys):
 
 
 def test_parse_error_exit_4(tmp_path, capsys):
-    # An unknown variable, and a decimal literal past the float range.
+    # An unknown variable, a decimal literal past the float range, and
+    # digits that are not ASCII.
     path = tmp_path / "bad.fp"
-    for expr, fragment in (("x2", "x2"), ("1e999", "past the float range (line 2, column 10)")):
-        path.write_text(f"dim 1\nmap g1 = {expr}\ndomain rect [0,1]\n")
+    for expr, fragment in (("x2", "x2"), ("1e999", "past the float range (line 2, column 10)"),
+                           ("x1\u00b2", "unexpected character '\u00b2' (line 2, column 12)"),
+                           (".e5", "stray '.' (line 2, column 10)"),
+                           ("\u0661.\u0665*x1", "(line 2, column 10)")):
+        path.write_text(f"dim 1\nmap g1 = {expr}\ndomain rect [0,1]\n", encoding="utf-8")
         code, _, err = run(capsys, "certify", str(path))
         assert code == 4 and fragment in err, err
 
@@ -379,11 +384,18 @@ def test_every_catalog_entry_has_expected_exit(capsys):
 _GOLDEN = Path(__file__).with_name("golden_stable_digests.json")
 
 
-def stable_json_digest(entry_id):
+@functools.cache
+def stable_json(entry_id):
+    """A catalog entry's `--format json --stable` stdout (deterministic, so
+    each entry runs once for all the tests that read it)."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         main(_entry_argv(entry_id) + ["--format", "json", "--stable"])
-    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return out.getvalue()
+
+
+def stable_json_digest(entry_id):
+    return hashlib.sha256(stable_json(entry_id).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("entry_id", sorted(catalog.CATALOG))
@@ -391,6 +403,18 @@ def test_catalog_stable_json_matches_golden_digest(entry_id):
     golden = json.loads(_GOLDEN.read_text())
     assert set(golden) == set(catalog.CATALOG)
     assert stable_json_digest(entry_id) == golden[entry_id]
+
+
+@pytest.mark.parametrize("entry_id", sorted(catalog.CATALOG))
+def test_catalog_stable_json_is_json_dumps_indent_2(entry_id):
+    # Every report is printed by fpcert.jsonout, which must write exactly
+    # what json.dumps(payload, indent=2) would.  A refused entry (exit 4)
+    # prints no report.
+    out = stable_json(entry_id)
+    if catalog.CATALOG[entry_id].exit == 4:
+        assert out == ""
+    else:
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 def test_budget_stopped_certificate_prints_json_exit_2(capsys, tmp_path):

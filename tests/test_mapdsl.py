@@ -1,5 +1,7 @@
 import math
 import random
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -32,11 +34,13 @@ from fpcert.mapdsl import (
     children,
     derivative,
     jacobian,
+    literal_const,
     parse_map,
     parse_program,
     with_children,
+    _tokenize_expr,
 )
-from oracles import mp_eval
+from oracles import decimal_enclosure, mp_eval, tokenize_reference
 
 
 def test_parse_minimal():
@@ -704,3 +708,167 @@ def test_map_at_max_depth_differentiates_and_evaluates(name):
     except DomainError:
         pass  # an enclosure may overflow or divide by zero; it must not recurse
     assert math.isfinite(d.eval_real((0.625,), None))
+
+
+# ---------------------------------------------------------------------------
+# Lexer and decimal literals
+# ---------------------------------------------------------------------------
+
+
+def _lex(text):
+    return [(tok.kind, tok.text, tok.col) for tok in _tokenize_expr(text, 1, 0)]
+
+
+def test_lexer_token_boundaries():
+    assert _lex("1.2.3") == [("num", "1.2", 1), ("num", ".3", 4)]
+    assert _lex("5. .5") == [("num", "5.", 1), ("num", ".5", 4)]
+    # An exponent needs a digit: otherwise the e starts an identifier.
+    assert _lex("1e") == [("num", "1", 1), ("ident", "e", 2)]
+    assert _lex("1e+") == [("num", "1", 1), ("ident", "e", 2), ("op", "+", 3)]
+    assert _lex("2.5E-3x1") == [("num", "2.5E-3", 1), ("ident", "x1", 7)]
+    assert _lex("  min(x_1,t)^-2") == [
+        ("ident", "min", 3), ("op", "(", 6), ("ident", "x_1", 7), ("op", ",", 10),
+        ("ident", "t", 11), ("op", ")", 12), ("op", "^", 13), ("op", "-", 14),
+        ("num", "2", 15)]
+    for text, col in ((".", 1), ("x1 + .", 6), ("x1 . 2", 4), ("1..", 3)):
+        with pytest.raises(ParseError, match="stray '.'") as err:
+            _tokenize_expr(text, 1, 0)
+        assert err.value.col == col, text
+
+
+def test_lexer_matches_the_character_loop_reference():
+    rng = random.Random(18)
+    pieces = list("0123456789.eE+-*/^(),_xt ") + ["sin", "x1", "1e", ".5", "5.", "e-", "\t",
+                                                   "\u00b2", "\u0661", "\u00e9", "\u3000", "$"]
+    for _ in range(3000):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randint(1, 12)))
+        want, error = tokenize_reference(text)
+        if error is None:
+            assert _lex(text) == want, text
+        else:
+            with pytest.raises(ParseError) as err:
+                _tokenize_expr(text, 1, 0)
+            assert (str(err.value), err.value.col) == (f"{error[0]} (line 1, column {error[1]})",
+                                                       error[1]), text
+
+
+def test_lexer_whitespace_is_str_isspace():
+    spaces = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+    assert len(spaces) > 20
+    for ch in spaces:
+        assert _lex(f"x1{ch}+{ch}2{ch}") == [("ident", "x1", 1), ("op", "+", 4), ("num", "2", 6)]
+    # Every other character (all of them up to past U+3000, the last space)
+    # is a token or an error, never skipped.
+    for ch in map(chr, range(0x3100)):
+        if not ch.isspace() and ch not in ".0123456789_" and not (ch.isascii() and ch.isalpha()):
+            try:
+                assert _lex(f" {ch} ") == [("op", ch, 2)], repr(ch)
+            except ParseError as err:
+                assert err.col == 2 and repr(ch) in str(err), repr(ch)
+
+
+@pytest.mark.parametrize("expr, col, fragment", [
+    ("x1\u00b2", 12, "unexpected character '\u00b2'"),  # superscript two
+    (".e5", 10, "stray '.'"),
+    ("\u0661.\u0665*x\u0661", 10, "unexpected character '\u0661'"),  # Arabic-Indic 1.5*x1
+    ("x\u00e9", 11, "unexpected character '\u00e9'"),
+], ids=["superscript-two", "dot-e5", "arabic-indic-digits", "accented-letter"])
+def test_non_ascii_digits_and_letters_are_parse_errors_with_a_position(expr, col, fragment):
+    with pytest.raises(ParseError) as err:
+        parse_map(f"dim 1\nmap g1 = {expr}\n")
+    assert (err.value.line, err.value.col) == (2, col)
+    assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("source", [
+    "dim \u00b2\nmap g1 = x1\n",
+    "dim \u0661\nmap g1 = x1\n",
+    "dim 1\nmap g\u00b9 = x1\n",
+])
+def test_non_ascii_digits_in_directives_are_parse_errors(source):
+    with pytest.raises(ParseError) as err:
+        parse_map(source)
+    assert err.value.line in (1, 2)
+
+
+def _decimal(q):
+    """(n, k) with q == n * 10**-k, for q with a power-of-two denominator."""
+    k = q.denominator.bit_length() - 1
+    return q.numerator * 5**k, k
+
+
+def _literal_corpus(seed, n):
+    """Decimal literals that stress nearest-float rounding: long mantissas,
+    exact halfway points between neighbouring floats and their nudges,
+    exponents near the ends of the float range, leading and trailing
+    zeros, and the forms 5. and .5."""
+    rng = random.Random(seed)
+    out = ["5.", ".5", "0.1", "9007199254740993", "9007199254740993.000000000000000001",
+           "9007199254740992.999999999999999999", "1e308", "1.7976931348623157e308",
+           "1.7976931348623158e308", "1.7976931348623159e308", "2e308", "5e-324",
+           "2.4703282292062327e-324", "2.4703282292062328e-324", "1e-400", "0e999",
+           "000.000", "0001.5000e-0003", "00.0000001", "1E+05"]
+    digits = "0123456789"
+    for _ in range(n):
+        kind = rng.randrange(5)
+        if kind == 0:  # a long mantissa with a dot somewhere
+            m = "".join(rng.choice(digits) for _ in range(rng.randint(17, 60)))
+            k = rng.randint(0, len(m))
+            out.append(f"{m[:k]}.{m[k:]}e{rng.randint(-30, 30)}")
+        elif kind == 1:  # the exact midpoint of two neighbouring floats, and nudges
+            x = rng.choice([rng.uniform(-1e6, 1e6), rng.uniform(0, 1e-300) * 1e-8,
+                            math.ldexp(rng.random(), rng.randint(-1074, 1023))])
+            n, k = _decimal((Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2)
+            out += [f"{n}e-{k}", f"{n}1e-{k + 1}", f"{10 * n - 1}e-{k + 1}"]
+        elif kind == 2:  # exponents near the top and bottom of the range
+            m = f"{rng.randint(1, 9)}.{rng.randint(0, 10**15):015d}"
+            out.append(f"{m}e{rng.choice([rng.randint(300, 310), rng.randint(-330, -300)])}")
+        elif kind == 3:  # leading and trailing zeros
+            m = f"{'0' * rng.randint(0, 5)}{rng.randint(0, 10**8)}.{rng.randint(0, 999):03d}"
+            out.append(m + "0" * rng.randint(0, 5) + rng.choice(["", f"e{rng.randint(-9, 9)}"]))
+        else:  # the forms 5. and .5
+            out.append(rng.choice([f"{rng.randint(0, 99)}.", f".{rng.randint(0, 99999)}"])
+                       + rng.choice(["", f"e-{rng.randint(0, 40)}"]))
+    return out
+
+
+def test_literal_enclosures_match_the_fraction_oracle():
+    # Literals past the int-string limit, and floats with hundreds of
+    # significant digits nudged by a digit far past their last one.
+    long = ["0." + "3" * 5000, "1" * 5000 + "e-4990", "9007199254740993" + "0" * 3000 + "1e-3000"]
+    for x in (0.1, 3 * 5e-324, 2.2250738585072014e-308 - 5e-324):
+        n, k = _decimal(Fraction(x))
+        for pad in (100, 2000):
+            long += [f"{n}{'0' * pad}1e-{k + pad + 1}", f"{n * 10**pad - 1}e-{k + pad}"]
+    for text in _literal_corpus(18, 1500) + long:
+        lo, hi = decimal_enclosure(text) if math.isfinite(float(text)) else (0.0, math.inf)
+        if hi - lo == math.inf:  # past the float range, or just above its top
+            with pytest.raises(DomainError):
+                literal_const(text)
+            continue
+        const = literal_const(text)
+        assert repr(const.value) == repr(float(text)), text
+        assert (repr(const.enclosure.lo), repr(const.enclosure.hi)) == (repr(lo), repr(hi)), text
+        if lo == hi:
+            continue
+        # Through the parser too, as a positive literal.
+        if not text.startswith("-") and len(text) < 100:
+            assert parse_map(f"dim 1\nmap g1 = {text}\n").components[0] == const
+
+
+@pytest.mark.parametrize("text, lo, hi", [
+    ("1e-99999999", 0.0, 5e-324),
+    ("-1e-99999999", -5e-324, -0.0),
+    ("0e-99999999", 0.0, 0.0),
+])
+def test_literal_below_the_float_range_is_decided_at_once(text, lo, hi):
+    start = time.perf_counter()
+    enc = literal_const(text).enclosure
+    assert time.perf_counter() - start < 1.0
+    assert (repr(enc.lo), repr(enc.hi)) == (repr(lo), repr(hi))
+
+
+def test_literal_past_the_float_range_is_a_parse_error():
+    with pytest.raises(ParseError, match="past the float range"):
+        parse_map("dim 1\nmap g1 = 1e99999999*x1\n")
+    assert parse_map("dim 1\nmap g1 = 1e-99999999*x1\n").components[0].left.value == 0.0
