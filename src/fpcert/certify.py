@@ -236,9 +236,7 @@ class Condition:
     def classify(self, box: Box):
         if self.relevant is not None and not self.relevant(box):
             return IRRELEVANT, None
-        bound = self.bound_or_none(box)
-        if bound is None:  # undecided here: split, smaller boxes may evaluate
-            return UNKNOWN, None
+        bound = self.bound(box)  # a DomainError leaves the box unknown (adaptive_cover)
         tag = self.verdict(bound)
         if tag == UNKNOWN and self.tighten is not None:
             try:
@@ -693,7 +691,8 @@ def certify_holes(T: MapSpec, spec: HoledBallSpec,
 
 def certify_problem(m: MapSpec, domain, form: str = "auto",
                     max_depth: int = 24, max_boxes: "int | None" = None) -> Certificate:
-    """Certify a map over a parsed domain; form applies where meaningful."""
+    """Certify a map over a parsed domain in the given form ('auto',
+    'expansive' or 'compressive'; a holed ball has only 'auto')."""
     kw = {} if max_boxes is None else {"max_boxes": max_boxes}
     if isinstance(domain, RectDomain):
         directions = {"auto": "auto", "expansive": ("e",) * m.dim,
@@ -706,6 +705,8 @@ def certify_problem(m: MapSpec, domain, form: str = "auto",
     if isinstance(domain, ConeShellSpec):
         return _auto_form(certify_cone_shell, m, domain, form, max_depth, kw)
     if isinstance(domain, HoledBallSpec):
+        if form != "auto":
+            raise ValueError(f"a holed ball takes form 'auto' only, not {form!r}")
         return certify_holes(m, domain, max_depth=max_depth, **kw)
     if isinstance(domain, AnnulusSpec):
         raise UnsupportedDomainError(ANNULUS_REFUSAL)

@@ -46,7 +46,7 @@ class CliError(Exception):
         self.code = code
 
 
-def _load_problem(ref: str, need_domain: bool = True):
+def _load_problem(ref: str):
     if ref.startswith("@"):
         source = _catalog.get(ref[1:]).source
     else:
@@ -56,13 +56,10 @@ def _load_problem(ref: str, need_domain: bool = True):
         except OSError as exc:
             raise CliError(f"cannot read problem file {ref!r}: {exc}") from exc
     program = parse_program(source)
-    domain = None
-    if program.domain_line is not None:
-        domain = parse_domain(program.domain_line, program.map.dim,
-                              program.domain_line_no)
-    if need_domain and domain is None:
+    if program.domain_line is None:
         raise CliError("problem file declares no domain line")
-    return program.map, domain
+    return program.map, parse_domain(program.domain_line, program.map.dim,
+                                     program.domain_line_no)
 
 
 def _emit(payload: dict, fmt: str):
@@ -263,7 +260,10 @@ def main(argv=None) -> int:
     except (UnsupportedDomainError, SingleHoleError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 4
-    except (ParseError, DimensionMismatchError, KeyError, ValueError) as exc:
+    except KeyError as exc:  # str() of a KeyError is its message in quotes
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 4
+    except (ParseError, DimensionMismatchError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except (EvaluationError, DomainError, ArithmeticError) as exc:

@@ -21,6 +21,7 @@ Axis indices are 0-based throughout; the DSL surface (x1, g1, ...) is
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 from .interval import (
@@ -40,6 +41,7 @@ from .interval import (
     sub_up,
 )
 from .mapdsl import (
+    NUMBER,
     BinOp,
     MapSpec,
     ParseError,
@@ -260,8 +262,8 @@ class ConeShellSpec:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("cone shell needs dimension >= 1")
-        if not self.a < self.b:
-            raise ValueError("cone shell needs a < b")
+        if not -_INF < self.a < self.b < _INF:
+            raise ValueError("cone shell needs finite a < b")
         if self.functional.kind == "linear":
             if self.a < 0.0:
                 raise ValueError("linear-functional shell needs a >= 0")
@@ -335,11 +337,11 @@ class HoledBallSpec:
     holes: tuple  # of (cx, cy, r)
 
     def __post_init__(self):
-        if self.radius <= 0.0:
-            raise ValueError("outer radius must be positive")
+        if not 0.0 < self.radius < _INF:
+            raise ValueError("outer radius must be positive and finite")
         for cx, cy, r in self.holes:
-            if r <= 0.0:
-                raise ValueError("hole radius must be positive")
+            if not (0.0 < r < _INF and math.isfinite(cx) and math.isfinite(cy)):
+                raise ValueError("hole centre must be finite, its radius positive and finite")
             if math.hypot(cx, cy) + r > self.radius:
                 raise ValueError(f"hole at ({cx}, {cy}) not contained in the ball")
         for i in range(len(self.holes)):
@@ -367,8 +369,12 @@ class AnnulusSpec:
     r2: float
 
     def __post_init__(self):
-        if not 0.0 < self.r1 < self.r2:
-            raise ValueError("annulus needs 0 < r1 < r2")
+        if not 0.0 < self.r1 < self.r2 < _INF:
+            raise ValueError("annulus needs 0 < r1 < r2 < inf")
+
+    @property
+    def dim(self):
+        return 2
 
     def to_json_dict(self):
         return {"type": "annulus", "r1": self.r1, "r2": self.r2}
@@ -378,116 +384,71 @@ class AnnulusSpec:
 # Domain line parsing (the `domain ...` line of the DSL)
 # ---------------------------------------------------------------------------
 
+# A number is a map literal (mapdsl.NUMBER) with an optional sign.
+# Whitespace may stand between any two tokens; before a word it must,
+# unless punctuation precedes the word.
+_NUM = rf"\s*([-+]?{NUMBER})"
+_WORD = r"(?:\s+|(?<![\w.]))"
+_PAIR = rf"\s*\[{_NUM}\s*,{_NUM}\s*\]"
+_KIND = re.compile(r"\s*domain\s+(\w+)")
 
-def _parse_bracket_pairs(text: str, line_no: int):
-    pairs = []
-    rest = text.strip()
-    while rest.startswith("["):
-        end = rest.find("]")
-        if end < 0:
-            raise ParseError("unterminated '[' in domain line", line_no)
-        inner = rest[1:end]
-        parts = inner.split(",")
-        if len(parts) != 2:
-            raise ParseError(f"expected [lo,hi], found [{inner}]", line_no)
-        try:
-            pairs.append((float(parts[0]), float(parts[1])))
-        except ValueError:
-            raise ParseError(f"bad number in [{inner}]", line_no) from None
-        rest = rest[end + 1 :].strip()
-    return pairs, rest
+# kind: (usage, the fixed part after the kind, the part that repeats);
+# each part captures its numbers, in order.
+_FORMS = {
+    "rect": ("[lo,hi] ...", "", _PAIR),
+    "cylinder": ("[a,b] base [lo,hi] ...", rf"{_PAIR}{_WORD}base", _PAIR),
+    "coneshell": ("l=<sum|sup|euclid> a=<v> b=<v>",
+                  rf"{_WORD}l\s*=\s*(sum|sup|euclid){_WORD}a\s*={_NUM}{_WORD}b\s*={_NUM}", None),
+    "holedball": ("R=<v> hole (cx,cy,r) ...", rf"{_WORD}R\s*={_NUM}",
+                  rf"{_WORD}hole\s*\({_NUM}\s*,{_NUM}\s*,{_NUM}\s*\)"),
+    "annulus": ("r1=<v> r2=<v>", rf"{_WORD}r1\s*={_NUM}{_WORD}r2\s*={_NUM}", None),
+}
+_FORMS = {kind: (usage, re.compile(fixed), unit and re.compile(unit))
+          for kind, (usage, fixed, unit) in _FORMS.items()}
 
 
-def _parse_kv(tokens, line_no):
-    out = {}
-    for tok in tokens:
-        if "=" not in tok:
-            raise ParseError(f"expected key=value, found {tok!r}", line_no)
-        k, v = tok.split("=", 1)
-        out[k] = v
-    return out
+def _floats(texts) -> tuple:
+    values = tuple(map(float, texts))
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"number past the float range in ({', '.join(texts)})")
+    return values
+
+
+def _build(kind: str, dim: int, texts: list):
+    """The domain object from the text that a line's parts captured, in
+    order."""
+    if kind == "coneshell":
+        f = Functional.ones(dim) if texts[0] == "sum" else Functional(texts[0])
+        return ConeShellSpec(dim, f, *_floats(texts[1:]))
+    v = _floats(texts)
+    if kind == "rect":
+        return RectDomain(Box.from_bounds(zip(v[::2], v[1::2])))
+    if kind == "cylinder":
+        return CylinderSpec(Interval(v[0], v[1]), Box.from_bounds(zip(v[2::2], v[3::2])))
+    if kind == "holedball":
+        return HoledBallSpec(v[0], tuple(zip(v[1::3], v[2::3], v[3::3])))
+    return AnnulusSpec(*v)
 
 
 def parse_domain(line: str, map_dim: int, line_no: int = 0):
-    """Parse one `domain ...` line into its domain object."""
-    body = line.strip()
-    if not body.startswith("domain"):
-        raise ParseError("domain line must start with 'domain'", line_no)
-    body = body[len("domain") :].strip()
-    if not body:
-        raise ParseError("empty domain line", line_no)
-    kind, _, rest = body.partition(" ")
-
-    if kind == "rect":
-        pairs, leftover = _parse_bracket_pairs(rest, line_no)
-        if leftover:
-            raise ParseError(f"unexpected text {leftover!r} in rect domain", line_no)
-        if len(pairs) != map_dim:
-            raise DimensionMismatchError(
-                f"rect domain has {len(pairs)} coordinates for a map of dim {map_dim}"
-            )
-        return RectDomain(Box.from_bounds(pairs))
-
-    if kind == "cylinder":
-        pairs, leftover = _parse_bracket_pairs(rest, line_no)
-        if len(pairs) != 1:
-            raise ParseError("cylinder expects one [a,b] height range", line_no)
-        if not leftover.startswith("base"):
-            raise ParseError("cylinder expects 'base' after the height range", line_no)
-        base_pairs, leftover = _parse_bracket_pairs(leftover[len("base") :], line_no)
-        if leftover:
-            raise ParseError(f"unexpected text {leftover!r} in cylinder domain", line_no)
-        if 1 + len(base_pairs) != map_dim:
-            raise DimensionMismatchError(
-                f"cylinder of dim {1 + len(base_pairs)} for a map of dim {map_dim}"
-            )
-        return CylinderSpec(Interval(*pairs[0]), Box.from_bounds(base_pairs))
-
-    if kind == "coneshell":
-        kv = _parse_kv(rest.split(), line_no)
-        missing = {"l", "a", "b"} - kv.keys()
-        if missing:
-            raise ParseError(f"coneshell missing {sorted(missing)}", line_no)
-        lname = kv["l"]
-        if lname == "sum":
-            functional = Functional.ones(map_dim)
-        elif lname == "sup":
-            functional = Functional.sup()
-        elif lname == "euclid":
-            functional = Functional.euclid()
-        else:
-            raise ParseError(f"unknown functional {lname!r} (sum|sup|euclid)", line_no)
-        return ConeShellSpec(map_dim, functional, float(kv["a"]), float(kv["b"]))
-
-    if kind == "holedball":
-        tokens = rest.split()
-        if not tokens or not tokens[0].startswith("R="):
-            raise ParseError("holedball expects R=<radius> first", line_no)
-        radius = float(tokens[0][2:])
-        holes = []
-        i = 1
-        while i < len(tokens):
-            if tokens[i] != "hole":
-                raise ParseError(f"expected 'hole', found {tokens[i]!r}", line_no)
-            if i + 1 >= len(tokens):
-                raise ParseError("hole needs (cx,cy,r)", line_no)
-            spec = tokens[i + 1].strip()
-            if not (spec.startswith("(") and spec.endswith(")")):
-                raise ParseError(f"hole expects (cx,cy,r), found {spec!r}", line_no)
-            parts = spec[1:-1].split(",")
-            if len(parts) != 3:
-                raise ParseError(f"hole expects three numbers, found {spec!r}", line_no)
-            holes.append(tuple(float(p) for p in parts))
-            i += 2
-        if map_dim != 2:
-            raise DimensionMismatchError("holedball domains need a map of dim 2")
-        return HoledBallSpec(radius, tuple(holes))
-
-    if kind == "annulus":
-        kv = _parse_kv(rest.split(), line_no)
-        missing = {"r1", "r2"} - kv.keys()
-        if missing:
-            raise ParseError(f"annulus missing {sorted(missing)}", line_no)
-        return AnnulusSpec(float(kv["r1"]), float(kv["r2"]))
-
-    raise ParseError(f"unknown domain kind {kind!r}", line_no)
+    """Parse one `domain ...` line (the forms are in _FORMS) into its
+    domain object; every error is a ParseError that names the line."""
+    m = _KIND.match(line)
+    kind = m and m[1]
+    if kind not in _FORMS:
+        raise ParseError(f"expected 'domain <{'|'.join(_FORMS)}> ...'", line_no)
+    usage, fixed, unit = _FORMS[kind]
+    texts, end, m = [], None, fixed.match(line, m.end())
+    while m:
+        texts += m.groups()
+        end = m.end()
+        m = unit and unit.match(line, end)
+    if end is None or line[end:].strip():
+        raise ParseError(f"expected 'domain {kind} {usage}'", line_no)
+    try:
+        domain = _build(kind, map_dim, texts)
+    except ValueError as exc:
+        raise ParseError(str(exc), line_no) from None
+    if domain.dim != map_dim:
+        raise ParseError(f"{kind} domain of dim {domain.dim} for a map of dim {map_dim}", line_no)
+    return domain

@@ -481,9 +481,6 @@ class Interval:
         m = self.lo + 0.5 * (self.hi - self.lo)
         return min(max(m, self.lo), self.hi)
 
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
     def intersects(self, other: "Interval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 

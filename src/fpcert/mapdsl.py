@@ -685,11 +685,16 @@ class _Tok(NamedTuple):
     col: int
 
 
+NUMBER = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"
+"""An unsigned decimal literal in ASCII digits: the lexer's number token,
+which the domain line (geometry.parse_domain) reads with an optional sign.
+No two ways to match split the same digits, so a pattern around it that
+fails backtracks in time linear in the literal's length."""
+
 # A number, an identifier, an operator, or any other character but
 # whitespace (\s, as str.isspace), which is an error; finditer skips the
 # whitespace between tokens.  Digits and letters are ASCII only.
-_TOKEN = re.compile(r"((?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?)"
-                    r"|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^(),])|(\S)")
+_TOKEN = re.compile(rf"({NUMBER})|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^(),])|(\S)")
 _KINDS = (None, "num", "ident", "op")
 
 
@@ -818,7 +823,10 @@ class _ExprParser:
                 tok = self.take()
             if tok.kind != "num" or "." in tok.text or "e" in tok.text or "E" in tok.text:
                 raise ParseError("exponent must be an integer literal", tok.line, tok.col)
-            return Power(base, sign * int(tok.text))
+            try:
+                return Power(base, sign * int(tok.text))
+            except ValueError:  # past Python's limit on digits per int
+                raise ParseError("exponent has too many digits", tok.line, tok.col) from None
         return base
 
     def parse_atom(self) -> Expr:

@@ -302,6 +302,14 @@ def test_holes_cross_check_agrees():
     assert cc == {"value": -1, "verified": True}
 
 
+@pytest.mark.parametrize("form", ["expansive", "compressive", "bogus"])
+def test_holes_take_form_auto_only(form):
+    T = parse_map("dim 2\nmap g1 = 2*tanh(x1)\nmap g2 = 0\n")
+    assert certify_problem(T, _two_holes()).outcome == CERTIFIED
+    with pytest.raises(ValueError, match=f"form 'auto' only, not '{form}'"):
+        certify_problem(T, _two_holes(), form=form)
+
+
 def test_holes_single_refused():
     T = parse_map("dim 2\nmap g1 = 0\nmap g2 = 0\n")
     with pytest.raises(SingleHoleError):

@@ -301,13 +301,14 @@ def test_problem_file_loading(tmp_path, capsys):
 
 
 def test_parse_error_exit_4(tmp_path, capsys):
-    # An unknown variable, a decimal literal past the float range, and
-    # digits that are not ASCII.
+    # An unknown variable, a decimal literal past the float range, digits
+    # that are not ASCII, and an exponent past Python's int digit limit.
     path = tmp_path / "bad.fp"
     for expr, fragment in (("x2", "x2"), ("1e999", "past the float range (line 2, column 10)"),
                            ("x1\u00b2", "unexpected character '\u00b2' (line 2, column 12)"),
                            (".e5", "stray '.' (line 2, column 10)"),
-                           ("\u0661.\u0665*x1", "(line 2, column 10)")):
+                           ("\u0661.\u0665*x1", "(line 2, column 10)"),
+                           ("x1^" + "1" * 5000, "too many digits (line 2, column 13)")):
         path.write_text(f"dim 1\nmap g1 = {expr}\ndomain rect [0,1]\n", encoding="utf-8")
         code, _, err = run(capsys, "certify", str(path))
         assert code == 4 and fragment in err, err
@@ -324,6 +325,79 @@ def test_deep_expression_exit_4(tmp_path, capsys, expr):
     code, _, err = run(capsys, "certify", str(path))
     assert code == 4
     assert err.startswith("error: expression nested deeper than")
+
+
+# Malformed domain lines, each on the last line of a program of its dim.
+_BAD_DOMAIN_LINES = [
+    (1, "domain rect [\u0661,2]", "expected 'domain rect [lo,hi] ...'"),
+    (1, "domain rect [1_0,2]", "expected 'domain rect"),
+    (1, "domain rect [nan,1]", "expected 'domain rect"),
+    (1, "domain rect [0,inf]", "expected 'domain rect"),
+    (1, "domain rect [0,1e400]", "past the float range"),
+    (1, "domain rect [-1e400,0]", "past the float range"),
+    (1, "domain rect [- 1,0]", "expected 'domain rect"),
+    (1, "domain rect [1.2.3,4]", "expected 'domain rect"),
+    (1, "domain rect [1e,2]", "expected 'domain rect"),
+    (1, "domain rect [0,1", "expected 'domain rect"),
+    (1, "domain rect [0,1,2]", "expected 'domain rect"),
+    (1, "domain rect [0,1] x", "expected 'domain rect"),
+    (1, "domain rect", "a box needs at least one coordinate"),
+    (1, "domain rect [0,1] [0,1]", "rect domain of dim 2 for a map of dim 1"),
+    (1, "domain rect [1,0]", "lower bound 1.0 exceeds upper bound 0.0"),
+    (1, "domain", "expected 'domain <rect|cylinder|coneshell|holedball|annulus> ...'"),
+    (1, "domain sphere R=1", "expected 'domain <rect|"),
+    (2, "domain cylinder [0,1] [0,1]", "expected 'domain cylinder [a,b] base [lo,hi] ...'"),
+    (2, "domain cylinder [0,1] base", "a box needs at least one coordinate"),
+    (3, "domain cylinder [0,1] base [0,1]", "cylinder domain of dim 2 for a map of dim 3"),
+    (2, "domain coneshell l=sum a=0.5", "expected 'domain coneshell l=<sum|sup|euclid>"),
+    (2, "domain coneshell l=sum a=0.5 b=2 c=3", "expected 'domain coneshell"),
+    (2, "domain coneshell l=sum a=0.5 a=1 b=2", "expected 'domain coneshell"),
+    (2, "domain coneshell l=sum b=2 a=0.5", "expected 'domain coneshell"),
+    (2, "domain coneshell l=max a=0.5 b=2", "expected 'domain coneshell"),
+    (2, "domain coneshell l=sum a=abc b=2", "expected 'domain coneshell"),
+    (2, "domain coneshell l=suma=0.5 b=2", "expected 'domain coneshell"),
+    (2, "domain coneshell l=sum a=0.5 b=nan", "expected 'domain coneshell"),
+    (2, "domain coneshell l=sum a=2 b=0.5", "cone shell needs finite a < b"),
+    (2, "domain holedball R=nan hole (2,0,0.5) hole (-2,0,0.5)",
+     "expected 'domain holedball R=<v> hole (cx,cy,r) ...'"),
+    (2, "domain holedball R=4 hole (2,0,inf) hole (-2,0,0.5)", "expected 'domain holedball"),
+    (2, "domain holedball R=4 hole (2,0) hole (-2,0,0.5)", "expected 'domain holedball"),
+    (2, "domain holedball R=4 hole 2,0,0.5", "expected 'domain holedball"),
+    (2, "domain holedball hole (2,0,0.5) hole (-2,0,0.5)", "expected 'domain holedball"),
+    (2, "domain holedball R=4 R=5 hole (2,0,0.5)", "expected 'domain holedball"),
+    (2, "domain holedball R=4hole (2,0,0.5) hole (-2,0,0.5)", "expected 'domain holedball"),
+    (2, "domain holedball R=4.hole (2,0,0.5) hole (-2,0,0.5)", "expected 'domain holedball"),
+    (2, "domain holedball R=1 hole (2,0,0.5) hole (-2,0,0.5)", "not contained in the ball"),
+    (1, "domain holedball R=4 hole (2,0,0.5) hole (-2,0,0.5)",
+     "holedball domain of dim 2 for a map of dim 1"),
+    (2, "domain annulus r1=1", "expected 'domain annulus r1=<v> r2=<v>'"),
+    (2, "domain annulus r1=1 r2=2 r3=3", "expected 'domain annulus"),
+]
+
+
+@pytest.mark.parametrize("dim, line, fragment", _BAD_DOMAIN_LINES)
+def test_malformed_domain_line_exit_4(tmp_path, capsys, dim, line, fragment):
+    path = tmp_path / "bad-domain.fp"
+    maps = "".join(f"map g{i} = 0.5\n" for i in range(1, dim + 1))
+    path.write_text(f"dim {dim}\n{maps}{line}\n", encoding="utf-8")
+    code, out, err = run(capsys, "certify", str(path))
+    assert code == 4 and out == ""
+    assert err.startswith("error: ") and err.endswith(f" (line {dim + 2})\n"), err
+    assert fragment in err, err
+    assert "Traceback" not in err and "could not convert" not in err
+
+
+def test_unknown_catalog_id_exit_4_plain_message(capsys):
+    for argv in (("certify", "@nope"), ("catalog", "--show", "nope")):
+        code, _, err = run(capsys, *argv)
+        assert code == 4
+        assert err.startswith("error: no catalog entry 'nope'; known ids: "), err
+
+
+def test_holed_ball_takes_form_auto_only(capsys):
+    code, _, err = run(capsys, "certify", "@holes-two", "--form", "expansive")
+    assert code == 4
+    assert err == "error: a holed ball takes form 'auto' only, not 'expansive'\n"
 
 
 def test_missing_domain_exit_4(tmp_path, capsys):

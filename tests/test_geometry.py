@@ -1,4 +1,6 @@
+import math
 import random
+import time
 
 import pytest
 
@@ -15,7 +17,7 @@ from fpcert.geometry import (
     parse_domain,
 )
 from fpcert.interval import Box, Interval
-from fpcert.mapdsl import parse_map
+from fpcert.mapdsl import ParseError, parse_map
 
 
 def _rect01_2d():
@@ -86,9 +88,85 @@ def test_holed_ball_validation():
         HoledBallSpec(1.0, ((2, 0, 0.5),))  # escapes the ball
 
 
+@pytest.mark.parametrize("radius, holes", [
+    (math.nan, ()),
+    (math.inf, ()),
+    (4.0, ((2.0, 0.0, math.nan), (-2.0, 0.0, 0.5))),
+    (4.0, ((math.nan, 0.0, 0.5), (-2.0, 0.0, 0.5))),
+    (4.0, ((2.0, math.nan, 0.5), (-2.0, 0.0, 0.5))),
+])
+def test_holed_ball_rejects_non_finite_values(radius, holes):
+    with pytest.raises(ValueError, match="finite"):
+        HoledBallSpec(radius, holes)
+
+
+@pytest.mark.parametrize("a, b", [
+    (0.5, math.inf), (math.nan, 2.0), (0.5, math.nan), (-math.inf, 2.0),
+])
+def test_cone_shell_and_annulus_reject_non_finite_values(a, b):
+    with pytest.raises(ValueError, match="finite"):
+        ConeShellSpec(2, Functional.ones(2), a, b)
+    with pytest.raises(ValueError, match="finite"):
+        ConeShellSpec(2, Functional.sup(), a, b)
+    with pytest.raises(ValueError):
+        AnnulusSpec(abs(a), b)
+
+
 def test_cylinder_validation():
     with pytest.raises(ValueError):
         CylinderSpec(Interval(1.0, 1.0), Box.from_bounds([(0, 1)]))
+
+
+@pytest.mark.parametrize("dim, canonical, spellings", [
+    (2, "domain rect [0,1] [-1,1]", [
+        "  domain   rect[ 0 , 1 ]   [-1,1]  ",
+        "domain rect [+0,+1] [-1.,1e0]",
+        "domain rect [0.0,10e-1]\t[-.1E1,0.001e+3]",
+        "\tdomain\u00a0rect\u2003[0,1][-1,1]",
+    ]),
+    (2, "domain cylinder [0,1] base [0,1]", [
+        "domain cylinder[0,1]base[0,1]",
+        "domain cylinder [ 0 , 1 ]  base  [ 0 , 1 ]",
+    ]),
+    (3, "domain coneshell l=sum a=0.5 b=2", [
+        "domain coneshell l = sum a = 5e-1 b = +2.0",
+        "domain coneshell  l=sum  a=.5  b=2.",
+    ]),
+    (2, "domain holedball R=4 hole (2,0,0.5) hole (-2,0,0.5)", [
+        "domain holedball R = 4 hole( 2 , 0 , .5 )hole (-2e0,+0,5E-1)",
+        "domain holedball R=4.0\thole (2,0,0.5)  hole\t(-2,0,0.5)",
+    ]),
+    (2, "domain annulus r1=1 r2=2", ["domain annulus r1 = 1.0 r2 = 2e0"]),
+])
+def test_parse_domain_accepted_spellings(dim, canonical, spellings):
+    expected = parse_domain(canonical, dim)
+    for line in spellings:
+        assert parse_domain(line, dim) == expected, line
+
+
+@pytest.mark.parametrize("line", [
+    "domain rect [\u0661,2]", "domain rect [1_0,2]", "domain rect [nan,1]",
+    "domain rect [0,inf]", "domain rect [0,1e400]", "domain rect [0,1] [0,1]",
+    "domain holedball R=4 hole (2,0,0.5) hole (-2,0,0.5)",
+    "domain coneshell l=sum a=abc b=2", "domain coneshell l=sum a=1 a=2 b=3",
+])
+def test_parse_domain_errors_name_the_line(line):
+    with pytest.raises(ParseError, match=r"\(line 7\)$"):
+        parse_domain(line, 1, 7)
+
+
+def test_parse_domain_reads_long_numbers_in_linear_time():
+    # A number pattern with two ways to split the same digits backtracks
+    # quadratically: seconds on 20,000 digits.
+    digits = "1" * 20000
+    for line in (f"domain rect [0,{digits}x]", f"domain rect [0,{digits}.{digits}e]",
+                 f"domain rect [0,{digits}]"):
+        t0 = time.perf_counter()
+        with pytest.raises(ParseError):
+            parse_domain(line, 1, 3)
+        assert time.perf_counter() - t0 < 1.0
+    expected = parse_domain("domain rect [0,0.1111111111111111]", 1)
+    assert parse_domain(f"domain rect [0,0.{digits}]", 1) == expected
 
 
 def test_parse_domain_forms():
