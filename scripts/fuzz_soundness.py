@@ -21,7 +21,10 @@ stream, 1-D and 2-D families with a planted polynomial branch of fixed
 points, the only one in their box, are traced over t in [0, 1]: every
 PROVEN slab must hold the branch at sampled t of its cell, every
 proven chain must meet the branch, and on every slab the map bound to
-its cell's t must give the pairs, or the error, of the unbound map.  Any
+its cell's t must give the pairs, or the error, of the unbound map.  Each
+holed ball and each localized 2-D map also has its memo view compared with
+the plain map, pairs and errors, on 200 sub-boxes that share coordinates
+(``memo checks`` counts the boxes).  Any
 answer an oracle cannot confirm is a soundness bug and is printed with its
 problem source.
 
@@ -39,6 +42,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
 
 from corpus import (  # noqa: E402
     branch_point,
+    memo_view_mismatches,
     random_cone_problem,
     random_cylinder_problem,
     random_expression_map,
@@ -48,6 +52,7 @@ from corpus import (  # noqa: E402
     random_planted_trig_map,
     random_polynomial_map_2d,
     random_rect_problem,
+    shared_coordinate_boxes,
 )
 from oracles import grid_zoom_min, winding_rect  # noqa: E402
 
@@ -89,6 +94,18 @@ def main():
         print(m.to_source())
         print(f"  {why}")
 
+    # Sub-boxes for the memo view cross-check come from a stream of their
+    # own, so the problem streams and every other count stay as they were.
+    memo_rng = random.Random(f"{args.seed}:memo")
+
+    def memo_check(m, box):
+        """Compare m's memo view with m on 200 sub-boxes of box that share
+        coordinates; returns the number of boxes compared."""
+        boxes = shared_coordinate_boxes(memo_rng, box, 200)
+        for bad in memo_view_mismatches(m, boxes):
+            violation(m, f"memo view differs from the map on {bad.bounds()}")
+        return len(boxes)
+
     def confirm(cert, m, domain_bounds, keep):
         if cert.outcome == CERTIFIED:
             point, res = grid_zoom_min(m, domain_bounds, keep=keep)
@@ -123,13 +140,14 @@ def main():
 
     rng = random.Random(f"{args.seed}:holes")
     hole_counts = dict.fromkeys(counts, 0)
-    cross_verified = hole_boxes = 0
+    cross_verified = hole_boxes = hole_memo = 0
     t0 = time.perf_counter()
     for k in range(n_holes):
         m, spec = random_holed_ball_problem(rng, 2 + k % 3)
         cert = certify_holes(m, spec)
         hole_counts[cert.outcome] += 1
         hole_boxes += cert.stats.boxes
+        hole_memo += memo_check(m, Box.from_bounds([(-spec.radius, spec.radius)] * 2))
         keep = lambda p, spec=spec: math.hypot(*p) <= spec.radius and all(  # noqa: E731
             math.hypot(p[0] - cx, p[1] - cy) >= r for cx, cy, r in spec.holes)
         confirm(cert, m, [(-spec.radius, spec.radius)] * 2, keep)
@@ -141,7 +159,7 @@ def main():
     elapsed = time.perf_counter() - t0
     print(f"{n_holes} holed balls in {elapsed:.1f}s: "
           + ", ".join(f"{k}={v}" for k, v in hole_counts.items())
-          + f" boxes={hole_boxes}")
+          + f" boxes={hole_boxes} memo checks={hole_memo}")
 
     def random_rect(rng):
         bounds = []
@@ -175,6 +193,7 @@ def main():
         loc_counts["enclosures"] += len(res.enclosures)
         loc_counts["PROVEN"] += len(res.proven)
         loc_counts["exhausted"] += res.exhausted
+        loc_counts["memo checks"] += memo_check(m, rect.box)
         tiled = res.discarded_volume + res.surviving_volume
         if not abs(tiled - res.total_volume) <= 1e-9 * res.total_volume:
             violation(m, f"discarded plus surviving volume {tiled} != {res.total_volume} "
@@ -190,7 +209,7 @@ def main():
             violation(m, f"planted fixed point {planted} lies in no enclosure on {bounds}")
 
     rng = random.Random(f"{args.seed}:localize")
-    loc_counts = {"enclosures": 0, "PROVEN": 0, "exhausted": 0}
+    loc_counts = {"enclosures": 0, "PROVEN": 0, "exhausted": 0, "memo checks": 0}
     t0 = time.perf_counter()
     for k in range(n_localize):
         bounds, rect = random_rect(rng)

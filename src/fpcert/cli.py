@@ -201,8 +201,17 @@ def cmd_catalog(args) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        """Print argparse's usage message and exit 4, the usage-error code:
+        argparse's own code, 2, would read as INDETERMINATE."""
+        self.print_usage(sys.stderr)
+        self.exit(4, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # Subparsers are built by the class of their parent, so they exit 4 too.
+    parser = _ArgumentParser(
         prog="fpcert",
         description="rigorous fixed-point existence certificates over interval "
         "arithmetic",

@@ -269,6 +269,8 @@ class ConeShellSpec:
                 raise ValueError("linear-functional shell needs a >= 0")
             if len(self.functional.coeffs) != self.dim:
                 raise DimensionMismatchError("coefficient count must match dimension")
+            if not all(-_INF < c < _INF for c in self.functional.coeffs):
+                raise ValueError("linear-functional shell needs finite coefficients")
         elif self.a <= 0.0:
             raise ValueError("norm shell needs 0 < a")
 

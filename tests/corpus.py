@@ -15,7 +15,7 @@ import random
 from fpcert import interval as iv
 from fpcert.geometry import ConeShellSpec, CylinderSpec, Functional, HoledBallSpec, RectDomain
 from fpcert.interval import Box, Interval
-from fpcert.mapdsl import MapSpec, parse_map
+from fpcert.mapdsl import MapSpec, jacobian, parse_map
 
 UNARY_OPS = {
     "neg": lambda lo, hi: (-hi, -lo),
@@ -334,3 +334,49 @@ def random_box(rng: random.Random, dim: int, scale: float = 2.0) -> Box:
 
 def sample_in_box(rng: random.Random, box: Box):
     return tuple(c.lo + rng.random() * (c.hi - c.lo) for c in box.coords)
+
+
+def shared_coordinate_boxes(rng: random.Random, box: Box, count: int, per_axis: int = 8):
+    """count sub-boxes of box whose coordinates come from a pool of per_axis
+    intervals per axis, so that many share a coordinate, as boxes of one
+    search do.  A pool holds the axis itself, a point and, where the axis
+    holds 0, intervals that end at 0.0 and at -0.0 alike."""
+    pools = []
+    for c in box.coords:
+        pool = [c, Interval(c.lo + rng.random() * (c.hi - c.lo))]
+        if c.lo < 0.0 < c.hi:
+            pool += [Interval(-0.0, c.hi), Interval(0.0, c.hi),
+                     Interval(c.lo, -0.0), Interval(c.lo, 0.0)]
+        while len(pool) < per_axis:
+            a, b = sorted(c.lo + rng.random() * (c.hi - c.lo) for _ in range(2))
+            pool.append(Interval(a, b))
+        pools.append(pool)
+    return [Box(tuple(rng.choice(pool) for pool in pools)) for _ in range(count)]
+
+
+def memo_view_mismatches(m: MapSpec, boxes) -> list:
+    """The boxes, taken in order in one search, on which the memo view of m
+    (MapSpec.memo_view) and its Jacobian give other pairs or errors, by
+    repr, than m and jacobian(m)."""
+
+    def outcomes(exprs, xs):
+        out = []
+        for e in exprs:
+            try:
+                out.append(None if e is None else repr(e.eval_pair(xs, None)))
+            except (ArithmeticError, ValueError) as exc:
+                out.append(f"{type(exc).__name__}: {exc}")
+        return out
+
+    def flat(comps, jac):
+        return list(comps) + ([] if jac is None else [d for row in jac for d in row])
+
+    plain = flat(m.components, jacobian(m))
+    bad = []
+    with m.memo_view() as (view, view_jac):
+        memo = flat(view.components, view_jac)
+        for box in boxes:
+            xs = box.coords
+            if len(memo) != len(plain) or outcomes(memo, xs) != outcomes(plain, xs):
+                bad.append(box)
+    return bad

@@ -426,7 +426,7 @@ def test_holed_ball_evidence_keeps_the_naive_bound_where_it_decides():
     kept = tightened = 0
     for k in range(24):
         m, spec = random_holed_ball_problem(rng, 2 + k % 3)
-        conditions = {c.face: c for c in _holed_ball_conditions(m, spec)}
+        conditions = {c.face: c for c in _holed_ball_conditions(m, jacobian(m), spec)}
         cert = certify_holes(m, spec)
         for e in cert.evidence:
             if e.relation == "unresolved":
@@ -448,7 +448,7 @@ def test_holed_ball_classify_keeps_the_naive_bound_where_tightening_raises():
     # sqrt(x1^2 + x2^2) has a derivative that divides by zero on every box
     # holding the origin, so the naive bound, which holds, must stand.
     T = parse_map("dim 2\nmap g1 = 1.9*sqrt(x1^2 + x2^2)\nmap g2 = 0.25*x2\n")
-    outer, *_holes = _holed_ball_conditions(T, _two_holes())
+    outer, *_holes = _holed_ball_conditions(T, jacobian(T), _two_holes())
     box = Box.from_bounds([(-1.0, 3.5), (-1.0, 1.0)])
     naive = outer.bound(box)
     assert outer.verdict(naive) == UNKNOWN

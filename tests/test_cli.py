@@ -289,8 +289,29 @@ def test_reused_parser_answers_as_a_fresh_one(capsys):
         _parser.cache_clear()
         fresh.append(answer(argv))
     assert reused == fresh
-    assert [code for code, _out, _err in reused] == [0, 0, 0, 0, ("SystemExit", 2), 0]
+    assert [code for code, _out, _err in reused] == [0, 0, 0, 0, ("SystemExit", 4), 0]
     assert "invalid choice: 'sideways'" in reused[4][2]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["certify", "--bogus", "x.fp"], "unrecognized arguments: --bogus"),
+    (["certify", "@miranda-linear-2d", "--max-depth", "abc"],
+     "argument --max-depth: invalid int value: 'abc'"),
+    ([], "the following arguments are required: command"),
+], ids=["unknown-option", "bad-int", "no-command"])
+def test_usage_errors_exit_4_with_the_usage_message(capsys, argv, message):
+    # Exit 2 means INDETERMINATE, so argparse's own usage-error code is 4 here.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 4
+    assert err.startswith("usage: fpcert") and message in err, err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "-h"])
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: fpcert certify")
 
 
 def test_problem_file_loading(tmp_path, capsys):

@@ -112,6 +112,14 @@ def test_cone_shell_and_annulus_reject_non_finite_values(a, b):
         AnnulusSpec(abs(a), b)
 
 
+@pytest.mark.parametrize("coeff", [math.nan, math.inf])
+def test_cone_shell_rejects_non_finite_linear_coefficients(coeff):
+    # Functional itself takes them; the shell's bounding box could not.
+    functional = Functional.linear([coeff, 1.0])
+    with pytest.raises(ValueError, match="finite coefficients"):
+        ConeShellSpec(2, functional, 0.5, 2.0)
+
+
 def test_cylinder_validation():
     with pytest.raises(ValueError):
         CylinderSpec(Interval(1.0, 1.0), Box.from_bounds([(0, 1)]))

@@ -315,7 +315,7 @@ def test_holed_ball_domain_tests_decide_as_the_reference():
         cases.append((spec, [_point(p) for p in points]))
     decisions = set()
     for spec, boxes in cases:
-        outer, *holes = _holed_ball_conditions(identity, spec)
+        outer, *holes = _holed_ball_conditions(identity, None, spec)
         for box in boxes:
             pairs = [
                 (outer.relevant, _ref_in_domain, (spec, box)),

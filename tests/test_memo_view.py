@@ -1,0 +1,191 @@
+"""The memo view (mapdsl.MapSpec.memo_view) evaluates as the plain map.
+
+It keeps a subtree's pair per exact value of the coordinates the subtree
+reads, for one search.  These tests compare it with the plain map and its
+Jacobian by repr on boxes that share coordinates, check that its caches
+live exactly as long as a search, and that nothing differentiates it.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from corpus import (
+    memo_view_mismatches,
+    random_expression_map,
+    random_holed_ball_problem,
+    shared_coordinate_boxes,
+)
+
+import fpcert.certify as certify_module
+import fpcert.mapdsl as mapdsl_module
+import fpcert.localize as localize_module
+from fpcert.certify import certify_holes
+from fpcert.geometry import RectDomain
+from fpcert.interval import Box, DomainError, Interval
+from fpcert.localize import localize_fixed_points
+from fpcert.mapdsl import Expr, Memo, derivative, jacobian, parse_map
+
+_HAND_MAPS = [
+    "dim 2\nmap g1 = 0.9*sin(3*x1) + 0.3*x2^2\nmap g2 = x1 - 0.5*cos(2*x2)*x1\n",
+    "dim 2\nmap g1 = x1 + 1/x2\nmap g2 = sqrt(x2 + 0.5)*x1\n",
+    "dim 2\nmap g1 = abs(x1 - 0.25) + x1*x2\nmap g2 = min(x1, x2^2) + max(sin(x2), 0.1*x2)\n",
+    "dim 2\nmap g1 = abs(x1*x2 - 0.25)\nmap g2 = max(x1 - x2, 0.5*x2^3)\n",
+    "dim 3\nmap g1 = exp(-x1^2)*x2 + tanh(x3)\n"
+    "map g2 = min(x1*x3, x3 - 0.5)/(x2 + 2.5)\nmap g3 = x1*x2*x3 - cos(x1 + x2)\n",
+    "dim 2\nmap g1 = " + "sin(" * 99 + "x1" + ")" * 99 + " + x2\nmap g2 = x2*x1\n",
+]
+
+
+def _maps(rng):
+    maps = [parse_map(src) for src in _HAND_MAPS]
+    maps += [random_expression_map(rng, 2 + k % 2, depth=4) for k in range(40)]
+    maps += [random_holed_ball_problem(rng, 2 + k % 3)[0] for k in range(6)]
+    return maps
+
+
+def test_memo_view_gives_the_pairs_and_errors_of_the_plain_map():
+    rng = random.Random(2020)
+    root = Box.from_bounds([(-2.0, 1.5), (-1.0, 2.0), (-1.5, 1.0)])
+    memos = raised = 0
+    for m in _maps(rng):
+        box = Box(root.coords[:m.dim])
+        boxes = shared_coordinate_boxes(rng, box, 150)
+        assert memo_view_mismatches(m, boxes) == [], m.to_source()
+        with m.memo_view() as (view, view_jac):
+            memos += len(m._memo.caches)
+            for b in boxes:
+                try:
+                    view.eval_pairs(b)
+                except DomainError:
+                    raised += 1
+            # Every memo read the same few pool values again and again.
+            assert all(len(c) <= 8 for c in m._memo.caches)
+    assert memos > 100 and raised > 50, (memos, raised)
+
+
+def test_memo_view_keeps_the_sign_of_a_zero_endpoint():
+    # 2*x1 on [-0.0, 1] and on [0.0, 1] differ in the sign of their zero,
+    # and so does g1; the memo must not hand one box the other's pair.
+    m = parse_map("dim 2\nmap g1 = 2*x1*x2\nmap g2 = x2\n")
+    boxes = [Box((Interval(lo, 1.0), Interval(1.0, 2.0))) for lo in (-0.0, 0.0, -0.0)]
+    plain = [repr(m.eval_pairs(b)) for b in boxes]
+    assert plain[0] != plain[1]
+    with m.memo_view() as (view, _jac):
+        assert [repr(view.eval_pairs(b)) for b in boxes] == plain
+        assert isinstance(view.components[0].left, Memo)
+    assert memo_view_mismatches(m, boxes) == []
+
+
+def test_memo_view_raises_again_where_a_subtree_raises():
+    m = parse_map("dim 2\nmap g1 = x1 + 1/x2\nmap g2 = x2\n")
+    box = Box.from_bounds([(0.0, 1.0), (-1.0, 1.0)])
+    with pytest.raises(DomainError) as plain:
+        m.eval_pairs(box)
+    with m.memo_view() as (view, _jac):
+        for _ in range(2):
+            with pytest.raises(DomainError) as memo:
+                view.eval_pairs(box)
+            assert str(memo.value) == str(plain.value)
+        assert not any(m._memo.caches)
+
+
+def test_a_full_cache_is_emptied_and_the_view_still_agrees(monkeypatch):
+    monkeypatch.setattr(mapdsl_module, "_MEMO_ENTRIES", 3)
+    rng = random.Random(7)
+    m = parse_map(_HAND_MAPS[0])
+    boxes = shared_coordinate_boxes(rng, Box.from_bounds([(-2.0, 1.5), (-1.0, 2.0)]), 200)
+    assert memo_view_mismatches(m, boxes) == []
+    with m.memo_view() as (view, _jac):
+        cleared = 0
+        for b in boxes:
+            before = [len(c) for c in m._memo.caches]
+            view.eval_pairs(b)
+            after = [len(c) for c in m._memo.caches]
+            assert max(after) <= 3
+            cleared += sum(a < b for a, b in zip(after, before))
+        assert cleared > 10
+
+
+def test_only_subtrees_of_one_coordinate_are_memoized():
+    m = parse_map("dim 3\nmap g1 = sin(x1*x2) + cos(x3)\nmap g2 = x2\nmap g3 = x3\n")
+    with m.memo_view() as (view, _jac):
+        two, one = view.components[0].left, view.components[0].right
+        assert two is m.components[0].left  # sin(x1*x2) stays as it was
+        assert isinstance(one, Memo) and one.axis == 2
+    one_d = parse_map("dim 1\nmap g1 = sin(2*x1)\n")
+    with one_d.memo_view() as (view, _jac):
+        assert not one_d._memo.caches
+
+
+def test_map_and_jacobian_share_one_memo_per_subtree():
+    m = parse_map("dim 2\nmap g1 = sin(3*x1)*x2^2\nmap g2 = x2\n")
+    with m.memo_view() as (view, view_jac):
+        sin_memo = view.components[0].left
+        assert isinstance(sin_memo, Memo) and sin_memo.axis == 0
+        # d/dx2 = sin(3*x1) * (2*x2): the factor is g1's own subtree.
+        assert view_jac[0][1].left is sin_memo
+    assert len(m._memo.caches) == len({id(c) for c in m._memo.caches})
+
+
+def _rect(*bounds):
+    return RectDomain(Box.from_bounds(bounds))
+
+
+def test_searches_empty_the_caches_when_they_return_or_raise(monkeypatch):
+    m = parse_map("dim 2\nmap g1 = 0.5*sin(3*x1) + 0.2*x2^2\n"
+                  "map g2 = 0.4*cos(2*x2) - 0.1*x1\n")
+    localize_fixed_points(m, _rect((-2.0, 2.0), (-2.0, 2.0)), tol=1e-7)
+    assert m._memo.caches and not any(m._memo.caches)
+
+    T, spec = random_holed_ball_problem(random.Random(3), 2)
+    certify_holes(T, spec)
+    assert T._memo.caches and not any(T._memo.caches)
+
+    def raising(real, caches):
+        calls = []
+
+        def fn(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 5:
+                assert any(caches), "the search filled no cache"
+                raise RuntimeError("stop")
+            return real(*args, **kwargs)
+        return fn
+
+    monkeypatch.setattr(localize_module, "_krawczyk",
+                        raising(localize_module._krawczyk, m._memo.caches))
+    with pytest.raises(RuntimeError):
+        localize_fixed_points(m, _rect((-2.0, 2.0), (-2.0, 2.0)), tol=1e-7)
+    assert not any(m._memo.caches)
+
+    monkeypatch.setattr(certify_module, "_mean_value_pairs",
+                        raising(certify_module._mean_value_pairs, T._memo.caches))
+    with pytest.raises(RuntimeError):
+        certify_holes(T, spec)
+    assert not any(T._memo.caches)
+
+
+def test_a_parametrized_search_builds_no_memo_view():
+    g = parse_map("dim 2\nparam t\nmap g1 = 0.5*x1 + 0.1*t*sin(x2)\nmap g2 = 0.3*x2 + t\n")
+    res = localize_fixed_points(g, _rect((-1.0, 1.0), (-1.0, 2.0)), tol=1e-6,
+                                t=Interval(0.0, 0.25))
+    assert res.proven
+    assert "_memo" not in g.__dict__
+
+
+def test_derivative_refuses_a_memo_view_and_foreign_nodes():
+    class Foreign(Expr):
+        pass
+
+    m = parse_map("dim 2\nmap g1 = sin(x1)\nmap g2 = x1*x2\n")
+    with m.memo_view() as (view, _jac):
+        assert isinstance(view.components[0], Memo)
+        with pytest.raises(TypeError):
+            derivative(view.components[0], 0)
+        with pytest.raises(TypeError):
+            jacobian(view)
+    with pytest.raises(TypeError):
+        derivative(Foreign(), 0)
