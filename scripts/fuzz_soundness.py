@@ -24,9 +24,13 @@ proven chain must meet the branch, and on every slab the map bound to
 its cell's t must give the pairs, or the error, of the unbound map.  Each
 holed ball and each localized 2-D map also has its memo view compared with
 the plain map, pairs and errors, on 200 sub-boxes that share coordinates
-(``memo checks`` counts the boxes).  Any
-answer an oracle cannot confirm is a soundness bug and is printed with its
-problem source.
+(``memo checks`` counts the boxes).  Each rect problem of dimension 2 or
+more and each map of the 2-D localize stream is also run again with its
+coordinates reversed, which keeps its fixed points exactly (``metamorphic
+checks`` counts the reruns): CERTIFIED against REFUTED, or a PROVEN box
+on one side that meets no enclosure of the other, is a violation; a
+change to or from INDETERMINATE is not.  Any answer an oracle cannot
+confirm is a soundness bug and is printed with its problem source.
 
     python scripts/fuzz_soundness.py --n 2000 --seed 7
 """
@@ -52,12 +56,15 @@ from corpus import (  # noqa: E402
     random_planted_trig_map,
     random_polynomial_map_2d,
     random_rect_problem,
+    reverse_box,
+    reverse_coordinates,
     shared_coordinate_boxes,
 )
 from oracles import grid_zoom_min, winding_rect  # noqa: E402
 
 from fpcert.certify import (  # noqa: E402
     CERTIFIED,
+    REFUTED,
     certify_cone_shell,
     certify_cylinder,
     certify_holes,
@@ -106,17 +113,27 @@ def main():
             violation(m, f"memo view differs from the map on {bad.bounds()}")
         return len(boxes)
 
+    def reversed_problem(m, rect):
+        return reverse_coordinates(m), RectDomain(reverse_box(rect.box))
+
     def confirm(cert, m, domain_bounds, keep):
         if cert.outcome == CERTIFIED:
             point, res = grid_zoom_min(m, domain_bounds, keep=keep)
             if point is None or res > args.residual:
                 violation(m, f"oracle residual {res}")
 
+    rect_reversals = 0
     for k in range(args.n):
         roll = rng.random()
         if roll < 0.6:
             m, r = random_rect_problem(rng)
             cert = certify_miranda(m, r, max_depth=12, max_boxes=3000)
+            if m.dim >= 2:
+                rect_reversals += 1
+                other = certify_miranda(*reversed_problem(m, r), max_depth=12, max_boxes=3000)
+                if {cert.outcome, other.outcome} == {CERTIFIED, REFUTED}:
+                    violation(m, f"{cert.outcome}, but {other.outcome} with the coordinates "
+                                 "reversed")
             domain_bounds = [(c.lo, c.hi) for c in r.box.coords]
             keep = None
         elif roll < 0.85:
@@ -136,7 +153,8 @@ def main():
 
     elapsed = time.perf_counter() - t0
     print(f"{args.n} problems in {elapsed:.1f}s: "
-          + ", ".join(f"{k}={v}" for k, v in counts.items()))
+          + ", ".join(f"{k}={v}" for k, v in counts.items())
+          + f" metamorphic checks={rect_reversals}")
 
     rng = random.Random(f"{args.seed}:holes")
     hole_counts = dict.fromkeys(counts, 0)
@@ -207,6 +225,19 @@ def main():
                 all(c.lo - 1e-12 <= v <= c.hi + 1e-12 for c, v in zip(e.box.coords, planted))
                 for e in res.enclosures):
             violation(m, f"planted fixed point {planted} lies in no enclosure on {bounds}")
+        return res
+
+    def reversal_check(m, rect, res):
+        """Localize m again with its coordinates reversed: a PROVEN box of
+        either run holds a fixed point, so it must meet an enclosure of the
+        other (reverse_box maps each run's boxes to the other's)."""
+        other = localize_fixed_points(*reversed_problem(m, rect), tol=1e-6, budget=20000)
+        for a, b in ((res, other), (other, res)):
+            for enc in a.proven:
+                box = reverse_box(enc.box)
+                if not any(box.intersects(e.box) for e in b.enclosures):
+                    violation(m, f"PROVEN box {enc.box.bounds()} meets no enclosure of the "
+                                 "run with the coordinates reversed")
 
     rng = random.Random(f"{args.seed}:localize")
     loc_counts = {"enclosures": 0, "PROVEN": 0, "exhausted": 0, "memo checks": 0}
@@ -217,10 +248,11 @@ def main():
             m = random_expression_map(rng, 2)
         else:
             m = random_polynomial_map_2d(rng, rect)
-        localize_and_check(m, bounds, rect, loc_counts)
+        reversal_check(m, rect, localize_and_check(m, bounds, rect, loc_counts))
     elapsed = time.perf_counter() - t0
     print(f"{n_localize} localizations in {elapsed:.1f}s: "
-          + ", ".join(f"{k}={v}" for k, v in loc_counts.items()))
+          + ", ".join(f"{k}={v}" for k, v in loc_counts.items())
+          + f" metamorphic checks={n_localize}")
 
     for stream, make in (("planted", random_planted_trig_map),
                          ("kinked", random_planted_kinked_map)):

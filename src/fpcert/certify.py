@@ -576,10 +576,10 @@ def _mean_value_pairs(T: MapSpec, jac, box: Box, naive=None) -> list:
         naive = T.eval_pairs(box)
     out = []
     for comp, row, (n_lo, n_hi) in zip(T.components, jac, naive):
-        lo, hi = comp.eval_pair(point, None)
+        lo, hi = comp.eval_pair(point)
         for d, x, m in zip(row, xs, ms):
             if d is not None:
-                p_lo, p_hi = mul_pair(*d.eval_pair(xs, None), sub_down(x.lo, m), sub_up(x.hi, m))
+                p_lo, p_hi = mul_pair(*d.eval_pair(xs), sub_down(x.lo, m), sub_up(x.hi, m))
                 lo, hi = add_down(lo, p_lo), add_up(hi, p_hi)
         if not -_INF < lo <= hi < _INF:
             raise interval_error(lo, hi)

@@ -22,6 +22,7 @@ labelled accordingly (`proven` false).
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
@@ -102,6 +103,8 @@ def trace_continuum(psi: MapSpec, t_range, x_box: Box, grid: int = 16,
     if grid < 1:
         raise ValueError("grid must be at least 1")
     a, b = (t_range.lo, t_range.hi) if isinstance(t_range, Interval) else map(float, t_range)
+    if not math.isfinite(b - a):  # also when a or b is not finite
+        raise ValueError("parameter range must be finite")
     if not a < b:
         raise ValueError("parameter range must have positive width")
 

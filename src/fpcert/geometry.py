@@ -100,7 +100,7 @@ def _flip_component(expr, axis: int):
         and isinstance(expr.left, BinOp)
         and expr.left.op == "*"
         and getattr(expr.left.left, "value", None) == 2.0
-        and isinstance(expr.left.right, Var)
+        and type(expr.left.right) is Var
         and expr.left.right.index == axis
     ):
         return expr.right

@@ -647,9 +647,6 @@ class Box:
     def width(self) -> float:
         return max(c.hi - c.lo for c in self.coords)
 
-    def widths(self):
-        return tuple(c.hi - c.lo for c in self.coords)
-
     def midpoint(self):
         return tuple(c.mid for c in self.coords)
 

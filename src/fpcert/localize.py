@@ -146,7 +146,7 @@ def _residual_pairs(f: MapSpec, xs):
     raised = False
     for comp, x in zip(f.components, xs):
         try:
-            lo, hi = comp.eval_pair(xs, None)
+            lo, hi = comp.eval_pair(xs)
         except DomainError:
             raised = True
             continue
@@ -215,7 +215,7 @@ def _krawczyk(f: MapSpec, jac, xs):
     try:
         fm = []
         for comp, m in zip(f.components, ms):
-            lo, hi = comp.eval_pair(point, None)
+            lo, hi = comp.eval_pair(point)
             fm.append((sub_down(m, hi), sub_up(m, lo)))
         dF = []  # F'(X) = I - Dg(X)
         for i, row in enumerate(jac):
@@ -225,7 +225,7 @@ def _krawczyk(f: MapSpec, jac, xs):
                 if d is None:
                     dF_row.append((delta, delta))
                 else:
-                    lo, hi = d.eval_pair(xs, None)
+                    lo, hi = d.eval_pair(xs)
                     dF_row.append((sub_down(delta, hi), sub_up(delta, lo)))
             dF.append(dF_row)
     except DomainError:
@@ -301,7 +301,7 @@ def _faces_straddle(f: MapSpec, xs) -> bool:
         sides = []
         for end in (c.lo, c.hi):
             try:
-                lo, hi = comp.eval_pair(xs[:i] + (Interval(end),) + xs[i + 1:], None)
+                lo, hi = comp.eval_pair(xs[:i] + (Interval(end),) + xs[i + 1:])
             except DomainError:
                 return False
             sides.append((lo > end) - (hi < end))  # 1 above, -1 below, 0 neither

@@ -14,9 +14,10 @@ sin cos exp tanh sqrt abs min max, the variables x1..xn and t, and decimal
 literals, in ASCII digits and letters (whitespace is what str.isspace
 accepts).  Every parsed map evaluates over floats (eval_real) and over
 boxes (eval_interval); the interval semantics is the naive interval
-extension, which encloses the true image of the box.  Nodes evaluate to
-endpoint pairs ``(lo, hi)`` of plain floats (eval_pair): leaves read the
-endpoints of a box coordinate, of t or of a constant's enclosure, and
+extension, which encloses the true image of the box.  Nodes evaluate on
+one tuple of coordinates, x1..xn followed by t (``Param``, the ``Var`` at
+index n), to endpoint pairs ``(lo, hi)`` of plain floats (``eval_pair(xs)``):
+leaves read the endpoints of a coordinate or of a constant's enclosure, and
 operations call the pair kernels of ``interval``.  Each operation checks
 its result with ``-inf < lo <= hi < inf`` and raises exactly what
 ``Interval(lo, hi)`` would, and an ``Interval`` is built only for each
@@ -124,10 +125,10 @@ class Const(Expr):
     value: float
     enclosure: Interval
 
-    def eval_real(self, xs, t):
+    def eval_real(self, xs):
         return self.value
 
-    def eval_pair(self, xs, t):
+    def eval_pair(self, xs):
         enc = self.enclosure
         return enc.lo, enc.hi
 
@@ -142,10 +143,10 @@ class Const(Expr):
 class Var(Expr):
     index: int  # 0-based
 
-    def eval_real(self, xs, t):
+    def eval_real(self, xs):
         return xs[self.index]
 
-    def eval_pair(self, xs, t):
+    def eval_pair(self, xs):
         c = xs[self.index]
         return c.lo, c.hi
 
@@ -154,12 +155,8 @@ class Var(Expr):
 
 
 @dataclass(frozen=True)
-class Param(Expr):
-    def eval_real(self, xs, t):
-        return t
-
-    def eval_pair(self, xs, t):
-        return t.lo, t.hi
+class Param(Var):
+    """t, the coordinate after x1..xn: ``type(e) is Var`` means x1..xn."""
 
     def to_source(self, prec=0):
         return "t"
@@ -169,11 +166,11 @@ class Param(Expr):
 class Neg(Expr):
     arg: Expr
 
-    def eval_real(self, xs, t):
-        return -self.arg.eval_real(xs, t)
+    def eval_real(self, xs):
+        return -self.arg.eval_real(xs)
 
-    def eval_pair(self, xs, t):
-        lo, hi = self.arg.eval_pair(xs, t)
+    def eval_pair(self, xs):
+        lo, hi = self.arg.eval_pair(xs)
         return -hi, -lo
 
     def to_source(self, prec=0):
@@ -188,9 +185,9 @@ class BinOp(Expr):
     left: Expr
     right: Expr
 
-    def eval_real(self, xs, t):
-        a = self.left.eval_real(xs, t)
-        b = self.right.eval_real(xs, t)
+    def eval_real(self, xs):
+        a = self.left.eval_real(xs)
+        b = self.right.eval_real(xs)
         if self.op == "+":
             return a + b
         if self.op == "-":
@@ -201,9 +198,9 @@ class BinOp(Expr):
             raise DomainError("division by zero")
         return a / b
 
-    def eval_pair(self, xs, t):
-        a, b = self.left.eval_pair(xs, t)
-        c, d = self.right.eval_pair(xs, t)
+    def eval_pair(self, xs):
+        a, b = self.left.eval_pair(xs)
+        c, d = self.right.eval_pair(xs)
         op = self.op
         if op == "+":
             lo, hi = add_down(a, c), add_up(b, d)
@@ -230,14 +227,14 @@ class Power(Expr):
     base: Expr
     exponent: int
 
-    def eval_real(self, xs, t):
-        b = self.base.eval_real(xs, t)
+    def eval_real(self, xs):
+        b = self.base.eval_real(xs)
         if self.exponent < 0 and b == 0.0:
             raise DomainError("zero base with negative exponent")
         return b ** self.exponent
 
-    def eval_pair(self, xs, t):
-        lo, hi = pow_int_pair(*self.base.eval_pair(xs, t), self.exponent)
+    def eval_pair(self, xs):
+        lo, hi = pow_int_pair(*self.base.eval_pair(xs), self.exponent)
         if -_INF < lo <= hi < _INF:
             return lo, hi
         raise interval_error(lo, hi)
@@ -285,8 +282,8 @@ class Call(Expr):
     func: str
     args: tuple
 
-    def eval_real(self, xs, t):
-        vals = [a.eval_real(xs, t) for a in self.args]
+    def eval_real(self, xs):
+        vals = [a.eval_real(xs) for a in self.args]
         f = self.func
         if f == "sqrt":
             if vals[0] < 0.0:
@@ -294,13 +291,13 @@ class Call(Expr):
             return math.sqrt(vals[0])
         return _REAL_FUNCS[f](*vals)
 
-    def eval_pair(self, xs, t):
+    def eval_pair(self, xs):
         kernel = _PAIR_FUNCS[self.func]
         args = self.args
         if len(args) == 1:
-            lo, hi = kernel(*args[0].eval_pair(xs, t))
+            lo, hi = kernel(*args[0].eval_pair(xs))
         else:
-            lo, hi = kernel(*args[0].eval_pair(xs, t), *args[1].eval_pair(xs, t))
+            lo, hi = kernel(*args[0].eval_pair(xs), *args[1].eval_pair(xs))
         if -_INF < lo <= hi < _INF:
             return lo, hi
         raise interval_error(lo, hi)
@@ -315,10 +312,10 @@ class Folded(Expr):
 
     pair: tuple
 
-    def eval_real(self, xs, t):
+    def eval_real(self, xs):
         raise _folded_error()
 
-    def eval_pair(self, xs, t):
+    def eval_pair(self, xs):
         return self.pair
 
     def to_source(self, prec=0):
@@ -336,19 +333,19 @@ class Select(Expr):
     neg: Expr
     pos: Expr
 
-    def eval_real(self, xs, t):
-        branch = self.neg if self.cond.eval_real(xs, t) < 0.0 else self.pos
-        return branch.eval_real(xs, t)
+    def eval_real(self, xs):
+        branch = self.neg if self.cond.eval_real(xs) < 0.0 else self.pos
+        return branch.eval_real(xs)
 
-    def eval_pair(self, xs, t):
-        lo, hi = self.cond.eval_pair(xs, t)
+    def eval_pair(self, xs):
+        lo, hi = self.cond.eval_pair(xs)
         if hi < 0.0:
-            return self.neg.eval_pair(xs, t)
+            return self.neg.eval_pair(xs)
         if lo > 0.0:
-            return self.pos.eval_pair(xs, t)
-        c, d = self.pos.eval_pair(xs, t)
+            return self.pos.eval_pair(xs)
+        c, d = self.pos.eval_pair(xs)
         neg = self.neg
-        a, b = (-d, -c) if type(neg) is Neg and neg.arg is self.pos else neg.eval_pair(xs, t)
+        a, b = (-d, -c) if type(neg) is Neg and neg.arg is self.pos else neg.eval_pair(xs)
         return min(a, c), max(b, d)
 
 
@@ -390,30 +387,30 @@ def with_children(e: Expr, kids) -> Expr:
 
 
 def _fold_plan(e: Expr):
-    """A function t -> e with its maximal Var-free subtrees folded (_leaf),
+    """A function coords -> e with its maximal Var-free subtrees folded,
     or None when e contains no Var: the caller then folds it as part of a
     larger subtree.  Built once from e's shape, so a call rebuilds only the
     nodes on paths to a Var and walks no Var-free subtree but to fold it."""
     if type(e) is Var:
-        return lambda t: e
+        return lambda coords: e
     kids = children(e)
     plans = [_fold_plan(k) for k in kids]
     if all(p is None for p in plans):
         return None
     steps = [partial(_leaf, k) if p is None else p for k, p in zip(kids, plans)]
-    return lambda t: with_children(e, [step(t) for step in steps])
+    return lambda coords: with_children(e, [step(coords) for step in steps])
 
 
-def _leaf(e: Expr, t) -> Expr:
-    """A Var-free e as a Folded leaf holding its pair over t (the tree
+def _leaf(e: Expr, coords) -> Expr:
+    """A Var-free e as a Folded leaf holding its pair over coords (the tree
     walk's own result).  When its evaluation raises, e stays a node with
     its subtrees folded, and raises again, in evaluation order, whenever
     the bound map is evaluated."""
     try:
-        return Folded(e.eval_pair((), t))
+        return Folded(e.eval_pair(coords))
     except (ArithmeticError, ValueError):
         kids = children(e)
-        return with_children(e, [_leaf(k, t) for k in kids]) if kids else e
+        return with_children(e, [_leaf(k, coords) for k in kids]) if kids else e
 
 
 _DECIMAL = re.compile(r"([-+]?)([0-9]*)(?:\.([0-9]*))?(?:[eE]([-+]?)0*([0-9]*))?")
@@ -598,7 +595,7 @@ class Memo(Expr):
         self.axis = axis
         self.cache = {}
 
-    def eval_pair(self, xs, t):
+    def eval_pair(self, xs):
         # A zero endpoint is keyed by its text: -0.0 == 0.0, yet the two
         # can give results that differ in the sign of a zero.
         c = xs[self.axis]
@@ -608,7 +605,7 @@ class Memo(Expr):
         cache = self.cache
         pair = cache.get(key)
         if pair is None:
-            pair = self.node.eval_pair(xs, t)
+            pair = self.node.eval_pair(xs)
             if len(cache) >= _MEMO_ENTRIES:
                 cache.clear()
             cache[key] = pair
@@ -619,8 +616,6 @@ class Memo(Expr):
 # holed-ball search holds more than 96; without the bound, a search that
 # runs until its box budget is spent keeps adding values all the way.
 _MEMO_ENTRIES = 1024
-
-_T = -1  # stands for t among the coordinates a subtree reads
 
 
 class MemoView:
@@ -634,17 +629,14 @@ class MemoView:
 
     def __init__(self, m: "MapSpec"):
         full = frozenset(range(m.dim))
-        read = {}  # id(node) -> the indices it reads, _T for t
+        read = {}  # id(node) -> the indices it reads, dim for t
         view = {}  # id(node) -> its node in the view
 
         def reads(e):
             r = read.get(id(e))
             if r is None:
-                kind = type(e)
-                if kind is Var:
+                if isinstance(e, Var):  # t too, at index dim
                     r = frozenset((e.index,))
-                elif kind is Param:
-                    r = frozenset((_T,))
                 else:
                     r = frozenset()
                     for k in children(e):
@@ -685,13 +677,6 @@ class MemoView:
 # ---------------------------------------------------------------------------
 
 
-def _image(comp: Expr, xs, t) -> Interval:
-    """One component's enclosure over the box coordinates xs and t."""
-    if type(comp) is Var:  # a bare coordinate is its own image
-        return xs[comp.index]
-    return Interval(*comp.eval_pair(xs, t))
-
-
 @dataclass(frozen=True)
 class MapSpec:
     """A parsed map R^n -> R^n, optionally with a scalar parameter t."""
@@ -700,23 +685,25 @@ class MapSpec:
     components: tuple
     has_param: bool = False
 
-    def _check_param(self, t):
+    def _coords(self, xs, t):
+        """The coordinates a node reads: xs (x1..xn), then t if the map
+        takes it.  ValueError when t is given to a map without the
+        parameter or missing; DimensionMismatchError when len(xs) != dim."""
         if self.has_param and t is None:
             raise ValueError("map takes a parameter t but none was supplied")
         if not self.has_param and t is not None:
             raise ValueError("map takes no parameter")
+        if len(xs) != self.dim:
+            raise DimensionMismatchError(
+                f"{len(xs)} coordinates for map of dimension {self.dim}")
+        return (*xs, t) if self.has_param else xs
 
     def eval_real(self, point, t=None):
-        self._check_param(t)
-        if len(point) != self.dim:
-            raise DimensionMismatchError(
-                f"point of dimension {len(point)} for map of dimension {self.dim}"
-            )
-        xs = tuple(float(x) for x in point)
+        xs = self._coords(tuple(float(x) for x in point), t)
         out = []
         for comp in self.components:
             try:
-                v = comp.eval_real(xs, t)
+                v = comp.eval_real(xs)
             except OverflowError as exc:
                 raise EvaluationError("overflow during evaluation") from exc
             if not math.isfinite(v):
@@ -725,28 +712,19 @@ class MapSpec:
         return tuple(out)
 
     def eval_interval(self, box: Box, t=None) -> Box:
-        self._check_param(t)
-        if box.dim != self.dim:
-            raise DimensionMismatchError(
-                f"box of dimension {box.dim} for map of dimension {self.dim}"
-            )
-        return Box(tuple([_image(c, box.coords, t) for c in self.components]))
+        xs = self._coords(box.coords, t)
+        return Box(tuple([Interval(*c.eval_pair(xs)) for c in self.components]))
 
     def eval_pairs(self, box: Box, t=None) -> list:
         """The component enclosures of eval_interval as (lo, hi) pairs,
         bit for bit and with the same errors, building no Interval."""
-        self._check_param(t)
-        if box.dim != self.dim:
-            raise DimensionMismatchError(
-                f"box of dimension {box.dim} for map of dimension {self.dim}"
-            )
-        xs = box.coords
-        return [c.eval_pair(xs, t) for c in self.components]
+        xs = self._coords(box.coords, t)
+        return [c.eval_pair(xs) for c in self.components]
 
     @cached_property
     def _fold_plans(self) -> tuple:
-        """Per component, its bind function t -> bound tree (_fold_plan),
-        or None for a component free of x1..xn; built on the first bind."""
+        """Per component, its bind function coords -> bound tree, or None
+        for a component free of x1..xn (_fold_plan); built on the first bind."""
         return tuple(_fold_plan(c) for c in self.components)
 
     @cached_property
@@ -778,16 +756,12 @@ class MapSpec:
         tree's shape is read once per map, into a fold plan; each bind
         only applies it.
         """
-        self._check_param(t)
-        return MapSpec(self.dim, tuple(_leaf(c, t) if p is None else p(t)
+        coords = self._coords((None,) * self.dim, t)  # x is unbound: a read fails
+        return MapSpec(self.dim, tuple(_leaf(c, coords) if p is None else p(coords)
                                        for c, p in zip(self.components, self._fold_plans)))
 
     def eval_component_interval(self, i: int, box: Box, t=None) -> Interval:
-        if box.dim != self.dim:
-            raise DimensionMismatchError(
-                f"box of dimension {box.dim} for map of dimension {self.dim}"
-            )
-        return _image(self.components[i], box.coords, t)
+        return Interval(*self.components[i].eval_pair(self._coords(box.coords, t)))
 
     def to_source(self) -> str:
         lines = [f"dim {self.dim}"]
@@ -807,7 +781,7 @@ def blend_with_parameter(f: MapSpec, g: MapSpec) -> MapSpec:
     one = float_const(1.0)
     comps = []
     for fc, gc in zip(f.components, g.components):
-        lam = Param()
+        lam = Param(f.dim)
         comps.append(
             BinOp("+", BinOp("*", BinOp("-", one, lam), fc), BinOp("*", lam, gc))
         )
@@ -1013,7 +987,7 @@ class _ExprParser:
                     raise UnknownIdentifierError(
                         "t used without a 'param t' declaration", tok.line, tok.col
                     )
-                return Param()
+                return Param(self.dim)
             if name.startswith("x") and name[1:].isdigit():
                 idx = int(name[1:])
                 if not 1 <= idx <= self.dim:

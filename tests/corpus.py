@@ -15,7 +15,7 @@ import random
 from fpcert import interval as iv
 from fpcert.geometry import ConeShellSpec, CylinderSpec, Functional, HoledBallSpec, RectDomain
 from fpcert.interval import Box, Interval
-from fpcert.mapdsl import MapSpec, jacobian, parse_map
+from fpcert.mapdsl import MapSpec, Var, children, jacobian, parse_map, with_children
 
 UNARY_OPS = {
     "neg": lambda lo, hi: (-hi, -lo),
@@ -363,7 +363,7 @@ def memo_view_mismatches(m: MapSpec, boxes) -> list:
         out = []
         for e in exprs:
             try:
-                out.append(None if e is None else repr(e.eval_pair(xs, None)))
+                out.append(None if e is None else repr(e.eval_pair(xs)))
             except (ArithmeticError, ValueError) as exc:
                 out.append(f"{type(exc).__name__}: {exc}")
         return out
@@ -380,3 +380,23 @@ def memo_view_mismatches(m: MapSpec, boxes) -> list:
             if len(memo) != len(plain) or outcomes(memo, xs) != outcomes(plain, xs):
                 bad.append(box)
     return bad
+
+
+def reverse_coordinates(m: MapSpec) -> MapSpec:
+    """m with its coordinates in reverse order: the map y -> P g(P y), P
+    reversing x1..xn, whose fixed points are those of g reversed, exactly.
+    Only the nodes of x1..xn are rewritten (t, a Var subclass, stays)."""
+    last = m.dim - 1
+
+    def rewrite(e):
+        if type(e) is Var:
+            return Var(last - e.index)
+        kids = children(e)
+        return with_children(e, [rewrite(k) for k in kids]) if kids else e
+
+    return MapSpec(m.dim, tuple(rewrite(c) for c in reversed(m.components)), m.has_param)
+
+
+def reverse_box(box: Box) -> Box:
+    """The box with its axes in reverse order (see reverse_coordinates)."""
+    return Box(tuple(reversed(box.coords)))

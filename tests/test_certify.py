@@ -404,11 +404,11 @@ def test_mean_value_sums_round_outward():
             ms = box.midpoint()
             point = tuple(Interval(v) for v in ms)
             for comp, row, (lo, hi), (n_lo, n_hi) in zip(m.components, jac, pairs, naive):
-                g_lo, g_hi = comp.eval_pair(point, None)
+                g_lo, g_hi = comp.eval_pair(point)
                 s_lo, s_hi = Fraction(g_lo), Fraction(g_hi)
                 for d, x, mj in zip(row, xs, ms):
                     if d is not None:
-                        d_lo, d_hi = d.eval_pair(xs, None)
+                        d_lo, d_hi = d.eval_pair(xs)
                         ends = [Fraction(u) * (Fraction(v) - Fraction(mj))
                                 for u in (d_lo, d_hi) for v in (x.lo, x.hi)]
                         s_lo += min(ends)

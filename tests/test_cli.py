@@ -215,6 +215,14 @@ def test_nan_tolerance_exit_4(capsys, argv):
     assert "tol must be positive" in err
 
 
+@pytest.mark.parametrize("bounds", [("--t-hi", "inf"), ("--t-lo=-1e308", "--t-hi=1e308")])
+def test_trace_infinite_parameter_range_exit_4(capsys, bounds):
+    # With 1e308 both ends are finite, but b - a overflows.
+    code, out, err = run(capsys, "trace", "@trace-linear", *bounds)
+    assert code == 4 and out == ""
+    assert err == "error: parameter range must be finite\n", err
+
+
 _RATIONAL = "0.5/(x1^2 - x1 + 1)"  # naive enclosure over [0, 1] divides by [0, 2]
 
 

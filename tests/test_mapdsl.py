@@ -10,8 +10,10 @@ from corpus import (
     apply_op,
     random_box,
     random_expression_map,
+    random_planted_branch_family,
     random_polynomial_map_2d,
     random_rect_problem,
+    reverse_coordinates,
     sample_in_box,
 )
 from fpcert.geometry import RectDomain
@@ -191,10 +193,10 @@ def _ref_eval(e, xs, t):
     and abs, min, max and minus with the pair kernels (apply_op)."""
     if isinstance(e, Const):
         return e.enclosure
-    if isinstance(e, Var):
-        return xs[e.index]
     if isinstance(e, Param):
         return t
+    if isinstance(e, Var):
+        return xs[e.index]
     if isinstance(e, Neg):
         return apply_op("neg", _ref_eval(e.arg, xs, t))
     if isinstance(e, BinOp):
@@ -348,11 +350,40 @@ def test_nested_minus_prints_without_parentheses_and_round_trips():
     assert parse_map(m.to_source()) == m
 
 
+def _nodes(e):
+    yield e
+    for k in children(e):
+        yield from _nodes(k)
+
+
 def test_random_maps_reparse_to_an_equal_tree():
     rng = random.Random(31)
     for k in range(200):
         m = random_expression_map(rng, rng.choice((1, 2, 3)), depth=3 + k % 3)
         assert parse_map(m.to_source()) == m, m.to_source()
+    families = [random_planted_branch_family(rng, 1 + k % 3)[0] for k in range(30)]
+    families.append(blend_with_parameter(random_expression_map(rng, 2),
+                                         random_expression_map(rng, 2)))
+    for m in families:
+        back = parse_map(m.to_source())
+        assert back == m, m.to_source()
+        # t reads the coordinate after x1..xn and comes back as Param.
+        ts = [e for c in back.components for e in _nodes(c)
+              if isinstance(e, Var) and e.index == m.dim]
+        assert ts and all(type(e) is Param for e in ts), m.to_source()
+
+
+def test_reversed_coordinates_evaluate_as_the_map_reversed():
+    rng = random.Random(5)
+    for _ in range(40):
+        m = random_expression_map(rng, rng.choice((2, 3)))
+        r = reverse_coordinates(m)
+        assert reverse_coordinates(r) == m
+        box = random_box(rng, m.dim)
+        flipped = Box(box.coords[::-1])
+        for i in range(m.dim):
+            assert (_outcome(r.eval_component_interval, m.dim - 1 - i, flipped)
+                    == _outcome(m.eval_component_interval, i, box)), m.to_source()
 
 
 # -- binding the parameter ------------------------------------------------
@@ -400,7 +431,7 @@ def test_bind_folds_every_subtree_free_of_x():
     leaves = (comp.left.left.right, comp.left.right.left, comp.right)
     assert all(isinstance(f, Folded) for f in leaves)
     assert comp.left.left.left == comp.left.right.right == Var(0)
-    assert leaves[0].pair == orig.left.left.right.eval_pair((), t)
+    assert leaves[0].pair == orig.left.left.right.eval_pair((None, t))
     assert leaves[1].pair == (t.sin().lo, t.sin().hi)
     assert leaves[2].pair == (3.0, 3.0)
 
@@ -432,34 +463,35 @@ def test_bind_keeps_a_raising_subtree_and_folds_inside_it():
     assert div.right.pair == (-0.5, 0.5)
 
 
-def _leaf_reference(e, t):
-    """A Var-free e folded to its pair over t, or, where that raises, kept
-    with its subtrees folded (the bind's leaf rule, restated here)."""
+def _leaf_reference(e, dim, t):
+    """A Var-free e of a map of dimension dim folded to its pair over t,
+    or, where that raises, kept with its subtrees folded (the bind's leaf
+    rule, restated here)."""
     try:
-        return Folded(e.eval_pair((), t))
+        return Folded(e.eval_pair((None,) * dim + (t,)))
     except (ArithmeticError, ValueError):
         kids = children(e)
-        return with_children(e, [_leaf_reference(k, t) for k in kids]) if kids else e
+        return with_children(e, [_leaf_reference(k, dim, t) for k in kids]) if kids else e
 
 
-def _fold_reference(e, t):
+def _fold_reference(e, dim, t):
     """e with its maximal Var-free subtrees folded, found by walking the
     whole tree at every bind; None when e holds no Var."""
     if type(e) is Var:
         return e
     kids = children(e)
-    done = [_fold_reference(k, t) for k in kids]
+    done = [_fold_reference(k, dim, t) for k in kids]
     if all(d is None for d in done):
         return None
     return with_children(
-        e, [_leaf_reference(k, t) if d is None else d for k, d in zip(kids, done)])
+        e, [_leaf_reference(k, dim, t) if d is None else d for k, d in zip(kids, done)])
 
 
 def _bind_reference(m, t):
     comps = []
     for c in m.components:
-        folded = _fold_reference(c, t)
-        comps.append(_leaf_reference(c, t) if folded is None else folded)
+        folded = _fold_reference(c, m.dim, t)
+        comps.append(_leaf_reference(c, m.dim, t) if folded is None else folded)
     return MapSpec(m.dim, tuple(comps))
 
 
@@ -532,6 +564,32 @@ def test_bound_map_refuses_real_evaluation_and_source():
         bound.to_source()
 
 
+_ENTRY_POINTS = {
+    "eval_real": lambda m, box, t: m.eval_real(box.midpoint(), t),
+    "eval_pairs": lambda m, box, t: m.eval_pairs(box, t),
+    "eval_interval": lambda m, box, t: m.eval_interval(box, t),
+    "eval_component_interval": lambda m, box, t: m.eval_component_interval(0, box, t),
+}
+_PARAM_MAP = parse_map("dim 1\nparam t\nmap g1 = x1 + t\n")
+_PLAIN_MAP = parse_map("dim 1\nmap g1 = x1\n")
+_BAD_CALLS = {
+    "parametrized map without t": (_PARAM_MAP, Box.from_bounds([(0.0, 1.0)]), None),
+    "plain map with t": (_PLAIN_MAP, Box.from_bounds([(0.0, 1.0)]), Interval(0.5)),
+    "wrong dimension": (_PLAIN_MAP, Box.from_bounds([(0.0, 1.0), (0.0, 1.0)]), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_CALLS))
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_every_entry_point_checks_the_parameter_and_the_dimension(entry, case):
+    m, box, t = _BAD_CALLS[case]
+    with pytest.raises(ValueError) as want:
+        m.eval_pairs(box, t)
+    with pytest.raises(ValueError) as got:
+        _ENTRY_POINTS[entry](m, box, t)
+    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+
 def test_bind_checks_the_parameter():
     with pytest.raises(ValueError, match="map takes no parameter"):
         parse_map("dim 1\nmap g1 = x1\n").bind_interval(Interval(0.0))
@@ -589,7 +647,7 @@ def test_partial_derivatives_match_mpmath_at_seeded_points():
                     for j in range(m.dim):
                         d = jac[i][j]
                         exact = _exact_partial(mpmath, comp, point, j)
-                        got = 0.0 if d is None else d.eval_real(point, None)
+                        got = 0.0 if d is None else d.eval_real(point)
                         assert abs(got - exact) <= 1e-9 * max(1.0, abs(exact)), (
                             m.to_source(), i, j, point, got, exact)
                         checked += 1
@@ -606,7 +664,7 @@ def test_partial_derivative_pairs_enclose_sampled_derivatives():
                 for j in range(m.dim):
                     d = jac[i][j]
                     try:
-                        lo, hi = (0.0, 0.0) if d is None else d.eval_pair(box.coords, None)
+                        lo, hi = (0.0, 0.0) if d is None else d.eval_pair(box.coords)
                     except DomainError:
                         continue  # no enclosure claimed
                     for _ in range(5):
@@ -639,14 +697,14 @@ def test_kinks_differentiate_to_selects(expr):
         d = jacobian(m)[-1][-1]
         for bounds, want in _KINK_DERIVATIVES[expr]:
             coords = Box.from_bounds([bounds] * m.dim).coords
-            assert d.eval_pair(coords, None) == want, (source, bounds)
+            assert d.eval_pair(coords) == want, (source, bounds)
     assert jacobian(parse_map("dim 1\nmap g1 = abs(0.5) + min(1, 2)\n")) == ((None,),)
 
 
 def test_select_is_internal_and_evaluates_off_the_kink():
     (d,), = jacobian(parse_map("dim 1\nmap g1 = min(x1, 0.5)\n"))
     assert isinstance(d, Select)
-    assert d.eval_real((0.25,), None) == 1.0 and d.eval_real((0.75,), None) == 0.0
+    assert d.eval_real((0.25,)) == 1.0 and d.eval_real((0.75,)) == 0.0
     assert children(with_children(d, children(d))) == children(d)
     with pytest.raises(UnknownIdentifierError):
         parse_map("dim 1\nmap g1 = select(x1, 0, 1)\n")
@@ -665,7 +723,7 @@ def test_derivative_rules_on_hand_maps():
     }
     for expr, want in rules.items():
         (d,), = jacobian(parse_map(f"dim 1\nmap g1 = {expr}\n"))
-        got = 0.0 if d is None else d.eval_real((0.5,), None)
+        got = 0.0 if d is None else d.eval_real((0.5,))
         assert got == pytest.approx(want, rel=1e-15), expr
     assert derivative(parse_map("dim 2\nmap g1 = x2\nmap g2 = 7\n").components[1], 0) is None
 
@@ -680,7 +738,7 @@ def test_derivative_of_a_singular_expression_raises_where_it_is_singular():
         m = parse_map(f"dim 2\nmap g1 = {expr}\nmap g2 = x2\n")
         d = jacobian(m)[0][0]
         with pytest.raises(DomainError):
-            d.eval_pair(Box.from_bounds([(0.0, 1.0), (1.0, 2.0)]).coords, None)
+            d.eval_pair(Box.from_bounds([(0.0, 1.0), (1.0, 2.0)]).coords)
 
 
 _DEEP_CHAINS = {
@@ -703,11 +761,11 @@ def test_map_at_max_depth_differentiates_and_evaluates(name):
     (d,), = jacobian(m)
     box = Box.from_bounds([(0.5, 0.75)])
     try:
-        lo, hi = d.eval_pair(box.coords, None)
+        lo, hi = d.eval_pair(box.coords)
         assert lo <= hi
     except DomainError:
         pass  # an enclosure may overflow or divide by zero; it must not recurse
-    assert math.isfinite(d.eval_real((0.625,), None))
+    assert math.isfinite(d.eval_real((0.625,)))
 
 
 # ---------------------------------------------------------------------------

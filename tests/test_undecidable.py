@@ -58,7 +58,7 @@ def _witness_chain(cond, box):
     w = cond.witness(box)
     assert box.contains_point(w)
     for _ in range(_LEVELS):
-        widths = box.widths()
+        widths = [c.hi - c.lo for c in box.coords]
         axis = max(range(len(widths)), key=widths.__getitem__)
         if widths[axis] == 0.0:
             return
