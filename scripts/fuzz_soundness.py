@@ -23,8 +23,10 @@ PROVEN slab must hold the branch at sampled t of its cell, every
 proven chain must meet the branch, and on every slab the map bound to
 its cell's t must give the pairs, or the error, of the unbound map.  Each
 holed ball and each localized 2-D map also has its memo view compared with
-the plain map, pairs and errors, on 200 sub-boxes that share coordinates
-(``memo checks`` counts the boxes).  Each rect problem of dimension 2 or
+the plain map, pairs and errors, on 200 sub-boxes that share coordinates,
+and each traced family has its memo view, evaluated with t over a cell,
+compared with the map bound to that t, on the cell's slab boxes (``memo
+checks`` counts the boxes).  Each rect problem of dimension 2 or
 more and each map of the 2-D localize stream is also run again with its
 coordinates reversed, which keeps its fixed points exactly (``metamorphic
 checks`` counts the reruns): CERTIFIED against REFUTED, or a PROVEN box
@@ -284,7 +286,7 @@ def main():
 
     rng = random.Random(f"{args.seed}:trace")
     trace_counts = {"slabs": 0, "PROVEN": 0, "proven chains": 0, "exhausted": 0,
-                    "bind checks": 0}
+                    "bind checks": 0, "memo checks": 0}
     t0 = time.perf_counter()
     for k in range(n_localize):
         m, coeffs, box = random_planted_branch_family(rng, 1 + k % 2)
@@ -294,9 +296,11 @@ def main():
         trace_counts["proven chains"] += wit.proven
         trace_counts["exhausted"] += wit.exhausted
         bound = {}  # cell -> m bound to the cell's t
+        cells = {}  # cell -> (its t, its slab boxes)
         for slab in wit.slabs:
             if slab.cell not in bound:
                 bound[slab.cell] = m.bind_interval(slab.t)
+            cells.setdefault(slab.cell, (slab.t, []))[1].append(slab.box)
             trace_counts["bind checks"] += 1
             got = pairs_or_error(bound[slab.cell].eval_pairs, slab.box)
             if got != pairs_or_error(m.eval_pairs, slab.box, slab.t):
@@ -309,6 +313,11 @@ def main():
                                  f"[{slab.t.lo}, {slab.t.hi}] misses the branch {coeffs}")
         if wit.proven and not any(on_branch(coeffs, s, samples=2) for s in wit.chain_slabs()):
             violation(m, f"proven chain never meets the branch {coeffs}")
+        for t, boxes in cells.values():
+            trace_counts["memo checks"] += len(boxes)
+            for bad in memo_view_mismatches(m, boxes, t):
+                violation(m, f"memo view with t in [{t.lo}, {t.hi}] differs from the bound "
+                             f"map on {bad.bounds()}")
     elapsed = time.perf_counter() - t0
     print(f"{n_localize} planted branch traces in {elapsed:.1f}s: "
           + ", ".join(f"{k}={v}" for k, v in trace_counts.items()))

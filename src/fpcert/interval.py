@@ -355,6 +355,41 @@ def mul_pair(a: float, b: float, c: float, d: float):
     return p, q
 
 
+def scale_pair(y: float, c: float, d: float):
+    """y * [c, d] for a float y: mul_pair(y, y, c, d) bit for bit.  For a
+    point operand mul_pair picks (y*c, y*d) when y >= 0 (-0.0 too) and
+    (y*d, y*c) otherwise, whatever the signs of c and d; this is that pick
+    and its range test and error terms, with y split once, and the cases
+    the range test refuses (zeros, NaN, the underflow and overflow bands)
+    go to mul_pair itself."""
+    if y >= 0.0:
+        p = y * c
+        q = y * d
+        lo_f, hi_f = c, d
+    else:
+        p = y * d
+        q = y * c
+        lo_f, hi_f = d, c
+    if not ((1e-280 <= p < _INF or -_INF < p <= -1e-280)
+            and (1e-280 <= q < _INF or -_INF < q <= -1e-280)
+            and -1e290 <= y <= 1e290 and -1e290 <= c <= 1e290 and -1e290 <= d <= 1e290):
+        return mul_pair(y, y, c, d)
+    t = _SPLITTER * y
+    y_hi = t - (t - y)
+    y_lo = y - y_hi
+    t = _SPLITTER * lo_f
+    f_hi = t - (t - lo_f)
+    f_lo = lo_f - f_hi
+    if ((y_hi * f_hi - p) + y_hi * f_lo + y_lo * f_hi) + y_lo * f_lo < 0.0:
+        p = _nextafter(p, -_INF)
+    t = _SPLITTER * hi_f
+    f_hi = t - (t - hi_f)
+    f_lo = hi_f - f_hi
+    if ((y_hi * f_hi - q) + y_hi * f_lo + y_lo * f_hi) + y_lo * f_lo > 0.0:
+        q = _nextafter(q, _INF)
+    return p, q
+
+
 def div_pair(a: float, b: float, c: float, d: float):
     """[a, b] / [c, d]; IntervalDivisionError when [c, d] contains zero."""
     if c <= 0.0 <= d:

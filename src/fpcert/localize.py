@@ -14,18 +14,19 @@ which discards boxes, proves that a box holds exactly one fixed point,
 and contracts a proven box far below the requested width and off the
 27/53 grid; and each leaf without a Krawczyk proof takes a
 Poincare-Miranda sign test on its faces.  A parametrized map takes the
-same tests on its map with the parameter bound to an interval T, so a
-proof holds for every t in T at once.  Every discarded part is proven
+same tests with the parameter t ranging over an interval T, so a proof
+holds for every t in T at once.  Every discarded part is proven
 free of fixed points and discarded plus surviving boxes tile the input
 rectangle, so no fixed point is lost.
 
-A map without a parameter is evaluated through its memo view
-(`mapdsl.MapSpec.memo_view`), one per call: the residual, F(m) and F'(X)
-of the Krawczyk test and the face test reuse the pair of a subtree that
-reads one coordinate only wherever a box repeats its value, as the boxes
-of one bisection do, with bit-identical results.  A parametrized
-map is bound to T instead and evaluated plain: a trace cell binds a fresh
-map, and a view of it would cost more to build than it saves.
+Every search evaluates the map through its memo view
+(`mapdsl.MapSpec.memo_view`), built once per map, on the coordinate tuple
+of a box followed by T for a parametrized map: the residual, F(m) and
+F'(X) of the Krawczyk test and the face test reuse the pair of a subtree
+that reads one coordinate only wherever a box repeats its value, as the
+boxes of one bisection do, with bit-identical results.  A subtree of t
+alone is thus evaluated once per trace cell, and a cell builds no bound
+map and no Jacobian.
 
 A component whose evaluation raises a `DomainError` (a denominator whose
 naive enclosure holds zero, say), or whose residual is not a finite pair,
@@ -51,12 +52,12 @@ from .interval import (
     abs_pair,
     add_down,
     add_up,
-    mul_pair,
     mul_up,
+    scale_pair,
     sub_down,
     sub_up,
 )
-from .mapdsl import MapSpec, jacobian
+from .mapdsl import MapSpec
 from .subdivision import UNKNOWN, VERIFIED, adaptive_cover
 
 PROVEN = "PROVEN"
@@ -133,8 +134,9 @@ _INF = math.inf
 
 
 def _residual_pairs(f: MapSpec, xs):
-    """The residual pairs (lo, hi) of g(B) - B over the box with coordinates
-    xs, component by component, for a map f that takes no parameter.
+    """The residual pairs (lo, hi) of g(B) - B over the box B whose
+    coordinate tuple is xs (B's coordinates, then T if f takes t),
+    component by component.
 
     Returns _PRUNED at the first component whose residual excludes zero,
     None when some component raised, and the list of pairs otherwise.  A
@@ -196,11 +198,44 @@ def _inverse(a):
     return inv if all(math.isfinite(v) for r in inv for v in r) else None
 
 
+def _inverse2(a):
+    """_inverse of a 2x2 matrix, bit for bit, written out: the same pivot
+    (row 1 only when its entry is strictly larger in magnitude), the same
+    float operations on the entries that reach the result, and the same
+    None cases."""
+    (a00, a01), (a10, a11) = a
+    if abs(a10) > abs(a00):
+        p, q, r, s = a10, a11, a00, a01
+        e0, e1, f0, f1 = 0.0, 1.0, 1.0, 0.0
+    else:
+        p, q, r, s = a00, a01, a10, a11
+        e0, e1, f0, f1 = 1.0, 0.0, 0.0, 1.0
+    if p == 0.0 or not math.isfinite(p):
+        return None
+    q /= p
+    e0 /= p
+    e1 /= p
+    if r != 0.0:
+        s -= r * q
+        f0 -= r * e0
+        f1 -= r * e1
+    if s == 0.0 or not math.isfinite(s):
+        return None
+    f0 /= s
+    f1 /= s
+    if q != 0.0:
+        e0 -= q * f0
+        e1 -= q * f1
+    inv = [[e0, e1], [f0, f1]]
+    return inv if all(math.isfinite(v) for v in (e0, e1, f0, f1)) else None
+
+
 def _krawczyk(f: MapSpec, jac, xs):
     """The Krawczyk operator K(X) = m - Y F(m) + (I - Y F'(X))(X - m) of
-    F = Id - g over the box X with coordinates xs, where m is X's midpoint,
-    F'(X) the naive enclosure of the Jacobian `jac` over X and Y a float
-    inverse of mid F'(X), evaluated with directed rounding.
+    F = Id - g over the box X whose coordinate tuple is xs (X's
+    coordinates, then T if f takes t), where m is X's midpoint, F'(X) the
+    naive enclosure of the Jacobian `jac` over X and Y a float inverse of
+    mid F'(X), evaluated with directed rounding.
 
     Returns (K, rho): K as a list of (lo, hi) pairs and rho the row-sum
     norm of I - Y F'(X), rounded up.  Every fixed point of g in X lies in K
@@ -209,9 +244,9 @@ def _krawczyk(f: MapSpec, jac, xs):
     (Krawczyk 1969; Moore 1977).  Returns (None, 2.0) when an evaluation
     raises, mid F'(X) is singular or K is not finite.
     """
-    n = len(xs)
-    ms = [c.mid for c in xs]
-    point = [Interval(m) for m in ms]
+    n = f.dim
+    ms = [xs[i].mid for i in range(n)]
+    point = tuple([Interval(m) for m in ms]) + xs[n:]
     try:
         fm = []
         for comp, m in zip(f.components, ms):
@@ -230,7 +265,7 @@ def _krawczyk(f: MapSpec, jac, xs):
             dF.append(dF_row)
     except DomainError:
         return None, 2.0
-    y = _inverse([[0.5 * lo + 0.5 * hi for lo, hi in r] for r in dF])
+    y = (_inverse2 if n == 2 else _inverse)([[0.5 * lo + 0.5 * hi for lo, hi in r] for r in dF])
     if y is None:
         return None, 2.0
     # X - m lies in [-r, r], so C (X - m) lies in [-|C| r, |C| r].
@@ -243,7 +278,7 @@ def _krawczyk(f: MapSpec, jac, xs):
         # added, so that the small terms cost no rounding at m's scale.
         k_lo = k_hi = 0.0
         for k in range(n):
-            lo, hi = mul_pair(yi[k], yi[k], *fm[k])
+            lo, hi = scale_pair(yi[k], *fm[k])
             k_lo = sub_down(k_lo, hi)
             k_hi = sub_up(k_hi, lo)
         row_norm = 0.0
@@ -251,7 +286,7 @@ def _krawczyk(f: MapSpec, jac, xs):
         for j in range(n):
             c_lo = c_hi = 1.0 if i == j else 0.0  # C_ij = (I - Y F'(X))_ij
             for k in range(n):
-                lo, hi = mul_pair(yi[k], yi[k], *dF[k][j])
+                lo, hi = scale_pair(yi[k], *dF[k][j])
                 c_lo = sub_down(c_lo, hi)
                 c_hi = sub_up(c_hi, lo)
             mag = max(-c_lo, c_hi)
@@ -266,14 +301,14 @@ def _krawczyk(f: MapSpec, jac, xs):
     return K, rho
 
 
-def _contract(f: MapSpec, jac, box: Box, K, tol: float):
+def _contract(f: MapSpec, jac, box: Box, K, tol: float, tail):
     """Iterate X <- K(X) & X, which keeps every fixed point in X, while the
-    width at least halves.  Returns (X, leaf), or (None, True) once some
+    width at least halves; tail is () or (T,), the coordinates after X's.  Returns (X, leaf), or (None, True) once some
     K(X) misses X, which then holds no fixed point.  X is a leaf once it is
     at most tol wide, has no splittable axis, or a step left it unchanged:
     then the rounding of K is as wide as X, and no sub-box can be proven.
 
-    When f has its parameter bound to an interval T, the caller keeps X as
+    When f takes its parameter over an interval T, the caller keeps X as
     a leaf also when the width stopped halving: the fixed point moves with
     t across T, so X cannot shrink below that motion, and splitting X
     would leave two boxes with one proof between them, neither proven."""
@@ -287,13 +322,14 @@ def _contract(f: MapSpec, jac, box: Box, K, tol: float):
         if x.width > 0.5 * box.width:
             return x, False
         box = x
-        K, _rho = _krawczyk(f, jac, box.coords)
+        K, _rho = _krawczyk(f, jac, box.coords + tail)
         if K is None:
             return box, False
 
 
 def _faces_straddle(f: MapSpec, xs) -> bool:
-    """The Poincare-Miranda test on the box with coordinates xs: for every
+    """The Poincare-Miranda test on the box whose coordinate tuple is xs
+    (the box's coordinates, then T if f takes t): for every
     i, g_i is strictly above x_i on the face x_i = lo and strictly below on
     x_i = hi, or the reverse; True proves a fixed point in the box exists.
     It is depth 0 of `certify.certify_miranda` in auto mode."""
@@ -324,7 +360,7 @@ def localize_fixed_points(g: MapSpec, rect: RectDomain, tol: float,
     is canonical (lexicographic lower corner).
 
     With upgrade, every surviving box wider than tol takes the Krawczyk
-    test, on g with t bound to its interval.  K(X) disjoint from X
+    test, with t over its interval.  K(X) disjoint from X
     discards X.  K(X) inside the interior of X proves X holds exactly one
     fixed point and gives X a proof id, which its descendants inherit:
     they skip the interior test and are only pruned, excluded or
@@ -352,26 +388,23 @@ def localize_fixed_points(g: MapSpec, rect: RectDomain, tol: float,
         raise DimensionMismatchError(f"map of dim {g.dim} over rectangle of dim {rect.dim}")
     if g.has_param and t is None:
         raise ValueError("parametrized map needs the parameter interval t")
-    if t is None:
-        # Through the memo view: a bisection changes one coordinate, so a
-        # subtree that reads one coordinate only meets the same values
-        # again and again in one search.
-        with g.memo_view() as (f, jac):
-            return _search(f, jac if upgrade else None, rect, tol, budget, t, upgrade)
-    # Bind the parameter once: subtrees free of x are then evaluated once
-    # per call, not on every box.  The bind applies the map's fold plan,
-    # built on its first bind, so a trace cell does not walk the tree.  A
-    # trace cell takes no memo view: it would be built for each freshly
-    # bound map, and only 11% of the evaluations it would keep repeat on
-    # trace-poly (seed 1), whose pass took 1.2-2x as long through it.
-    f = g.bind_interval(t)
-    return _search(f, jacobian(f) if upgrade else None, rect, tol, budget, t, upgrade)
+    if not g.has_param and t is not None:
+        raise ValueError("map takes no parameter")
+    # Through the memo view: a bisection changes one coordinate, so a
+    # subtree that reads one coordinate only meets the same values again
+    # and again in one search, and a subtree of t alone meets one value.
+    # The view is built on the map's first search and kept, so the cells
+    # of one trace share it.
+    with g.memo_view() as (f, jac):
+        return _search(f, jac if upgrade else None, rect, tol, budget, t, upgrade)
 
 
 def _search(f: MapSpec, jac, rect: RectDomain, tol: float, budget: int,
             t: "Interval | None", upgrade: bool) -> LocalizeResult:
-    """The search of localize_fixed_points on the map f, whose parameter,
-    if any, is bound to t, with jac its Jacobian or None."""
+    """The search of localize_fixed_points on the map f, with its parameter
+    over t if f takes one, and jac its Jacobian or None.  Every evaluation
+    reads a box's coordinates followed by tail, (t,) or ()."""
+    tail = () if t is None else (t,)
     # (box, width at most which K is tried, proof id or None)
     queue = deque([(rect.box, _INF, None)])
     survivors = []  # (box, residual pairs, proof id or None)
@@ -386,21 +419,21 @@ def _search(f: MapSpec, jac, rect: RectDomain, tol: float, budget: int,
             break
         box, limit, proof = queue.popleft()
         examined += 1
-        pairs = _residual_pairs(f, box.coords)
+        pairs = _residual_pairs(f, box.coords + tail)
         if pairs is _PRUNED:
             discarded_volume += box.volume()
             continue
         width = box.width
         if jac is not None and tol < width and (proof is not None or width <= limit):
-            K, rho = _krawczyk(f, jac, box.coords)
+            K, rho = _krawczyk(f, jac, box.coords + tail)
             if K is not None and proof is None and all(
                     c.lo < lo and hi < c.hi for (lo, hi), c in zip(K, box.coords)):
                 proof = len(proven_boxes)
                 proven_boxes.append(box)
             if K is not None and (proof is not None or any(
                     hi < c.lo or lo > c.hi for (lo, hi), c in zip(K, box.coords))):
-                x, leaf = _contract(f, jac, box, K, tol)
-                pairs = _PRUNED if x is None else _residual_pairs(f, x.coords)
+                x, leaf = _contract(f, jac, box, K, tol, tail)
+                pairs = _PRUNED if x is None else _residual_pairs(f, x.coords + tail)
                 if pairs is _PRUNED:
                     discarded_volume += box.volume()
                     continue
@@ -423,7 +456,7 @@ def _search(f: MapSpec, jac, rect: RectDomain, tol: float, budget: int,
     # Budget exhausted: the unprocessed boxes the residual test does not
     # discard are kept, with their proof ids and the bound over all components.
     for box, _limit, proof in queue:
-        pairs = _residual_pairs(f, box.coords)
+        pairs = _residual_pairs(f, box.coords + tail)
         if pairs is _PRUNED:
             discarded_volume += box.volume()
         else:
@@ -434,7 +467,7 @@ def _search(f: MapSpec, jac, rect: RectDomain, tol: float, budget: int,
     for box, pairs, proof in survivors:
         unique = proven_boxes[proof] if proof is not None and heirs[proof] == 1 else None
         proven = unique is not None or (upgrade and pairs is not None
-                                        and _faces_straddle(f, box.coords))
+                                        and _faces_straddle(f, box.coords + tail))
         enclosures.append(Enclosure(box, PROVEN if proven else CANDIDATE,
                                     _residual_bound(pairs), unique))
 

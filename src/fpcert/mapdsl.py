@@ -22,21 +22,19 @@ operations call the pair kernels of ``interval``.  Each operation checks
 its result with ``-inf < lo <= hi < inf`` and raises exactly what
 ``Interval(lo, hi)`` would, and an ``Interval`` is built only for each
 component (``MapSpec.eval_pairs`` returns the component pairs themselves).
-``MapSpec.bind_interval(t)`` binds the parameter once: every
-subtree free of x1..xn becomes a leaf holding its pair over t, so within a
-trace cell (one localize call) those subtrees are evaluated once, not once
-per box, with bit-identical enclosures.  Which subtrees fold is read from
-the tree once per map, into a fold plan, so a bind walks no tree: it
-rebuilds the nodes above the variables and evaluates the folded
-subtrees.  ``MapSpec.memo_view()`` gives, for one search, an
-evaluation-only view of the map and of its Jacobian in which each maximal
-non-leaf subtree that reads exactly one coordinate of a map of two or
-more, and not t, is a ``Memo``: it keeps its pair per exact value of that
-coordinate (a zero endpoint is keyed with its sign, -0.0 apart from 0.0),
-so a box that shares the coordinate with one already evaluated reuses the
-pair, bit for bit; a subtree that raises is not kept.  A subtree that
-reads several coordinates is not memoized: on 3-D searches such keys hit
-less often (53% against 81%) and the pass was slower with them.  The view
+``MapSpec.bind_interval(t)`` binds the parameter: every subtree free of
+x1..xn becomes a leaf holding its pair over t, with bit-identical
+enclosures, in one walk of the tree.  ``MapSpec.memo_view()`` gives, for
+one search, an evaluation-only view of the map and of its Jacobian in
+which each maximal non-leaf subtree that reads exactly one entry of the
+coordinate tuple (x1..xn, then t), when the tuple has two entries or
+more, is a ``Memo``: it keeps its pair per exact value of that coordinate
+(a zero endpoint is keyed with its sign, -0.0 apart from 0.0), so a box
+that shares the coordinate with one already evaluated reuses the pair,
+bit for bit, and a subtree of t alone is evaluated once per parameter
+interval; a subtree that raises is not kept.  A subtree that reads
+several coordinates is not memoized: on 3-D searches such keys hit less
+often (53% against 81%) and the pass was slower with them.  The view
 is built once per map from the plain trees, and the map and its Jacobian
 share one Memo per subtree.  Its caches are emptied when a search starts
 and when it returns, so nothing is kept between searches, and a cache that
@@ -62,7 +60,7 @@ import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import NamedTuple
 
 from .interval import (
@@ -386,19 +384,17 @@ def with_children(e: Expr, kids) -> Expr:
     return e
 
 
-def _fold_plan(e: Expr):
-    """A function coords -> e with its maximal Var-free subtrees folded,
-    or None when e contains no Var: the caller then folds it as part of a
-    larger subtree.  Built once from e's shape, so a call rebuilds only the
-    nodes on paths to a Var and walks no Var-free subtree but to fold it."""
+def _fold(e: Expr, coords) -> "Expr | None":
+    """e with its maximal Var-free subtrees folded over coords (_leaf), or
+    None when e contains no Var: the caller then folds it as part of a
+    larger subtree."""
     if type(e) is Var:
-        return lambda coords: e
+        return e
     kids = children(e)
-    plans = [_fold_plan(k) for k in kids]
-    if all(p is None for p in plans):
+    done = [_fold(k, coords) for k in kids]
+    if all(d is None for d in done):
         return None
-    steps = [partial(_leaf, k) if p is None else p for k, p in zip(kids, plans)]
-    return lambda coords: with_children(e, [step(coords) for step in steps])
+    return with_children(e, [_leaf(k, coords) if d is None else d for k, d in zip(kids, done)])
 
 
 def _leaf(e: Expr, coords) -> Expr:
@@ -580,11 +576,11 @@ def jacobian(m: "MapSpec"):
 
 
 class Memo(Expr):
-    """A subtree that reads one coordinate, x(axis+1), of a map of two or
-    more, and not t, with its pair kept per exact value of that coordinate
-    until the cache is cleared (MapSpec.memo_view).  It only evaluates
-    (eval_pair): a memo view is not differentiated, bound, printed or
-    evaluated over floats.  A subtree that raises is not kept, so it raises
+    """A subtree that reads one entry, the one at axis, of a coordinate
+    tuple (x1..xn, then t) of two entries or more, with its pair kept per
+    exact value of that coordinate until the cache is cleared
+    (MapSpec.memo_view).  It only evaluates (eval_pair): a memo view is
+    not differentiated, bound, printed or evaluated over floats.  A subtree that raises is not kept, so it raises
     again.  A cache that holds _MEMO_ENTRIES values is emptied before it
     takes another, so a search of any budget keeps a bounded number."""
 
@@ -620,15 +616,15 @@ _MEMO_ENTRIES = 1024
 
 class MemoView:
     """An evaluation-only copy of a map and of its Jacobian (`jacobian`)
-    in which each maximal non-leaf subtree that reads exactly one of
-    x1..xn, of a map of two or more, and not t is a Memo (keys of several
-    coordinates hit too seldom to pay).  Built from the plain trees with one
-    registry keyed by node identity: a derivative reuses the subtrees of
-    its map, so the map and its Jacobian share one Memo, and one cache,
-    per subtree."""
+    in which each maximal non-leaf subtree that reads exactly one entry of
+    the coordinate tuple (x1..xn, then t), when the tuple has two entries
+    or more, is a Memo (keys of several coordinates hit too seldom to pay).
+    Built from the plain trees with one registry keyed by node identity: a
+    derivative reuses the subtrees of its map, so the map and its Jacobian
+    share one Memo, and one cache, per subtree."""
 
     def __init__(self, m: "MapSpec"):
-        full = frozenset(range(m.dim))
+        full = frozenset(range(m.dim + m.has_param))  # the coordinate tuple
         read = {}  # id(node) -> the indices it reads, dim for t
         view = {}  # id(node) -> its node in the view
 
@@ -651,7 +647,7 @@ class MemoView:
                 kids = children(e)
                 if not kids:
                     v = e
-                elif len(r) == 1 and r < full:  # one of x1..xn, not t, dim >= 2
+                elif len(r) == 1 and r < full:  # one of two or more coordinates
                     v = Memo(e, next(iter(r)))
                 else:
                     new = []
@@ -722,12 +718,6 @@ class MapSpec:
         return [c.eval_pair(xs) for c in self.components]
 
     @cached_property
-    def _fold_plans(self) -> tuple:
-        """Per component, its bind function coords -> bound tree, or None
-        for a component free of x1..xn (_fold_plan); built on the first bind."""
-        return tuple(_fold_plan(c) for c in self.components)
-
-    @cached_property
     def _memo(self) -> MemoView:
         """This map's memo view, built on the first memo_view."""
         return MemoView(self)
@@ -736,10 +726,10 @@ class MapSpec:
     def memo_view(self):
         """For one search: the memo view's map and Jacobian (MemoView),
         which evaluate bit for bit as this map and jacobian(self), errors
-        included, but evaluate a subtree that reads one of x1..xn only
-        once per exact value of that coordinate.  The caches are
-        emptied when the block starts and when it ends, raising or not,
-        so no value is kept between searches."""
+        included, on the coordinate tuple (x1..xn, then t), but evaluate a
+        subtree that reads one entry only once per exact value of that
+        entry.  The caches are emptied when the block starts and when it
+        ends, raising or not, so no value is kept between searches."""
         view = self._memo
         view.clear()
         try:
@@ -752,13 +742,14 @@ class MapSpec:
 
         The result takes no parameter, and its eval_interval(box) equals
         eval_interval(box, t) bit for bit, errors included: subtrees free
-        of x1..xn are evaluated here, once, instead of on every box.  The
-        tree's shape is read once per map, into a fold plan; each bind
-        only applies it.
+        of x1..xn are evaluated here, once, instead of on every box.
         """
         coords = self._coords((None,) * self.dim, t)  # x is unbound: a read fails
-        return MapSpec(self.dim, tuple(_leaf(c, coords) if p is None else p(coords)
-                                       for c, p in zip(self.components, self._fold_plans)))
+        comps = []
+        for c in self.components:
+            folded = _fold(c, coords)
+            comps.append(_leaf(c, coords) if folded is None else folded)
+        return MapSpec(self.dim, tuple(comps))
 
     def eval_component_interval(self, i: int, box: Box, t=None) -> Interval:
         return Interval(*self.components[i].eval_pair(self._coords(box.coords, t)))

@@ -236,6 +236,14 @@ def random_expression_map(rng: random.Random, dim: int, depth: int = 3) -> MapSp
     return parse_map(f"dim {dim}\n" + "\n".join(lines) + "\n")
 
 
+def random_family(rng: random.Random, dim: int, depth: int) -> MapSpec:
+    """A random parametrized map: a random map in x1..x(dim+1) with its last
+    variable read as t, so t mixes with x and with constants."""
+    m = random_expression_map(rng, dim + 1, depth)
+    lines = m.to_source().replace(f"x{dim + 1}", "t").splitlines()
+    return parse_map("\n".join([f"dim {dim}", "param t"] + lines[1:dim + 1]) + "\n")
+
+
 def random_planted_trig_map(rng: random.Random, rect: RectDomain):
     """Planar map p + A (x - p) plus a sin term and a cos term that vanish
     at p, with p drawn inside the rectangle: p is a fixed point, and an
@@ -354,10 +362,12 @@ def shared_coordinate_boxes(rng: random.Random, box: Box, count: int, per_axis: 
     return [Box(tuple(rng.choice(pool) for pool in pools)) for _ in range(count)]
 
 
-def memo_view_mismatches(m: MapSpec, boxes) -> list:
+def memo_view_mismatches(m: MapSpec, boxes, t=None) -> list:
     """The boxes, taken in order in one search, on which the memo view of m
     (MapSpec.memo_view) and its Jacobian give other pairs or errors, by
-    repr, than m and jacobian(m)."""
+    repr, than m and jacobian(m).  With t, the view is evaluated on each
+    box's coordinates followed by t, as in a trace cell over t, and
+    compared with m.bind_interval(t) and the Jacobian of that bound map."""
 
     def outcomes(exprs, xs):
         out = []
@@ -371,13 +381,15 @@ def memo_view_mismatches(m: MapSpec, boxes) -> list:
     def flat(comps, jac):
         return list(comps) + ([] if jac is None else [d for row in jac for d in row])
 
-    plain = flat(m.components, jacobian(m))
+    ref = m if t is None else m.bind_interval(t)
+    tail = () if t is None else (t,)
+    plain = flat(ref.components, jacobian(ref))
     bad = []
     with m.memo_view() as (view, view_jac):
         memo = flat(view.components, view_jac)
         for box in boxes:
             xs = box.coords
-            if len(memo) != len(plain) or outcomes(memo, xs) != outcomes(plain, xs):
+            if len(memo) != len(plain) or outcomes(memo, xs + tail) != outcomes(plain, xs):
                 bad.append(box)
     return bad
 

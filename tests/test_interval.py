@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -501,6 +502,28 @@ def _ref_add(a, b, down):
     if down:
         return s if e >= 0.0 else iv.next_down(s)
     return s if e <= 0.0 else iv.next_up(s)
+
+
+def _bits(pair):
+    return struct.pack("<dd", *pair)
+
+
+def test_scale_pair_matches_mul_pair_bit_for_bit():
+    # A float times an interval, the Krawczyk step's product, against the
+    # general kernel: signed zeros (y = -0.0 too), subnormals, operands past
+    # +-1e290, pairs on either side of zero and pairs that straddle it.
+    rng = random.Random(3141)
+    points = _SPECIAL_ENDPOINTS + (1e-310, -1e-310, 2.5e-308, -2.5e-308)
+    grid = [(c, d) for c in points for d in points if c <= d]
+    cases = [(y, c, d) for y in points for c, d in grid]
+    for _ in range(60000):
+        x = _random_interval(rng)
+        cases.append((rng.choice((_random_endpoint(rng), rng.uniform(-3.0, 3.0))), x.lo, x.hi))
+    signs = set()
+    for y, c, d in cases:
+        assert _bits(iv.scale_pair(y, c, d)) == _bits(iv.mul_pair(y, y, c, d)), (y, c, d)
+        signs.add(("P" if c >= 0.0 else "N" if d <= 0.0 else "M", math.copysign(1.0, y)))
+    assert len(signs) == 6
 
 
 def test_directed_sums_and_differences_match_two_sum_reference():

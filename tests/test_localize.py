@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import struct
 
 import pytest
 
@@ -306,6 +307,36 @@ def test_krawczyk_image_encloses_the_exact_operator(monkeypatch):
         assert k_lo <= centre + min(spread) and centre + max(spread) <= k_hi, (a, b, y, c)
 
 
+def _inverse_bits(inv):
+    return None if inv is None else struct.pack("<4d", *inv[0], *inv[1])
+
+
+def test_written_out_2x2_inverse_matches_gauss_jordan():
+    # Every matrix over a pool with signed zeros, non-finite entries and
+    # entries equal in magnitude: zero and non-finite pivots, ties in
+    # |pivot|, and zero entries below and above the pivot.  Then random
+    # matrices, some with a row scaled to tie.
+    from fpcert import localize
+
+    pool = (0.0, -0.0, 1.0, -1.0, 2.0, -0.5, 1e-300, -3e300, math.inf, -math.inf, math.nan)
+    cases = [((a, b), (c, d)) for a in pool for b in pool for c in pool for d in pool]
+    rng = random.Random(2357)
+    for _ in range(20000):
+        a, b, c, d = (rng.choice((rng.uniform(-4.0, 4.0), rng.choice(pool)))
+                      for _ in range(4))
+        if rng.random() < 0.2:
+            c = rng.choice((a, -a))
+        cases.append(((a, b), (c, d)))
+    inverted = swapped = ties = 0
+    for a in cases:
+        want = localize._inverse([list(r) for r in a])
+        assert _inverse_bits(localize._inverse2(a)) == _inverse_bits(want), a
+        inverted += want is not None
+        swapped += want is not None and abs(a[1][0]) > abs(a[0][0])
+        ties += want is not None and abs(a[1][0]) == abs(a[0][0]) != 0.0
+    assert inverted > 10000 and swapped > 3000 and ties > 1000, (inverted, swapped, ties)
+
+
 def _random_rect_2d(rng):
     return rect(*[(lo, lo + rng.uniform(0.5, 2.5))
                   for lo in (rng.uniform(-2.0, 1.0), rng.uniform(-2.0, 1.0))])
@@ -423,8 +454,8 @@ def test_a_stalled_proof_is_inherited_by_its_descendants(monkeypatch):
     stalls = []
     contract = localize._contract
 
-    def spy(f, jac, box, K, tol):
-        x, leaf = contract(f, jac, box, K, tol)
+    def spy(f, jac, box, K, tol, tail):
+        x, leaf = contract(f, jac, box, K, tol, tail)
         stalls.append(x is not None and not leaf)
         return x, leaf
 
@@ -446,7 +477,7 @@ def test_proof_shared_by_several_leaves_proves_none_of_them(monkeypatch):
 
     m = parse_map("dim 1\nmap g1 = x1 - 0.5*x1 + 0.25\n")
     assert len(localize_fixed_points(m, rect((0, 1)), tol=1e-3).proven) == 1
-    monkeypatch.setattr(localize, "_contract", lambda f, jac, box, K, tol: (box, False))
+    monkeypatch.setattr(localize, "_contract", lambda f, jac, box, K, tol, tail: (box, False))
     monkeypatch.setattr(localize, "_faces_straddle", lambda f, xs: False)
     res = localize_fixed_points(m, rect((0, 1)), tol=1e-3)
     assert len(res.enclosures) > 1 and not res.proven

@@ -10,6 +10,7 @@ from corpus import (
     apply_op,
     random_box,
     random_expression_map,
+    random_family,
     random_planted_branch_family,
     random_polynomial_map_2d,
     random_rect_problem,
@@ -495,19 +496,11 @@ def _bind_reference(m, t):
     return MapSpec(m.dim, tuple(comps))
 
 
-def _random_family(rng, dim, depth):
-    """A random parametrized map: a random map in x1..x(dim+1) with its last
-    variable read as t, so t mixes with x and with constants."""
-    m = random_expression_map(rng, dim + 1, depth)
-    lines = m.to_source().replace(f"x{dim + 1}", "t").splitlines()
-    return parse_map("\n".join([f"dim {dim}", "param t"] + lines[1:dim + 1]) + "\n")
-
-
 def test_bind_plan_matches_a_fresh_walk_of_the_tree():
     rng = random.Random(1717)
     folded = 0
     for k in range(120):
-        m = _random_family(rng, rng.choice((1, 2, 3)), depth=3 + k % 3)
+        m = random_family(rng, rng.choice((1, 2, 3)), depth=3 + k % 3)
         lo = rng.uniform(-2.0, 2.0)
         for t in (Interval(lo, lo + rng.uniform(0.0, 1.0)), Interval(lo),
                   Interval(-lo - 1.0, -lo)):
@@ -519,25 +512,6 @@ def test_bind_plan_matches_a_fresh_walk_of_the_tree():
         m = parse_map(f"dim 1\nparam t\nmap g1 = {expr}\n")
         for t in (Interval(0.0, 1.0), Interval(2.5, 3.0), Interval(0.5)):
             assert m.bind_interval(t) == _bind_reference(m, t), (expr, t)
-
-
-def test_a_second_bind_walks_no_tree(monkeypatch):
-    import fpcert.mapdsl as mapdsl
-
-    walked = []
-
-    def counting_children(e):
-        walked.append(e)
-        return children(e)
-
-    monkeypatch.setattr(mapdsl, "children", counting_children)
-    m = parse_map("dim 2\nparam t\nmap g1 = x1*(0.1 + 2*t^2) + sin(t)*x2 - 3\n"
-                  "map g2 = (t - 1)^2 + cos(x1*t)\n")
-    first = m.bind_interval(Interval(0.0, 0.5))
-    assert walked  # the plan is built here
-    walked.clear()
-    second = m.bind_interval(Interval(0.25, 0.75))
-    assert walked == [] and second != first
 
 
 def test_binds_at_two_parameters_hold_their_own_pairs():

@@ -15,6 +15,7 @@ import pytest
 from corpus import (
     memo_view_mismatches,
     random_expression_map,
+    random_family,
     random_holed_ball_problem,
     shared_coordinate_boxes,
 )
@@ -64,6 +65,32 @@ def test_memo_view_gives_the_pairs_and_errors_of_the_plain_map():
             # Every memo read the same few pool values again and again.
             assert all(len(c) <= 8 for c in m._memo.caches)
     assert memos > 100 and raised > 50, (memos, raised)
+
+
+def test_memo_view_with_t_gives_the_pairs_and_errors_of_the_bound_map():
+    # Random families mix t with x and with constants, in 1-D too, where
+    # only t makes the coordinate tuple two entries long; g1 takes terms
+    # that raise on some boxes, and on every box for t below -0.5.
+    rng = random.Random(2222)
+    memos = raised = 0
+    for k in range(40):
+        dim = 1 + k % 2
+        lines = random_family(rng, dim, depth=4).to_source().splitlines()
+        lines[2] += " + t/(x1 + 1.5) + sqrt(t + 0.5)"  # g1
+        fam = parse_map("\n".join(lines) + "\n")
+        box = Box.from_bounds([(-2.0, 1.5), (-1.0, 2.0)][:dim])
+        for lo in (-1.0, 0.0, 0.5):
+            t = Interval(lo, lo + 0.25)
+            boxes = shared_coordinate_boxes(rng, box, 60)
+            assert memo_view_mismatches(fam, boxes, t) == [], (fam.to_source(), t)
+            with fam.memo_view() as (view, _jac):
+                for b in boxes:
+                    try:
+                        view.eval_pairs(b, t)
+                    except DomainError:
+                        raised += 1
+                memos += len(fam._memo.caches)
+    assert memos > 100 and raised > 1000, (memos, raised)
 
 
 def test_memo_view_keeps_the_sign_of_a_zero_endpoint():
@@ -118,6 +145,14 @@ def test_only_subtrees_of_one_coordinate_are_memoized():
     one_d = parse_map("dim 1\nmap g1 = sin(2*x1)\n")
     with one_d.memo_view() as (view, _jac):
         assert not one_d._memo.caches
+    # t is the coordinate after x1..xn: a subtree of t alone is memoized
+    # with axis dim, one of x_i and t together is not.
+    fam = parse_map("dim 1\nparam t\nmap g1 = x1 - (0.5 + 0.25*t^2) + cos(x1*t)\n")
+    with fam.memo_view() as (view, _jac):
+        comp = view.components[0]
+        offset, mixed = comp.left.right, comp.right
+        assert isinstance(offset, Memo) and offset.axis == fam.dim == 1
+        assert mixed is fam.components[0].right  # cos(x1*t) stays as it was
 
 
 def test_map_and_jacobian_share_one_memo_per_subtree():
@@ -168,12 +203,46 @@ def test_searches_empty_the_caches_when_they_return_or_raise(monkeypatch):
     assert not any(T._memo.caches)
 
 
-def test_a_parametrized_search_builds_no_memo_view():
-    g = parse_map("dim 2\nparam t\nmap g1 = 0.5*x1 + 0.1*t*sin(x2)\nmap g2 = 0.3*x2 + t\n")
-    res = localize_fixed_points(g, _rect((-1.0, 1.0), (-1.0, 2.0)), tol=1e-6,
-                                t=Interval(0.0, 0.25))
-    assert res.proven
-    assert "_memo" not in g.__dict__
+_FAMILY = "dim 2\nparam t\nmap g1 = 0.5*x1 + 0.1*t*sin(x2)\nmap g2 = 0.3*x2 + (t + 1)^2\n"
+
+
+def test_the_cells_of_one_family_share_its_view_and_leave_it_empty(monkeypatch):
+    g = parse_map(_FAMILY)
+    r = _rect((-1.0, 1.0), (-1.0, 5.0))
+    views = []
+    for t in (Interval(0.0, 0.25), Interval(0.25, 0.5)):
+        assert localize_fixed_points(g, r, tol=1e-6, t=t).proven
+        views.append(g._memo)
+        assert views[-1].caches and not any(views[-1].caches)
+    assert views[0] is views[1]
+    offset = views[0].map.components[1].right  # (t + 1)^2
+    assert type(offset) is Memo and offset.axis == g.dim
+
+    def raising(*_args):
+        assert any(g._memo.caches), "the cell filled no cache"
+        raise RuntimeError("stop")
+
+    monkeypatch.setattr(localize_module, "_krawczyk", raising)
+    with pytest.raises(RuntimeError):
+        localize_fixed_points(g, r, tol=1e-6, t=Interval(0.5, 0.75))
+    assert g._memo is views[0] and not any(g._memo.caches)
+
+
+def test_a_trace_cell_binds_no_map_and_builds_no_jacobian(monkeypatch):
+    g = parse_map(_FAMILY)
+    r = _rect((-1.0, 1.0), (-1.0, 5.0))
+    want = localize_fixed_points(g, r, tol=1e-6, t=Interval(0.0, 0.25)).to_json()
+
+    def refuse(*_args):
+        raise AssertionError("a trace cell bound the map or built a Jacobian")
+
+    monkeypatch.setattr(mapdsl_module.MapSpec, "bind_interval", refuse)
+    monkeypatch.setattr(mapdsl_module, "jacobian", refuse)
+    monkeypatch.setattr(localize_module, "jacobian", refuse, raising=False)
+    assert localize_fixed_points(g, r, tol=1e-6, t=Interval(0.0, 0.25)).to_json() == want
+    h = parse_map(_FAMILY)  # a fresh map builds its view, and its Jacobian, once
+    with pytest.raises(AssertionError, match="Jacobian"):
+        localize_fixed_points(h, r, tol=1e-6, t=Interval(0.0, 0.25))
 
 
 def test_derivative_refuses_a_memo_view_and_foreign_nodes():
