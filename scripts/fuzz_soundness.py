@@ -31,7 +31,14 @@ more and each map of the 2-D localize stream is also run again with its
 coordinates reversed, which keeps its fixed points exactly (``metamorphic
 checks`` counts the reruns): CERTIFIED against REFUTED, or a PROVEN box
 on one side that meets no enclosure of the other, is a violation; a
-change to or from INDETERMINATE is not.  Any answer an oracle cannot
+change to or from INDETERMINATE is not.  So is each holed ball, with its
+map's coordinates reversed and each hole's centre (cx, cy) moved to
+(cy, cx).  The region tests with a float filter in front of a directed
+test (the holed ball's and each hole's relevance test, and a cone shell's
+for invariance and both slices) must decide as the directed test alone,
+result or error, on each holed ball's 200 memo-check boxes and on 200
+sub-boxes of each cone shell's bounding box from a side stream (``region
+checks`` counts the boxes).  Any answer an oracle cannot
 confirm is a soundness bug and is printed with its problem source.
 
     python scripts/fuzz_soundness.py --n 2000 --seed 7
@@ -58,6 +65,7 @@ from corpus import (  # noqa: E402
     random_planted_trig_map,
     random_polynomial_map_2d,
     random_rect_problem,
+    region_filter_mismatches,
     reverse_box,
     reverse_coordinates,
     shared_coordinate_boxes,
@@ -67,6 +75,8 @@ from oracles import grid_zoom_min, winding_rect  # noqa: E402
 from fpcert.certify import (  # noqa: E402
     CERTIFIED,
     REFUTED,
+    _holed_ball_conditions,
+    _level_conditions,
     certify_cone_shell,
     certify_cylinder,
     certify_holes,
@@ -78,7 +88,7 @@ from fpcert.degree import (  # noqa: E402
     fixed_point_index,
     holes_index_cross_check,
 )
-from fpcert.geometry import RectDomain  # noqa: E402
+from fpcert.geometry import HoledBallSpec, RectDomain  # noqa: E402
 from fpcert.interval import Box  # noqa: E402
 from fpcert.localize import PROVEN, localize_fixed_points  # noqa: E402
 
@@ -109,10 +119,21 @@ def main():
 
     def memo_check(m, box):
         """Compare m's memo view with m on 200 sub-boxes of box that share
-        coordinates; returns the number of boxes compared."""
+        coordinates; returns the boxes compared."""
         boxes = shared_coordinate_boxes(memo_rng, box, 200)
         for bad in memo_view_mismatches(m, boxes):
             violation(m, f"memo view differs from the map on {bad.bounds()}")
+        return boxes
+
+    # The cone shells' region checks draw their boxes from a side stream.
+    region_rng = random.Random(f"{args.seed}:region")
+
+    def region_check(m, tests, boxes):
+        """Compare the float-filtered region tests with their directed
+        tests on the boxes; returns the number of boxes compared."""
+        for bad in region_filter_mismatches(tests, boxes):
+            violation(m, f"a filtered region test differs from the directed one on "
+                         f"{bad.bounds()}")
         return len(boxes)
 
     def reversed_problem(m, rect):
@@ -124,7 +145,7 @@ def main():
             if point is None or res > args.residual:
                 violation(m, f"oracle residual {res}")
 
-    rect_reversals = 0
+    rect_reversals = cone_regions = 0
     for k in range(args.n):
         roll = rng.random()
         if roll < 0.6:
@@ -149,6 +170,10 @@ def main():
             domain_bounds = [(c.lo, c.hi) for c in spec.bounding_box().coords]
             fn = spec.functional
             keep = lambda p, fn=fn, spec=spec: spec.a <= fn.value(p) <= spec.b
+            tests = [_level_conditions(fn, lo, hi, lo)["relevant"]
+                     for lo, hi in ((spec.a, spec.b), (spec.a, spec.a), (spec.b, spec.b))]
+            cone_regions += region_check(
+                m, tests, shared_coordinate_boxes(region_rng, spec.bounding_box(), 200))
 
         counts[cert.outcome] += 1
         confirm(cert, m, domain_bounds, keep)
@@ -156,18 +181,26 @@ def main():
     elapsed = time.perf_counter() - t0
     print(f"{args.n} problems in {elapsed:.1f}s: "
           + ", ".join(f"{k}={v}" for k, v in counts.items())
-          + f" metamorphic checks={rect_reversals}")
+          + f" metamorphic checks={rect_reversals} region checks={cone_regions}")
 
     rng = random.Random(f"{args.seed}:holes")
     hole_counts = dict.fromkeys(counts, 0)
-    cross_verified = hole_boxes = hole_memo = 0
+    cross_verified = hole_boxes = hole_memo = hole_regions = 0
     t0 = time.perf_counter()
     for k in range(n_holes):
         m, spec = random_holed_ball_problem(rng, 2 + k % 3)
         cert = certify_holes(m, spec)
         hole_counts[cert.outcome] += 1
         hole_boxes += cert.stats.boxes
-        hole_memo += memo_check(m, Box.from_bounds([(-spec.radius, spec.radius)] * 2))
+        boxes = memo_check(m, Box.from_bounds([(-spec.radius, spec.radius)] * 2))
+        hole_memo += len(boxes)
+        hole_regions += region_check(
+            m, [c.relevant for c in _holed_ball_conditions(m, None, spec)], boxes)
+        # Reversed coordinates, and each hole's centre (cx, cy) -> (cy, cx).
+        swapped = HoledBallSpec(spec.radius, tuple((cy, cx, r) for cx, cy, r in spec.holes))
+        other = certify_holes(reverse_coordinates(m), swapped)
+        if {cert.outcome, other.outcome} == {CERTIFIED, REFUTED}:
+            violation(m, f"{cert.outcome}, but {other.outcome} with the coordinates reversed")
         keep = lambda p, spec=spec: math.hypot(*p) <= spec.radius and all(  # noqa: E731
             math.hypot(p[0] - cx, p[1] - cy) >= r for cx, cy, r in spec.holes)
         confirm(cert, m, [(-spec.radius, spec.radius)] * 2, keep)
@@ -179,7 +212,8 @@ def main():
     elapsed = time.perf_counter() - t0
     print(f"{n_holes} holed balls in {elapsed:.1f}s: "
           + ", ".join(f"{k}={v}" for k, v in hole_counts.items())
-          + f" boxes={hole_boxes} memo checks={hole_memo}")
+          + f" boxes={hole_boxes} memo checks={hole_memo}"
+          + f" metamorphic checks={n_holes} region checks={hole_regions}")
 
     def random_rect(rng):
         bounds = []
@@ -213,7 +247,7 @@ def main():
         loc_counts["enclosures"] += len(res.enclosures)
         loc_counts["PROVEN"] += len(res.proven)
         loc_counts["exhausted"] += res.exhausted
-        loc_counts["memo checks"] += memo_check(m, rect.box)
+        loc_counts["memo checks"] += len(memo_check(m, rect.box))
         tiled = res.discarded_volume + res.surviving_volume
         if not abs(tiled - res.total_volume) <= 1e-9 * res.total_volume:
             violation(m, f"discarded plus surviving volume {tiled} != {res.total_volume} "

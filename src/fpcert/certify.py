@@ -110,6 +110,7 @@ REFUTED = "REFUTED"
 INDETERMINATE = "INDETERMINATE"
 
 _INF = math.inf
+_GUARD = 1e300  # the float filters of the region tests decide below it only
 
 
 class UnsupportedDomainError(ValueError):
@@ -466,6 +467,24 @@ def _level_range_guarantee(functional, box: Box):
             functional.value_pair([(c.hi, c.hi) for c in box.coords]))
 
 
+def _corner_levels(f, box: Box):
+    """f at the lower and upper corner of an orthant box, where f grows in
+    each coordinate, in round-to-nearest floats: a bracket of `value_pair`
+    as in `_filtered`, or None off the orthant or where a sum hits _GUARD."""
+    lo = hi = 0.0
+    for k, c in zip(f.coeffs or (1.0,) * len(box.coords), box.coords):
+        if c.lo < 0.0:
+            return None
+        if f.kind == "sup":
+            lo, hi = max(lo, c.lo), max(hi, c.hi)
+        elif f.kind == "euclid":
+            lo, hi = lo + c.lo * c.lo, hi + c.hi * c.hi
+        else:
+            lo, hi = lo + k * c.lo, hi + k * c.hi
+    ends = (math.sqrt(lo), math.sqrt(hi)) if f.kind == "euclid" else (lo, hi)
+    return ends if hi < _GUARD else None
+
+
 def _bisect_segment(p, q, below):
     """The point of the segment from p to q where `below` turns false."""
     s0, s1 = 0.0, 1.0
@@ -487,6 +506,9 @@ def _level_conditions(f, lo: float, hi: float, target: float):
     """
 
     def relevant(box):
+        ends = _corner_levels(f, box)
+        if ends and ends[0] <= hi and ends[1] >= lo:
+            return True
         lvl_lo, lvl_hi = f.value_pair([(c.lo, c.hi) for c in box.coords])
         return not (lvl_hi < lo or lvl_lo > hi)
 
@@ -558,6 +580,21 @@ def _box_dist2(box: Box, cx: float, cy: float):
     return dist2_pair(x.lo, x.hi, y.lo, y.hi, cx, cy)
 
 
+def _filtered(box: Box, cx: float, cy: float, near_max: float, far_min: float) -> bool:
+    """A filter in front of a directed region test (Shewchuk 1997).  The
+    squared distances near and far from the planar box to (cx, cy), in
+    round-to-nearest floats, bracket `_box_dist2`'s ends (near >= lo, far
+    <= hi): every step is monotone and every directed one rounds outward.
+    True when near <= near_max and far_min <= far < _GUARD, so the directed
+    test passes and cannot overflow; False leaves the box to that test."""
+    x, y = box.coords
+    xa, xb, ya, yb = x.lo - cx, x.hi - cx, y.lo - cy, y.hi - cy
+    nx = xa if xa > 0.0 else -xb if xb < 0.0 else 0.0
+    ny = ya if ya > 0.0 else -yb if yb < 0.0 else 0.0
+    fx, fy = (xb if xb > -xa else -xa), (yb if yb > -ya else -ya)
+    return nx * nx + ny * ny <= near_max and far_min <= fx * fx + fy * fy < _GUARD
+
+
 def _point_dist2(p, cx: float, cy: float):
     """(lo, hi) of the squared distance from the point p to (cx, cy)."""
     return dist2_pair(p[0], p[0], p[1], p[1], cx, cy)
@@ -618,6 +655,8 @@ def _hole_condition(T: MapSpec, jac, idx: int, cx: float, cy: float, r: float) -
     r2_lo, r2_hi = mul_down(r, r), mul_up(r, r)
 
     def relevant(box):
+        if _filtered(box, cx, cy, r2_hi, r2_lo):
+            return True
         d2_lo, d2_hi = _box_dist2(box, cx, cy)
         return not (d2_hi < r2_lo or d2_lo > r2_hi)
 
@@ -649,6 +688,9 @@ def _holed_ball_conditions(T: MapSpec, jac, spec: HoledBallSpec) -> list:
 
     def in_domain(box):
         # A box outside the ball, or strictly inside an open hole, misses L.
+        if _filtered(box, 0.0, 0.0, R2_hi, 0.0) and all(
+                _filtered(box, cx, cy, _INF, r2_lo) for cx, cy, r2_lo, _ in holes):
+            return True
         return _box_dist2(box, 0.0, 0.0)[0] <= R2_hi and all(
             _box_dist2(box, cx, cy)[1] >= r2_lo for cx, cy, r2_lo, _ in holes)
 

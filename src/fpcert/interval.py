@@ -691,13 +691,6 @@ class Box:
             v *= c.hi - c.lo
         return v
 
-    def contains_point(self, p) -> bool:
-        if len(p) != self.dim:
-            raise DimensionMismatchError(
-                f"point of dimension {len(p)} against box of dimension {self.dim}"
-            )
-        return all(c.lo <= x <= c.hi for c, x in zip(self.coords, p))
-
     def intersects(self, other: "Box") -> bool:
         if other.dim != self.dim:
             raise DimensionMismatchError("boxes of different dimension")

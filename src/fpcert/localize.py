@@ -384,6 +384,8 @@ def localize_fixed_points(g: MapSpec, rect: RectDomain, tol: float,
     """
     if not tol > 0.0:  # NaN too
         raise ValueError("tol must be positive")
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, not {budget}")
     if g.dim != rect.dim:
         raise DimensionMismatchError(f"map of dim {g.dim} over rectangle of dim {rect.dim}")
     if g.has_param and t is None:

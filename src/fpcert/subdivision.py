@@ -50,6 +50,8 @@ class CoverResult:
 
 
 def adaptive_cover(seeds, classify, max_depth: int, max_boxes: int) -> CoverResult:
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be nonnegative, not {max_depth}")
     result = CoverResult(status="verified")
     queue = deque((box, 0) for box in seeds)
     while queue:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 
+from fpcert import certify
 from fpcert import interval as iv
 from fpcert.geometry import ConeShellSpec, CylinderSpec, Functional, HoledBallSpec, RectDomain
 from fpcert.interval import Box, Interval
@@ -340,6 +341,12 @@ def random_box(rng: random.Random, dim: int, scale: float = 2.0) -> Box:
     return Box.from_bounds(bounds)
 
 
+def box_contains(box: Box, p) -> bool:
+    """Whether the closed box holds the point p, one value per coordinate."""
+    assert len(p) == box.dim, (len(p), box.dim)
+    return all(c.lo <= x <= c.hi for c, x in zip(box.coords, p))
+
+
 def sample_in_box(rng: random.Random, box: Box):
     return tuple(c.lo + rng.random() * (c.hi - c.lo) for c in box.coords)
 
@@ -392,6 +399,30 @@ def memo_view_mismatches(m: MapSpec, boxes, t=None) -> list:
             if len(memo) != len(plain) or outcomes(memo, xs + tail) != outcomes(plain, xs):
                 bad.append(box)
     return bad
+
+
+def region_filter_mismatches(tests, boxes) -> list:
+    """The boxes on which one of the region tests (the holed-ball and
+    cone-shell `relevant` tests of fpcert.certify) decides otherwise, result
+    or error by repr, than with its float filter switched off, which leaves
+    its directed test alone (certify._GUARD = 0.0: no float passes it)."""
+
+    def outcomes(box):
+        out = []
+        for test in tests:
+            try:
+                out.append(repr(test(box)))
+            except ValueError as exc:  # DomainError included
+                out.append(f"{type(exc).__name__}: {exc}")
+        return out
+
+    filtered = [outcomes(box) for box in boxes]
+    guard, certify._GUARD = certify._GUARD, 0.0
+    try:
+        directed = [outcomes(box) for box in boxes]
+    finally:
+        certify._GUARD = guard
+    return [box for box, a, b in zip(boxes, filtered, directed) if a != b]
 
 
 def reverse_coordinates(m: MapSpec) -> MapSpec:

@@ -28,6 +28,7 @@ from fpcert.certify import (
 from fpcert.continuation import trace_continuum
 from corpus import (
     apply_op,
+    box_contains,
     random_box,
     random_cone_problem,
     random_cylinder_problem,
@@ -290,7 +291,7 @@ def test_criterion_3_certificate_soundness_fuzz():
             bounds = [(c.lo, c.hi) for c in r.box.coords]
             point, res = grid_zoom_min(m, bounds)
             assert point is not None and res <= 1e-6, (m.to_source(), res)
-            assert r.box.contains_point(point)
+            assert box_contains(r.box, point)
 
         for _ in range(250):
             T, cyl, form = random_cylinder_problem(rng)
@@ -303,7 +304,7 @@ def test_criterion_3_certificate_soundness_fuzz():
             bounds = [(c.lo, c.hi) for c in full.coords]
             point, res = grid_zoom_min(T, bounds)
             assert point is not None and res <= 1e-6, (T.to_source(), res)
-            assert full.contains_point(point)
+            assert box_contains(full, point)
 
         for _ in range(150):
             T, spec, form = random_cone_problem(rng)
@@ -376,14 +377,14 @@ def test_criterion_5_localization_accuracy():
         enc = res.enclosures[0]
         assert enc.status == "PROVEN"
         assert enc.box.width <= 1e-8
-        assert enc.box.contains_point((root,))
+        assert box_contains(enc.box, (root,))
 
         t0 = time.perf_counter()
         m = parse_map("dim 2\nmap g1 = 2*x1 - 0.5\nmap g2 = 0.25 + 0.5*x2\n")
         res = localize_fixed_points(m, rect((0, 1), (0, 1)), tol=1e-8)
         assert time.perf_counter() - t0 < 1.0
         assert any(
-            e.box.contains_point((0.5, 0.5)) and e.status == "PROVEN"
+            box_contains(e.box, (0.5, 0.5)) and e.status == "PROVEN"
             for e in res.enclosures
         )
 
@@ -560,7 +561,7 @@ def test_criterion_9_continuation_witness():
         assert wit.proven
         for s in chain:
             assert s.status == "PROVEN"
-            assert all(s.box.contains_point((s.t.lo + k * (s.t.hi - s.t.lo) / 64,))
+            assert all(box_contains(s.box, (s.t.lo + k * (s.t.hi - s.t.lo) / 64,))
                        for k in range(65))
             assert s.box.width <= (s.t.hi - s.t.lo) + 1e-3
         for s in wit.slabs:

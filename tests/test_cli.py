@@ -223,6 +223,30 @@ def test_trace_infinite_parameter_range_exit_4(capsys, bounds):
     assert err == "error: parameter range must be finite\n", err
 
 
+@pytest.mark.parametrize("argv", [
+    ("certify", "@index-holes", "--max-depth", "-1"),
+    ("certify", "@miranda-linear-2d", "--max-depth", "-1"),
+    ("certify", "@cylinder-translation", "--max-depth", "-3"),
+    ("index", "@index-squaring", "--max-depth", "-1"),
+    ("index", "@index-holes", "--max-depth", "-1"),
+    ("localize", "@localize-cos", "--budget", "-5"),
+])
+def test_negative_depth_or_budget_exit_4(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    name = argv[-2].lstrip("-").replace("-", "_")
+    assert code == 4 and out == ""
+    assert err == f"error: {name} must be nonnegative, not {argv[-1]}\n", err
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("certify", "@miranda-linear-2d", "--max-depth", "0"), 0),
+    (("localize", "@localize-cos", "--budget", "0"), 3),
+])
+def test_zero_depth_or_budget_is_legal(capsys, argv, expected):
+    code, _, err = run(capsys, *argv)
+    assert code == expected and err == ""
+
+
 _RATIONAL = "0.5/(x1^2 - x1 + 1)"  # naive enclosure over [0, 1] divides by [0, 2]
 
 

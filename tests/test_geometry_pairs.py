@@ -5,9 +5,12 @@
 replaced, written with `Interval` operators; every result must equal its
 reference bit for bit (compared by repr, so signed zeros count), and every
 error must have the same type and message.  The holed-ball domain tests,
-which now read hoisted squared radii, must decide every box as the
-references do, including boxes whose squared distance lands exactly on a
-rounded r^2.
+which now read hoisted squared radii, and the cone-shell level tests must
+decide every box as the references do, including boxes whose squared
+distance or level lands exactly on a rounded threshold.  A plain-float
+filter sits in front of the relevance tests; it must leave every decision
+and error to the reference's, and must decide, without the directed test,
+every box that its float bracket decides.
 """
 
 import math
@@ -15,7 +18,8 @@ import random
 
 from corpus import random_box, random_expression_map, random_holed_ball_problem
 
-from fpcert.certify import _holed_ball_conditions, _radial_segment
+from fpcert import certify
+from fpcert.certify import _holed_ball_conditions, _level_conditions, _radial_segment
 from fpcert.degree import _field_pairs
 from fpcert.geometry import Functional, HoledBallSpec, dist2_pair
 from fpcert.interval import Box, Interval, abs_pair, max_pair, mul_down, mul_up
@@ -206,6 +210,104 @@ def test_functional_value_matches_interval_reference():
     assert kinds["euclid", "DomainError"] and kinds["linear", "DomainError"], kinds
 
 
+# -- cone-shell level tests ------------------------------------------------
+
+
+def _ref_level_relevant(f, lo, hi, box):
+    v = _ref_value(f, box)
+    return not (v.hi < lo or v.lo > hi)
+
+
+def _ref_level_meets(f, lo, hi, box):
+    lower = _ref_value(f, _point([c.lo for c in box.coords]))
+    upper = _ref_value(f, _point([c.hi for c in box.coords]))
+    return lower.hi <= hi and upper.lo >= lo
+
+
+def _float_corner_levels(f, box):
+    """The level filter's bracket, written out: f at the lower and the upper
+    corner in plain floats, and the largest float of the upper one (the
+    squared norm for euclid)."""
+    ends = []
+    for corner in ([c.lo for c in box.coords], [c.hi for c in box.coords]):
+        if f.kind == "sup":
+            ends.append((max(corner), max(corner)))
+        elif f.kind == "euclid":
+            s = sum(x * x for x in corner)
+            ends.append((math.sqrt(s), s))
+        else:
+            s = sum(k * x for k, x in zip(f.coeffs, corner))
+            ends.append((s, s))
+    return ends[0][0], ends[1][0], ends[1][1]
+
+
+def _level_boxes(rng, f, lo, hi):
+    """Orthant boxes around the levels; points whose float level lands on
+    lo or hi or within a few ulps of it; boxes off the orthant, at signed
+    zeros and past the float range."""
+    boxes = []
+    for _ in range(80):
+        coords = []
+        for _axis in range(2):
+            a = rng.choice((0.0, rng.uniform(0.0, hi), rng.uniform(0.0, 2.0 * hi)))
+            coords.append((a, a + rng.choice((0.0, 1e-9, 0.1, 1.0)) * hi))
+        boxes.append(Box.from_bounds(coords))
+    for level in (lo, hi):
+        for _ in range(30):
+            u = rng.uniform(0.0, level)
+            if f.kind == "euclid":
+                t = rng.uniform(0.0, math.pi / 2)
+                p = [level * math.cos(t), level * math.sin(t)]
+            elif f.kind == "sup":
+                p = [level, u]
+            else:
+                p = [u, level - u]
+            for step in (-2, -1, 0, 1, 2):
+                q = list(p)
+                for _ in range(abs(step)):
+                    q[0] = math.nextafter(q[0], math.copysign(math.inf, step))
+                boxes.append(_point(q))
+    boxes += [Box.from_bounds(b) for b in (
+        [(-0.0, 0.0), (-0.0, lo)], [(-0.0, hi), (0.0, 0.0)], [(-1.0, hi), (0.0, hi)],
+        [(-hi, -0.5 * lo), (0.0, hi)], [(0.0, _EDGE), (0.0, 0.0)],
+        [(0.0, 1.7976931348623157e308), (0.0, 1.0)], [(1e300, 1.7e308), (0.0, 1e308)])]
+    return boxes
+
+
+def test_level_tests_decide_as_the_reference(monkeypatch):
+    """The cone-shell relevance and meets tests decide every box as the
+    Interval formulas, on the levels of cone invariance (lo < hi) and of a
+    slice (lo == hi); and the float filter in front of the relevance test
+    decides, without the directed test, every box its bracket decides: an
+    orthant box whose float corner levels reach the levels, below 1e300."""
+    directed = []
+    value_pair = Functional.value_pair
+    monkeypatch.setattr(Functional, "value_pair",
+                        lambda self, pairs: directed.append(1) or value_pair(self, pairs))
+    rng = random.Random(2718)
+    decisions, filtered, fell_back, on_level = set(), 0, 0, 0
+    for f in (Functional.ones(2), Functional.euclid(), Functional.sup()):
+        for lo, hi in ((0.5, 2.0), (1.0, 1.0), (0.3, 0.3), (2.0, 7.5), (1e-300, 1e300)):
+            tests = _level_conditions(f, lo, hi, 0.5 * (lo + hi))
+            for box in _level_boxes(rng, f, lo, hi):
+                for test, ref in ((tests["relevant"], _ref_level_relevant),
+                                  (tests["meets"], _ref_level_meets)):
+                    expected = _outcome(ref, f, lo, hi, box)
+                    assert _outcome(test, box) == expected, (f, lo, hi, box.bounds())
+                    decisions.add(expected)
+                l_lo, l_hi, largest = _float_corner_levels(f, box)
+                decides = (min(c.lo for c in box.coords) >= 0.0 and largest < 1e300
+                           and l_lo <= hi and l_hi >= lo)
+                on_level += decides and (l_lo == hi or l_hi == lo)
+                del directed[:]
+                _outcome(tests["relevant"], box)
+                assert bool(directed) != decides, (f, lo, hi, box.bounds(), decides)
+                filtered += decides
+                fell_back += not decides
+    assert {"True", "False"} <= decisions and any("DomainError" in d for d in decisions)
+    assert filtered > 2000 and fell_back > 2000 and on_level > 1000, (filtered, fell_back, on_level)
+
+
 # -- degree._field_pairs ---------------------------------------------------
 
 _RAISING_MAPS = (
@@ -277,6 +379,22 @@ def _tight_points(r):
     return points
 
 
+def _float_tight_points(r):
+    """Points (x, 0) whose plain float square x*x lies within 3 ulps of r**2
+    rounded down or up, on both sides of it: boxes where the float filter's
+    bracket lands on, or next to, a rounded squared radius."""
+    r2s = (mul_down(r, r), mul_up(r, r))
+    x = math.sqrt(r2s[0])
+    for _ in range(8):
+        x = math.nextafter(x, 0.0)
+    points = []
+    for _ in range(20):
+        if any(abs(x * x - t) <= 3 * math.ulp(t) for t in r2s):
+            points.append((x, 0.0))
+        x = math.nextafter(x, math.inf)
+    return points
+
+
 def _decision_boxes(rng, spec):
     R = spec.radius
     boxes = []
@@ -302,18 +420,93 @@ def _specs(rng):
     return specs
 
 
-def test_holed_ball_domain_tests_decide_as_the_reference():
+# sqrt of the largest float: its float square is finite, its directed one inf.
+_EDGE = 1.3407807929942596e154
+
+
+def _overflow_cases():
+    """A hole at distance _EDGE from the origin: over a box at the origin its
+    far term squares to a finite float while the directed square, and so the
+    reference, overflows; a hole at the origin that a box reaching out to
+    _EDGE straddles; and holes next to the point (_EDGE, 0), whose distance
+    to the origin overflows that way."""
+    assert math.isfinite(_EDGE * _EDGE)
+    spec = HoledBallSpec(1.7e308, ((_EDGE, 0.0, 1e153), (-1e153, 0.0, 1e152)))
+    wide = HoledBallSpec(1.7e308, ((0.0, 0.0, 1e154), (_EDGE, 0.0, 1e153)))
+    near_edge = HoledBallSpec(1.7e308, ((_EDGE - 1e141, 0.0, 1e140),
+                                        (_EDGE - 1e141, 3e141, 1e140)))
+    at_origin = [Box.from_bounds(b) for b in (
+        [(0.0, 0.0), (0.0, 0.0)], [(-1.0, 1.0), (-1.0, 1.0)], [(-0.0, 0.0), (0.0, 0.0)])]
+    reaching = [Box.from_bounds(b) for b in (
+        [(0.0, _EDGE), (0.0, 0.0)], [(-_EDGE, 0.0), (-1.0, 1.0)], [(-1e154, 0.0), (0.0, _EDGE)],
+        [(5e153, 1.2e154), (0.0, 1e153)])]
+    edge = [_point((_EDGE, 0.0)), Box.from_bounds([(_EDGE - 1e139, _EDGE), (0.0, 1e139)])]
+    return [(spec, at_origin + reaching), (wide, at_origin + reaching), (near_edge, edge)]
+
+
+def _signed_zero_boxes(spec):
+    """Boxes with edges at -0.0 and 0.0, around the origin and each hole's
+    centre."""
+    boxes = []
+    for cx, cy in [(0.0, 0.0)] + [(cx, cy) for cx, cy, _r in spec.holes]:
+        for x, y in (((-0.0, 0.0), (-0.0, -0.0)), ((-0.0, 1.0), (0.0, 0.0)),
+                     ((-1.0, -0.0), (-0.0, 0.5))):
+            boxes.append(Box.from_bounds([(cx + x[0], cx + x[1]), (cy + y[0], cy + y[1])]))
+        boxes.append(Box.from_bounds([(-0.0, 0.0), (-0.0, 0.0)]))
+    return boxes
+
+
+def _float_near_far(box, cx, cy):
+    """The filter's bracket, written out: the nearest and the farthest
+    squared distance from the box to (cx, cy) in plain floats."""
+    near = far = 0.0
+    for c, c0 in zip(box.coords, (cx, cy)):
+        lo, hi = c.lo - c0, c.hi - c0
+        d = 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
+        m = max(abs(lo), abs(hi))
+        near, far = near + d * d, far + m * m
+    return near, far
+
+
+def _filter_decides(spec, box):
+    """Which region tests the float bracket alone decides (True): the
+    outer test, then each hole's relevance test.  The bracket decides where
+    it passes the test and its far value stays below 1e300."""
+    R = spec.radius
+    near, far = _float_near_far(box, 0.0, 0.0)
+    hole_ok = []
+    for cx, cy, r in spec.holes:
+        h_near, h_far = _float_near_far(box, cx, cy)
+        hole_ok.append((h_near <= mul_up(r, r), mul_down(r, r) <= h_far < 1e300))
+    outer = near <= mul_up(R, R) and far < 1e300 and all(ok for _n, ok in hole_ok)
+    return [outer] + [n and f for n, f in hole_ok]
+
+
+def test_holed_ball_domain_tests_decide_as_the_reference(monkeypatch):
+    """Every domain test decides every box as its directed reference; and
+    the float filter in front of the outer and hole tests decides, without
+    running the directed test, every box that its bracket decides."""
+    directed = []
+    box_dist2 = certify._box_dist2
+    monkeypatch.setattr(certify, "_box_dist2",
+                        lambda *args: directed.append(1) or box_dist2(*args))
     rng = random.Random(4242)
     identity = parse_map("dim 2\nmap g1 = x1\nmap g2 = x2\n")
-    tight = 0
-    cases = [(spec, _decision_boxes(rng, spec)) for spec in _specs(rng)]
+    tight = float_tight = 0
+    cases = [(spec, _decision_boxes(rng, spec) + _signed_zero_boxes(spec))
+             for spec in _specs(rng)]
     for _ in range(60):  # a hole at the origin, boxes on its rounded radius
         r = rng.uniform(0.5, 1.0)
-        spec = HoledBallSpec(4.0, ((0.0, 0.0, r), (2.5, 0.0, 0.5)))
+        R = rng.choice((4.0, rng.uniform(4.0, 6.0)))
+        spec = HoledBallSpec(R, ((0.0, 0.0, r), (2.5, 0.0, 0.5)))
         points = _tight_points(r)
         tight += len(points) - 3
-        cases.append((spec, [_point(p) for p in points]))
+        floats = _float_tight_points(r) + _float_tight_points(R)
+        float_tight += len(floats)
+        cases.append((spec, [_point(p) for p in points + floats]))
+    cases += _overflow_cases()
     decisions = set()
+    filtered = fell_back = 0
     for spec, boxes in cases:
         outer, *holes = _holed_ball_conditions(identity, None, spec)
         for box in boxes:
@@ -328,5 +521,13 @@ def test_holed_ball_domain_tests_decide_as_the_reference():
                 expected = _outcome(ref, *args)
                 assert _outcome(got, box) == expected, (k, spec, box.bounds())
                 decisions.add(expected)
-    assert tight > 20
+            for test, decides in zip([outer.relevant] + [h.relevant for h in holes],
+                                     _filter_decides(spec, box)):
+                del directed[:]
+                _outcome(test, box)
+                assert bool(directed) != decides, (spec, box.bounds(), decides)
+                filtered += decides
+                fell_back += not decides
+    assert tight > 20 and float_tight > 200
+    assert filtered > 5000 and fell_back > 5000, (filtered, fell_back)
     assert {"True", "False"} <= decisions and any("DomainError" in d for d in decisions)
