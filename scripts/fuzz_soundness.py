@@ -20,20 +20,25 @@ whose kink passes through the planted point.  Last, from a seventh
 stream, 1-D and 2-D families with a planted polynomial branch of fixed
 points, the only one in their box, are traced over t in [0, 1]: every
 PROVEN slab must hold the branch at sampled t of its cell, every
-proven chain must meet the branch, and on every slab the map bound to
-its cell's t must give the pairs, or the error, of the unbound map.  Each
-holed ball and each localized 2-D map also has its memo view compared with
-the plain map, pairs and errors, on 200 sub-boxes that share coordinates,
-and each traced family has its memo view, evaluated with t over a cell,
-compared with the map bound to that t, on the cell's slab boxes (``memo
-checks`` counts the boxes).  Each rect problem of dimension 2 or
-more and each map of the 2-D localize stream is also run again with its
-coordinates reversed, which keeps its fixed points exactly (``metamorphic
-checks`` counts the reruns): CERTIFIED against REFUTED, or a PROVEN box
-on one side that meets no enclosure of the other, is a violation; a
-change to or from INDETERMINATE is not.  So is each holed ball, with its
-map's coordinates reversed and each hole's centre (cx, cy) moved to
-(cy, cx).  The region tests with a float filter in front of a directed
+proven chain must meet the branch, and on every slab the map at the
+lower end t of its cell (``MapSpec.at``) must give the pairs, or the
+error, of the map with t = Interval(t) (``at checks`` counts the slabs).
+Each holed ball and each localized 2-D map also has its memo view
+compared with the plain map, pairs and errors, on 200 sub-boxes that
+share coordinates, and each traced family has its memo view, evaluated
+with t over a cell, compared with the map evaluated the same way, on the
+cell's slab boxes (``memo checks`` counts the boxes).  Each rect problem
+of dimension 2 or more and each map of the 2-D localize stream is also
+run again with its coordinates reversed, which keeps its fixed points
+exactly (``metamorphic checks`` counts the reruns): CERTIFIED against
+REFUTED, or a PROVEN box on one side that meets no enclosure of the
+other, is a violation; a change to or from INDETERMINATE is not.  So is
+each holed ball, with its map's coordinates reversed and each hole's
+centre (cx, cy) moved to (cy, cx).  Each rect problem is also certified
+again with g_i replaced by 2*x_i - g_i on a random nonempty set of axes
+(``flip_coordinates``, which keeps the fixed points exactly; ``flip
+checks`` counts the reruns and how many moved to or from
+INDETERMINATE), with the same rule.  The region tests with a float filter in front of a directed
 test (the holed ball's and each hole's relevance test, and a cone shell's
 for invariance and both slices) must decide as the directed test alone,
 result or error, on each holed ball's 200 memo-check boxes and on 200
@@ -88,8 +93,8 @@ from fpcert.degree import (  # noqa: E402
     fixed_point_index,
     holes_index_cross_check,
 )
-from fpcert.geometry import HoledBallSpec, RectDomain  # noqa: E402
-from fpcert.interval import Box  # noqa: E402
+from fpcert.geometry import HoledBallSpec, RectDomain, flip_coordinates  # noqa: E402
+from fpcert.interval import Box, Interval  # noqa: E402
 from fpcert.localize import PROVEN, localize_fixed_points  # noqa: E402
 
 
@@ -145,7 +150,10 @@ def main():
             if point is None or res > args.residual:
                 violation(m, f"oracle residual {res}")
 
-    rect_reversals = cone_regions = 0
+    # The flipped axes come from a side stream too.
+    flip_rng = random.Random(f"{args.seed}:flip")
+
+    rect_reversals = cone_regions = rect_flips = flip_moves = 0
     for k in range(args.n):
         roll = rng.random()
         if roll < 0.6:
@@ -157,6 +165,13 @@ def main():
                 if {cert.outcome, other.outcome} == {CERTIFIED, REFUTED}:
                     violation(m, f"{cert.outcome}, but {other.outcome} with the coordinates "
                                  "reversed")
+            axes = set(flip_rng.sample(range(m.dim), flip_rng.randint(1, m.dim)))
+            rect_flips += 1
+            other = certify_miranda(flip_coordinates(m, axes), r, max_depth=12, max_boxes=3000)
+            flip_moves += other.outcome != cert.outcome
+            if {cert.outcome, other.outcome} == {CERTIFIED, REFUTED}:
+                violation(m, f"{cert.outcome}, but {other.outcome} with axes {sorted(axes)} "
+                             "flipped")
             domain_bounds = [(c.lo, c.hi) for c in r.box.coords]
             keep = None
         elif roll < 0.85:
@@ -181,7 +196,8 @@ def main():
     elapsed = time.perf_counter() - t0
     print(f"{args.n} problems in {elapsed:.1f}s: "
           + ", ".join(f"{k}={v}" for k, v in counts.items())
-          + f" metamorphic checks={rect_reversals} region checks={cone_regions}")
+          + f" metamorphic checks={rect_reversals} region checks={cone_regions}"
+          + f" flip checks={rect_flips} (outcome moved on {flip_moves})")
 
     rng = random.Random(f"{args.seed}:holes")
     hole_counts = dict.fromkeys(counts, 0)
@@ -320,7 +336,7 @@ def main():
 
     rng = random.Random(f"{args.seed}:trace")
     trace_counts = {"slabs": 0, "PROVEN": 0, "proven chains": 0, "exhausted": 0,
-                    "bind checks": 0, "memo checks": 0}
+                    "at checks": 0, "memo checks": 0}
     t0 = time.perf_counter()
     for k in range(n_localize):
         m, coeffs, box = random_planted_branch_family(rng, 1 + k % 2)
@@ -329,17 +345,18 @@ def main():
         trace_counts["slabs"] += len(wit.slabs)
         trace_counts["proven chains"] += wit.proven
         trace_counts["exhausted"] += wit.exhausted
-        bound = {}  # cell -> m bound to the cell's t
+        bound = {}  # cell -> m at the lower end of the cell's t
         cells = {}  # cell -> (its t, its slab boxes)
         for slab in wit.slabs:
+            t = slab.t.lo
             if slab.cell not in bound:
-                bound[slab.cell] = m.bind_interval(slab.t)
+                bound[slab.cell] = m.at(t)
             cells.setdefault(slab.cell, (slab.t, []))[1].append(slab.box)
-            trace_counts["bind checks"] += 1
+            trace_counts["at checks"] += 1
             got = pairs_or_error(bound[slab.cell].eval_pairs, slab.box)
-            if got != pairs_or_error(m.eval_pairs, slab.box, slab.t):
-                violation(m, f"map bound to t in [{slab.t.lo}, {slab.t.hi}] gives {got} "
-                             f"on {slab.box.bounds()}, not its value there")
+            if got != pairs_or_error(m.eval_pairs, slab.box, Interval(t)):
+                violation(m, f"map at t = {t} gives {got} on {slab.box.bounds()}, "
+                             "not its value there")
             if slab.status == PROVEN:
                 trace_counts["PROVEN"] += 1
                 if not on_branch(coeffs, slab):
@@ -350,8 +367,8 @@ def main():
         for t, boxes in cells.values():
             trace_counts["memo checks"] += len(boxes)
             for bad in memo_view_mismatches(m, boxes, t):
-                violation(m, f"memo view with t in [{t.lo}, {t.hi}] differs from the bound "
-                             f"map on {bad.bounds()}")
+                violation(m, f"memo view with t in [{t.lo}, {t.hi}] differs from the map "
+                             f"on {bad.bounds()}")
     elapsed = time.perf_counter() - t0
     print(f"{n_localize} planted branch traces in {elapsed:.1f}s: "
           + ", ".join(f"{k}={v}" for k, v in trace_counts.items()))

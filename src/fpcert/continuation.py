@@ -128,7 +128,7 @@ def trace_continuum(psi: MapSpec, t_range, x_box: Box, grid: int = 16,
     start_index = None
     if check_start_index and psi.dim in (1, 2):
         try:
-            start_index = fixed_point_index(psi.bind_interval(Interval(a)), rect).value
+            start_index = fixed_point_index(psi.at(a), rect).value
         except BoundaryZeroError:
             start_index = None
 

@@ -259,7 +259,11 @@ def holes_index_cross_check(T: MapSpec, spec: HoledBallSpec,
 
 def fixed_point_index(f: MapSpec, rect: RectDomain,
                       max_depth: int = 24, max_boxes: int = 40000) -> DegreeResult:
-    """Fixed point index of f over a rectangle: degree of Id - f."""
+    """Fixed point index of f over a rectangle: degree of Id - f.  A
+    negative max_depth is refused in every dimension, though the 1-D rule
+    runs no cover that would check it."""
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be nonnegative, not {max_depth}")
     if f.dim == 1:
         return degree_1d(f, rect)
     if f.dim == 2:

@@ -22,13 +22,13 @@ operations call the pair kernels of ``interval``.  Each operation checks
 its result with ``-inf < lo <= hi < inf`` and raises exactly what
 ``Interval(lo, hi)`` would, and an ``Interval`` is built only for each
 component (``MapSpec.eval_pairs`` returns the component pairs themselves).
-``MapSpec.bind_interval(t)`` binds the parameter: every subtree free of
-x1..xn becomes a leaf holding its pair over t, with bit-identical
-enclosures, in one walk of the tree.  ``MapSpec.memo_view()`` gives, for
-one search, an evaluation-only view of the map and of its Jacobian in
-which each maximal non-leaf subtree that reads exactly one entry of the
-coordinate tuple (x1..xn, then t), when the tuple has two entries or
-more, is a ``Memo``: it keeps its pair per exact value of that coordinate
+``MapSpec.at(t)`` substitutes a float t for the parameter: the plain map
+it returns reads the constant [t, t] where the map read the coordinate
+Interval(t), so it evaluates bit for bit as the map at that t.
+``MapSpec.memo_view()`` gives, for one search, an evaluation-only view of
+the map and of its Jacobian in which each maximal non-leaf subtree that
+reads exactly one entry of the coordinate tuple (x1..xn, then t), when the
+tuple has two entries or more, is a ``Memo``: it keeps its pair per exact value of that coordinate
 (a zero endpoint is keyed with its sign, -0.0 apart from 0.0), so a box
 that shares the coordinate with one already evaluated reuses the pair,
 bit for bit, and a subtree of t alone is evaluated once per parameter
@@ -305,22 +305,6 @@ class Call(Expr):
 
 
 @dataclass(frozen=True)
-class Folded(Expr):
-    """A subtree free of x1..xn, replaced by its pair (MapSpec.bind_interval)."""
-
-    pair: tuple
-
-    def eval_real(self, xs):
-        raise _folded_error()
-
-    def eval_pair(self, xs):
-        return self.pair
-
-    def to_source(self, prec=0):
-        raise _folded_error()
-
-
-@dataclass(frozen=True)
 class Select(Expr):
     """The derivative at a kink (abs, min, max; the parser has no select):
     neg where cond < 0, pos where cond > 0, and where cond may be 0 the
@@ -345,13 +329,6 @@ class Select(Expr):
         neg = self.neg
         a, b = (-d, -c) if type(neg) is Neg and neg.arg is self.pos else neg.eval_pair(xs)
         return min(a, c), max(b, d)
-
-
-def _folded_error() -> TypeError:
-    return TypeError(
-        "a map bound by bind_interval holds enclosures, not expressions; "
-        "use the unbound map for real evaluation and source"
-    )
 
 
 def children(e: Expr) -> tuple:
@@ -382,31 +359,6 @@ def with_children(e: Expr, kids) -> Expr:
     if isinstance(e, Select):
         return Select(*kids)
     return e
-
-
-def _fold(e: Expr, coords) -> "Expr | None":
-    """e with its maximal Var-free subtrees folded over coords (_leaf), or
-    None when e contains no Var: the caller then folds it as part of a
-    larger subtree."""
-    if type(e) is Var:
-        return e
-    kids = children(e)
-    done = [_fold(k, coords) for k in kids]
-    if all(d is None for d in done):
-        return None
-    return with_children(e, [_leaf(k, coords) if d is None else d for k, d in zip(kids, done)])
-
-
-def _leaf(e: Expr, coords) -> Expr:
-    """A Var-free e as a Folded leaf holding its pair over coords (the tree
-    walk's own result).  When its evaluation raises, e stays a node with
-    its subtrees folded, and raises again, in evaluation order, whenever
-    the bound map is evaluated."""
-    try:
-        return Folded(e.eval_pair(coords))
-    except (ArithmeticError, ValueError):
-        kids = children(e)
-        return with_children(e, [_leaf(k, coords) for k in kids]) if kids else e
 
 
 _DECIMAL = re.compile(r"([-+]?)([0-9]*)(?:\.([0-9]*))?(?:[eE]([-+]?)0*([0-9]*))?")
@@ -552,7 +504,7 @@ def derivative(e: Expr, j: int) -> "Expr | None":
         else:  # tanh
             outer = BinOp("-", _ONE, Power(e, 2))
         return _mul(outer, du)
-    if kind is Const or kind is Param or kind is Folded:
+    if kind is Const or kind is Param:
         return None  # free of x
     # A node of another kind (a Memo, say) would otherwise pass for a
     # constant and give a zero derivative, which no enclosure may assume.
@@ -737,19 +689,22 @@ class MapSpec:
         finally:
             view.clear()
 
-    def bind_interval(self, t: Interval) -> "MapSpec":
-        """This map with its parameter bound to the interval t.
+    def at(self, t: float) -> "MapSpec":
+        """This map with its parameter bound to the point t: a map that
+        takes no parameter, with every t replaced by the constant [t, t].
+        That is the pair t reads from Interval(t), so the result evaluates
+        as this map with t = Interval(t), bit for bit, errors included."""
+        if not self.has_param:
+            raise ValueError("map takes no parameter")
+        const = float_const(float(t))
 
-        The result takes no parameter, and its eval_interval(box) equals
-        eval_interval(box, t) bit for bit, errors included: subtrees free
-        of x1..xn are evaluated here, once, instead of on every box.
-        """
-        coords = self._coords((None,) * self.dim, t)  # x is unbound: a read fails
-        comps = []
-        for c in self.components:
-            folded = _fold(c, coords)
-            comps.append(_leaf(c, coords) if folded is None else folded)
-        return MapSpec(self.dim, tuple(comps))
+        def subst(e):
+            if type(e) is Param:
+                return const
+            kids = children(e)
+            return with_children(e, [subst(k) for k in kids]) if kids else e
+
+        return MapSpec(self.dim, tuple(subst(c) for c in self.components))
 
     def eval_component_interval(self, i: int, box: Box, t=None) -> Interval:
         return Interval(*self.components[i].eval_pair(self._coords(box.coords, t)))

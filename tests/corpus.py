@@ -372,9 +372,8 @@ def shared_coordinate_boxes(rng: random.Random, box: Box, count: int, per_axis: 
 def memo_view_mismatches(m: MapSpec, boxes, t=None) -> list:
     """The boxes, taken in order in one search, on which the memo view of m
     (MapSpec.memo_view) and its Jacobian give other pairs or errors, by
-    repr, than m and jacobian(m).  With t, the view is evaluated on each
-    box's coordinates followed by t, as in a trace cell over t, and
-    compared with m.bind_interval(t) and the Jacobian of that bound map."""
+    repr, than m and jacobian(m).  With t, both are evaluated on each
+    box's coordinates followed by t, as in a trace cell over t."""
 
     def outcomes(exprs, xs):
         out = []
@@ -388,15 +387,14 @@ def memo_view_mismatches(m: MapSpec, boxes, t=None) -> list:
     def flat(comps, jac):
         return list(comps) + ([] if jac is None else [d for row in jac for d in row])
 
-    ref = m if t is None else m.bind_interval(t)
     tail = () if t is None else (t,)
-    plain = flat(ref.components, jacobian(ref))
+    plain = flat(m.components, jacobian(m))
     bad = []
     with m.memo_view() as (view, view_jac):
         memo = flat(view.components, view_jac)
         for box in boxes:
-            xs = box.coords
-            if len(memo) != len(plain) or outcomes(memo, xs + tail) != outcomes(plain, xs):
+            xs = box.coords + tail
+            if len(memo) != len(plain) or outcomes(memo, xs) != outcomes(plain, xs):
                 bad.append(box)
     return bad
 

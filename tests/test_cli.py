@@ -229,6 +229,7 @@ def test_trace_infinite_parameter_range_exit_4(capsys, bounds):
     ("certify", "@cylinder-translation", "--max-depth", "-3"),
     ("index", "@index-squaring", "--max-depth", "-1"),
     ("index", "@index-holes", "--max-depth", "-1"),
+    ("index", "@miranda-const-1d", "--max-depth", "-1"),  # the 1-D rule runs no cover
     ("localize", "@localize-cos", "--budget", "-5"),
 ])
 def test_negative_depth_or_budget_exit_4(capsys, argv):

@@ -100,6 +100,26 @@ def test_start_index_check():
     assert wit.start_index == 1
 
 
+def test_start_index_check_in_2d_takes_the_winding_walk():
+    # Id - psi(0, .) = (t - x1, x2/2) at t = 0 turns once clockwise.
+    psi = parse_map("dim 2\nparam t\nmap g1 = 2*x1 - t\nmap g2 = x2/2\n")
+    wit = trace_continuum(psi, (0, 1), Box.from_bounds([(-1, 2), (-1, 1)]), grid=4,
+                          tol=1e-2, check_start_index=True)
+    assert wit.proven and wit.start_index == -1
+
+
+def test_start_index_is_none_where_the_start_map_raises():
+    # 1/t divides by [0, 0] at the start of the range.
+    psi = parse_map("dim 1\nparam t\nmap g1 = x1/2 + 1/t\n")
+    wit = trace_continuum(psi, (0, 1), xbox(), grid=4, tol=1e-2, check_start_index=True)
+    assert wit.start_index is None
+
+
+def test_cli_trace_reports_the_start_index(capsys):
+    assert main(["trace", "@trace-linear", "--check-start-index", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["start_index"] == 1
+
+
 @pytest.mark.parametrize("entry_id, proven", [
     ("trace-linear", True), ("trace-constant", True), ("trace-translation", False)])
 def test_catalog_families_report_proven_branches(capsys, entry_id, proven):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import time
@@ -24,7 +25,7 @@ from fpcert.mapdsl import (
     Call,
     Const,
     EvaluationError,
-    Folded,
+    Expr,
     MapSpec,
     Neg,
     Param,
@@ -387,30 +388,28 @@ def test_reversed_coordinates_evaluate_as_the_map_reversed():
                     == _outcome(m.eval_component_interval, i, box)), m.to_source()
 
 
-# -- binding the parameter ------------------------------------------------
+# -- binding the parameter to a point --------------------------------------
 
 
 def _bound_outcomes(m, box, t):
-    """Bound and unbound outcomes (results or errors) of every evaluation."""
-    bound = m.bind_interval(t)
+    """Outcomes (results or errors) of every evaluation of m.at(t), and of
+    m with t = Interval(t)."""
+    bound = m.at(t)
     assert not bound.has_param
     got = [_outcome(bound.eval_interval, box)]
-    want = [_outcome(m.eval_interval, box, t)]
+    want = [_outcome(m.eval_interval, box, Interval(t))]
     for i in range(m.dim):
         got.append(_outcome(bound.eval_component_interval, i, box))
-        want.append(_outcome(m.eval_component_interval, i, box, t))
+        want.append(_outcome(m.eval_component_interval, i, box, Interval(t)))
     return got, want
 
 
 def test_bound_map_matches_unbound_evaluation():
-    from corpus import random_box
-
     rng = random.Random(4048)
     for k in range(120):
         dim = rng.choice((1, 2, 3))
         m = _parametrized(random_expression_map(rng, dim, depth=3 + k % 3))
-        lo = rng.uniform(-2.0, 2.0)
-        for t in (Interval(lo, lo + rng.uniform(0.0, 1.0)), Interval(lo)):
+        for t in (rng.uniform(-2.0, 2.0), -0.0):
             for _ in range(3):
                 box = random_box(rng, dim, rng.choice((0.5, 2.0, 40.0)))
                 got, want = _bound_outcomes(m, box, t)
@@ -418,23 +417,9 @@ def test_bound_map_matches_unbound_evaluation():
     f = parse_map("dim 2\nmap g1 = x1*x2\nmap g2 = sin(x1)\n")
     g = parse_map("dim 2\nmap g1 = x2^2 - 1\nmap g2 = x1 + 0.5\n")
     blend = blend_with_parameter(f, g)
-    for t in (Interval(0.25, 0.75), Interval(0.5)):
+    for t in (0.25, 0.5):
         got, want = _bound_outcomes(blend, Box.from_bounds([(-1, 2), (0.5, 3)]), t)
         assert got == want
-
-
-def test_bind_folds_every_subtree_free_of_x():
-    m = parse_map("dim 1\nparam t\nmap g1 = x1*(0.1 + 2*t^2) + sin(t)*x1 - 3\n")
-    t = Interval(0.0, 0.5)
-    (comp,) = m.bind_interval(t).components
-    (orig,) = m.components
-    # ((x1 * F) + (F * x1)) - F: only the operations on x1 are left.
-    leaves = (comp.left.left.right, comp.left.right.left, comp.right)
-    assert all(isinstance(f, Folded) for f in leaves)
-    assert comp.left.left.left == comp.left.right.right == Var(0)
-    assert leaves[0].pair == orig.left.left.right.eval_pair((None, t))
-    assert leaves[1].pair == (t.sin().lo, t.sin().hi)
-    assert leaves[2].pair == (3.0, 3.0)
 
 
 _RAISING_BINDS = [
@@ -450,92 +435,61 @@ _RAISING_BINDS = [
 @pytest.mark.parametrize("expr, bounds", _RAISING_BINDS)
 def test_bound_map_raises_the_first_error_of_the_unbound_map(expr, bounds):
     m = parse_map(f"dim 1\nparam t\nmap g1 = {expr}\n")
-    got, want = _bound_outcomes(m, Box.from_bounds([bounds]), Interval(0.0, 1.0))
+    box = Box.from_bounds([bounds])
+    got, want = _bound_outcomes(m, box, 0.5)
     assert got == want
     assert want[0].split(":")[0] in ("IntervalDivisionError", "DomainError")
+    for t in (0.25, 2.5):
+        got, want = _bound_outcomes(m, box, t)
+        assert got == want
 
 
-def test_bind_keeps_a_raising_subtree_and_folds_inside_it():
-    m = parse_map("dim 1\nparam t\nmap g1 = 1/(t - 0.5) + sqrt(x1 - 2)\n")
-    (comp,) = m.bind_interval(Interval(0.0, 1.0)).components
-    div = comp.left
-    assert isinstance(div, BinOp) and div.op == "/"
-    assert isinstance(div.left, Folded) and isinstance(div.right, Folded)
-    assert div.right.pair == (-0.5, 0.5)
+def _subst_reference(e, const):
+    """e with every Param replaced by const, rebuilt field by field (not
+    through children and with_children)."""
+    if type(e) is Param:
+        return const
+    changes = {}
+    for f in dataclasses.fields(e):
+        v = getattr(e, f.name)
+        if isinstance(v, Expr):
+            changes[f.name] = _subst_reference(v, const)
+        elif isinstance(v, tuple):
+            changes[f.name] = tuple(_subst_reference(a, const) for a in v)
+    return dataclasses.replace(e, **changes)
 
 
-def _leaf_reference(e, dim, t):
-    """A Var-free e of a map of dimension dim folded to its pair over t,
-    or, where that raises, kept with its subtrees folded (the bind's leaf
-    rule, restated here)."""
-    try:
-        return Folded(e.eval_pair((None,) * dim + (t,)))
-    except (ArithmeticError, ValueError):
-        kids = children(e)
-        return with_children(e, [_leaf_reference(k, dim, t) for k in kids]) if kids else e
-
-
-def _fold_reference(e, dim, t):
-    """e with its maximal Var-free subtrees folded, found by walking the
-    whole tree at every bind; None when e holds no Var."""
-    if type(e) is Var:
-        return e
-    kids = children(e)
-    done = [_fold_reference(k, dim, t) for k in kids]
-    if all(d is None for d in done):
-        return None
-    return with_children(
-        e, [_leaf_reference(k, dim, t) if d is None else d for k, d in zip(kids, done)])
-
-
-def _bind_reference(m, t):
-    comps = []
-    for c in m.components:
-        folded = _fold_reference(c, m.dim, t)
-        comps.append(_leaf_reference(c, m.dim, t) if folded is None else folded)
-    return MapSpec(m.dim, tuple(comps))
-
-
-def test_bind_plan_matches_a_fresh_walk_of_the_tree():
+def test_bound_map_is_the_tree_with_t_replaced_by_a_constant():
     rng = random.Random(1717)
-    folded = 0
     for k in range(120):
         m = random_family(rng, rng.choice((1, 2, 3)), depth=3 + k % 3)
-        lo = rng.uniform(-2.0, 2.0)
-        for t in (Interval(lo, lo + rng.uniform(0.0, 1.0)), Interval(lo),
-                  Interval(-lo - 1.0, -lo)):
-            bound = m.bind_interval(t)
-            assert bound == _bind_reference(m, t), (m.to_source(), t)
-            folded += "Folded" in repr(bound)
-    assert folded > 200
-    for expr, _ in _RAISING_BINDS:
-        m = parse_map(f"dim 1\nparam t\nmap g1 = {expr}\n")
-        for t in (Interval(0.0, 1.0), Interval(2.5, 3.0), Interval(0.5)):
-            assert m.bind_interval(t) == _bind_reference(m, t), (expr, t)
+        for t in (rng.uniform(-2.0, 2.0), 0.0, -0.0):
+            want = [_subst_reference(c, Const(t, Interval(t))) for c in m.components]
+            # repr tells -0.0 from 0.0, which == does not.
+            assert repr(m.at(t)) == repr(MapSpec(m.dim, tuple(want))), (m.to_source(), t)
 
 
 def test_binds_at_two_parameters_hold_their_own_pairs():
     m = parse_map("dim 1\nparam t\nmap g1 = x1*(1 + t) + t^2\n")
     box = Box.from_bounds([(-1.0, 2.0)])
     seen = []
-    for t in (Interval(0.0, 0.5), Interval(1.0, 2.0)):
-        (comp,) = m.bind_interval(t).components
-        slope, shift = comp.left.right, comp.right
-        one_plus_t = Interval(1.0) + t
-        assert slope.pair == (one_plus_t.lo, one_plus_t.hi)
-        assert shift.pair == (t.pow_int(2).lo, t.pow_int(2).hi)
-        assert m.bind_interval(t).eval_pairs(box) == m.eval_pairs(box, t)
-        seen.append((slope.pair, shift.pair))
-    assert seen[0][0] != seen[1][0] and seen[0][1] != seen[1][1]
+    for t in (0.5, 1.5):
+        bound = m.at(t)
+        (comp,) = bound.components
+        assert comp.left.right.right == comp.right.base == Const(t, Interval(t))
+        assert bound.eval_pairs(box) == m.eval_pairs(box, Interval(t))
+        seen.append(bound.eval_pairs(box))
+    assert seen[0] != seen[1]
 
 
-def test_bound_map_refuses_real_evaluation_and_source():
-    m = parse_map("dim 1\nparam t\nmap g1 = x1 + t\n")
-    bound = m.bind_interval(Interval(0.0, 1.0))
-    with pytest.raises(TypeError, match="bind_interval"):
-        bound.eval_real((0.5,))
-    with pytest.raises(TypeError, match="bind_interval"):
-        bound.to_source()
+def test_bound_map_supports_real_evaluation_and_source():
+    m = parse_map("dim 1\nparam t\nmap g1 = x1*t + t\n")
+    for t in (0.5, -0.25):
+        bound = m.at(t)
+        assert bound.eval_real((0.75,)) == m.eval_real((0.75,), t)
+        assert parse_map(bound.to_source()).eval_real((0.75,)) == bound.eval_real((0.75,))
+    assert parse_map(m.at(0.5).to_source()) == m.at(0.5)
+    assert m.at(-0.25).to_source() == "dim 1\nmap g1 = x1 * (-0.25) + -0.25\n"
 
 
 _ENTRY_POINTS = {
@@ -566,9 +520,11 @@ def test_every_entry_point_checks_the_parameter_and_the_dimension(entry, case):
 
 def test_bind_checks_the_parameter():
     with pytest.raises(ValueError, match="map takes no parameter"):
-        parse_map("dim 1\nmap g1 = x1\n").bind_interval(Interval(0.0))
-    with pytest.raises(ValueError, match="none was supplied"):
-        parse_map("dim 1\nparam t\nmap g1 = x1*t\n").bind_interval(None)
+        parse_map("dim 1\nmap g1 = x1\n").at(0.0)
+    m = parse_map("dim 1\nparam t\nmap g1 = x1*t\n")
+    for t in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError, match="non-finite"):
+            m.at(t)
 
 
 # -- symbolic derivatives ----------------------------------------------------

@@ -67,7 +67,7 @@ def test_memo_view_gives_the_pairs_and_errors_of_the_plain_map():
     assert memos > 100 and raised > 50, (memos, raised)
 
 
-def test_memo_view_with_t_gives_the_pairs_and_errors_of_the_bound_map():
+def test_memo_view_with_t_gives_the_pairs_and_errors_of_the_unbound_map():
     # Random families mix t with x and with constants, in 1-D too, where
     # only t makes the coordinate tuple two entries long; g1 takes terms
     # that raise on some boxes, and on every box for t below -0.5.
@@ -236,7 +236,7 @@ def test_a_trace_cell_binds_no_map_and_builds_no_jacobian(monkeypatch):
     def refuse(*_args):
         raise AssertionError("a trace cell bound the map or built a Jacobian")
 
-    monkeypatch.setattr(mapdsl_module.MapSpec, "bind_interval", refuse)
+    monkeypatch.setattr(mapdsl_module.MapSpec, "at", refuse)
     monkeypatch.setattr(mapdsl_module, "jacobian", refuse)
     monkeypatch.setattr(localize_module, "jacobian", refuse, raising=False)
     assert localize_fixed_points(g, r, tol=1e-6, t=Interval(0.0, 0.25)).to_json() == want
