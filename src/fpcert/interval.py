@@ -513,7 +513,9 @@ class Interval:
 
     @property
     def mid(self) -> float:
-        m = self.lo + 0.5 * (self.hi - self.lo)
+        w = self.hi - self.lo
+        # w overflows only where lo < 0 < hi, and then the halves cannot.
+        m = self.lo + 0.5 * w if w < _INF else 0.5 * self.lo + 0.5 * self.hi
         return min(max(m, self.lo), self.hi)
 
     def intersects(self, other: "Interval") -> bool:
@@ -728,7 +730,7 @@ class Box:
         c = self.coords[axis]
         if c.hi == c.lo:
             raise DegenerateAxisError(f"axis {axis} has zero width")
-        m = c.lo + 0.5 * (c.hi - c.lo)
+        m = c.mid
         if not (c.lo < m < c.hi):
             m = min(next_up(c.lo), c.hi)
         return (

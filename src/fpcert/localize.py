@@ -13,8 +13,13 @@ min and max with Clarke's generalized gradient, see `mapdsl.derivative`),
 which discards boxes, proves that a box holds exactly one fixed point,
 and contracts a proven box far below the requested width and off the
 27/53 grid; and each leaf without a Krawczyk proof takes a
-Poincare-Miranda sign test on its faces.  A parametrized map takes the
-same tests with the parameter t ranging over an interval T, so a proof
+Poincare-Miranda sign test on its faces.  The first box of a search takes
+the Krawczyk test before the residual test, which runs on it only where
+Krawczyk neither proves nor excludes it: both tests are rigorous, a
+proven box's pairs are taken on its contraction anyway, and an excluded
+box is discarded as a pruned one is, so the result is the same with one
+map evaluation less on a proven first box, as on a trace cell.  A
+parametrized map takes the same tests with the parameter t ranging over an interval T, so a proof
 holds for every t in T at once.  Every discarded part is proven
 free of fixed points and discarded plus surviving boxes tile the input
 rectangle, so no fixed point is lost.
@@ -22,11 +27,12 @@ rectangle, so no fixed point is lost.
 Every search evaluates the map through its memo view
 (`mapdsl.MapSpec.memo_view`), built once per map, on the coordinate tuple
 of a box followed by T for a parametrized map: the residual, F(m) and
-F'(X) of the Krawczyk test and the face test reuse the pair of a subtree
-that reads one coordinate only wherever a box repeats its value, as the
-boxes of one bisection do, with bit-identical results.  A subtree of t
-alone is thus evaluated once per trace cell, and a cell builds no bound
-map and no Jacobian.
+F'(X) of the Krawczyk test and the face test evaluate a subtree written
+several times once per tuple, and reuse the pair of a subtree that reads
+one coordinate only wherever a box repeats its value, as the boxes of
+one bisection do, with bit-identical results.  A subtree of t alone is
+thus evaluated once per trace cell, and a cell builds no bound map and
+no Jacobian.
 
 A component whose evaluation raises a `DomainError` (a denominator whose
 naive enclosure holds zero, say), or whose residual is not a finite pair,
@@ -72,7 +78,11 @@ _SPLIT_FRACTION = 27.0 / 53.0
 
 def _split_box(box: Box, axis: int):
     c = box.coords[axis]
-    m = c.lo + _SPLIT_FRACTION * (c.hi - c.lo)
+    w = c.hi - c.lo
+    # w overflows only where lo < 0 < hi: then the two terms of the second
+    # form have opposite signs, and their sum is finite.
+    m = (c.lo + _SPLIT_FRACTION * w if w < _INF
+         else (1.0 - _SPLIT_FRACTION) * c.lo + _SPLIT_FRACTION * c.hi)
     if not c.lo < m < c.hi:
         return box.bisect(axis)
     return (
@@ -359,8 +369,9 @@ def localize_fixed_points(g: MapSpec, rect: RectDomain, tol: float,
     the residual test discards, and the result is flagged.  Output order
     is canonical (lexicographic lower corner).
 
-    With upgrade, every surviving box wider than tol takes the Krawczyk
-    test, with t over its interval.  K(X) disjoint from X
+    With upgrade, every box wider than tol that the residual test does not
+    discard takes the Krawczyk test, with t over its interval; the first
+    box takes it before the residual test.  K(X) disjoint from X
     discards X.  K(X) inside the interior of X proves X holds exactly one
     fixed point and gives X a proof id, which its descendants inherit:
     they skip the interior test and are only pruned, excluded or
@@ -421,12 +432,17 @@ def _search(f: MapSpec, jac, rect: RectDomain, tol: float, budget: int,
             break
         box, limit, proof = queue.popleft()
         examined += 1
-        pairs = _residual_pairs(f, box.coords + tail)
-        if pairs is _PRUNED:
-            discarded_volume += box.volume()
-            continue
         width = box.width
-        if jac is not None and tol < width and (proof is not None or width <= limit):
+        krawczyk = jac is not None and tol < width and (proof is not None or width <= limit)
+        # The root takes the residual test only where the Krawczyk test
+        # neither proves nor excludes it (the else branch below).
+        root_first = krawczyk and examined == 1
+        if not root_first:
+            pairs = _residual_pairs(f, box.coords + tail)
+            if pairs is _PRUNED:
+                discarded_volume += box.volume()
+                continue
+        if krawczyk:
             K, rho = _krawczyk(f, jac, box.coords + tail)
             if K is not None and proof is None and all(
                     c.lo < lo and hi < c.hi for (lo, hi), c in zip(K, box.coords)):
@@ -444,8 +460,14 @@ def _search(f: MapSpec, jac, rect: RectDomain, tol: float, budget: int,
                     survivors.append((x, pairs, proof))
                     continue
                 box, width = x, x.width  # stopped halving above tol: split it
-            elif proof is None and rho > 1.0:  # 2.0 after an error or singular matrix
-                limit = width / rho
+            else:
+                if root_first:
+                    pairs = _residual_pairs(f, box.coords + tail)
+                    if pairs is _PRUNED:
+                        discarded_volume += box.volume()
+                        continue
+                if proof is None and rho > 1.0:  # 2.0 after an error or singular matrix
+                    limit = width / rho
         axis = None if width <= tol else box.split_axis()
         if axis is None:
             survivors.append((box, pairs, proof))
@@ -474,7 +496,10 @@ def _search(f: MapSpec, jac, rect: RectDomain, tol: float, budget: int,
                                     _residual_bound(pairs), unique))
 
     enclosures.sort(key=lambda e: e.box.key())
-    surviving_volume = math.fsum(e.box.volume() for e in enclosures)
+    try:
+        surviving_volume = math.fsum(e.box.volume() for e in enclosures)
+    except OverflowError:  # the exact sum is past the float range
+        surviving_volume = _INF
     return LocalizeResult(
         enclosures=enclosures,
         total_volume=rect.box.volume(),

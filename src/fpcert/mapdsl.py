@@ -26,17 +26,13 @@ component (``MapSpec.eval_pairs`` returns the component pairs themselves).
 it returns reads the constant [t, t] where the map read the coordinate
 Interval(t), so it evaluates bit for bit as the map at that t.
 ``MapSpec.memo_view()`` gives, for one search, an evaluation-only view of
-the map and of its Jacobian in which each maximal non-leaf subtree that
-reads exactly one entry of the coordinate tuple (x1..xn, then t), when the
-tuple has two entries or more, is a ``Memo``: it keeps its pair per exact value of that coordinate
-(a zero endpoint is keyed with its sign, -0.0 apart from 0.0), so a box
-that shares the coordinate with one already evaluated reuses the pair,
-bit for bit, and a subtree of t alone is evaluated once per parameter
-interval; a subtree that raises is not kept.  A subtree that reads
-several coordinates is not memoized: on 3-D searches such keys hit less
-often (53% against 81%) and the pass was slower with them.  The view
-is built once per map from the plain trees, and the map and its Jacobian
-share one Memo per subtree.  Its caches are emptied when a search starts
+the map and of its Jacobian (``MemoView``) that evaluates as they do, bit
+for bit, errors included.  Built in one walk that merges equal subtrees,
+it evaluates the expression DAG: a subtree that reads one entry of the
+coordinate tuple is a ``Memo``, which keeps its pair per exact value of
+that entry, and a subtree of several entries that one evaluation meets
+more than once is a ``Shared`` node, which keeps the pair of the tuple it
+last evaluated.  Caches and slots are emptied when a search starts
 and when it returns, so nothing is kept between searches, and a cache that
 reaches 1,024 values is emptied before it takes another, so a search of
 any budget keeps a bounded number.  ``children`` and
@@ -532,9 +528,10 @@ class Memo(Expr):
     tuple (x1..xn, then t) of two entries or more, with its pair kept per
     exact value of that coordinate until the cache is cleared
     (MapSpec.memo_view).  It only evaluates (eval_pair): a memo view is
-    not differentiated, bound, printed or evaluated over floats.  A subtree that raises is not kept, so it raises
-    again.  A cache that holds _MEMO_ENTRIES values is emptied before it
-    takes another, so a search of any budget keeps a bounded number."""
+    not differentiated, printed or evaluated over floats.  A subtree that
+    raises is not kept, so it raises again.  A cache that
+    holds _MEMO_ENTRIES values is emptied before it takes another, so a
+    search of any budget keeps a bounded number."""
 
     __slots__ = ("node", "axis", "cache")
 
@@ -566,58 +563,161 @@ class Memo(Expr):
 _MEMO_ENTRIES = 1024
 
 
+class Shared(Expr):
+    """A subtree that reads two or more coordinates and that one evaluation
+    of the map, or of its Jacobian, meets more than once (MapSpec.memo_view),
+    with the pair of the coordinate tuple it last evaluated.  The tuple is
+    matched by identity and held, so its identity cannot pass to another
+    tuple while the pair is kept: a tuple of equal coordinates that is
+    another object, one with -0.0 where this one has 0.0 say, is evaluated
+    afresh.  A subtree that raises keeps nothing, so it raises again."""
+
+    __slots__ = ("node", "xs", "pair")
+
+    def __init__(self, node: Expr):
+        self.node = node
+        self.xs = None
+        self.pair = None
+
+    def eval_pair(self, xs):
+        if xs is self.xs:
+            return self.pair
+        pair = self.node.eval_pair(xs)
+        self.xs = xs
+        self.pair = pair
+        return pair
+
+
+class _Merged:
+    """One class of structurally equal subtrees in MemoView's build walk."""
+
+    __slots__ = ("expr", "kids", "reads", "group", "uses", "repeats", "view")
+
+    def __init__(self, expr, kids, reads):
+        self.expr = expr  # the first subtree of the class that the walk met
+        self.kids = kids  # the classes of its children
+        self.reads = reads  # bit i set: it reads entry i of the coordinate tuple
+        self.group = -1  # the last evaluation group that reached it
+        self.uses = 0  # its parents (with multiplicity) in that group
+        self.repeats = False  # two uses or more in some group
+        self.view = None
+
+
 class MemoView:
     """An evaluation-only copy of a map and of its Jacobian (`jacobian`)
-    in which each maximal non-leaf subtree that reads exactly one entry of
-    the coordinate tuple (x1..xn, then t), when the tuple has two entries
-    or more, is a Memo (keys of several coordinates hit too seldom to pay).
-    Built from the plain trees with one registry keyed by node identity: a
-    derivative reuses the subtrees of its map, so the map and its Jacobian
-    share one Memo, and one cache, per subtree."""
+    that evaluates each distinct subexpression once per coordinate tuple
+    (Schichl & Neumaier 2005).  One walk over the plain trees merges
+    structurally equal subtrees: the same kind, operator, function or
+    exponent, constants with the same enclosure (a zero endpoint told
+    apart by its sign, as repr does) and the same merged children.  In the
+    view built from the merged classes,
+
+    - each maximal non-leaf subtree that reads exactly one entry of the
+      coordinate tuple (x1..xn, then t), when the tuple has two entries or
+      more, is a Memo, one per class, with its pair per exact value of
+      that entry;
+    - each class that reads two entries or more and has two parents or more
+      within one evaluation group (the components, or the Jacobian
+      entries) is a Shared node, which keeps the pair of the tuple it last
+      evaluated: one evaluation of the group computes it once.
+
+    Keys of several coordinates hit too seldom to pay as Memo keys (53%
+    against 81% on 3-D searches, and the pass was slower with them), and a
+    class met once per group would only miss.  The map and its Jacobian
+    share one view node per class, so also one cache."""
 
     def __init__(self, m: "MapSpec"):
-        full = frozenset(range(m.dim + m.has_param))  # the coordinate tuple
-        read = {}  # id(node) -> the indices it reads, dim for t
-        view = {}  # id(node) -> its node in the view
+        memo_ok = m.dim + m.has_param > 1  # a tuple of two entries or more
+        by_id = {}  # id(node) -> its class
+        classes = {}  # structural key -> class
+        group = 0  # 0 while the walk is in the components, 1 in the Jacobian
 
-        def reads(e):
-            r = read.get(id(e))
-            if r is None:
-                if isinstance(e, Var):  # t too, at index dim
-                    r = frozenset((e.index,))
-                else:
-                    r = frozenset()
-                    for k in children(e):
-                        r |= reads(k)
-                read[id(e)] = r
-            return r
+        def merge(e):
+            """e's class, reached in the current group (see reach)."""
+            c = by_id.get(id(e))
+            if c is None:
+                kind = type(e)
+                if kind is BinOp:
+                    a, b = merge(e.left), merge(e.right)
+                    key = (kind, e.op, a, b)
+                    kids, reads = (a, b), a.reads | b.reads
+                elif kind is Const:
+                    lo, hi = e.enclosure.lo, e.enclosure.hi
+                    key = (kind, lo or str(lo), hi or str(hi))
+                    kids, reads = (), 0
+                elif kind is Var or kind is Param:
+                    key = (kind, e.index)
+                    kids, reads = (), 1 << e.index
+                else:  # Neg, Power, Call, Select: jacobian(m) refuses other kinds
+                    kids = tuple([merge(k) for k in children(e)])
+                    reads = 0
+                    for k in kids:
+                        reads |= k.reads
+                    key = (kind, getattr(e, "exponent", None), getattr(e, "func", None)) + kids
+                c = classes.get(key)
+                if c is None:
+                    c = classes[key] = _Merged(e, kids, reads)
+                by_id[id(e)] = c
+            if c.group != group and c.reads & (c.reads - 1):
+                reach(c)
+            return c
 
-        def wrap(e):
-            v = view.get(id(e))
+        def reach(c):
+            """Count, once per group, c's children of two entries or more
+            (only those can become Shared) as used by c."""
+            c.group = group
+            c.uses = 0
+            for k in c.kids:
+                if k.reads & (k.reads - 1):
+                    if k.group != group:
+                        reach(k)
+                    used(k)
+
+        def used(c):
+            c.uses += 1
+            if c.uses == 2:
+                c.repeats = True
+            return c
+
+        def build(c):
+            v = c.view
             if v is None:
-                r = reads(e)
-                kids = children(e)
+                e, kids, reads = c.expr, c.kids, c.reads
                 if not kids:
                     v = e
-                elif len(r) == 1 and r < full:  # one of two or more coordinates
-                    v = Memo(e, next(iter(r)))
+                elif memo_ok and reads & (reads - 1) == 0 and reads:  # one entry
+                    v = Memo(e, reads.bit_length() - 1)
                 else:
-                    new = []
-                    for k in kids:
-                        new.append(wrap(k))
-                    v = e if all(a is b for a, b in zip(new, kids)) else with_children(e, new)
-                view[id(e)] = v
+                    # A leaf stays the node's own: only its class's first
+                    # node would differ, and evaluate the same.
+                    old = children(e)
+                    new = [build(k) if k.kids else a for k, a in zip(kids, old)]
+                    v = e if all(a is b for a, b in zip(new, old)) else with_children(e, new)
+                    if c.repeats and reads & (reads - 1):  # two entries or more
+                        v = Shared(v)
+                c.view = v
             return v
 
         jac = jacobian(m)
-        self.map = MapSpec(m.dim, tuple(wrap(c) for c in m.components), m.has_param)
-        self.jacobian = None if jac is None else tuple(
-            tuple(None if d is None else wrap(d) for d in row) for row in jac)
-        self.caches = tuple(v.cache for v in view.values() if type(v) is Memo)
+        comps = [used(merge(e)) for e in m.components]
+        rows = None
+        if jac is not None:
+            group = 1
+            rows = [[None if d is None else used(merge(d)) for d in row] for row in jac]
+        # Built once every use is counted: a class may repeat only in the
+        # Jacobian, and the map shares its view node.
+        self.map = MapSpec(m.dim, tuple([build(c) for c in comps]), m.has_param)
+        self.jacobian = None if rows is None else tuple(
+            tuple(None if c is None else build(c) for c in row) for row in rows)
+        views = [c.view for c in classes.values()]
+        self.caches = tuple(v.cache for v in views if type(v) is Memo)
+        self.shared = tuple(v for v in views if type(v) is Shared)
 
     def clear(self):
         for cache in self.caches:
             cache.clear()
+        for s in self.shared:
+            s.xs = s.pair = None
 
 
 # ---------------------------------------------------------------------------
@@ -680,8 +780,9 @@ class MapSpec:
         which evaluate bit for bit as this map and jacobian(self), errors
         included, on the coordinate tuple (x1..xn, then t), but evaluate a
         subtree that reads one entry only once per exact value of that
-        entry.  The caches are emptied when the block starts and when it
-        ends, raising or not, so no value is kept between searches."""
+        entry, and a repeated subtree once per tuple.  The caches and slots
+        are emptied when the block starts and when it ends, raising or not,
+        so no value is kept between searches."""
         view = self._memo
         view.clear()
         try:

@@ -373,7 +373,9 @@ def memo_view_mismatches(m: MapSpec, boxes, t=None) -> list:
     """The boxes, taken in order in one search, on which the memo view of m
     (MapSpec.memo_view) and its Jacobian give other pairs or errors, by
     repr, than m and jacobian(m).  With t, both are evaluated on each
-    box's coordinates followed by t, as in a trace cell over t."""
+    box's coordinates followed by t, as in a trace cell over t.  The view
+    evaluates each box's tuple, then the next box's, then the first tuple
+    again, so a slot that kept a pair for the wrong tuple shows."""
 
     def outcomes(exprs, xs):
         out = []
@@ -388,14 +390,17 @@ def memo_view_mismatches(m: MapSpec, boxes, t=None) -> list:
         return list(comps) + ([] if jac is None else [d for row in jac for d in row])
 
     tail = () if t is None else (t,)
+    tuples = [box.coords + tail for box in boxes]
     plain = flat(m.components, jacobian(m))
+    want = [outcomes(plain, xs) for xs in tuples]
     bad = []
     with m.memo_view() as (view, view_jac):
         memo = flat(view.components, view_jac)
-        for box in boxes:
-            xs = box.coords + tail
-            if len(memo) != len(plain) or outcomes(memo, xs) != outcomes(plain, xs):
-                bad.append(box)
+        for i, xs in enumerate(tuples):
+            j = (i + 1) % len(tuples)  # the neighbour
+            got = [outcomes(memo, xs), outcomes(memo, tuples[j]), outcomes(memo, xs)]
+            if len(memo) != len(plain) or got != [want[i], want[j], want[i]]:
+                bad.append(boxes[i])
     return bad
 
 

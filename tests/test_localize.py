@@ -483,3 +483,100 @@ def test_proof_shared_by_several_leaves_proves_none_of_them(monkeypatch):
     res = localize_fixed_points(m, rect((0, 1)), tol=1e-3)
     assert len(res.enclosures) > 1 and not res.proven
     assert any(box_contains(e.box, (0.5,)) for e in res.enclosures)
+
+
+def _spy_on_tests(monkeypatch):
+    """Record ("K", xs) for each _krawczyk call and ("R", xs, result) for
+    each _residual_pairs call of the searches that follow."""
+    from fpcert import localize
+
+    calls = []
+    krawczyk, residual = localize._krawczyk, localize._residual_pairs
+
+    def spy_k(f, jac, xs):
+        calls.append(("K", xs))
+        return krawczyk(f, jac, xs)
+
+    def spy_r(f, xs):
+        out = residual(f, xs)
+        calls.append(("R", xs, out))
+        return out
+
+    monkeypatch.setattr(localize, "_krawczyk", spy_k)
+    monkeypatch.setattr(localize, "_residual_pairs", spy_r)
+    return calls
+
+
+def test_a_root_that_krawczyk_proves_takes_one_residual_test(monkeypatch):
+    # A trace cell: the root is proven, contracted to a leaf, and only the
+    # leaf takes the residual test, for its pairs.
+    calls = _spy_on_tests(monkeypatch)
+    fam = parse_map("dim 2\nparam t\nmap g1 = x1 + (x1 - (0.5 + t^2))*(0.25*x1 - 0.875)\n"
+                    "map g2 = 0.5*x2 + 0.25*t\n")
+    t = Interval(0.25, 0.3125)
+    res = localize_fixed_points(fam, rect((0, 1), (-0.5, 0.5)), tol=1e-6, t=t)
+    assert res.boxes_examined == 1 and len(res.proven) == 1
+    residuals = [c for c in calls if c[0] == "R"]
+    assert len(residuals) == 1 and calls[0][0] == "K"
+    _r, xs, pairs = residuals[0]
+    assert xs == res.proven[0].box.coords + (t,) and pairs is not None
+
+
+def test_a_root_that_krawczyk_excludes_takes_no_residual_test(monkeypatch):
+    calls = _spy_on_tests(monkeypatch)
+    res = localize_fixed_points(parse_map("dim 1\nmap g1 = 0.5*x1 + 3\n"), rect((0, 1)), tol=1e-6)
+    assert [c[0] for c in calls] == ["K"]
+    assert res.enclosures == [] and res.discarded_volume == res.total_volume == 1.0
+
+
+@pytest.mark.parametrize("source, bounds, proven", [
+    ("dim 1\nmap g1 = x1*x1\n", [(-0.5, 2.0)], 2),  # two fixed points: undecided
+    ("dim 1\nmap g1 = x1 + 1\n", [(0.0, 1.0)], 0),  # F' = 0 is singular; pruned
+    ("dim 2\nmap g1 = x1 + 1/x2\nmap g2 = 0.5*x2\n", [(0.0, 1.0), (-1.0, 1.0)], 0),  # raises
+])
+def test_a_root_that_krawczyk_leaves_open_takes_the_residual_test(monkeypatch, source,
+                                                                   bounds, proven):
+    from fpcert import localize
+
+    m = parse_map(source)
+    root = Box.from_bounds(bounds)
+    want = localize._residual_pairs(m, root.coords)  # on the plain map
+    calls = _spy_on_tests(monkeypatch)
+    res = localize_fixed_points(m, RectDomain(root), tol=1e-6)
+    assert calls[0] == ("K", root.coords)
+    assert calls[1][:2] == ("R", root.coords) and repr(calls[1][2]) == repr(want)
+    assert len(res.proven) == proven
+    _assert_proven_boxes_hold_fixed_points(m, res)
+
+
+def test_a_rectangle_wider_than_the_float_range_is_split_inside_it():
+    # hi - lo overflows on [-1e308, 1e308]: the midpoint and the split
+    # point were the upper end, and a split peeled a one-ulp sliver.
+    from fpcert.localize import _split_box
+
+    wide = Interval(-1e308, 1e308)
+    assert wide.mid == 0.0 and Interval(-1e308, 1.5e308).mid == 2.5e307
+    left, right = Box((wide,)).bisect(0)
+    assert (left.coords[0].hi, right.coords[0].lo) == (0.0, 0.0)
+    left, right = _split_box(Box((Interval(0.0, 1.0), wide)), 1)
+    m = left.coords[1].hi
+    assert m == right.coords[1].lo and 1e306 < m < 1e307  # 1e308/53
+    assert left.coords[0] == right.coords[0] == Interval(0.0, 1.0)
+    # Finite widths split as before.
+    assert Interval(-1e307, 1e307).mid == 0.0
+    assert _split_box(Box((Interval(0.0, 53.0),)), 0)[0].coords[0].hi == 27.0
+    # The search proves the fixed point 2 on its first box, as it does on
+    # [-1e307, 1e307]; it used to spend its budget on slivers.
+    res = localize_fixed_points(parse_map("dim 1\nmap g1 = 0.5*x1 + 1\n"),
+                                rect((-1e308, 1e308)), tol=1e-8, budget=2000)
+    assert not res.exhausted and res.boxes_examined == 1
+    assert len(res.proven) == 1 and box_contains(res.proven[0].box, (2.0,))
+
+
+def test_surviving_volume_past_the_float_range_is_inf():
+    # Two survivors of volume about 1.1e308 each: fsum's exact sum is past
+    # the float range, which rounds to inf.
+    res = localize_fixed_points(parse_map("dim 2\nmap g1 = x1*x2\nmap g2 = x2\n"),
+                                rect((0, 1.5e308), (0, 1.5)), tol=1e-8, budget=1)
+    assert res.exhausted and len(res.enclosures) == 2
+    assert res.surviving_volume == math.inf

@@ -1,9 +1,11 @@
 """The memo view (mapdsl.MapSpec.memo_view) evaluates as the plain map.
 
-It keeps a subtree's pair per exact value of the coordinates the subtree
-reads, for one search.  These tests compare it with the plain map and its
-Jacobian by repr on boxes that share coordinates, check that its caches
-live exactly as long as a search, and that nothing differentiates it.
+It merges structurally equal subtrees, keeps the pair of a subtree of one
+coordinate per exact value of that coordinate, and the pair of a repeated
+subtree of several coordinates for the tuple it last evaluated, for one
+search.  These tests compare it with the plain map and its Jacobian by repr
+on boxes that share coordinates, check that its caches and slots live
+exactly as long as a search, and that nothing differentiates it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,18 @@ from fpcert.certify import certify_holes
 from fpcert.geometry import RectDomain
 from fpcert.interval import Box, DomainError, Interval
 from fpcert.localize import localize_fixed_points
-from fpcert.mapdsl import Expr, Memo, derivative, jacobian, parse_map
+from fpcert.mapdsl import (
+    BinOp,
+    Expr,
+    MapSpec,
+    Memo,
+    Shared,
+    Var,
+    derivative,
+    float_const,
+    jacobian,
+    parse_map,
+)
 
 _HAND_MAPS = [
     "dim 2\nmap g1 = 0.9*sin(3*x1) + 0.3*x2^2\nmap g2 = x1 - 0.5*cos(2*x2)*x1\n",
@@ -222,7 +235,9 @@ def test_the_cells_of_one_family_share_its_view_and_leave_it_empty(monkeypatch):
         assert any(g._memo.caches), "the cell filled no cache"
         raise RuntimeError("stop")
 
-    monkeypatch.setattr(localize_module, "_krawczyk", raising)
+    # The root's Krawczyk test is the cell's first evaluation: raise in the
+    # contraction of its proof, which comes after it.
+    monkeypatch.setattr(localize_module, "_contract", raising)
     with pytest.raises(RuntimeError):
         localize_fixed_points(g, r, tol=1e-6, t=Interval(0.5, 0.75))
     assert g._memo is views[0] and not any(g._memo.caches)
@@ -258,3 +273,95 @@ def test_derivative_refuses_a_memo_view_and_foreign_nodes():
             jacobian(view)
     with pytest.raises(TypeError):
         derivative(Foreign(), 0)
+
+
+# Maps that repeat a subtree of two coordinates or more: within one
+# component, across components, inside a subtree that raises (1/(x1 - x2)
+# where x1 - x2 may vanish, sqrt of a negative), and in a family with t.
+_REPEATING = [
+    "dim 2\nmap g1 = (x1*x2 - 0.5)*(x1*x2 - 0.5) + sin(x1*x2 - 0.5)\nmap g2 = x2\n",
+    "dim 2\nmap g1 = (x1 + x2)^2 + x1\nmap g2 = x2 - (x1 + x2)^2*x1\n",
+    "dim 2\nmap g1 = 1/(x1 - x2) + x1*(x1 - x2)\nmap g2 = x2/(x1 - x2) + sqrt(x1*x2 + 0.5)\n",
+    "dim 3\nmap g1 = exp(x1*x2 - x3)*x1\nmap g2 = exp(x1*x2 - x3) + x3^2\n"
+    "map g3 = 1/(exp(x1*x2 - x3) - 1) - sqrt(x1 + x2 + x3)\n",
+    "dim 2\nparam t\nmap g1 = x1 + (x1 - (0.5 + t^2))*(0.25*(x1 - (0.5 + t^2)) - 0.75)\n"
+    "map g2 = x2 + (x2 - t)*(0.25*(x1 - (0.5 + t^2)) - 0.75)\n",
+]
+
+
+@pytest.mark.parametrize("source", _REPEATING)
+def test_shared_nodes_give_the_pairs_and_errors_of_the_plain_map(source):
+    m = parse_map(source)
+    with m.memo_view():
+        assert m._memo.shared, "the map has no Shared node to test"
+    rng = random.Random(source)
+    box = Box.from_bounds([(-2.0, 1.5), (-1.0, 2.0), (-1.5, 1.0)][:m.dim])
+    boxes = shared_coordinate_boxes(rng, box, 150)
+    t = Interval(0.25, 0.5) if m.has_param else None
+    assert memo_view_mismatches(m, boxes, t) == []
+    raised = 0
+    tail = () if t is None else (t,)
+    with m.memo_view() as (view, view_jac):
+        for b in boxes:
+            xs = b.coords + tail
+            for comp in view.components:  # each raising one as the plain map's
+                try:
+                    comp.eval_pair(xs)
+                except DomainError:
+                    raised += 1
+            for shared in m._memo.shared:  # one that raised kept nothing
+                try:
+                    shared.node.eval_pair(xs)
+                except DomainError:
+                    assert shared.xs is not xs
+    assert ("/" not in source) or raised > 10, raised
+
+
+def test_shared_nodes_tell_a_zero_from_a_negative_zero():
+    # Two tuples equal but for the sign of a zero endpoint are two tuples:
+    # evaluated back to back, each gets the plain map's pairs.
+    m = parse_map("dim 2\nmap g1 = 2*x1*x2 + (2*x1*x2)^3\nmap g2 = x2 - 2*x1*x2\n")
+    boxes = [Box((Interval(lo, 1.0), Interval(1.0, 2.0))) for lo in (-0.0, 0.0, -0.0)]
+    plain = [repr(m.eval_pairs(b)) for b in boxes]
+    assert plain[0] != plain[1]
+    with m.memo_view() as (view, _jac):
+        assert type(view.components[0].left) is Shared
+        assert [repr(view.eval_pairs(b)) for b in boxes] == plain
+    assert memo_view_mismatches(m, boxes) == []
+
+
+def test_a_subtree_written_twice_is_one_view_node():
+    m = parse_map("dim 2\nmap g1 = sin(x1*x2) + sin(x1*x2)\nmap g2 = cos(x2)*x1 + cos(x2)\n")
+    with m.memo_view() as (view, view_jac):
+        g1, g2 = view.components
+        assert type(g1.left) is Shared and g1.left is g1.right
+        assert type(g2.right) is Memo and g2.left.left is g2.right
+        assert g1.left in m._memo.shared
+        # d/dx1 = cos(x1*x2)*x2 + cos(x1*x2)*x2, its two terms built apart.
+        d = view_jac[0][0]
+        assert type(d.left) is Shared and d.left is d.right
+    # Constants merge by their enclosure, a zero apart from a negative zero.
+    def plus(c):
+        return BinOp("+", BinOp("*", Var(0), Var(1)), float_const(c))
+
+    z = MapSpec(2, (BinOp("*", plus(0.0), plus(0.0)), BinOp("*", plus(-0.0), Var(0))))
+    with z.memo_view() as (view, _jac):
+        g1, g2 = view.components
+        assert g1.left is g1.right and g2.left is not g1.left
+
+
+def test_searches_leave_every_slot_empty(monkeypatch):
+    fam = parse_map(_REPEATING[-1])
+    r = _rect((-1.0, 2.0), (-1.0, 2.0))
+    assert localize_fixed_points(fam, r, tol=1e-6, t=Interval(0.0, 0.0625)).proven
+    slots = fam._memo.shared
+    assert slots and all(s.xs is None and s.pair is None for s in slots)
+
+    def raising(*_args):
+        assert any(s.xs is not None for s in slots), "the search filled no slot"
+        raise RuntimeError("stop")
+
+    monkeypatch.setattr(localize_module, "_contract", raising)
+    with pytest.raises(RuntimeError):
+        localize_fixed_points(fam, r, tol=1e-6, t=Interval(0.0, 0.0625))
+    assert all(s.xs is None and s.pair is None for s in slots)
