@@ -13,16 +13,14 @@ min and max with Clarke's generalized gradient, see `mapdsl.derivative`),
 which discards boxes, proves that a box holds exactly one fixed point,
 and contracts a proven box far below the requested width and off the
 27/53 grid; and each leaf without a Krawczyk proof takes a
-Poincare-Miranda sign test on its faces.  The first box of a search takes
-the Krawczyk test before the residual test, which runs on it only where
-Krawczyk neither proves nor excludes it: both tests are rigorous, a
-proven box's pairs are taken on its contraction anyway, and an excluded
-box is discarded as a pruned one is, so the result is the same with one
-map evaluation less on a proven first box, as on a trace cell.  A
-parametrized map takes the same tests with the parameter t ranging over an interval T, so a proof
-holds for every t in T at once.  Every discarded part is proven
-free of fixed points and discarded plus surviving boxes tile the input
-rectangle, so no fixed point is lost.
+Poincare-Miranda sign test on its faces.  The first box takes the
+residual test only where Krawczyk neither proves nor excludes it, so a
+proven first box, as on a trace cell, costs one map evaluation less.  A
+parametrized map takes the same tests with t ranging over an interval T,
+so a proof holds for every t in T at once.  Each box leaves the search
+once: discarded, kept or split.  Every discarded part is proven free of
+fixed points and discarded plus kept boxes tile the input rectangle, so
+no fixed point is lost.
 
 Every search evaluates the map through its memo view
 (`mapdsl.MapSpec.memo_view`), built once per map, on the coordinate tuple
@@ -140,6 +138,7 @@ class LocalizeResult:
 
 
 _PRUNED = "pruned"
+_UNTESTED = "untested"  # the residual test has not run on the box yet
 _INF = math.inf
 
 
@@ -313,15 +312,14 @@ def _krawczyk(f: MapSpec, jac, xs):
 
 def _contract(f: MapSpec, jac, box: Box, K, tol: float, tail):
     """Iterate X <- K(X) & X, which keeps every fixed point in X, while the
-    width at least halves; tail is () or (T,), the coordinates after X's.  Returns (X, leaf), or (None, True) once some
-    K(X) misses X, which then holds no fixed point.  X is a leaf once it is
-    at most tol wide, has no splittable axis, or a step left it unchanged:
-    then the rounding of K is as wide as X, and no sub-box can be proven.
-
-    When f takes its parameter over an interval T, the caller keeps X as
-    a leaf also when the width stopped halving: the fixed point moves with
-    t across T, so X cannot shrink below that motion, and splitting X
-    would leave two boxes with one proof between them, neither proven."""
+    width at least halves; tail is () or (T,), the coordinates after X's.
+    Returns (X, leaf), or (None, True) once some K(X) misses X, which then
+    holds no fixed point.  X is a leaf once it is at most tol wide, has no
+    splittable axis, or a step left it unchanged: then the rounding of K is
+    as wide as X, and no sub-box can be proven.  With T given, X is also a
+    leaf where it stops halving or K raises: the fixed point moves with t
+    across T, so X cannot shrink below that motion, and splitting X would
+    leave two boxes with one proof between them, neither proven."""
     while True:
         if any(hi < c.lo or lo > c.hi for (lo, hi), c in zip(K, box.coords)):
             return None, True
@@ -330,11 +328,27 @@ def _contract(f: MapSpec, jac, box: Box, K, tol: float, tail):
         if x.width <= tol or x.split_axis() is None or x == box:
             return x, True
         if x.width > 0.5 * box.width:
-            return x, False
+            return x, bool(tail)
         box = x
         K, _rho = _krawczyk(f, jac, box.coords + tail)
         if K is None:
-            return box, False
+            return box, bool(tail)
+
+
+def _dropped_volume(box: Box, x: Box) -> float:
+    """box.volume() - x.volume(), the volume of box outside its sub-box x,
+    or where that is NaN (inf - inf, say) the sum of the slabs of box
+    outside x: slab i is outside x in axis i, inside x before i and inside
+    box after it, and its sides are >= 0, so the sum is never NaN."""
+    v = box.volume() - x.volume()
+    if v != v:
+        v = 0.0
+        for i, (b, c) in enumerate(zip(box.coords, x.coords)):
+            sides = ([e.hi - e.lo for e in x.coords[:i]] + [(c.lo - b.lo) + (b.hi - c.hi)]
+                     + [e.hi - e.lo for e in box.coords[i + 1:]])
+            if 0.0 not in sides:
+                v += _INF if _INF in sides else math.prod(sides)
+    return v
 
 
 def _faces_straddle(f: MapSpec, xs) -> bool:
@@ -364,10 +378,10 @@ def localize_fixed_points(g: MapSpec, rect: RectDomain, tol: float,
     For parametrized maps pass the parameter range as the interval t:
     surviving boxes then enclose fixed points of g(t, .) for every t in
     that range jointly, and a PROVEN box holds a fixed point for every t
-    in that range.  Budget counts processed boxes; on exhaustion the
-    unprocessed queue is returned as CANDIDATE enclosures, less the boxes
-    the residual test discards, and the result is flagged.  Output order
-    is canonical (lexicographic lower corner).
+    in that range.  Budget counts processed boxes; on exhaustion each box
+    still queued is kept as it is unless the residual test discards it,
+    and the result is flagged.  Output order is canonical (lexicographic
+    lower corner).
 
     With upgrade, every box wider than tol that the residual test does not
     discard takes the Krawczyk test, with t over its interval; the first
@@ -375,14 +389,12 @@ def localize_fixed_points(g: MapSpec, rect: RectDomain, tol: float,
     discards X.  K(X) inside the interior of X proves X holds exactly one
     fixed point and gives X a proof id, which its descendants inherit:
     they skip the interior test and are only pruned, excluded or
-    contracted (_contract).
-    A failed test on a box without a proof id, with rho = |I - Y F'(X)| >
-    1, postpones the test until the width is at most width(X)/rho, since
-    a box must shrink about that much before K(X) can fit inside it (it
-    halves after an evaluation error or a singular midpoint matrix).  With
-    t given, a proven box whose contraction stops halving is a leaf even
-    above tol: its fixed point x(t) moves across t, which bounds its width
-    from below.
+    contracted (_contract, which also decides which contracted boxes are
+    leaves).  A failed test on a box without a proof id, with rho =
+    |I - Y F'(X)| > 1, postpones the test until the width is at most
+    width(X)/rho, since a box must shrink about that much before K(X) can
+    fit inside it (it halves after an evaluation error or a singular
+    midpoint matrix).
 
     PROVEN is decided once, on the leaves: the only leaf that carries a
     proof id holds exactly one fixed point, since every dropped part of
@@ -403,11 +415,6 @@ def localize_fixed_points(g: MapSpec, rect: RectDomain, tol: float,
         raise ValueError("parametrized map needs the parameter interval t")
     if not g.has_param and t is not None:
         raise ValueError("map takes no parameter")
-    # Through the memo view: a bisection changes one coordinate, so a
-    # subtree that reads one coordinate only meets the same values again
-    # and again in one search, and a subtree of t alone meets one value.
-    # The view is built on the map's first search and kept, so the cells
-    # of one trace share it.
     with g.memo_view() as (f, jac):
         return _search(f, jac if upgrade else None, rect, tol, budget, t, upgrade)
 
@@ -416,7 +423,9 @@ def _search(f: MapSpec, jac, rect: RectDomain, tol: float, budget: int,
             t: "Interval | None", upgrade: bool) -> LocalizeResult:
     """The search of localize_fixed_points on the map f, with its parameter
     over t if f takes one, and jac its Jacobian or None.  Every evaluation
-    reads a box's coordinates followed by tail, (t,) or ()."""
+    reads a box's coordinates followed by tail, (t,) or ().  A box takes
+    its tests on one path and is discarded, kept or split; a contracted
+    box first discards the part its contraction dropped."""
     tail = () if t is None else (t,)
     # (box, width at most which K is tried, proof id or None)
     queue = deque([(rect.box, _INF, None)])
@@ -427,22 +436,18 @@ def _search(f: MapSpec, jac, rect: RectDomain, tol: float, budget: int,
     exhausted = False
 
     while queue:
-        if examined >= budget:
-            exhausted = True
-            break
         box, limit, proof = queue.popleft()
-        examined += 1
+        if examined < budget:
+            examined += 1
+        else:  # out of budget: keep the box unless the residual test discards it
+            exhausted = True
         width = box.width
-        krawczyk = jac is not None and tol < width and (proof is not None or width <= limit)
-        # The root takes the residual test only where the Krawczyk test
-        # neither proves nor excludes it (the else branch below).
-        root_first = krawczyk and examined == 1
-        if not root_first:
-            pairs = _residual_pairs(f, box.coords + tail)
-            if pairs is _PRUNED:
-                discarded_volume += box.volume()
-                continue
-        if krawczyk:
+        krawczyk = (not exhausted and jac is not None and tol < width
+                    and (proof is not None or width <= limit))
+        # The root takes the residual test only where Krawczyk cannot decide it.
+        pairs = _UNTESTED if krawczyk and examined == 1 else _residual_pairs(f, box.coords + tail)
+        x, leaf = box, exhausted or width <= tol
+        if krawczyk and pairs is not _PRUNED:
             K, rho = _krawczyk(f, jac, box.coords + tail)
             if K is not None and proof is None and all(
                     c.lo < lo and hi < c.hi for (lo, hi), c in zip(K, box.coords)):
@@ -452,39 +457,24 @@ def _search(f: MapSpec, jac, rect: RectDomain, tol: float, budget: int,
                     hi < c.lo or lo > c.hi for (lo, hi), c in zip(K, box.coords))):
                 x, leaf = _contract(f, jac, box, K, tol, tail)
                 pairs = _PRUNED if x is None else _residual_pairs(f, x.coords + tail)
-                if pairs is _PRUNED:
-                    discarded_volume += box.volume()
-                    continue
-                discarded_volume += box.volume() - x.volume()
-                if leaf or t is not None:
-                    survivors.append((x, pairs, proof))
-                    continue
-                box, width = x, x.width  # stopped halving above tol: split it
             else:
-                if root_first:
+                if pairs is _UNTESTED:
                     pairs = _residual_pairs(f, box.coords + tail)
-                    if pairs is _PRUNED:
-                        discarded_volume += box.volume()
-                        continue
                 if proof is None and rho > 1.0:  # 2.0 after an error or singular matrix
                     limit = width / rho
-        axis = None if width <= tol else box.split_axis()
+        if pairs is _PRUNED:  # pruned, or excluded by the Krawczyk test
+            discarded_volume += box.volume()
+            continue
+        if x is not box:  # contracted: the dropped part holds no fixed point
+            discarded_volume += _dropped_volume(box, x)
+        axis = None if leaf else x.split_axis()
         if axis is None:
-            survivors.append((box, pairs, proof))
+            survivors.append((x, pairs, proof))
             continue
         # Undecided, or a component raised: split, smaller boxes may evaluate.
-        left, right = _split_box(box, axis)
+        left, right = _split_box(x, axis)
         queue.append((left, limit, proof))
         queue.append((right, limit, proof))
-
-    # Budget exhausted: the unprocessed boxes the residual test does not
-    # discard are kept, with their proof ids and the bound over all components.
-    for box, _limit, proof in queue:
-        pairs = _residual_pairs(f, box.coords + tail)
-        if pairs is _PRUNED:
-            discarded_volume += box.volume()
-        else:
-            survivors.append((box, pairs, proof))
 
     heirs = Counter(proof for _box, _pairs, proof in survivors)
     enclosures = []

@@ -238,36 +238,22 @@ class Power(Expr):
         return f"({s})" if prec > 3 else s
 
 
-_REAL_FUNCS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": math.exp,
-    "tanh": math.tanh,
-    "abs": abs,
-    "min": min,
-    "max": max,
-}
+def _sqrt(v):
+    if v < 0.0:
+        raise DomainError(f"sqrt of negative value {v}")
+    return math.sqrt(v)
 
-_PAIR_FUNCS = {
-    "sin": sin_pair,
-    "cos": cos_pair,
-    "exp": exp_pair,
-    "tanh": tanh_pair,
-    "sqrt": sqrt_pair,
-    "abs": abs_pair,
-    "min": min_pair,
-    "max": max_pair,
-}
 
-FUNCTION_ARITY = {
-    "sin": 1,
-    "cos": 1,
-    "exp": 1,
-    "tanh": 1,
-    "sqrt": 1,
-    "abs": 1,
-    "min": 2,
-    "max": 2,
+# name -> (arity, float function, pair kernel)
+FUNCTIONS = {
+    "sin": (1, math.sin, sin_pair),
+    "cos": (1, math.cos, cos_pair),
+    "exp": (1, math.exp, exp_pair),
+    "tanh": (1, math.tanh, tanh_pair),
+    "sqrt": (1, _sqrt, sqrt_pair),
+    "abs": (1, abs, abs_pair),
+    "min": (2, min, min_pair),
+    "max": (2, max, max_pair),
 }
 
 
@@ -277,16 +263,10 @@ class Call(Expr):
     args: tuple
 
     def eval_real(self, xs):
-        vals = [a.eval_real(xs) for a in self.args]
-        f = self.func
-        if f == "sqrt":
-            if vals[0] < 0.0:
-                raise DomainError(f"sqrt of negative value {vals[0]}")
-            return math.sqrt(vals[0])
-        return _REAL_FUNCS[f](*vals)
+        return FUNCTIONS[self.func][1](*[a.eval_real(xs) for a in self.args])
 
     def eval_pair(self, xs):
-        kernel = _PAIR_FUNCS[self.func]
+        kernel = FUNCTIONS[self.func][2]
         args = self.args
         if len(args) == 1:
             lo, hi = kernel(*args[0].eval_pair(xs))
@@ -1007,7 +987,7 @@ class _ExprParser:
         if tok.kind == "ident":
             name = tok.text
             nxt = self.peek()
-            if name in FUNCTION_ARITY and nxt and nxt.kind == "op" and nxt.text == "(":
+            if name in FUNCTIONS and nxt and nxt.kind == "op" and nxt.text == "(":
                 self.take()
                 self.enter(tok)
                 args = [self.parse_sum()]
@@ -1022,9 +1002,9 @@ class _ExprParser:
                             f"expected ',' or ')', found {sep.text!r}", sep.line, sep.col
                         )
                 self.open -= 1
-                if len(args) != FUNCTION_ARITY[name]:
+                if len(args) != FUNCTIONS[name][0]:
                     raise ParseError(
-                        f"{name} takes {FUNCTION_ARITY[name]} argument(s), got {len(args)}",
+                        f"{name} takes {FUNCTIONS[name][0]} argument(s), got {len(args)}",
                         tok.line,
                         tok.col,
                     )

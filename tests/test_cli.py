@@ -142,6 +142,16 @@ def _localize_json(capsys, path, source, *argv):
     return code, payload
 
 
+def test_localize_json_of_a_rectangle_past_the_float_range_holds_no_nan(tmp_path, capsys):
+    path = tmp_path / "huge_rect.fp"
+    path.write_text("dim 2\nmap g1 = 0.5*x1 + 0.3*sin(x2)\nmap g2 = 0.5*x2 + 0.3*cos(x1)\n"
+                    "domain rect [-1e307,1e307] [-1e307,1e307]\n")
+    code, out, _ = run(capsys, "localize", str(path), "--tol", "1e-8", "--budget", "2000",
+                       "--format", "json")
+    assert code == 0 and "NaN" not in out
+    assert json.loads(out)["coverage"]["discarded_volume"] == math.inf
+
+
 def test_localize_keeps_a_box_it_cannot_split(tmp_path, capsys):
     # tol below one ulp: boxes one ulp wide have no float inside to split
     # at, so they are leaves, not requeued until the budget runs out.

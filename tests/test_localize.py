@@ -580,3 +580,81 @@ def test_surviving_volume_past_the_float_range_is_inf():
                                 rect((0, 1.5e308), (0, 1.5)), tol=1e-8, budget=1)
     assert res.exhausted and len(res.enclosures) == 2
     assert res.surviving_volume == math.inf
+
+
+_NAN_MAP = "dim 2\nmap g1 = 0.5*x1 + 0.3*sin(x2)\nmap g2 = 0.5*x2 + 0.3*cos(x1)\n"
+
+
+def test_discarded_volume_past_the_float_range_is_not_nan():
+    # The root's volume and its contraction's are both inf: their
+    # difference was inf - inf, and the ledger became NaN.
+    res = localize_fixed_points(parse_map(_NAN_MAP), rect((-1e307, 1e307), (-1e307, 1e307)),
+                                tol=1e-8, budget=2000)
+    assert not math.isnan(res.discarded_volume)
+    assert res.discarded_volume == res.total_volume == math.inf
+    assert not res.exhausted and len(res.proven) == 1
+
+
+def test_dropped_volume_is_the_difference_where_it_is_defined():
+    from fpcert.localize import _dropped_volume
+
+    box = Box.from_bounds([(0.1, 3.0), (-1.0, 2.3)])
+    x = Box.from_bounds([(1.0, 2.0), (0.0, 1.7)])
+    assert _dropped_volume(box, x) == box.volume() - x.volume()
+    assert _dropped_volume(box, box) == 0.0
+    # Undefined differences: inf - inf, and 0 * inf inside a volume.
+    wide = Box.from_bounds([(-1e307, 1e307)] * 2)
+    assert _dropped_volume(wide, wide) == 0.0
+    assert _dropped_volume(wide, Box.from_bounds([(-1e307, 1e307), (0.0, 1e307)])) == math.inf
+    flat = Box.from_bounds([(0.0, 0.0), (-1e308, 1e308)])
+    assert math.isnan(flat.volume())
+    assert _dropped_volume(flat, Box.from_bounds([(0.0, 0.0), (-1.0, 1.0)])) == 0.0
+
+
+def test_a_budget_of_exactly_the_boxes_needed_is_not_exhausted():
+    m = parse_map(_KINKED[2][0])
+    full = localize_fixed_points(m, rect((-2, 2), (-2, 2)), tol=1e-7)
+    n = full.boxes_examined
+    assert n > 1 and not full.exhausted
+    exact = localize_fixed_points(m, rect((-2, 2), (-2, 2)), tol=1e-7, budget=n)
+    assert not exact.exhausted and exact.to_json() == full.to_json()
+    short = localize_fixed_points(m, rect((-2, 2), (-2, 2)), tol=1e-7, budget=n - 1)
+    assert short.exhausted and short.boxes_examined == n - 1
+
+
+def test_a_zero_budget_keeps_the_root_through_the_budget_tail():
+    # The root takes the residual test only, is kept, and its faces prove it.
+    res = localize_fixed_points(parse_map("dim 2\nmap g1 = 0.5*x1\nmap g2 = 0.5*x2\n"),
+                                rect((-1, 1), (-1, 1)), tol=1e-8, budget=0)
+    assert res.boxes_examined == 0 and res.exhausted
+    [enc] = res.enclosures
+    assert enc.status == PROVEN and enc.box == Box.from_bounds([(-1, 1), (-1, 1)])
+    assert enc.unique is None and res.discarded_volume == 0.0
+
+
+def test_a_stalled_contraction_is_a_leaf_with_t_and_split_without(monkeypatch):
+    # At t = [1, 1] the family is the plain map, and both searches contract
+    # the root to the same box, 1 wide in x1: it stopped halving above tol.
+    # With t given it is the one PROVEN leaf; without, it is split.
+    from fpcert import localize
+
+    contracted = []
+    contract = localize._contract
+
+    def spy(f, jac, box, K, tol, tail):
+        x, leaf = contract(f, jac, box, K, tol, tail)
+        contracted.append(x)
+        return x, leaf
+
+    monkeypatch.setattr(localize, "_contract", spy)
+    plain = parse_map(_KINKED[2][0])
+    fam = parse_map("dim 2\nparam t\nmap g1 = 0.5*abs(x1) + 0.3*t\nmap g2 = 0.5*x2 - 0.1\n")
+    res = localize_fixed_points(fam, rect((-2, 2), (-2, 2)), tol=1e-7, t=Interval(1.0))
+    stalled = contracted[0]
+    assert stalled.width > 0.5
+    assert res.boxes_examined == 1 and [e.box for e in res.proven] == [stalled]
+    contracted.clear()
+    res = localize_fixed_points(plain, rect((-2, 2), (-2, 2)), tol=1e-7)
+    assert contracted[0] == stalled and res.boxes_examined > 1
+    assert len(res.proven) == 1 and res.proven[0].box != stalled
+    assert res.proven[0].box.is_subset(stalled)
