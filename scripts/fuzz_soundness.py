@@ -80,8 +80,6 @@ from oracles import grid_zoom_min, winding_rect  # noqa: E402
 from fpcert.certify import (  # noqa: E402
     CERTIFIED,
     REFUTED,
-    _holed_ball_conditions,
-    _level_conditions,
     certify_cone_shell,
     certify_cylinder,
     certify_holes,
@@ -185,7 +183,7 @@ def main():
             domain_bounds = [(c.lo, c.hi) for c in spec.bounding_box().coords]
             fn = spec.functional
             keep = lambda p, fn=fn, spec=spec: spec.a <= fn.value(p) <= spec.b
-            tests = [_level_conditions(fn, lo, hi, lo)["relevant"]
+            tests = [fn.level_tests(lo, hi, lo)["relevant"]
                      for lo, hi in ((spec.a, spec.b), (spec.a, spec.a), (spec.b, spec.b))]
             cone_regions += region_check(
                 m, tests, shared_coordinate_boxes(region_rng, spec.bounding_box(), 200))
@@ -211,7 +209,7 @@ def main():
         boxes = memo_check(m, Box.from_bounds([(-spec.radius, spec.radius)] * 2))
         hole_memo += len(boxes)
         hole_regions += region_check(
-            m, [c.relevant for c in _holed_ball_conditions(m, None, spec)], boxes)
+            m, [tests["relevant"] for _circle, _r2, tests in spec.circles()], boxes)
         # Reversed coordinates, and each hole's centre (cx, cy) -> (cy, cx).
         swapped = HoledBallSpec(spec.radius, tuple((cy, cx, r) for cx, cy, r in spec.holes))
         other = certify_holes(reverse_coordinates(m), swapped)

@@ -3,8 +3,9 @@
 Every certifier is a list of conditions.  A condition is one inequality
 ``bound(box) relation threshold`` over a region given by seed boxes (a
 rectangle face, a cylinder base, a cone shell slice, the holed ball or a
-hole circle).  One engine, `check`, covers each region by adaptive
-subdivision and decides every cover box in interval arithmetic:
+hole circle; their region tests come from `geometry`).  One engine,
+`check`, covers each region by adaptive subdivision and decides every cover
+box in interval arithmetic:
 
   * CERTIFIED      every condition holds over a finite cover of its region;
                    the target domain then provably contains a fixed point.
@@ -89,9 +90,7 @@ from .interval import (
     add_down,
     add_up,
     interval_error,
-    mul_down,
     mul_pair,
-    mul_up,
     sub_down,
     sub_up,
 )
@@ -110,7 +109,6 @@ REFUTED = "REFUTED"
 INDETERMINATE = "INDETERMINATE"
 
 _INF = math.inf
-_GUARD = 1e300  # the float filters of the region tests decide below it only
 
 
 class UnsupportedDomainError(ValueError):
@@ -455,76 +453,6 @@ def certify_cylinder(T: MapSpec, cyl: CylinderSpec, form: str,
 # ---------------------------------------------------------------------------
 
 
-def _level_range_guarantee(functional, box: Box):
-    """Rigorous enclosure of [min l, max l] over an orthant box, as the
-    (lo, hi) pairs of l at the lower and at the upper corner.
-
-    The shell functionals are increasing in every coordinate on the
-    orthant, so the extremes sit at the corner points; point interval
-    evaluations bound them from both sides.
-    """
-    return (functional.value_pair([(c.lo, c.lo) for c in box.coords]),
-            functional.value_pair([(c.hi, c.hi) for c in box.coords]))
-
-
-def _corner_levels(f, box: Box):
-    """f at the lower and upper corner of an orthant box, where f grows in
-    each coordinate, in round-to-nearest floats: a bracket of `value_pair`
-    as in `_filtered`, or None off the orthant or where a sum hits _GUARD."""
-    lo = hi = 0.0
-    for k, c in zip(f.coeffs or (1.0,) * len(box.coords), box.coords):
-        if c.lo < 0.0:
-            return None
-        if f.kind == "sup":
-            lo, hi = max(lo, c.lo), max(hi, c.hi)
-        elif f.kind == "euclid":
-            lo, hi = lo + c.lo * c.lo, hi + c.hi * c.hi
-        else:
-            lo, hi = lo + k * c.lo, hi + k * c.hi
-    ends = (math.sqrt(lo), math.sqrt(hi)) if f.kind == "euclid" else (lo, hi)
-    return ends if hi < _GUARD else None
-
-
-def _bisect_segment(p, q, below):
-    """The point of the segment from p to q where `below` turns false."""
-    s0, s1 = 0.0, 1.0
-    for _ in range(80):
-        sm = 0.5 * (s0 + s1)
-        if below([a + sm * (b - a) for a, b in zip(p, q)]):
-            s0 = sm
-        else:
-            s1 = sm
-    sm = 0.5 * (s0 + s1)
-    return tuple(a + sm * (b - a) for a, b in zip(p, q))
-
-
-def _level_conditions(f, lo: float, hi: float, target: float):
-    """relevant, meets and witness for the shell part lo <= l <= hi.
-
-    The witness is the point of the box diagonal, along which l is monotone,
-    at the level `target` clamped to the box's guaranteed level range.
-    """
-
-    def relevant(box):
-        ends = _corner_levels(f, box)
-        if ends and ends[0] <= hi and ends[1] >= lo:
-            return True
-        lvl_lo, lvl_hi = f.value_pair([(c.lo, c.hi) for c in box.coords])
-        return not (lvl_hi < lo or lvl_lo > hi)
-
-    def meets(box):
-        (_, min_hi), (max_lo, _) = _level_range_guarantee(f, box)
-        return min_hi <= hi and max_lo >= lo
-
-    def witness(box):
-        (_, min_hi), (max_lo, _) = _level_range_guarantee(f, box)
-        level = min(max(target, min_hi), max_lo)
-        return _bisect_segment([c.lo for c in box.coords], [c.hi for c in box.coords],
-                               lambda p: f.value(p) < level)
-
-    return {"relevant": relevant, "meets": meets, "witness": witness}
-
-
 def certify_cone_shell(T: MapSpec, spec: ConeShellSpec, form: str,
                        max_depth: int = 24, max_boxes: int = 40000) -> Certificate:
     """Check the level-set conditions of the cone fixed point theorems.
@@ -543,7 +471,7 @@ def certify_cone_shell(T: MapSpec, spec: ConeShellSpec, form: str,
     stats = CertStats()
     f = spec.functional
     root = (spec.bounding_box(),)
-    shell = _level_conditions(f, spec.a, spec.b, 0.5 * (spec.a + spec.b))
+    shell = f.level_tests(spec.a, spec.b, 0.5 * (spec.a + spec.b))
     conditions = [
         Condition("cone", root, lambda bx, comp=comp: T.eval_component_interval(comp, bx),
                   ">=", (0.0, 0.0), strict=False, **shell)
@@ -553,7 +481,7 @@ def certify_cone_shell(T: MapSpec, spec: ConeShellSpec, form: str,
     for level, rel, fid in ((spec.a, rel_a, "slice-a"), (spec.b, rel_b, "slice-b")):
         conditions.append(Condition(
             fid, root, lambda bx: Interval(*f.value_pair(T.eval_pairs(bx))), rel,
-            (level, level), **_level_conditions(f, level, level, level),
+            (level, level), **f.level_tests(level, level, level),
         ))
     return _certificate(f"cone_{form}", spec, t0, stats,
                         check(conditions, max_depth, max_boxes, stats))
@@ -562,42 +490,6 @@ def certify_cone_shell(T: MapSpec, spec: ConeShellSpec, form: str,
 # ---------------------------------------------------------------------------
 # Holed-ball certificates
 # ---------------------------------------------------------------------------
-
-
-def _radial_segment(box: Box, cx: float, cy: float):
-    """The nearest and the farthest point of the box from (cx, cy)."""
-    near = tuple(min(max(c0, c.lo), c.hi) for c, c0 in zip(box.coords, (cx, cy)))
-    far = tuple(
-        c.lo if abs(c.lo - c0) >= abs(c.hi - c0) else c.hi
-        for c, c0 in zip(box.coords, (cx, cy))
-    )
-    return near, far
-
-
-def _box_dist2(box: Box, cx: float, cy: float):
-    """(lo, hi) of the squared distance from the planar box to (cx, cy)."""
-    x, y = box.coords
-    return dist2_pair(x.lo, x.hi, y.lo, y.hi, cx, cy)
-
-
-def _filtered(box: Box, cx: float, cy: float, near_max: float, far_min: float) -> bool:
-    """A filter in front of a directed region test (Shewchuk 1997).  The
-    squared distances near and far from the planar box to (cx, cy), in
-    round-to-nearest floats, bracket `_box_dist2`'s ends (near >= lo, far
-    <= hi): every step is monotone and every directed one rounds outward.
-    True when near <= near_max and far_min <= far < _GUARD, so the directed
-    test passes and cannot overflow; False leaves the box to that test."""
-    x, y = box.coords
-    xa, xb, ya, yb = x.lo - cx, x.hi - cx, y.lo - cy, y.hi - cy
-    nx = xa if xa > 0.0 else -xb if xb < 0.0 else 0.0
-    ny = ya if ya > 0.0 else -yb if yb < 0.0 else 0.0
-    fx, fy = (xb if xb > -xa else -xa), (yb if yb > -ya else -ya)
-    return nx * nx + ny * ny <= near_max and far_min <= fx * fx + fy * fy < _GUARD
-
-
-def _point_dist2(p, cx: float, cy: float):
-    """(lo, hi) of the squared distance from the point p to (cx, cy)."""
-    return dist2_pair(p[0], p[0], p[1], p[1], cx, cy)
 
 
 def _mean_value_pairs(T: MapSpec, jac, box: Box, naive=None) -> list:
@@ -649,64 +541,17 @@ def _image_dist2(T: MapSpec, jac, cx: float, cy: float):
     return bound, None if jac is None else tighten
 
 
-def _hole_condition(T: MapSpec, jac, idx: int, cx: float, cy: float, r: float) -> Condition:
-    """T maps the boundary circle of hole idx into the closed hole; the
-    witness is the point of the box's radial segment on the circle."""
-    r2_lo, r2_hi = mul_down(r, r), mul_up(r, r)
-
-    def relevant(box):
-        if _filtered(box, cx, cy, r2_hi, r2_lo):
-            return True
-        d2_lo, d2_hi = _box_dist2(box, cx, cy)
-        return not (d2_hi < r2_lo or d2_lo > r2_hi)
-
-    def meets(box):
-        near, far = _radial_segment(box, cx, cy)
-        return (_point_dist2(near, cx, cy)[1] <= r2_lo
-                and _point_dist2(far, cx, cy)[0] >= r2_hi)
-
-    def witness(box):
-        return _bisect_segment(*_radial_segment(box, cx, cy),
-                               lambda p: math.hypot(p[0] - cx, p[1] - cy) < r)
-
-    bound, tighten = _image_dist2(T, jac, cx, cy)
-    return Condition(
-        f"hole-{idx}", (Box.from_bounds([(cx - r, cx + r), (cy - r, cy + r)]),),
-        bound, "<=", (r2_lo, r2_hi),
-        strict=False, relevant=relevant, meets=meets, witness=witness, tighten=tighten,
-    )
-
-
 def _holed_ball_conditions(T: MapSpec, jac, spec: HoledBallSpec) -> list:
-    """T(L) inside the closed outer ball, then each hole's condition, each
-    tightened by the mean-value form where T has a Jacobian (jac, as
-    `mapdsl.jacobian` gives it)."""
-    R = spec.radius
-    R2_lo, R2_hi = mul_down(R, R), mul_up(R, R)
-    # Each hole's r^2 rounded down and up, once, not once per box.
-    holes = [(cx, cy, mul_down(r, r), mul_up(r, r)) for cx, cy, r in spec.holes]
-
-    def in_domain(box):
-        # A box outside the ball, or strictly inside an open hole, misses L.
-        if _filtered(box, 0.0, 0.0, R2_hi, 0.0) and all(
-                _filtered(box, cx, cy, _INF, r2_lo) for cx, cy, r2_lo, _ in holes):
-            return True
-        return _box_dist2(box, 0.0, 0.0)[0] <= R2_hi and all(
-            _box_dist2(box, cx, cy)[1] >= r2_lo for cx, cy, r2_lo, _ in holes)
-
-    def centre_in_domain(box):
-        p = box.midpoint()
-        return _point_dist2(p, 0.0, 0.0)[1] <= R2_lo and all(
-            _point_dist2(p, cx, cy)[0] >= r2_hi for cx, cy, _, r2_hi in holes)
-
-    bound, tighten = _image_dist2(T, jac, 0.0, 0.0)
-    outer = Condition(
-        "outer", (Box.from_bounds([(-R, R), (-R, R)]),), bound, "<=", (R2_lo, R2_hi),
-        strict=False, relevant=in_domain, meets=centre_in_domain, tighten=tighten,
-    )
-    return [outer] + [
-        _hole_condition(T, jac, idx, cx, cy, r) for idx, (cx, cy, r) in enumerate(spec.holes)
-    ]
+    """T(L) inside the closed outer ball, then T(boundary circle of each
+    hole) inside the closed hole, each bound tightened by the mean-value
+    form where T has a Jacobian (jac, as `mapdsl.jacobian` gives it)."""
+    conditions = []
+    for k, ((cx, cy, r), r2, tests) in enumerate(spec.circles()):
+        seed = Box.from_bounds([(cx - r, cx + r), (cy - r, cy + r)])
+        bound, tighten = _image_dist2(T, jac, cx, cy)
+        conditions.append(Condition("outer" if k == 0 else f"hole-{k - 1}", (seed,), bound,
+                                    "<=", r2, strict=False, tighten=tighten, **tests))
+    return conditions
 
 
 def certify_holes(T: MapSpec, spec: HoledBallSpec,

@@ -204,27 +204,19 @@ def _lower_end(slab) -> float:
 def _touching_pairs(us, vs=None):
     """Every pair (u, v), u from us and v from vs, whose boxes intersect
     (touching counts); with vs omitted, every such pair of distinct slabs
-    of us, once.
+    of us, once, as u.id < v.id.
 
-    A sweep on axis 0 over vs sorted by lower end.  Within one list, the
-    slabs after u that can meet u are those whose lower end is at most
-    u's upper end.  Across lists, with w the widest v on axis 0, a v that
-    meets u has its lower end in [u.lo - w, u.hi]; that window is rounded
-    outward, so it never drops a candidate.  Only candidates get the full
-    box test.
+    A sweep on axis 0 over vs sorted by lower end: with w the widest v on
+    axis 0, a v that meets u has its lower end in [u.lo - w, u.hi]; that
+    window is rounded outward, so it never drops a candidate.  Only
+    candidates get the full box test.
     """
     same = vs is None
     vs = sorted(us if same else vs, key=_lower_end)
     los = [_lower_end(v) for v in vs]
-    if same:
-        for i, u in enumerate(vs):
-            for v in vs[i + 1:bisect_right(los, u.box.coords[0].hi)]:
-                if u.box.intersects(v.box):
-                    yield u, v
-        return
     w = max((sub_up(v.box.coords[0].hi, v.box.coords[0].lo) for v in vs), default=0.0)
     for u in us:
         x = u.box.coords[0]
         for v in vs[bisect_left(los, sub_down(x.lo, w)):bisect_right(los, x.hi)]:
-            if u.box.intersects(v.box):
+            if (not same or u.id < v.id) and u.box.intersects(v.box):
                 yield u, v

@@ -14,6 +14,13 @@ caller can pass a box's coordinates or a map's component pairs
 step checks its pair as ``Interval(lo, hi)`` would, so results and errors
 equal those of the ``Interval``-operator formulas bit for bit.
 
+The region tests of the curved domains (`Functional.level_tests`,
+`HoledBallSpec.circles`) sit next to the enclosures they filter, as
+closures over floats computed once per certificate.  A relevance test first
+decides in round-to-nearest floats that lie inside the directed enclosure's
+ends (Shewchuk 1997), below _GUARD; anywhere else the directed test
+decides, so every decision and every error is that of the directed test.
+
 Axis indices are 0-based throughout; the DSL surface (x1, g1, ...) is
 1-based and is translated at parse time.
 """
@@ -23,6 +30,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import repeat
 
 from .interval import (
     Box,
@@ -34,7 +42,9 @@ from .interval import (
     div_up,
     interval_error,
     max_pair,
+    mul_down,
     mul_pair,
+    mul_up,
     pow_int_pair,
     sqrt_pair,
     sub_down,
@@ -51,6 +61,7 @@ from .mapdsl import (
 
 
 _INF = math.inf
+_GUARD = 1e300  # the float filters of the region tests decide below it only
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +187,19 @@ class CylinderSpec:
 # ---------------------------------------------------------------------------
 
 
+def _bisect_segment(p, q, below):
+    """The point of the segment from p to q where `below` turns false."""
+    s0, s1 = 0.0, 1.0
+    for _ in range(80):
+        sm = 0.5 * (s0 + s1)
+        if below([a + sm * (b - a) for a, b in zip(p, q)]):
+            s0 = sm
+        else:
+            s1 = sm
+    sm = 0.5 * (s0 + s1)
+    return tuple(a + sm * (b - a) for a, b in zip(p, q))
+
+
 @dataclass(frozen=True)
 class Functional:
     """Positively homogeneous functional, strictly positive on the orthant
@@ -232,6 +256,56 @@ class Functional:
             if not -_INF < lo <= hi < _INF:
                 raise interval_error(lo, hi)
         return lo, hi
+
+    def level_tests(self, lo: float, hi: float, target: float) -> dict:
+        """relevant, meets and witness for the shell part lo <= l <= hi.
+
+        On the orthant l grows in each coordinate: over a box it is least
+        at the lower corner and greatest at the upper one, where meets
+        evaluates it.  The witness is the point of the box diagonal at the
+        level `target` clamped to the box's guaranteed level range."""
+        sup, euclid = self.kind == "sup", self.kind == "euclid"
+        ks = self.coeffs or repeat(1.0)
+        value, value_pair = self.value, self.value_pair
+
+        def corner_levels(coords):
+            # A bracket of value_pair's ends, or None off the orthant or
+            # where a sum reaches _GUARD.
+            a = b = 0.0
+            for k, c in zip(ks, coords):
+                if c.lo < 0.0:
+                    return None
+                if sup:
+                    a, b = max(a, c.lo), max(b, c.hi)
+                elif euclid:
+                    a, b = a + c.lo * c.lo, b + c.hi * c.hi
+                else:
+                    a, b = a + k * c.lo, b + k * c.hi
+            ends = (math.sqrt(a), math.sqrt(b)) if euclid else (a, b)
+            return ends if b < _GUARD else None
+
+        def relevant(box):
+            ends = corner_levels(box.coords)
+            if ends and ends[0] <= hi and ends[1] >= lo:
+                return True
+            l_lo, l_hi = value_pair([(c.lo, c.hi) for c in box.coords])
+            return not (l_hi < lo or l_lo > hi)
+
+        def corner_pairs(box):
+            return (value_pair([(c.lo, c.lo) for c in box.coords]),
+                    value_pair([(c.hi, c.hi) for c in box.coords]))
+
+        def meets(box):
+            (_, min_hi), (max_lo, _) = corner_pairs(box)
+            return min_hi <= hi and max_lo >= lo
+
+        def witness(box):
+            (_, min_hi), (max_lo, _) = corner_pairs(box)
+            level = min(max(target, min_hi), max_lo)
+            return _bisect_segment([c.lo for c in box.coords], [c.hi for c in box.coords],
+                                   lambda p: value(p) < level)
+
+        return {"relevant": relevant, "meets": meets, "witness": witness}
 
     @classmethod
     def euclid(cls):
@@ -325,6 +399,55 @@ def dist2_pair(a: float, b: float, c: float, d: float, cx: float, cy: float):
     return lo, hi
 
 
+def _filtered(box: Box, cx: float, cy: float, near_max: float, far_min: float) -> bool:
+    """The float filter in front of a directed distance test.  The squared
+    distances near and far from the planar box to (cx, cy), in
+    round-to-nearest floats, bracket `dist2_pair`'s ends (near >= lo, far
+    <= hi).  True when near <= near_max and far_min <= far < _GUARD, so the
+    directed test passes and cannot overflow; False leaves the box to that
+    test."""
+    x, y = box.coords
+    xa, xb, ya, yb = x.lo - cx, x.hi - cx, y.lo - cy, y.hi - cy
+    nx = xa if xa > 0.0 else -xb if xb < 0.0 else 0.0
+    ny = ya if ya > 0.0 else -yb if yb < 0.0 else 0.0
+    fx, fy = (xb if xb > -xa else -xa), (yb if yb > -ya else -ya)
+    return nx * nx + ny * ny <= near_max and far_min <= fx * fx + fy * fy < _GUARD
+
+
+def _radial_segment(box: Box, cx: float, cy: float):
+    """The nearest and the farthest point of the box from (cx, cy)."""
+    near = tuple(min(max(c0, c.lo), c.hi) for c, c0 in zip(box.coords, (cx, cy)))
+    far = tuple(
+        c.lo if abs(c.lo - c0) >= abs(c.hi - c0) else c.hi
+        for c, c0 in zip(box.coords, (cx, cy))
+    )
+    return near, far
+
+
+def _circle_tests(cx: float, cy: float, r: float, r2_lo: float, r2_hi: float) -> dict:
+    """relevant, meets and witness for the circle of centre (cx, cy) and
+    radius r, r^2 rounded to [r2_lo, r2_hi]: a box meets the circle where
+    its radial segment crosses it, and the witness is that crossing."""
+
+    def relevant(box):
+        if _filtered(box, cx, cy, r2_hi, r2_lo):
+            return True
+        x, y = box.coords
+        d2_lo, d2_hi = dist2_pair(x.lo, x.hi, y.lo, y.hi, cx, cy)
+        return not (d2_hi < r2_lo or d2_lo > r2_hi)
+
+    def meets(box):
+        (nx, ny), (fx, fy) = _radial_segment(box, cx, cy)
+        return (dist2_pair(nx, nx, ny, ny, cx, cy)[1] <= r2_lo
+                and dist2_pair(fx, fx, fy, fy, cx, cy)[0] >= r2_hi)
+
+    def witness(box):
+        return _bisect_segment(*_radial_segment(box, cx, cy),
+                               lambda p: math.hypot(p[0] - cx, p[1] - cy) < r)
+
+    return {"relevant": relevant, "meets": meets, "witness": witness}
+
+
 @dataclass(frozen=True)
 class HoledBallSpec:
     """Planar closed ball of radius R minus a collection of open holes.
@@ -356,6 +479,33 @@ class HoledBallSpec:
     @property
     def dim(self):
         return 2
+
+    def circles(self) -> list:
+        """The outer circle, then each hole's, as ((cx, cy, r), r^2 rounded
+        (down, up), region tests).  The outer tests: relevant, the box is
+        neither outside the ball nor strictly inside an open hole; meets,
+        its centre lies in L."""
+        R = self.radius
+        R2_lo, R2_hi = mul_down(R, R), mul_up(R, R)
+        holes = [(cx, cy, r, mul_down(r, r), mul_up(r, r)) for cx, cy, r in self.holes]
+
+        def in_domain(box):
+            if _filtered(box, 0.0, 0.0, R2_hi, 0.0) and all(
+                    _filtered(box, cx, cy, _INF, r2_lo) for cx, cy, _, r2_lo, _ in holes):
+                return True
+            x, y = box.coords
+            return dist2_pair(x.lo, x.hi, y.lo, y.hi, 0.0, 0.0)[0] <= R2_hi and all(
+                dist2_pair(x.lo, x.hi, y.lo, y.hi, cx, cy)[1] >= r2_lo
+                for cx, cy, _, r2_lo, _ in holes)
+
+        def centre_in_domain(box):
+            x, y = box.midpoint()
+            return dist2_pair(x, x, y, y, 0.0, 0.0)[1] <= R2_lo and all(
+                dist2_pair(x, x, y, y, cx, cy)[0] >= r2_hi for cx, cy, _, _, r2_hi in holes)
+
+        outer = {"relevant": in_domain, "meets": centre_in_domain}
+        return [((0.0, 0.0, R), (R2_lo, R2_hi), outer)] + [
+            ((cx, cy, r), (lo, hi), _circle_tests(cx, cy, r, lo, hi)) for cx, cy, r, lo, hi in holes]
 
     def to_json_dict(self):
         return {

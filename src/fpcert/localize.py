@@ -122,12 +122,15 @@ class LocalizeResult:
         return [e for e in self.enclosures if e.status == PROVEN]
 
     def to_json_dict(self):
+        def volume(v):  # strict JSON has no Infinity: a volume past the float range is null
+            return v if math.isfinite(v) else None
+
         return {
             "enclosures": [e.to_json_dict() for e in self.enclosures],
             "coverage": {
-                "total_volume": self.total_volume,
-                "discarded_volume": self.discarded_volume,
-                "surviving_volume": self.surviving_volume,
+                "total_volume": volume(self.total_volume),
+                "discarded_volume": volume(self.discarded_volume),
+                "surviving_volume": volume(self.surviving_volume),
             },
             "boxes_examined": self.boxes_examined,
             "exhausted": self.exhausted,

@@ -571,15 +571,13 @@ class Shared(Expr):
 class _Merged:
     """One class of structurally equal subtrees in MemoView's build walk."""
 
-    __slots__ = ("expr", "kids", "reads", "group", "uses", "repeats", "view")
+    __slots__ = ("expr", "kids", "reads", "repeats", "view")
 
     def __init__(self, expr, kids, reads):
         self.expr = expr  # the first subtree of the class that the walk met
         self.kids = kids  # the classes of its children
         self.reads = reads  # bit i set: it reads entry i of the coordinate tuple
-        self.group = -1  # the last evaluation group that reached it
-        self.uses = 0  # its parents (with multiplicity) in that group
-        self.repeats = False  # two uses or more in some group
+        self.repeats = False  # two uses or more in some evaluation group
         self.view = None
 
 
@@ -610,10 +608,8 @@ class MemoView:
         memo_ok = m.dim + m.has_param > 1  # a tuple of two entries or more
         by_id = {}  # id(node) -> its class
         classes = {}  # structural key -> class
-        group = 0  # 0 while the walk is in the components, 1 in the Jacobian
 
         def merge(e):
-            """e's class, reached in the current group (see reach)."""
             c = by_id.get(id(e))
             if c is None:
                 kind = type(e)
@@ -638,26 +634,19 @@ class MemoView:
                 if c is None:
                     c = classes[key] = _Merged(e, kids, reads)
                 by_id[id(e)] = c
-            if c.group != group and c.reads & (c.reads - 1):
-                reach(c)
             return c
 
-        def reach(c):
-            """Count, once per group, c's children of two entries or more
-            (only those can become Shared) as used by c."""
-            c.group = group
-            c.uses = 0
-            for k in c.kids:
-                if k.reads & (k.reads - 1):
-                    if k.group != group:
-                        reach(k)
-                    used(k)
-
-        def used(c):
-            c.uses += 1
-            if c.uses == 2:
+        def use(c, seen):
+            """One use of class c by an evaluation group that has met the
+            classes seen: a second marks c as repeating, the first uses c's
+            children of two entries or more (only those can be Shared)."""
+            if c in seen:
                 c.repeats = True
-            return c
+            else:
+                seen.add(c)
+                for k in c.kids:
+                    if k.reads & (k.reads - 1):
+                        use(k, seen)
 
         def build(c):
             v = c.view
@@ -679,11 +668,15 @@ class MemoView:
             return v
 
         jac = jacobian(m)
-        comps = [used(merge(e)) for e in m.components]
+        comps = [merge(e) for e in m.components]
         rows = None
         if jac is not None:
-            group = 1
-            rows = [[None if d is None else used(merge(d)) for d in row] for row in jac]
+            rows = [[None if d is None else merge(d) for d in row] for row in jac]
+        # Count the uses once the merge is done, one group at a time.
+        for group in (comps, [c for row in rows or () for c in row if c is not None]):
+            seen = set()
+            for c in group:
+                use(c, seen)
         # Built once every use is counted: a class may repeat only in the
         # Jacobian, and the map shares its view node.
         self.map = MapSpec(m.dim, tuple([build(c) for c in comps]), m.has_param)

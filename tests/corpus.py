@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 
-from fpcert import certify
+from fpcert import geometry
 from fpcert import interval as iv
 from fpcert.geometry import ConeShellSpec, CylinderSpec, Functional, HoledBallSpec, RectDomain
 from fpcert.interval import Box, Interval
@@ -406,9 +406,9 @@ def memo_view_mismatches(m: MapSpec, boxes, t=None) -> list:
 
 def region_filter_mismatches(tests, boxes) -> list:
     """The boxes on which one of the region tests (the holed-ball and
-    cone-shell `relevant` tests of fpcert.certify) decides otherwise, result
+    cone-shell `relevant` tests of fpcert.geometry) decides otherwise, result
     or error by repr, than with its float filter switched off, which leaves
-    its directed test alone (certify._GUARD = 0.0: no float passes it)."""
+    its directed test alone (geometry._GUARD = 0.0: no float passes it)."""
 
     def outcomes(box):
         out = []
@@ -420,11 +420,11 @@ def region_filter_mismatches(tests, boxes) -> list:
         return out
 
     filtered = [outcomes(box) for box in boxes]
-    guard, certify._GUARD = certify._GUARD, 0.0
+    guard, geometry._GUARD = geometry._GUARD, 0.0
     try:
         directed = [outcomes(box) for box in boxes]
     finally:
-        certify._GUARD = guard
+        geometry._GUARD = guard
     return [box for box, a, b in zip(boxes, filtered, directed) if a != b]
 
 

@@ -4,13 +4,14 @@
 (lo, hi) endpoint pairs.  The references below are the formulas they
 replaced, written with `Interval` operators; every result must equal its
 reference bit for bit (compared by repr, so signed zeros count), and every
-error must have the same type and message.  The holed-ball domain tests,
-which now read hoisted squared radii, and the cone-shell level tests must
-decide every box as the references do, including boxes whose squared
-distance or level lands exactly on a rounded threshold.  A plain-float
-filter sits in front of the relevance tests; it must leave every decision
-and error to the reference's, and must decide, without the directed test,
-every box that its float bracket decides.
+error must have the same type and message.  The holed-ball region tests
+(`HoledBallSpec.circles`, which round each squared radius once) and the
+cone-shell level tests (`Functional.level_tests`) must decide every box as
+the references do, including boxes whose squared distance or level lands
+exactly on a rounded threshold.  A plain-float filter sits in front of the
+relevance tests; it must leave every decision and error to the
+reference's, and must decide, without the directed test, every box that
+its float bracket decides.
 """
 
 import math
@@ -18,10 +19,9 @@ import random
 
 from corpus import random_box, random_expression_map, random_holed_ball_problem
 
-from fpcert import certify
-from fpcert.certify import _holed_ball_conditions, _level_conditions, _radial_segment
+from fpcert import geometry
 from fpcert.degree import _field_pairs
-from fpcert.geometry import Functional, HoledBallSpec, dist2_pair
+from fpcert.geometry import Functional, HoledBallSpec, _radial_segment, dist2_pair
 from fpcert.interval import Box, Interval, abs_pair, max_pair, mul_down, mul_up
 from fpcert.mapdsl import blend_with_parameter, parse_map
 
@@ -288,7 +288,7 @@ def test_level_tests_decide_as_the_reference(monkeypatch):
     decisions, filtered, fell_back, on_level = set(), 0, 0, 0
     for f in (Functional.ones(2), Functional.euclid(), Functional.sup()):
         for lo, hi in ((0.5, 2.0), (1.0, 1.0), (0.3, 0.3), (2.0, 7.5), (1e-300, 1e300)):
-            tests = _level_conditions(f, lo, hi, 0.5 * (lo + hi))
+            tests = f.level_tests(lo, hi, 0.5 * (lo + hi))
             for box in _level_boxes(rng, f, lo, hi):
                 for test, ref in ((tests["relevant"], _ref_level_relevant),
                                   (tests["meets"], _ref_level_meets)):
@@ -487,11 +487,9 @@ def test_holed_ball_domain_tests_decide_as_the_reference(monkeypatch):
     the float filter in front of the outer and hole tests decides, without
     running the directed test, every box that its bracket decides."""
     directed = []
-    box_dist2 = certify._box_dist2
-    monkeypatch.setattr(certify, "_box_dist2",
-                        lambda *args: directed.append(1) or box_dist2(*args))
+    monkeypatch.setattr(geometry, "dist2_pair",
+                        lambda *args: directed.append(1) or dist2_pair(*args))
     rng = random.Random(4242)
-    identity = parse_map("dim 2\nmap g1 = x1\nmap g2 = x2\n")
     tight = float_tight = 0
     cases = [(spec, _decision_boxes(rng, spec) + _signed_zero_boxes(spec))
              for spec in _specs(rng)]
@@ -508,20 +506,20 @@ def test_holed_ball_domain_tests_decide_as_the_reference(monkeypatch):
     decisions = set()
     filtered = fell_back = 0
     for spec, boxes in cases:
-        outer, *holes = _holed_ball_conditions(identity, None, spec)
+        outer, *holes = [tests for _circle, _r2, tests in spec.circles()]
         for box in boxes:
             pairs = [
-                (outer.relevant, _ref_in_domain, (spec, box)),
-                (outer.meets, _ref_centre_in_domain, (spec, box)),
+                (outer["relevant"], _ref_in_domain, (spec, box)),
+                (outer["meets"], _ref_centre_in_domain, (spec, box)),
             ]
-            for cond, (cx, cy, r) in zip(holes, spec.holes):
-                pairs.append((cond.relevant, _ref_hole_relevant, (box, cx, cy, r)))
-                pairs.append((cond.meets, _ref_hole_meets, (box, cx, cy, r)))
+            for tests, (cx, cy, r) in zip(holes, spec.holes):
+                pairs.append((tests["relevant"], _ref_hole_relevant, (box, cx, cy, r)))
+                pairs.append((tests["meets"], _ref_hole_meets, (box, cx, cy, r)))
             for k, (got, ref, args) in enumerate(pairs):
                 expected = _outcome(ref, *args)
                 assert _outcome(got, box) == expected, (k, spec, box.bounds())
                 decisions.add(expected)
-            for test, decides in zip([outer.relevant] + [h.relevant for h in holes],
+            for test, decides in zip([outer["relevant"]] + [h["relevant"] for h in holes],
                                      _filter_decides(spec, box)):
                 del directed[:]
                 _outcome(test, box)

@@ -2,7 +2,9 @@
 (``from .x import ...`` and ``from . import x``) with ast: it has no cycle,
 localize imports neither certify nor degree, since it decides PROVEN by
 its own rule, and degree imports neither localize nor certify, since its
-winding walks need no fixed point free region.
+winding walks need no fixed point free region.  The region tests of the
+curved domains live in geometry: certify defines none of them and reads no
+functional's coefficients.
 
 The traced benchmark (``perfbench/tracing.py``) patches fpcert functions
 and ``Interval`` operators by name; every name it lists must still exist."""
@@ -75,6 +77,27 @@ def test_degree_imports_neither_localize_nor_certify():
     deps = _import_graph()["degree"]
     assert "subdivision" in deps
     assert not deps & {"localize", "certify"}, deps
+
+
+_REGION_TESTS = {"_GUARD", "_filtered", "_corner_levels", "_level_range_guarantee",
+                 "_level_conditions", "_radial_segment", "_bisect_segment", "_box_dist2",
+                 "_point_dist2", "_hole_condition"}
+
+
+def test_region_tests_live_in_geometry():
+    tree = ast.parse((_SRC / "certify.py").read_text())
+    defined = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            defined.add(node.id)
+        elif isinstance(node, ast.alias):
+            defined.add(node.asname or node.name)
+    assert not defined & _REGION_TESTS, defined & _REGION_TESTS
+    assert not [n for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "coeffs"]
+    geometry = importlib.import_module("fpcert.geometry")
+    assert {"_GUARD", "_filtered", "_radial_segment", "_bisect_segment"} <= set(vars(geometry))
 
 
 def _perfbench_tracing():
