@@ -1,23 +1,25 @@
 #!/usr/bin/env python3
 """Randomized soundness experiment: no CERTIFIED outcome without a fixed point.
 
-Generates random map/domain problems (rectangles, cylinders, cone shells),
-certifies each, and confirms every CERTIFIED outcome with a dense-grid
-residual search.  Holed balls follow, from a random stream of their own, so
-the counts of the first line do not depend on them; each CERTIFIED one is
-also cross-checked by planar winding numbers, whose verified value must be
-the certified index 1 - n.  Last, 2-D fixed point indices of random planar
-maps on random rectangles, from a third stream: every verified index must
-equal a dense angle-accumulation winding number.  Then random planar maps
-localized on random rectangles, from a fourth stream, every other one a
-random expression in sin, cos, tanh, min and max: every PROVEN box
-must hold a point the grid oracle drives to a residual of at most 1e-9,
-and discarded plus surviving volume must equal the rectangle's.  Last,
-from a fifth stream, trig maps with a fixed point planted inside their
-rectangle take the same checks, and the planted point must lie in an
-enclosure; then, from a sixth stream, the same with an abs or min term
-whose kink passes through the planted point.  Last, from a seventh
-stream, 1-D and 2-D families with a planted polynomial branch of fixed
+Generates random map/domain problems (rectangles, cylinders, cone shells
+of the coordinate sum), certifies each, and confirms every CERTIFIED
+outcome with a dense-grid residual search.  Cone shells of the sup and the
+euclidean norm, each with the map lam*l(x)*x, follow from a stream of their
+own and take the same oracle and region checks.  Holed balls follow, from a
+third stream, so the counts of the first two lines do not depend on them;
+each CERTIFIED one is also cross-checked by planar winding numbers, whose
+verified value must be the certified index 1 - n.  Last, 2-D fixed point
+indices of random planar maps on random rectangles, from a fourth stream:
+every verified index must equal a dense angle-accumulation winding
+number.  Then random planar maps localized on random rectangles, from a
+fifth stream, every other one a random expression in sin, cos, tanh, min
+and max: every PROVEN box must hold a point the grid oracle drives to a
+residual of at most 1e-9, and discarded plus surviving volume must equal
+the rectangle's.  Last, from a sixth stream, trig maps with a fixed point
+planted inside their rectangle take the same checks, and the planted point
+must lie in an enclosure; then, from a seventh stream, the same with an
+abs or min term whose kink passes through the planted point.  Last, from
+an eighth stream, 1-D and 2-D families with a planted polynomial branch of fixed
 points, the only one in their box, are traced over t in [0, 1]: every
 PROVEN slab must hold the branch at sampled t of its cell, every
 proven chain must meet the branch, and on every slab the map at the
@@ -42,8 +44,8 @@ INDETERMINATE), with the same rule.  The region tests with a float filter in fro
 test (the holed ball's and each hole's relevance test, and a cone shell's
 for invariance and both slices) must decide as the directed test alone,
 result or error, on each holed ball's 200 memo-check boxes and on 200
-sub-boxes of each cone shell's bounding box from a side stream (``region
-checks`` counts the boxes).  Any answer an oracle cannot
+sub-boxes of each cone shell's bounding box, of either stream, from a side
+stream (``region checks`` counts the boxes).  Any answer an oracle cannot
 confirm is a soundness bug and is printed with its problem source.
 
     python scripts/fuzz_soundness.py --n 2000 --seed 7
@@ -65,6 +67,7 @@ from corpus import (  # noqa: E402
     random_cylinder_problem,
     random_expression_map,
     random_holed_ball_problem,
+    random_norm_cone_problem,
     random_planted_branch_family,
     random_planted_kinked_map,
     random_planted_trig_map,
@@ -102,7 +105,7 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--residual", type=float, default=1e-6)
     args = ap.parse_args()
-    n_holes = n_index = n_localize = args.n // 10
+    n_holes = n_index = n_localize = n_norms = args.n // 10
 
     rng = random.Random(args.seed)
     counts = {"CERTIFIED": 0, "REFUTED": 0, "INDETERMINATE": 0}
@@ -138,6 +141,19 @@ def main():
             violation(m, f"a filtered region test differs from the directed one on "
                          f"{bad.bounds()}")
         return len(boxes)
+
+    def shell_problem(m, spec, form):
+        """Certify a cone shell problem and region-check it on 200 sub-boxes
+        of its bounding box; returns the certificate, the box's bounds, the
+        oracle's shell filter and the number of boxes checked."""
+        cert = certify_cone_shell(m, spec, form, max_depth=14, max_boxes=6000)
+        box = spec.bounding_box()
+        fn = spec.functional
+        tests = [fn.level_tests(lo, hi, lo)["relevant"]
+                 for lo, hi in ((spec.a, spec.b), (spec.a, spec.a), (spec.b, spec.b))]
+        regions = region_check(m, tests, shared_coordinate_boxes(region_rng, box, 200))
+        return (cert, [(c.lo, c.hi) for c in box.coords],
+                lambda p: spec.a <= fn.value(p) <= spec.b, regions)
 
     def reversed_problem(m, rect):
         return reverse_coordinates(m), RectDomain(reverse_box(rect.box))
@@ -179,14 +195,8 @@ def main():
             keep = None
         else:
             m, spec, form = random_cone_problem(rng)
-            cert = certify_cone_shell(m, spec, form, max_depth=14, max_boxes=6000)
-            domain_bounds = [(c.lo, c.hi) for c in spec.bounding_box().coords]
-            fn = spec.functional
-            keep = lambda p, fn=fn, spec=spec: spec.a <= fn.value(p) <= spec.b
-            tests = [fn.level_tests(lo, hi, lo)["relevant"]
-                     for lo, hi in ((spec.a, spec.b), (spec.a, spec.a), (spec.b, spec.b))]
-            cone_regions += region_check(
-                m, tests, shared_coordinate_boxes(region_rng, spec.bounding_box(), 200))
+            cert, domain_bounds, keep, regions = shell_problem(m, spec, form)
+            cone_regions += regions
 
         counts[cert.outcome] += 1
         confirm(cert, m, domain_bounds, keep)
@@ -196,6 +206,21 @@ def main():
           + ", ".join(f"{k}={v}" for k, v in counts.items())
           + f" metamorphic checks={rect_reversals} region checks={cone_regions}"
           + f" flip checks={rect_flips} (outcome moved on {flip_moves})")
+
+    rng = random.Random(f"{args.seed}:norms")
+    norm_counts = dict.fromkeys(counts, 0)
+    norm_regions = 0
+    t0 = time.perf_counter()
+    for k in range(n_norms):
+        m, spec, form = random_norm_cone_problem(rng, ("sup", "euclid")[k % 2])
+        cert, domain_bounds, keep, regions = shell_problem(m, spec, form)
+        norm_regions += regions
+        norm_counts[cert.outcome] += 1
+        confirm(cert, m, domain_bounds, keep)
+    elapsed = time.perf_counter() - t0
+    print(f"{n_norms} sup and euclid cone shells in {elapsed:.1f}s: "
+          + ", ".join(f"{k}={v}" for k, v in norm_counts.items())
+          + f" region checks={norm_regions}")
 
     rng = random.Random(f"{args.seed}:holes")
     hole_counts = dict.fromkeys(counts, 0)

@@ -33,9 +33,8 @@ from .certify import (
 from .continuation import trace_continuum
 from .degree import BoundaryZeroError, fixed_point_index, holes_index_cross_check
 from .geometry import HoledBallSpec, RectDomain, parse_domain
-from .interval import DimensionMismatchError, DomainError
 from .localize import localize_fixed_points
-from .mapdsl import EvaluationError, ParseError, parse_program
+from .mapdsl import parse_program
 
 _OUTCOME_EXIT = {CERTIFIED: 0, REFUTED: 1, INDETERMINATE: 2}
 
@@ -272,10 +271,10 @@ def main(argv=None) -> int:
     except KeyError as exc:  # str() of a KeyError is its message in quotes
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 4
-    except (ParseError, DimensionMismatchError, ValueError) as exc:
+    except ValueError as exc:  # ParseError and DomainError among them
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (EvaluationError, DomainError, ArithmeticError) as exc:
+    except ArithmeticError as exc:  # EvaluationError among them
         print(f"evaluation error: {exc}", file=sys.stderr)
         return 5
 

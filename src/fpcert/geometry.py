@@ -2,9 +2,10 @@
 
 Rectangles carry their faces, cylinders a height interval over a box base,
 cone shells live in the nonnegative orthant between two level sets of a
-positive functional, and holed balls are planar disks minus disjoint holes.
-The module also builds the coordinate-flip of a map (2*x_i - g_i) and the
-cylinder duality transform on the height coordinate.
+functional (the coordinate sum, the sup norm or the euclidean norm), and
+holed balls are planar disks minus disjoint holes.  The module also builds
+the coordinate-flip of a map (2*x_i - g_i) and the cylinder duality
+transform on the height coordinate.
 
 The enclosures the certifiers take over boxes, the squared distance to a
 point (`dist2_pair`) and a shell functional (`Functional.value_pair`), work
@@ -30,20 +31,16 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from itertools import repeat
 
 from .interval import (
     Box,
-    DimensionMismatchError,
     Interval,
     abs_pair,
     add_down,
     add_up,
-    div_up,
     interval_error,
     max_pair,
     mul_down,
-    mul_pair,
     mul_up,
     pow_int_pair,
     sqrt_pair,
@@ -203,25 +200,21 @@ def _bisect_segment(p, q, below):
 @dataclass(frozen=True)
 class Functional:
     """Positively homogeneous functional, strictly positive on the orthant
-    minus the origin: the euclidean norm, the sup norm, or a linear form
-    with strictly positive coefficients."""
+    minus the origin: the euclidean norm, the sup norm, or the coordinate
+    sum (kind 'linear', the domain line's l=sum)."""
 
     kind: str  # 'euclid' | 'sup' | 'linear'
-    coeffs: "tuple | None" = None
 
     def __post_init__(self):
         if self.kind not in ("euclid", "sup", "linear"):
             raise ValueError(f"unknown functional kind {self.kind!r}")
-        if self.kind == "linear":
-            if not self.coeffs or any(c <= 0.0 for c in self.coeffs):
-                raise ValueError("linear functional needs strictly positive coefficients")
 
     def value(self, p) -> float:
         if self.kind == "euclid":
             return math.hypot(*p)
         if self.kind == "sup":
             return max(abs(x) for x in p)
-        return sum(c * x for c, x in zip(self.coeffs, p))
+        return sum(p)
 
     def value_pair(self, pairs):
         """Enclosure (lo, hi) of the functional over the box whose
@@ -245,14 +238,8 @@ class Functional:
                 lo, hi = max_pair(lo, hi, *abs_pair(a, b))
             return lo, hi
         lo = hi = 0.0
-        for coef, (a, b) in zip(self.coeffs, pairs):
-            k = float(coef)  # the coefficient's point interval
-            if not -_INF < k < _INF:
-                raise interval_error(k, k)
-            p_lo, p_hi = mul_pair(k, k, a, b)
-            if not -_INF < p_lo <= p_hi < _INF:
-                raise interval_error(p_lo, p_hi)
-            lo, hi = add_down(lo, p_lo), add_up(hi, p_hi)
+        for a, b in pairs:
+            lo, hi = add_down(lo, a), add_up(hi, b)
             if not -_INF < lo <= hi < _INF:
                 raise interval_error(lo, hi)
         return lo, hi
@@ -265,14 +252,13 @@ class Functional:
         evaluates it.  The witness is the point of the box diagonal at the
         level `target` clamped to the box's guaranteed level range."""
         sup, euclid = self.kind == "sup", self.kind == "euclid"
-        ks = self.coeffs or repeat(1.0)
         value, value_pair = self.value, self.value_pair
 
         def corner_levels(coords):
             # A bracket of value_pair's ends, or None off the orthant or
             # where a sum reaches _GUARD.
             a = b = 0.0
-            for k, c in zip(ks, coords):
+            for c in coords:
                 if c.lo < 0.0:
                     return None
                 if sup:
@@ -280,7 +266,7 @@ class Functional:
                 elif euclid:
                     a, b = a + c.lo * c.lo, b + c.hi * c.hi
                 else:
-                    a, b = a + k * c.lo, b + k * c.hi
+                    a, b = a + c.lo, b + c.hi
             ends = (math.sqrt(a), math.sqrt(b)) if euclid else (a, b)
             return ends if b < _GUARD else None
 
@@ -316,12 +302,8 @@ class Functional:
         return cls("sup")
 
     @classmethod
-    def linear(cls, coeffs):
-        return cls("linear", tuple(float(c) for c in coeffs))
-
-    @classmethod
-    def ones(cls, dim):
-        return cls("linear", (1.0,) * dim)
+    def sum(cls):
+        return cls("linear")
 
 
 @dataclass(frozen=True)
@@ -341,20 +323,11 @@ class ConeShellSpec:
         if self.functional.kind == "linear":
             if self.a < 0.0:
                 raise ValueError("linear-functional shell needs a >= 0")
-            if len(self.functional.coeffs) != self.dim:
-                raise DimensionMismatchError("coefficient count must match dimension")
-            if not all(-_INF < c < _INF for c in self.functional.coeffs):
-                raise ValueError("linear-functional shell needs finite coefficients")
         elif self.a <= 0.0:
             raise ValueError("norm shell needs 0 < a")
 
     def bounding_box(self) -> Box:
-        f = self.functional
-        if f.kind == "linear":
-            coords = tuple(Interval(0.0, div_up(self.b, c)) for c in f.coeffs)
-        else:
-            coords = tuple(Interval(0.0, self.b) for _ in range(self.dim))
-        return Box(coords)
+        return Box((Interval(0.0, self.b),) * self.dim)
 
     def to_json_dict(self):
         d = {
@@ -365,7 +338,7 @@ class ConeShellSpec:
             "dim": self.dim,
         }
         if self.functional.kind == "linear":
-            d["coeffs"] = list(self.functional.coeffs)
+            d["coeffs"] = [1.0] * self.dim  # the sum's unit weights, as certificate JSON lists them
         return d
 
 
@@ -570,7 +543,7 @@ def _build(kind: str, dim: int, texts: list):
     """The domain object from the text that a line's parts captured, in
     order."""
     if kind == "coneshell":
-        f = Functional.ones(dim) if texts[0] == "sum" else Functional(texts[0])
+        f = Functional.sum() if texts[0] == "sum" else Functional(texts[0])
         return ConeShellSpec(dim, f, *_floats(texts[1:]))
     v = _floats(texts)
     if kind == "rect":

@@ -160,12 +160,28 @@ def random_cone_problem(rng: random.Random):
     lam = rng.uniform(0.7, 1.4)
     a = rng.uniform(0.3, 0.7) / lam
     b = rng.uniform(1.5, 2.5) / lam
-    spec = ConeShellSpec(2, Functional.ones(2), a, b)
+    spec = ConeShellSpec(2, Functional.sum(), a, b)
     src = (
         "dim 2\n"
         f"map g1 = {_fmt(lam)}*(x1 + x2)*x1\n"
         f"map g2 = {_fmt(lam)}*(x1 + x2)*x2\n"
     )
+    return parse_map(src), spec, "expansive"
+
+
+_NORM_SOURCE = {"sup": "max(x1, x2)", "euclid": "sqrt(x1^2 + x2^2)"}
+
+
+def random_norm_cone_problem(rng: random.Random, kind: str):
+    """The map lam*l(x)*x, l the sup or the euclidean norm, over a shell
+    around its fixed slice l = 1/lam; about 15% of the shells end below
+    that slice, where the b-slice condition fails."""
+    lam = rng.uniform(0.7, 1.4)
+    a = rng.uniform(0.3, 0.7) / lam
+    b = (rng.uniform(1.5, 2.5) if rng.random() < 0.85 else rng.uniform(0.75, 0.95)) / lam
+    spec = ConeShellSpec(2, Functional(kind), a, b)
+    level = f"{_fmt(lam)}*{_NORM_SOURCE[kind]}"
+    src = f"dim 2\nmap g1 = {level}*x1\nmap g2 = {level}*x2\n"
     return parse_map(src), spec, "expansive"
 
 

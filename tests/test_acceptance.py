@@ -398,7 +398,7 @@ def test_criterion_6_cone_shell_end_to_end():
     with criterion(6, "cone shell certificate plus slice localization"):
         t0 = time.perf_counter()
         T = parse_map("dim 2\nmap g1 = (x1 + x2)*x1\nmap g2 = (x1 + x2)*x2\n")
-        spec = ConeShellSpec(2, Functional.ones(2), 0.5, 2.0)
+        spec = ConeShellSpec(2, Functional.sum(), 0.5, 2.0)
         cert = certify_cone_shell(T, spec, "expansive")
         assert cert.outcome == CERTIFIED
 

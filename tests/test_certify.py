@@ -225,7 +225,7 @@ def test_cylinder_duality_by_construction():
 
 def test_cone_quadratic_expansive():
     T = parse_map("dim 2\nmap g1 = (x1 + x2)*x1\nmap g2 = (x1 + x2)*x2\n")
-    spec = ConeShellSpec(2, Functional.ones(2), 0.5, 2.0)
+    spec = ConeShellSpec(2, Functional.sum(), 0.5, 2.0)
     cert = certify_cone_shell(T, spec, "expansive")
     assert cert.outcome == CERTIFIED
     # grid oracle: residual minima on the slice x1 + x2 = 1
@@ -239,14 +239,14 @@ def test_cone_quadratic_expansive():
 
 def test_cone_constant_compressive():
     T = parse_map("dim 2\nmap g1 = 0.75\nmap g2 = 0.75\n")
-    spec = ConeShellSpec(2, Functional.ones(2), 1.0, 2.0)
+    spec = ConeShellSpec(2, Functional.sum(), 1.0, 2.0)
     cert = certify_cone_shell(T, spec, "compressive")
     assert cert.outcome == CERTIFIED
 
 
 def test_cone_scaling_refuted_both_forms():
     T = parse_map("dim 2\nmap g1 = 3*x1\nmap g2 = 3*x2\n")
-    spec = ConeShellSpec(2, Functional.ones(2), 1.0, 2.0)
+    spec = ConeShellSpec(2, Functional.sum(), 1.0, 2.0)
     for form in ("expansive", "compressive"):
         cert = certify_cone_shell(T, spec, form)
         assert cert.outcome == REFUTED

@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from fpcert import catalog
+from fpcert import catalog, cli
 from fpcert.cli import _parser, main
+from fpcert.interval import DomainError
 from fpcert.mapdsl import parse_program
 
 from corpus import random_holed_ball_problem
@@ -110,6 +111,17 @@ def test_single_hole_exit_4(capsys):
     code, _, err = run(capsys, "certify", "@holes-single")
     assert code == 4
     assert "single hole" in err
+
+
+def test_domain_error_in_a_command_exit_4(capsys, monkeypatch):
+    # DomainError is a ValueError: the usage-error exit, not the
+    # evaluation-error one.
+    def fail(*_args, **_kwargs):
+        raise DomainError("non-finite interval bound [0.0, inf]")
+
+    monkeypatch.setattr(cli, "certify_problem", fail)
+    code, out, err = run(capsys, "certify", "@miranda-linear-2d")
+    assert (code, out, err) == (4, "", "error: non-finite interval bound [0.0, inf]\n")
 
 
 # cos(x1) plus zero times a term whose derivative cannot be evaluated:

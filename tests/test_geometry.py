@@ -105,19 +105,29 @@ def test_holed_ball_rejects_non_finite_values(radius, holes):
 ])
 def test_cone_shell_and_annulus_reject_non_finite_values(a, b):
     with pytest.raises(ValueError, match="finite"):
-        ConeShellSpec(2, Functional.ones(2), a, b)
+        ConeShellSpec(2, Functional.sum(), a, b)
     with pytest.raises(ValueError, match="finite"):
         ConeShellSpec(2, Functional.sup(), a, b)
     with pytest.raises(ValueError):
         AnnulusSpec(abs(a), b)
 
 
-@pytest.mark.parametrize("coeff", [math.nan, math.inf])
-def test_cone_shell_rejects_non_finite_linear_coefficients(coeff):
-    # Functional itself takes them; the shell's bounding box could not.
-    functional = Functional.linear([coeff, 1.0])
-    with pytest.raises(ValueError, match="finite coefficients"):
-        ConeShellSpec(2, functional, 0.5, 2.0)
+@pytest.mark.parametrize("pairs, expected", [
+    ([(1e-300, 2e-300), (0.0, 1.0)], (1e-300, 1.0000000000000002)),
+    ([(1e295, 1e296), (1.0, 2.0)], (1e295, 1.0000000000000002e296)),
+])
+def test_sum_level_is_the_directed_sum_of_the_endpoints(pairs, expected):
+    # The exact directed sum, with no ulp of widening on endpoints outside
+    # [1e-280, 1e290].
+    assert Functional.sum().value_pair(pairs) == expected
+
+
+def test_sum_shell_bounding_box_and_json():
+    tiny = parse_domain("domain coneshell l=sum a=0 b=1e-300", 2)
+    assert tiny.bounding_box().coords == (Interval(0.0, 1e-300),) * 2
+    shell = parse_domain("domain coneshell l=sum a=0.5 b=2", 2)
+    assert shell.to_json_dict() == {"type": "coneshell", "functional": "linear", "a": 0.5,
+                                    "b": 2.0, "dim": 2, "coeffs": [1.0, 1.0]}
 
 
 def test_cylinder_validation():
