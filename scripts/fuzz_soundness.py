@@ -40,7 +40,12 @@ centre (cx, cy) moved to (cy, cx).  Each rect problem is also certified
 again with g_i replaced by 2*x_i - g_i on a random nonempty set of axes
 (``flip_coordinates``, which keeps the fixed points exactly; ``flip
 checks`` counts the reruns and how many moved to or from
-INDETERMINATE), with the same rule.  The region tests with a float filter in front of a directed
+INDETERMINATE), with the same rule, and once more translated by a seeded
+dyadic offset s per axis (``translate_coordinates``, the map
+y -> g(y - s) + s on the rectangle moved by s, which keeps the fixed
+points exactly; a problem where some endpoint plus its offset is not a
+float is skipped; ``translate checks`` counts the reruns and how many
+moved), with the same rule.  The region tests with a float filter in front of a directed
 test (the holed ball's and each hole's relevance test, and a cone shell's
 for invariance and both slices) must decide as the directed test alone,
 result or error, on each holed ball's 200 memo-check boxes and on 200
@@ -77,6 +82,8 @@ from corpus import (  # noqa: E402
     reverse_box,
     reverse_coordinates,
     shared_coordinate_boxes,
+    translate_box,
+    translate_coordinates,
 )
 from oracles import grid_zoom_min, winding_rect  # noqa: E402
 
@@ -164,10 +171,12 @@ def main():
             if point is None or res > args.residual:
                 violation(m, f"oracle residual {res}")
 
-    # The flipped axes come from a side stream too.
+    # The flipped axes and the offsets come from side streams too.
     flip_rng = random.Random(f"{args.seed}:flip")
+    translate_rng = random.Random(f"{args.seed}:translate")
 
     rect_reversals = cone_regions = rect_flips = flip_moves = 0
+    rect_translations = translate_moves = 0
     for k in range(args.n):
         roll = rng.random()
         if roll < 0.6:
@@ -186,6 +195,15 @@ def main():
             if {cert.outcome, other.outcome} == {CERTIFIED, REFUTED}:
                 violation(m, f"{cert.outcome}, but {other.outcome} with axes {sorted(axes)} "
                              "flipped")
+            shift = [translate_rng.randint(-32, 32) / 16.0 for _axis in range(m.dim)]
+            moved = translate_box(r.box, shift)
+            if moved is not None:
+                rect_translations += 1
+                other = certify_miranda(translate_coordinates(m, shift), RectDomain(moved),
+                                        max_depth=12, max_boxes=3000)
+                translate_moves += other.outcome != cert.outcome
+                if {cert.outcome, other.outcome} == {CERTIFIED, REFUTED}:
+                    violation(m, f"{cert.outcome}, but {other.outcome} translated by {shift}")
             domain_bounds = [(c.lo, c.hi) for c in r.box.coords]
             keep = None
         elif roll < 0.85:
@@ -206,6 +224,7 @@ def main():
           + ", ".join(f"{k}={v}" for k, v in counts.items())
           + f" metamorphic checks={rect_reversals} region checks={cone_regions}"
           + f" flip checks={rect_flips} (outcome moved on {flip_moves})")
+    print(f"translate checks={rect_translations} (outcome moved on {translate_moves})")
 
     rng = random.Random(f"{args.seed}:norms")
     norm_counts = dict.fromkeys(counts, 0)

@@ -42,7 +42,7 @@ from .interval import (
     max_pair,
     mul_down,
     mul_up,
-    pow_int_pair,
+    sqr_pair,
     sqrt_pair,
     sub_down,
     sub_up,
@@ -223,7 +223,7 @@ class Functional:
         if self.kind == "euclid":
             lo = hi = 0.0
             for a, b in pairs:
-                s_lo, s_hi = pow_int_pair(a, b, 2)
+                s_lo, s_hi = sqr_pair(a, b)
                 if not -_INF < s_lo <= s_hi < _INF:
                     raise interval_error(s_lo, s_hi)
                 lo, hi = add_down(lo, s_lo), add_up(hi, s_hi)
@@ -360,8 +360,8 @@ def dist2_pair(a: float, b: float, c: float, d: float, cx: float, cy: float):
         raise interval_error(x_lo, x_hi)
     if not -_INF < y_lo <= y_hi < _INF:
         raise interval_error(y_lo, y_hi)
-    x_lo, x_hi = pow_int_pair(x_lo, x_hi, 2)
-    y_lo, y_hi = pow_int_pair(y_lo, y_hi, 2)
+    x_lo, x_hi = sqr_pair(x_lo, x_hi)
+    y_lo, y_hi = sqr_pair(y_lo, y_hi)
     if not -_INF < x_lo <= x_hi < _INF:
         raise interval_error(x_lo, x_hi)
     if not -_INF < y_lo <= y_hi < _INF:

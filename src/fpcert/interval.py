@@ -13,9 +13,11 @@ bounds are the adjacent floats in the safe direction.
 
 Multiplication follows the sign-case table of Moore's *Interval Analysis*:
 in eight of the nine sign cases one downward and one upward product give
-the result.  When both operands straddle zero, or a chosen product is zero
-or its exactness cannot be checked (underflow, overflow, huge operands),
-the kernel takes all eight directed endpoint products, so results, signed
+the result, and when both operands straddle zero two of each do.  A
+chosen product that is zero because a factor is zero is the first zero
+endpoint product, whose sign the eight-product formula keeps.  Only where
+exactness cannot be checked (underflow, overflow, huge operands) does the
+kernel take all eight directed endpoint products; so results, signed
 zeros included, equal that formula bit for bit.  ``mul_pair`` writes its
 two directed products out inline (range tests, Dekker split, error term
 and ``math.nextafter``), as the directed sums and differences do their
@@ -242,9 +244,10 @@ def _pow_mag(x: float, n: int, mul) -> float:
 # exactness test passes and the extra product by 1.0 that _pow_mag takes
 # is exact and skipped.  The one-ulp step never leaves that range: the
 # only square rounding to 1e-280 is 1e-140 ** 2, which rounds down, and
-# the only one rounding to 1e290 is 1e145 ** 2, which rounds up.  The
-# other squares go through _pow_mag.  So each result equals
-# _pow_mag(x, 2, mul_down) and _pow_mag(x, 2, mul_up).
+# the only one rounding to 1e290 is 1e145 ** 2, which rounds up.  A zero
+# x gives +0.0, as _pow_mag does, and the other squares go through
+# _pow_mag.  So each result equals _pow_mag(x, 2, mul_down) and
+# _pow_mag(x, 2, mul_up).
 
 
 def _sqr_down(x: float) -> float:
@@ -256,6 +259,8 @@ def _sqr_down(x: float) -> float:
         if ((h * h - p) + h * r + r * h) + r * r < 0.0:
             return _nextafter(p, -_INF)
         return p
+    if x == 0.0:
+        return 0.0
     return _pow_mag(x, 2, mul_down)
 
 
@@ -268,6 +273,8 @@ def _sqr_up(x: float) -> float:
         if ((h * h - p) + h * r + r * h) + r * r > 0.0:
             return _nextafter(p, _INF)
         return p
+    if x == 0.0:
+        return 0.0
     return _pow_mag(x, 2, mul_up)
 
 
@@ -303,10 +310,11 @@ def mul_pair(a: float, b: float, c: float, d: float):
     # equals _mul8's bit for bit: a product widened for underflow stays
     # inside [-1e-280, 1e-280], and an endpoint left out of the picked
     # pair is never larger in magnitude than one in it, so an operand
-    # past 1e290 already makes a picked e None.  Zero products go
-    # to _mul8 too, whose min/max order fixes the sign of a zero bound,
-    # and so do two operands that straddle zero, where no one pair of
-    # products is extreme.
+    # past 1e290 already makes a picked e None.  When both operands
+    # straddle zero, ad and bc are negative and ac and bd positive; the
+    # downward product of a negative one and the upward product of a
+    # positive one never round to zero, so _mul8's min and max pick from
+    # those two pairs.
     if a >= 0.0:
         if c >= 0.0:
             x1, y1, x2, y2 = a, c, b, d
@@ -326,7 +334,7 @@ def mul_pair(a: float, b: float, c: float, d: float):
     elif d <= 0.0:
         x1, y1, x2, y2 = b, c, a, c
     else:
-        return _mul8(a, b, c, d)
+        return min(mul_down(a, d), mul_down(b, c)), max(mul_up(a, c), mul_up(b, d))
     # The two picked products, with _two_product written out: its
     # exactness test as range tests, then Dekker's split and error term.
     p = x1 * y1
@@ -335,6 +343,26 @@ def mul_pair(a: float, b: float, c: float, d: float):
             and (1e-280 <= q < _INF or -_INF < q <= -1e-280)
             and -1e290 <= x1 <= 1e290 and -1e290 <= y1 <= 1e290
             and -1e290 <= x2 <= 1e290 and -1e290 <= y2 <= 1e290):
+        # A picked product with a zero factor makes that bound zero, and
+        # _mul8's min (max) returns the first of its products that is
+        # zero: the others lie on the far side of zero, and with every
+        # endpoint within 1e290 and no nonzero product below 1e-280 a
+        # directed product is zero only where the plain one is, with its
+        # sign.  The other bound is its picked directed product: within
+        # those ranges a directed product is monotone in the exact one.
+        lo_zero = x1 == 0.0 or y1 == 0.0
+        hi_zero = x2 == 0.0 or y2 == 0.0
+        if ((lo_zero or hi_zero)
+                and -1e290 <= a <= 1e290 and -1e290 <= b <= 1e290
+                and -1e290 <= c <= 1e290 and -1e290 <= d <= 1e290):
+            ac = a * c
+            ad = a * d
+            bc = b * c
+            bd = b * d
+            if not (0.0 < abs(ac) < 1e-280 or 0.0 < abs(ad) < 1e-280
+                    or 0.0 < abs(bc) < 1e-280 or 0.0 < abs(bd) < 1e-280):
+                z = ac if ac == 0.0 else ad if ad == 0.0 else bc if bc == 0.0 else bd
+                return (z if lo_zero else mul_down(x1, y1)), (z if hi_zero else mul_up(x2, y2))
         return _mul8(a, b, c, d)
     t = _SPLITTER * x1
     x_hi = t - (t - x1)

@@ -16,7 +16,16 @@ from fpcert import geometry
 from fpcert import interval as iv
 from fpcert.geometry import ConeShellSpec, CylinderSpec, Functional, HoledBallSpec, RectDomain
 from fpcert.interval import Box, Interval
-from fpcert.mapdsl import MapSpec, Var, children, jacobian, parse_map, with_children
+from fpcert.mapdsl import (
+    BinOp,
+    MapSpec,
+    Var,
+    children,
+    float_const,
+    jacobian,
+    parse_map,
+    with_children,
+)
 
 UNARY_OPS = {
     "neg": lambda lo, hi: (-hi, -lo),
@@ -462,3 +471,30 @@ def reverse_coordinates(m: MapSpec) -> MapSpec:
 def reverse_box(box: Box) -> Box:
     """The box with its axes in reverse order (see reverse_coordinates)."""
     return Box(tuple(reversed(box.coords)))
+
+
+def translate_coordinates(m: MapSpec, shift) -> MapSpec:
+    """m conjugated by the translation x -> x + shift: the map
+    y -> g(y - shift) + shift, whose fixed points are those of g moved by
+    shift, exactly (shift is a list of floats, one per coordinate)."""
+
+    def rewrite(e):
+        if type(e) is Var:
+            return BinOp("-", e, float_const(shift[e.index]))
+        kids = children(e)
+        return with_children(e, [rewrite(k) for k in kids]) if kids else e
+
+    comps = tuple(BinOp("+", rewrite(c), float_const(s)) for c, s in zip(m.components, shift))
+    return MapSpec(m.dim, comps, m.has_param)
+
+
+def translate_box(box: Box, shift) -> "Box | None":
+    """The box moved by shift (see translate_coordinates), or None when
+    some endpoint plus its offset is not a float."""
+    coords = []
+    for c, s in zip(box.coords, shift):
+        lo, hi = iv.add_down(c.lo, s), iv.add_up(c.hi, s)
+        if lo != iv.add_up(c.lo, s) or hi != iv.add_down(c.hi, s):
+            return None
+        coords.append(Interval(lo, hi))
+    return Box(tuple(coords))

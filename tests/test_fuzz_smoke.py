@@ -3,6 +3,7 @@
 and region checks), in a subprocess as it is run from the command line."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,3 +18,5 @@ def test_fuzz_soundness_smoke_run_has_no_violation():
         timeout=300)
     assert out.returncode == 0, out.stdout + out.stderr
     assert out.stdout.splitlines()[-1] == "violations: 0", out.stdout
+    translated = re.search(r"^translate checks=(\d+) ", out.stdout, re.M)
+    assert translated and int(translated.group(1)) > 0, out.stdout

@@ -316,9 +316,11 @@ def _random_interval(rng):
 
 
 def _mul_operand_pairs():
-    # Every interval over a few endpoints with both signed zeros, paired
-    # exhaustively, then seeded random pairs.
-    endpoints = (0.0, -0.0, -2.0, -1e-300, 1e-300, 3.0)
+    # Every interval over a few endpoints with both signed zeros and the
+    # edges of mul_pair's range tests (subnormal, 1e-280, 1e290, past it),
+    # paired exhaustively, then seeded random pairs.
+    endpoints = (0.0, -0.0, -2.0, -1e-300, 1e-300, 3.0, 5e-324, -5e-324, 1e-280, -1e-280,
+                 1e290, -1e290, 1e300, -1e300)
     grid = [Interval(lo, hi) for lo in endpoints for hi in endpoints if lo <= hi]
     yield from ((x, y) for x in grid for y in grid)
     rng = random.Random(1788)
@@ -334,6 +336,33 @@ def test_mul_matches_eight_product_reference():
             "P" if v.lo >= 0.0 else "N" if v.hi <= 0.0 else "M" for v in (x, y)
         ))
     assert len(sign_cases) == 9
+
+
+def test_zero_endpoints_and_straddling_operands_skip_the_eight_products(monkeypatch):
+    # Endpoints whose nonzero products all lie in [1e-280, 1e290]: a zero
+    # endpoint or two operands that straddle zero take a branch of their
+    # own, never _mul8, and the result is the eight-product one bit for bit.
+    # [0, 2] * [-1, 0] is the case where the zero upper bound is -0.0 (from
+    # 0 * -1, the first zero product), not the 0 * 0 that the table picks.
+    assert repr(iv.mul_pair(0.0, 2.0, -1.0, 0.0)) == "(-2.0, -0.0)"
+    reference = iv._mul8
+    calls = []
+    monkeypatch.setattr(iv, "_mul8", lambda *args: calls.append(args) or reference(*args))
+    endpoints = (0.0, -0.0, -0.5, 0.5, -3.0, 3.0, -1e-100, 1e-100, -1e100, 1e100)
+    grid = [(lo, hi) for lo in endpoints for hi in endpoints if lo <= hi]
+    zero = straddle = 0
+    for a, b in grid:
+        for c, d in grid:
+            assert _bits(iv.mul_pair(a, b, c, d)) == _bits(reference(a, b, c, d)), (a, b, c, d)
+            zero += 0.0 in (a, b, c, d)
+            straddle += a < 0.0 < b and c < 0.0 < d
+    assert calls == []
+    assert zero > 1000 and straddle > 100
+    # Out of range they still go to it: an operand past 1e290, or a
+    # nonzero product below 1e-280 next to a zero one.
+    for args in ((0.0, 1e300, 1.0, 2.0), (0.0, 1e-150, 1e-150, 1.0)):
+        assert _bits(iv.mul_pair(*args)) == _bits(reference(*args))
+    assert len(calls) == 2
 
 
 def _near_lattice_interval(rng):
@@ -519,6 +548,8 @@ def test_scale_pair_matches_mul_pair_bit_for_bit():
     signs = set()
     for y, c, d in cases:
         assert _bits(iv.scale_pair(y, c, d)) == _bits(iv.mul_pair(y, y, c, d)), (y, c, d)
+        if y == 0.0:  # scale_pair hands a zero to mul_pair's zero branch
+            assert _bits(iv.scale_pair(y, c, d)) == _bits(iv._mul8(y, y, c, d)), (y, c, d)
         signs.add(("P" if c >= 0.0 else "N" if d <= 0.0 else "M", math.copysign(1.0, y)))
     assert len(signs) == 6
 
@@ -574,6 +605,9 @@ def test_square_matches_generic_even_power():
         ref = repr(_ref_square(lo, hi))
         assert repr(iv.sqr_pair(lo, hi)) == ref, (lo, hi)
         assert repr(iv.pow_int_pair(lo, hi, 2)) == ref, (lo, hi)
+    for x in edges:  # the directed squares themselves, signed zeros included
+        assert repr(iv._sqr_down(x)) == repr(iv._pow_mag(x, 2, mul_down)), x
+        assert repr(iv._sqr_up(x)) == repr(iv._pow_mag(x, 2, mul_up)), x
 
 
 def test_transcendental_kernels_enclose_mpmath():
