@@ -103,10 +103,12 @@ def trace_continuum(psi: MapSpec, t_range, x_box: Box, grid: int = 16,
     if grid < 1:
         raise ValueError("grid must be at least 1")
     a, b = (t_range.lo, t_range.hi) if isinstance(t_range, Interval) else map(float, t_range)
-    if not math.isfinite(b - a):  # also when a or b is not finite
+    if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("parameter range must be finite")
     if not a < b:
         raise ValueError("parameter range must have positive width")
+    if not math.isfinite(b - a):
+        raise ValueError("parameter range is wider than the float range")
 
     # The last point is b itself: a + (b - a) can round below b.
     t_grid = tuple(a + (b - a) * j / grid for j in range(grid)) + (b,)

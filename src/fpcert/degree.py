@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import jsonout
 from .geometry import HoledBallSpec, RectDomain
 from .interval import (
     Box,
@@ -57,21 +56,18 @@ class BoundaryZeroError(ArithmeticError):
 
 @dataclass
 class DegreeResult:
+    """A verified index; one that cannot be verified raises BoundaryZeroError."""
     value: int
-    verified: bool
     segments: int
     depth: int
 
     def to_json_dict(self):
         return {
             "value": self.value,
-            "verified": self.verified,
+            "verified": True,
             "segments": self.segments,
             "depth": self.depth,
         }
-
-    def to_json(self):
-        return jsonout.dumps(self.to_json_dict())
 
 
 _INF = math.inf
@@ -115,7 +111,7 @@ def degree_1d(f: MapSpec, rect: RectDomain) -> DegreeResult:
         value = -1
     else:
         value = 0
-    return DegreeResult(value, True, segments=2, depth=0)
+    return DegreeResult(value, segments=2, depth=0)
 
 
 # Half-plane codes, counterclockwise: x>0, y>0, x<0, y<0.
@@ -217,14 +213,14 @@ def _winding(f: MapSpec, pieces, max_depth: int, max_boxes: int) -> DegreeResult
         h0 = ordered[k]
         h1 = ordered[(k + 1) % len(ordered)]
         step = ((h1 - h0 + 1) % 4) - 1
-        if step == 2 or (h1 - h0) % 4 == 2:
+        if step == 2:
             raise BoundaryZeroError(
                 "inconsistent half-plane transition; boundary image too coarse"
             )
         total += step
     if total % 4 != 0:
         raise BoundaryZeroError("quarter-turn total not divisible by four")
-    return DegreeResult(total // 4, True, segments=len(ordered), depth=depth)
+    return DegreeResult(total // 4, segments=len(ordered), depth=depth)
 
 
 def winding_degree_2d(f: MapSpec, rect: RectDomain,
@@ -243,8 +239,8 @@ def holes_index_cross_check(T: MapSpec, spec: HoledBallSpec,
     disk minus its degree on each hole, provided Id - T vanishes on none of
     the circles.  Winds Id - T around the outer circle and around each hole
     circle, each walk with its own budget, and reports outer minus the hole
-    sum.  Returns a dict with value and verified; value is None and
-    verified False when some winding could not be completed rigorously.
+    sum.  Returns that index, or None when some winding could not be
+    completed rigorously.
     """
     if T.dim != 2:
         raise DimensionMismatchError("holes_index_cross_check needs a map of dimension 2")
@@ -253,8 +249,8 @@ def holes_index_cross_check(T: MapSpec, spec: HoledBallSpec,
         for cx, cy, r in spec.holes:
             value -= _winding(T, _circle_pieces(cx, cy, r), max_depth, max_boxes).value
     except BoundaryZeroError:
-        return {"value": None, "verified": False}
-    return {"value": value, "verified": True}
+        return None
+    return value
 
 
 def fixed_point_index(f: MapSpec, rect: RectDomain,

@@ -13,10 +13,11 @@ Expressions support + - * / ^INT, unary minus, parentheses, the functions
 sin cos exp tanh sqrt abs min max, the variables x1..xn and t, and decimal
 literals, in ASCII digits and letters (whitespace is what str.isspace
 accepts).  Every parsed map evaluates over floats (eval_real) and over
-boxes (eval_interval); the interval semantics is the naive interval
-extension, which encloses the true image of the box.  Nodes evaluate on
-one tuple of coordinates, x1..xn followed by t (``Param``, the ``Var`` at
-index n), to endpoint pairs ``(lo, hi)`` of plain floats (``eval_pair(xs)``):
+boxes (``eval_pairs``; ``eval_interval`` stays for the perfbench tracer);
+the interval semantics is the naive interval extension, which encloses
+the true image of the box.  Nodes evaluate on one tuple of coordinates,
+x1..xn followed by t (``Param``, the ``Var`` at index n), to endpoint
+pairs ``(lo, hi)`` of plain floats (``eval_pair(xs)``):
 leaves read the endpoints of a coordinate or of a constant's enclosure, and
 operations call the pair kernels of ``interval``.  Each operation checks
 its result with ``-inf < lo <= hi < inf`` and raises exactly what

@@ -11,8 +11,11 @@ from fpcert.certify import (
     CERTIFIED,
     INDETERMINATE,
     REFUTED,
+    CertStats,
+    Condition,
     SingleHoleError,
     UnsupportedDomainError,
+    check,
     certify_cone_shell,
     certify_cylinder,
     certify_holes,
@@ -148,6 +151,21 @@ def test_unresolved_box_that_fails_to_evaluate_serialises():
     unresolved = [e for e in payload["evidence"] if e["relation"] == "unresolved"]
     assert unresolved and all(e["bound"] is None for e in unresolved)
     assert {e["face"] for e in unresolved} <= {"x1-", "x1+"}
+
+
+def test_refutation_the_witness_point_does_not_confirm_is_indeterminate():
+    # The first condition's bound violates <= 1 on every box of positive
+    # width, but holds at the witness point: its cover stops on a violated
+    # box that cannot refute, and the next condition is still checked.
+    def bound(box):
+        return Interval(0.0) if box.coords[0].lo == box.coords[0].hi else Interval(2.0, 3.0)
+
+    seeds = (Box.from_bounds([(0, 1)]),)
+    unconfirmed = Condition("a", seeds, bound, "<=", (1.0, 1.0))
+    holds = Condition("b", seeds, lambda box: Interval(0.0), "<=", (1.0, 1.0))
+    status, evidence, witness = check([unconfirmed, holds], 24, 1000, CertStats())
+    assert status == INDETERMINATE and witness is None
+    assert [(e.face, e.bound) for e in evidence] == [("b", Interval(0.0))]
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +317,7 @@ def test_holes_two_certified_index():
 def test_holes_cross_check_agrees():
     T = parse_map("dim 2\nmap g1 = 2*tanh(x1)\nmap g2 = 0\n")
     cc = holes_index_cross_check(T, _two_holes())
-    assert cc == {"value": -1, "verified": True}
+    assert cc == -1
 
 
 @pytest.mark.parametrize("form", ["expansive", "compressive", "bogus"])

@@ -223,6 +223,54 @@ def test_index_holed_ball_with_fixed_points_near_the_ball(tmp_path, capsys):
     assert payload["value"] == payload["cross_check"] == 1 - 3
 
 
+def _holed_ball_file(tmp_path, source):
+    path = tmp_path / "holes.fp"
+    path.write_text(source + "domain holedball R=4 hole (2,0,0.5) hole (-2,0,0.5)\n")
+    return str(path)
+
+
+def test_index_holed_ball_not_certified_prints_the_outcome(tmp_path, capsys):
+    # The constant map into hole 0 violates hole 1's boundary condition.
+    path = _holed_ball_file(tmp_path, "dim 2\nmap g1 = 2\nmap g2 = 0\n")
+    code, out, err = run(capsys, "index", path, "--format", "json")
+    assert code == 1 and err == ""
+    assert json.loads(out) == {"outcome": "REFUTED", "value": None, "verified": False}
+    code, out, _ = run(capsys, "index", path)
+    assert code == 1
+    assert out == "outcome: REFUTED\nvalue: None\nverified: False\n"
+
+
+def test_index_holed_ball_whose_cross_check_fails_exit_2(tmp_path, capsys):
+    # At depth 0 the certificate holds, but no circle winding completes.
+    path = _holed_ball_file(tmp_path, "dim 2\nmap g1 = 2*tanh(x1)\nmap g2 = 0\n")
+    code, out, _ = run(capsys, "index", path, "--max-depth", "0", "--format", "json")
+    payload = json.loads(out)
+    assert code == 2 and payload["value"] == -1
+    assert payload["verified"] is False and payload["cross_check"] is None
+
+
+_CYLINDER = "dim 2\nmap g1 = x1\nmap g2 = x2\ndomain cylinder [0,1] base [0,1]\n"
+
+
+@pytest.mark.parametrize("command, source, message", [
+    ("index", _CYLINDER, "index computation needs a rect or holedball domain"),
+    ("localize", _CYLINDER, "localization needs a rect domain"),
+    ("trace", "dim 2\nparam t\nmap g1 = t\nmap g2 = x2\ndomain cylinder [0,1] base [0,1]\n",
+     "tracing needs a rect domain for the state box"),
+    ("trace", "dim 1\nmap g1 = 0.5\ndomain rect [0,1]\n",
+     "tracing needs a parametrized map (param t)"),
+    ("certify", "dim 1\nmap g1 = 0.5\n", "problem file declares no domain line"),
+], ids=["index-cylinder", "localize-cylinder", "trace-cylinder", "trace-no-param",
+        "no-domain-line"])
+def test_command_refuses_a_problem_it_cannot_take_exit_4(tmp_path, capsys, command,
+                                                          source, message):
+    path = tmp_path / "problem.fp"
+    path.write_text(source)
+    code, out, err = run(capsys, command, str(path))
+    assert code == 4 and out == ""
+    assert err == f"error: {message}\n", err
+
+
 def test_trace_commands(capsys):
     code, out, _ = run(capsys, "trace", "@trace-linear", "--format", "json")
     assert code == 0 and json.loads(out)["complete"]
@@ -242,12 +290,18 @@ def test_nan_tolerance_exit_4(capsys, argv):
     assert "tol must be positive" in err
 
 
-@pytest.mark.parametrize("bounds", [("--t-hi", "inf"), ("--t-lo=-1e308", "--t-hi=1e308")])
+@pytest.mark.parametrize("bounds", [("--t-hi", "inf"), ("--t-lo=-inf",), ("--t-lo", "nan")])
 def test_trace_infinite_parameter_range_exit_4(capsys, bounds):
-    # With 1e308 both ends are finite, but b - a overflows.
     code, out, err = run(capsys, "trace", "@trace-linear", *bounds)
     assert code == 4 and out == ""
     assert err == "error: parameter range must be finite\n", err
+
+
+def test_trace_parameter_range_wider_than_the_floats_exit_4(capsys):
+    # Both ends are finite, but b - a overflows.
+    code, out, err = run(capsys, "trace", "@trace-linear", "--t-lo=-1e308", "--t-hi=1e308")
+    assert code == 4 and out == ""
+    assert err == "error: parameter range is wider than the float range\n", err
 
 
 @pytest.mark.parametrize("argv", [
@@ -541,16 +595,17 @@ _GOLDEN = Path(__file__).with_name("golden_stable_digests.json")
 
 @functools.cache
 def stable_json(entry_id):
-    """A catalog entry's `--format json --stable` stdout (deterministic, so
-    each entry runs once for all the tests that read it)."""
+    """A catalog entry's exit code and `--format json --stable` stdout
+    (deterministic, so each entry runs once for all the tests that read
+    it)."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        main(_entry_argv(entry_id) + ["--format", "json", "--stable"])
-    return out.getvalue()
+        code = main(_entry_argv(entry_id) + ["--format", "json", "--stable"])
+    return code, out.getvalue()
 
 
 def stable_json_digest(entry_id):
-    return hashlib.sha256(stable_json(entry_id).encode()).hexdigest()
+    return hashlib.sha256(stable_json(entry_id)[1].encode()).hexdigest()
 
 
 @pytest.mark.parametrize("entry_id", sorted(catalog.CATALOG))
@@ -563,9 +618,10 @@ def test_catalog_stable_json_matches_golden_digest(entry_id):
 @pytest.mark.parametrize("entry_id", sorted(catalog.CATALOG))
 def test_catalog_stable_json_is_json_dumps_indent_2(entry_id):
     # Every report is printed by fpcert.jsonout, which must write exactly
-    # what json.dumps(payload, indent=2) would.  A refused entry (exit 4)
-    # prints no report.
-    out = stable_json(entry_id)
+    # what json.dumps(payload, indent=2) would, and the JSON path exits as
+    # the text path does.  A refused entry (exit 4) prints no report.
+    code, out = stable_json(entry_id)
+    assert code == catalog.CATALOG[entry_id].exit
     if catalog.CATALOG[entry_id].exit == 4:
         assert out == ""
     else:

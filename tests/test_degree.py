@@ -15,7 +15,7 @@ from fpcert.degree import (
     homotopy_nonvanishing,
     winding_degree_2d,
 )
-from fpcert.geometry import RectDomain
+from fpcert.geometry import HoledBallSpec, RectDomain
 from fpcert.interval import Box, DomainError
 from fpcert.localize import localize_fixed_points
 from fpcert.mapdsl import parse_map
@@ -53,7 +53,7 @@ def test_winding_squaring_field():
     f = parse_map("dim 2\nmap g1 = x1 - (x1^2 - x2^2)\nmap g2 = x2 - 2*x1*x2\n")
     r = rect((-1, 1), (-1, 1))
     got = winding_degree_2d(f, r)
-    assert got.value == 2 and got.verified
+    assert got.value == 2
     assert winding_rect(f, [(-1, 1), (-1, 1)]) == 2
 
 
@@ -80,7 +80,7 @@ def test_winding_splits_segments_whose_evaluation_raises():
     # The naive enclosure of x1^2 - x1 + 1 over the edges [0, 1] holds zero.
     f = parse_map("dim 2\nmap g1 = 0.5/(x1^2 - x1 + 1)\nmap g2 = 0.5*x2 + 0.25\n")
     got = winding_degree_2d(f, rect((0, 1), (0, 1)))
-    assert got.verified and got.value == 1 == winding_rect(f, [(0, 1), (0, 1)])
+    assert got.value == 1 == winding_rect(f, [(0, 1), (0, 1)])
 
 
 def test_winding_segment_that_still_raises_is_a_boundary_zero():
@@ -168,9 +168,17 @@ def test_holed_ball_cross_check_on_the_seed_7_stream():
         if certify_holes(m, spec).outcome != CERTIFIED:
             continue
         certified += 1
-        assert holes_index_cross_check(m, spec) == {
-            "value": 1 - len(spec.holes), "verified": True}, k
+        assert holes_index_cross_check(m, spec) == 1 - len(spec.holes), k
     assert certified == 12
+
+
+def test_holed_ball_cross_check_is_none_when_a_winding_fails():
+    # The index -1 of this map is cross-checked with the default budget;
+    # four boxes cannot cover the outer circle.
+    m = parse_map("dim 2\nmap g1 = 2*tanh(x1)\nmap g2 = 0\n")
+    spec = HoledBallSpec(4.0, ((2.0, 0.0, 0.5), (-2.0, 0.0, 0.5)))
+    assert holes_index_cross_check(m, spec) == -1
+    assert holes_index_cross_check(m, spec, max_boxes=4) is None
 
 
 def test_fixed_point_index_dispatch():
@@ -186,6 +194,9 @@ def test_degree_result_json():
     res = degree_1d(parse_map("dim 1\nmap g1 = 0.5\n"), rect((0, 1)))
     d = res.to_json_dict()
     assert set(d) == {"value", "verified", "segments", "depth"}
+    # A DegreeResult exists only for a verified index (a failed one raises
+    # BoundaryZeroError), so its report always says so.
+    assert d["verified"] is True
 
 
 def test_homotopy_invariance_basic():
