@@ -39,10 +39,8 @@ from .mapdsl import parse_program
 _OUTCOME_EXIT = {CERTIFIED: 0, REFUTED: 1, INDETERMINATE: 2}
 
 
-class CliError(Exception):
-    def __init__(self, message, code=4):
-        super().__init__(message)
-        self.code = code
+class CliError(ValueError):
+    """A problem the command cannot take: exit 4 with an error line."""
 
 
 def _load_problem(ref: str):
@@ -262,16 +260,13 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except (UnsupportedDomainError, SingleHoleError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 4
     except KeyError as exc:  # str() of a KeyError is its message in quotes
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 4
-    except ValueError as exc:  # ParseError and DomainError among them
+    except ValueError as exc:  # CliError, ParseError and DomainError among them
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except ArithmeticError as exc:  # EvaluationError among them

@@ -44,15 +44,6 @@ class Slab:
     status: str
     unique: "Box | None" = None  # see Enclosure.unique
 
-    def to_json_dict(self):
-        return {
-            "id": self.id,
-            "cell": self.cell,
-            "t": [self.t.lo, self.t.hi],
-            "box": self.box.bounds(),
-            "status": self.status,
-        }
-
 
 @dataclass
 class ContinuumWitness:
@@ -90,7 +81,8 @@ class ContinuumWitness:
 def trace_continuum(psi: MapSpec, t_range, x_box: Box, grid: int = 16,
                     tol: float = 1e-3, budget_per_cell: int = 200_000,
                     check_start_index: bool = False) -> ContinuumWitness:
-    """Trace fixed-point enclosures of psi(t, .) across the parameter range.
+    """Trace fixed-point enclosures of psi(t, .) across the parameter range
+    t_range, a pair (a, b) of numbers.
 
     Returns a witness whose chain, when complete, projects onto the whole
     parameter interval; it is `proven` when its slabs glue (see the module
@@ -102,7 +94,7 @@ def trace_continuum(psi: MapSpec, t_range, x_box: Box, grid: int = 16,
         raise ValueError("trace_continuum needs a parametrized map (param t)")
     if grid < 1:
         raise ValueError("grid must be at least 1")
-    a, b = (t_range.lo, t_range.hi) if isinstance(t_range, Interval) else map(float, t_range)
+    a, b = map(float, t_range)
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("parameter range must be finite")
     if not a < b:

@@ -46,7 +46,7 @@ from .interval import (
     sub_down,
     sub_up,
 )
-from .mapdsl import MapSpec, blend_with_parameter
+from .mapdsl import MapSpec
 from .subdivision import UNDECIDABLE, UNKNOWN, VERIFIED, adaptive_cover
 
 
@@ -74,10 +74,10 @@ _INF = math.inf
 _TWO_PI_UP = 2.0 * next_up(math.pi)  # math.pi rounds below pi
 
 
-def _field_pairs(f: MapSpec, box: Box, t=None) -> list:
+def _field_pairs(f: MapSpec, box: Box) -> list:
     """Enclosure of F = Id - f over a box, one (lo, hi) pair per coordinate."""
     out = []
-    for x, (g_lo, g_hi) in zip(box.coords, f.eval_pairs(box, t)):
+    for x, (g_lo, g_hi) in zip(box.coords, f.eval_pairs(box)):
         lo, hi = sub_down(x.lo, g_hi), sub_up(x.hi, g_lo)
         if not -_INF < lo <= hi < _INF:
             raise interval_error(lo, hi)
@@ -218,8 +218,8 @@ def _winding(f: MapSpec, pieces, max_depth: int, max_boxes: int) -> DegreeResult
                 "inconsistent half-plane transition; boundary image too coarse"
             )
         total += step
-    if total % 4 != 0:
-        raise BoundaryZeroError("quarter-turn total not divisible by four")
+    # Each step is h1 - h0 mod 4, and those differences telescope to 0
+    # around the closed curve, so total is a multiple of four.
     return DegreeResult(total // 4, segments=len(ordered), depth=depth)
 
 
@@ -265,28 +265,3 @@ def fixed_point_index(f: MapSpec, rect: RectDomain,
     if f.dim == 2:
         return winding_degree_2d(f, rect, max_depth=max_depth, max_boxes=max_boxes)
     raise DimensionMismatchError("fixed point index implemented for dimensions 1 and 2")
-
-
-def homotopy_nonvanishing(f: MapSpec, g: MapSpec, rect: RectDomain,
-                          max_depth: int = 18, max_boxes: int = 60000) -> bool:
-    """Verify Id - ((1-t) f + t g) never vanishes on the boundary, t in [0,1].
-
-    Subdivides the product of the parameter interval with each boundary
-    edge. Returns True on full verification, False when the budget ran out
-    (the homotopy might pass through zero on the boundary).
-    """
-    if f.dim != 2 or g.dim != 2:
-        raise DimensionMismatchError("homotopy check implemented for dimension 2")
-    blend = blend_with_parameter(f, g)
-
-    def classify(aug: Box):
-        if _half_plane(_field_pairs(blend, Box(aug.coords[1:]), aug.coords[0])) is not None:
-            return VERIFIED, None
-        return UNKNOWN, None
-
-    for edge, enclose, _reverse in _rect_pieces(rect):
-        seed = Box((Interval(0.0, 1.0),) + enclose(edge).coords)
-        cover = adaptive_cover([seed], classify, max_depth, max_boxes)
-        if cover.status != "verified":
-            return False
-    return True

@@ -793,22 +793,6 @@ class MapSpec:
         return "\n".join(lines) + "\n"
 
 
-def blend_with_parameter(f: MapSpec, g: MapSpec) -> MapSpec:
-    """Straight-line blend (1-t)*f + t*g as a parametrized map."""
-    if f.dim != g.dim:
-        raise DimensionMismatchError("blended maps must share a dimension")
-    if f.has_param or g.has_param:
-        raise ValueError("blend operands must be parameter-free")
-    one = float_const(1.0)
-    comps = []
-    for fc, gc in zip(f.components, g.components):
-        lam = Param(f.dim)
-        comps.append(
-            BinOp("+", BinOp("*", BinOp("-", one, lam), fc), BinOp("*", lam, gc))
-        )
-    return MapSpec(f.dim, tuple(comps), has_param=True)
-
-
 # ---------------------------------------------------------------------------
 # Tokenizer / parser
 # ---------------------------------------------------------------------------
@@ -1084,10 +1068,16 @@ def parse_program(source: str) -> ParsedProgram:
 
     if dim is None:
         raise ParseError("missing dim declaration", 1)
-    missing = [i for i in range(1, dim + 1) if i not in components]
-    if missing:
+    if len(components) < dim:
+        # The first k missing indices are at most len(components) + k, so
+        # the scan and the message stay short however large dim is.
+        k = 5
+        named = [i for i in range(1, min(dim, len(components) + k) + 1)
+                 if i not in components][:k]
+        rest = dim - len(components) - len(named)
         raise DimensionMismatchError(
-            f"missing map components: {', '.join('g%d' % i for i in missing)}"
+            f"missing map components: {', '.join('g%d' % i for i in named)}"
+            + (f" and {rest} more" if rest else "")
         )
     spec = MapSpec(dim, tuple(components[i] for i in range(1, dim + 1)), has_param)
     return ParsedProgram(spec, domain_line, domain_line_no)

@@ -5,6 +5,10 @@ parser as user input.  Generators are biased toward problems with a known
 certifiable structure (contractions toward an interior point, expansions
 through the box) with optional bounded nonlinear perturbations, so a fuzz
 run exercises CERTIFIED, REFUTED and INDETERMINATE outcomes.
+
+The homotopy check of the index axiom tests (``homotopy_nonvanishing``,
+with ``blend_with_parameter`` and ``field_pairs_at``) lives here too: no
+library path uses it.
 """
 
 from __future__ import annotations
@@ -14,11 +18,13 @@ import random
 
 from fpcert import geometry
 from fpcert import interval as iv
+from fpcert.degree import _half_plane, _rect_pieces
 from fpcert.geometry import ConeShellSpec, CylinderSpec, Functional, HoledBallSpec, RectDomain
-from fpcert.interval import Box, Interval
+from fpcert.interval import Box, DimensionMismatchError, Interval
 from fpcert.mapdsl import (
     BinOp,
     MapSpec,
+    Param,
     Var,
     children,
     float_const,
@@ -26,6 +32,7 @@ from fpcert.mapdsl import (
     parse_map,
     with_children,
 )
+from fpcert.subdivision import UNKNOWN, VERIFIED, adaptive_cover
 
 UNARY_OPS = {
     "neg": lambda lo, hi: (-hi, -lo),
@@ -268,6 +275,61 @@ def random_family(rng: random.Random, dim: int, depth: int) -> MapSpec:
     m = random_expression_map(rng, dim + 1, depth)
     lines = m.to_source().replace(f"x{dim + 1}", "t").splitlines()
     return parse_map("\n".join([f"dim {dim}", "param t"] + lines[1:dim + 1]) + "\n")
+
+
+def blend_with_parameter(f: MapSpec, g: MapSpec) -> MapSpec:
+    """Straight-line blend (1-t)*f + t*g as a parametrized map.  Moved here
+    from fpcert.mapdsl unchanged: the golden blend-* families are built by it."""
+    if f.dim != g.dim:
+        raise DimensionMismatchError("blended maps must share a dimension")
+    if f.has_param or g.has_param:
+        raise ValueError("blend operands must be parameter-free")
+    one = float_const(1.0)
+    comps = []
+    for fc, gc in zip(f.components, g.components):
+        lam = Param(f.dim)
+        comps.append(
+            BinOp("+", BinOp("*", BinOp("-", one, lam), fc), BinOp("*", lam, gc))
+        )
+    return MapSpec(f.dim, tuple(comps), has_param=True)
+
+
+def field_pairs_at(f: MapSpec, box: Box, t: Interval) -> list:
+    """Enclosure of F = Id - f(., t) over a box and a parameter interval t,
+    one (lo, hi) pair per coordinate: fpcert.degree._field_pairs with the
+    parameter argument it had before the homotopy check moved here."""
+    out = []
+    for x, (g_lo, g_hi) in zip(box.coords, f.eval_pairs(box, t)):
+        lo, hi = iv.sub_down(x.lo, g_hi), iv.sub_up(x.hi, g_lo)
+        if not -math.inf < lo <= hi < math.inf:
+            raise iv.interval_error(lo, hi)
+        out.append((lo, hi))
+    return out
+
+
+def homotopy_nonvanishing(f: MapSpec, g: MapSpec, rect: RectDomain,
+                          max_depth: int = 18, max_boxes: int = 60000) -> bool:
+    """Verify Id - ((1-t) f + t g) never vanishes on the boundary of a
+    rectangle in the plane, t in [0,1].  Moved here from fpcert.degree: only
+    the homotopy axiom tests use it.
+
+    Subdivides the product of the parameter interval with each boundary
+    edge. Returns True on full verification, False when the budget ran out
+    (the homotopy might pass through zero on the boundary).
+    """
+    blend = blend_with_parameter(f, g)
+
+    def classify(aug: Box):
+        if _half_plane(field_pairs_at(blend, Box(aug.coords[1:]), aug.coords[0])) is not None:
+            return VERIFIED, None
+        return UNKNOWN, None
+
+    for edge, enclose, _reverse in _rect_pieces(rect):
+        seed = Box((Interval(0.0, 1.0),) + enclose(edge).coords)
+        cover = adaptive_cover([seed], classify, max_depth, max_boxes)
+        if cover.status != "verified":
+            return False
+    return True
 
 
 def random_planted_trig_map(rng: random.Random, rect: RectDomain):

@@ -29,6 +29,7 @@ from fpcert.continuation import trace_continuum
 from corpus import (
     apply_op,
     box_contains,
+    homotopy_nonvanishing,
     random_box,
     random_cone_problem,
     random_cylinder_problem,
@@ -41,7 +42,6 @@ from fpcert.degree import (
     BoundaryZeroError,
     degree_1d,
     holes_index_cross_check,
-    homotopy_nonvanishing,
     winding_degree_2d,
 )
 from fpcert.geometry import (

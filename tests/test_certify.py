@@ -36,7 +36,7 @@ from fpcert.geometry import (
     flip_coordinates,
     parse_domain,
 )
-from fpcert.interval import Box, DomainError, Interval
+from fpcert.interval import Box, DimensionMismatchError, DomainError, Interval
 from fpcert.mapdsl import jacobian, parse_map, parse_program
 from fpcert.subdivision import UNKNOWN, VERIFIED, VIOLATED
 
@@ -486,6 +486,37 @@ def test_annulus_refused_with_message():
         certify_problem(rot, AnnulusSpec(1.0, 2.0))
     assert "false in finite dimension" in str(err.value)
     assert "false in finite dimension" in ANNULUS_REFUSAL
+
+
+_PLANE = parse_map("dim 2\nmap g1 = 0.5\nmap g2 = 0.5\n")
+_CYLINDER = CylinderSpec(Interval(0.0, 1.0), Box.from_bounds([(0, 1)]))
+_SHELL = ConeShellSpec(2, Functional.sum(), 0.5, 2.0)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: certify_miranda(_PLANE, rect((0, 1), (0, 1)), directions=("e",)),
+     ValueError, "directions must be 'auto' or a tuple of 'e'/'c'"),
+    (lambda: certify_miranda(_PLANE, rect((0, 1), (0, 1)), directions="ex"),
+     ValueError, "directions must be 'auto' or a tuple of 'e'/'c'"),
+    (lambda: certify_miranda(_PLANE, rect((0, 1))),
+     DimensionMismatchError, "map of dim 2 over rectangle of dim 1"),
+    (lambda: certify_cylinder(_PLANE, _CYLINDER, "auto"),
+     ValueError, "form must be 'expansive' or 'compressive'"),
+    (lambda: certify_cone_shell(_PLANE, _SHELL, "auto"),
+     ValueError, "form must be 'expansive' or 'compressive'"),
+    (lambda: certify_problem(_PLANE, rect((0, 1), (0, 1)), form="sideways"),
+     ValueError, "unknown form 'sideways'"),
+    (lambda: certify_problem(_PLANE, _CYLINDER, form="sideways"),
+     ValueError, "unknown form 'sideways'"),
+    (lambda: certify_problem(_PLANE, Box.from_bounds([(0, 1), (0, 1)])),
+     UnsupportedDomainError, "no certificate for domain Box"),
+], ids=["miranda-short-directions", "miranda-unknown-direction", "miranda-dimension",
+        "cylinder-form", "cone-shell-form", "problem-rect-form", "problem-cylinder-form",
+        "problem-domain"])
+def test_certifier_refuses_bad_arguments(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_rotation_never_certified():

@@ -449,6 +449,66 @@ def test_parse_error_exit_4(tmp_path, capsys):
         assert code == 4 and fragment in err, err
 
 
+# Program errors, each with the whole stderr line it prints.
+_BAD_PROGRAMS = [
+    ("dim 1\ndim 1\n", "duplicate dim declaration (line 2)"),
+    ("param t\ndim 1\n", "param before dim (line 1)"),
+    ("dim 1\nparam s\n", "only 'param t' is supported (line 2)"),
+    ("dim 1\nmap g1 = 0.5\nparam t\n", "param must come before map lines (line 3)"),
+    ("map g1 = 0.5\n", "map before dim (line 1)"),
+    ("dim 1\nmap g1 0.5\n", "map line needs '=' (line 2)"),
+    ("dim 1\nmap g2 = 0.5\n", "component g2 outside 1..1 (line 2)"),
+    ("dim 1\nmap g1 = 0.5\nmap g1 = 0.5\n", "duplicate definition of g1 (line 3)"),
+    ("dim 1\nfoo bar\n", "unknown directive 'foo' (line 2)"),
+    ("dim 1\ndomain rect [0,1]\nmap g1 = 0.5\n", "domain line must be the last line (line 3)"),
+    ("# no program\n\n", "missing dim declaration (line 1)"),
+    ("dim 3\nmap g1 = 0.5\ndomain rect [0,1] [0,1] [0,1]\n", "missing map components: g2, g3"),
+    ("dim 1\nmap g1 = (x1 + 1 2\n", "expected ')', found '2' (line 2, column 18)"),
+    ("dim 1\nmap g1 = x1 x1\n", "unexpected token 'x1' (line 2, column 13)"),
+    ("dim 1\nmap g1 = * x1\n", "unexpected token '*' (line 2, column 10)"),
+    ("dim 1\nmap g1 = x1^x1\n", "exponent must be an integer literal (line 2, column 13)"),
+    ("dim 1\nmap g1 = min(x1 x1)\n", "expected ',' or ')', found 'x1' (line 2, column 17)"),
+    ("dim 1\nmap g1 = sin(x1, x1)\n", "sin takes 1 argument(s), got 2 (line 2, column 10)"),
+]
+
+
+@pytest.mark.parametrize("source, message", _BAD_PROGRAMS)
+def test_program_error_exit_4(tmp_path, capsys, source, message):
+    path = tmp_path / "bad.fp"
+    path.write_text(source)
+    code, out, err = run(capsys, "certify", str(path))
+    assert code == 4 and out == ""
+    assert err == f"error: {message}\n", err
+
+
+def test_missing_components_of_a_huge_dim_exit_4_with_a_short_message(tmp_path, capsys):
+    # The message names the first few missing components and counts the
+    # rest; listing them all would take memory and output in proportion
+    # to dim.
+    path = tmp_path / "huge.fp"
+    path.write_text("dim 99999999999999999999\nmap g1 = x1\n")
+    code, out, err = run(capsys, "certify", str(path))
+    assert code == 4 and out == ""
+    assert err == ("error: missing map components: g2, g3, g4, g5, g6"
+                   " and 99999999999999999993 more\n"), err
+    assert len(err.encode()) < 200
+
+
+def test_certify_a_parametrized_map_exit_4(tmp_path, capsys):
+    path = tmp_path / "param.fp"
+    path.write_text("dim 1\nparam t\nmap g1 = t\ndomain rect [0,1]\n")
+    code, out, err = run(capsys, "certify", str(path))
+    assert code == 4 and out == ""
+    assert err == "error: certification expects a parameter-free map\n", err
+
+
+def test_unreadable_problem_path_exit_4(tmp_path, capsys):
+    path = tmp_path / "absent.fp"
+    code, out, err = run(capsys, "certify", str(path))
+    assert code == 4 and out == ""
+    assert err.startswith(f"error: cannot read problem file {str(path)!r}: "), err
+
+
 @pytest.mark.parametrize("expr", [
     "(" * 3000 + "x1" + ")" * 3000,
     "-" * 990 + "x1",

@@ -205,6 +205,18 @@ def test_requires_parametrized_map():
         trace_continuum(parse_map("dim 1\nmap g1 = x1\n"), (0, 1), xbox())
 
 
+@pytest.mark.parametrize("t_range, grid, message", [
+    ((0, 1), 0, "grid must be at least 1"),
+    ((0.5, 0.5), 4, "parameter range must have positive width"),
+    ((1, 0), 4, "parameter range must have positive width"),
+])
+def test_refuses_an_empty_grid_or_range(t_range, grid, message):
+    psi = parse_map("dim 1\nparam t\nmap g1 = (x1 + t)/2\n")
+    with pytest.raises(ValueError) as exc:
+        trace_continuum(psi, t_range, xbox(), grid=grid)
+    assert str(exc.value) == message
+
+
 def _random_slabs(rng, dim, n, first_id, cuts):
     """n slabs whose box corners are drawn from a few shared cut values, so
     faces coincide and lower corners repeat; one slab is wide, as a cell's

@@ -12,15 +12,14 @@ from fpcert.degree import (
     degree_1d,
     fixed_point_index,
     holes_index_cross_check,
-    homotopy_nonvanishing,
     winding_degree_2d,
 )
 from fpcert.geometry import HoledBallSpec, RectDomain
-from fpcert.interval import Box, DomainError
+from fpcert.interval import Box, DimensionMismatchError, DomainError
 from fpcert.localize import localize_fixed_points
 from fpcert.mapdsl import parse_map
 
-from corpus import random_holed_ball_problem, random_polynomial_map_2d
+from corpus import homotopy_nonvanishing, random_holed_ball_problem, random_polynomial_map_2d
 from oracles import winding_circle, winding_rect
 
 
@@ -188,6 +187,18 @@ def test_fixed_point_index_dispatch():
     ).value == 1
     with pytest.raises(BoundaryZeroError):
         fixed_point_index(parse_map("dim 1\nmap g1 = x1\n"), rect((0, 1)))
+
+
+@pytest.mark.parametrize("index, dim, message", [
+    (degree_1d, 2, "degree_1d needs a map of dimension 1"),
+    (winding_degree_2d, 1, "winding_degree_2d needs a map of dimension 2"),
+    (fixed_point_index, 3, "fixed point index implemented for dimensions 1 and 2"),
+])
+def test_index_refuses_a_map_of_the_wrong_dimension(index, dim, message):
+    m = parse_map(f"dim {dim}\n" + "".join(f"map g{i} = 0.5\n" for i in range(1, dim + 1)))
+    with pytest.raises(DimensionMismatchError) as exc:
+        index(m, rect(*[(0, 1)] * dim))
+    assert str(exc.value) == message
 
 
 def test_degree_result_json():

@@ -135,6 +135,29 @@ def test_cylinder_validation():
         CylinderSpec(Interval(1.0, 1.0), Box.from_bounds([(0, 1)]))
 
 
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: RectDomain(Box.from_bounds([(0, 1), (2, 2)])),
+     ValueError, "rectangle coordinate 1 must have positive width"),
+    (lambda: CylinderSpec(Interval(0.0, 1.0), Box.from_bounds([(3, 3)])),
+     ValueError, "cylinder base coordinate 0 must have positive width"),
+    (lambda: Functional("l1"), ValueError, "unknown functional kind 'l1'"),
+    (lambda: ConeShellSpec(0, Functional.sum(), 0.5, 2.0),
+     ValueError, "cone shell needs dimension >= 1"),
+    (lambda: ConeShellSpec(2, Functional.sum(), -0.5, 2.0),
+     ValueError, "linear-functional shell needs a >= 0"),
+    (lambda: ConeShellSpec(2, Functional.euclid(), 0.0, 2.0),
+     ValueError, "norm shell needs 0 < a"),
+    (lambda: flip_coordinates(parse_map("dim 2\nmap g1 = x1\nmap g2 = x2\n"), {2}),
+     IndexError, "axis 2 out of range for dimension 2"),
+], ids=["rect-zero-width", "cylinder-base-zero-width", "functional-kind",
+        "cone-shell-dimension-0", "sum-shell-negative-a", "norm-shell-zero-a",
+        "flip-axis"])
+def test_constructor_refuses_a_bad_argument(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("dim, canonical, spellings", [
     (2, "domain rect [0,1] [-1,1]", [
         "  domain   rect[ 0 , 1 ]   [-1,1]  ",

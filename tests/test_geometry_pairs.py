@@ -1,8 +1,9 @@
 """The pair-kernel geometry against the Interval-operator formulas it replaced.
 
-`dist2_pair`, `Functional.value_pair` and `degree._field_pairs` evaluate on
-(lo, hi) endpoint pairs.  The references below are the formulas they
-replaced, written with `Interval` operators; every result must equal its
+`dist2_pair`, `Functional.value_pair`, `degree._field_pairs` and its
+parametrized copy `corpus.field_pairs_at` evaluate on (lo, hi) endpoint
+pairs.  The references below are the formulas they replaced, written
+with `Interval` operators; every result must equal its
 reference bit for bit (compared by repr, so signed zeros count), and every
 error must have the same type and message.  The holed-ball region tests
 (`HoledBallSpec.circles`, which round each squared radius once) and the
@@ -17,13 +18,19 @@ its float bracket decides.
 import math
 import random
 
-from corpus import random_box, random_expression_map, random_holed_ball_problem
+from corpus import (
+    blend_with_parameter,
+    field_pairs_at,
+    random_box,
+    random_expression_map,
+    random_holed_ball_problem,
+)
 
 from fpcert import geometry
 from fpcert.degree import _field_pairs
 from fpcert.geometry import Functional, HoledBallSpec, _radial_segment, dist2_pair
 from fpcert.interval import Box, Interval, abs_pair, max_pair, mul_down, mul_up
-from fpcert.mapdsl import blend_with_parameter, parse_map
+from fpcert.mapdsl import parse_map
 
 # -- the replaced formulas -------------------------------------------------
 
@@ -353,7 +360,7 @@ def test_field_pairs_with_a_parameter_match_interval_reference():
         box = random_box(rng, 2, 3.0)
         lo = rng.uniform(0.0, 1.0)
         t = Interval(lo, min(1.0, lo + rng.uniform(0.0, 0.5)))
-        assert _outcome(_field_pairs, blend, box, t) == _outcome(_ref_field, blend, box, t)
+        assert _outcome(field_pairs_at, blend, box, t) == _outcome(_ref_field, blend, box, t)
 
 
 # -- holed-ball domain tests and the cross-check's disk test ---------------

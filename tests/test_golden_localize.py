@@ -18,13 +18,17 @@ import json
 import random
 from pathlib import Path
 
-from corpus import random_expression_map, random_polynomial_map_2d, random_rect_problem
+from corpus import (
+    blend_with_parameter,
+    random_expression_map,
+    random_polynomial_map_2d,
+    random_rect_problem,
+)
 
 from fpcert.continuation import trace_continuum
 from fpcert.geometry import RectDomain
 from fpcert.interval import Box
 from fpcert.localize import localize_fixed_points
-from fpcert.mapdsl import blend_with_parameter
 
 _GOLDEN = Path(__file__).with_name("golden_localize_digests.json")
 

@@ -6,7 +6,7 @@ import struct
 import pytest
 
 from fpcert.geometry import RectDomain
-from fpcert.interval import Box, Interval
+from fpcert.interval import Box, DimensionMismatchError, Interval
 from fpcert.localize import (
     CANDIDATE,
     PROVEN,
@@ -58,6 +58,10 @@ def test_parameter_checks_survive_binding():
     psi = parse_map("dim 1\nparam t\nmap g1 = (x1 + t)/2\n")
     with pytest.raises(ValueError, match="needs the parameter interval"):
         localize_fixed_points(psi, rect((0, 1)), tol=0.1)
+    with pytest.raises(DimensionMismatchError) as exc:
+        localize_fixed_points(parse_map("dim 2\nmap g1 = 0.5\nmap g2 = 0.5\n"),
+                              rect((0, 1)), tol=0.1)
+    assert str(exc.value) == "map of dim 2 over rectangle of dim 1"
     res = localize_fixed_points(psi, rect((0, 1)), tol=1e-3, t=Interval(0.25, 0.5),
                                 upgrade=False)
     assert res.enclosures
@@ -483,6 +487,18 @@ def test_proof_shared_by_several_leaves_proves_none_of_them(monkeypatch):
     res = localize_fixed_points(m, rect((0, 1)), tol=1e-3)
     assert len(res.enclosures) > 1 and not res.proven
     assert any(box_contains(e.box, (0.5,)) for e in res.enclosures)
+
+
+def test_leaf_whose_face_evaluation_raises_stays_a_candidate(monkeypatch):
+    # 1/x1 raises on the face x1 = 0.  A leaf meets the face test only
+    # after its own residual evaluated, and an evaluation that raises on a
+    # face raises on every box holding it, so the residual test is stubbed
+    # to pass the box: the face test must then answer False, not raise.
+    from fpcert import localize
+
+    monkeypatch.setattr(localize, "_residual_pairs", lambda f, xs: [(-1.0, 1.0)])
+    res = localize_fixed_points(parse_map("dim 1\nmap g1 = 1/x1\n"), rect((0, 1)), tol=2.0)
+    assert [e.status for e in res.enclosures] == [CANDIDATE]
 
 
 def _spy_on_tests(monkeypatch):

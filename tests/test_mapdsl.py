@@ -9,6 +9,7 @@ import pytest
 from fpcert.interval import Box, DimensionMismatchError, DomainError, Interval
 from corpus import (
     apply_op,
+    blend_with_parameter,
     random_box,
     random_expression_map,
     random_family,
@@ -34,7 +35,6 @@ from fpcert.mapdsl import (
     Select,
     UnknownIdentifierError,
     Var,
-    blend_with_parameter,
     children,
     derivative,
     jacobian,
