@@ -28,7 +28,6 @@ from .geometry import (
     Functional,
     HoledBallSpec,
     RectDomain,
-    compressive_to_expansive,
     face,
     flip_coordinates,
     parse_domain,

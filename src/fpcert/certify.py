@@ -78,9 +78,9 @@ from .geometry import (
     CylinderSpec,
     HoledBallSpec,
     RectDomain,
-    compressive_to_expansive,
     dist2_pair,
     face,
+    flip_coordinates,
 )
 from .interval import (
     Box,
@@ -363,8 +363,8 @@ def _face_conditions(g: MapSpec, rect: RectDomain, axis: int, direction: str):
     lo_rel, hi_rel = ("<=", ">=") if direction == "e" else (">=", "<=")
     bound = lambda bx: g.eval_component_interval(axis, bx)
     return (
-        Condition(f"x{axis + 1}-", (face(rect, axis, "-"),), bound, lo_rel, (a, a)),
-        Condition(f"x{axis + 1}+", (face(rect, axis, "+"),), bound, hi_rel, (b, b)),
+        Condition(f"x{axis + 1}-", (face(rect.box, axis, "-"),), bound, lo_rel, (a, a)),
+        Condition(f"x{axis + 1}+", (face(rect.box, axis, "+"),), bound, hi_rel, (b, b)),
     )
 
 
@@ -417,34 +417,31 @@ def certify_cylinder(T: MapSpec, cyl: CylinderSpec, form: str,
 
     Also verifies that the base components map the whole cylinder into the
     base (the theorem assumes the map targets R x A; here it is checked).
-    The compressive form delegates to the expansive form of the reflected
-    map 2*x1 - T1, so compressive and expansive certificates agree by
-    construction.
+    The compressive form checks the expansive conditions of the reflected
+    map 2*x1 - T1 (`flip_coordinates` on the height), so compressive and
+    expansive certificates agree by construction.
     """
     _require_plain_map(T, cyl.dim, "cylinder")
-    if form == "compressive":
-        inner = certify_cylinder(compressive_to_expansive(T), cyl, "expansive",
-                                 max_depth=max_depth, max_boxes=max_boxes)
-        inner.kind = "cylinder_compressive"
-        return inner
-    if form != "expansive":
+    if form not in ("expansive", "compressive"):
         raise ValueError("form must be 'expansive' or 'compressive'")
 
     t0 = time.perf_counter()
     stats = CertStats()
-    full = (cyl.full_box(),)
+    if form == "compressive":
+        T = flip_coordinates(T, {0})
+    full = cyl.full_box()
     # Containment of the base components over the whole cylinder, then the
     # height conditions T1 <= a on the left base and T1 >= b on the right.
     conditions = [
-        Condition("interior", full, lambda bx, comp=comp: T.eval_component_interval(comp, bx),
+        Condition("interior", (full,), lambda bx, comp=comp: T.eval_component_interval(comp, bx),
                   "in", (target.lo, target.hi), strict=False)
         for comp, target in enumerate(cyl.base.coords, start=1)
     ]
     height = lambda bx: T.eval_component_interval(0, bx)
     a, b = cyl.t_range.lo, cyl.t_range.hi
-    conditions.append(Condition("left", (cyl.left_base(),), height, "<=", (a, a)))
-    conditions.append(Condition("right", (cyl.right_base(),), height, ">=", (b, b)))
-    return _certificate("cylinder_expansive", cyl, t0, stats,
+    conditions.append(Condition("left", (face(full, 0, "-"),), height, "<=", (a, a)))
+    conditions.append(Condition("right", (face(full, 0, "+"),), height, ">=", (b, b)))
+    return _certificate(f"cylinder_{form}", cyl, t0, stats,
                         check(conditions, max_depth, max_boxes, stats))
 
 

@@ -4,8 +4,8 @@ Rectangles carry their faces, cylinders a height interval over a box base,
 cone shells live in the nonnegative orthant between two level sets of a
 functional (the coordinate sum, the sup norm or the euclidean norm), and
 holed balls are planar disks minus disjoint holes.  The module also builds
-the coordinate-flip of a map (2*x_i - g_i) and the cylinder duality
-transform on the height coordinate.
+the coordinate flip of a map (2*x_i - g_i); on the height coordinate it is
+the cylinder duality transform.
 
 The enclosures the certifiers take over boxes, the squared distance to a
 point (`dist2_pair`) and a shell functional (`Functional.value_pair`), work
@@ -83,20 +83,21 @@ class RectDomain:
         return {"type": "rect", "bounds": self.box.bounds()}
 
 
-def face(rect: RectDomain, axis: int, sign: str) -> Box:
-    """The face of the rectangle on which coordinate `axis` is pinned to its
-    lower ('-') or upper ('+') bound, as a box."""
-    if not 0 <= axis < rect.dim:
-        raise IndexError(f"axis {axis} out of range for dimension {rect.dim}")
+def face(box: Box, axis: int, sign: str) -> Box:
+    """The face of the box on which coordinate `axis` is pinned to its
+    lower ('-') or upper ('+') bound: a rectangle's face, or a cylinder's
+    base (axis 0 of its full box)."""
+    if not 0 <= axis < box.dim:
+        raise IndexError(f"axis {axis} out of range for dimension {box.dim}")
     if sign not in ("-", "+"):
         raise ValueError("sign must be '-' or '+'")
-    c = rect.box.coords[axis]
+    c = box.coords[axis]
     pinned = c.lo if sign == "-" else c.hi
-    return rect.box.replace_coord(axis, Interval(pinned))
+    return box.replace_coord(axis, Interval(pinned))
 
 
 # ---------------------------------------------------------------------------
-# Coordinate flips and the cylinder duality transform
+# Coordinate flips
 # ---------------------------------------------------------------------------
 
 
@@ -131,16 +132,6 @@ def flip_coordinates(m: MapSpec, flip_axes) -> MapSpec:
     return MapSpec(m.dim, comps, m.has_param)
 
 
-def compressive_to_expansive(m: MapSpec) -> MapSpec:
-    """Reflect the height component: S1 = 2*x1 - T1, S2 = T2.
-
-    Fixed points of the result coincide with those of the input, and the
-    compressive boundary conditions for the input become the expansive ones
-    for the result.
-    """
-    return flip_coordinates(m, {0})
-
-
 # ---------------------------------------------------------------------------
 # Cylinders
 # ---------------------------------------------------------------------------
@@ -164,12 +155,6 @@ class CylinderSpec:
 
     def full_box(self) -> Box:
         return Box((self.t_range,) + self.base.coords)
-
-    def left_base(self) -> Box:
-        return Box((Interval(self.t_range.lo),) + self.base.coords)
-
-    def right_base(self) -> Box:
-        return Box((Interval(self.t_range.hi),) + self.base.coords)
 
     def to_json_dict(self):
         return {
@@ -292,18 +277,6 @@ class Functional:
                                    lambda p: value(p) < level)
 
         return {"relevant": relevant, "meets": meets, "witness": witness}
-
-    @classmethod
-    def euclid(cls):
-        return cls("euclid")
-
-    @classmethod
-    def sup(cls):
-        return cls("sup")
-
-    @classmethod
-    def sum(cls):
-        return cls("linear")
 
 
 @dataclass(frozen=True)
@@ -543,7 +516,7 @@ def _build(kind: str, dim: int, texts: list):
     """The domain object from the text that a line's parts captured, in
     order."""
     if kind == "coneshell":
-        f = Functional.sum() if texts[0] == "sum" else Functional(texts[0])
+        f = Functional("linear" if texts[0] == "sum" else texts[0])
         return ConeShellSpec(dim, f, *_floats(texts[1:]))
     v = _floats(texts)
     if kind == "rect":

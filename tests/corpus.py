@@ -176,7 +176,7 @@ def random_cone_problem(rng: random.Random):
     lam = rng.uniform(0.7, 1.4)
     a = rng.uniform(0.3, 0.7) / lam
     b = rng.uniform(1.5, 2.5) / lam
-    spec = ConeShellSpec(2, Functional.sum(), a, b)
+    spec = ConeShellSpec(2, Functional("linear"), a, b)
     src = (
         "dim 2\n"
         f"map g1 = {_fmt(lam)}*(x1 + x2)*x1\n"

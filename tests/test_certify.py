@@ -32,7 +32,6 @@ from fpcert.geometry import (
     Functional,
     HoledBallSpec,
     RectDomain,
-    compressive_to_expansive,
     flip_coordinates,
     parse_domain,
 )
@@ -229,7 +228,7 @@ def test_cylinder_duality_by_construction():
     for _ in range(25):
         T, cyl, _form = random_cylinder_problem(rng)
         comp = certify_cylinder(T, cyl, "compressive", max_boxes=4000)
-        exp = certify_cylinder(compressive_to_expansive(T), cyl, "expansive",
+        exp = certify_cylinder(flip_coordinates(T, {0}), cyl, "expansive",
                                max_boxes=4000)
         assert comp.outcome == exp.outcome
         assert comp.evidence == exp.evidence
@@ -243,7 +242,7 @@ def test_cylinder_duality_by_construction():
 
 def test_cone_quadratic_expansive():
     T = parse_map("dim 2\nmap g1 = (x1 + x2)*x1\nmap g2 = (x1 + x2)*x2\n")
-    spec = ConeShellSpec(2, Functional.sum(), 0.5, 2.0)
+    spec = ConeShellSpec(2, Functional("linear"), 0.5, 2.0)
     cert = certify_cone_shell(T, spec, "expansive")
     assert cert.outcome == CERTIFIED
     # grid oracle: residual minima on the slice x1 + x2 = 1
@@ -257,14 +256,14 @@ def test_cone_quadratic_expansive():
 
 def test_cone_constant_compressive():
     T = parse_map("dim 2\nmap g1 = 0.75\nmap g2 = 0.75\n")
-    spec = ConeShellSpec(2, Functional.sum(), 1.0, 2.0)
+    spec = ConeShellSpec(2, Functional("linear"), 1.0, 2.0)
     cert = certify_cone_shell(T, spec, "compressive")
     assert cert.outcome == CERTIFIED
 
 
 def test_cone_scaling_refuted_both_forms():
     T = parse_map("dim 2\nmap g1 = 3*x1\nmap g2 = 3*x2\n")
-    spec = ConeShellSpec(2, Functional.sum(), 1.0, 2.0)
+    spec = ConeShellSpec(2, Functional("linear"), 1.0, 2.0)
     for form in ("expansive", "compressive"):
         cert = certify_cone_shell(T, spec, form)
         assert cert.outcome == REFUTED
@@ -276,12 +275,12 @@ def test_cone_scaling_refuted_both_forms():
 @pytest.mark.parametrize(
     "source,functional,shell,form",
     [
-        ("dim 2\nmap g1 = 0.6\nmap g2 = 0.8\n", Functional.euclid(), (0.5, 2.0),
+        ("dim 2\nmap g1 = 0.6\nmap g2 = 0.8\n", Functional("euclid"), (0.5, 2.0),
          "compressive"),
-        ("dim 2\nmap g1 = 1.5\nmap g2 = 0.3\n", Functional.sup(), (1.0, 2.0),
+        ("dim 2\nmap g1 = 1.5\nmap g2 = 0.3\n", Functional("sup"), (1.0, 2.0),
          "compressive"),
         ("dim 2\nmap g1 = sqrt(x1^2 + x2^2)*x1\nmap g2 = sqrt(x1^2 + x2^2)*x2\n",
-         Functional.euclid(), (0.5, 2.0), "expansive"),
+         Functional("euclid"), (0.5, 2.0), "expansive"),
     ],
     ids=["euclid-constant", "sup-constant", "euclid-quadratic"],
 )
@@ -293,7 +292,7 @@ def test_cone_other_functionals(source, functional, shell, form):
 
 def test_cone_rotation_leaves_cone():
     rot = parse_map("dim 2\nmap g1 = -x2\nmap g2 = x1\n")
-    spec = ConeShellSpec(2, Functional.euclid(), 1.0, 2.0)
+    spec = ConeShellSpec(2, Functional("euclid"), 1.0, 2.0)
     for form in ("expansive", "compressive"):
         assert certify_cone_shell(rot, spec, form).outcome == REFUTED
 
@@ -490,7 +489,7 @@ def test_annulus_refused_with_message():
 
 _PLANE = parse_map("dim 2\nmap g1 = 0.5\nmap g2 = 0.5\n")
 _CYLINDER = CylinderSpec(Interval(0.0, 1.0), Box.from_bounds([(0, 1)]))
-_SHELL = ConeShellSpec(2, Functional.sum(), 0.5, 2.0)
+_SHELL = ConeShellSpec(2, Functional("linear"), 0.5, 2.0)
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -521,7 +520,7 @@ def test_certifier_refuses_bad_arguments(call, error, message):
 
 def test_rotation_never_certified():
     rot = parse_map("dim 2\nmap g1 = -x2\nmap g2 = x1\n")
-    shell = ConeShellSpec(2, Functional.euclid(), 1.0, 2.0)
+    shell = ConeShellSpec(2, Functional("euclid"), 1.0, 2.0)
     assert certify_problem(rot, shell, max_boxes=4000).outcome == REFUTED
     offset = rect((1, 2), (1, 2))
     assert certify_problem(rot, offset, max_boxes=4000).outcome == REFUTED

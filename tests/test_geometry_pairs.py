@@ -198,7 +198,7 @@ def test_dist2_errors_at_each_stage():
 
 def test_functional_value_matches_interval_reference():
     rng = random.Random(31)
-    functionals = [Functional.euclid(), Functional.sup(), Functional.sum()]
+    functionals = [Functional("euclid"), Functional("sup"), Functional("linear")]
     kinds = {}
     for _ in range(6000):
         dim = rng.choice((1, 2, 3))
@@ -289,7 +289,7 @@ def test_level_tests_decide_as_the_reference(monkeypatch):
                         lambda self, pairs: directed.append(1) or value_pair(self, pairs))
     rng = random.Random(2718)
     decisions, filtered, fell_back, on_level = set(), 0, 0, 0
-    for f in (Functional.sum(), Functional.euclid(), Functional.sup()):
+    for f in (Functional("linear"), Functional("euclid"), Functional("sup")):
         for lo, hi in ((0.5, 2.0), (1.0, 1.0), (0.3, 0.3), (2.0, 7.5), (1e-300, 1e300)):
             tests = f.level_tests(lo, hi, 0.5 * (lo + hi))
             for box in _level_boxes(rng, f, lo, hi):
