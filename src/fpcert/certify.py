@@ -541,10 +541,13 @@ def _image_dist2(T: MapSpec, jac, cx: float, cy: float):
 def _holed_ball_conditions(T: MapSpec, jac, spec: HoledBallSpec) -> list:
     """T(L) inside the closed outer ball, then T(boundary circle of each
     hole) inside the closed hole, each bound tightened by the mean-value
-    form where T has a Jacobian (jac, as `mapdsl.jacobian` gives it)."""
+    form where T has a Jacobian (jac, as `mapdsl.jacobian` gives it).  Each
+    cover starts from the circle's square, rounded outward so that it holds
+    the whole circle."""
     conditions = []
     for k, ((cx, cy, r), r2, tests) in enumerate(spec.circles()):
-        seed = Box.from_bounds([(cx - r, cx + r), (cy - r, cy + r)])
+        seed = Box.from_bounds([(sub_down(cx, r), add_up(cx, r)),
+                                (sub_down(cy, r), add_up(cy, r))])
         bound, tighten = _image_dist2(T, jac, cx, cy)
         conditions.append(Condition("outer" if k == 0 else f"hole-{k - 1}", (seed,), bound,
                                     "<=", r2, strict=False, tighten=tighten, **tests))

@@ -342,6 +342,23 @@ def test_holes_constant_into_one_hole_refuted():
     assert abs((wx + 2.0) ** 2 + wy ** 2 - 0.25) < 1e-6
 
 
+def test_holed_ball_cover_seeds_hold_each_circle_exactly():
+    # Rounded to nearest, a side of a seed can fall inside its circle:
+    # fl(2 + 0.3) < 2 + 0.3, so part of the circle (2, 0, 0.3) would lie in
+    # no cover box and go unchecked.
+    T = parse_map("dim 2\nmap g1 = 0\nmap g2 = 0\n")
+    rng = random.Random(3)
+    holes = [(2.0, 0.0, 0.3)] + [(rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(0.05, 1))
+                                 for _ in range(2000)]
+    for cx, cy, r in holes:
+        outer, hole = _holed_ball_conditions(T, None, HoledBallSpec(10.0, ((cx, cy, r),)))
+        assert outer.seeds == (Box.from_bounds([(-10.0, 10.0), (-10.0, 10.0)]),)
+        (seed,) = hole.seeds
+        for c, centre in zip(seed.coords, (cx, cy)):
+            assert Fraction(c.lo) <= Fraction(centre) - Fraction(r), (cx, cy, r)
+            assert Fraction(c.hi) >= Fraction(centre) + Fraction(r), (cx, cy, r)
+
+
 # Mean-value bounds: maps of the holed-ball corpus, and hand-written maps
 # with kinks, quotients and roots, whose derivative may raise on a box.
 _KINKED_MAPS = (
