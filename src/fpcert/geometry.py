@@ -394,6 +394,14 @@ def _circle_tests(cx: float, cy: float, r: float, r2_lo: float, r2_hi: float) ->
     return {"relevant": relevant, "meets": meets, "witness": witness}
 
 
+def _scaled(values) -> list:
+    """The finite floats as integers over one common power-of-two
+    denominator, so that their sums, products and comparisons are exact."""
+    ratios = [v.as_integer_ratio() for v in values]
+    q = max(d for _, d in ratios)
+    return [n * (q // d) for n, d in ratios]
+
+
 @dataclass(frozen=True)
 class HoledBallSpec:
     """Planar closed ball of radius R minus a collection of open holes.
@@ -408,18 +416,20 @@ class HoledBallSpec:
     holes: tuple  # of (cx, cy, r)
 
     def __post_init__(self):
+        # Containment and disjointness are decided exactly, on squared
+        # distances: rounded sums of hypot can let a hole leave the ball.
         if not 0.0 < self.radius < _INF:
             raise ValueError("outer radius must be positive and finite")
         for cx, cy, r in self.holes:
             if not (0.0 < r < _INF and math.isfinite(cx) and math.isfinite(cy)):
                 raise ValueError("hole centre must be finite, its radius positive and finite")
-            if math.hypot(cx, cy) + r > self.radius:
+            R, x, y, s = _scaled((self.radius, cx, cy, r))
+            if s > R or x * x + y * y > (R - s) ** 2:
                 raise ValueError(f"hole at ({cx}, {cy}) not contained in the ball")
         for i in range(len(self.holes)):
             for j in range(i + 1, len(self.holes)):
-                xi, yi, ri = self.holes[i]
-                xj, yj, rj = self.holes[j]
-                if math.hypot(xi - xj, yi - yj) <= ri + rj:
+                xi, yi, ri, xj, yj, rj = _scaled(self.holes[i] + self.holes[j])
+                if (xi - xj) ** 2 + (yi - yj) ** 2 <= (ri + rj) ** 2:
                     raise ValueError(f"holes {i} and {j} are not disjoint")
 
     @property

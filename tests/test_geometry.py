@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -85,6 +86,36 @@ def test_holed_ball_validation():
         HoledBallSpec(4.0, ((2, 0, 0.5), (2.4, 0, 0.5)))  # overlapping
     with pytest.raises(ValueError):
         HoledBallSpec(1.0, ((2, 0, 0.5),))  # escapes the ball
+
+
+def test_holed_ball_decides_containment_and_disjointness_exactly():
+    # The floats 2.2 and 0.8 sum to more than 3, though their float sum is
+    # 3.0: the closed hole leaves the ball.
+    assert 2.2 + 0.8 == 3.0 and Fraction(2.2) + Fraction(0.8) > 3
+    with pytest.raises(ParseError, match=r"hole at \(2\.2, 0\.0\) not contained in the ball"):
+        parse_domain("domain holedball R=3 hole (2.2,0,0.8) hole (-2,0,0.5)", 2)
+    # Rounded, the distance of the centres exceeds the sum of the radii;
+    # exactly it does not.
+    holes = ((-1.6, -0.3, 0.5), (-1.5, 0.5, 0.30622577482985497))
+    assert math.hypot(-1.6 - -1.5, -0.3 - 0.5) > 0.5 + 0.30622577482985497
+    with pytest.raises(ValueError, match="holes 0 and 1 are not disjoint"):
+        HoledBallSpec(4.0, holes)
+    HoledBallSpec(3.0, ((2.5, 0.0, 0.5), (-2.0, 0.0, 0.5)))  # touches the outer circle
+    rng = random.Random(11)
+    for _ in range(2000):
+        radius = rng.uniform(2.0, 5.0)
+        holes = tuple((rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(0.05, 1))
+                      for _ in range(2))
+        (xi, yi, ri), (xj, yj, rj) = [tuple(map(Fraction, h)) for h in holes]
+        inside = all(r <= radius and x * x + y * y <= (Fraction(radius) - r) ** 2
+                     for x, y, r in ((xi, yi, ri), (xj, yj, rj)))
+        apart = (xi - xj) ** 2 + (yi - yj) ** 2 > (ri + rj) ** 2
+        try:
+            HoledBallSpec(radius, holes)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == (inside and apart), (radius, holes)
 
 
 @pytest.mark.parametrize("radius, holes", [
