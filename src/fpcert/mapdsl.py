@@ -943,10 +943,7 @@ class _ExprParser:
                 tok = self.take()
             if tok.kind != "num" or "." in tok.text or "e" in tok.text or "E" in tok.text:
                 raise ParseError("exponent must be an integer literal", tok.line, tok.col)
-            try:
-                return Power(base, sign * int(tok.text))
-            except ValueError:  # past Python's limit on digits per int
-                raise ParseError("exponent has too many digits", tok.line, tok.col) from None
+            return Power(base, sign * _int(tok.text, "exponent", tok.line, tok.col))
         return base
 
     def parse_atom(self) -> Expr:
@@ -994,7 +991,7 @@ class _ExprParser:
                     )
                 return Param(self.dim)
             if name.startswith("x") and name[1:].isdigit():
-                idx = int(name[1:])
+                idx = _int(name[1:], "variable index", tok.line, tok.col)
                 if not 1 <= idx <= self.dim:
                     raise UnknownIdentifierError(
                         f"{name} out of range for dim {self.dim}", tok.line, tok.col
@@ -1002,6 +999,15 @@ class _ExprParser:
                 return Var(idx - 1)
             raise UnknownIdentifierError(f"unknown identifier {name!r}", tok.line, tok.col)
         raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.col)
+
+
+def _int(digits: str, what: str, line, col=None) -> int:
+    """The integer the ASCII digits spell, or a ParseError that names `what`
+    where they pass Python's limit on digits per int."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"{what} has too many digits", line, col) from None
 
 
 @dataclass(frozen=True)
@@ -1029,9 +1035,9 @@ def parse_program(source: str) -> ParsedProgram:
             if dim is not None:
                 raise ParseError("duplicate dim declaration", line_no)
             rest = line[3:].strip()
-            if not (rest.isascii() and rest.isdigit()) or int(rest) < 1:
+            dim = _int(rest, "dim", line_no) if rest.isascii() and rest.isdigit() else 0
+            if dim < 1:
                 raise ParseError("dim expects a positive integer", line_no)
-            dim = int(rest)
         elif head == "param":
             if dim is None:
                 raise ParseError("param before dim", line_no)
@@ -1050,7 +1056,7 @@ def parse_program(source: str) -> ParsedProgram:
             name = name.strip()
             if not (name.startswith("g") and name[1:].isascii() and name[1:].isdigit()):
                 raise ParseError(f"map component must be named g1..g{dim}", line_no)
-            idx = int(name[1:])
+            idx = _int(name[1:], "component index", line_no)
             if not 1 <= idx <= dim:
                 raise DimensionMismatchError(
                     f"component {name} outside 1..{dim} (line {line_no})"

@@ -469,6 +469,15 @@ _BAD_PROGRAMS = [
     ("dim 1\nmap g1 = x1^x1\n", "exponent must be an integer literal (line 2, column 13)"),
     ("dim 1\nmap g1 = min(x1 x1)\n", "expected ',' or ')', found 'x1' (line 2, column 17)"),
     ("dim 1\nmap g1 = sin(x1, x1)\n", "sin takes 1 argument(s), got 2 (line 2, column 10)"),
+    # Integers past Python's limit on digits per int; the message does not
+    # echo the digits.
+    pytest.param("dim " + "9" * 5000 + "\n", "dim has too many digits (line 1)",
+                 id="dim-of-5000-digits"),
+    pytest.param("dim 1\nmap g" + "1" * 5000 + " = x1\n",
+                 "component index has too many digits (line 2)", id="g-of-5000-digits"),
+    pytest.param("dim 1\nmap g1 = x" + "1" * 5000 + "\n",
+                 "variable index has too many digits (line 2, column 10)",
+                 id="x-of-5000-digits"),
 ]
 
 
