@@ -286,7 +286,9 @@ class Select(Expr):
     """The derivative at a kink (abs, min, max; the parser has no select):
     neg where cond < 0, pos where cond > 0, and where cond may be 0 the
     hull of both (eval_pair) or pos (eval_real), elements of Clarke's
-    generalized gradient.  A neg that is Neg(pos) is not evaluated again."""
+    generalized gradient.  A neg that is Neg(pos), as abs's derivative
+    is, is not evaluated again: over a box that holds the kink of each of
+    n nested abs, evaluating both branches would take 2**n Selects."""
 
     cond: Expr
     neg: Expr

@@ -640,6 +640,29 @@ def test_select_is_internal_and_evaluates_off_the_kink():
         parse_map("dim 1\nmap g1 = select(x1, 0, 1)\n")
 
 
+def test_nested_abs_derivative_evaluates_each_select_once(monkeypatch):
+    # Over a box that holds every kink, each Select takes the hull of its
+    # branches, and its neg branch is Neg(pos): evaluating pos once serves
+    # both, where evaluating each branch would take 2**depth Selects.
+    depth = 40
+    (d,), = jacobian(parse_map("dim 1\nmap g1 = " + "abs(" * depth + "x1" + ")" * depth + "\n"))
+    calls = 0
+    eval_pair = Select.eval_pair
+
+    def counted(self, xs):
+        # Past one call per level it stops descending, so a regression
+        # fails here instead of running for hours.  (A failure message must
+        # not print d: its repr prints the pos branch twice per level.)
+        nonlocal calls
+        calls += 1
+        return eval_pair(self, xs) if calls <= depth else (0.0, 0.0)
+
+    monkeypatch.setattr(Select, "eval_pair", counted)
+    hull = d.eval_pair(Box.from_bounds([(-1.0, 1.0)]).coords)
+    assert calls == depth
+    assert hull == (-1.0, 1.0)
+
+
 def test_derivative_rules_on_hand_maps():
     rules = {  # the derivative at x1 = 0.5
         "sin(2*x1)": 2 * math.cos(1.0),
