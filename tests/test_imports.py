@@ -79,9 +79,7 @@ def test_degree_imports_neither_localize_nor_certify():
     assert not deps & {"localize", "certify"}, deps
 
 
-_REGION_TESTS = {"_GUARD", "_filtered", "_corner_levels", "_level_range_guarantee",
-                 "_level_conditions", "_radial_segment", "_bisect_segment", "_box_dist2",
-                 "_point_dist2", "_hole_condition"}
+_REGION_TESTS = {"_GUARD", "_filtered", "_radial_segment", "_bisect_segment", "_circle_tests"}
 
 
 def test_region_tests_live_in_geometry():
@@ -97,7 +95,7 @@ def test_region_tests_live_in_geometry():
     assert not defined & _REGION_TESTS, defined & _REGION_TESTS
     assert not [n for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "coeffs"]
     geometry = importlib.import_module("fpcert.geometry")
-    assert {"_GUARD", "_filtered", "_radial_segment", "_bisect_segment"} <= set(vars(geometry))
+    assert _REGION_TESTS <= set(vars(geometry)), _REGION_TESTS - set(vars(geometry))
 
 
 def _perfbench_tracing():
