@@ -1,11 +1,11 @@
 """Three-valued certificates for fixed-point boundary hypotheses.
 
-Every certifier is a list of conditions.  A condition is one inequality
-``bound(box) relation threshold`` over a region given by seed boxes (a
-rectangle face, a cylinder base, a cone shell slice, the holed ball or a
-hole circle; their region tests come from `geometry`).  One engine,
-`check`, covers each region by adaptive subdivision and decides every cover
-box in interval arithmetic:
+Every certifier is a list of conditions.  A condition says that an
+enclosure (lo, hi) of the image lies in a target interval over a region
+given by seed boxes (a rectangle face, a cylinder base, a cone shell slice,
+the holed ball or a hole circle; their region tests come from `geometry`).
+One engine, `check`, covers each region by adaptive subdivision and
+decides every cover box in interval arithmetic:
 
   * CERTIFIED      every condition holds over a finite cover of its region;
                    the target domain then provably contains a fixed point.
@@ -54,11 +54,15 @@ rectangle, cylinder and cone-shell certifiers evaluate T plain: their
 covers are small, and building the view of a freshly parsed map costs
 more than it saves there.
 
-Strict and closed.  The theorem hypotheses (rectangle faces, cylinder
-heights, cone slices) need a strict interval margin.  Containment
-conditions (cylinder base containment, cone invariance, the outer ball and
-the holes) target closed sets and are verified with non-strict interval
-comparisons.  Refutation, and the witness re-check, are always strict.
+The target rule.  A target is an interval (t0, t1), -inf or inf on a free
+side: ``<= t`` is (-inf, t), ``>= t`` is (t, inf), ``in`` the interval
+itself; the relation only labels the evidence.  A bound (lo, hi) verifies
+when t0 < lo and hi < t1, the strict margin of the theorem hypotheses
+(rectangle faces, cylinder heights, cone slices), or t0 <= lo and
+hi <= t1 for the closed containment conditions (cylinder base, cone
+invariance, outer ball, holes).  It refutes when lo > r1 or hi < r0 for
+the refutation target (r0, r1), the target itself except for the holed
+ball's squared radius, rounded down to verify and up to refute.
 
 Stop rule.  A condition list is checked in order and stops at its first
 REFUTED condition; an INDETERMINATE condition does not stop it.
@@ -130,7 +134,7 @@ ANNULUS_REFUSAL = (
 class EvidenceEntry:
     face: str
     box: Box
-    bound: "Interval | None"  # None: the evaluation over the box raised
+    bound: "tuple | None"  # (lo, hi); None: the evaluation over the box raised
     relation: str  # '<=' | '>=' | 'in' | 'unresolved'
     threshold: float
 
@@ -138,7 +142,7 @@ class EvidenceEntry:
         return {
             "face": self.face,
             "box": self.box.bounds(),
-            "bound": None if self.bound is None else [self.bound.lo, self.bound.hi],
+            "bound": None if self.bound is None else list(self.bound),
             "relation": self.relation,
             "threshold": self.threshold,
         }
@@ -188,53 +192,40 @@ class Certificate:
 
 @dataclass
 class Condition:
-    """The inequality ``bound(box) relation threshold`` over the region
-    covered by the seed boxes.
+    """The bound (lo, hi) over each box of the region covered by the seed
+    boxes lies in the target (t0, t1), by the target rule of the module
+    docstring; `refute` is the target refutation uses where it is not
+    `target`.
 
-    For '<=' and '>=' the threshold is a (verify, refute) pair: a box is
-    verified against the first value and refuted against the second.  Both
-    are the same number except where the threshold is itself rounded (a
-    squared radius: verify against its lower, refute against its upper
-    rounding).  For 'in' it is the target interval (lo, hi).  `relevant`
-    drops boxes that miss the region; a box may refute only when `meets`
-    proves it holds a point of the region, and `witness` picks that point.
-    `tighten`, where given, is a second bound, inside the first, tried only
-    on a box the first leaves undecided; where it raises, the first stands.
+    `relevant` drops boxes that miss the region; a box may refute only
+    when `meets` proves it holds a point of the region, and `witness`
+    picks that point.  `tighten`, where given, is a second bound, inside
+    the first, tried only on a box the first leaves undecided; where it
+    raises, the first stands.
     """
 
     face: str
     seeds: tuple
-    bound: Callable[[Box], Interval]
-    relation: str  # '<=' | '>=' | 'in'
-    threshold: tuple
+    bound: Callable[[Box], tuple]
+    target: tuple
     strict: bool = True
+    refute: "tuple | None" = None
     relevant: "Callable[[Box], bool] | None" = None
     meets: "Callable[[Box], bool] | None" = None
     witness: Callable[[Box], tuple] = Box.midpoint
-    tighten: "Callable[[Box], Interval] | None" = None
+    tighten: "Callable[[Box], tuple] | None" = None
 
     def fails(self, lo: float, hi: float) -> bool:
         """The refutation rule: True when the bound [lo, hi] fails."""
-        t0, t1 = self.threshold
-        if self.relation == "<=":
-            return lo > t1
-        if self.relation == ">=":
-            return hi < t1
-        return lo > t1 or hi < t0
+        r0, r1 = self.refute or self.target
+        return lo > r1 or hi < r0
 
-    def verdict(self, b: Interval) -> str:
-        t0 = self.threshold[0]
-        strict = self.strict
-        if self.relation == "<=":
-            holds = b.hi < t0 if strict else b.hi <= t0
-        elif self.relation == ">=":
-            holds = b.lo > t0 if strict else b.lo >= t0
-        else:
-            t1 = self.threshold[1]
-            holds = (t0 < b.lo and b.hi < t1) if strict else (t0 <= b.lo and b.hi <= t1)
-        return VERIFIED if holds else VIOLATED if self.fails(b.lo, b.hi) else UNKNOWN
+    def verdict(self, b: tuple) -> str:
+        (lo, hi), (t0, t1) = b, self.target
+        holds = (t0 < lo and hi < t1) if self.strict else (t0 <= lo and hi <= t1)
+        return VERIFIED if holds else VIOLATED if self.fails(lo, hi) else UNKNOWN
 
-    def bound_or_none(self, box: Box) -> "Interval | None":
+    def bound_or_none(self, box: Box) -> "tuple | None":
         """The bound over the box, or None where its evaluation raises."""
         try:
             return self.bound(box)
@@ -258,11 +249,11 @@ class Condition:
             tag = UNDECIDABLE
         return tag, bound
 
-    def final(self, box: Box, b: Interval) -> bool:
+    def final(self, box: Box, b: tuple) -> bool:
         """True when no sub-box of an undecided box can decide it.
 
         No sub-box refutes when the bound cannot cross the refutation
-        threshold.  No sub-box verifies when the bound at the witness point
+        target.  No sub-box verifies when the bound at the witness point
         does not: evaluation is inclusion-monotone, so every sub-box that
         holds the witness has a naive bound that contains the point bound.
         A `tighten` bound of such a sub-box holds the witness's image only,
@@ -275,7 +266,7 @@ class Condition:
         # A sub-box's bound holds its image, which lies inside b, and the
         # failing values form rays, so some sub-box may refute only if an
         # end of b fails as a point.
-        if self.fails(b.lo, b.lo) or self.fails(b.hi, b.hi):
+        if self.fails(b[0], b[0]) or self.fails(b[1], b[1]):
             return False  # the common case: skip the witness
         p = _point(self.witness(box))
         if self.relevant is not None and not self.relevant(p):
@@ -283,11 +274,22 @@ class Condition:
         point_bound = self.bound_or_none(p)
         return point_bound is not None and self.verdict(point_bound) != VERIFIED
 
-    def entry(self, box: Box, bound: "Interval | None", relation: str = "") -> EvidenceEntry:
-        # An 'in' condition reports the upper end of its target.
-        t0, t1 = self.threshold
-        return EvidenceEntry(self.face, box, bound, relation or self.relation,
-                             t1 if self.relation == "in" else t0)
+    def entry(self, box: Box, bound: "tuple | None", relation: str = "") -> EvidenceEntry:
+        # The label is '<=' or '>=' where the target is a ray, else 'in';
+        # the threshold is the target's finite end, its upper one if both are.
+        t0, t1 = self.target
+        relation = relation or ("<=" if t0 == -_INF else ">=" if t1 == _INF else "in")
+        return EvidenceEntry(self.face, box, bound, relation, t1 if t1 < _INF else t0)
+
+
+def _sides(a: float, b: float, expansive: bool) -> tuple:
+    """The targets at the levels a < b: below a and above b where the map
+    is expansive, above a and below b where it is compressive."""
+    return ((-_INF, a), (b, _INF)) if expansive else ((a, _INF), (-_INF, b))
+
+
+def _component(c) -> Callable[[Box], tuple]:
+    return lambda bx: c.eval_pair(bx.coords)
 
 
 def _point(p) -> Box:
@@ -358,14 +360,16 @@ def _require_plain_map(m: MapSpec, dim: int, domain: str):
 # ---------------------------------------------------------------------------
 
 
-def _face_conditions(g: MapSpec, rect: RectDomain, axis: int, direction: str):
-    a, b = rect.box.coords[axis].lo, rect.box.coords[axis].hi
-    lo_rel, hi_rel = ("<=", ">=") if direction == "e" else (">=", "<=")
-    bound = lambda bx: g.eval_component_interval(axis, bx)
-    return (
-        Condition(f"x{axis + 1}-", (face(rect.box, axis, "-"),), bound, lo_rel, (a, a)),
-        Condition(f"x{axis + 1}+", (face(rect.box, axis, "+"),), bound, hi_rel, (b, b)),
-    )
+def _face_conditions(g: MapSpec, box: Box, axis: int, direction: str, names=None):
+    """The conditions on g's component `axis` over the faces x = a and
+    x = b of the box across that axis, with the targets of `_sides` for
+    the direction 'e' (expansive) or 'c'.  The faces are named x<k>- and
+    x<k>+ unless `names` names them."""
+    x = box.coords[axis]
+    names = names or (f"x{axis + 1}-", f"x{axis + 1}+")
+    bound = _component(g.components[axis])
+    return [Condition(name, (face(box, axis, side),), bound, target)
+            for name, side, target in zip(names, "-+", _sides(x.lo, x.hi, direction == "e"))]
 
 
 def certify_miranda(g: MapSpec, rect: RectDomain, directions="auto",
@@ -389,7 +393,8 @@ def certify_miranda(g: MapSpec, rect: RectDomain, directions="auto",
     for axis in range(g.dim):
         tried = []
         for d in ("c", "e") if directions == "auto" else (directions[axis],):
-            tried.append(check(_face_conditions(g, rect, axis, d), max_depth, max_boxes, stats))
+            tried.append(check(_face_conditions(g, rect.box, axis, d), max_depth, max_boxes,
+                               stats))
             if tried[-1][0] == CERTIFIED:
                 assigned.append(d)
                 evidence.extend(tried[-1][1])
@@ -433,14 +438,10 @@ def certify_cylinder(T: MapSpec, cyl: CylinderSpec, form: str,
     # Containment of the base components over the whole cylinder, then the
     # height conditions T1 <= a on the left base and T1 >= b on the right.
     conditions = [
-        Condition("interior", (full,), lambda bx, comp=comp: T.eval_component_interval(comp, bx),
-                  "in", (target.lo, target.hi), strict=False)
-        for comp, target in enumerate(cyl.base.coords, start=1)
+        Condition("interior", (full,), _component(c), (x.lo, x.hi), strict=False)
+        for c, x in zip(T.components[1:], cyl.base.coords)
     ]
-    height = lambda bx: T.eval_component_interval(0, bx)
-    a, b = cyl.t_range.lo, cyl.t_range.hi
-    conditions.append(Condition("left", (face(full, 0, "-"),), height, "<=", (a, a)))
-    conditions.append(Condition("right", (face(full, 0, "+"),), height, ">=", (b, b)))
+    conditions += _face_conditions(T, full, 0, "e", names=("left", "right"))
     return _certificate(f"cylinder_{form}", cyl, t0, stats,
                         check(conditions, max_depth, max_boxes, stats))
 
@@ -470,16 +471,13 @@ def certify_cone_shell(T: MapSpec, spec: ConeShellSpec, form: str,
     root = (spec.bounding_box(),)
     shell = f.level_tests(spec.a, spec.b, 0.5 * (spec.a + spec.b))
     conditions = [
-        Condition("cone", root, lambda bx, comp=comp: T.eval_component_interval(comp, bx),
-                  ">=", (0.0, 0.0), strict=False, **shell)
-        for comp in range(spec.dim)
+        Condition("cone", root, _component(c), (0.0, _INF), strict=False, **shell)
+        for c in T.components
     ]
-    rel_a, rel_b = ("<=", ">=") if form == "expansive" else (">=", "<=")
-    for level, rel, fid in ((spec.a, rel_a, "slice-a"), (spec.b, rel_b, "slice-b")):
-        conditions.append(Condition(
-            fid, root, lambda bx: Interval(*f.value_pair(T.eval_pairs(bx))), rel,
-            (level, level), **f.level_tests(level, level, level),
-        ))
+    targets = _sides(spec.a, spec.b, form == "expansive")
+    for level, target, fid in zip((spec.a, spec.b), targets, ("slice-a", "slice-b")):
+        conditions.append(Condition(fid, root, lambda bx: f.value_pair(T.eval_pairs(bx)),
+                                    target, **f.level_tests(level, level, level)))
     return _certificate(f"cone_{form}", spec, t0, stats,
                         check(conditions, max_depth, max_boxes, stats))
 
@@ -520,7 +518,7 @@ def _image_dist2(T: MapSpec, jac, cx: float, cy: float):
 
     def of_pairs(pairs):
         (a, b), (c, d) = pairs
-        return Interval(*dist2_pair(a, b, c, d, cx, cy))
+        return dist2_pair(a, b, c, d, cx, cy)
 
     # The box the naive bound last evaluated, with its pairs: the
     # mean-value bound runs on that same box and reuses them.
@@ -545,12 +543,13 @@ def _holed_ball_conditions(T: MapSpec, jac, spec: HoledBallSpec) -> list:
     cover starts from the circle's square, rounded outward so that it holds
     the whole circle."""
     conditions = []
-    for k, ((cx, cy, r), r2, tests) in enumerate(spec.circles()):
+    for k, ((cx, cy, r), (r2_down, r2_up), tests) in enumerate(spec.circles()):
         seed = Box.from_bounds([(sub_down(cx, r), add_up(cx, r)),
                                 (sub_down(cy, r), add_up(cy, r))])
         bound, tighten = _image_dist2(T, jac, cx, cy)
         conditions.append(Condition("outer" if k == 0 else f"hole-{k - 1}", (seed,), bound,
-                                    "<=", r2, strict=False, tighten=tighten, **tests))
+                                    (-_INF, r2_down), strict=False, refute=(-_INF, r2_up),
+                                    tighten=tighten, **tests))
     return conditions
 
 

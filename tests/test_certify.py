@@ -35,7 +35,14 @@ from fpcert.geometry import (
     flip_coordinates,
     parse_domain,
 )
-from fpcert.interval import Box, DimensionMismatchError, DomainError, Interval
+from fpcert.interval import (
+    Box,
+    DimensionMismatchError,
+    DomainError,
+    Interval,
+    mul_down,
+    mul_up,
+)
 from fpcert.mapdsl import jacobian, parse_map, parse_program
 from fpcert.subdivision import UNKNOWN, VERIFIED, VIOLATED
 
@@ -157,14 +164,81 @@ def test_refutation_the_witness_point_does_not_confirm_is_indeterminate():
     # width, but holds at the witness point: its cover stops on a violated
     # box that cannot refute, and the next condition is still checked.
     def bound(box):
-        return Interval(0.0) if box.coords[0].lo == box.coords[0].hi else Interval(2.0, 3.0)
+        return (0.0, 0.0) if box.coords[0].lo == box.coords[0].hi else (2.0, 3.0)
 
     seeds = (Box.from_bounds([(0, 1)]),)
-    unconfirmed = Condition("a", seeds, bound, "<=", (1.0, 1.0))
-    holds = Condition("b", seeds, lambda box: Interval(0.0), "<=", (1.0, 1.0))
+    unconfirmed = Condition("a", seeds, bound, (-math.inf, 1.0))
+    holds = Condition("b", seeds, lambda box: (0.0, 0.0), (-math.inf, 1.0))
     status, evidence, witness = check([unconfirmed, holds], 24, 1000, CertStats())
     assert status == INDETERMINATE and witness is None
-    assert [(e.face, e.bound) for e in evidence] == [("b", Interval(0.0))]
+    assert [(e.face, e.bound, e.relation, e.threshold) for e in evidence] == [
+        ("b", (0.0, 0.0), "<=", 1.0)]
+
+
+# The rule conditions used before they carried targets, in its threshold
+# form: for '<=' and '>=' a (verify, refute) pair, for 'in' the interval.
+def _threshold_fails(relation, threshold, lo, hi):
+    t0, t1 = threshold
+    if relation == "<=":
+        return lo > t1
+    if relation == ">=":
+        return hi < t1
+    return lo > t1 or hi < t0
+
+
+def _threshold_verdict(relation, threshold, strict, lo, hi):
+    t0, t1 = threshold
+    if relation == "<=":
+        holds = hi < t0 if strict else hi <= t0
+    elif relation == ">=":
+        holds = lo > t0 if strict else lo >= t0
+    else:
+        holds = (t0 < lo and hi < t1) if strict else (t0 <= lo and hi <= t1)
+    if holds:
+        return VERIFIED
+    return VIOLATED if _threshold_fails(relation, threshold, lo, hi) else UNKNOWN
+
+
+def _target_condition(relation, threshold, strict):
+    t0, t1 = threshold
+    if relation == "in":
+        return Condition("c", (), None, (t0, t1), strict=strict)
+    target, refute = ((-math.inf, t0), (-math.inf, t1)) if relation == "<=" else (
+        (t0, math.inf), (t1, math.inf))
+    return Condition("c", (), None, target, strict=strict,
+                     refute=None if refute == target else refute)
+
+
+def test_target_rule_decides_as_the_threshold_rule():
+    r2 = (mul_down(0.1, 0.1), mul_up(0.1, 0.1))  # a squared radius: r^2 down, r^2 up
+    assert r2[0] < r2[1]
+    cases = [(rel, (t, t)) for rel in ("<=", ">=") for t in (1.0, 0.0, -0.0, -2.5)]
+    cases += [("in", t) for t in ((0.0, 1.0), (-0.0, 0.0), (0.0, -0.0), (-1.0, -0.0))]
+    cases += [("<=", r2)]
+    box = Box.from_bounds([(0, 1)])
+    tags = {}  # (relation, strict) -> the verdicts met
+    for relation, threshold in cases:
+        ends = [-3.0, -0.0, 0.0, 3.0]
+        for t in threshold:
+            ends += [t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf)]
+        ends = {repr(x): x for x in ends}.values()  # keeps both -0.0 and 0.0
+        pairs = [(lo, hi) for lo in ends for hi in ends if lo <= hi]
+        for strict in (True, False):
+            cond = _target_condition(relation, threshold, strict)
+            for lo, hi in pairs:
+                want = _threshold_verdict(relation, threshold, strict, lo, hi)
+                assert cond.verdict((lo, hi)) == want, (relation, threshold, strict, lo, hi)
+                assert cond.fails(lo, hi) == _threshold_fails(relation, threshold, lo, hi)
+                tags.setdefault((relation, strict), set()).add(want)
+            entry = cond.entry(box, (0.0, 1.0))
+            assert entry.relation == relation
+            # repr tells -0.0 from 0.0, as the JSON does
+            want = threshold[1] if relation == "in" else threshold[0]
+            assert repr(entry.threshold) == repr(want), (relation, threshold)
+    assert len(tags) == 6 and all(t == {VERIFIED, VIOLATED, UNKNOWN} for t in tags.values())
+    # The split: a bound between the two roundings neither verifies nor fails.
+    between = (r2[0], r2[1])
+    assert _target_condition("<=", r2, False).verdict(between) == UNKNOWN
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +547,8 @@ def test_holed_ball_evidence_keeps_the_naive_bound_where_it_decides():
                 assert bound == naive, (k, e)
                 kept += 1
             else:
-                assert bound.is_subset(naive) and bound != naive, (k, e)
+                assert naive[0] <= bound[0] and bound[1] <= naive[1], (k, e)
+                assert bound != naive, (k, e)
                 tightened += 1
     assert kept > 200 and tightened > 30, (kept, tightened)
 
