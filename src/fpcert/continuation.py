@@ -102,8 +102,9 @@ def trace_continuum(psi: MapSpec, t_range, x_box: Box, grid: int = 16,
     if not math.isfinite(b - a):
         raise ValueError("parameter range is wider than the float range")
 
-    # The last point is b itself: a + (b - a) can round below b.
-    t_grid = tuple(a + (b - a) * j / grid for j in range(grid)) + (b,)
+    # The last point is b itself: a + (b - a) can round below b.  Where
+    # (b - a) * j overflows, the width is scaled by j / grid instead.
+    t_grid = tuple(_grid_point(a, b - a, j, grid) for j in range(grid)) + (b,)
     rect = RectDomain(x_box)
     slabs = []
     exhausted = False
@@ -160,6 +161,11 @@ def trace_continuum(psi: MapSpec, t_range, x_box: Box, grid: int = 16,
     for sid in seen:
         max_t = max(max_t, slabs[sid].t.hi)
     return ContinuumWitness(t_grid, slabs, [], False, max_t, exhausted, start_index)
+
+
+def _grid_point(a: float, width: float, j: int, grid: int) -> float:
+    span = width * j
+    return a + (span / grid if math.isfinite(span) else width * (j / grid))
 
 
 def _glue(u, v) -> bool:

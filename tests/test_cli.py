@@ -304,6 +304,16 @@ def test_trace_parameter_range_wider_than_the_floats_exit_4(capsys):
     assert err == "error: parameter range is wider than the float range\n", err
 
 
+def test_trace_parameter_range_whose_grid_steps_overflow_exit_1(capsys):
+    # b - a is finite, (b - a) * j is not: the grid still spans the range,
+    # and no cell holds the branch x = t inside the state box.
+    code, out, err = run(capsys, "trace", "@trace-linear", "--t-lo=-6e307", "--t-hi=6e307",
+                         "--grid", "4", "--format", "json")
+    assert code == 1 and err == "", err
+    payload = json.loads(out)
+    assert payload["complete"] is False and payload["cells"] == 4
+
+
 @pytest.mark.parametrize("argv", [
     ("certify", "@index-holes", "--max-depth", "-1"),
     ("certify", "@miranda-linear-2d", "--max-depth", "-1"),

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import random
 
 import pytest
@@ -80,6 +81,17 @@ def test_grid_ends_at_the_range_end():
     assert wit.complete and wit.max_t_reached == 0.9
     assert wit.chain_slabs()[-1].t.hi == 0.9
     assert max(s.t.hi for s in wit.slabs) == 0.9
+
+
+@pytest.mark.parametrize("grid", [4, 7])
+def test_grid_of_a_range_whose_width_times_j_overflows(grid):
+    # b - a is finite, but (b - a) * j overflows for j >= 2.
+    a, b = -6e307, 6e307
+    psi = parse_map("dim 1\nparam t\nmap g1 = (x1 + t)/2\n")
+    ts = trace_continuum(psi, (a, b), xbox(), grid=grid, tol=1e-3).t_grid
+    assert len(ts) == grid + 1 and ts[0] == a and ts[-1] == b
+    assert all(math.isfinite(t) for t in ts)
+    assert all(s < t for s, t in zip(ts, ts[1:])), ts
 
 
 def test_grid_refinement_monotone():
