@@ -287,12 +287,29 @@ class Select(Expr):
     neg where cond < 0, pos where cond > 0, and where cond may be 0 the
     hull of both (eval_pair) or pos (eval_real), elements of Clarke's
     generalized gradient.  A neg that is Neg(pos), as abs's derivative
-    is, is not evaluated again: over a box that holds the kink of each of
-    n nested abs, evaluating both branches would take 2**n Selects."""
+    is, is not evaluated, printed, compared or hashed again: over n nested
+    abs, walking both branches would take 2**n Selects."""
 
     cond: Expr
     neg: Expr
     pos: Expr
+
+    def _neg_is_pos(self) -> bool:
+        return type(self.neg) is Neg and self.neg.arg is self.pos
+
+    def __repr__(self):
+        neg = "Neg(arg=pos)" if self._neg_is_pos() else repr(self.neg)
+        return f"Select(cond={self.cond!r}, neg={neg}, pos={self.pos!r})"
+
+    def __eq__(self, other):
+        if type(other) is not Select:
+            return NotImplemented
+        return (self.cond == other.cond and self.pos == other.pos
+                and (self._neg_is_pos() and other._neg_is_pos() or self.neg == other.neg))
+
+    def __hash__(self):
+        # neg is left out: equal Selects have equal cond and pos.
+        return hash((self.cond, self.pos))
 
     def eval_real(self, xs):
         branch = self.neg if self.cond.eval_real(xs) < 0.0 else self.pos

@@ -651,8 +651,7 @@ def test_nested_abs_derivative_evaluates_each_select_once(monkeypatch):
 
     def counted(self, xs):
         # Past one call per level it stops descending, so a regression
-        # fails here instead of running for hours.  (A failure message must
-        # not print d: its repr prints the pos branch twice per level.)
+        # fails here instead of running for hours.
         nonlocal calls
         calls += 1
         return eval_pair(self, xs) if calls <= depth else (0.0, 0.0)
@@ -661,6 +660,32 @@ def test_nested_abs_derivative_evaluates_each_select_once(monkeypatch):
     hull = d.eval_pair(Box.from_bounds([(-1.0, 1.0)]).coords)
     assert calls == depth
     assert hull == (-1.0, 1.0)
+
+
+def test_nested_abs_derivative_prints_compares_and_hashes_in_linear_walks():
+    # Each Select's neg is Neg(pos): printing, comparing or hashing pos
+    # twice per level would take 4**40 steps.  A repr that grows 4x per
+    # level fails on 10 and 11 levels, before 40 levels could hang.
+    def nested(depth):
+        source = "dim 1\nmap g1 = " + "abs(" * depth + "x1" + ")" * depth + "\n"
+        return jacobian(parse_map(source))[0][0]
+
+    assert len(repr(nested(11))) < 2 * len(repr(nested(10)))
+    d, fresh = nested(40), nested(40)
+    t0 = time.perf_counter()
+    text = repr(d)
+    assert time.perf_counter() - t0 < 1.0 and len(text) < 1_000_000
+    t0 = time.perf_counter()
+    assert hash(d) == hash(fresh)
+    assert time.perf_counter() - t0 < 1.0
+    t0 = time.perf_counter()
+    assert d == fresh
+    assert time.perf_counter() - t0 < 1.0
+    assert text.count("neg=Neg(arg=pos)") == 40
+    # A neg that is not Neg(pos) itself is compared and printed in full.
+    other = Select(d.cond, Neg(Select(d.pos.cond, d.pos.neg, d.pos.pos)), d.pos)
+    assert other == d and hash(other) == hash(d)
+    assert Select(d.cond, d.pos, d.pos) != d
 
 
 def test_derivative_rules_on_hand_maps():
