@@ -1100,9 +1100,11 @@ def parse_program(source: str) -> ParsedProgram:
         named = [i for i in range(1, min(dim, len(components) + k) + 1)
                  if i not in components][:k]
         rest = dim - len(components) - len(named)
+        # A count of over 20 digits is not echoed: it can be thousands long.
+        more = f" and {rest} more" if rest < 10**20 else " and more"
         raise DimensionMismatchError(
             f"missing map components: {', '.join('g%d' % i for i in named)}"
-            + (f" and {rest} more" if rest else "")
+            + (more if rest else "")
         )
     spec = MapSpec(dim, tuple(components[i] for i in range(1, dim + 1)), has_param)
     return ParsedProgram(spec, domain_line, domain_line_no)

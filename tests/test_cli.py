@@ -513,6 +513,14 @@ def test_missing_components_of_a_huge_dim_exit_4_with_a_short_message(tmp_path, 
     assert len(err.encode()) < 200
 
 
+def test_missing_components_of_a_dim_of_4000_digits_do_not_echo_the_count(tmp_path, capsys):
+    path = tmp_path / "huge.fp"
+    path.write_text("dim " + "9" * 4000 + "\nmap g1 = x1\n")
+    code, out, err = run(capsys, "certify", str(path))
+    assert code == 4 and out == ""
+    assert err == "error: missing map components: g2, g3, g4, g5, g6 and more\n", err[:300]
+
+
 def test_certify_a_parametrized_map_exit_4(tmp_path, capsys):
     path = tmp_path / "param.fp"
     path.write_text("dim 1\nparam t\nmap g1 = t\ndomain rect [0,1]\n")
