@@ -7,11 +7,14 @@ curved domains live in geometry: certify defines none of them and reads no
 functional's coefficients.
 
 The traced benchmark (``perfbench/tracing.py``) patches fpcert functions
-and ``Interval`` operators by name; every name it lists must still exist."""
+and ``Interval`` operators by name; every name it lists must still exist.
+Some of them only the benchmark still names: no CLI path may call them, so
+that they can go once perfbench stops naming them."""
 
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 _ROOT = Path(__file__).resolve().parent.parent
@@ -115,3 +118,33 @@ def test_perfbench_traced_names_resolve():
         tracing._resolve(modules, module, function)  # raises when one is gone
     interval = modules["interval"].Interval
     assert [m for _op, m in tracing.INTERVAL_OPS if m not in interval.__dict__] == []
+
+
+def test_no_cli_path_calls_a_name_only_perfbench_pins(monkeypatch):
+    # Each catalog entry runs to its declared exit with these names made to
+    # raise: MapSpec.eval_interval, MapSpec.eval_component_interval,
+    # localize.region_fixed_point_free and the traced Interval operators.
+    from fpcert import catalog, cli
+    from fpcert.interval import Interval
+    from fpcert.localize import region_fixed_point_free
+    from fpcert.mapdsl import MapSpec
+
+    def unreachable(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"a CLI path called {name}")
+        return call
+
+    for name in ("eval_interval", "eval_component_interval"):
+        monkeypatch.setattr(MapSpec, name, unreachable(f"MapSpec.{name}"))
+    for module in [m for n, m in sys.modules.items() if n.startswith("fpcert.")]:
+        if getattr(module, "region_fixed_point_free", None) is region_fixed_point_free:
+            monkeypatch.setattr(module, "region_fixed_point_free",
+                                unreachable("region_fixed_point_free"))
+    for _op, method in _perfbench_tracing().INTERVAL_OPS:
+        monkeypatch.setattr(Interval, method, unreachable(f"Interval.{method}"))
+    assert len(catalog.CATALOG) == 28
+    for entry in catalog.CATALOG.values():
+        argv = [entry.task, "@" + entry.id, "--format", "json", "--stable"]
+        for key, value in entry.kwargs.items():
+            argv += [f"--{key}", str(value)]
+        assert cli.main(argv) == entry.exit, entry.id
