@@ -322,8 +322,7 @@ class Select(Expr):
         if lo > 0.0:
             return self.pos.eval_pair(xs)
         c, d = self.pos.eval_pair(xs)
-        neg = self.neg
-        a, b = (-d, -c) if type(neg) is Neg and neg.arg is self.pos else neg.eval_pair(xs)
+        a, b = (-d, -c) if self._neg_is_pos() else self.neg.eval_pair(xs)
         return min(a, c), max(b, d)
 
 
