@@ -22,6 +22,16 @@ once: discarded, kept or split.  Every discarded part is proven free of
 fixed points and discarded plus kept boxes tile the input rectangle, so
 no fixed point is lost.
 
+A box with no proof id whose Krawczyk test finds K(X) but neither proves
+nor excludes hands K(X) to both halves of its split (the X & N(X) step of
+interval Newton methods, Neumaier 1990, section 5.1): a half disjoint
+from K(X) is discarded without being queued, and every other half is cut
+to K(X) on each axis, except an axis that the cut would leave at most tol
+wide.  This is sound because K(X) holds every fixed point of g in X, for
+any preconditioner, and for every t in T when the map takes t.  So a leaf
+with no proof id may lie off the 27/53 grid too, and no axis is cut below
+tol.
+
 Every search evaluates the map through its memo view
 (`mapdsl.MapSpec.memo_view`), built once per map, on the coordinate tuple
 of a box followed by T for a parametrized map: the residual, F(m) and
@@ -116,6 +126,17 @@ class LocalizeResult:
     surviving_volume: float
     boxes_examined: int
     exhausted: bool
+    # Work counts, not part of the JSON output.  Krawczyk tests in the search
+    # (one per box that takes the test; contraction steps aside), and among
+    # them those that gave a proof id, excluded the box, or found K(X) but
+    # neither proved nor excluded; the halves of such an undecided box that
+    # were cut to K(X), and those discarded as disjoint from it.
+    krawczyk_tests: int = 0
+    krawczyk_proofs: int = 0
+    krawczyk_exclusions: int = 0
+    krawczyk_undecided: int = 0
+    halves_cut: int = 0
+    halves_discarded: int = 0
 
     @property
     def proven(self):
@@ -354,6 +375,21 @@ def _dropped_volume(box: Box, x: Box) -> float:
     return v
 
 
+def _cut(box: Box, K, tol: float) -> "Box | None":
+    """box cut to the Krawczyk image K on each axis, except an axis that the
+    cut would leave at most tol wide, or None when box misses K.  Every
+    fixed point of g in box lies in the result: it lies in K(X) for any
+    box X that holds box."""
+    coords = []
+    for (lo, hi), c in zip(K, box.coords):
+        if hi < c.lo or lo > c.hi:
+            return None
+        lo = max(lo, c.lo)
+        hi = min(hi, c.hi)
+        coords.append(Interval(lo, hi) if hi - lo > tol else c)
+    return Box(tuple(coords))
+
+
 def _faces_straddle(f: MapSpec, xs) -> bool:
     """The Poincare-Miranda test on the box whose coordinate tuple is xs
     (the box's coordinates, then T if f takes t): for every
@@ -397,7 +433,10 @@ def localize_fixed_points(g: MapSpec, rect: RectDomain, tol: float,
     |I - Y F'(X)| > 1, postpones the test until the width is at most
     width(X)/rho, since a box must shrink about that much before K(X) can
     fit inside it (it halves after an evaluation error or a singular
-    midpoint matrix).
+    midpoint matrix).  Where such a test found K(X), each half of X's split
+    that misses K(X) is discarded, and each other half is cut to K(X) on
+    every axis the cut leaves wider than tol: K(X) holds every fixed point
+    of g in X (for every t in T), whatever the preconditioner.
 
     PROVEN is decided once, on the leaves: the only leaf that carries a
     proof id holds exactly one fixed point, since every dropped part of
@@ -437,6 +476,7 @@ def _search(f: MapSpec, jac, rect: RectDomain, tol: float, budget: int,
     discarded_volume = 0.0
     examined = 0
     exhausted = False
+    tests = proofs = exclusions = undecided_tests = halves_cut = halves_discarded = 0
 
     while queue:
         box, limit, proof = queue.popleft()
@@ -450,17 +490,27 @@ def _search(f: MapSpec, jac, rect: RectDomain, tol: float, budget: int,
         # The root takes the residual test only where Krawczyk cannot decide it.
         pairs = _UNTESTED if krawczyk and examined == 1 else _residual_pairs(f, box.coords + tail)
         x, leaf = box, exhausted or width <= tol
+        undecided = None  # K(X) of a test that neither proves nor excludes
         if krawczyk and pairs is not _PRUNED:
+            tests += 1
             K, rho = _krawczyk(f, jac, box.coords + tail)
             if K is not None and proof is None and all(
                     c.lo < lo and hi < c.hi for (lo, hi), c in zip(K, box.coords)):
+                proofs += 1
                 proof = len(proven_boxes)
                 proven_boxes.append(box)
             if K is not None and (proof is not None or any(
                     hi < c.lo or lo > c.hi for (lo, hi), c in zip(K, box.coords))):
                 x, leaf = _contract(f, jac, box, K, tol, tail)
-                pairs = _PRUNED if x is None else _residual_pairs(f, x.coords + tail)
+                if x is None:
+                    exclusions += 1
+                    pairs = _PRUNED
+                else:
+                    pairs = _residual_pairs(f, x.coords + tail)
             else:
+                if K is not None:  # proof is None here
+                    undecided = K
+                    undecided_tests += 1
                 if pairs is _UNTESTED:
                     pairs = _residual_pairs(f, box.coords + tail)
                 if proof is None and rho > 1.0:  # 2.0 after an error or singular matrix
@@ -475,9 +525,18 @@ def _search(f: MapSpec, jac, rect: RectDomain, tol: float, budget: int,
             survivors.append((x, pairs, proof))
             continue
         # Undecided, or a component raised: split, smaller boxes may evaluate.
-        left, right = _split_box(x, axis)
-        queue.append((left, limit, proof))
-        queue.append((right, limit, proof))
+        for half in _split_box(x, axis):
+            if undecided is not None:  # every fixed point in the half lies in K
+                cut = _cut(half, undecided, tol)
+                if cut is None:
+                    halves_discarded += 1
+                    discarded_volume += half.volume()
+                    continue
+                if cut != half:
+                    halves_cut += 1
+                    discarded_volume += _dropped_volume(half, cut)
+                    half = cut
+            queue.append((half, limit, proof))
 
     heirs = Counter(proof for _box, _pairs, proof in survivors)
     enclosures = []
@@ -500,6 +559,12 @@ def _search(f: MapSpec, jac, rect: RectDomain, tol: float, budget: int,
         surviving_volume=surviving_volume,
         boxes_examined=examined,
         exhausted=exhausted,
+        krawczyk_tests=tests,
+        krawczyk_proofs=proofs,
+        krawczyk_exclusions=exclusions,
+        krawczyk_undecided=undecided_tests,
+        halves_cut=halves_cut,
+        halves_discarded=halves_discarded,
     )
 
 

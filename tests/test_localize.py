@@ -254,6 +254,32 @@ def test_trig_map_fixed_points_are_proven():
     _assert_proven_boxes_hold_fixed_points(m, res)
     bisected = localize_fixed_points(m, rect((-2, 2), (-2, 2)), tol=1e-7, upgrade=False)
     assert res.boxes_examined < bisected.boxes_examined / 4
+    # Krawczyk tests, proofs, exclusions and undecided tests; halves cut to
+    # an undecided K(X) and halves discarded as disjoint from it.
+    assert (res.krawczyk_tests, res.krawczyk_proofs, res.krawczyk_exclusions,
+            res.krawczyk_undecided, res.halves_cut, res.halves_discarded) == (17, 3, 5, 9, 9, 3)
+    assert res.boxes_examined == 112
+    assert "krawczyk_tests" not in res.to_json() and "halves_cut" not in res.to_json()
+
+
+def test_undecided_krawczyk_image_discards_a_half_it_misses():
+    # On X = [-2, 2] x [-1, 1.5], K(X) = [1, 1] x [-6.375, 6.125]: x2 -> x2^2
+    # keeps the test undecided, and the left half of the split at x1 = 2/53
+    # misses K(X), so it is discarded without being queued.  The second
+    # axis of K(X) holds X's, and the cut would leave the first a point, at
+    # most tol wide, so the right half stays as it is.
+    m = parse_map("dim 2\nmap g1 = 0.5*x1 + 0.5\nmap g2 = x2^2\n")
+    split = -2.0 + 4.0 * 27.0 / 53.0
+    one = localize_fixed_points(m, rect((-2, 2), (-1, 1.5)), tol=1e-7, budget=1)
+    assert (one.krawczyk_undecided, one.halves_discarded, one.halves_cut) == (1, 1, 0)
+    assert [e.box.bounds() for e in one.enclosures] == [[[split, 2.0], [-1.0, 1.5]]]
+    assert one.discarded_volume == (split + 2.0) * 2.5
+    res = localize_fixed_points(m, rect((-2, 2), (-1, 1.5)), tol=1e-7)
+    assert len(res.enclosures) == 2 and len(res.proven) == 2
+    for p in ((1.0, 0.0), (1.0, 1.0)):
+        assert any(box_contains(e.box, p) for e in res.proven), p
+    assert res.halves_discarded >= 1
+    _assert_proven_boxes_hold_fixed_points(m, res)
 
 
 def test_rotation_map_fixed_point_is_proven():
@@ -349,8 +375,11 @@ def _random_rect_2d(rng):
 
 def _localize_planted(make, rng, count):
     """Localize count planted maps from make(rng, rect) and check that each
-    planted point lies in an enclosure; returns the number PROVEN."""
-    proven = 0
+    planted point lies in an enclosure and that the volumes tile the
+    rectangle; returns the number PROVEN.  The halves cut to an undecided
+    Krawczyk image, or discarded as disjoint from it, must include both
+    kinds, so the corpus runs that cut."""
+    proven = cut = discarded = 0
     for _ in range(count):
         r = _random_rect_2d(rng)
         m, p = make(rng, r)
@@ -360,6 +389,9 @@ def _localize_planted(make, rng, count):
                    for e in res.enclosures), (m.to_source(), p)
         _assert_proven_boxes_hold_fixed_points(m, res)
         proven += len(res.proven)
+        cut += res.halves_cut
+        discarded += res.halves_discarded
+    assert cut > 0 and discarded > 0, (cut, discarded)
     return proven
 
 
