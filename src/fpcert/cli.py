@@ -9,7 +9,8 @@ follow the three-valued certificate logic so scripts can branch on them:
     1  REFUTED / empty localization / incomplete trace
     2  INDETERMINATE / abstention
     3  work budget exhausted (partial results printed)
-    4  usage, parse, or domain errors (including refused domains)
+    4  usage, parse, or domain errors (including refused domains), or
+       stdout closed by its reader (a broken pipe; nothing more is printed)
     5  evaluation errors inside the map
 """
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from . import catalog as _catalog
@@ -259,7 +261,16 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # Python's recipe: point stdout at devnull, so that the flush at
+        # exit cannot fail again and print a second error.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 4
     except (UnsupportedDomainError, SingleHoleError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 4

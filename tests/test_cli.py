@@ -4,7 +4,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -726,3 +729,18 @@ def test_budget_stopped_certificate_prints_json_exit_2(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["outcome"] == "INDETERMINATE"
     assert all(e["bound"] is not None for e in payload["evidence"])
+
+
+def test_closed_output_pipe_exits_4_without_a_traceback():
+    src = Path(cli.__file__).resolve().parents[1]
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the child writes
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fpcert.cli", "localize", "@localize-cos", "--format", "json"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)})
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 4
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
