@@ -384,8 +384,8 @@ def _cut(box: Box, K, tol: float) -> "Box | None":
     for (lo, hi), c in zip(K, box.coords):
         if hi < c.lo or lo > c.hi:
             return None
-        lo = max(lo, c.lo)
-        hi = min(hi, c.hi)
+        lo = max(c.lo, lo)  # on a tie, box's own endpoint: 0.0 stays 0.0
+        hi = min(c.hi, hi)
         coords.append(Interval(lo, hi) if hi - lo > tol else c)
     return Box(tuple(coords))
 
