@@ -376,10 +376,10 @@ def _dropped_volume(box: Box, x: Box) -> float:
 
 
 def _cut(box: Box, K, tol: float) -> "Box | None":
-    """box cut to the Krawczyk image K on each axis, except an axis that the
-    cut would leave at most tol wide, or None when box misses K.  Every
-    fixed point of g in box lies in the result: it lies in K(X) for any
-    box X that holds box."""
+    """box, a part of the box X whose Krawczyk image is K, cut to K on each
+    axis, except an axis that the cut would leave at most tol wide, or None
+    when box misses K.  Every fixed point of g in box lies in the result,
+    since K holds every fixed point of g in X."""
     coords = []
     for (lo, hi), c in zip(K, box.coords):
         if hi < c.lo or lo > c.hi:
