@@ -39,7 +39,9 @@ timed once.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
+import importlib
 import json
 import os
 import random
@@ -50,7 +52,7 @@ import sys
 import tempfile
 import time
 
-HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("certify-batch", "localize-trig", "trace-poly")
 TRIG = ("dim 2\nmap g1 = 0.9*sin(3*x1) + 0.3*x2^2\n"
         "map g2 = 0.8*cos(2*x2 - x1) + 0.1*x1*x2\n")
@@ -78,6 +80,20 @@ def timed(body, per: int) -> float:
 
 def entry(name, median_s, repeats, work, **extra):
     return {"name": name, "median_s": median_s, "repeats": repeats, "work": work, **extra}
+
+
+@contextlib.contextmanager
+def wrapped(patches):
+    """Within the block, each (module, name, wrap) of patches has
+    module.name replaced by wrap(module.name)."""
+    originals = [(module, name, getattr(module, name)) for module, name, _wrap in patches]
+    for (module, name, wrap), (_m, _n, fn) in zip(patches, originals):
+        setattr(module, name, wrap(fn))
+    try:
+        yield
+    finally:
+        for module, name, fn in originals:
+            setattr(module, name, fn)
 
 
 def kernel_rows(interval):
@@ -119,23 +135,19 @@ def search_rows(fp):
     localize, mapdsl = fp["localize"], fp["mapdsl"]
     m = mapdsl.parse_map(TRIG)
     rect = fp["geometry"].RectDomain(fp["interval"].Box.from_bounds([(-2, 2), (-2, 2)]))
-    recorded = {"_krawczyk": [], "_residual_pairs": []}
-    originals = {name: getattr(localize, name) for name in recorded}
+    steps, tests = [], []
 
-    def recorder(name):
-        def call(*args):
-            recorded[name].append(args[-1])  # the coordinate tuple
-            return originals[name](*args)
-        return call
+    def recorder(into):
+        def wrap(fn):
+            def call(*args):
+                into.append(args[-1])  # the coordinate tuple
+                return fn(*args)
+            return call
+        return wrap
 
-    for name in recorded:
-        setattr(localize, name, recorder(name))
-    try:
+    with wrapped([(localize, "_krawczyk", recorder(steps)),
+                  (localize, "_residual_pairs", recorder(tests))]):
         localize.localize_fixed_points(m, rect, tol=1e-7)
-    finally:
-        for name, fn in originals.items():
-            setattr(localize, name, fn)
-    steps, tests = recorded["_krawczyk"], recorded["_residual_pairs"]
     evals = steps + tests
 
     def plain():
@@ -237,17 +249,10 @@ def counted_pass(fp, workload: str, seed: int):
     patches += [(localize, "_search", search),
                 (localize, "_krawczyk", counter("krawczyk_steps")),
                 (localize, "_residual_pairs", counter("residual_tests"))]
-    originals = [(module, name, getattr(module, name)) for module, name, _wrap in patches]
-    for (module, name, wrap), (_m, _n, fn) in zip(patches, originals):
-        setattr(module, name, wrap(fn))
-    try:
-        wl = workloads.WORKLOADS[workload](fp)
-        with tempfile.TemporaryDirectory() as workdir:
-            items = wl.prepare(wl.generate(seed), workdir)
-            answers = [wl.run(item) for item in items]
-    finally:
-        for module, name, fn in originals:
-            setattr(module, name, fn)
+    wl = workloads.WORKLOADS[workload](fp)
+    with wrapped(patches), tempfile.TemporaryDirectory() as workdir:
+        items = wl.prepare(wl.generate(seed), workdir)
+        answers = [wl.run(item) for item in items]
     work["problems"] = len(items)
     work["proven"] = sum(a.proven for a in answers)
     return work
@@ -284,15 +289,13 @@ def tier1_row(root: str):
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--label", required=True, help="the output is BENCH_<label>.json")
-    ap.add_argument("--root", default=HERE, help="the checkout to measure")
+    ap.add_argument("--root", default=REPO, help="the checkout to measure")
     ap.add_argument("--seed", type=int, default=1, help="perfbench workload seed")
     args = ap.parse_args(argv)
     if not re.fullmatch(r"[\w.-]+", args.label):
         ap.error(f"label {args.label!r}: use letters, digits, '.', '_' and '-' only")
     root = os.path.abspath(args.root)
     sys.path[:0] = [os.path.join(root, d) for d in ("src", "perfbench", "tests")]
-    import importlib
-
     fp = {name: importlib.import_module(f"fpcert.{name}")
           for name in ("cli", "mapdsl", "geometry", "interval", "subdivision", "certify",
                        "localize", "degree", "continuation")}
@@ -304,7 +307,7 @@ def main(argv=None) -> int:
     out = {"env": {"python": sys.version.split()[0], "nproc": os.cpu_count(), "rev": rev,
                    "seed": args.seed, "seconds": SECONDS},
            "layers": layers, "end_to_end": end_to_end}
-    path = os.path.join(HERE, f"BENCH_{args.label}.json")
+    path = os.path.join(REPO, f"BENCH_{args.label}.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(out, fh, indent=1)
         fh.write("\n")
