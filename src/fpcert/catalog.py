@@ -2,17 +2,18 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
-
-@dataclass(frozen=True)
 class CatalogEntry:
-    id: str
-    title: str
-    task: str  # certify | localize | index | trace
-    source: str
-    kwargs: dict = field(default_factory=dict)
-    exit: int = field(kw_only=True)  # the CLI exit code the entry's task returns
+    __slots__ = ("id", "title", "task", "source", "kwargs", "exit")
+
+    def __init__(self, id: str, title: str, task: str, source: str, kwargs: "dict | None" = None,
+                 *, exit: int):
+        self.id = id
+        self.title = title
+        self.task = task  # certify | localize | index | trace
+        self.source = source
+        self.kwargs = {} if kwargs is None else kwargs
+        self.exit = exit  # the CLI exit code the entry's task returns
 
 
 _ENTRIES = [

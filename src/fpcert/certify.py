@@ -73,7 +73,6 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from . import jsonout
 from .geometry import (
@@ -91,6 +90,7 @@ from .interval import (
     DimensionMismatchError,
     DomainError,
     Interval,
+    Record,
     add_down,
     add_up,
     interval_error,
@@ -130,13 +130,16 @@ ANNULUS_REFUSAL = (
 )
 
 
-@dataclass(frozen=True)
-class EvidenceEntry:
-    face: str
-    box: Box
-    bound: "tuple | None"  # (lo, hi); None: the evaluation over the box raised
-    relation: str  # '<=' | '>=' | 'in' | 'unresolved'
-    threshold: float
+class EvidenceEntry(Record):
+    __slots__ = ("face", "box", "bound", "relation", "threshold")
+
+    def __init__(self, face: str, box: Box, bound: "tuple | None", relation: str,
+                 threshold: float):
+        self.face = face
+        self.box = box
+        self.bound = bound  # (lo, hi); None: the evaluation over the box raised
+        self.relation = relation  # '<=' | '>=' | 'in' | 'unresolved'
+        self.threshold = threshold
 
     def to_json_dict(self):
         return {
@@ -148,23 +151,30 @@ class EvidenceEntry:
         }
 
 
-@dataclass
 class CertStats:
-    boxes: int = 0
-    depth: int = 0
-    seconds: float = 0.0
+    __slots__ = ("boxes", "depth", "seconds")
+
+    def __init__(self, boxes: int = 0, depth: int = 0, seconds: float = 0.0):
+        self.boxes = boxes
+        self.depth = depth
+        self.seconds = seconds
 
 
-@dataclass
 class Certificate:
-    kind: str
-    outcome: str
-    directions: "tuple | None"
-    domain: object
-    evidence: list
-    witness: "tuple | None"
-    stats: CertStats
-    index: "int | None" = None
+    __slots__ = ("kind", "outcome", "directions", "domain", "evidence", "witness", "stats",
+                 "index")
+
+    def __init__(self, kind: str, outcome: str, directions: "tuple | None", domain,
+                 evidence: list, witness: "tuple | None", stats: CertStats,
+                 index: "int | None" = None):
+        self.kind = kind
+        self.outcome = outcome
+        self.directions = directions
+        self.domain = domain
+        self.evidence = evidence
+        self.witness = witness
+        self.stats = stats
+        self.index = index
 
     def to_json_dict(self, stable=False):
         stats = {"boxes": self.stats.boxes, "depth": self.stats.depth}
@@ -190,7 +200,6 @@ class Certificate:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class Condition:
     """The bound (lo, hi) over each box of the region covered by the seed
     boxes lies in the target (t0, t1), by the target rule of the module
@@ -204,16 +213,25 @@ class Condition:
     raises, the first stands.
     """
 
-    face: str
-    seeds: tuple
-    bound: Callable[[Box], tuple]
-    target: tuple
-    strict: bool = True
-    refute: "tuple | None" = None
-    relevant: "Callable[[Box], bool] | None" = None
-    meets: "Callable[[Box], bool] | None" = None
-    witness: Callable[[Box], tuple] = Box.midpoint
-    tighten: "Callable[[Box], tuple] | None" = None
+    __slots__ = ("face", "seeds", "bound", "target", "strict", "refute", "relevant", "meets",
+                 "witness", "tighten")
+
+    def __init__(self, face: str, seeds: tuple, bound: Callable[[Box], tuple], target: tuple,
+                 strict: bool = True, refute: "tuple | None" = None,
+                 relevant: "Callable[[Box], bool] | None" = None,
+                 meets: "Callable[[Box], bool] | None" = None,
+                 witness: Callable[[Box], tuple] = Box.midpoint,
+                 tighten: "Callable[[Box], tuple] | None" = None):
+        self.face = face
+        self.seeds = seeds
+        self.bound = bound
+        self.target = target
+        self.strict = strict
+        self.refute = refute
+        self.relevant = relevant
+        self.meets = meets
+        self.witness = witness
+        self.tighten = tighten
 
     def fails(self, lo: float, hi: float) -> bool:
         """The refutation rule: True when the bound [lo, hi] fails."""

@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass
 
 from . import jsonout
 from .degree import BoundaryZeroError, fixed_point_index
@@ -35,26 +34,34 @@ from .localize import localize_fixed_points
 from .mapdsl import MapSpec
 
 
-@dataclass(frozen=True)
 class Slab:
-    id: int
-    cell: int
-    t: Interval
-    box: Box
-    status: str
-    unique: "Box | None" = None  # see Enclosure.unique
+    __slots__ = ("id", "cell", "t", "box", "status", "unique")
+
+    def __init__(self, id: int, cell: int, t: Interval, box: Box, status: str,
+                 unique: "Box | None" = None):
+        self.id = id
+        self.cell = cell
+        self.t = t
+        self.box = box
+        self.status = status
+        self.unique = unique  # see Enclosure.unique
 
 
-@dataclass
 class ContinuumWitness:
-    t_grid: tuple
-    slabs: list
-    chain: list  # slab ids, or empty
-    complete: bool
-    max_t_reached: float
-    exhausted: bool = False
-    start_index: "int | None" = None
-    proven: bool = False  # the chain is glued: a proof of a continuous branch
+    __slots__ = ("t_grid", "slabs", "chain", "complete", "max_t_reached", "exhausted",
+                 "start_index", "proven")
+
+    def __init__(self, t_grid: tuple, slabs: list, chain: list, complete: bool,
+                 max_t_reached: float, exhausted: bool = False,
+                 start_index: "int | None" = None, proven: bool = False):
+        self.t_grid = t_grid
+        self.slabs = slabs
+        self.chain = chain  # slab ids, or empty
+        self.complete = complete
+        self.max_t_reached = max_t_reached
+        self.exhausted = exhausted
+        self.start_index = start_index
+        self.proven = proven  # the chain is glued: a proof of a continuous branch
 
     def chain_slabs(self):
         by_id = {s.id: s for s in self.slabs}

@@ -27,7 +27,6 @@ of the ``Interval``-operator formula bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .geometry import HoledBallSpec, RectDomain
 from .interval import (
@@ -54,12 +53,15 @@ class BoundaryZeroError(ArithmeticError):
     """Id - f could not be proven nonvanishing on the domain boundary."""
 
 
-@dataclass
 class DegreeResult:
     """A verified index; one that cannot be verified raises BoundaryZeroError."""
-    value: int
-    segments: int
-    depth: int
+
+    __slots__ = ("value", "segments", "depth")
+
+    def __init__(self, value: int, segments: int, depth: int):
+        self.value = value
+        self.segments = segments
+        self.depth = depth
 
     def to_json_dict(self):
         return {

@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
 from .interval import (
     Box,
     Interval,
+    Record,
     abs_pair,
     add_down,
     add_up,
@@ -66,14 +66,14 @@ _GUARD = 1e300  # the float filters of the region tests decide below it only
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RectDomain:
-    box: Box
+class RectDomain(Record):
+    __slots__ = ("box",)
 
-    def __post_init__(self):
-        for i, c in enumerate(self.box.coords):
+    def __init__(self, box: Box):
+        for i, c in enumerate(box.coords):
             if not c.hi > c.lo:
                 raise ValueError(f"rectangle coordinate {i} must have positive width")
+        self.box = box
 
     @property
     def dim(self):
@@ -137,17 +137,17 @@ def flip_coordinates(m: MapSpec, flip_axes) -> MapSpec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CylinderSpec:
-    t_range: Interval
-    base: Box
+class CylinderSpec(Record):
+    __slots__ = ("t_range", "base")
 
-    def __post_init__(self):
-        if not self.t_range.hi > self.t_range.lo:
+    def __init__(self, t_range: Interval, base: Box):
+        if not t_range.hi > t_range.lo:
             raise ValueError("cylinder height interval must have positive width")
-        for i, c in enumerate(self.base.coords):
+        for i, c in enumerate(base.coords):
             if not c.hi > c.lo:
                 raise ValueError(f"cylinder base coordinate {i} must have positive width")
+        self.t_range = t_range
+        self.base = base
 
     @property
     def dim(self):
@@ -182,17 +182,17 @@ def _bisect_segment(p, q, below):
     return tuple(a + sm * (b - a) for a, b in zip(p, q))
 
 
-@dataclass(frozen=True)
-class Functional:
+class Functional(Record):
     """Positively homogeneous functional, strictly positive on the orthant
     minus the origin: the euclidean norm, the sup norm, or the coordinate
     sum (kind 'linear', the domain line's l=sum)."""
 
-    kind: str  # 'euclid' | 'sup' | 'linear'
+    __slots__ = ("kind",)
 
-    def __post_init__(self):
-        if self.kind not in ("euclid", "sup", "linear"):
-            raise ValueError(f"unknown functional kind {self.kind!r}")
+    def __init__(self, kind: str):
+        if kind not in ("euclid", "sup", "linear"):
+            raise ValueError(f"unknown functional kind {kind!r}")
+        self.kind = kind  # 'euclid' | 'sup' | 'linear'
 
     def value(self, p) -> float:
         if self.kind == "euclid":
@@ -279,25 +279,25 @@ class Functional:
         return {"relevant": relevant, "meets": meets, "witness": witness}
 
 
-@dataclass(frozen=True)
-class ConeShellSpec:
+class ConeShellSpec(Record):
     """Slice of the nonnegative orthant between the a- and b-level sets."""
 
-    dim: int
-    functional: Functional
-    a: float
-    b: float
+    __slots__ = ("dim", "functional", "a", "b")
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def __init__(self, dim: int, functional: Functional, a: float, b: float):
+        if dim < 1:
             raise ValueError("cone shell needs dimension >= 1")
-        if not -_INF < self.a < self.b < _INF:
+        if not -_INF < a < b < _INF:
             raise ValueError("cone shell needs finite a < b")
-        if self.functional.kind == "linear":
-            if self.a < 0.0:
+        if functional.kind == "linear":
+            if a < 0.0:
                 raise ValueError("linear-functional shell needs a >= 0")
-        elif self.a <= 0.0:
+        elif a <= 0.0:
             raise ValueError("norm shell needs 0 < a")
+        self.dim = dim
+        self.functional = functional
+        self.a = a
+        self.b = b
 
     def bounding_box(self) -> Box:
         return Box((Interval(0.0, self.b),) * self.dim)
@@ -402,8 +402,7 @@ def _scaled(values) -> list:
     return [n * (q // d) for n, d in ratios]
 
 
-@dataclass(frozen=True)
-class HoledBallSpec:
+class HoledBallSpec(Record):
     """Planar closed ball of radius R minus a collection of open holes.
 
     Holes must be pairwise disjoint closed balls inside B[0, R].  A single
@@ -412,25 +411,26 @@ class HoledBallSpec:
     centre shows the boundary conditions alone prove nothing.
     """
 
-    radius: float
-    holes: tuple  # of (cx, cy, r)
+    __slots__ = ("radius", "holes")
 
-    def __post_init__(self):
+    def __init__(self, radius: float, holes: tuple):
         # Containment and disjointness are decided exactly, on squared
         # distances: rounded sums of hypot can let a hole leave the ball.
-        if not 0.0 < self.radius < _INF:
+        if not 0.0 < radius < _INF:
             raise ValueError("outer radius must be positive and finite")
-        for cx, cy, r in self.holes:
+        for cx, cy, r in holes:
             if not (0.0 < r < _INF and math.isfinite(cx) and math.isfinite(cy)):
                 raise ValueError("hole centre must be finite, its radius positive and finite")
-            R, x, y, s = _scaled((self.radius, cx, cy, r))
+            R, x, y, s = _scaled((radius, cx, cy, r))
             if s > R or x * x + y * y > (R - s) ** 2:
                 raise ValueError(f"hole at ({cx}, {cy}) not contained in the ball")
-        for i in range(len(self.holes)):
-            for j in range(i + 1, len(self.holes)):
-                xi, yi, ri, xj, yj, rj = _scaled(self.holes[i] + self.holes[j])
+        for i in range(len(holes)):
+            for j in range(i + 1, len(holes)):
+                xi, yi, ri, xj, yj, rj = _scaled(holes[i] + holes[j])
                 if (xi - xj) ** 2 + (yi - yj) ** 2 <= (ri + rj) ** 2:
                     raise ValueError(f"holes {i} and {j} are not disjoint")
+        self.radius = radius
+        self.holes = holes  # of (cx, cy, r)
 
     @property
     def dim(self):
@@ -471,14 +471,14 @@ class HoledBallSpec:
         }
 
 
-@dataclass(frozen=True)
-class AnnulusSpec:
-    r1: float
-    r2: float
+class AnnulusSpec(Record):
+    __slots__ = ("r1", "r2")
 
-    def __post_init__(self):
-        if not 0.0 < self.r1 < self.r2 < _INF:
+    def __init__(self, r1: float, r2: float):
+        if not 0.0 < r1 < r2 < _INF:
             raise ValueError("annulus needs 0 < r1 < r2 < inf")
+        self.r1 = r1
+        self.r2 = r2
 
     @property
     def dim(self):

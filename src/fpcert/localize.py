@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from dataclasses import dataclass
 
 from . import jsonout
 from .geometry import RectDomain
@@ -99,15 +98,18 @@ def _split_box(box: Box, axis: int):
     )
 
 
-@dataclass(frozen=True)
 class Enclosure:
-    box: Box
-    status: str  # PROVEN | CANDIDATE
-    residual: "Interval | None"  # None: the evaluation over the box raised
-    # For a Krawczyk-PROVEN box, the box X at which K(X) inside int X held:
-    # it holds exactly one fixed point (for every t in T), the one in box.
-    # None otherwise.  Not part of the JSON output.
-    unique: "Box | None" = None
+    __slots__ = ("box", "status", "residual", "unique")
+
+    def __init__(self, box: Box, status: str, residual: "Interval | None",
+                 unique: "Box | None" = None):
+        self.box = box
+        self.status = status  # PROVEN | CANDIDATE
+        self.residual = residual  # None: the evaluation over the box raised
+        # For a Krawczyk-PROVEN box, the box X at which K(X) inside int X
+        # held: it holds exactly one fixed point (for every t in T), the one
+        # in box.  None otherwise.  Not part of the JSON output.
+        self.unique = unique
 
     def to_json_dict(self):
         return {
@@ -118,25 +120,35 @@ class Enclosure:
         }
 
 
-@dataclass
 class LocalizeResult:
-    enclosures: list
-    total_volume: float
-    discarded_volume: float
-    surviving_volume: float
-    boxes_examined: int
-    exhausted: bool
-    # Work counts, not part of the JSON output.  Krawczyk tests in the search
-    # (one per box that takes the test; contraction steps aside), and among
-    # them those that gave a proof id, excluded the box, or found K(X) but
-    # neither proved nor excluded; the halves of such an undecided box that
-    # were cut to K(X), and those discarded as disjoint from it.
-    krawczyk_tests: int = 0
-    krawczyk_proofs: int = 0
-    krawczyk_exclusions: int = 0
-    krawczyk_undecided: int = 0
-    halves_cut: int = 0
-    halves_discarded: int = 0
+    __slots__ = ("enclosures", "total_volume", "discarded_volume", "surviving_volume",
+                 "boxes_examined", "exhausted", "krawczyk_tests", "krawczyk_proofs",
+                 "krawczyk_exclusions", "krawczyk_undecided", "halves_cut",
+                 "halves_discarded")
+
+    def __init__(self, enclosures: list, total_volume: float, discarded_volume: float,
+                 surviving_volume: float, boxes_examined: int, exhausted: bool,
+                 krawczyk_tests: int = 0, krawczyk_proofs: int = 0,
+                 krawczyk_exclusions: int = 0, krawczyk_undecided: int = 0,
+                 halves_cut: int = 0, halves_discarded: int = 0):
+        self.enclosures = enclosures
+        self.total_volume = total_volume
+        self.discarded_volume = discarded_volume
+        self.surviving_volume = surviving_volume
+        self.boxes_examined = boxes_examined
+        self.exhausted = exhausted
+        # Work counts, not part of the JSON output.  Krawczyk tests in the
+        # search (one per box that takes the test; contraction steps aside),
+        # and among them those that gave a proof id, excluded the box, or
+        # found K(X) but neither proved nor excluded; the halves of such an
+        # undecided box that were cut to K(X), and those discarded as
+        # disjoint from it.
+        self.krawczyk_tests = krawczyk_tests
+        self.krawczyk_proofs = krawczyk_proofs
+        self.krawczyk_exclusions = krawczyk_exclusions
+        self.krawczyk_undecided = krawczyk_undecided
+        self.halves_cut = halves_cut
+        self.halves_discarded = halves_discarded
 
     @property
     def proven(self):

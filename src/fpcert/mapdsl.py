@@ -56,15 +56,13 @@ from __future__ import annotations
 import math
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple
 
 from .interval import (
     Box,
     DimensionMismatchError,
     DomainError,
     Interval,
+    Record,
     abs_pair,
     add_down,
     add_up,
@@ -111,14 +109,19 @@ class EvaluationError(ArithmeticError):
 # ---------------------------------------------------------------------------
 
 
-class Expr:
+class Expr(Record):
+    """An expression node: it compares, hashes and prints by its slots, as
+    a Record, and equals only a node of its own type (Param(k) != Var(k))."""
+
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Const(Expr):
-    value: float
-    enclosure: Interval
+    __slots__ = ("value", "enclosure")
+
+    def __init__(self, value: float, enclosure: Interval):
+        self.value = value
+        self.enclosure = enclosure
 
     def eval_real(self, xs):
         return self.value
@@ -134,9 +137,11 @@ class Const(Expr):
         return repr(self.value)
 
 
-@dataclass(frozen=True)
 class Var(Expr):
-    index: int  # 0-based
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        self.index = index  # 0-based
 
     def eval_real(self, xs):
         return xs[self.index]
@@ -149,17 +154,20 @@ class Var(Expr):
         return f"x{self.index + 1}"
 
 
-@dataclass(frozen=True)
 class Param(Var):
     """t, the coordinate after x1..xn: ``type(e) is Var`` means x1..xn."""
+
+    __slots__ = ()
 
     def to_source(self, prec=0):
         return "t"
 
 
-@dataclass(frozen=True)
 class Neg(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Expr):
+        self.arg = arg
 
     def eval_real(self, xs):
         return -self.arg.eval_real(xs)
@@ -174,11 +182,13 @@ class Neg(Expr):
         return f"({inner})" if prec > 2 else inner
 
 
-@dataclass(frozen=True)
 class BinOp(Expr):
-    op: str  # one of + - * /
-    left: Expr
-    right: Expr
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr):
+        self.op = op  # one of + - * /
+        self.left = left
+        self.right = right
 
     def eval_real(self, xs):
         a = self.left.eval_real(xs)
@@ -217,10 +227,12 @@ class BinOp(Expr):
         return f"({s})" if prec > mine else s
 
 
-@dataclass(frozen=True)
 class Power(Expr):
-    base: Expr
-    exponent: int
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base: Expr, exponent: int):
+        self.base = base
+        self.exponent = exponent
 
     def eval_real(self, xs):
         b = self.base.eval_real(xs)
@@ -258,10 +270,12 @@ FUNCTIONS = {
 }
 
 
-@dataclass(frozen=True)
 class Call(Expr):
-    func: str
-    args: tuple
+    __slots__ = ("func", "args")
+
+    def __init__(self, func: str, args: tuple):
+        self.func = func
+        self.args = args
 
     def eval_real(self, xs):
         return FUNCTIONS[self.func][1](*[a.eval_real(xs) for a in self.args])
@@ -281,7 +295,6 @@ class Call(Expr):
         return f"{self.func}(" + ", ".join(a.to_source(0) for a in self.args) + ")"
 
 
-@dataclass(frozen=True)
 class Select(Expr):
     """The derivative at a kink (abs, min, max; the parser has no select):
     neg where cond < 0, pos where cond > 0, and where cond may be 0 the
@@ -290,9 +303,12 @@ class Select(Expr):
     is, is not evaluated, printed, compared or hashed again: over n nested
     abs, walking both branches would take 2**n Selects."""
 
-    cond: Expr
-    neg: Expr
-    pos: Expr
+    __slots__ = ("cond", "neg", "pos")
+
+    def __init__(self, cond: Expr, neg: Expr, pos: Expr):
+        self.cond = cond
+        self.neg = neg
+        self.pos = pos
 
     def _neg_is_pos(self) -> bool:
         return type(self.neg) is Neg and self.neg.arg is self.pos
@@ -533,6 +549,9 @@ class Memo(Expr):
     search of any budget keeps a bounded number."""
 
     __slots__ = ("node", "axis", "cache")
+    # A view node is its own cache: it compares and hashes by identity.
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(self, node: Expr, axis: int):
         self.node = node
@@ -572,6 +591,8 @@ class Shared(Expr):
     afresh.  A subtree that raises keeps nothing, so it raises again."""
 
     __slots__ = ("node", "xs", "pair")
+    __eq__ = object.__eq__  # by identity, as Memo
+    __hash__ = object.__hash__
 
     def __init__(self, node: Expr):
         self.node = node
@@ -717,13 +738,16 @@ class MemoView:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MapSpec:
+class MapSpec(Record):
     """A parsed map R^n -> R^n, optionally with a scalar parameter t."""
 
-    dim: int
-    components: tuple
-    has_param: bool = False
+    __slots__ = ("dim", "components", "has_param", "_view")
+
+    def __init__(self, dim: int, components: tuple, has_param: bool = False):
+        self.dim = dim
+        self.components = components
+        self.has_param = has_param
+        self._view = None  # the memo view, built on first use
 
     def _coords(self, xs, t):
         """The coordinates a node reads: xs (x1..xn), then t if the map
@@ -761,10 +785,12 @@ class MapSpec:
         xs = self._coords(box.coords, t)
         return [c.eval_pair(xs) for c in self.components]
 
-    @cached_property
+    @property
     def _memo(self) -> MemoView:
         """This map's memo view, built on the first memo_view."""
-        return MemoView(self)
+        if self._view is None:
+            self._view = MemoView(self)
+        return self._view
 
     @contextmanager
     def memo_view(self):
@@ -816,11 +842,14 @@ class MapSpec:
 # ---------------------------------------------------------------------------
 
 
-class _Tok(NamedTuple):
-    kind: str  # num | ident | op
-    text: str
-    line: int
-    col: int
+class _Tok:
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind  # num | ident | op
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 NUMBER = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"
@@ -844,8 +873,7 @@ def _tokenize_expr(text: str, line_no: int, col_offset: int):
         if group == 4:
             raise ParseError("stray '.'" if m[4] == "." else f"unexpected character {m[4]!r}",
                              line_no, col)
-        # tuple.__new__ skips _Tok's Python-level __new__.
-        toks.append(tuple.__new__(_Tok, (_KINDS[group], m[group], line_no, col)))
+        toks.append(_Tok(_KINDS[group], m[group], line_no, col))
     return toks
 
 
@@ -1028,11 +1056,13 @@ def _int(digits: str, what: str, line, col=None) -> int:
         raise ParseError(f"{what} has too many digits", line, col) from None
 
 
-@dataclass(frozen=True)
 class ParsedProgram:
-    map: MapSpec
-    domain_line: "str | None"
-    domain_line_no: int
+    __slots__ = ("map", "domain_line", "domain_line_no")
+
+    def __init__(self, map: MapSpec, domain_line: "str | None", domain_line_no: int):
+        self.map = map
+        self.domain_line = domain_line
+        self.domain_line_no = domain_line_no
 
 
 def parse_program(source: str) -> ParsedProgram:

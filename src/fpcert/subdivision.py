@@ -25,7 +25,6 @@ this is sound for every caller.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 
 from .interval import Box, DomainError
 
@@ -38,15 +37,20 @@ UNDECIDABLE = "undecidable"
 _MAX_STORED_UNRESOLVED = 8
 
 
-@dataclass
 class CoverResult:
-    status: str  # 'verified' | 'violated' | 'indeterminate'
-    verified: list = field(default_factory=list)  # (box, payload)
-    violation: "tuple | None" = None  # (box, payload)
-    unresolved: list = field(default_factory=list)  # (box, payload)
-    unresolved_count: int = 0
-    boxes_examined: int = 0
-    depth_reached: int = 0
+    __slots__ = ("status", "verified", "violation", "unresolved", "unresolved_count",
+                 "boxes_examined", "depth_reached")
+
+    def __init__(self, status: str, verified: "list | None" = None,
+                 violation: "tuple | None" = None, unresolved: "list | None" = None,
+                 unresolved_count: int = 0, boxes_examined: int = 0, depth_reached: int = 0):
+        self.status = status  # 'verified' | 'violated' | 'indeterminate'
+        self.verified = [] if verified is None else verified  # (box, payload)
+        self.violation = violation  # (box, payload)
+        self.unresolved = [] if unresolved is None else unresolved  # (box, payload)
+        self.unresolved_count = unresolved_count
+        self.boxes_examined = boxes_examined
+        self.depth_reached = depth_reached
 
 
 def adaptive_cover(seeds, classify, max_depth: int, max_boxes: int) -> CoverResult:

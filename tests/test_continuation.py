@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import random
@@ -11,7 +10,7 @@ from fpcert import catalog, continuation
 from fpcert.cli import main
 from fpcert.continuation import Slab, _glue, _touching_pairs, trace_continuum
 from fpcert.interval import Box, Interval
-from fpcert.localize import PROVEN
+from fpcert.localize import PROVEN, Enclosure
 from fpcert.mapdsl import parse_map
 
 
@@ -194,16 +193,17 @@ def test_shrunk_uniqueness_boxes_break_the_glue(monkeypatch):
     u, v = trace_continuum(psi, (0, 1), xbox(), grid=4, tol=1e-3).chain_slabs()[:2]
     assert _glue(u, v)
     # Off the neighbour's enclosure, each box proves nothing about it.
-    u_cut, v_cut = (dataclasses.replace(s, unique=s.box) for s in (u, v))
+    u_cut, v_cut = (Slab(s.id, s.cell, s.t, s.box, s.status, s.box) for s in (u, v))
     assert _glue(u_cut, v) or _glue(u, v_cut)
     assert not _glue(u_cut, v_cut)
-    assert not _glue(dataclasses.replace(u, unique=None), v)
+    assert not _glue(Slab(u.id, u.cell, u.t, u.box, u.status, None), v)
 
     localize = continuation.localize_fixed_points
 
     def shrunk(*args, **kwargs):
         res = localize(*args, **kwargs)
-        res.enclosures = [dataclasses.replace(e, unique=None if e.unique is None else e.box)
+        res.enclosures = [Enclosure(e.box, e.status, e.residual,
+                                    None if e.unique is None else e.box)
                           for e in res.enclosures]
         return res
 

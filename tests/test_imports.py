@@ -9,11 +9,17 @@ functional's coefficients.
 The traced benchmark (``perfbench/tracing.py``) patches fpcert functions
 and ``Interval`` operators by name; every name it lists must still exist.
 Some of them only the benchmark still names: no CLI path may call them, so
-that they can go once perfbench stops naming them."""
+that they can go once perfbench stops naming them.
+
+Importing the CLI loads no class-generating machinery (dataclasses,
+typing, inspect): every CLI call pays for its import."""
 
 import ast
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -148,3 +154,18 @@ def test_no_cli_path_calls_a_name_only_perfbench_pins(monkeypatch):
         for key, value in entry.kwargs.items():
             argv += [f"--{key}", str(value)]
         assert cli.main(argv) == entry.exit, entry.id
+
+
+def test_cli_import_loads_no_class_generating_module():
+    # site may preload some of these, so only the modules the import itself
+    # loads count.
+    probe = ("import json, sys\n"
+             "before = set(sys.modules)\n"
+             "import fpcert.cli\n"
+             "print(json.dumps(sorted(set(sys.modules) - before)))\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": str(_SRC.parent)})
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert "fpcert.cli" in loaded
+    assert not loaded & {"dataclasses", "typing", "inspect"}, sorted(loaded)

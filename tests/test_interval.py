@@ -365,6 +365,65 @@ def test_zero_endpoints_and_straddling_operands_skip_the_eight_products(monkeypa
     assert len(calls) == 2
 
 
+def _div_operands():
+    # Both signed zeros, subnormals, 1e-280, 2e-280, 1e290 and 1e300 (the
+    # edges of div_pair's range tests) with their neighbours, as endpoints
+    # of every numerator and every divisor off zero.
+    edges = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.0, 3.0, 1.7e308]
+    for x in (1e-280, 2e-280, 1e290, 1e300):
+        edges += [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
+    edges += [-x for x in edges]
+    numerators = [(a, b) for a in edges for b in edges if a <= b]
+    divisors = [(c, d) for c, d in numerators if c > 0.0 or d < 0.0]
+    yield from ((a, b, c, d) for a, b in numerators for c, d in divisors[::5])
+    # Quotients of a few subnormal units, whose rounding moves q*y up to a
+    # factor of two off the numerator, so that two quotients that round
+    # alike can fall on both sides of _excess's range: numerators near the
+    # numerator edges, and divisors on both sides of 1e290.
+    unit = 5e-324
+    nearby = []
+    for k in (1, 2, 3):
+        for x in (1e-280, 1.1e-280, 1.5e-280, 1.9e-280, 2e-280, 2.1e-280):
+            nearby += [(x, x / (k + 0.3) / unit, x / (k - 0.001) / unit),
+                       (x, x / (k + 0.45) / unit, x / (k + 0.1) / unit)]
+        for r in (0.0, 0.3, 0.45, 0.6):
+            x = (k + r) * 1e290 * unit
+            nearby += [(x, 1e290, math.nextafter(1e290, math.inf)), (x, 1e290, 1.3e290),
+                       (x, 0.8e290, math.nextafter(1e290, math.inf))]
+    for x, c, d in nearby:
+        yield from ((x, x, c, d), (x, 2.0 * x, c, d), (-x, x, c, d), (-x, -x, c, d),
+                    (x, x, -d, -c), (-2.0 * x, -x, -d, -c))
+    # Seeded random quadruples.
+    rng = random.Random(2213)
+    for _ in range(40000):
+        x, y = _random_interval(rng), _random_interval(rng)
+        yield x.lo, x.hi, y.lo, y.hi
+
+
+def test_div_matches_eight_quotient_reference(monkeypatch):
+    reference = iv._div8
+    fallbacks = []
+    monkeypatch.setattr(iv, "_div8", lambda *args: fallbacks.append(args) or reference(*args))
+    cases = 0
+    sign_cases = set()
+    for a, b, c, d in _div_operands():
+        if c <= 0.0 <= d:
+            with pytest.raises(IntervalDivisionError):
+                iv.div_pair(a, b, c, d)
+            continue
+        assert repr(iv.div_pair(a, b, c, d)) == repr(reference(a, b, c, d)), (a, b, c, d)
+        cases += 1
+        sign_cases.add(("P" if a >= 0.0 else "N" if b <= 0.0 else "M", c > 0.0))
+    assert len(sign_cases) == 6 and cases > 70000
+    assert fallbacks  # the bands and the zero bounds went to _div8
+    # Nonzero bounds of operands inside the range tests take the two picked
+    # quotients only.
+    del fallbacks[:]
+    assert repr(iv.div_pair(1.0, 3.0, -2.0, -0.5)) == "(-6.0, -0.5)"
+    assert repr(iv.div_pair(-1.0, 3.0, 0.1, 2.0)) == repr(reference(-1.0, 3.0, 0.1, 2.0))
+    assert fallbacks == []
+
+
 def _near_lattice_interval(rng):
     k = rng.randint(-4 * 10**6, 4 * 10**6)
     if rng.random() < 0.3:

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 import time
@@ -445,18 +444,19 @@ def test_bound_map_raises_the_first_error_of_the_unbound_map(expr, bounds):
 
 
 def _subst_reference(e, const):
-    """e with every Param replaced by const, rebuilt field by field (not
-    through children and with_children)."""
+    """e with every Param replaced by const, rebuilt field by field from the
+    node's slots (not through children and with_children)."""
     if type(e) is Param:
         return const
-    changes = {}
-    for f in dataclasses.fields(e):
-        v = getattr(e, f.name)
+    fields = []
+    for name in type(e).__slots__:
+        v = getattr(e, name)
         if isinstance(v, Expr):
-            changes[f.name] = _subst_reference(v, const)
+            v = _subst_reference(v, const)
         elif isinstance(v, tuple):
-            changes[f.name] = tuple(_subst_reference(a, const) for a in v)
-    return dataclasses.replace(e, **changes)
+            v = tuple(_subst_reference(a, const) for a in v)
+        fields.append(v)
+    return type(e)(*fields)
 
 
 def test_bound_map_is_the_tree_with_t_replaced_by_a_constant():
