@@ -15,6 +15,11 @@ Every entry is {"name", "median_s", "repeats", "work"}: the median over
 repeat did, so that a faster kernel can be told apart from a smaller
 search.  Layer rows (one process, gc off while timing):
 
+- `import`: one fresh import of fpcert and its nine modules, as perfbench's
+  set-up does it (`import_fpcert`); its work is the modules loaded and the
+  classes they define, and `bytecode_cache` says whether Python may write
+  and read bytecode caches (PYTHONDONTWRITEBYTECODE unset), without which
+  every import compiles the sources again;
 - the add, mul, sqr, div, sin and exp pair kernels, per call, over fixed
   seeded operands;
 - one evaluation of the baseline trig map, plain and through its memo view,
@@ -54,6 +59,8 @@ import time
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("certify-batch", "localize-trig", "trace-poly")
+MODULES = ("cli", "mapdsl", "geometry", "interval", "subdivision", "certify", "localize",
+           "degree", "continuation")  # the modules perfbench imports
 TRIG = ("dim 2\nmap g1 = 0.9*sin(3*x1) + 0.3*x2^2\n"
         "map g2 = 0.8*cos(2*x2 - x1) + 0.1*x1*x2\n")
 COVER_BOX = [(-2.0, 2.0), (-2.0, 0.24)]  # holds no fixed point of TRIG: 69 boxes
@@ -94,6 +101,35 @@ def wrapped(patches):
     finally:
         for module, name, fn in originals:
             setattr(module, name, fn)
+
+
+def _fpcert_modules() -> dict:
+    return {n: m for n, m in sys.modules.items() if n == "fpcert" or n.startswith("fpcert.")}
+
+
+def import_row():
+    """The median time of one fresh import of fpcert, as perfbench's
+    import_fpcert does it; the modules imported before are restored."""
+    saved = _fpcert_modules()
+
+    def body():
+        for name in _fpcert_modules():
+            del sys.modules[name]
+        importlib.import_module("fpcert")
+        for name in MODULES:
+            importlib.import_module(f"fpcert.{name}")
+
+    try:
+        median = timed(body, 1)
+        modules = _fpcert_modules()
+        classes = sum(isinstance(v, type) and v.__module__ == name
+                      for name, module in modules.items() for v in vars(module).values())
+    finally:
+        for name in _fpcert_modules():
+            del sys.modules[name]
+        sys.modules.update(saved)
+    return entry("import", median, REPEATS, {"modules": len(modules), "classes": classes},
+                 bytecode_cache=not sys.dont_write_bytecode)
 
 
 def kernel_rows(interval):
@@ -296,12 +332,10 @@ def main(argv=None) -> int:
         ap.error(f"label {args.label!r}: use letters, digits, '.', '_' and '-' only")
     root = os.path.abspath(args.root)
     sys.path[:0] = [os.path.join(root, d) for d in ("src", "perfbench", "tests")]
-    fp = {name: importlib.import_module(f"fpcert.{name}")
-          for name in ("cli", "mapdsl", "geometry", "interval", "subdivision", "certify",
-                       "localize", "degree", "continuation")}
+    fp = {name: importlib.import_module(f"fpcert.{name}") for name in MODULES}
     rev = subprocess.run(["git", "-C", root, "rev-parse", "--short", "HEAD"],
                          capture_output=True, text=True, check=False).stdout.strip() or None
-    layers = kernel_rows(fp["interval"]) + search_rows(fp)
+    layers = [import_row()] + kernel_rows(fp["interval"]) + search_rows(fp)
     end_to_end = [perfbench_row(fp, root, w, args.seed) for w in WORKLOADS]
     end_to_end.append(tier1_row(root))
     out = {"env": {"python": sys.version.split()[0], "nproc": os.cpu_count(), "rev": rev,
