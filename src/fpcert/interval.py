@@ -22,12 +22,10 @@ zeros included, equal that formula bit for bit.  ``mul_pair`` writes its
 two directed products out inline (range tests, Dekker split, error term
 and ``math.nextafter``), as the directed sums and differences do their
 TwoSum: these are the kernels every map evaluation runs most.  Division
-picks its two directed quotients by the same table; where the operands
-leave the range in which every quotient's rounding side is decided, or a
-bound is zero, it takes all eight (``_div8``), and so equals that
-formula bit for bit too.  Integer
-powers take one power-by-squaring loop, ``_pow_mag``, run with the
-downward product for a lower bound and the upward one for an upper bound.
+takes all eight directed endpoint quotients, so the rounding side of every
+quotient is decided in one place, ``_excess``.  Integer powers take one
+power-by-squaring loop, ``_pow_mag``, run with the downward product for a
+lower bound and the upward one for an upper bound.
 ``pow_int_pair`` hands the exponent 2 to ``sqr_pair``, which equals that
 loop bit for bit (its extra one-ulp widening outside [1e-280, 1e290]
 included) at the cost of one directed product per bound; ``x^2`` nodes,
@@ -421,48 +419,14 @@ def scale_pair(y: float, c: float, d: float):
     return p, q
 
 
-def _div8(a: float, b: float, c: float, d: float):
-    """[a, b] / [c, d] from all eight directed endpoint quotients."""
+def div_pair(a: float, b: float, c: float, d: float):
+    """[a, b] / [c, d] from all eight directed endpoint quotients;
+    IntervalDivisionError when [c, d] contains zero."""
+    if c <= 0.0 <= d:
+        raise IntervalDivisionError(f"division by interval [{c}, {d}] containing zero")
     lo = min(div_down(a, c), div_down(a, d), div_down(b, c), div_down(b, d))
     hi = max(div_up(a, c), div_up(a, d), div_up(b, c), div_up(b, d))
     return lo, hi
-
-
-def div_pair(a: float, b: float, c: float, d: float):
-    """[a, b] / [c, d]; IntervalDivisionError when [c, d] contains zero."""
-    if c <= 0.0 <= d:
-        raise IntervalDivisionError(f"division by interval [{c}, {d}] containing zero")
-    # Sign-case table (Moore): pick the endpoint quotients that are the
-    # exact minimum and maximum of {a/c, a/d, b/c, b/d}.  With every
-    # divisor endpoint within 1e290 and every numerator endpoint zero or
-    # of magnitude in [2e-280, 1e300], _excess decides each of the eight
-    # directed quotients whose magnitude is within 1e290: the product q*y
-    # it splits lies within a factor of two of the numerator, or q is
-    # zero.  The largest magnitude is a picked quotient's, so when the
-    # picked bounds lie within 1e290 every directed quotient is the
-    # adjacent float on its side of the exact one, monotone in it, and
-    # the picked bounds are _div8's min and max.  A zero bound goes to
-    # _div8, whose min (max) keeps the sign of the first zero quotient.
-    if c > 0.0:
-        if a >= 0.0:
-            x1, y1, x2, y2 = a, d, b, c
-        elif b <= 0.0:
-            x1, y1, x2, y2 = a, c, b, d
-        else:
-            x1, y1, x2, y2 = a, c, b, c
-    elif a >= 0.0:
-        x1, y1, x2, y2 = b, d, a, c
-    elif b <= 0.0:
-        x1, y1, x2, y2 = b, c, a, d
-    else:
-        x1, y1, x2, y2 = b, d, a, d
-    if ((a == 0.0 or 2e-280 <= abs(a) <= 1e300) and (b == 0.0 or 2e-280 <= abs(b) <= 1e300)
-            and -1e290 <= c and d <= 1e290):
-        lo = div_down(x1, y1)
-        hi = div_up(x2, y2)
-        if lo and hi and -1e290 <= lo and hi <= 1e290:
-            return lo, hi
-    return _div8(a, b, c, d)
 
 
 def pow_int_pair(lo: float, hi: float, n):

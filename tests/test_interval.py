@@ -365,10 +365,11 @@ def test_zero_endpoints_and_straddling_operands_skip_the_eight_products(monkeypa
     assert len(calls) == 2
 
 
-def _div_operands():
-    # Both signed zeros, subnormals, 1e-280, 2e-280, 1e290 and 1e300 (the
-    # edges of div_pair's range tests) with their neighbours, as endpoints
-    # of every numerator and every divisor off zero.
+def _div_operands(seeded):
+    # Both signed zeros, subnormals, 1e-280 and 1e290 (the edges of the
+    # range in which _excess decides a quotient's rounding side), 2e-280
+    # and 1e300, with their neighbours, as endpoints of every numerator and
+    # every divisor off zero.
     edges = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.0, 3.0, 1.7e308]
     for x in (1e-280, 2e-280, 1e290, 1e300):
         edges += [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
@@ -378,8 +379,8 @@ def _div_operands():
     yield from ((a, b, c, d) for a, b in numerators for c, d in divisors[::5])
     # Quotients of a few subnormal units, whose rounding moves q*y up to a
     # factor of two off the numerator, so that two quotients that round
-    # alike can fall on both sides of _excess's range: numerators near the
-    # numerator edges, and divisors on both sides of 1e290.
+    # alike can fall on both sides of _excess's range: numerators near
+    # 1e-280, and divisors on both sides of 1e290.
     unit = 5e-324
     nearby = []
     for k in (1, 2, 3):
@@ -393,35 +394,44 @@ def _div_operands():
     for x, c, d in nearby:
         yield from ((x, x, c, d), (x, 2.0 * x, c, d), (-x, x, c, d), (-x, -x, c, d),
                     (x, x, -d, -c), (-2.0 * x, -x, -d, -c))
-    # Seeded random quadruples.
+    # Seeded random quadruples, then seeded ordinary ones: endpoints within
+    # 1e3, a quarter of them small integers.
     rng = random.Random(2213)
-    for _ in range(40000):
+    for _ in range(seeded):
         x, y = _random_interval(rng), _random_interval(rng)
         yield x.lo, x.hi, y.lo, y.hi
+    for _ in range(seeded):
+        a, b, c, d = (float(rng.randint(-9, 9)) if rng.random() < 0.25
+                      else rng.uniform(-1e3, 1e3) for _ in range(4))
+        yield min(a, b), max(a, b), min(c, d), max(c, d)
 
 
-def test_div_matches_eight_quotient_reference(monkeypatch):
-    reference = iv._div8
-    fallbacks = []
-    monkeypatch.setattr(iv, "_div8", lambda *args: fallbacks.append(args) or reference(*args))
-    cases = 0
+def test_div_encloses_the_exact_quotient_hull():
+    from fractions import Fraction
+
+    cases = tight = 0
     sign_cases = set()
-    for a, b, c, d in _div_operands():
+    for a, b, c, d in _div_operands(seeded=10000):
         if c <= 0.0 <= d:
             with pytest.raises(IntervalDivisionError):
                 iv.div_pair(a, b, c, d)
             continue
-        assert repr(iv.div_pair(a, b, c, d)) == repr(reference(a, b, c, d)), (a, b, c, d)
+        lo, hi = iv.div_pair(a, b, c, d)
+        quotients = [Fraction(x) / Fraction(y) for x in (a, b) for y in (c, d)]
+        q_min, q_max = min(quotients), max(quotients)
+        assert lo == -math.inf or Fraction(lo) <= q_min, (a, b, c, d)
+        assert hi == math.inf or Fraction(hi) >= q_max, (a, b, c, d)
+        # Where no quotient and no product _excess splits leaves its range,
+        # each bound is the extreme quotient or the float next to it on the
+        # safe side.
+        if all(x == 0.0 or 1e-100 <= abs(x) <= 1e100 for x in (a, b, c, d)):
+            assert Fraction(iv.next_up(lo)) > q_min, (a, b, c, d)
+            assert Fraction(iv.next_down(hi)) < q_max, (a, b, c, d)
+            tight += 1
         cases += 1
         sign_cases.add(("P" if a >= 0.0 else "N" if b <= 0.0 else "M", c > 0.0))
-    assert len(sign_cases) == 6 and cases > 70000
-    assert fallbacks  # the bands and the zero bounds went to _div8
-    # Nonzero bounds of operands inside the range tests take the two picked
-    # quotients only.
-    del fallbacks[:]
+    assert len(sign_cases) == 6 and cases > 60000 and tight > 5000
     assert repr(iv.div_pair(1.0, 3.0, -2.0, -0.5)) == "(-6.0, -0.5)"
-    assert repr(iv.div_pair(-1.0, 3.0, 0.1, 2.0)) == repr(reference(-1.0, 3.0, 0.1, 2.0))
-    assert fallbacks == []
 
 
 def _near_lattice_interval(rng):
