@@ -31,17 +31,20 @@ loop bit for bit (its extra one-ulp widening outside [1e-280, 1e290]
 included) at the cost of one directed product per bound; ``x^2`` nodes,
 squared distances and ``Interval.pow_int(2)`` all take it.
 
-Transcendental endpoints (sin, cos, exp, tanh) rely on the platform libm
-being faithful to within one ulp and are padded by one ulp outward, with
-sin/cos additionally clamped to [-1, 1] and analysed for interior extrema
-against an interval enclosure of pi.  One test, ``_hits_candidate``,
-decides a candidate ``c + 2*k*pi``: it screens it in plain floats and
-rounds outward only when an error margin (derived there) cannot rule it
-out, with the decision of the all-interval evaluation.  ``_hits_lattice``
-runs it on the five candidates nearest the midpoint.  On a narrow argument
-(width at most 6, magnitude at most 2**20) the screen rejects every
-candidate but the nearest, so each lattice is decided on that one alone
-(derived in ``_sin_cos``), with the same decisions.
+Transcendental kernels take their endpoints from the platform libm's sin,
+cos, exp and expm1, trust each to be faithful to within one ulp (a test
+checks this against mpmath) and pad it by one ulp outward.  tanh is derived
+from expm1, trusted like exp: each bound is e / (e + 2) on e = expm1(2x)
+padded one ulp, with directed division.  sin, cos and tanh are clamped to
+[-1, 1], and sin/cos are analysed for interior extrema against an interval
+enclosure of pi.  One test, ``_hits_candidate``, decides a candidate
+``c + 2*k*pi``: it screens it in plain floats and rounds outward only when
+an error margin (derived there) cannot rule it out, with the decision of
+the all-interval evaluation.  ``_hits_lattice`` runs it on the five candidates
+nearest the midpoint.  On a narrow argument (width at most 6, magnitude at
+most 2**20) the screen rejects every candidate but the nearest, so each
+lattice is decided on that one alone (derived in ``_sin_cos``), with the
+same decisions.
 
 Each operation has one kernel that maps operand endpoints to a ``(lo, hi)``
 pair (``mul_pair``, ``div_pair``, ``pow_int_pair``, ``sin_pair``, ...).  Map
@@ -479,8 +482,34 @@ def exp_pair(lo: float, hi: float):
     return max(0.0, next_down(e_lo)), next_up(e_hi)
 
 
+# tanh(x) = e / (e + 2) with e = expm1(2x) > -1, increasing in e; each
+# bound takes e padded one ulp outward (so it trusts expm1 as exp_pair
+# trusts exp) and rounds the quotient and, by the sign of e, the
+# denominator outward.  Past |x| = 19.1, 1 - |tanh(x)| < 2*exp(-38.2) <
+# 2**-53, so the bounds are +-1 and their neighbours, and 2x cannot
+# overflow.
+
+
+def _tanh_down(x: float) -> float:
+    if x >= 19.1:
+        return next_down(1.0)
+    if x <= -19.1:
+        return -1.0
+    e = max(-1.0, next_down(math.expm1(2.0 * x)))
+    return div_down(e, add_up(e, 2.0) if e >= 0.0 else add_down(e, 2.0))
+
+
+def _tanh_up(x: float) -> float:
+    if x >= 19.1:
+        return 1.0
+    if x <= -19.1:
+        return next_up(-1.0)
+    e = next_up(math.expm1(2.0 * x))
+    return div_up(e, add_down(e, 2.0) if e >= 0.0 else add_up(e, 2.0))
+
+
 def tanh_pair(lo: float, hi: float):
-    return max(-1.0, next_down(math.tanh(lo))), min(1.0, next_up(math.tanh(hi)))
+    return max(-1.0, _tanh_down(lo)), min(1.0, _tanh_up(hi))
 
 
 def abs_pair(lo: float, hi: float):

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from fpcert import catalog, cli
+from fpcert import interval as iv
 from fpcert.cli import _parser, main
 from fpcert.interval import DomainError
 from fpcert.mapdsl import parse_program
@@ -59,6 +60,23 @@ def test_certify_rational_map_exit_0(capsys, tmp_path):
     code, out, _ = run(capsys, "certify", str(path), "--format", "json", "--stable")
     assert code == 0
     assert json.loads(out)["outcome"] == "CERTIFIED"
+
+
+def test_certify_a_base_that_misses_the_fixed_point_by_less_than_an_ulp(capsys, tmp_path):
+    # The only fixed point is (0.5, tanh(11/1024)), and tanh(11/1024) lies
+    # 1.8e-19 above the base's top 0.010741774322289108, a float: the upper
+    # bound of g2 must lie above the top, so the cylinder is not certified.
+    top = 0.010741774322289108
+    assert iv.tanh_pair(0.0107421875, 0.0107421875)[1] > top
+    path = tmp_path / "tanh_edge.fp"
+    path.write_text("dim 2\n"
+                    "map g1 = 2*x1 - 0.5\n"
+                    "map g2 = tanh(0.0107421875)\n"
+                    f"domain cylinder [0,1] base [-1,{top!r}]\n")
+    code, out, _ = run(capsys, "certify", str(path), "--max-depth", "6", "--format", "json",
+                       "--stable")
+    assert code == 2
+    assert json.loads(out)["outcome"] == "INDETERMINATE"
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -679,15 +679,25 @@ def test_square_matches_generic_even_power():
         assert repr(iv._sqr_up(x)) == repr(iv._pow_mag(x, 2, mul_up)), x
 
 
+def _unit_interval(rng):
+    # An interval inside [-1, 1], some of them tiny: there tanh is far from
+    # +-1, where near-lattice intervals almost never land.
+    lo = rng.uniform(-1.0, 1.0) * rng.choice((1.0, 1.0, 1e-3, 1e-9, 1e-300))
+    width = rng.choice((0.0, 0.0, 1e-12, rng.uniform(0.0, 1e-6), rng.uniform(0.0, 1.0)))
+    return Interval(lo, min(lo + width, 1.0))
+
+
 def test_transcendental_kernels_enclose_mpmath():
     mpmath = pytest.importorskip("mpmath")
     rng = random.Random(315)
+    intervals = [_near_lattice_interval(rng) for _ in range(1500)]
+    rng = random.Random(316)
+    intervals += [_unit_interval(rng) for _ in range(1000)]
     fns = {"sin": mpmath.sin, "cos": mpmath.cos, "exp": mpmath.exp, "tanh": mpmath.tanh}
     checked = 0
     with mpmath.workdps(60):
         half_pi = mpmath.pi / 2
-        for _ in range(1500):
-            i = _near_lattice_interval(rng)
+        for i in intervals:
             lo, hi = mpmath.mpf(i.lo), mpmath.mpf(i.hi)
             points = [lo, hi, (lo + hi) / 2]
             # Interior extrema of sin and cos sit on the lattice k*pi/2.
@@ -704,4 +714,38 @@ def test_transcendental_kernels_enclose_mpmath():
                     value = fn(p)
                     assert res.lo <= value <= res.hi, (name, i, p, value, res)
                     checked += 1
-    assert checked > 15000
+    assert checked > 25000
+
+
+def test_libm_errors_lie_within_the_one_ulp_pad():
+    # The transcendental kernels trust math.sin, cos, exp and expm1 to
+    # within one ulp and pad their results by one ulp outward.  A libm
+    # that breaks this fails here, not with a false CERTIFIED.  Arguments
+    # are small, medium and large: up to the 1e15 past which sin and cos
+    # give [-1, 1], and over the whole finite range of exp and expm1.
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(1212)
+
+    def small():
+        return math.copysign(10.0 ** rng.uniform(-300.0, -1.0), rng.random() - 0.5)
+
+    def medium():
+        return rng.uniform(-10.0, 10.0)
+
+    def trig():
+        return math.copysign(10.0 ** rng.uniform(1.0, 15.0), rng.random() - 0.5)
+
+    def exponent():
+        return rng.uniform(-745.0, 709.0)
+
+    draws = {"sin": (small, medium, trig), "cos": (small, medium, trig),
+             "exp": (small, medium, exponent), "expm1": (small, medium, exponent)}
+    with mpmath.workprec(200):
+        for name, args in draws.items():
+            fn, exact = getattr(math, name), getattr(mpmath, name)
+            for draw in args:
+                for _ in range(3000):
+                    x = draw()
+                    y = fn(x)
+                    value = exact(mpmath.mpf(x))
+                    assert iv.next_down(y) <= value <= iv.next_up(y), (name, x, y, value)
