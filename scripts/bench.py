@@ -20,8 +20,8 @@ search.  Layer rows (one process, gc off while timing):
   classes they define, and `bytecode_cache` says whether Python may write
   and read bytecode caches (PYTHONDONTWRITEBYTECODE unset), without which
   every import compiles the sources again;
-- the add, mul, sqr, div, sin and exp pair kernels, per call, over fixed
-  seeded operands;
+- the add, mul, sqr, div, sin, exp and tanh pair kernels, per call, over
+  fixed seeded operands;
 - one evaluation of the baseline trig map, plain and through its memo view,
   one `localize._krawczyk` step and one `localize._residual_pairs` call,
   each replayed on the coordinate tuples that a localize search of the trig
@@ -160,7 +160,8 @@ def kernel_rows(interval):
     bodies = (("add", add), ("mul", quad_kernel(interval.mul_pair, quads)),
               ("sqr", pair_kernel(interval.sqr_pair)),
               ("div", quad_kernel(interval.div_pair, divisors)),
-              ("sin", pair_kernel(interval.sin_pair)), ("exp", pair_kernel(interval.exp_pair)))
+              ("sin", pair_kernel(interval.sin_pair)), ("exp", pair_kernel(interval.exp_pair)),
+              ("tanh", pair_kernel(interval.tanh_pair)))
     return [entry(f"interval.{name}_pair", timed(body, len(quads)), REPEATS,
                   {"calls": len(quads)}) for name, body in bodies]
 
