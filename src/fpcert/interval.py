@@ -40,11 +40,11 @@ padded one ulp, with directed division.  sin, cos and tanh are clamped to
 enclosure of pi.  One test, ``_hits_candidate``, decides a candidate
 ``c + 2*k*pi``: it screens it in plain floats and rounds outward only when
 an error margin (derived there) cannot rule it out, with the decision of
-the all-interval evaluation.  ``_hits_lattice`` runs it on the five candidates
-nearest the midpoint.  On a narrow argument (width at most 6, magnitude at
-most 2**20) the screen rejects every candidate but the nearest, so each
-lattice is decided on that one alone (derived in ``_sin_cos``), with the
-same decisions.
+the all-interval evaluation.  ``_hits_lattice`` runs it on the five
+candidates nearest the midpoint.  On a narrow argument (width at most 6,
+magnitude at most 2**20) the screen rejects every candidate but the
+nearest, so each lattice is decided on that one alone (derived in
+``_sin_cos``), with the same decisions.
 
 Each operation has one kernel that maps operand endpoints to a ``(lo, hi)``
 pair (``mul_pair``, ``div_pair``, ``pow_int_pair``, ``sin_pair``, ...).  Map
