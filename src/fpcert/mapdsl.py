@@ -40,13 +40,14 @@ any budget keeps a bounded number.  ``children`` and
 ``with_children`` are the one generic way to walk and rebuild a tree.
 ``derivative`` builds a partial derivative as an ordinary expression tree,
 evaluated like any other (at abs, min and max an enclosure of Clarke's
-generalized gradient), and ``jacobian`` collects them.  Expressions nest at most
-``MAX_DEPTH`` levels deep, so neither parsing, differentiation nor
-evaluation can exhaust the stack.  Decimal literals evaluate to their
-nearest float in real semantics and to the tightest enclosing float
-interval, chosen in integer arithmetic, in interval semantics, so constants
-like 0.1 never silently lose their true value.  A literal above the float
-range is a parse error; one below it is enclosed in [0, 5e-324].
+generalized gradient, a ``Select``; abs's mirrors its one branch), and
+``jacobian`` collects them.  Expressions nest at most ``MAX_DEPTH`` levels
+deep, so neither parsing, differentiation nor evaluation can exhaust the
+stack.  Decimal literals evaluate to their nearest float in real semantics
+and to the tightest enclosing float interval, chosen in integer arithmetic,
+in interval semantics, so constants like 0.1 never silently lose their true
+value.  A literal above the float range is a parse error; one below it is
+enclosed in [0, 5e-324].
 
 Comment text after ``#`` and blank lines are ignored.
 """
@@ -299,47 +300,31 @@ class Select(Expr):
     """The derivative at a kink (abs, min, max; the parser has no select):
     neg where cond < 0, pos where cond > 0, and where cond may be 0 the
     hull of both (eval_pair) or pos (eval_real), elements of Clarke's
-    generalized gradient.  A neg that is Neg(pos), as abs's derivative
-    is, is not evaluated, printed, compared or hashed again: over n nested
-    abs, walking both branches would take 2**n Selects."""
+    generalized gradient.  A neg of None, as in abs's derivative, mirrors
+    pos (-pos), so the tree holds pos once: n nested abs take n Selects."""
 
     __slots__ = ("cond", "neg", "pos")
 
-    def __init__(self, cond: Expr, neg: Expr, pos: Expr):
+    def __init__(self, cond: Expr, neg: "Expr | None", pos: Expr):
         self.cond = cond
         self.neg = neg
         self.pos = pos
 
-    def _neg_is_pos(self) -> bool:
-        return type(self.neg) is Neg and self.neg.arg is self.pos
-
-    def __repr__(self):
-        neg = "Neg(arg=pos)" if self._neg_is_pos() else repr(self.neg)
-        return f"Select(cond={self.cond!r}, neg={neg}, pos={self.pos!r})"
-
-    def __eq__(self, other):
-        if type(other) is not Select:
-            return NotImplemented
-        return (self.cond == other.cond and self.pos == other.pos
-                and (self._neg_is_pos() and other._neg_is_pos() or self.neg == other.neg))
-
-    def __hash__(self):
-        # neg is left out: equal Selects have equal cond and pos.
-        return hash((self.cond, self.pos))
-
     def eval_real(self, xs):
-        branch = self.neg if self.cond.eval_real(xs) < 0.0 else self.pos
-        return branch.eval_real(xs)
+        if self.cond.eval_real(xs) < 0.0:
+            return -self.pos.eval_real(xs) if self.neg is None else self.neg.eval_real(xs)
+        return self.pos.eval_real(xs)
 
     def eval_pair(self, xs):
         lo, hi = self.cond.eval_pair(xs)
-        if hi < 0.0:
-            return self.neg.eval_pair(xs)
-        if lo > 0.0:
-            return self.pos.eval_pair(xs)
+        neg = self.neg
+        if hi < 0.0 and neg is not None:
+            return neg.eval_pair(xs)
         c, d = self.pos.eval_pair(xs)
-        a, b = (-d, -c) if self._neg_is_pos() else self.neg.eval_pair(xs)
-        return min(a, c), max(b, d)
+        if lo > 0.0:
+            return c, d
+        a, b = (-d, -c) if neg is None else neg.eval_pair(xs)
+        return (a, b) if hi < 0.0 else (min(a, c), max(b, d))
 
 
 def children(e: Expr) -> tuple:
@@ -353,7 +338,7 @@ def children(e: Expr) -> tuple:
     if isinstance(e, Call):
         return e.args
     if isinstance(e, Select):
-        return (e.cond, e.neg, e.pos)
+        return (e.cond, e.pos) if e.neg is None else (e.cond, e.neg, e.pos)
     return ()
 
 
@@ -368,7 +353,7 @@ def with_children(e: Expr, kids) -> Expr:
     if isinstance(e, Call):
         return Call(e.func, tuple(kids))
     if isinstance(e, Select):
-        return Select(*kids)
+        return Select(kids[0], None, kids[1]) if len(kids) == 2 else Select(*kids)
     return e
 
 
@@ -458,6 +443,8 @@ def derivative(e: Expr, j: int) -> "Expr | None":
     At abs(u), min(u, v) and max(u, v) it is a Select on the sign of u or
     u - v, whose naive extension encloses Clarke's generalized gradient,
     as the Krawczyk test's mean value theorem needs (Clarke 1983, 2.6.5).
+    abs's Select holds u' once, as pos, its neg None mirroring it: every
+    rule reaches a child derivative once, so no walk doubles per level.
     """
     kind = type(e)
     if kind is Var:
@@ -503,7 +490,7 @@ def derivative(e: Expr, j: int) -> "Expr | None":
         if du is None:
             return None
         if e.func == "abs":
-            return Select(u, Neg(du), du)
+            return Select(u, None, du)  # neg mirrors pos: -du
         if e.func == "sqrt":
             return BinOp("/", du, BinOp("*", _TWO, e))
         if e.func == "sin":

@@ -271,8 +271,10 @@ def mp_eval(mpmath, e, xs):
     if isinstance(e, Power):
         return mp_eval(mpmath, e.base, xs) ** e.exponent
     if isinstance(e, Select):
-        branch = e.neg if mp_eval(mpmath, e.cond, xs) < 0 else e.pos
-        return mp_eval(mpmath, branch, xs)
+        if mp_eval(mpmath, e.cond, xs) >= 0:
+            return mp_eval(mpmath, e.pos, xs)
+        # A neg of None mirrors pos.
+        return -mp_eval(mpmath, e.pos, xs) if e.neg is None else mp_eval(mpmath, e.neg, xs)
     args = [mp_eval(mpmath, a, xs) for a in e.args]
     if e.func in ("abs", "min", "max"):
         return {"abs": abs, "min": min, "max": max}[e.func](*args)

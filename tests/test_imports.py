@@ -12,7 +12,9 @@ Some of them only the benchmark still names: no CLI path may call them, so
 that they can go once perfbench stops naming them.
 
 Importing the CLI loads no class-generating machinery (dataclasses,
-typing, inspect): every CLI call pays for its import."""
+typing, inspect): every CLI call pays for its import.  No expression node
+but the memo view's cache nodes defines its own ``__eq__``, ``__hash__``
+or ``__repr__``: the rest compare, hash and print as a ``Record``."""
 
 import ast
 import importlib
@@ -169,3 +171,19 @@ def test_cli_import_loads_no_class_generating_module():
     loaded = set(json.loads(proc.stdout))
     assert "fpcert.cli" in loaded
     assert not loaded & {"dataclasses", "typing", "inspect"}, sorted(loaded)
+
+
+def test_only_the_cache_nodes_override_records_methods():
+    # Every expression node compares, hashes and prints by its fields, as a
+    # Record; only the cache nodes of a memo view go by identity.
+    from fpcert import mapdsl
+
+    nodes, todo = [], [mapdsl.Expr]
+    while todo:
+        cls = todo.pop()
+        nodes.append(cls)
+        todo.extend(cls.__subclasses__())
+    assert {"Select", "Memo", "Shared", "Param"} <= {c.__name__ for c in nodes}
+    own = {c.__name__: sorted(m for m in ("__eq__", "__hash__", "__repr__") if m in vars(c))
+           for c in nodes if c not in (mapdsl.Memo, mapdsl.Shared)}
+    assert {name: methods for name, methods in own.items() if methods} == {}

@@ -662,16 +662,19 @@ def test_nested_abs_derivative_evaluates_each_select_once(monkeypatch):
     assert hull == (-1.0, 1.0)
 
 
-def test_nested_abs_derivative_prints_compares_and_hashes_in_linear_walks():
-    # Each Select's neg is Neg(pos): printing, comparing or hashing pos
-    # twice per level would take 4**40 steps.  A repr that grows 4x per
-    # level fails on 10 and 11 levels, before 40 levels could hang.
-    def nested(depth):
-        source = "dim 1\nmap g1 = " + "abs(" * depth + "x1" + ")" * depth + "\n"
-        return jacobian(parse_map(source))[0][0]
+def _nested_abs_derivative(depth):
+    source = "dim 1\nmap g1 = " + "abs(" * depth + "x1" + ")" * depth + "\n"
+    return jacobian(parse_map(source))[0][0]
 
-    assert len(repr(nested(11))) < 2 * len(repr(nested(10)))
-    d, fresh = nested(40), nested(40)
+
+def test_nested_abs_derivative_prints_compares_and_hashes_in_linear_walks():
+    # Each Select holds its pos once, its neg None mirroring it: were pos
+    # also reached through neg, printing, comparing or hashing would take
+    # 4**40 steps.  A repr that grows 4x per level fails on 10 and 11
+    # levels, before 40 levels could hang.
+    assert len(repr(_nested_abs_derivative(11))) < 2 * len(repr(_nested_abs_derivative(10)))
+    d, fresh = _nested_abs_derivative(40), _nested_abs_derivative(40)
+    assert d.neg is None and d.pos.neg is None
     t0 = time.perf_counter()
     text = repr(d)
     assert time.perf_counter() - t0 < 1.0 and len(text) < 1_000_000
@@ -681,11 +684,39 @@ def test_nested_abs_derivative_prints_compares_and_hashes_in_linear_walks():
     t0 = time.perf_counter()
     assert d == fresh
     assert time.perf_counter() - t0 < 1.0
-    assert text.count("neg=Neg(arg=pos)") == 40
-    # A neg that is not Neg(pos) itself is compared and printed in full.
-    other = Select(d.cond, Neg(Select(d.pos.cond, d.pos.neg, d.pos.pos)), d.pos)
-    assert other == d and hash(other) == hash(d)
     assert Select(d.cond, d.pos, d.pos) != d
+
+
+def test_nested_abs_jacobian_walks_children_in_few_visits():
+    # A plain walk over children, with no dedupe by identity: level k meets
+    # its cond (k nodes) and its pos once, 861 visits over 40 levels.  A
+    # rule that reached a child derivative twice would double the walk per
+    # level; past the cap the walk stops descending, so that fails fast.
+    cap = 3000
+    visits = 0
+
+    def walk(e):
+        nonlocal visits
+        visits += 1
+        if visits <= cap:
+            for k in children(e):
+                walk(k)
+
+    walk(_nested_abs_derivative(40))
+    assert visits <= cap
+
+
+def test_mp_eval_mirrors_a_select_without_neg():
+    mpmath = pytest.importorskip("mpmath")
+    # d/dx1 |(|x1| - 0.5)| = sign(|x1| - 0.5) * sign(x1); both Selects
+    # take their mirrored branch where their cond is negative.
+    (d,), = jacobian(parse_map("dim 1\nmap g1 = abs(abs(x1) - 0.5)\n"))
+    assert d.neg is None and d.pos.neg is None
+    for x, want in ((-0.75, -1), (-0.25, 1), (0.25, -1), (0.75, 1)):
+        assert d.eval_real((x,)) == want
+        assert mp_eval(mpmath, d, [mpmath.mpf(x)]) == want
+    (m,), = jacobian(parse_map("dim 1\nmap g1 = min(x1, 0.5)\n"))
+    assert mp_eval(mpmath, m, [mpmath.mpf(0.75)]) == 0
 
 
 def test_derivative_rules_on_hand_maps():
