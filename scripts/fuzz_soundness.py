@@ -45,23 +45,36 @@ dyadic offset s per axis (``translate_coordinates``, the map
 y -> g(y - s) + s on the rectangle moved by s, which keeps the fixed
 points exactly; a problem where some endpoint plus its offset is not a
 float is skipped; ``translate checks`` counts the reruns and how many
-moved), with the same rule.  The region tests with a float filter in front of a directed
+moved), with the same rule.  Each 3-D rect problem is also certified
+under a seeded permutation of its coordinates, neither the identity nor
+the reversal (``permute_coordinates``; ``permute checks``), with the same
+rule.  The region tests with a float filter in front of a directed
 test (the holed ball's and each hole's relevance test, and a cone shell's
 for invariance and both slices) must decide as the directed test alone,
 result or error, on each holed ball's 200 memo-check boxes and on 200
 sub-boxes of each cone shell's bounding box, of either stream, from a side
-stream (``region checks`` counts the boxes).  Any answer an oracle cannot
-confirm is a soundness bug and is printed with its problem source.
+stream (``region checks`` counts the boxes).  Last, from a ninth stream,
+edge-margin problems: g1 = 2*x1 - 0.5 and g2 one kernel (sin, cos, exp,
+tanh, sqrt, * or /) of decimal literals, on a cylinder whose base has
+g2's computed bound as its top or bottom; for each CERTIFIED one the true
+value at the literals' exact values must lie on the base's side of that
+bound (``kernel_side``, mpmath at 200 bits; ``edge checks`` counts them).
+Only this stream can see an enclosure that misses by one ulp.  Any answer
+an oracle cannot confirm is a soundness bug and is printed with its
+problem source.
 
     python scripts/fuzz_soundness.py --n 2000 --seed 7
 """
 
 import argparse
+import itertools
 import math
 import os
 import random
 import sys
 import time
+
+import mpmath
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
 
@@ -70,6 +83,7 @@ from corpus import (  # noqa: E402
     memo_view_mismatches,
     random_cone_problem,
     random_cylinder_problem,
+    random_edge_problem,
     random_expression_map,
     random_holed_ball_problem,
     random_norm_cone_problem,
@@ -78,14 +92,14 @@ from corpus import (  # noqa: E402
     random_planted_trig_map,
     random_polynomial_map_2d,
     random_rect_problem,
+    permute_box,
+    permute_coordinates,
     region_filter_mismatches,
-    reverse_box,
-    reverse_coordinates,
     shared_coordinate_boxes,
     translate_box,
     translate_coordinates,
 )
-from oracles import grid_zoom_min, winding_rect  # noqa: E402
+from oracles import grid_zoom_min, kernel_side, winding_rect  # noqa: E402
 
 from fpcert.certify import (  # noqa: E402
     CERTIFIED,
@@ -113,6 +127,7 @@ def main():
     ap.add_argument("--residual", type=float, default=1e-6)
     args = ap.parse_args()
     n_holes = n_index = n_localize = n_norms = args.n // 10
+    n_edge = 4 * args.n
 
     rng = random.Random(args.seed)
     counts = {"CERTIFIED": 0, "REFUTED": 0, "INDETERMINATE": 0}
@@ -162,8 +177,11 @@ def main():
         return (cert, [(c.lo, c.hi) for c in box.coords],
                 lambda p: spec.a <= fn.value(p) <= spec.b, regions)
 
+    def permuted_problem(m, rect, perm):
+        return permute_coordinates(m, perm), RectDomain(permute_box(rect.box, perm))
+
     def reversed_problem(m, rect):
-        return reverse_coordinates(m), RectDomain(reverse_box(rect.box))
+        return permuted_problem(m, rect, range(m.dim)[::-1])
 
     def confirm(cert, m, domain_bounds, keep):
         if cert.outcome == CERTIFIED:
@@ -171,12 +189,16 @@ def main():
             if point is None or res > args.residual:
                 violation(m, f"oracle residual {res}")
 
-    # The flipped axes and the offsets come from side streams too.
+    # The flipped axes, the offsets and the permutations come from side
+    # streams too.
     flip_rng = random.Random(f"{args.seed}:flip")
     translate_rng = random.Random(f"{args.seed}:translate")
+    permute_rng = random.Random(f"{args.seed}:permute")
+    # The permutations of three axes but the identity and the reversal.
+    perms = [p for p in itertools.permutations(range(3)) if p not in ((0, 1, 2), (2, 1, 0))]
 
     rect_reversals = cone_regions = rect_flips = flip_moves = 0
-    rect_translations = translate_moves = 0
+    rect_translations = translate_moves = rect_perms = perm_moves = 0
     for k in range(args.n):
         roll = rng.random()
         if roll < 0.6:
@@ -204,6 +226,15 @@ def main():
                 translate_moves += other.outcome != cert.outcome
                 if {cert.outcome, other.outcome} == {CERTIFIED, REFUTED}:
                     violation(m, f"{cert.outcome}, but {other.outcome} translated by {shift}")
+            if m.dim == 3:
+                perm = permute_rng.choice(perms)
+                rect_perms += 1
+                other = certify_miranda(*permuted_problem(m, r, perm), max_depth=12,
+                                        max_boxes=3000)
+                perm_moves += other.outcome != cert.outcome
+                if {cert.outcome, other.outcome} == {CERTIFIED, REFUTED}:
+                    violation(m, f"{cert.outcome}, but {other.outcome} with the coordinates "
+                                 f"permuted by {perm}")
             domain_bounds = [(c.lo, c.hi) for c in r.box.coords]
             keep = None
         elif roll < 0.85:
@@ -225,6 +256,7 @@ def main():
           + f" metamorphic checks={rect_reversals} region checks={cone_regions}"
           + f" flip checks={rect_flips} (outcome moved on {flip_moves})")
     print(f"translate checks={rect_translations} (outcome moved on {translate_moves})")
+    print(f"permute checks={rect_perms} (outcome moved on {perm_moves})")
 
     rng = random.Random(f"{args.seed}:norms")
     norm_counts = dict.fromkeys(counts, 0)
@@ -256,7 +288,7 @@ def main():
             m, [tests["relevant"] for _circle, _r2, tests in spec.circles()], boxes)
         # Reversed coordinates, and each hole's centre (cx, cy) -> (cy, cx).
         swapped = HoledBallSpec(spec.radius, tuple((cy, cx, r) for cx, cy, r in spec.holes))
-        other = certify_holes(reverse_coordinates(m), swapped)
+        other = certify_holes(permute_coordinates(m, (1, 0)), swapped)
         if {cert.outcome, other.outcome} == {CERTIFIED, REFUTED}:
             violation(m, f"{cert.outcome}, but {other.outcome} with the coordinates reversed")
         keep = lambda p, spec=spec: math.hypot(*p) <= spec.radius and all(  # noqa: E731
@@ -323,11 +355,11 @@ def main():
     def reversal_check(m, rect, res):
         """Localize m again with its coordinates reversed: a PROVEN box of
         either run holds a fixed point, so it must meet an enclosure of the
-        other (reverse_box maps each run's boxes to the other's)."""
+        other (the reversal maps each run's boxes to the other's)."""
         other = localize_fixed_points(*reversed_problem(m, rect), tol=1e-6, budget=20000)
         for a, b in ((res, other), (other, res)):
             for enc in a.proven:
-                box = reverse_box(enc.box)
+                box = permute_box(enc.box, (1, 0))
                 if not any(box.intersects(e.box) for e in b.enclosures):
                     violation(m, f"PROVEN box {enc.box.bounds()} meets no enclosure of the "
                                  "run with the coordinates reversed")
@@ -413,6 +445,26 @@ def main():
     elapsed = time.perf_counter() - t0
     print(f"{n_localize} planted branch traces in {elapsed:.1f}s: "
           + ", ".join(f"{k}={v}" for k, v in trace_counts.items()))
+
+    rng = random.Random(f"{args.seed}:edge")
+    edge_counts = dict.fromkeys(counts, 0)
+    edge_checks = 0
+    t0 = time.perf_counter()
+    for _ in range(n_edge):
+        m, cyl, kernel, literals, top = random_edge_problem(rng)
+        cert = certify_cylinder(m, cyl, "expansive", max_depth=12, max_boxes=3000)
+        edge_counts[cert.outcome] += 1
+        if cert.outcome == CERTIFIED:
+            edge_checks += 1
+            base = cyl.base.coords[0]
+            if kernel_side(mpmath, kernel, literals, base.hi if top else base.lo) == (
+                    1 if top else -1):
+                side = "above the top" if top else "below the bottom"
+                violation(m, f"{kernel} of {literals} lies {side} of the base {base}")
+    elapsed = time.perf_counter() - t0
+    print(f"{n_edge} edge-margin problems in {elapsed:.1f}s: "
+          + ", ".join(f"{k}={v}" for k, v in edge_counts.items())
+          + f" edge checks={edge_checks}")
     print(f"violations: {violations}")
     return 1 if violations else 0
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import random
+from decimal import Decimal
 
 from fpcert import geometry
 from fpcert import interval as iv
@@ -420,6 +421,49 @@ def branch_point(coeffs, t: float):
     return tuple(c0 + c1 * t + c2 * t * t for c0, c1, c2 in coeffs)
 
 
+EDGE_KERNELS = ("sin", "cos", "exp", "tanh", "sqrt", "*", "/")
+
+
+def _edge_literal(rng: random.Random, kernel: str) -> str:
+    """A decimal literal for an argument of kernel, drawn from |x| <= 1e-8,
+    [-1, 1] or [-3, 3], or from the kernel's own range: up to +-25 for
+    tanh, magnitudes up to 1e15 for sin and cos, [-745, 709] for exp.
+    Three in four are written out exactly, so that the literal's enclosure
+    is a point and the kernel's rounding is all the enclosure of g2 holds."""
+    draw = rng.randrange(4)
+    if draw < 3 or kernel in ("sqrt", "*", "/"):
+        scale = (1e-8, 1.0, 3.0, 3.0)[draw]
+        x = rng.uniform(-scale, scale)
+    elif kernel == "tanh":
+        x = rng.uniform(-25.0, 25.0)
+    elif kernel == "exp":
+        x = rng.uniform(-745.0, 709.0)
+    else:  # sin, cos
+        x = math.copysign(10.0 ** rng.uniform(0.0, 15.0), rng.random() - 0.5)
+    if kernel == "sqrt":
+        x = abs(x)
+    return str(Decimal(x)) if rng.random() < 0.75 else repr(x)
+
+
+def random_edge_problem(rng: random.Random):
+    """(map, cylinder, kernel, literals, whether the top is tight):
+    g1 = 2*x1 - 0.5 and g2 one kernel of EDGE_KERNELS on decimal literals,
+    on the cylinder [0, 1] x [lo, hi] whose top (or bottom) is the computed
+    upper (lower) bound of g2 itself, its other side at least 1 away.  Only
+    an enclosure that misses the true value, by an ulp say, lets a base
+    without the fixed point (0.5, g2) pass as CERTIFIED."""
+    kernel = rng.choice(EDGE_KERNELS)
+    binary = kernel in ("*", "/")
+    literals = [_edge_literal(rng, kernel) for _ in range(2 if binary else 1)]
+    args = [f"({a})" if a[0] == "-" else a for a in literals]
+    g2 = f" {kernel} ".join(args) if binary else f"{kernel}({args[0]})"
+    m = parse_map(f"dim 2\nmap g1 = 2*x1 - 0.5\nmap g2 = {g2}\n")
+    lo, hi = m.components[1].eval_pair(())
+    top = rng.random() < 0.5
+    base = (lo - 1.0 - abs(lo), hi) if top else (lo, hi + 1.0 + abs(hi))
+    return m, CylinderSpec(Interval(0.0, 1.0), Box.from_bounds([base])), kernel, literals, top
+
+
 def random_box(rng: random.Random, dim: int, scale: float = 2.0) -> Box:
     bounds = []
     for _ in range(dim):
@@ -515,24 +559,28 @@ def region_filter_mismatches(tests, boxes) -> list:
     return [box for box, a, b in zip(boxes, filtered, directed) if a != b]
 
 
-def reverse_coordinates(m: MapSpec) -> MapSpec:
-    """m with its coordinates in reverse order: the map y -> P g(P y), P
-    reversing x1..xn, whose fixed points are those of g reversed, exactly.
-    Only the nodes of x1..xn are rewritten (t, a Var subclass, stays)."""
-    last = m.dim - 1
+def permute_coordinates(m: MapSpec, perm) -> MapSpec:
+    """m with its coordinates permuted: y_i = x_perm[i], the map
+    y -> P g(P^-1 y), whose fixed points are those of g permuted, exactly.
+    Reversal is perm = range(m.dim)[::-1].  Only the nodes of x1..xn are
+    rewritten (t, a Var subclass, stays)."""
+    inverse = [0] * m.dim
+    for i, j in enumerate(perm):
+        inverse[j] = i
 
     def rewrite(e):
         if type(e) is Var:
-            return Var(last - e.index)
+            return Var(inverse[e.index])
         kids = children(e)
         return with_children(e, [rewrite(k) for k in kids]) if kids else e
 
-    return MapSpec(m.dim, tuple(rewrite(c) for c in reversed(m.components)), m.has_param)
+    return MapSpec(m.dim, tuple(rewrite(m.components[j]) for j in perm), m.has_param)
 
 
-def reverse_box(box: Box) -> Box:
-    """The box with its axes in reverse order (see reverse_coordinates)."""
-    return Box(tuple(reversed(box.coords)))
+def permute_box(box: Box, perm) -> Box:
+    """The box with axis i of the result axis perm[i] of box (see
+    permute_coordinates)."""
+    return Box(tuple(box.coords[j] for j in perm))
 
 
 def translate_coordinates(m: MapSpec, shift) -> MapSpec:

@@ -280,3 +280,26 @@ def mp_eval(mpmath, e, xs):
         return {"abs": abs, "min": min, "max": max}[e.func](*args)
     assert e.func in ("sin", "cos", "exp", "tanh", "sqrt")
     return getattr(mpmath, e.func)(*args)
+
+
+def kernel_side(mpmath, kernel, literals, bound: float) -> int:
+    """The sign, -1, 0 or 1, of f - bound, where f is the kernel (sin, cos,
+    exp, tanh or sqrt of one literal, * or / of two) at the exact decimal
+    values of the literals: in rationals for * and /, by squares for sqrt,
+    and in mpmath at 200 bits for the rest, on arguments that are exact
+    when they are floats written out.  None of the package's arithmetic
+    runs."""
+    b = Fraction(bound)
+    xs = [Fraction(a) for a in literals]
+    if kernel in ("*", "/"):
+        v = xs[0] * xs[1] if kernel == "*" else xs[0] / xs[1]
+    elif kernel == "sqrt":
+        if b < 0:
+            return 1
+        v, b = xs[0], b * b
+    else:
+        with mpmath.workprec(200):
+            x = mpmath.mpf(xs[0].numerator) / xs[0].denominator
+            v = getattr(mpmath, kernel)(x) - mpmath.mpf(bound)
+        return (v > 0) - (v < 0)
+    return (v > b) - (v < b)

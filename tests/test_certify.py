@@ -46,8 +46,8 @@ from fpcert.interval import (
 from fpcert.mapdsl import jacobian, parse_map, parse_program
 from fpcert.subdivision import UNKNOWN, VERIFIED, VIOLATED
 
-from corpus import random_holed_ball_problem
-from oracles import grid_zoom_min, mp_eval
+from corpus import random_edge_problem, random_holed_ball_problem
+from oracles import grid_zoom_min, kernel_side, mp_eval
 
 
 def rect(*bounds):
@@ -307,6 +307,33 @@ def test_cylinder_duality_by_construction():
         assert comp.outcome == exp.outcome
         assert comp.evidence == exp.evidence
         assert comp.witness == exp.witness
+
+
+def test_edge_problems_sit_on_the_computed_bound_and_hold_the_true_value():
+    # The fuzz's edge-margin stream: a base side is g2's computed bound, and
+    # the oracle decides the true value's side exactly, down to the ulp.
+    mpmath = pytest.importorskip("mpmath")
+    # tanh(11/1024) lies 1.8e-19 above this float (ROADMAP item 12).
+    assert kernel_side(mpmath, "tanh", ["0.0107421875"], 0.010741774322289108) == 1
+    assert kernel_side(mpmath, "*", ["0.1", "3"], 0.30000000000000004) == -1
+    assert kernel_side(mpmath, "/", ["-1", "4"], -0.25) == 0
+    assert kernel_side(mpmath, "sqrt", ["0.25"], 0.5) == 0
+    rng = random.Random(12)
+    kernels = set()
+    for k in range(210):
+        m, cyl, kernel, literals, top = random_edge_problem(rng)
+        kernels.add(kernel)
+        lo, hi = m.components[1].eval_pair(())
+        base = cyl.base.coords[0]
+        if top:
+            assert base.hi == hi and base.lo < lo
+        else:
+            assert base.lo == lo and base.hi > hi
+        assert kernel_side(mpmath, kernel, literals, lo) >= 0, (kernel, literals)
+        assert kernel_side(mpmath, kernel, literals, hi) <= 0, (kernel, literals)
+        if k % 30 == 0:
+            assert certify_cylinder(m, cyl, "expansive").outcome == CERTIFIED
+    assert kernels == {"sin", "cos", "exp", "tanh", "sqrt", "*", "/"}
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The standing soundness experiment, small: scripts/fuzz_soundness.py on
-100 problems of seed 7 (volume tiling, PROVEN oracles, metamorphic, memo
-and region checks), in a subprocess as it is run from the command line."""
+100 problems of seed 7 (volume tiling, PROVEN oracles, metamorphic, memo,
+region and edge-margin checks), in a subprocess as it is run from the
+command line."""
 
 import os
 import re
@@ -18,5 +19,7 @@ def test_fuzz_soundness_smoke_run_has_no_violation():
         timeout=300)
     assert out.returncode == 0, out.stdout + out.stderr
     assert out.stdout.splitlines()[-1] == "violations: 0", out.stdout
-    translated = re.search(r"^translate checks=(\d+) ", out.stdout, re.M)
-    assert translated and int(translated.group(1)) > 0, out.stdout
+    for pattern in (r"^translate checks=(\d+) ", r"^permute checks=(\d+) ",
+                    r"^\d+ edge-margin problems .* edge checks=(\d+)$"):
+        found = re.search(pattern, out.stdout, re.M)
+        assert found and int(found.group(1)) > 0, (pattern, out.stdout)

@@ -14,8 +14,9 @@ from corpus import (
     random_family,
     random_planted_branch_family,
     random_polynomial_map_2d,
+    permute_box,
+    permute_coordinates,
     random_rect_problem,
-    reverse_coordinates,
     sample_in_box,
 )
 from fpcert.geometry import RectDomain
@@ -378,13 +379,33 @@ def test_reversed_coordinates_evaluate_as_the_map_reversed():
     rng = random.Random(5)
     for _ in range(40):
         m = random_expression_map(rng, rng.choice((2, 3)))
-        r = reverse_coordinates(m)
-        assert reverse_coordinates(r) == m
+        reversal = range(m.dim)[::-1]
+        r = permute_coordinates(m, reversal)
+        assert permute_coordinates(r, reversal) == m
         box = random_box(rng, m.dim)
-        flipped = Box(box.coords[::-1])
+        flipped = permute_box(box, reversal)
+        assert flipped == Box(box.coords[::-1])
         for i in range(m.dim):
             assert (_outcome(r.eval_component_interval, m.dim - 1 - i, flipped)
                     == _outcome(m.eval_component_interval, i, box)), m.to_source()
+
+
+def test_permuted_coordinates_evaluate_as_the_map_permuted():
+    # Component i of the permuted map, on the permuted box, is component
+    # perm[i] of the map on the box; the inverse permutation undoes it.
+    rng = random.Random(7)
+    for k in range(40):
+        m = random_expression_map(rng, 3)
+        perm = ((1, 2, 0), (2, 0, 1), (0, 2, 1), (1, 0, 2))[k % 4]
+        inverse = tuple(perm.index(i) for i in range(3))
+        p = permute_coordinates(m, perm)
+        assert permute_coordinates(p, inverse) == m
+        box = random_box(rng, 3)
+        moved = permute_box(box, perm)
+        assert permute_box(moved, inverse) == box
+        for i in range(3):
+            assert (_outcome(p.components[i].eval_pair, moved.coords)
+                    == _outcome(m.components[perm[i]].eval_pair, box.coords)), m.to_source()
 
 
 # -- binding the parameter to a point --------------------------------------
