@@ -81,6 +81,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
 from corpus import (  # noqa: E402
     branch_point,
     memo_view_mismatches,
+    permute_box,
+    permute_coordinates,
     random_cone_problem,
     random_cylinder_problem,
     random_edge_problem,
@@ -92,8 +94,6 @@ from corpus import (  # noqa: E402
     random_planted_trig_map,
     random_polynomial_map_2d,
     random_rect_problem,
-    permute_box,
-    permute_coordinates,
     region_filter_mismatches,
     shared_coordinate_boxes,
     translate_box,

@@ -663,7 +663,7 @@ def test_select_is_internal_and_evaluates_off_the_kink():
 
 def test_nested_abs_derivative_evaluates_each_select_once(monkeypatch):
     # Over a box that holds every kink, each Select takes the hull of its
-    # branches, and its neg branch is Neg(pos): evaluating pos once serves
+    # branches, and its neg of None mirrors pos: evaluating pos once serves
     # both, where evaluating each branch would take 2**depth Selects.
     depth = 40
     (d,), = jacobian(parse_map("dim 1\nmap g1 = " + "abs(" * depth + "x1" + ")" * depth + "\n"))
