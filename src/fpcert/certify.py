@@ -505,24 +505,72 @@ def certify_cone_shell(T: MapSpec, spec: ConeShellSpec, form: str,
 # ---------------------------------------------------------------------------
 
 
+def _corners(ds, xs) -> "tuple | None":
+    """The corners of the box xs at which a component whose Jacobian row
+    over xs is ds (a pair per entry, None for a zero one) takes its least
+    and its greatest value, as point coordinate tuples: each x_j at its
+    lower end in the first where its entry is None or >= 0, at its upper
+    end where the entry is <= 0, and the other way round in the second.
+    None where some entry holds values of both signs."""
+    low, high = [], []
+    for d, x in zip(ds, xs):
+        if d is None or d[0] >= 0.0:
+            low.append(x.lo)
+            high.append(x.hi)
+        elif d[1] <= 0.0:
+            low.append(x.hi)
+            high.append(x.lo)
+        else:
+            return None
+    return tuple(map(Interval, low)), tuple(map(Interval, high))
+
+
 def _mean_value_pairs(T: MapSpec, jac, box: Box, naive=None) -> list:
-    """T's component pairs over the box, each the naive enclosure (`naive`,
-    where the caller has it, else T.eval_pairs(box)) cut by the mean-value
-    form g_i(m) + sum_j Dg_ij(X) (X_j - m_j), m the box midpoint, with
-    directed rounding.  Raises DomainError where an evaluation raises or a
-    sum is not finite."""
+    """T's component pairs over the box X, each the naive enclosure
+    (`naive`, where the caller has it, else T.eval_pairs(box)) cut by a
+    second enclosure of g_i(X), read from g_i's Jacobian row Dg_i(X):
+
+    - a monotone row, where every entry is None or a pair >= 0 or <= 0,
+      takes the lower end of g_i's enclosure at the corner c of
+      `_corners` and the upper end at its opposite corner c' (the
+      monotonicity test, Hansen & Walster 2004);
+    - any other row takes the mean-value form
+      g_i(m) + sum_j Dg_ij(X) (X_j - m_j), m the box midpoint, with
+      directed rounding.
+
+    The corner rule holds wherever the mean-value form does.  For x in X,
+    Lebourg's mean value theorem gives a point y on the segment from c to
+    x, inside X, and a vector z of Clarke's gradient of g_i at y with
+    g_i(x) - g_i(c) = sum_j z_j (x_j - c_j); `derivative` encloses that
+    gradient over X, so z_j lies in Dg_ij(X), and is 0 where the entry is
+    None.  Where Dg_ij(X) >= 0, c_j is the lower end of X_j, so
+    x_j - c_j >= 0; where Dg_ij(X) <= 0, c_j is the upper end, so
+    x_j - c_j <= 0.  Every term is >= 0, so g_i(x) >= g_i(c), and likewise
+    g_i(x) <= g_i(c').  The enclosures at c and c' hold those two values,
+    so the pair holds g_i(X).
+
+    Raises DomainError where an evaluation raises (the naive pairs, a
+    Jacobian row, the midpoint or a corner) or a pair is not finite."""
     xs = box.coords
-    ms = box.midpoint()
-    point = tuple(Interval(m) for m in ms)
     if naive is None:
         naive = T.eval_pairs(box)
+    point = None
     out = []
     for comp, row, (n_lo, n_hi) in zip(T.components, jac, naive):
-        lo, hi = comp.eval_pair(point)
-        for d, x, m in zip(row, xs, ms):
-            if d is not None:
-                p_lo, p_hi = mul_pair(*d.eval_pair(xs), sub_down(x.lo, m), sub_up(x.hi, m))
-                lo, hi = add_down(lo, p_lo), add_up(hi, p_hi)
+        ds = [None if d is None else d.eval_pair(xs) for d in row]
+        corners = _corners(ds, xs)
+        if corners is not None:
+            lo = comp.eval_pair(corners[0])[0]
+            hi = comp.eval_pair(corners[1])[1]
+        else:
+            if point is None:
+                ms = box.midpoint()
+                point = tuple(Interval(m) for m in ms)
+            lo, hi = comp.eval_pair(point)
+            for d, x, m in zip(ds, xs, ms):
+                if d is not None:
+                    p_lo, p_hi = mul_pair(*d, sub_down(x.lo, m), sub_up(x.hi, m))
+                    lo, hi = add_down(lo, p_lo), add_up(hi, p_hi)
         if not -_INF < lo <= hi < _INF:
             raise interval_error(lo, hi)
         out.append((max(lo, n_lo), min(hi, n_hi)))

@@ -473,9 +473,27 @@ _KINKED_MAPS = (
 )
 
 
+# Maps whose Jacobian rows hold both signs on nearly every box: each has
+# an entry that is zero but written as a difference of equal terms (sin^2 +
+# cos^2, an angle sum, exp(a - b) exp(b), a product in two orders), whose
+# naive enclosure straddles zero, so they take the mean-value form.
+_STRADDLING_MAPS = (
+    "dim 2\nmap g1 = 0.5*x1*(cos(x2)^2 + sin(x2)^2)\n"
+    "map g2 = x2*(cos(x1)^2 + sin(x1)^2) - 0.2*x2\n",
+    "dim 2\nmap g1 = sin(x1)*cos(x2) + cos(x1)*sin(x2) - sin(x1 + x2) + 0.4*x2\n"
+    "map g2 = cos(x1 - x2) - cos(x1)*cos(x2) - sin(x1)*sin(x2) + 0.3*x1\n",
+    "dim 2\nmap g1 = exp(0.3*x1 - x2)*exp(x2) - x1\nmap g2 = exp(0.2*x2 - x1)*exp(x1) - 0.5*x2\n",
+    "dim 2\nmap g1 = x2*x1^2 - x1*x1*x2 + 0.3*x1\nmap g2 = x1*x2^2 - x2*x2*x1 - 0.3*x2\n",
+    "dim 2\nmap g1 = x1*x2 - x2*x1 + 0.5*x2\nmap g2 = tanh(x1)*x2 - x2*tanh(x1) + 0.5*x1\n",
+    "dim 2\nmap g1 = x1 - 0.1*(x1 + x2)^2 + 0.1*(x1^2 + 2*x1*x2 + x2^2)\n"
+    "map g2 = 0.5*x2*exp(x1)*exp(-x1)\n",
+    "dim 2\nmap g1 = 0.8*x2*(sin(x1)^2 + cos(x1)^2)\nmap g2 = -0.8*x1*exp(x2)*exp(-x2)\n",
+)
+
+
 def _mean_value_maps(rng):
     maps = [random_holed_ball_problem(rng, 2 + k % 3)[0] for k in range(12)]
-    return maps + [parse_map(src) for src in _KINKED_MAPS]
+    return maps + [parse_map(src) for src in _KINKED_MAPS + _STRADDLING_MAPS]
 
 
 def _mean_value_boxes(rng, n):
@@ -494,10 +512,35 @@ def _sample_points(rng, box):
         (rng.uniform(a, b), rng.uniform(c, d)) for _ in range(4)]
 
 
+def _row_corners(jac, box):
+    """Per row of jac: the corners (low, high) of the box where every entry
+    of the row over the box is None or keeps one sign, low with each x_j at
+    the end where the component is least, else None."""
+    xs = box.coords
+    out = []
+    for row in jac:
+        low, high = [], []
+        for d, x in zip(row, xs):
+            d_lo, d_hi = (0.0, 0.0) if d is None else d.eval_pair(xs)
+            if d_lo >= 0.0:
+                low.append(x.lo)
+                high.append(x.hi)
+            elif d_hi <= 0.0:
+                low.append(x.hi)
+                high.append(x.lo)
+            else:
+                out.append(None)
+                break
+        else:
+            out.append((tuple(low), tuple(high)))
+    return out
+
+
 def test_mean_value_pairs_enclose_the_image_inside_the_naive_pairs():
     mpmath = pytest.importorskip("mpmath")
     rng = random.Random(1966)
     tighter = raised = 0
+    rows = {"corner": 0, "mean-value": 0}
     with mpmath.workdps(40):
         for m in _mean_value_maps(rng):
             jac = jacobian(m)
@@ -511,20 +554,24 @@ def test_mean_value_pairs_enclose_the_image_inside_the_naive_pairs():
                 except DomainError:
                     raised += 1
                     continue
-                for (lo, hi), (n_lo, n_hi) in zip(pairs, naive):
+                for (lo, hi), (n_lo, n_hi), corners in zip(pairs, naive,
+                                                           _row_corners(jac, box)):
                     assert n_lo <= lo <= hi <= n_hi, (m.to_source(), box.bounds())
                     tighter += (n_lo, n_hi) != (lo, hi)
+                    rows["mean-value" if corners is None else "corner"] += 1
                 for p in _sample_points(rng, box):
                     xs = [mpmath.mpf(v) for v in p]
                     for comp, (lo, hi) in zip(m.components, pairs):
                         v = mp_eval(mpmath, comp, xs)
                         assert lo <= v <= hi, (m.to_source(), box.bounds(), p)
     assert tighter > 500 and raised >= 5, (tighter, raised)
+    assert rows["corner"] > 1500 and rows["mean-value"] > 700, rows
 
 
 def test_mean_value_sums_round_outward():
     # The mean-value form summed exactly, in rationals, from the same
-    # enclosures of g(m) and Dg(X): the computed pair must hold it.
+    # enclosures of g(m) and Dg(X): the computed pair must hold it on every
+    # row that takes the form.
     rng = random.Random(2004)
     checked = 0
     for m in _mean_value_maps(rng):
@@ -538,7 +585,10 @@ def test_mean_value_sums_round_outward():
             xs = box.coords
             ms = box.midpoint()
             point = tuple(Interval(v) for v in ms)
-            for comp, row, (lo, hi), (n_lo, n_hi) in zip(m.components, jac, pairs, naive):
+            for comp, row, (lo, hi), (n_lo, n_hi), corners in zip(
+                    m.components, jac, pairs, naive, _row_corners(jac, box)):
+                if corners is not None:
+                    continue
                 g_lo, g_hi = comp.eval_pair(point)
                 s_lo, s_hi = Fraction(g_lo), Fraction(g_hi)
                 for d, x, mj in zip(row, xs, ms):
@@ -552,6 +602,48 @@ def test_mean_value_sums_round_outward():
                     m.to_source(), box.bounds())
                 checked += 1
     assert checked > 500
+
+
+def test_corner_rows_hold_both_corner_values():
+    # On a row whose Jacobian entries keep one sign, the component is least
+    # at one corner and greatest at the opposite one: both values, in
+    # mpmath at 60 digits, must lie in the pair.  A corner taken at the
+    # wrong end of an axis puts the true least value below the pair.
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(2004)
+    checked = 0
+    with mpmath.workdps(60):
+        for m in _mean_value_maps(rng):
+            jac = jacobian(m)
+            for box in _mean_value_boxes(rng, 40):
+                try:
+                    pairs = _mean_value_pairs(m, jac, box)
+                except DomainError:
+                    continue
+                for comp, (lo, hi), corners in zip(m.components, pairs,
+                                                   _row_corners(jac, box)):
+                    if corners is None:
+                        continue
+                    low, high = (mp_eval(mpmath, comp, [mpmath.mpf(v) for v in c])
+                                 for c in corners)
+                    assert lo <= low <= high <= hi, (m.to_source(), box.bounds())
+                    checked += 1
+    assert checked > 1000, checked
+
+
+def test_monotone_pull_map_certifies_at_its_seeds():
+    # A map shaped as perfbench's holed balls: h(x1) = x1 - sin(w (x1 - p))/w
+    # along the hole axis, with c*w < 1 for its rounded constants c ~ 1/w,
+    # so h' >= 0, and a contraction -0.39*x2 across it.  Both rows are
+    # monotone on every box, and their corner bounds decide the outer ball
+    # and each hole at its seed box: 50 boxes by the mean-value form alone.
+    T = parse_map("dim 2\nmap g1 = x1 - 0.60304*sin(1.658264*(x1 + 3.789013))\n"
+                  "map g2 = -0.389796*x2\n")
+    spec = HoledBallSpec(4.7898, ((-3.789013, 0.0, 0.578156), (0.0, 0.0, 0.578156),
+                                  (3.789013, 0.0, 0.578156)))
+    cert = certify_holes(T, spec)
+    assert cert.outcome == CERTIFIED and cert.index == -2
+    assert cert.stats.boxes < 50, cert.stats.boxes
 
 
 def test_holed_ball_evidence_keeps_the_naive_bound_where_it_decides():
