@@ -505,24 +505,25 @@ def certify_cone_shell(T: MapSpec, spec: ConeShellSpec, form: str,
 # ---------------------------------------------------------------------------
 
 
-def _corners(ds, xs) -> "tuple | None":
-    """The corners of the box xs at which a component whose Jacobian row
-    over xs is ds (a pair per entry, None for a zero one) takes its least
-    and its greatest value, as point coordinate tuples: each x_j at its
+def _corners(ds, ends) -> "tuple | None":
+    """The corners of a box at which a component whose Jacobian row over
+    the box is ds (a pair per entry, None for a zero one) takes its least
+    and its greatest value, as coordinate tuples of the point intervals
+    `ends` (per axis, its lower end and its upper end): each x_j at its
     lower end in the first where its entry is None or >= 0, at its upper
     end where the entry is <= 0, and the other way round in the second.
     None where some entry holds values of both signs."""
     low, high = [], []
-    for d, x in zip(ds, xs):
+    for d, (a, b) in zip(ds, ends):
         if d is None or d[0] >= 0.0:
-            low.append(x.lo)
-            high.append(x.hi)
+            low.append(a)
+            high.append(b)
         elif d[1] <= 0.0:
-            low.append(x.hi)
-            high.append(x.lo)
+            low.append(b)
+            high.append(a)
         else:
             return None
-    return tuple(map(Interval, low)), tuple(map(Interval, high))
+    return tuple(low), tuple(high)
 
 
 def _mean_value_pairs(T: MapSpec, jac, box: Box, naive=None) -> list:
@@ -554,11 +555,12 @@ def _mean_value_pairs(T: MapSpec, jac, box: Box, naive=None) -> list:
     xs = box.coords
     if naive is None:
         naive = T.eval_pairs(box)
+    ends = [(Interval(x.lo), Interval(x.hi)) for x in xs]
     point = None
     out = []
     for comp, row, (n_lo, n_hi) in zip(T.components, jac, naive):
         ds = [None if d is None else d.eval_pair(xs) for d in row]
-        corners = _corners(ds, xs)
+        corners = _corners(ds, ends)
         if corners is not None:
             lo = comp.eval_pair(corners[0])[0]
             hi = comp.eval_pair(corners[1])[1]
