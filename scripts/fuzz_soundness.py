@@ -36,7 +36,9 @@ exactly (``metamorphic checks`` counts the reruns): CERTIFIED against
 REFUTED, or a PROVEN box on one side that meets no enclosure of the
 other, is a violation; a change to or from INDETERMINATE is not.  So is
 each holed ball, with its map's coordinates reversed and each hole's
-centre (cx, cy) moved to (cy, cx).  Each rect problem is also certified
+centre (cx, cy) moved to (cy, cx); ``corner rows`` counts the Jacobian
+rows that the holed balls' tighten step, in both runs, bounded by their
+two corner values (``certify._corners``).  Each rect problem is also certified
 again with g_i replaced by 2*x_i - g_i on a random nonempty set of axes
 (``flip_coordinates``, which keeps the fixed points exactly; ``flip
 checks`` counts the reruns and how many moved to or from
@@ -101,6 +103,7 @@ from corpus import (  # noqa: E402
 )
 from oracles import grid_zoom_min, kernel_side, winding_rect  # noqa: E402
 
+from fpcert import certify  # noqa: E402
 from fpcert.certify import (  # noqa: E402
     CERTIFIED,
     REFUTED,
@@ -275,7 +278,16 @@ def main():
 
     rng = random.Random(f"{args.seed}:holes")
     hole_counts = dict.fromkeys(counts, 0)
-    cross_verified = hole_boxes = hole_memo = hole_regions = 0
+    cross_verified = hole_boxes = hole_memo = hole_regions = corner_rows = 0
+    corners = certify._corners
+
+    def counted_corners(ds, xs):
+        nonlocal corner_rows
+        found = corners(ds, xs)
+        corner_rows += found is not None
+        return found
+
+    certify._corners = counted_corners
     t0 = time.perf_counter()
     for k in range(n_holes):
         m, spec = random_holed_ball_problem(rng, 2 + k % 3)
@@ -300,9 +312,10 @@ def main():
             if cross is not None and cross != cert.index:
                 violation(m, f"cross-check index {cross}, certified {cert.index}")
     elapsed = time.perf_counter() - t0
+    certify._corners = corners
     print(f"{n_holes} holed balls in {elapsed:.1f}s: "
           + ", ".join(f"{k}={v}" for k, v in hole_counts.items())
-          + f" boxes={hole_boxes} memo checks={hole_memo}"
+          + f" boxes={hole_boxes} corner rows={corner_rows} memo checks={hole_memo}"
           + f" metamorphic checks={n_holes} region checks={hole_regions}")
 
     def random_rect(rng):
