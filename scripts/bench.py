@@ -28,7 +28,13 @@ search.  Layer rows (one process, gc off while timing):
   map on [-2, 2]^2 at tol 1e-7 hands to those functions, in search order,
   and one `certify._mean_value_pairs` call on each residual-test box;
 - one `subdivision.adaptive_cover` run proving a fixed-point-free box with
-  the residual test; its throughput is work["boxes"] / median_s.
+  the residual test; its throughput is work["boxes"] / median_s;
+- the cover boxes of one holed-ball certificate (the first holed ball of
+  the certify-batch workload at --seed, certified once to record them),
+  each classified again by its condition of
+  `certify._holed_ball_conditions` through the map's memo view, as
+  `certify_holes` does; its work is the boxes, so a cheaper bound per box
+  tells apart from a smaller cover.
 
 End-to-end rows run `perfbench/run.py --trace 0` once per workload, in a
 fresh process (editing nothing under perfbench/): median_s is the
@@ -245,6 +251,48 @@ def search_rows(fp):
     ]
 
 
+def holes_row(fp, seed: int):
+    """The holed-ball classify row: the cover boxes of the first holed ball
+    of the certify-batch workload, recorded per condition from one
+    certify_holes run, classified again by _holed_ball_conditions."""
+    import gen  # perfbench's, from the checkout measured (see main)
+
+    certify = fp["certify"]
+    problem = next(p for p in gen.certify_batch(seed, 1) if p.kind.startswith("holes"))
+    program = fp["mapdsl"].parse_program(problem.source)
+    m = program.map
+    spec = fp["geometry"].parse_domain(program.domain_line, m.dim)
+    covers = []  # the boxes each condition classified, one list per cover
+
+    def recorder(fn):
+        def call(seeds, classify, *rest):
+            boxes = []
+            covers.append(boxes)
+
+            def recorded(box):
+                boxes.append(box)
+                return classify(box)
+            return fn(seeds, recorded, *rest)
+        return call
+
+    with wrapped([(certify, "adaptive_cover", recorder)]):
+        cert = certify.certify_holes(m, spec)
+    domain_error = fp["interval"].DomainError
+
+    def classify():
+        with m.memo_view() as (view, jac):
+            for cond, boxes in zip(certify._holed_ball_conditions(view, jac, spec), covers):
+                for box in boxes:
+                    try:
+                        cond.classify(box)
+                    except domain_error:  # adaptive_cover leaves such a box unknown
+                        pass
+
+    return entry("certify._holed_ball_conditions.classify", timed(classify, 1), REPEATS,
+                 {"boxes": sum(map(len, covers))}, problem=problem.kind,
+                 outcome=cert.outcome)
+
+
 def counted_pass(fp, workload: str, seed: int):
     """The work of one untimed pass over the workload's problems: the boxes
     of every adaptive_cover run, and the localize searches with their
@@ -337,6 +385,7 @@ def main(argv=None) -> int:
     rev = subprocess.run(["git", "-C", root, "rev-parse", "--short", "HEAD"],
                          capture_output=True, text=True, check=False).stdout.strip() or None
     layers = [import_row()] + kernel_rows(fp["interval"]) + search_rows(fp)
+    layers.append(holes_row(fp, args.seed))
     end_to_end = [perfbench_row(fp, root, w, args.seed) for w in WORKLOADS]
     end_to_end.append(tier1_row(root))
     out = {"env": {"python": sys.version.split()[0], "nproc": os.cpu_count(), "rev": rev,
