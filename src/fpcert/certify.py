@@ -33,13 +33,17 @@ does not confirm a refutation.
 Mean-value bounds.  The holed-ball conditions (the outer ball and each
 hole) try a second bound on every box the naive bound leaves undecided.  It
 reads the squared distance from T's component pairs, each the naive
-enclosure intersected with the mean-value form
-g_i(m) + sum_j Dg_ij(X) (X_j - m_j) at the box midpoint m, with the
-Jacobian of `mapdsl.jacobian`, built once per certificate (Moore 1966).
-`derivative` raises wherever g may be singular and encloses Clarke's
-generalized gradient at abs, min and max, so the form holds on every box
-where both evaluations succeed (Lebourg's mean value theorem); where one
-raises, the naive bound stands.  An evidence entry carries the bound its
+enclosure intersected with a bound from g_i's row of the Jacobian of
+`mapdsl.jacobian`, built once per certificate, over the box X.  Where
+every entry of the row is zero or keeps one sign over X, g_i is least at
+one corner of X and greatest at the opposite one, and its enclosures at
+those two corners bound it (the monotonicity test, Hansen & Walster 2004;
+`_mean_value_pairs` has the proof).  Any other row takes the mean-value
+form g_i(m) + sum_j Dg_ij(X) (X_j - m_j) at the box midpoint m (Moore
+1966).  `derivative` raises wherever g may be singular and encloses
+Clarke's generalized gradient at abs, min and max, so both bounds hold on
+every box where their evaluations succeed (Lebourg's mean value theorem);
+where one raises, the naive bound stands.  An evidence entry carries the bound its
 verdict used: the naive one on a box that bound decides, the tightened one
 otherwise; a box left queued by the box budget had no verdict and carries
 its naive bound.  Cone slices, rectangle faces and cylinder conditions keep the
@@ -47,9 +51,10 @@ naive bound: there the second evaluation decides no more boxes.
 
 Memo view.  The holed-ball conditions evaluate T and its Jacobian through
 T's memo view (`mapdsl.MapSpec.memo_view`), one per certificate: the
-naive bound, the mean-value form, the point bounds of witnesses and the
-final test reuse the pair of a subtree that reads only one coordinate
-wherever a cover box repeats its value, with bit-identical results.  The
+naive bound, the corner and mean-value bounds, the point bounds of
+witnesses and the final test reuse the pair of a subtree that reads only
+one coordinate wherever a cover box repeats its value (as adjacent boxes
+repeat the corners they share), with bit-identical results.  The
 rectangle, cylinder and cone-shell certifiers evaluate T plain: their
 covers are small, and building the view of a freshly parsed map costs
 more than it saves there.
@@ -606,8 +611,9 @@ def _image_dist2(T: MapSpec, jac, cx: float, cy: float):
 
 def _holed_ball_conditions(T: MapSpec, jac, spec: HoledBallSpec) -> list:
     """T(L) inside the closed outer ball, then T(boundary circle of each
-    hole) inside the closed hole, each bound tightened by the mean-value
-    form where T has a Jacobian (jac, as `mapdsl.jacobian` gives it).  Each
+    hole) inside the closed hole, each bound tightened by
+    `_mean_value_pairs` where T has a Jacobian (jac, as `mapdsl.jacobian`
+    gives it).  Each
     cover starts from the circle's square, rounded outward so that it holds
     the whole circle."""
     conditions = []
