@@ -38,10 +38,10 @@ other, is a violation; a change to or from INDETERMINATE is not.  So is
 each holed ball, with its map's coordinates reversed and each hole's
 centre (cx, cy) moved to (cy, cx); ``corner rows`` counts the Jacobian
 rows that the holed balls' tighten step, in both runs, bounded by their
-two corner values (``certify._corners``).  Each rect problem is also certified
-again with g_i replaced by 2*x_i - g_i on a random nonempty set of axes
-(``flip_coordinates``, which keeps the fixed points exactly; ``flip
-checks`` counts the reruns and how many moved to or from
+two corner values (``certify._corners``).  Each rect problem is also
+certified again with g_i replaced by 2*x_i - g_i on a random nonempty set
+of axes (``flip_coordinates``, which keeps the fixed points exactly;
+``flip checks`` counts the reruns and how many moved to or from
 INDETERMINATE), with the same rule, and once more translated by a seeded
 dyadic offset s per axis (``translate_coordinates``, the map
 y -> g(y - s) + s on the rectangle moved by s, which keeps the fixed
@@ -281,9 +281,9 @@ def main():
     cross_verified = hole_boxes = hole_memo = hole_regions = corner_rows = 0
     corners = certify._corners
 
-    def counted_corners(ds, xs):
+    def counted_corners(ds, ends):
         nonlocal corner_rows
-        found = corners(ds, xs)
+        found = corners(ds, ends)
         corner_rows += found is not None
         return found
 

@@ -43,10 +43,10 @@ form g_i(m) + sum_j Dg_ij(X) (X_j - m_j) at the box midpoint m (Moore
 1966).  `derivative` raises wherever g may be singular and encloses
 Clarke's generalized gradient at abs, min and max, so both bounds hold on
 every box where their evaluations succeed (Lebourg's mean value theorem);
-where one raises, the naive bound stands.  An evidence entry carries the bound its
-verdict used: the naive one on a box that bound decides, the tightened one
-otherwise; a box left queued by the box budget had no verdict and carries
-its naive bound.  Cone slices, rectangle faces and cylinder conditions keep the
+where one raises, the naive bound stands.  An evidence entry carries the
+bound its verdict used: the naive one on a box that bound decides, the
+tightened one otherwise; a box left queued by the box budget had no verdict
+and carries its naive bound.  Cone slices, rectangle faces and cylinder conditions keep the
 naive bound: there the second evaluation decides no more boxes.
 
 Memo view.  The holed-ball conditions evaluate T and its Jacobian through
@@ -613,9 +613,8 @@ def _holed_ball_conditions(T: MapSpec, jac, spec: HoledBallSpec) -> list:
     """T(L) inside the closed outer ball, then T(boundary circle of each
     hole) inside the closed hole, each bound tightened by
     `_mean_value_pairs` where T has a Jacobian (jac, as `mapdsl.jacobian`
-    gives it).  Each
-    cover starts from the circle's square, rounded outward so that it holds
-    the whole circle."""
+    gives it).  Each cover starts from the circle's square, rounded outward
+    so that it holds the whole circle."""
     conditions = []
     for k, ((cx, cy, r), (r2_down, r2_up), tests) in enumerate(spec.circles()):
         seed = Box.from_bounds([(sub_down(cx, r), add_up(cx, r)),
