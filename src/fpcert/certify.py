@@ -75,6 +75,7 @@ REFUTED condition; an INDETERMINATE condition does not stop it.
 
 from __future__ import annotations
 
+import json
 import math
 import time
 from collections.abc import Callable
@@ -146,15 +147,6 @@ class EvidenceEntry(Record):
         self.relation = relation  # '<=' | '>=' | 'in' | 'unresolved'
         self.threshold = threshold
 
-    def to_json_dict(self):
-        return {
-            "face": self.face,
-            "box": self.box.bounds(),
-            "bound": None if self.bound is None else list(self.bound),
-            "relation": self.relation,
-            "threshold": self.threshold,
-        }
-
 
 class CertStats:
     __slots__ = ("boxes", "depth", "seconds")
@@ -181,23 +173,25 @@ class Certificate:
         self.stats = stats
         self.index = index
 
-    def to_json_dict(self, stable=False):
+    def to_json(self, stable=False):
+        """The JSON report; its evidence is written from the records."""
         stats = {"boxes": self.stats.boxes, "depth": self.stats.depth}
         if not stable:
             stats["seconds"] = self.stats.seconds
-        return {
+        return jsonout.dumps({
             "kind": self.kind,
             "outcome": self.outcome,
             "directions": list(self.directions) if self.directions else None,
             "domain": self.domain.to_json_dict(),
             "index": self.index,
-            "evidence": [e.to_json_dict() for e in self.evidence],
+            "evidence": jsonout.evidence(self.evidence),
             "witness": list(self.witness) if self.witness else None,
             "stats": stats,
-        }
+        })
 
-    def to_json(self, stable=False):
-        return jsonout.dumps(self.to_json_dict(stable=stable))
+    def to_json_dict(self, stable=False):
+        """The report as JSON data: the text of to_json, parsed."""
+        return json.loads(self.to_json(stable))
 
 
 # ---------------------------------------------------------------------------
