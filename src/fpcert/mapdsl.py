@@ -44,7 +44,7 @@ generalized gradient, a ``Select``; abs's mirrors its one branch), and
 ``jacobian`` collects them.  Expressions nest at most ``MAX_DEPTH`` levels
 deep, so neither parsing, differentiation nor evaluation can exhaust the
 stack.  Decimal literals evaluate to their nearest float in real semantics
-and to the tightest enclosing float interval, chosen in integer arithmetic,
+and to the tightest enclosing float interval, chosen in exact arithmetic,
 in interval semantics, so constants like 0.1 never silently lose their true
 value.  A literal above the float range is a parse error; one below it is
 enclosed in [0, 5e-324].
@@ -57,6 +57,7 @@ from __future__ import annotations
 import math
 import re
 from contextlib import contextmanager
+from decimal import Decimal
 
 from .interval import (
     Box,
@@ -357,41 +358,22 @@ def with_children(e: Expr, kids) -> Expr:
     return e
 
 
-_DECIMAL = re.compile(r"([-+]?)([0-9]*)(?:\.([0-9]*))?(?:[eE]([-+]?)0*([0-9]*))?")
-# Significant digits that literal_const compares.  Every float is a multiple
-# of 2**-1074, hence of 10**-1074, and below 10**309: none lies strictly
-# between two multiples of the 1400th digit, so a 1 can stand for the rest.
-_KEEP = 1400
-
-
 def literal_const(text: str) -> Const:
-    """Build a constant whose enclosure brackets the exact decimal value;
-    DomainError when the value is past the float range.  The value n * 10**e
-    is compared with the float's integer ratio.  A literal that rounds to
-    zero is decided by its sign; any other has |e| <= 323 + the digits of
-    n, at most _KEEP + 1, so no power of ten is much longer than the literal."""
+    """A constant whose enclosure brackets the exact value of the decimal
+    literal text, as Decimal reads it; DomainError past the float range.  A
+    literal that rounds to zero is decided by the sign of its mantissa."""
     v = float(text)
     if not math.isfinite(v):
         raise DomainError("decimal literal past the float range")
-    match = _DECIMAL.fullmatch(text)
-    if match is None:
-        raise ValueError(f"not a decimal literal: {text!r}")
-    sign, whole, frac, exp_sign, exp = match.groups("")
-    digits = (whole + frac).rstrip("0")
-    e = len(whole) - len(digits)
-    digits = digits.lstrip("0")
-    a, b = len(digits), 0  # a / b compares |exact| with |v|, here with v = 0
     if v:
-        e += int(exp_sign + (exp or "0"))
-        if len(digits) > _KEEP:
-            e += len(digits) - _KEEP - 1
-            digits = digits[:_KEEP] + "1"
-        p, q = abs(v).as_integer_ratio()
-        n = int(digits)
-        a, b = (n * 10**e * q, p) if e >= 0 else (n * q, p * 10**-e)
-    if a == b:
+        n, d = Decimal(text).as_integer_ratio()
+        p, q = v.as_integer_ratio()
+        side = n * q - p * d  # the sign of exact - v
+    else:
+        side = Decimal(text.upper().partition("E")[0]).compare(0)
+    if side == 0:
         return Const(v, Interval(v, v))
-    if (a > b) == (sign != "-"):
+    if side > 0:
         return Const(v, Interval(v, next_up(v)))
     return Const(v, Interval(next_down(v), v))
 
@@ -829,16 +811,6 @@ class MapSpec(Record):
 # ---------------------------------------------------------------------------
 
 
-class _Tok:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind: str, text: str, line: int, col: int):
-        self.kind = kind  # num | ident | op
-        self.text = text
-        self.line = line
-        self.col = col
-
-
 NUMBER = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"
 """An unsigned decimal literal in ASCII digits: the lexer's number token,
 which the domain line (geometry.parse_domain) reads with an optional sign.
@@ -852,15 +824,16 @@ _TOKEN = re.compile(rf"({NUMBER})|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^(),])|(\S)")
 _KINDS = (None, "num", "ident", "op")
 
 
-def _tokenize_expr(text: str, line_no: int, col_offset: int):
+def _tokenize_expr(text: str, line_no: int, col_offset: int) -> list:
+    """The tokens of text as (kind, text, column) tuples; kind is num,
+    ident or op, and a token's text alone tells its kind."""
     toks = []
     for m in _TOKEN.finditer(text):
         group = m.lastindex
-        col = col_offset + m.start(group) + 1
         if group == 4:
             raise ParseError("stray '.'" if m[4] == "." else f"unexpected character {m[4]!r}",
-                             line_no, col)
-        toks.append(_Tok(_KINDS[group], m[group], line_no, col))
+                             line_no, col_offset + m.start() + 1)
+        toks.append((_KINDS[group], m[group], col_offset + m.start() + 1))
     return toks
 
 
@@ -893,145 +866,117 @@ def _tree_depth(root: Expr) -> int:
     return depth
 
 
-class _ExprParser:
-    def __init__(self, toks, dim, has_param, line_no):
-        self.toks = toks
-        self.pos = 0
-        self.dim = dim
-        self.has_param = has_param
-        self.line_no = line_no
-        self.open = 0  # parentheses, calls and unary minuses around the position
+_LEVELS = {"+": 1, "-": 1, "*": 2, "/": 2}  # binary operators; higher binds tighter
 
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
 
-    def take(self):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of expression", self.line_no)
-        self.pos += 1
-        return tok
+def _parse_expr(text: str, dim: int, has_param: bool, line_no: int, col_offset: int) -> Expr:
+    """The tree of one expression, by precedence climbing over its tokens;
+    MAX_DEPTH bounds the levels open around each token and the tree's."""
+    toks = _tokenize_expr(text, line_no, col_offset)
+    end = len(toks)
+    pos = 0
+    opened = 0  # parentheses, calls and unary minuses open around pos
 
-    def expect_op(self, text):
-        tok = self.take()
-        if tok.kind != "op" or tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.line, tok.col)
+    def take():
+        nonlocal pos
+        if pos == end:
+            raise ParseError("unexpected end of expression", line_no)
+        pos += 1
+        return toks[pos - 1]
 
-    def enter(self, tok):
-        """Open a parenthesis, call or unary minus (bounds the parser's recursion)."""
-        self.open += 1
-        if self.open > MAX_DEPTH:
-            raise _too_deep(tok.line, tok.col)
+    def enter(col):
+        nonlocal opened
+        opened += 1
+        if opened > MAX_DEPTH:
+            raise _too_deep(line_no, col)
 
-    def parse(self) -> Expr:
-        e = self.parse_sum()
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.col)
-        # Every tree level has its own token, so only a long expression can
-        # be too deep for evaluation.
-        if len(self.toks) > MAX_DEPTH and _tree_depth(e) > MAX_DEPTH:
-            raise _too_deep(self.line_no)
+    def binary(level):
+        """Operands joined left to right by operators of level or above."""
+        nonlocal pos
+        e = unary()
+        while pos < end and _LEVELS.get(toks[pos][1], 0) >= level:
+            op = toks[pos][1]
+            pos += 1
+            e = BinOp(op, e, unary() if _LEVELS[op] == 2 else binary(2))
         return e
 
-    def parse_sum(self) -> Expr:
-        e = self.parse_term()
+    def unary():
+        """Unary minuses around a power: -x^2 is -(x^2)."""
+        nonlocal pos, opened
+        minuses = 0
+        while pos < end and toks[pos][1] == "-":
+            enter(toks[pos][2])
+            pos += 1
+            minuses += 1
+        e = atom()
+        if pos < end and toks[pos][1] == "^":
+            pos += 1
+            sign, (kind, text, col) = 1, take()
+            if text == "-":
+                sign, (kind, text, col) = -1, take()
+            if kind != "num" or not text.isdigit():
+                raise ParseError("exponent must be an integer literal", line_no, col)
+            e = Power(e, sign * _int(text, "exponent", line_no, col))
+        for _ in range(minuses):
+            e = Neg(e)
+        opened -= minuses
+        return e
+
+    def closed(col, call):
+        """The expressions up to the ')' of a parenthesis or call at col."""
+        nonlocal opened
+        enter(col)
+        items = [binary(1)]
         while True:
-            tok = self.peek()
-            if tok and tok.kind == "op" and tok.text in "+-":
-                self.take()
-                e = BinOp(tok.text, e, self.parse_term())
-            else:
-                return e
+            _kind, text, at = take()
+            if text == ")":
+                opened -= 1
+                return items
+            if text != "," or not call:
+                expected = "',' or ')'" if call else "')'"
+                raise ParseError(f"expected {expected}, found {text!r}", line_no, at)
+            items.append(binary(1))
 
-    def parse_term(self) -> Expr:
-        e = self.parse_unary()
-        while True:
-            tok = self.peek()
-            if tok and tok.kind == "op" and tok.text in "*/":
-                self.take()
-                e = BinOp(tok.text, e, self.parse_unary())
-            else:
-                return e
-
-    def parse_unary(self) -> Expr:
-        tok = self.peek()
-        if tok and tok.kind == "op" and tok.text == "-":
-            self.take()
-            self.enter(tok)
-            e = Neg(self.parse_unary())
-            self.open -= 1
-            return e
-        return self.parse_power()
-
-    def parse_power(self) -> Expr:
-        base = self.parse_atom()
-        tok = self.peek()
-        if tok and tok.kind == "op" and tok.text == "^":
-            self.take()
-            sign = 1
-            tok = self.take()
-            if tok.kind == "op" and tok.text == "-":
-                sign = -1
-                tok = self.take()
-            if tok.kind != "num" or "." in tok.text or "e" in tok.text or "E" in tok.text:
-                raise ParseError("exponent must be an integer literal", tok.line, tok.col)
-            return Power(base, sign * _int(tok.text, "exponent", tok.line, tok.col))
-        return base
-
-    def parse_atom(self) -> Expr:
-        tok = self.take()
-        if tok.kind == "num":
+    def atom():
+        nonlocal pos
+        kind, text, col = take()
+        if kind == "num":
             try:
-                return literal_const(tok.text)
+                return literal_const(text)
             except DomainError as exc:
-                raise ParseError(str(exc), tok.line, tok.col) from None
-        if tok.kind == "op" and tok.text == "(":
-            self.enter(tok)
-            e = self.parse_sum()
-            self.expect_op(")")
-            self.open -= 1
-            return e
-        if tok.kind == "ident":
-            name = tok.text
-            nxt = self.peek()
-            if name in FUNCTIONS and nxt and nxt.kind == "op" and nxt.text == "(":
-                self.take()
-                self.enter(tok)
-                args = [self.parse_sum()]
-                while True:
-                    sep = self.take()
-                    if sep.kind == "op" and sep.text == ",":
-                        args.append(self.parse_sum())
-                    elif sep.kind == "op" and sep.text == ")":
-                        break
-                    else:
-                        raise ParseError(
-                            f"expected ',' or ')', found {sep.text!r}", sep.line, sep.col
-                        )
-                self.open -= 1
-                if len(args) != FUNCTIONS[name][0]:
-                    raise ParseError(
-                        f"{name} takes {FUNCTIONS[name][0]} argument(s), got {len(args)}",
-                        tok.line,
-                        tok.col,
-                    )
-                return Call(name, tuple(args))
-            if name == "t":
-                if not self.has_param:
-                    raise UnknownIdentifierError(
-                        "t used without a 'param t' declaration", tok.line, tok.col
-                    )
-                return Param(self.dim)
-            if name.startswith("x") and name[1:].isdigit():
-                idx = _int(name[1:], "variable index", tok.line, tok.col)
-                if not 1 <= idx <= self.dim:
-                    raise UnknownIdentifierError(
-                        f"{name} out of range for dim {self.dim}", tok.line, tok.col
-                    )
-                return Var(idx - 1)
-            raise UnknownIdentifierError(f"unknown identifier {name!r}", tok.line, tok.col)
-        raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.col)
+                raise ParseError(str(exc), line_no, col) from None
+        if text == "(":
+            return closed(col, False)[0]
+        if kind != "ident":
+            raise ParseError(f"unexpected token {text!r}", line_no, col)
+        if text in FUNCTIONS and pos < end and toks[pos][1] == "(":
+            pos += 1
+            args = closed(col, True)
+            arity = FUNCTIONS[text][0]
+            if len(args) != arity:
+                raise ParseError(f"{text} takes {arity} argument(s), got {len(args)}",
+                                 line_no, col)
+            return Call(text, tuple(args))
+        if text == "t":
+            if not has_param:
+                raise UnknownIdentifierError("t used without a 'param t' declaration",
+                                             line_no, col)
+            return Param(dim)
+        if text[0] == "x" and text[1:].isdigit():
+            idx = _int(text[1:], "variable index", line_no, col)
+            if not 1 <= idx <= dim:
+                raise UnknownIdentifierError(f"{text} out of range for dim {dim}", line_no, col)
+            return Var(idx - 1)
+        raise UnknownIdentifierError(f"unknown identifier {text!r}", line_no, col)
+
+    e = binary(1)
+    if pos < end:
+        raise ParseError(f"unexpected token {toks[pos][1]!r}", line_no, toks[pos][2])
+    # Every tree level has its own token, so only a long expression can be
+    # too deep for evaluation.
+    if end > MAX_DEPTH and _tree_depth(e) > MAX_DEPTH:
+        raise _too_deep(line_no)
+    return e
 
 
 def _int(digits: str, what: str, line, col=None) -> int:
@@ -1099,8 +1044,7 @@ def parse_program(source: str) -> ParsedProgram:
             if idx in components:
                 raise ParseError(f"duplicate definition of {name}", line_no)
             col_offset = raw.index("=") + 1
-            toks = _tokenize_expr(expr_text, line_no, col_offset)
-            components[idx] = _ExprParser(toks, dim, has_param, line_no).parse()
+            components[idx] = _parse_expr(expr_text, dim, has_param, line_no, col_offset)
         elif head == "domain":
             domain_line = line
             domain_line_no = line_no

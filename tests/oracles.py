@@ -2,14 +2,36 @@
 
 These deliberately avoid the package's interval machinery so that every
 expected value asserted in the tests comes from a second, unrelated path.
+The expression parser's reference (parse_reference) is mapdsl's former
+recursive-descent parser; it builds mapdsl's nodes from mapdsl's tokens.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import sys
 from fractions import Fraction
+
+from fpcert.mapdsl import (
+    FUNCTIONS,
+    MAX_DEPTH,
+    BinOp,
+    Call,
+    DomainError,
+    Neg,
+    Param,
+    ParseError,
+    Power,
+    UnknownIdentifierError,
+    Var,
+    _int,
+    _tokenize_expr,
+    _too_deep,
+    _tree_depth,
+    literal_const,
+)
 
 
 def bisect_root(fn, lo: float, hi: float, iters: int = 200) -> float:
@@ -92,6 +114,165 @@ def tokenize_reference(text: str):
             return toks, ("stray '.'" if ch == "." else f"unexpected character {ch!r}", i + 1)
         i = j
     return toks, None
+
+
+def parse_reference(text: str, dim: int, has_param: bool = False, line_no: int = 1,
+                    col_offset: int = 0):
+    """One expression of a map line, parsed by the recursive-descent parser
+    that mapdsl used before its precedence-climbing parser: the reference
+    for the trees and the errors (type, message, line and column) of
+    mapdsl._parse_expr.  It reads mapdsl's tokens and builds mapdsl's
+    nodes and literal constants; the parsing is its own."""
+    toks = [_Tok(kind, tok, line_no, col)
+            for kind, tok, col in _tokenize_expr(text, line_no, col_offset)]
+    return _ExprParser(toks, dim, has_param, line_no).parse()
+
+
+_Tok = collections.namedtuple("_Tok", "kind text line col")
+
+
+class _ExprParser:
+    """mapdsl's parser before the precedence-climbing one, unchanged but
+    for the names it takes from mapdsl."""
+
+    def __init__(self, toks, dim, has_param, line_no):
+        self.toks = toks
+        self.pos = 0
+        self.dim = dim
+        self.has_param = has_param
+        self.line_no = line_no
+        self.open = 0  # parentheses, calls and unary minuses around the position
+
+    def peek(self):
+        return self.toks[self.pos] if self.pos < len(self.toks) else None
+
+    def take(self):
+        tok = self.peek()
+        if tok is None:
+            raise ParseError("unexpected end of expression", self.line_no)
+        self.pos += 1
+        return tok
+
+    def expect_op(self, text):
+        tok = self.take()
+        if tok.kind != "op" or tok.text != text:
+            raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.line, tok.col)
+
+    def enter(self, tok):
+        """Open a parenthesis, call or unary minus (bounds the parser's recursion)."""
+        self.open += 1
+        if self.open > MAX_DEPTH:
+            raise _too_deep(tok.line, tok.col)
+
+    def parse(self) -> Expr:
+        e = self.parse_sum()
+        tok = self.peek()
+        if tok is not None:
+            raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.col)
+        # Every tree level has its own token, so only a long expression can
+        # be too deep for evaluation.
+        if len(self.toks) > MAX_DEPTH and _tree_depth(e) > MAX_DEPTH:
+            raise _too_deep(self.line_no)
+        return e
+
+    def parse_sum(self) -> Expr:
+        e = self.parse_term()
+        while True:
+            tok = self.peek()
+            if tok and tok.kind == "op" and tok.text in "+-":
+                self.take()
+                e = BinOp(tok.text, e, self.parse_term())
+            else:
+                return e
+
+    def parse_term(self) -> Expr:
+        e = self.parse_unary()
+        while True:
+            tok = self.peek()
+            if tok and tok.kind == "op" and tok.text in "*/":
+                self.take()
+                e = BinOp(tok.text, e, self.parse_unary())
+            else:
+                return e
+
+    def parse_unary(self) -> Expr:
+        tok = self.peek()
+        if tok and tok.kind == "op" and tok.text == "-":
+            self.take()
+            self.enter(tok)
+            e = Neg(self.parse_unary())
+            self.open -= 1
+            return e
+        return self.parse_power()
+
+    def parse_power(self) -> Expr:
+        base = self.parse_atom()
+        tok = self.peek()
+        if tok and tok.kind == "op" and tok.text == "^":
+            self.take()
+            sign = 1
+            tok = self.take()
+            if tok.kind == "op" and tok.text == "-":
+                sign = -1
+                tok = self.take()
+            if tok.kind != "num" or "." in tok.text or "e" in tok.text or "E" in tok.text:
+                raise ParseError("exponent must be an integer literal", tok.line, tok.col)
+            return Power(base, sign * _int(tok.text, "exponent", tok.line, tok.col))
+        return base
+
+    def parse_atom(self) -> Expr:
+        tok = self.take()
+        if tok.kind == "num":
+            try:
+                return literal_const(tok.text)
+            except DomainError as exc:
+                raise ParseError(str(exc), tok.line, tok.col) from None
+        if tok.kind == "op" and tok.text == "(":
+            self.enter(tok)
+            e = self.parse_sum()
+            self.expect_op(")")
+            self.open -= 1
+            return e
+        if tok.kind == "ident":
+            name = tok.text
+            nxt = self.peek()
+            if name in FUNCTIONS and nxt and nxt.kind == "op" and nxt.text == "(":
+                self.take()
+                self.enter(tok)
+                args = [self.parse_sum()]
+                while True:
+                    sep = self.take()
+                    if sep.kind == "op" and sep.text == ",":
+                        args.append(self.parse_sum())
+                    elif sep.kind == "op" and sep.text == ")":
+                        break
+                    else:
+                        raise ParseError(
+                            f"expected ',' or ')', found {sep.text!r}", sep.line, sep.col
+                        )
+                self.open -= 1
+                if len(args) != FUNCTIONS[name][0]:
+                    raise ParseError(
+                        f"{name} takes {FUNCTIONS[name][0]} argument(s), got {len(args)}",
+                        tok.line,
+                        tok.col,
+                    )
+                return Call(name, tuple(args))
+            if name == "t":
+                if not self.has_param:
+                    raise UnknownIdentifierError(
+                        "t used without a 'param t' declaration", tok.line, tok.col
+                    )
+                return Param(self.dim)
+            if name.startswith("x") and name[1:].isdigit():
+                idx = _int(name[1:], "variable index", tok.line, tok.col)
+                if not 1 <= idx <= self.dim:
+                    raise UnknownIdentifierError(
+                        f"{name} out of range for dim {self.dim}", tok.line, tok.col
+                    )
+                return Var(idx - 1)
+            raise UnknownIdentifierError(f"unknown identifier {name!r}", tok.line, tok.col)
+        raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.col)
 
 
 def residual_inf(m, point, t=None) -> float:

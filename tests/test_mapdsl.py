@@ -42,9 +42,11 @@ from fpcert.mapdsl import (
     parse_map,
     parse_program,
     with_children,
+    _parse_expr,
     _tokenize_expr,
 )
-from oracles import decimal_enclosure, mp_eval, tokenize_reference
+import corpus
+from oracles import decimal_enclosure, mp_eval, parse_reference, tokenize_reference
 
 
 def test_parse_minimal():
@@ -799,12 +801,101 @@ def test_map_at_max_depth_differentiates_and_evaluates(name):
 
 
 # ---------------------------------------------------------------------------
+# Parser parity with the recursive-descent reference
+# ---------------------------------------------------------------------------
+
+
+def _parsed(parse, text, dim, has_param):
+    """(tree, repr) of what parse makes of text on line 3 after 9 columns,
+    or (error type, message, line, column)."""
+    try:
+        tree = parse(text, dim, has_param)
+    except ParseError as err:
+        return type(err), str(err), err.line, err.col
+    return tree, repr(tree)
+
+
+def _parse_new(text, dim, has_param):
+    return _parse_expr(text, dim, has_param, 3, 9)
+
+
+def _parse_old(text, dim, has_param):
+    return parse_reference(text, dim, has_param, 3, 9)
+
+
+def test_parser_builds_the_reference_trees_on_the_corpus_maps(monkeypatch):
+    sources = []
+
+    def recording(source):
+        sources.append(source)
+        return parse_map(source)
+
+    monkeypatch.setattr(corpus, "parse_map", recording)
+    rng = random.Random(39)
+    for _ in range(40):
+        corpus.random_rect_problem(rng)
+        corpus.random_cylinder_problem(rng)
+        corpus.random_cone_problem(rng)
+        corpus.random_holed_ball_problem(rng, rng.choice((2, 3)))
+        corpus.random_expression_map(rng, rng.randint(1, 3), rng.randint(2, 5))
+        corpus.random_family(rng, rng.randint(1, 2), 3)
+        corpus.random_planted_branch_family(rng, rng.randint(1, 2))
+        corpus.random_edge_problem(rng)
+    expressions = 0
+    for source in sources:
+        program = parse_program(source)
+        for line in source.splitlines():
+            if line.startswith("map"):
+                text = line.split("=", 1)[1]
+                new = _parsed(_parse_new, text, program.map.dim, program.map.has_param)
+                assert new == _parsed(_parse_old, text, program.map.dim,
+                                       program.map.has_param), line
+                expressions += 1
+    assert len(sources) >= 320 and expressions > 500
+
+
+def _nested(opening, closing, levels):
+    return opening * levels + "x1" + closing * levels
+
+
+_MALFORMED = [
+    "", " ", "x1 +", "+", "*x1", "x1 x2", "x1)", ")", "(", "(x1", "((x1)", "(x1,", "x1,x2",
+    "sin", "sin x1", "sin(", "sin(x1", "sin(x1 x2)", "sin(x1, x2)", "min(x1)", "min(x1,)",
+    "abs()", "max(x1, x2, t)", "x1 ^", "x1 ^ -", "x1^2.5", "x1^1e2", "x1^.5", "x1^x2",
+    "x1^2^3", "x1^--2", "x1^(2)", "-", "--", "- ^2", "-x1^-2", "x0", "x3", "x01", "x", "y",
+    "t", "t^2 + x1", "2 3", "1e999", "x1 + 1e400*x2", "x" + "9" * 5000, "x1^" + "9" * 5000,
+    "x1 $ 2", "x1 + .", "((x1) + (x2)", "min(x1, (x2)", "sin(x1))", "sin()x1",
+    _nested("(", ")", MAX_DEPTH), _nested("(", ")", MAX_DEPTH + 1),
+    _nested("-", "", MAX_DEPTH), _nested("-", "", MAX_DEPTH + 1),
+    _nested("sin(", ")", MAX_DEPTH), _nested("sin(", ")", MAX_DEPTH + 1),
+    _nested("-(", ")", MAX_DEPTH // 2), _nested("-(", ")", MAX_DEPTH // 2 + 1),
+    _nested("min(1, ", ")", MAX_DEPTH), _nested("min(1, ", ")", MAX_DEPTH + 1),
+    _nested("(", "", MAX_DEPTH + 1), _nested("-(", "", MAX_DEPTH),
+    " * ".join(["x1"] * (MAX_DEPTH + 1)), " * ".join(["x1"] * (MAX_DEPTH + 2)),
+    " - ".join(["x1"] * (MAX_DEPTH + 2)) + " * x2", "x1^2" + " * x2" * (MAX_DEPTH + 1),
+    "(" * (MAX_DEPTH - 1) + "x1" + "^1)" * (MAX_DEPTH - 1) + "^3",
+    "x1/(" * MAX_DEPTH + "x1" + ")" * MAX_DEPTH,
+]
+
+
+@pytest.mark.parametrize("has_param", [False, True])
+def test_parser_raises_the_reference_errors(has_param):
+    outcomes = []
+    for text in _MALFORMED:
+        outcomes.append(_parsed(_parse_new, text, 2, has_param))
+        assert outcomes[-1] == _parsed(_parse_old, text, 2, has_param), text[:80]
+    # The table reaches both error types and, at the depth limits, trees.
+    assert {o[0] for o in outcomes if len(o) == 4} == {ParseError, UnknownIdentifierError}
+    assert sum(len(o) == 2 for o in outcomes) >= 8
+
+
+# ---------------------------------------------------------------------------
 # Lexer and decimal literals
 # ---------------------------------------------------------------------------
 
 
 def _lex(text):
-    return [(tok.kind, tok.text, tok.col) for tok in _tokenize_expr(text, 1, 0)]
+    return _tokenize_expr(text, 1, 0)
 
 
 def test_lexer_token_boundaries():
