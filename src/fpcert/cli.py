@@ -2,8 +2,10 @@
 
 A problem is a DSL program (see mapdsl) whose final line declares the
 domain.  Problems are given as file paths or as @id references into the
-built-in catalog.  Reports stream to stdout as text or JSON; exit codes
-follow the three-valued certificate logic so scripts can branch on them:
+built-in catalog.  The parser is built once; an argv that opens with a
+command goes straight to that command's subparser, which answers as
+parse_args would.  Reports stream to stdout as text or JSON (jsonout); exit
+codes follow the three-valued certificate logic so scripts can branch on them:
 
     0  CERTIFIED / at least one proven enclosure / verified / complete
     1  REFUTED / empty localization / incomplete trace
@@ -258,8 +260,22 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse(argv) -> argparse.Namespace:
+    """parse_args, but argv that opens with a command goes straight to its
+    subparser; the parser refuses what is left over as parse_args does."""
+    parser = _parser()
+    sub = argv and next(a for a in parser._actions if a.dest == "command").choices.get(argv[0])
+    if not sub:
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit

@@ -438,6 +438,48 @@ def test_reused_parser_answers_as_a_fresh_one(capsys):
     assert "invalid choice: 'sideways'" in reused[4][2]
 
 
+_DISPATCH_ROWS = {
+    "certify": ["certify", "@miranda-linear-2d", "--format", "json", "--stable"],
+    "certify-text": ["certify", "@cylinder-constant-compressive", "--max-depth", "12"],
+    "localize": ["localize", "@localize-cos", "--tol", "1e-8"],
+    "index": ["index", "@index-contraction", "--format", "json"],
+    "trace": ["trace", "@trace-linear", "--grid", "8", "--stable"],
+    "catalog": ["catalog"],
+    "catalog-show": ["catalog", "--show", "trace-constant"],
+    "help": ["-h"],
+    "help-before-command": ["-h", "certify"],
+    "help-after-command": ["certify", "-h"],
+    "long-help-after-command": ["trace", "--help"],
+    "no-argv": [],
+    "unknown-command": ["verify", "@miranda-linear-2d"],
+    "unknown-option": ["certify", "@miranda-linear-2d", "--bogus"],
+    "unknown-options-and-values": ["localize", "--x", "1", "@localize-cos", "--y"],
+    "bad-format": ["certify", "@miranda-linear-2d", "--format", "yaml"],
+    "bad-max-depth": ["index", "@index-contraction", "--max-depth", "deep"],
+    "missing-problem": ["certify", "--stable"],
+    "extra-positional": ["certify", "@miranda-linear-2d", "@miranda-const-1d"],
+    "dashdash-before-command": ["--", "certify", "@miranda-linear-2d"],
+    "dashdash-after-command": ["certify", "--", "@miranda-linear-2d"],
+    "dashdash-before-option": ["certify", "@miranda-linear-2d", "--", "--stable"],
+    "unknown-problem": ["certify", "@no-such-entry"],
+}
+
+
+@pytest.mark.parametrize("argv", _DISPATCH_ROWS.values(), ids=_DISPATCH_ROWS)
+def test_dispatch_answers_as_parse_args_on_a_fresh_parser(capsys, monkeypatch, argv):
+    def answer():
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    ours = answer()
+    monkeypatch.setattr(cli, "_parse", lambda argv: cli.build_parser().parse_args(argv))
+    assert ours == answer()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["certify", "--bogus", "x.fp"], "unrecognized arguments: --bogus"),
     (["certify", "@miranda-linear-2d", "--max-depth", "abc"],
