@@ -34,7 +34,14 @@ search.  Layer rows (one process, gc off while timing):
   each classified again by its condition of
   `certify._holed_ball_conditions` through the map's memo view, as
   `certify_holes` does; its work is the boxes, so a cheaper bound per box
-  tells apart from a smaller cover.
+  tells apart from a smaller cover;
+- the front end of the certify-batch workload at --seed, per problem: the
+  argv dispatch of `cli.main` (the `--format json --stable` argv of every
+  problem; a checkout without `cli._parse` runs the cached parser's
+  `parse_args`), `mapdsl.parse_program` on every program (work: the tokens
+  and literals of its map lines), and each certify task's JSON report
+  (`Certificate.to_json(stable=True)`, certified once untimed; work: the
+  characters written).
 
 End-to-end rows run `perfbench/run.py --trace 0` once per workload, in a
 fresh process (editing nothing under perfbench/): median_s is the
@@ -72,6 +79,8 @@ TRIG = ("dim 2\nmap g1 = 0.9*sin(3*x1) + 0.3*x2^2\n"
 COVER_BOX = [(-2.0, 2.0), (-2.0, 0.24)]  # holds no fixed point of TRIG: 69 boxes
 REPEATS = 15  # timing repeats of a layer row
 SECONDS = 10  # perfbench run length, as BENCHMARK.json runs it
+# A map line's lexemes, counted as the work of a parse: numbers, words, any other character.
+LEXEME = re.compile(r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?|[A-Za-z_]\w*|\S")
 RESULT_COUNTS = ("krawczyk_tests", "krawczyk_proofs", "krawczyk_exclusions",
                  "krawczyk_undecided", "halves_cut", "halves_discarded")
 
@@ -293,6 +302,48 @@ def holes_row(fp, seed: int):
                  outcome=cert.outcome)
 
 
+def front_end_rows(fp, seed: int):
+    """The argv, parse and report rows of the certify-batch front end."""
+    import gen  # perfbench's, from the checkout measured (see main)
+
+    cli, mapdsl, geometry = fp["cli"], fp["mapdsl"], fp["geometry"]
+    problems = gen.certify_batch(seed, 20)
+    argvs = [[p.task, f"p{p.pid:05d}.fp", "--format", "json", "--stable"] for p in problems]
+    parse_argv = getattr(cli, "_parse", None) or cli._parser().parse_args
+    sources = [p.source for p in problems]
+    lexemes = [lexeme for source in sources for line in source.splitlines()
+               if line.startswith("map") for lexeme in LEXEME.findall(line.split("=", 1)[1])]
+    certificates = []
+    for p in problems:
+        if p.task == "certify":
+            program = mapdsl.parse_program(p.source)
+            domain = geometry.parse_domain(program.domain_line, program.map.dim,
+                                           program.domain_line_no)
+            certificates.append(fp["certify"].certify_problem(program.map, domain))
+
+    def dispatch():
+        for argv in argvs:
+            parse_argv(argv)
+
+    def parse():
+        for source in sources:
+            mapdsl.parse_program(source)
+
+    def report():
+        for cert in certificates:
+            cert.to_json(stable=True)
+
+    literals = sum(lexeme[0] in "0123456789." for lexeme in lexemes)
+    chars = sum(len(cert.to_json(stable=True)) for cert in certificates)
+    return [
+        entry("cli.main.argv", timed(dispatch, len(argvs)), REPEATS, {"calls": len(argvs)}),
+        entry("mapdsl.parse_program", timed(parse, len(sources)), REPEATS,
+              {"programs": len(sources), "tokens": len(lexemes), "literals": literals}),
+        entry("certify.Certificate.to_json", timed(report, len(certificates)), REPEATS,
+              {"reports": len(certificates), "characters": chars}),
+    ]
+
+
 def counted_pass(fp, workload: str, seed: int):
     """The work of one untimed pass over the workload's problems: the boxes
     of every adaptive_cover run, and the localize searches with their
@@ -386,6 +437,7 @@ def main(argv=None) -> int:
                          capture_output=True, text=True, check=False).stdout.strip() or None
     layers = [import_row()] + kernel_rows(fp["interval"]) + search_rows(fp)
     layers.append(holes_row(fp, args.seed))
+    layers += front_end_rows(fp, args.seed)
     end_to_end = [perfbench_row(fp, root, w, args.seed) for w in WORKLOADS]
     end_to_end.append(tier1_row(root))
     out = {"env": {"python": sys.version.split()[0], "nproc": os.cpu_count(), "rev": rev,
