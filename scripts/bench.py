@@ -307,7 +307,7 @@ def front_end_rows(fp, seed: int):
     import gen  # perfbench's, from the checkout measured (see main)
 
     cli, mapdsl, geometry = fp["cli"], fp["mapdsl"], fp["geometry"]
-    problems = gen.certify_batch(seed, 20)
+    problems = gen.certify_batch(seed, 20)  # the workload's 1,000 problems, 20 blocks of 50
     argvs = [[p.task, f"p{p.pid:05d}.fp", "--format", "json", "--stable"] for p in problems]
     parse_argv = getattr(cli, "_parse", None) or cli._parser().parse_args
     sources = [p.source for p in problems]
