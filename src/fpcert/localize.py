@@ -14,8 +14,12 @@ which discards boxes, proves that a box holds exactly one fixed point,
 and contracts a proven box far below the requested width and off the
 27/53 grid; and each leaf without a Krawczyk proof takes a
 Poincare-Miranda sign test on its faces.  The first box takes the
-residual test only where Krawczyk neither proves nor excludes it, so a
-proven first box, as on a trace cell, costs one map evaluation less.  A
+residual test only where Krawczyk neither proves nor excludes it.  A leaf
+that its own Krawczyk test proved takes none in the search either: it
+holds a fixed point, so its residual holds zero, and its bound is computed
+on the first read of `Enclosure.residual`, on the plain map.  A first box
+proven and contracted to a leaf, as on a trace cell, thus costs two map
+evaluations less, and a trace, which reads no bound, takes none.  A
 parametrized map takes the same tests with t ranging over an interval T,
 so a proof holds for every t in T at once.  Each box leaves the search
 once: discarded, kept or split.  Every discarded part is proven free of
@@ -39,8 +43,8 @@ F'(X) of the Krawczyk test and the face test evaluate a subtree written
 several times once per tuple, and reuse the pair of a subtree that reads
 one coordinate only wherever a box repeats its value, as the boxes of
 one bisection do, with bit-identical results.  A subtree of t alone is
-thus evaluated once per trace cell, and a cell builds no bound map and
-no Jacobian.
+thus evaluated once per trace cell, a subtree of constants once per view,
+and a cell builds no bound map and no Jacobian.
 
 A component whose evaluation raises a `DomainError` (a denominator whose
 naive enclosure holds zero, say), or whose residual is not a finite pair,
@@ -99,17 +103,36 @@ def _split_box(box: Box, axis: int):
 
 
 class Enclosure:
-    __slots__ = ("box", "status", "residual", "unique")
+    """A kept box, its status and its residual bound: the largest |g_i(B) -
+    B_i| over the box B (and T), or None where an evaluation over B raised.
+    A leaf whose own Krawczyk test proved it takes no residual test in the
+    search, since its box holds a fixed point and no component can exclude
+    zero: its bound is computed on the first read of `residual`, on the
+    plain map, which evaluates as the search's memo view bit for bit."""
+
+    __slots__ = ("box", "status", "_residual", "unique", "_deferred")
 
     def __init__(self, box: Box, status: str, residual: "Interval | None",
-                 unique: "Box | None" = None):
+                 unique: "Box | None" = None, deferred=None):
         self.box = box
         self.status = status  # PROVEN | CANDIDATE
-        self.residual = residual  # None: the evaluation over the box raised
+        self._residual = residual
         # For a Krawczyk-PROVEN box, the box X at which K(X) inside int X
         # held: it holds exactly one fixed point (for every t in T), the one
         # in box.  None otherwise.  Not part of the JSON output.
         self.unique = unique
+        # (plain map, coordinate tuple) of a residual not yet computed, or None
+        self._deferred = deferred
+
+    @property
+    def residual(self) -> "Interval | None":
+        if self._deferred is not None:
+            pairs = _residual_pairs(*self._deferred)
+            if pairs is _PRUNED:
+                raise AssertionError("the residual of a proven box excludes zero")
+            self._residual = _residual_bound(pairs)
+            self._deferred = None
+        return self._residual
 
     def to_json_dict(self):
         return {
@@ -175,6 +198,7 @@ class LocalizeResult:
 
 _PRUNED = "pruned"
 _UNTESTED = "untested"  # the residual test has not run on the box yet
+_DEFERRED = "deferred"  # a leaf proven by its own test: computed on first read
 _INF = math.inf
 
 
@@ -224,8 +248,15 @@ def _inverse(a):
     """The float inverse of the square matrix a (a list of rows) by
     Gauss-Jordan elimination with partial pivoting, or None when a pivot is
     zero or an entry is not finite.  Only an approximation: the Krawczyk
-    operator is an enclosure for any preconditioner."""
+    operator is an enclosure for any preconditioner.  A 1x1 matrix [[p]]
+    takes 1/p, the one division elimination makes that reaches the result."""
     n = len(a)
+    if n == 1:
+        p = a[0][0]
+        if p == 0.0 or not math.isfinite(p):
+            return None
+        y = 1.0 / p
+        return [[y]] if math.isfinite(y) else None
     rows = [list(r) + [1.0 if i == j else 0.0 for j in range(n)] for i, r in enumerate(a)]
     for col in range(n):
         piv = max(range(col, n), key=lambda r: abs(rows[r][col]))
@@ -470,16 +501,18 @@ def localize_fixed_points(g: MapSpec, rect: RectDomain, tol: float,
     if not g.has_param and t is not None:
         raise ValueError("map takes no parameter")
     with g.memo_view() as (f, jac):
-        return _search(f, jac if upgrade else None, rect, tol, budget, t, upgrade)
+        return _search(g, f, jac if upgrade else None, rect, tol, budget, t, upgrade)
 
 
-def _search(f: MapSpec, jac, rect: RectDomain, tol: float, budget: int,
+def _search(g: MapSpec, f: MapSpec, jac, rect: RectDomain, tol: float, budget: int,
             t: "Interval | None", upgrade: bool) -> LocalizeResult:
-    """The search of localize_fixed_points on the map f, with its parameter
-    over t if f takes one, and jac its Jacobian or None.  Every evaluation
-    reads a box's coordinates followed by tail, (t,) or ().  A box takes
-    its tests on one path and is discarded, kept or split; a contracted
-    box first discards the part its contraction dropped."""
+    """The search of localize_fixed_points on f, the memo view of the map
+    g, with its parameter over t if f takes one, and jac its Jacobian or
+    None.  Every evaluation reads a box's coordinates followed by tail,
+    (t,) or ().  A box takes its tests on one path and is discarded, kept
+    or split; a contracted box first discards the part its contraction
+    dropped.  A leaf proven by its own Krawczyk test keeps g and its tuple,
+    for its residual bound to be computed on first read."""
     tail = () if t is None else (t,)
     # (box, width at most which K is tried, proof id or None)
     queue = deque([(rect.box, _INF, None)])
@@ -503,6 +536,7 @@ def _search(f: MapSpec, jac, rect: RectDomain, tol: float, budget: int,
         pairs = _UNTESTED if krawczyk and examined == 1 else _residual_pairs(f, box.coords + tail)
         x, leaf = box, exhausted or width <= tol
         undecided = None  # K(X) of a test that neither proves nor excludes
+        fresh = False  # this box's own test gave it its proof id
         if krawczyk and pairs is not _PRUNED:
             tests += 1
             K, rho = _krawczyk(f, jac, box.coords + tail)
@@ -511,12 +545,15 @@ def _search(f: MapSpec, jac, rect: RectDomain, tol: float, budget: int,
                 proofs += 1
                 proof = len(proven_boxes)
                 proven_boxes.append(box)
+                fresh = True
             if K is not None and (proof is not None or any(
                     hi < c.lo or lo > c.hi for (lo, hi), c in zip(K, box.coords))):
                 x, leaf = _contract(f, jac, box, K, tol, tail)
                 if x is None:
                     exclusions += 1
                     pairs = _PRUNED
+                elif fresh and leaf:  # x holds a fixed point: its residual holds zero
+                    pairs = _DEFERRED
                 else:
                     pairs = _residual_pairs(f, x.coords + tail)
             else:
@@ -554,6 +591,9 @@ def _search(f: MapSpec, jac, rect: RectDomain, tol: float, budget: int,
     enclosures = []
     for box, pairs, proof in survivors:
         unique = proven_boxes[proof] if proof is not None and heirs[proof] == 1 else None
+        if pairs is _DEFERRED:  # the only heir of its proof: unique is its proven box
+            enclosures.append(Enclosure(box, PROVEN, None, unique, (g, box.coords + tail)))
+            continue
         proven = unique is not None or (upgrade and pairs is not None
                                         and _faces_straddle(f, box.coords + tail))
         enclosures.append(Enclosure(box, PROVEN if proven else CANDIDATE,

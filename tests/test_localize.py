@@ -368,6 +368,48 @@ def test_written_out_2x2_inverse_matches_gauss_jordan():
     assert inverted > 10000 and swapped > 3000 and ties > 1000, (inverted, swapped, ties)
 
 
+def _gauss_jordan(a):
+    """The Gauss-Jordan loop of localize._inverse for every size."""
+    n = len(a)
+    rows = [list(r) + [1.0 if i == j else 0.0 for j in range(n)] for i, r in enumerate(a)]
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: abs(rows[r][col]))
+        rows[col], rows[piv] = rows[piv], rows[col]
+        p = rows[col][col]
+        if p == 0.0 or not math.isfinite(p):
+            return None
+        pivot_row = [v / p for v in rows[col]]
+        rows[col] = pivot_row
+        for r in range(n):
+            if r != col and rows[r][col] != 0.0:
+                k = rows[r][col]
+                rows[r] = [v - k * w for v, w in zip(rows[r], pivot_row)]
+    inv = [r[n:] for r in rows]
+    return inv if all(math.isfinite(v) for r in inv for v in r) else None
+
+
+def test_1x1_inverse_matches_gauss_jordan():
+    # Zeros of both signs, the smallest subnormal (whose inverse overflows),
+    # values near both ends of the float range, infinities, NaN, then
+    # seeded values over many scales.
+    from fpcert import localize
+
+    rng = random.Random(1111)
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e-308, -1e-308, 1e308, -1e308,
+               math.inf, -math.inf, math.nan, 1.0, -3.0]
+    seeded = [rng.choice((1.0, -1.0)) * rng.uniform(1.0, 2.0) * 2.0 ** rng.randint(-1074, 1023)
+              for _ in range(1000)]
+    inverted = 0
+    for p in special + seeded:
+        want = _gauss_jordan([[p]])
+        got = localize._inverse([[p]])
+        assert (None if got is None else struct.pack("<d", *got[0])) == (
+            None if want is None else struct.pack("<d", *want[0])), p
+        inverted += want is not None
+    assert localize._inverse([[5e-324]]) is None and localize._inverse([[-0.0]]) is None
+    assert inverted > 900, inverted
+
+
 def _random_rect_2d(rng):
     return rect(*[(lo, lo + rng.uniform(0.5, 2.5))
                   for lo in (rng.uniform(-2.0, 1.0), rng.uniform(-2.0, 1.0))])
@@ -556,18 +598,72 @@ def _spy_on_tests(monkeypatch):
 
 
 def test_a_root_that_krawczyk_proves_takes_one_residual_test(monkeypatch):
-    # A trace cell: the root is proven, contracted to a leaf, and only the
-    # leaf takes the residual test, for its pairs.
+    # A trace cell: the root is proven and contracted to a leaf, which takes
+    # no residual test in the search, since it holds a fixed point.  Reading
+    # its bound takes the one test, on the plain map, and gives the pairs
+    # of the memo view bit for bit.
+    from fpcert import localize
+
+    residual = localize._residual_pairs
     calls = _spy_on_tests(monkeypatch)
+    maps = []
+    spy = localize._residual_pairs
+
+    def on_map(f, xs):
+        maps.append(f)
+        return spy(f, xs)
+
+    monkeypatch.setattr(localize, "_residual_pairs", on_map)
     fam = parse_map("dim 2\nparam t\nmap g1 = x1 + (x1 - (0.5 + t^2))*(0.25*x1 - 0.875)\n"
                     "map g2 = 0.5*x2 + 0.25*t\n")
     t = Interval(0.25, 0.3125)
     res = localize_fixed_points(fam, rect((0, 1), (-0.5, 0.5)), tol=1e-6, t=t)
     assert res.boxes_examined == 1 and len(res.proven) == 1
+    assert calls and all(c[0] == "K" for c in calls)
+    (enc,) = res.proven
+    bound = enc.residual
+    assert enc.residual is bound  # computed once
     residuals = [c for c in calls if c[0] == "R"]
-    assert len(residuals) == 1 and calls[0][0] == "K"
+    assert len(residuals) == 1 and maps == [fam]
     _r, xs, pairs = residuals[0]
-    assert xs == res.proven[0].box.coords + (t,) and pairs is not None
+    assert xs == enc.box.coords + (t,) and pairs is not None
+    with fam.memo_view() as (view, _jac):
+        assert repr(residual(view, xs)) == repr(pairs)
+    assert repr(bound) == repr(localize._residual_bound(pairs))
+
+
+def test_a_proven_leaf_reads_the_residual_its_search_would_have_taken(monkeypatch):
+    # No t: each leaf that its own Krawczyk test proved takes its residual
+    # test on first read; the search's memo view, evaluating the leaf's
+    # tuple where the search contracts it, gives the same bound.
+    from corpus import random_planted_kinked_map, random_planted_trig_map
+    from fpcert import localize
+
+    contract, residual = localize._contract, localize._residual_pairs
+    eager = {}
+
+    def recording(f, jac, box, K, tol, tail):
+        x, leaf = contract(f, jac, box, K, tol, tail)
+        if x is not None:
+            eager[x.coords + tail] = residual(f, x.coords + tail)
+        return x, leaf
+
+    monkeypatch.setattr(localize, "_contract", recording)
+    rng = random.Random(4040)
+    deferred = 0
+    for k in range(50):
+        r = _random_rect_2d(rng)
+        m, _p = (random_planted_trig_map if k % 2 else random_planted_kinked_map)(rng, r)
+        eager.clear()
+        res = localize_fixed_points(m, r, tol=1e-6, budget=20000)
+        for e in res.enclosures:
+            if e._deferred is None:
+                continue
+            deferred += 1
+            assert e.status == PROVEN and e.unique is not None
+            want = localize._residual_bound(eager[e.box.coords])
+            assert repr(e.residual) == repr(want), m.to_source()
+    assert deferred > 40, deferred
 
 
 def test_a_root_that_krawczyk_excludes_takes_no_residual_test(monkeypatch):
