@@ -29,15 +29,17 @@ Interval(t), so it evaluates bit for bit as the map at that t.
 ``MapSpec.memo_view()`` gives, for one search, an evaluation-only view of
 the map and of its Jacobian (``MemoView``) that evaluates as they do, bit
 for bit, errors included.  Built in one walk that merges equal subtrees,
-it evaluates the expression DAG: a subtree that reads one entry of the
-coordinate tuple is a ``Memo``, which keeps its pair per exact value of
-that entry, and a subtree of several entries that one evaluation meets
-more than once is a ``Shared`` node, which keeps the pair of the tuple it
-last evaluated.  Caches and slots are emptied when a search starts
-and when it returns, so nothing is kept between searches, and a cache that
-reaches 1,024 values is emptied before it takes another, so a search of
-any budget keeps a bounded number.  ``children`` and
-``with_children`` are the one generic way to walk and rebuild a tree.
+it evaluates the expression DAG: a subtree that reads no entry of the
+coordinate tuple is a ``Folded`` node, its pair computed when the view is
+built (unless that raises), a subtree that reads one entry is a ``Memo``,
+which keeps its pair per exact value of that entry, and a subtree of
+several entries that one evaluation meets more than once is a ``Shared``
+node, which keeps the pair of the tuple it last evaluated.  Caches and
+slots are emptied when a search starts and when it returns, so nothing is
+kept between searches, and a cache that reaches 1,024 values is emptied
+before it takes another, so a search of any budget keeps a bounded
+number.  ``children`` and ``with_children`` are the one generic way to
+walk and rebuild a tree.
 ``derivative`` builds a partial derivative as an ordinary expression tree,
 evaluated like any other (at abs, min and max an enclosure of Clarke's
 generalized gradient, a ``Select``; abs's mirrors its one branch), and
@@ -577,10 +579,25 @@ class Shared(Expr):
         return pair
 
 
+class Folded(Expr):
+    """A subtree that reads no entry of the coordinate tuple, folded when its
+    memo view is built (MapSpec.memo_view) into the pair it evaluates to on
+    every tuple.  It only evaluates (eval_pair).  A subtree whose evaluation
+    raises is not folded, so it raises where and as the plain map does."""
+
+    __slots__ = ("pair",)
+
+    def __init__(self, pair):
+        self.pair = pair
+
+    def eval_pair(self, xs):
+        return self.pair
+
+
 class _Merged:
     """One class of structurally equal subtrees in MemoView's build walk."""
 
-    __slots__ = ("expr", "kids", "reads", "repeats", "view")
+    __slots__ = ("expr", "kids", "reads", "repeats", "view", "inner")
 
     def __init__(self, expr, kids, reads):
         self.expr = expr  # the first subtree of the class that the walk met
@@ -588,6 +605,7 @@ class _Merged:
         self.reads = reads  # bit i set: it reads entry i of the coordinate tuple
         self.repeats = False  # two uses or more in some evaluation group
         self.view = None
+        self.inner = None  # the subtree a Memo of the class evaluates
 
 
 class MemoView:
@@ -599,10 +617,14 @@ class MemoView:
     apart by its sign, as repr does) and the same merged children.  In the
     view built from the merged classes,
 
+    - each non-leaf class that reads no entry of the coordinate tuple
+      (x1..xn, then t) is a Folded node, with the pair it evaluates to on
+      every tuple, computed once here; a class whose evaluation raises
+      stays a node, so it raises as the plain map does, in the same order;
     - each maximal non-leaf subtree that reads exactly one entry of the
-      coordinate tuple (x1..xn, then t), when the tuple has two entries or
-      more, is a Memo, one per class, with its pair per exact value of
-      that entry;
+      tuple, when the tuple has two entries or more, is a Memo, one per
+      class, with its pair per exact value of that entry; the subtree it
+      evaluates has its constant classes folded too;
     - each class that reads two entries or more and has two parents or more
       within one evaluation group (the components, or the Jacobian
       entries) is a Shared node, which keeps the pair of the tuple it last
@@ -657,21 +679,40 @@ class MemoView:
                     if k.reads & (k.reads - 1):
                         use(k, seen)
 
+        def rebuilt(c, part):
+            """c's first subtree with each non-leaf child k replaced by
+            part(k).  A leaf stays the node's own: only its class's first
+            node would differ, and evaluate the same."""
+            e = c.expr
+            old = children(e)
+            new = [part(k) if k.kids else a for k, a in zip(c.kids, old)]
+            return e if all(a is b for a, b in zip(new, old)) else with_children(e, new)
+
+        def inner(c):
+            """The subtree a Memo evaluates: its constant subtrees folded,
+            and no Memo inside it, whose key would miss where its own does."""
+            if not c.reads:
+                return build(c)
+            if c.inner is None:
+                c.inner = rebuilt(c, inner)
+            return c.inner
+
         def build(c):
             v = c.view
             if v is None:
-                e, kids, reads = c.expr, c.kids, c.reads
-                if not kids:
-                    v = e
+                reads = c.reads
+                if not c.kids:
+                    v = c.expr
                 elif memo_ok and reads & (reads - 1) == 0 and reads:  # one entry
-                    v = Memo(e, reads.bit_length() - 1)
+                    v = Memo(inner(c), reads.bit_length() - 1)
                 else:
-                    # A leaf stays the node's own: only its class's first
-                    # node would differ, and evaluate the same.
-                    old = children(e)
-                    new = [build(k) if k.kids else a for k, a in zip(kids, old)]
-                    v = e if all(a is b for a, b in zip(new, old)) else with_children(e, new)
-                    if c.repeats and reads & (reads - 1):  # two entries or more
+                    v = rebuilt(c, build)
+                    if not reads:  # a constant: its pair on any tuple
+                        try:
+                            v = Folded(v.eval_pair(()))
+                        except Exception:  # raised: it stays, and raises as the plain map
+                            pass
+                    elif c.repeats and reads & (reads - 1):  # two entries or more
                         v = Shared(v)
                 c.view = v
             return v

@@ -32,10 +32,13 @@ from fpcert.localize import localize_fixed_points
 from fpcert.mapdsl import (
     BinOp,
     Expr,
+    Folded,
     MapSpec,
     Memo,
+    Param,
     Shared,
     Var,
+    children,
     derivative,
     float_const,
     jacobian,
@@ -365,3 +368,88 @@ def test_searches_leave_every_slot_empty(monkeypatch):
     with pytest.raises(RuntimeError):
         localize_fixed_points(fam, r, tol=1e-6, t=Interval(0.0, 0.0625))
     assert all(s.xs is None and s.pair is None for s in slots)
+
+
+# Maps with subtrees that read no coordinate: negated literals, sums,
+# powers and calls of literals, and Jacobian entries that are such
+# subtrees ((0.1 + 0.2) is d/dx1 of the second map's g1).
+_CONSTANT = [
+    "dim 2\nmap g1 = x1*(-0.5) - -2*x2\nmap g2 = -(-0.25) + x2*x1\n",
+    "dim 2\nmap g1 = (0.1 + 0.2)*x1 + 2^3*x2\nmap g2 = exp(0.5)*x1 - x2*(-3)\n",
+    "dim 2\nmap g1 = sin(x1*x2)*(1 - 0.75)^2 + cos(0.5)*x2\n"
+    "map g2 = x1/(2 + 0.5*0.5) - tanh(-1)*x2^2\n",
+    "dim 1\nmap g1 = x1^3*(-0.125) + sqrt(0.5 - 0.25)*x1 - abs(-2)\n",
+    "dim 1\nparam t\nmap g1 = 0.5*x1 + (-0.25)*t - max(0.5, -1)*t^2\n",
+]
+
+
+def _view_nodes(exprs):
+    """Every node of the view trees exprs, through Memo and Shared nodes."""
+    seen, stack = [], [e for e in exprs if e is not None]
+    while stack:
+        e = stack.pop()
+        seen.append(e)
+        stack.extend((e.node,) if type(e) in (Memo, Shared) else children(e))
+    return seen
+
+
+def _reads(e) -> bool:
+    return any(type(n) in (Var, Param) for n in _view_nodes([e]))
+
+
+def _constant_inner_nodes(m):
+    """The non-leaf nodes of m's memo view and Jacobian that read no coordinate."""
+    with m.memo_view() as (view, view_jac):
+        nodes = _view_nodes(list(view.components) + [d for row in view_jac for d in row])
+    return [e for e in nodes if children(e) and not _reads(e)]
+
+
+@pytest.mark.parametrize("source", _CONSTANT)
+def test_constant_subtrees_fold_and_give_the_plain_map_pairs(source):
+    m = parse_map(source)
+    rng = random.Random(source)
+    box = Box.from_bounds([(-2.0, 1.5), (-1.0, 2.0)][:m.dim])
+    t = Interval(0.25, 0.5) if m.has_param else None
+    assert memo_view_mismatches(m, shared_coordinate_boxes(rng, box, 100), t) == []
+    assert _constant_inner_nodes(m) == []
+    with m.memo_view() as (view, view_jac):
+        nodes = _view_nodes(list(view.components) + [d for row in view_jac for d in row])
+    assert any(type(e) is Folded for e in nodes)
+
+
+@pytest.mark.parametrize("source", [
+    "dim 2\nmap g1 = x1 + 1/(0.5 - 0.5)\nmap g2 = x2\n",
+    "dim 2\nmap g1 = x2\nmap g2 = sqrt(0.25 - 0.5) + x1\n",
+    "dim 2\nmap g1 = exp(1000)*x1\nmap g2 = x2 - 1\n",
+])
+def test_constant_subtrees_that_raise_raise_through_the_view(source):
+    m = parse_map(source)
+    box = Box.from_bounds([(0.0, 1.0), (-1.0, 2.0)])
+    with pytest.raises(Exception) as plain:
+        m.eval_pairs(box)
+    with m.memo_view() as (view, _jac):
+        for _ in range(2):  # each evaluation raises again
+            with pytest.raises(type(plain.value)) as memo:
+                view.eval_pairs(box)
+            assert type(memo.value) is type(plain.value)
+            assert str(memo.value) == str(plain.value)
+    assert _constant_inner_nodes(m), "the raising subtree was folded"
+    rng = random.Random(source)
+    assert memo_view_mismatches(m, shared_coordinate_boxes(rng, box, 40)) == []
+
+
+def test_a_component_that_raises_first_still_raises_first():
+    # g1 raises on x1 = 0 before g2's constant subtree, and within g2 the
+    # left operand raises before the constant one.
+    box = Box.from_bounds([(-1.0, 1.0), (0.5, 2.0)])
+    for source in ("dim 2\nmap g1 = 1/x1 + x2\nmap g2 = x2 + 1/(0.5 - 0.5)\n",
+                   "dim 2\nmap g1 = x2\nmap g2 = sqrt(x1) + sqrt(0.25 - 0.5)\n"):
+        m = parse_map(source)
+        with pytest.raises(DomainError) as plain:
+            m.eval_pairs(box)
+        with m.memo_view() as (view, _jac):
+            with pytest.raises(DomainError) as memo:
+                view.eval_pairs(box)
+        assert type(memo.value) is type(plain.value)
+        assert str(memo.value) == str(plain.value)
+        assert "0.25" not in str(plain.value) and "[0.0, 0.0]" not in str(plain.value)
