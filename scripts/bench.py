@@ -41,7 +41,12 @@ search.  Layer rows (one process, gc off while timing):
   `parse_args`), `mapdsl.parse_program` on every program (work: the tokens
   and literals of its map lines), and each certify task's JSON report
   (`Certificate.to_json(stable=True)`, certified once untimed; work: the
-  characters written).
+  characters written);
+- one trace cell: the 16 cells of one fixed 2-D trace-poly family (the
+  second family of seed 1, whatever --seed is), each localized over its t
+  cell at the workload's tol as `trace_continuum` does, per cell; its work
+  is the cells, and the Krawczyk steps (contraction steps included) and
+  residual tests of one untimed run of them.
 
 End-to-end rows run `perfbench/run.py --trace 0` once per workload, in a
 fresh process (editing nothing under perfbench/): median_s is the
@@ -81,6 +86,7 @@ REPEATS = 15  # timing repeats of a layer row
 SECONDS = 10  # perfbench run length, as BENCHMARK.json runs it
 # A map line's lexemes, counted as the work of a parse: numbers, words, any other character.
 LEXEME = re.compile(r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?|[A-Za-z_]\w*|\S")
+TRACE_GRID, TRACE_TOL = 16, 0.2  # the trace-poly workload's cells and 2-D tolerance
 RESULT_COUNTS = ("krawczyk_tests", "krawczyk_proofs", "krawczyk_exclusions",
                  "krawczyk_undecided", "halves_cut", "halves_discarded")
 
@@ -344,6 +350,41 @@ def front_end_rows(fp, seed: int):
     ]
 
 
+def trace_cell_row(fp):
+    """The trace-cell row: the 16 cells of one fixed 2-D trace-poly family
+    (the second family of seed 1), each localized over its t cell as
+    trace_continuum does, timed per cell; its work is the cells, and the
+    Krawczyk steps and residual tests of one untimed run of them."""
+    import gen  # perfbench's, from the checkout measured (see main)
+
+    localize = fp["localize"]
+    problem = gen.trace_poly(1, 2)[1]
+    program = fp["mapdsl"].parse_program(problem.source)
+    m = program.map
+    rect = fp["geometry"].parse_domain(program.domain_line, m.dim, program.domain_line_no)
+    interval = fp["interval"].Interval
+    cells = [interval(j / TRACE_GRID, (j + 1) / TRACE_GRID) for j in range(TRACE_GRID)]
+    work = {"cells": len(cells), "krawczyk_steps": 0, "residual_tests": 0}
+
+    def counter(key):
+        def wrap(fn):
+            def call(*args):
+                work[key] += 1
+                return fn(*args)
+            return call
+        return wrap
+
+    def run():
+        for t in cells:
+            localize.localize_fixed_points(m, rect, TRACE_TOL, t=t)
+
+    with wrapped([(localize, "_krawczyk", counter("krawczyk_steps")),
+                  (localize, "_residual_pairs", counter("residual_tests"))]):
+        run()
+    return entry("continuation.trace_cell", timed(run, len(cells)), REPEATS, work,
+                 problem=problem.kind)
+
+
 def counted_pass(fp, workload: str, seed: int):
     """The work of one untimed pass over the workload's problems: the boxes
     of every adaptive_cover run, and the localize searches with their
@@ -438,6 +479,7 @@ def main(argv=None) -> int:
     layers = [import_row()] + kernel_rows(fp["interval"]) + search_rows(fp)
     layers.append(holes_row(fp, args.seed))
     layers += front_end_rows(fp, args.seed)
+    layers.append(trace_cell_row(fp))
     end_to_end = [perfbench_row(fp, root, w, args.seed) for w in WORKLOADS]
     end_to_end.append(tier1_row(root))
     out = {"env": {"python": sys.version.split()[0], "nproc": os.cpu_count(), "rev": rev,
