@@ -606,14 +606,8 @@ def test_a_root_that_krawczyk_proves_takes_one_residual_test(monkeypatch):
 
     residual = localize._residual_pairs
     calls = _spy_on_tests(monkeypatch)
-    maps = []
-    spy = localize._residual_pairs
-
-    def on_map(f, xs):
-        maps.append(f)
-        return spy(f, xs)
-
-    monkeypatch.setattr(localize, "_residual_pairs", on_map)
+    spy, maps = localize._residual_pairs, []  # maps: the map of each residual test
+    monkeypatch.setattr(localize, "_residual_pairs", lambda f, xs: maps.append(f) or spy(f, xs))
     fam = parse_map("dim 2\nparam t\nmap g1 = x1 + (x1 - (0.5 + t^2))*(0.25*x1 - 0.875)\n"
                     "map g2 = 0.5*x2 + 0.25*t\n")
     t = Interval(0.25, 0.3125)
