@@ -124,6 +124,16 @@ def wrapped(patches):
             setattr(module, name, fn)
 
 
+def counting(work: dict, key: str):
+    """A wrap for `wrapped` that adds 1 to work[key] on each call."""
+    def wrap(fn):
+        def call(*args):
+            work[key] += 1
+            return fn(*args)
+        return call
+    return wrap
+
+
 def _fpcert_modules() -> dict:
     return {n: m for n, m in sys.modules.items() if n == "fpcert" or n.startswith("fpcert.")}
 
@@ -366,20 +376,12 @@ def trace_cell_row(fp):
     cells = [interval(j / TRACE_GRID, (j + 1) / TRACE_GRID) for j in range(TRACE_GRID)]
     work = {"cells": len(cells), "krawczyk_steps": 0, "residual_tests": 0}
 
-    def counter(key):
-        def wrap(fn):
-            def call(*args):
-                work[key] += 1
-                return fn(*args)
-            return call
-        return wrap
-
     def run():
         for t in cells:
             localize.localize_fixed_points(m, rect, TRACE_TOL, t=t)
 
-    with wrapped([(localize, "_krawczyk", counter("krawczyk_steps")),
-                  (localize, "_residual_pairs", counter("residual_tests"))]):
+    with wrapped([(localize, "_krawczyk", counting(work, "krawczyk_steps")),
+                  (localize, "_residual_pairs", counting(work, "residual_tests"))]):
         run()
     return entry("continuation.trace_cell", timed(run, len(cells)), REPEATS, work,
                  problem=problem.kind)
@@ -413,19 +415,11 @@ def counted_pass(fp, workload: str, seed: int):
             return res
         return call
 
-    def counter(key):
-        def wrap(fn):
-            def call(*args):
-                work[key] += 1
-                return fn(*args)
-            return call
-        return wrap
-
     # Every binding a pass calls through: certify and degree import adaptive_cover.
     patches = [(fp[name], "adaptive_cover", cover) for name in ("certify", "degree")]
     patches += [(localize, "_search", search),
-                (localize, "_krawczyk", counter("krawczyk_steps")),
-                (localize, "_residual_pairs", counter("residual_tests"))]
+                (localize, "_krawczyk", counting(work, "krawczyk_steps")),
+                (localize, "_residual_pairs", counting(work, "residual_tests"))]
     wl = workloads.WORKLOADS[workload](fp)
     with wrapped(patches), tempfile.TemporaryDirectory() as workdir:
         items = wl.prepare(wl.generate(seed), workdir)
