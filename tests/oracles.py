@@ -333,7 +333,63 @@ def grid_zoom_min(m, bounds, rounds: int = 60, grid: int = 7, keep=None, t=None,
     if best_p is None:
         return None, math.inf
     step = max(max(width), best_r, 1e-9)
-    return _compass_refine(m, best_p, best_r, lo0, hi0, step, keep, t, target)
+    p, r = _compass_refine(m, best_p, best_r, lo0, hi0, step, keep, t, target)
+    return _newton_polish(m, p, r, lo0, hi0, keep, t, target) if r > target else (p, r)
+
+
+def _newton_polish(m, p, best_r, lo0, hi0, keep, t, target, steps=8):
+    """Newton steps on x - m(x) from p, with a central-difference Jacobian,
+    for the valleys too narrow for the compass search (the sup-norm residual
+    of a nearly singular I - Dg, say): a step is taken only when it stays in
+    the bounds (and keep) and lowers the residual."""
+    dim = len(p)
+
+    def field(q):
+        return [x - g for x, g in zip(q, m.eval_real(q, t))]
+
+    for _ in range(steps):
+        if best_r <= target:
+            break
+        try:
+            f0 = field(p)
+            cols = []
+            for j in range(dim):
+                h = 1e-7 * max(1.0, abs(p[j]))
+                up = field([v + h if i == j else v for i, v in enumerate(p)])
+                down = field([v - h if i == j else v for i, v in enumerate(p)])
+                cols.append([(a - b) / (2.0 * h) for a, b in zip(up, down)])
+            d = _solve([[cols[j][i] for j in range(dim)] for i in range(dim)], [-v for v in f0])
+            if d is None:
+                break
+            q = tuple(min(hi0[i], max(lo0[i], p[i] + d[i])) for i in range(dim))
+            if keep is not None and not keep(q):
+                break
+            r = residual_inf(m, q, t)
+        except ArithmeticError:
+            break
+        if not r < best_r:
+            break
+        p, best_r = q, r
+    return tuple(p), best_r
+
+
+def _solve(a, b):
+    """The solution of the float system a x = b by Gaussian elimination with
+    partial pivoting, or None when a pivot is zero."""
+    n = len(b)
+    rows = [list(r) + [v] for r, v in zip(a, b)]
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: abs(rows[r][col]))
+        rows[col], rows[piv] = rows[piv], rows[col]
+        if rows[col][col] == 0.0:
+            return None
+        for r in range(col + 1, n):
+            k = rows[r][col] / rows[col][col]
+            rows[r] = [v - k * w for v, w in zip(rows[r], rows[col])]
+    x = [0.0] * n
+    for i in reversed(range(n)):
+        x[i] = (rows[i][n] - sum(rows[i][j] * x[j] for j in range(i + 1, n))) / rows[i][i]
+    return x
 
 
 def _compass_refine(m, p, best_r, lo0, hi0, step, keep, t, target, max_iters=8000):
@@ -461,6 +517,162 @@ def mp_eval(mpmath, e, xs):
         return {"abs": abs, "min": min, "max": max}[e.func](*args)
     assert e.func in ("sin", "cos", "exp", "tanh", "sqrt")
     return getattr(mpmath, e.func)(*args)
+
+
+def fraction_eval(e, xs):
+    """The naive interval extension of the tree e (+, -, *, /, integer
+    powers and negation of coordinates and constants) over xs, pairs (lo,
+    hi) of Fractions, in exact rational arithmetic: the value that the
+    package's directed rounding must enclose.  Each constant is its decimal
+    enclosure.  Raises ZeroDivisionError on a divisor holding 0."""
+    from fpcert.mapdsl import Const
+
+    if isinstance(e, Const):
+        return Fraction(e.enclosure.lo), Fraction(e.enclosure.hi)
+    if isinstance(e, Var):
+        return xs[e.index]
+    if isinstance(e, Neg):
+        lo, hi = fraction_eval(e.arg, xs)
+        return -hi, -lo
+    if isinstance(e, Power):
+        lo, hi = fraction_eval(e.base, xs)
+        n = e.exponent
+        if n < 0:
+            if lo <= 0 <= hi:
+                raise ZeroDivisionError("negative power of an interval holding 0")
+            lo, hi, n = 1 / hi, 1 / lo, -n
+        ends = (lo ** n, hi ** n)
+        if n % 2 == 0 and lo <= 0 <= hi:
+            return Fraction(0), max(ends)
+        return min(ends), max(ends)
+    assert isinstance(e, BinOp), e
+    a, b = fraction_eval(e.left, xs)
+    c, d = fraction_eval(e.right, xs)
+    if e.op == "+":
+        return a + c, b + d
+    if e.op == "-":
+        return a - d, b - c
+    if e.op == "/":
+        if c <= 0 <= d:
+            raise ZeroDivisionError("divisor holds 0")
+        c, d = 1 / d, 1 / c
+    ends = (a * c, a * d, b * c, b * d)
+    return min(ends), max(ends)
+
+
+def mp_iv_eval(mpmath, e, xs):
+    """The naive interval extension of the expression tree e over the
+    mpmath.iv intervals xs (x1..xn, then t), in mpmath.iv at its working
+    precision: each constant is its decimal enclosure, a Select is the hull
+    of its branches where its condition may be 0, and tanh, which mpmath.iv
+    lacks, is monotone, so it takes its endpoints at 40 more bits, padded.
+    Only the tree is shared with the package: none of its arithmetic runs.
+    Raises ArithmeticError where the extension is undefined."""
+    from fpcert.mapdsl import BinOp, Const, Neg, Power, Select, Var
+
+    iv = mpmath.iv
+    if isinstance(e, Const):
+        return iv.mpf([e.enclosure.lo, e.enclosure.hi])
+    if isinstance(e, Var):
+        return xs[e.index]
+    if isinstance(e, Neg):
+        return -mp_iv_eval(mpmath, e.arg, xs)
+    if isinstance(e, BinOp):
+        a = mp_iv_eval(mpmath, e.left, xs)
+        b = mp_iv_eval(mpmath, e.right, xs)
+        if e.op == "+":
+            return a + b
+        if e.op == "-":
+            return a - b
+        if e.op == "*":
+            return a * b
+        if b.a <= 0 <= b.b:
+            raise ZeroDivisionError("divisor holds 0")
+        return a / b
+    if isinstance(e, Power):
+        base = mp_iv_eval(mpmath, e.base, xs)
+        if e.exponent < 0 and base.a <= 0 <= base.b:
+            raise ZeroDivisionError("negative power of an interval holding 0")
+        return base ** e.exponent
+    if isinstance(e, Select):
+        cond = mp_iv_eval(mpmath, e.cond, xs)
+        pos = mp_iv_eval(mpmath, e.pos, xs)
+        neg = -pos if e.neg is None else mp_iv_eval(mpmath, e.neg, xs)
+        if cond.b < 0:
+            return neg
+        if cond.a > 0:
+            return pos
+        return iv.mpf([min(neg.a, pos.a), max(neg.b, pos.b)])
+    args = [mp_iv_eval(mpmath, a, xs) for a in e.args]
+    a = args[0]
+    if e.func == "abs":
+        return a if a.a >= 0 else -a if a.b <= 0 else iv.mpf([0, max(-a.a, a.b)])
+    if e.func in ("min", "max"):
+        pick = min if e.func == "min" else max
+        return iv.mpf([pick(a.a, args[1].a), pick(a.b, args[1].b)])
+    if e.func == "sqrt" and a.a < 0:
+        raise ValueError("sqrt of an interval reaching below 0")
+    if e.func == "tanh":
+        with mpmath.workprec(iv.prec + 40):
+            lo, hi = mpmath.tanh(mpmath.mpf(a.a)), mpmath.tanh(mpmath.mpf(a.b))
+            pad = mpmath.mpf(2) ** -iv.prec
+            return iv.mpf([lo - pad * (1 + abs(lo)), hi + pad * (1 + abs(hi))])
+    assert e.func in ("sin", "cos", "exp", "sqrt")
+    return getattr(iv, e.func)(a)
+
+
+def uniqueness_regular(mpmath, m, box, t=None):
+    """The uniqueness oracle for a box U on which the package claims exactly
+    one fixed point of m (for every t in the interval t): whether every
+    matrix of the naive enclosure of I - Dg(U) is nonsingular, with the
+    trees of `mapdsl.jacobian` evaluated by mp_iv_eval at 113 bits.
+
+    A fixed point in U and a regular enclosure give uniqueness, by the mean
+    value theorem row by row.  Conversely the package's proof test makes
+    its own naive enclosure of I - Dg(U) regular, and that enclosure holds
+    this one up to rounding at 113 bits, so a singular matrix here refutes
+    the claim.  Returns True when regular; False when singular, decided in
+    1-D (0 in the entry) and 2-D (0 in the interval determinant, the exact
+    range of a11 a22 - a12 a21 since each entry occurs once); None when
+    undecided: an evaluation failed or was not finite, or in 3-D and up,
+    the enclosure preconditioned with the inverse of its midpoint matrix is
+    not strictly diagonally dominant."""
+    from fpcert.mapdsl import jacobian
+
+    iv = mpmath.iv
+    prec, iv.prec = iv.prec, 113
+    try:
+        xs = [iv.mpf([c.lo, c.hi]) for c in box.coords]
+        if t is not None:
+            xs.append(iv.mpf([t.lo, t.hi]))
+        try:
+            rows = [[iv.mpf(1 if i == j else 0)
+                     - (0 if d is None else mp_iv_eval(mpmath, d, xs))
+                     for j, d in enumerate(row)] for i, row in enumerate(jacobian(m))]
+        except (ArithmeticError, ValueError):
+            return None
+        if not all(mpmath.isfinite(v.a) and mpmath.isfinite(v.b) for row in rows for v in row):
+            return None
+        n = len(rows)
+        if n == 1:
+            a = rows[0][0]
+            return not a.a <= 0 <= a.b
+        if n == 2:
+            d = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+            return not d.a <= 0 <= d.b
+        try:
+            c = mpmath.inverse(mpmath.matrix([[mpmath.mpf(v.mid) for v in row] for row in rows]))
+        except ZeroDivisionError:
+            return None
+        for i in range(n):
+            b = [sum((iv.mpf(c[i, k]) * rows[k][j] for k in range(n)), iv.mpf(0))
+                 for j in range(n)]
+            mig = 0 if b[i].a <= 0 <= b[i].b else min(abs(b[i].a), abs(b[i].b))
+            if not mig > sum(max(abs(v.a), abs(v.b)) for j, v in enumerate(b) if j != i):
+                return None
+        return True
+    finally:
+        iv.prec = prec
 
 
 def kernel_side(mpmath, kernel, literals, bound: float) -> int:

@@ -10,7 +10,9 @@ traced over t in [0, 1].  Regenerate the table with
 
     PYTHONPATH=src python tests/test_golden_localize.py
 
-only for a deliberate change of output.
+only for a deliberate change of output.  The same cases feed the
+uniqueness oracle (`oracles.uniqueness_regular`), on every uniqueness box
+of their enclosures and slabs.
 """
 
 import hashlib
@@ -18,12 +20,14 @@ import json
 import random
 from pathlib import Path
 
+import mpmath
 from corpus import (
     blend_with_parameter,
     random_expression_map,
     random_polynomial_map_2d,
     random_rect_problem,
 )
+from oracles import uniqueness_regular
 
 from fpcert.continuation import trace_continuum
 from fpcert.geometry import RectDomain
@@ -104,6 +108,24 @@ def test_localize_and_trace_match_golden_digests():
     assert set(got) == set(golden)
     changed = sorted(key for key in got if got[key] != golden[key])
     assert not changed, changed
+
+
+def test_every_uniqueness_box_of_the_golden_cases_is_regular():
+    # A uniqueness box is refuted when its enclosure of I - Dg holds a
+    # singular matrix; every box of these cases is decided, in 1-D and 2-D.
+    verdicts = []
+    for _name, m, rect in localize_cases():
+        for kwargs in ({"tol": 1e-3}, {"tol": 1e-6, "budget": 60}):
+            verdicts += [(m, uniqueness_regular(mpmath, m, e.unique))
+                         for e in localize_fixed_points(m, rect, **kwargs).enclosures
+                         if e.unique is not None]
+    for _name, psi, x_box in trace_cases():
+        for kwargs in ({"grid": 8, "tol": 5e-2}, {"grid": 4, "tol": 1e-3, "budget_per_cell": 40}):
+            verdicts += [(psi, uniqueness_regular(mpmath, psi, s.unique, s.t))
+                         for s in trace_continuum(psi, (0, 1), x_box, **kwargs).slabs
+                         if s.unique is not None]
+    assert len(verdicts) >= 60, len(verdicts)
+    assert all(v is True for _m, v in verdicts), [m.to_source() for m, v in verdicts if v is not True]
 
 
 if __name__ == "__main__":

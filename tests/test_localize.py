@@ -524,6 +524,33 @@ def test_face_test_is_depth_zero_of_the_miranda_certificate():
     assert leaves >= 450 and proven >= 40, (leaves, proven)
 
 
+_CONTINUA = (
+    ("dim 1\nmap g1 = min(x1, 0)\n", [(-1, 1)]),
+    ("dim 2\nmap g1 = min(x1, 0)\nmap g2 = 0.5*x2\n", [(-1, 1), (-1, 1)]),
+)
+
+
+@pytest.mark.parametrize("source, bounds", _CONTINUA)
+def test_a_continuum_of_fixed_points_has_no_uniqueness_claim(source, bounds):
+    # Every point of [-1, 0] (times {0} in 2-D) is fixed.  On the root, Y =
+    # 2 and the first diagonal entry of Y F'(X) is [0, 2], so the image is
+    # X itself on axis 1: only the strict test keeps it from a proof, and
+    # the uniqueness oracle refutes a claim on the root.
+    import mpmath
+
+    from oracles import uniqueness_regular
+
+    m = parse_map(source)
+    root = Box.from_bounds(bounds)
+    res = localize_fixed_points(m, RectDomain(root), tol=0.01)
+    assert not res.exhausted and res.krawczyk_proofs == 0 and not res.proven
+    assert all(e.unique is None for e in res.enclosures)
+    for p in ((-1.0,), (-0.5,), (0.0,)):
+        p += (0.0,) * (m.dim - 1)
+        assert any(box_contains(e.box, p) for e in res.enclosures), p
+    assert uniqueness_regular(mpmath, m, root) is False
+
+
 def test_a_stalled_proof_is_inherited_by_its_descendants(monkeypatch):
     # The first box is proven.  Contraction collapses x2 to one ulp, then
     # stops halving in x1, and the box is split.  Its halves inherit the
