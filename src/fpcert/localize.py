@@ -8,38 +8,41 @@ proof, so the others are not evaluated.  Surviving boxes are bisected down
 to the requested width, or until no coordinate has a float strictly inside
 it to split at.
 
-With the upgrade on, every box also takes the Krawczyk test (at abs,
-min and max with Clarke's generalized gradient, see `mapdsl.derivative`),
-which discards boxes, proves that a box holds exactly one fixed point,
-and contracts a proven box far below the requested width and off the
-27/53 grid; and each leaf without a Krawczyk proof takes a
-Poincare-Miranda sign test on its faces.  The first box takes the
-residual test only where Krawczyk neither proves nor excludes it.  A leaf
-that its own Krawczyk test proved takes none in the search either: it
-holds a fixed point, so its residual holds zero, and its bound is computed
-on the first read of `Enclosure.residual`, on the plain map.  A first box
-proven and contracted to a leaf, as on a trace cell, thus costs two map
-evaluations less, and a trace, which reads no bound, takes none.  A
+With the upgrade on, every box also takes the operator test, one
+Hansen-Sengupta step (Hansen & Sengupta 1981; Neumaier 1990, chapter 5;
+see `_krawczyk`, at abs, min and max with Clarke's generalized gradient,
+see `mapdsl.derivative`), which discards boxes, proves that a box holds
+exactly one fixed point, and contracts a proven box far below the
+requested width and off the 27/53 grid; and each leaf without such a
+proof takes a Poincare-Miranda sign test on its faces.  The first box
+takes the residual test only where the operator neither proves nor
+excludes it.  A leaf that its own operator test proved takes none in the
+search either: it holds a fixed point, so its residual holds zero, and
+its bound is computed on the first read of `Enclosure.residual`, on the
+plain map.  A first box proven and contracted to a leaf, as on a
+trace cell, thus costs two map evaluations less, and a trace, which
+reads no bound, takes none.  A
 parametrized map takes the same tests with t ranging over an interval T,
 so a proof holds for every t in T at once.  Each box leaves the search
 once: discarded, kept or split.  Every discarded part is proven free of
 fixed points and discarded plus kept boxes tile the input rectangle, so
 no fixed point is lost.
 
-A box with no proof id whose Krawczyk test finds K(X) but neither proves
-nor excludes hands K(X) to both halves of its split (the X & N(X) step of
-interval Newton methods, Neumaier 1990, section 5.1): a half disjoint
-from K(X) is discarded without being queued, and every other half is cut
-to K(X) on each axis, except an axis that the cut would leave at most tol
-wide.  This is sound because K(X) holds every fixed point of g in X, for
-any preconditioner, and for every t in T when the map takes t.  So a leaf
+A box with no proof id whose operator test finds the image K(X) but
+neither proves nor excludes hands K(X) to both halves of its split (the
+X & N(X) step of interval Newton methods, Neumaier 1990, section 5.1): a
+half disjoint from K(X) is discarded without being queued, and every
+other half is cut to K(X) on each axis, except an axis that the cut would
+leave at most tol wide.  This is sound because K(X) holds every fixed
+point of g in X, for any preconditioner, and for every t in T when the
+map takes t.  So a leaf
 with no proof id may lie off the 27/53 grid too, and no axis is cut below
 tol.
 
 Every search evaluates the map through its memo view
 (`mapdsl.MapSpec.memo_view`), built once per map, on the coordinate tuple
 of a box followed by T for a parametrized map: the residual, F(m) and
-F'(X) of the Krawczyk test and the face test evaluate a subtree written
+F'(X) of the operator test and the face test evaluate a subtree written
 several times once per tuple, and reuse the pair of a subtree that reads
 one coordinate only wherever a box repeats its value, as the boxes of
 one bisection do, with bit-identical results.  A subtree of t alone is
@@ -69,7 +72,8 @@ from .interval import (
     abs_pair,
     add_down,
     add_up,
-    mul_up,
+    div_pair,
+    mul_pair,
     scale_pair,
     sub_down,
     sub_up,
@@ -105,7 +109,7 @@ def _split_box(box: Box, axis: int):
 class Enclosure:
     """A kept box, its status and its residual bound: the largest |g_i(B) -
     B_i| over the box B (and T), or None where an evaluation over B raised.
-    A leaf whose own Krawczyk test proved it takes no residual test in the
+    A leaf whose own operator test proved it takes no residual test in the
     search, since its box holds a fixed point and no component can exclude
     zero: its bound is computed on the first read of `residual`, on the
     plain map, which evaluates as the search's memo view bit for bit."""
@@ -117,8 +121,8 @@ class Enclosure:
         self.box = box
         self.status = status  # PROVEN | CANDIDATE
         self._residual = residual
-        # For a Krawczyk-PROVEN box, the box X at which K(X) inside int X
-        # held: it holds exactly one fixed point (for every t in T), the one
+        # For a box PROVEN by the operator, the box X at which K(X) inside
+        # int X held: it holds exactly one fixed point (for every t in T), the one
         # in box.  None otherwise.  Not part of the JSON output.
         self.unique = unique
         # (plain map, coordinate tuple) of a residual not yet computed, or None
@@ -160,7 +164,7 @@ class LocalizeResult:
         self.surviving_volume = surviving_volume
         self.boxes_examined = boxes_examined
         self.exhausted = exhausted
-        # Work counts, not part of the JSON output.  Krawczyk tests in the
+        # Work counts, not part of the JSON output.  Operator tests in the
         # search (one per box that takes the test; contraction steps aside),
         # and among them those that gave a proof id, excluded the box, or
         # found K(X) but neither proved nor excluded; the halves of such an
@@ -247,8 +251,8 @@ def _residual_bound(pairs) -> "Interval | None":
 def _inverse(a):
     """The float inverse of the square matrix a (a list of rows) by
     Gauss-Jordan elimination with partial pivoting, or None when a pivot is
-    zero or an entry is not finite.  Only an approximation: the Krawczyk
-    operator is an enclosure for any preconditioner.  A 1x1 matrix [[p]]
+    zero or an entry is not finite.  Only an approximation: the operator's
+    image is an enclosure for any preconditioner.  A 1x1 matrix [[p]]
     takes 1/p, the one division elimination makes that reaches the result."""
     n = len(a)
     if n == 1:
@@ -307,18 +311,31 @@ def _inverse2(a):
 
 
 def _krawczyk(f: MapSpec, jac, xs):
-    """The Krawczyk operator K(X) = m - Y F(m) + (I - Y F'(X))(X - m) of
-    F = Id - g over the box X whose coordinate tuple is xs (X's
-    coordinates, then T if f takes t), where m is X's midpoint, F'(X) the
-    naive enclosure of the Jacobian `jac` over X and Y a float inverse of
-    mid F'(X), evaluated with directed rounding.
+    """The Hansen-Sengupta image H of F = Id - g over the box X whose
+    coordinate tuple is xs (X's coordinates, then T if f takes t): with m
+    X's midpoint, F'(X) the naive enclosure of the Jacobian `jac` over X,
+    Y a float inverse of mid F'(X), A = Y F'(X) and b = -Y F(m), one
+    interval Gauss-Seidel sweep H_i = m_i + (b_i - sum_{j != i} A_ij (X_j -
+    m_j)) / A_ii, row i + 1 reading X_i & H_i, with directed rounding; H_i
+    is X_i where A_ii holds 0 (Hansen & Sengupta 1981, BIT 21).
 
-    Returns (K, rho): K as a list of (lo, hi) pairs and rho the row-sum
-    norm of I - Y F'(X), rounded up.  Every fixed point of g in X lies in K
-    (the mean value theorem row by row), so K disjoint from X proves X holds
-    none, and K inside the interior of X proves X holds exactly one
-    (Krawczyk 1969; Moore 1977).  Returns (None, 2.0) when an evaluation
-    raises, mid F'(X) is singular or K is not finite.
+    Returns (H, rho): H as a list of (lo, hi) pairs, not intersected with
+    X (X's own after a coordinate that misses X), and rho the row-sum norm
+    of I - A, rounded up.  The claims, for every t in T:
+    (1) every fixed point x of g in X lies in H: the mean value theorem row
+    by row (Clarke 1983, 2.6.5, at kinks) gives A'(x - m) = b' for an A'
+    in A and b' in b, and row i solved for x_i is in H_i (Neumaier 1990,
+    Interval Methods for Systems of Equations, chapters 4 and 5);
+    (2) so an H_i that misses X_i proves X holds none;
+    (3) H inside int X proves X holds exactly one (Hansen & Sengupta 1981;
+    Neumaier 1990, chapter 5): the widths of the sweep then make A an H-matrix,
+    so every matrix in F'(X) is regular and two fixed points in X are one,
+    and the homotopy to an affine map of the family keeps every zero in
+    H, off the boundary of X, so the degree of F on X is +-1;
+    (4) with the same Y, H & X lies in Krawczyk's K & X on every axis whose
+    A_ii excludes 0 (Neumaier 1990, chapter 4): w = u/a in X_i - m_i gives w = u
+    + (1 - a) w.  Returns (None, 2.0) when an evaluation raises, mid F'(X)
+    is singular or H is not finite.
     """
     n = f.dim
     ms = [xs[i].mid for i in range(n)]
@@ -344,37 +361,48 @@ def _krawczyk(f: MapSpec, jac, xs):
     y = (_inverse2 if n == 2 else _inverse)([[0.5 * lo + 0.5 * hi for lo, hi in r] for r in dF])
     if y is None:
         return None, 2.0
-    # X - m lies in [-r, r], so C (X - m) lies in [-|C| r, |C| r].
-    rad = [max(sub_up(m, c.lo), sub_up(c.hi, m)) for c, m in zip(xs, ms)]
-    K = []
+    z = [(sub_down(c.lo, m), sub_up(c.hi, m)) for c, m in zip(xs, ms)]  # X - m
+    H = []
     rho = 0.0
     for i in range(n):
         yi = y[i]
-        # K_i - m_i = -(Y F(m))_i + (C (X - m))_i, summed before m_i is
-        # added, so that the small terms cost no rounding at m's scale.
-        k_lo = k_hi = 0.0
+        # u = b_i - sum_{j != i} A_ij z_j, summed before m_i is added, so
+        # that the small terms cost no rounding at m's scale.
+        u_lo = u_hi = 0.0
         for k in range(n):
             lo, hi = scale_pair(yi[k], *fm[k])
-            k_lo = sub_down(k_lo, hi)
-            k_hi = sub_up(k_hi, lo)
+            u_lo = sub_down(u_lo, hi)
+            u_hi = sub_up(u_hi, lo)
         row_norm = 0.0
-        spread = 0.0
         for j in range(n):
-            c_lo = c_hi = 1.0 if i == j else 0.0  # C_ij = (I - Y F'(X))_ij
+            a_lo = a_hi = 0.0  # A_ij
             for k in range(n):
                 lo, hi = scale_pair(yi[k], *dF[k][j])
-                c_lo = sub_down(c_lo, hi)
-                c_hi = sub_up(c_hi, lo)
-            mag = max(-c_lo, c_hi)
-            row_norm = add_up(row_norm, mag)
-            spread = add_up(spread, mul_up(mag, rad[j]))
-        k_lo = add_down(ms[i], sub_down(k_lo, spread))
-        k_hi = add_up(ms[i], add_up(k_hi, spread))
-        if not -_INF < k_lo <= k_hi < _INF:
-            return None, 2.0
-        K.append((k_lo, k_hi))
+                a_lo = add_down(a_lo, lo)
+                a_hi = add_up(a_hi, hi)
+            delta = 1.0 if i == j else 0.0
+            row_norm = add_up(row_norm, max(sub_up(delta, a_lo), sub_up(a_hi, delta)))
+            if i == j:
+                diag = a_lo, a_hi
+            else:
+                lo, hi = mul_pair(a_lo, a_hi, *z[j])
+                u_lo = sub_down(u_lo, hi)
+                u_hi = sub_up(u_hi, lo)
         rho = max(rho, row_norm)
-    return K, rho
+        c = xs[i]
+        if diag[0] <= 0.0 <= diag[1]:
+            H.append((c.lo, c.hi))
+            continue
+        lo, hi = div_pair(u_lo, u_hi, *diag)
+        lo, hi = add_down(ms[i], lo), add_up(ms[i], hi)
+        if not -_INF < lo <= hi < _INF:
+            return None, 2.0
+        H.append((lo, hi))
+        lo, hi = max(lo, c.lo), min(hi, c.hi)
+        if lo > hi:  # H_i misses X_i
+            return H + [(c.lo, c.hi) for c in xs[i + 1:n]], rho
+        z[i] = sub_down(lo, ms[i]), sub_up(hi, ms[i])
+    return H, rho
 
 
 def _contract(f: MapSpec, jac, box: Box, K, tol: float, tail):
@@ -419,7 +447,7 @@ def _dropped_volume(box: Box, x: Box) -> float:
 
 
 def _cut(box: Box, K, tol: float) -> "Box | None":
-    """box, a part of the box X whose Krawczyk image is K, cut to K on each
+    """box, a part of the box X whose operator image is K, cut to K on each
     axis, except an axis that the cut would leave at most tol wide, or None
     when box misses K.  Every fixed point of g in box lies in the result,
     since K holds every fixed point of g in X."""
@@ -466,7 +494,7 @@ def localize_fixed_points(g: MapSpec, rect: RectDomain, tol: float,
     lower corner).
 
     With upgrade, every box wider than tol that the residual test does not
-    discard takes the Krawczyk test, with t over its interval; the first
+    discard takes the operator test, with t over its interval; the first
     box takes it before the residual test.  K(X) disjoint from X
     discards X.  K(X) inside the interior of X proves X holds exactly one
     fixed point and gives X a proof id, which its descendants inherit:
@@ -511,7 +539,7 @@ def _search(g: MapSpec, f: MapSpec, jac, rect: RectDomain, tol: float, budget: i
     None.  Every evaluation reads a box's coordinates followed by tail,
     (t,) or ().  A box takes its tests on one path and is discarded, kept
     or split; a contracted box first discards the part its contraction
-    dropped.  A leaf proven by its own Krawczyk test keeps g and its tuple,
+    dropped.  A leaf proven by its own operator test keeps g and its tuple,
     for its residual bound to be computed on first read."""
     tail = () if t is None else (t,)
     # (box, width at most which K is tried, proof id or None)
@@ -532,7 +560,7 @@ def _search(g: MapSpec, f: MapSpec, jac, rect: RectDomain, tol: float, budget: i
         width = box.width
         krawczyk = (not exhausted and jac is not None and tol < width
                     and (proof is not None or width <= limit))
-        # The root takes the residual test only where Krawczyk cannot decide it.
+        # The root takes the residual test only where the operator cannot decide it.
         pairs = _UNTESTED if krawczyk and examined == 1 else _residual_pairs(f, box.coords + tail)
         x, leaf = box, exhausted or width <= tol
         undecided = None  # K(X) of a test that neither proves nor excludes
@@ -564,7 +592,7 @@ def _search(g: MapSpec, f: MapSpec, jac, rect: RectDomain, tol: float, budget: i
                     pairs = _residual_pairs(f, box.coords + tail)
                 if proof is None and rho > 1.0:  # 2.0 after an error or singular matrix
                     limit = width / rho
-        if pairs is _PRUNED:  # pruned, or excluded by the Krawczyk test
+        if pairs is _PRUNED:  # pruned, or excluded by the operator test
             discarded_volume += box.volume()
             continue
         if x is not box:  # contracted: the dropped part holds no fixed point

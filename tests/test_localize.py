@@ -254,11 +254,11 @@ def test_trig_map_fixed_points_are_proven():
     _assert_proven_boxes_hold_fixed_points(m, res)
     bisected = localize_fixed_points(m, rect((-2, 2), (-2, 2)), tol=1e-7, upgrade=False)
     assert res.boxes_examined < bisected.boxes_examined / 4
-    # Krawczyk tests, proofs, exclusions and undecided tests; halves cut to
-    # an undecided K(X) and halves discarded as disjoint from it.
+    # Operator tests, proofs, exclusions and undecided tests; halves cut to
+    # an undecided image and halves discarded as disjoint from it.
     assert (res.krawczyk_tests, res.krawczyk_proofs, res.krawczyk_exclusions,
-            res.krawczyk_undecided, res.halves_cut, res.halves_discarded) == (17, 3, 5, 9, 9, 3)
-    assert res.boxes_examined == 112
+            res.krawczyk_undecided, res.halves_cut, res.halves_discarded) == (17, 3, 5, 9, 7, 3)
+    assert res.boxes_examined == 116
     assert "krawczyk_tests" not in res.to_json() and "halves_cut" not in res.to_json()
 
 
@@ -312,30 +312,109 @@ def test_krawczyk_exclusion_keeps_the_volume_tiled():
     assert wide.discarded_volume == pytest.approx(wide.total_volume, rel=1e-12)
 
 
-def test_krawczyk_image_encloses_the_exact_operator(monkeypatch):
-    # The operator encloses its exact value for any preconditioner Y, so
-    # fix Y and compare with K computed in rational arithmetic: for
-    # g = x^2 + c, F = x - x^2 - c and F'(X) = 1 - [2a, 2b] on X = [a, b].
+def _exact_sweep(m, X, y):
+    """The sweep of localize._krawczyk over the box X with the
+    preconditioner y, in exact rational interval arithmetic: the image of
+    each row, X's own where the row's diagonal entry holds 0, up to the
+    first row whose image misses X, and None after it."""
     from fractions import Fraction as Q
 
+    from fpcert.mapdsl import jacobian
+    from oracles import fraction_eval
+
+    n = m.dim
+    ms = [Q(c.mid) for c in X]
+    xs = [(Q(c.lo), Q(c.hi)) for c in X]
+    gm = [fraction_eval(c, [(v, v) for v in ms]) for c in m.components]
+    fm = [(mi - hi, mi - lo) for mi, (lo, hi) in zip(ms, gm)]
+    dF = []  # F'(X) = I - Dg(X)
+    for i, row in enumerate(jacobian(m)):
+        dF.append([])
+        for j, d in enumerate(row):
+            lo, hi = (0, 0) if d is None else fraction_eval(d, xs)
+            delta = 1 if i == j else 0
+            dF[i].append((delta - hi, delta - lo))
+
+    def scaled(v, pair):
+        return min(v * pair[0], v * pair[1]), max(v * pair[0], v * pair[1])
+
+    def times(a, b):
+        ends = [p * q for p in a for q in b]
+        return min(ends), max(ends)
+
+    z = [(lo - mi, hi - mi) for (lo, hi), mi in zip(xs, ms)]
+    H = []
+    for i in range(n):
+        yi = [Q(v) for v in y[i]]
+        A = [(sum(scaled(yi[k], dF[k][j])[0] for k in range(n)),
+              sum(scaled(yi[k], dF[k][j])[1] for k in range(n))) for j in range(n)]
+        u_lo = u_hi = -sum(yi[k] * fm[k][0] for k in range(n))  # F(m) is a point here
+        for j in range(n):
+            if j != i:
+                lo, hi = times(A[j], z[j])
+                u_lo, u_hi = u_lo - hi, u_hi - lo
+        (a, b), (lo, hi) = A[i], xs[i]
+        if a <= 0 <= b:
+            H.append(xs[i])
+            continue
+        q = times((u_lo, u_hi), (1 / b, 1 / a))
+        H.append((ms[i] + q[0], ms[i] + q[1]))
+        lo, hi = max(lo, H[i][0]), min(hi, H[i][1])
+        if lo > hi:
+            return H + [None] * (n - i - 1)
+        z[i] = (lo - ms[i], hi - ms[i])
+    return H
+
+
+# 1-D and 2-D polynomial maps with dyadic coefficients, whose F(m) is exact.
+_SWEEP_MAPS = (
+    "dim 1\nmap g1 = x1^2 + {c}\n",
+    "dim 2\nmap g1 = {p}*x1^2 + {q}*x2 + {c}\nmap g2 = {r}*x1*x2 + {s}*x2^2 - {c}\n",
+)
+
+
+def test_krawczyk_image_encloses_the_exact_operator(monkeypatch):
+    # The sweep encloses its exact value for any preconditioner Y, so fix Y
+    # (the operator's own, each entry scaled by a seeded factor near 1) and
+    # compare each row with the sweep in rational arithmetic: it must hold
+    # the exact image and lie within 1e-12 of it.  Half the boxes are
+    # centred on 0, so that m + q adds no rounding and an inward-rounded
+    # product in the sweep shows.
     from fpcert import localize
     from fpcert.mapdsl import jacobian
 
     rng = random.Random(77)
-    for _ in range(300):
-        c = rng.choice((0.25, -0.5, 0.125))
-        a = rng.uniform(-2.0, 2.0)
-        b = a + rng.uniform(1e-6, 1.0)
-        y = rng.uniform(-3.0, 3.0)
-        m = parse_map(f"dim 1\nmap g1 = x1^2 + {c}\n")
-        monkeypatch.setattr(localize, "_inverse", lambda _a, y=y: [[y]])
-        (X,) = Box.from_bounds([(a, b)]).coords
-        [(k_lo, k_hi)], _rho = localize._krawczyk(m, jacobian(m), (X,))
-        mid = Q(X.mid)
-        centre = mid - Q(y) * (mid - mid * mid - Q(c))
-        ends = [1 - Q(y) * (1 - 2 * Q(e)) for e in (a, b)]
-        spread = [cv * (Q(e) - mid) for cv in ends for e in (a, b)]
-        assert k_lo <= centre + min(spread) and centre + max(spread) <= k_hi, (a, b, y, c)
+    dyadic = (0.25, -0.5, 0.125, 0.375, -0.75)
+    ys = []
+    for name in ("_inverse", "_inverse2"):
+        monkeypatch.setattr(localize, name, lambda a, inv=getattr(localize, name): ys.append(
+            [[v * rng.uniform(0.9, 1.1) for v in r] for r in inv(a)]) or ys[-1])
+    kinds = {"proof": 0, "miss": 0, "zero diagonal": 0}
+    for k in range(1200):
+        source = _SWEEP_MAPS[k % 2].format(**{v: rng.choice(dyadic) for v in "cpqrs"})
+        m = parse_map(source)
+        bounds = []
+        for _axis in range(m.dim):
+            w = rng.uniform(1e-6, 1.0)
+            lo = -w if k % 4 < 2 else rng.uniform(-2.0, 2.0)
+            bounds.append((lo, lo + 2 * w if k % 4 < 2 else lo + w))
+        X = Box.from_bounds(bounds).coords
+        ys.clear()
+        H, _rho = localize._krawczyk(m, jacobian(m), X)
+        if H is None:
+            continue
+        want = _exact_sweep(m, X, ys[0])
+        for (lo, hi), exact, c in zip(H, want, X):
+            if exact is None:  # the operator returned: X's own
+                assert (lo, hi) == (c.lo, c.hi) or hi < c.lo or lo > c.hi, source
+                continue
+            assert lo <= exact[0] and exact[1] <= hi, (source, bounds, ys[0])
+            assert exact[0] - lo <= 1e-12 * (1 + abs(exact[0])), (source, bounds)
+            assert hi - exact[1] <= 1e-12 * (1 + abs(exact[1])), (source, bounds)
+        kinds["proof"] += all(c.lo < lo and hi < c.hi for (lo, hi), c in zip(H, X))
+        kinds["miss"] += any(hi < c.lo or lo > c.hi for (lo, hi), c in zip(H, X))
+        kinds["zero diagonal"] += any((lo, hi) == (c.lo, c.hi) for (lo, hi), c in zip(H, X))
+    assert min(kinds.values()) >= 20, kinds
 
 
 def _inverse_bits(inv):
@@ -551,10 +630,16 @@ def test_a_continuum_of_fixed_points_has_no_uniqueness_claim(source, bounds):
     assert uniqueness_regular(mpmath, m, root) is False
 
 
+# On the root [-1, 1]^2, Y = I and the sweep's image [-0.4, 0.8] x [-0.58,
+# 0.38] lies inside the root but is wider than half of it: the proof
+# stalls, on the first step of the contraction.
+_STALL = "dim 2\nmap g1 = 0.3*x2^2 + 0.2\nmap g2 = 0.3*x1^2 - 0.1\n"
+
+
 def test_a_stalled_proof_is_inherited_by_its_descendants(monkeypatch):
-    # The first box is proven.  Contraction collapses x2 to one ulp, then
-    # stops halving in x1, and the box is split.  Its halves inherit the
-    # proof: one is excluded, and the other is the one PROVEN leaf.
+    # The first box is proven, its contraction stops halving, and the box
+    # is split.  Its halves inherit the proof: one is excluded, and the
+    # other is the one PROVEN leaf.
     from fpcert import localize
 
     stalls = []
@@ -566,9 +651,10 @@ def test_a_stalled_proof_is_inherited_by_its_descendants(monkeypatch):
         return x, leaf
 
     monkeypatch.setattr(localize, "_contract", spy)
-    m = parse_map(_KINKED[2][0])
-    res = localize_fixed_points(m, rect((-2, 2), (-2, 2)), tol=1e-7)
+    m = parse_map(_STALL)
+    res = localize_fixed_points(m, rect((-1, 1), (-1, 1)), tol=1e-7)
     assert stalls[0] and len(stalls) > 1
+    assert (res.krawczyk_proofs, res.krawczyk_exclusions, res.boxes_examined) == (1, 1, 3)
     assert len(res.enclosures) == 1 and len(res.proven) == 1
     _assert_proven_boxes_hold_fixed_points(m, res)
 
@@ -777,13 +863,13 @@ def test_dropped_volume_is_the_difference_where_it_is_defined():
 
 
 def test_a_budget_of_exactly_the_boxes_needed_is_not_exhausted():
-    m = parse_map(_KINKED[2][0])
-    full = localize_fixed_points(m, rect((-2, 2), (-2, 2)), tol=1e-7)
+    m = parse_map(_STALL)
+    full = localize_fixed_points(m, rect((-1, 1), (-1, 1)), tol=1e-7)
     n = full.boxes_examined
     assert n > 1 and not full.exhausted
-    exact = localize_fixed_points(m, rect((-2, 2), (-2, 2)), tol=1e-7, budget=n)
+    exact = localize_fixed_points(m, rect((-1, 1), (-1, 1)), tol=1e-7, budget=n)
     assert not exact.exhausted and exact.to_json() == full.to_json()
-    short = localize_fixed_points(m, rect((-2, 2), (-2, 2)), tol=1e-7, budget=n - 1)
+    short = localize_fixed_points(m, rect((-1, 1), (-1, 1)), tol=1e-7, budget=n - 1)
     assert short.exhausted and short.boxes_examined == n - 1
 
 
@@ -799,7 +885,7 @@ def test_a_zero_budget_keeps_the_root_through_the_budget_tail():
 
 def test_a_stalled_contraction_is_a_leaf_with_t_and_split_without(monkeypatch):
     # At t = [1, 1] the family is the plain map, and both searches contract
-    # the root to the same box, 1 wide in x1: it stopped halving above tol.
+    # the root to the same box, 1.2 wide in x1: it stopped halving above tol.
     # With t given it is the one PROVEN leaf; without, it is split.
     from fpcert import localize
 
@@ -812,14 +898,14 @@ def test_a_stalled_contraction_is_a_leaf_with_t_and_split_without(monkeypatch):
         return x, leaf
 
     monkeypatch.setattr(localize, "_contract", spy)
-    plain = parse_map(_KINKED[2][0])
-    fam = parse_map("dim 2\nparam t\nmap g1 = 0.5*abs(x1) + 0.3*t\nmap g2 = 0.5*x2 - 0.1\n")
-    res = localize_fixed_points(fam, rect((-2, 2), (-2, 2)), tol=1e-7, t=Interval(1.0))
+    plain = parse_map(_STALL)
+    fam = parse_map("dim 2\nparam t\nmap g1 = 0.3*x2^2 + 0.2*t\nmap g2 = 0.3*x1^2 - 0.1*t\n")
+    res = localize_fixed_points(fam, rect((-1, 1), (-1, 1)), tol=1e-7, t=Interval(1.0))
     stalled = contracted[0]
-    assert stalled.width > 0.5
+    assert stalled.width > 1.0
     assert res.boxes_examined == 1 and [e.box for e in res.proven] == [stalled]
     contracted.clear()
-    res = localize_fixed_points(plain, rect((-2, 2), (-2, 2)), tol=1e-7)
+    res = localize_fixed_points(plain, rect((-1, 1), (-1, 1)), tol=1e-7)
     assert contracted[0] == stalled and res.boxes_examined > 1
     assert len(res.proven) == 1 and res.proven[0].box != stalled
     assert res.proven[0].box.is_subset(stalled)
