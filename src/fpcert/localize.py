@@ -9,24 +9,23 @@ to the requested width, or until no coordinate has a float strictly inside
 it to split at.
 
 With the upgrade on, every box also takes the operator test, one
-Hansen-Sengupta step (Hansen & Sengupta 1981; Neumaier 1990, chapter 5;
-see `_krawczyk`, at abs, min and max with Clarke's generalized gradient,
-see `mapdsl.derivative`), which discards boxes, proves that a box holds
+Hansen-Sengupta step (`_krawczyk`; Hansen & Sengupta 1981; Neumaier
+1990, chapter 5), with Clarke's generalized gradient at abs, min and max
+(see `mapdsl.derivative`).  It discards boxes, proves that a box holds
 exactly one fixed point, and contracts a proven box far below the
 requested width and off the 27/53 grid; and each leaf without such a
 proof takes a Poincare-Miranda sign test on its faces.  The first box
 takes the residual test only where the operator neither proves nor
-excludes it.  A leaf that its own operator test proved takes none in the
-search either: it holds a fixed point, so its residual holds zero, and
-its bound is computed on the first read of `Enclosure.residual`, on the
-plain map.  A first box proven and contracted to a leaf, as on a
+excludes it.  A box that its own operator test proved takes none in the
+search either: it holds a fixed point, so its residual holds zero, and a
+kept one's bound is computed on the first read of `Enclosure.residual`,
+on the plain map.  A first box proven and contracted to a leaf, as on a
 trace cell, thus costs two map evaluations less, and a trace, which
-reads no bound, takes none.  A
-parametrized map takes the same tests with t ranging over an interval T,
-so a proof holds for every t in T at once.  Each box leaves the search
-once: discarded, kept or split.  Every discarded part is proven free of
-fixed points and discarded plus kept boxes tile the input rectangle, so
-no fixed point is lost.
+reads no bound, takes none.  A parametrized map takes the same tests
+with t ranging over an interval T, so a proof holds for every t in T at
+once.  Each box leaves the search once: discarded, kept or split.  Every
+discarded part is proven free of fixed points and discarded plus kept
+boxes tile the input rectangle, so no fixed point is lost.
 
 A box with no proof id whose operator test finds the image K(X) but
 neither proves nor excludes hands K(X) to both halves of its split (the
@@ -202,7 +201,7 @@ class LocalizeResult:
 
 _PRUNED = "pruned"
 _UNTESTED = "untested"  # the residual test has not run on the box yet
-_DEFERRED = "deferred"  # a leaf proven by its own test: computed on first read
+_DEFERRED = "deferred"  # proven by its own test: computed on first read if kept
 _INF = math.inf
 
 
@@ -539,8 +538,9 @@ def _search(g: MapSpec, f: MapSpec, jac, rect: RectDomain, tol: float, budget: i
     None.  Every evaluation reads a box's coordinates followed by tail,
     (t,) or ().  A box takes its tests on one path and is discarded, kept
     or split; a contracted box first discards the part its contraction
-    dropped.  A leaf proven by its own operator test keeps g and its tuple,
-    for its residual bound to be computed on first read."""
+    dropped.  A box proven by its own operator test takes no residual
+    test: kept, it keeps g and its tuple, for its residual bound to be
+    computed on first read."""
     tail = () if t is None else (t,)
     # (box, width at most which K is tried, proof id or None)
     queue = deque([(rect.box, _INF, None)])
@@ -580,7 +580,7 @@ def _search(g: MapSpec, f: MapSpec, jac, rect: RectDomain, tol: float, budget: i
                 if x is None:
                     exclusions += 1
                     pairs = _PRUNED
-                elif fresh and leaf:  # x holds a fixed point: its residual holds zero
+                elif fresh:  # x holds a fixed point: its residual holds zero
                     pairs = _DEFERRED
                 else:
                     pairs = _residual_pairs(f, x.coords + tail)

@@ -659,6 +659,25 @@ def test_a_stalled_proof_is_inherited_by_its_descendants(monkeypatch):
     _assert_proven_boxes_hold_fixed_points(m, res)
 
 
+def test_a_box_that_its_own_test_proves_takes_no_residual_test_before_a_split(monkeypatch):
+    # The root of _STALL is proven and split after its contraction stalls.
+    # It holds a fixed point, so its residual test could prune nothing, and
+    # its pairs would be dropped on the split: it takes none.  Its halves,
+    # which inherit the proof, take theirs.
+    from fpcert import localize
+
+    calls = _spy_on_tests(monkeypatch)
+    contract, contracted = localize._contract, []
+    monkeypatch.setattr(localize, "_contract",
+                        lambda *args: contracted.append(contract(*args)) or contracted[-1])
+    res = localize_fixed_points(parse_map(_STALL), rect((-1, 1), (-1, 1)), tol=1e-7)
+    stalled, leaf = contracted[0]
+    assert not leaf and len(res.proven) == 1
+    tested = [c[1] for c in calls if c[0] == "R"]
+    assert tested and stalled.coords not in tested
+    assert all(box.is_subset(stalled) for box in map(Box, tested))
+
+
 def test_proof_shared_by_several_leaves_proves_none_of_them(monkeypatch):
     # With the contraction switched off, a proven box is split like any
     # other box, and its descendants, which carry its proof, meet only the
