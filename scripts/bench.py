@@ -26,7 +26,9 @@ search.  Layer rows (one process, gc off while timing):
   one `localize._krawczyk` step and one `localize._residual_pairs` call,
   each replayed on the coordinate tuples that a localize search of the trig
   map on [-2, 2]^2 at tol 1e-7 hands to those functions, in search order,
-  and one `certify._mean_value_pairs` call on each residual-test box;
+  and one `certify._mean_value_pairs` call on each residual-test box; the
+  step row's work adds the calls that one replay of the steps makes to the
+  pair kernels `localize` binds (SWEEP_KERNELS), map evaluations aside;
 - one `subdivision.adaptive_cover` run proving a fixed-point-free box with
   the residual test; its throughput is work["boxes"] / median_s;
 - the cover boxes of one holed-ball certificate (the first holed ball of
@@ -54,8 +56,9 @@ latency_p50 and repeats the problems timed, and the row keeps every metric,
 the answer digest and whether the answers checked.  Its work is counted in
 a separate untimed pass over the workload's problems: the boxes of every
 `adaptive_cover` run, the localize searches, their boxes, Krawczyk steps
-(contraction steps included) and residual tests, and the LocalizeResult
-work counts where the checkout has them.  The last row is tier-1 (pytest),
+(contraction steps included) and residual tests, the LocalizeResult work
+counts where the checkout has them, and the `div_pair` calls through every
+fpcert module that binds it.  The last row is tier-1 (pytest),
 timed once.
 """
 
@@ -87,6 +90,8 @@ SECONDS = 10  # perfbench run length, as BENCHMARK.json runs it
 # A map line's lexemes, counted as the work of a parse: numbers, words, any other character.
 LEXEME = re.compile(r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?|[A-Za-z_]\w*|\S")
 TRACE_GRID, TRACE_TOL = 16, 0.2  # the trace-poly workload's cells and 2-D tolerance
+# The pair kernels that localize's operator step calls itself, map evaluations aside.
+SWEEP_KERNELS = ("scale_pair", "mul_pair", "div_pair", "mul_up")
 RESULT_COUNTS = ("krawczyk_tests", "krawczyk_proofs", "krawczyk_exclusions",
                  "krawczyk_undecided", "halves_cut", "halves_discarded")
 
@@ -132,6 +137,18 @@ def counting(work: dict, key: str):
             return fn(*args)
         return call
     return wrap
+
+
+def kernel_counts(modules, names, work: dict):
+    """Patches for `wrapped` that count in work[name] the calls of each pair
+    kernel of names through each of modules that binds it."""
+    patches = []
+    for name in names:
+        bound = [module for module in modules if hasattr(module, name)]
+        if bound:
+            work[name] = 0
+            patches += [(module, name, counting(work, name)) for module in bound]
+    return patches
 
 
 def _fpcert_modules() -> dict:
@@ -234,6 +251,10 @@ def search_rows(fp):
             for xs in steps:
                 localize._krawczyk(f, jac, xs)
 
+    step_work = {"steps": len(steps)}
+    with wrapped(kernel_counts([localize], SWEEP_KERNELS, step_work)):
+        krawczyk()
+
     def residual():
         with m.memo_view() as (f, _jac):
             for xs in tests:
@@ -265,8 +286,7 @@ def search_rows(fp):
               {"evaluations": len(evals)}),
         entry("mapdsl.memo_view.eval_pair", timed(memo, len(evals)), REPEATS,
               {"evaluations": len(evals)}),
-        entry("localize._krawczyk", timed(krawczyk, len(steps)), REPEATS,
-              {"steps": len(steps)}),
+        entry("localize._krawczyk", timed(krawczyk, len(steps)), REPEATS, step_work),
         entry("localize._residual_pairs", timed(residual, len(tests)), REPEATS,
               {"calls": len(tests)}),
         entry("certify._mean_value_pairs", timed(mean_value, len(boxes)), REPEATS,
@@ -389,8 +409,9 @@ def trace_cell_row(fp):
 
 def counted_pass(fp, workload: str, seed: int):
     """The work of one untimed pass over the workload's problems: the boxes
-    of every adaptive_cover run, and the localize searches with their
-    boxes, Krawczyk steps, residual tests and LocalizeResult counts."""
+    of every adaptive_cover run, the localize searches with their boxes,
+    Krawczyk steps, residual tests and LocalizeResult counts, and the
+    div_pair calls."""
     import workloads  # perfbench's, from the checkout measured (see main)
 
     localize = fp["localize"]
@@ -420,6 +441,7 @@ def counted_pass(fp, workload: str, seed: int):
     patches += [(localize, "_search", search),
                 (localize, "_krawczyk", counting(work, "krawczyk_steps")),
                 (localize, "_residual_pairs", counting(work, "residual_tests"))]
+    patches += kernel_counts(fp.values(), ("div_pair",), work)
     wl = workloads.WORKLOADS[workload](fp)
     with wrapped(patches), tempfile.TemporaryDirectory() as workdir:
         items = wl.prepare(wl.generate(seed), workdir)

@@ -29,7 +29,12 @@ Each holed ball and each localized 2-D map also has its memo view
 compared with the plain map, pairs and errors, on 200 sub-boxes that
 share coordinates, and each traced family has its memo view, evaluated
 with t over a cell, compared with the map evaluated the same way, on the
-cell's slab boxes (``memo checks`` counts the boxes).  Each rect problem
+cell's slab boxes (``memo checks`` counts the boxes).  Every uniqueness
+box of those localize and trace streams, the reversed runs included,
+meets the uniqueness oracle (``oracles.uniqueness_regular``, mpmath): a
+singular matrix in the enclosure of I - Dg over it is a violation, and
+``unique checks=N (undecided M)`` counts the boxes and those it could not
+decide.  Each rect problem
 of dimension 2 or more and each map of the 2-D localize stream is also
 run again with its coordinates reversed, which keeps its fixed points
 exactly (``metamorphic checks`` counts the reruns): CERTIFIED against
@@ -101,7 +106,12 @@ from corpus import (  # noqa: E402
     translate_box,
     translate_coordinates,
 )
-from oracles import grid_zoom_min, kernel_side, winding_rect  # noqa: E402
+from oracles import (  # noqa: E402
+    grid_zoom_min,
+    kernel_side,
+    uniqueness_regular,
+    winding_rect,
+)
 
 from fpcert import certify  # noqa: E402
 from fpcert.certify import (  # noqa: E402
@@ -344,8 +354,25 @@ def main():
           f"holed-ball cross-checks verified={cross_verified} of "
           f"{hole_counts[CERTIFIED]}")
 
+    unique = {"checks": 0, "undecided": 0}
+
+    def unique_check(m, box, t=None):
+        """The uniqueness oracle on a box that holds exactly one fixed point
+        (for every t in t), as claimed: a singular matrix in the enclosure
+        of I - Dg over it refutes the claim."""
+        verdict = uniqueness_regular(mpmath, m, box, t)
+        unique["checks"] += 1
+        unique["undecided"] += verdict is None
+        if verdict is False:
+            where = "" if t is None else f" for t in [{t.lo}, {t.hi}]"
+            violation(m, f"uniqueness box {box.bounds()}{where}: I - Dg over it holds "
+                         "a singular matrix")
+
     def localize_and_check(m, bounds, rect, loc_counts, planted=None):
         res = localize_fixed_points(m, rect, tol=1e-6, budget=20000)
+        for enc in res.enclosures:
+            if enc.unique is not None:
+                unique_check(m, enc.unique)
         loc_counts["enclosures"] += len(res.enclosures)
         loc_counts["PROVEN"] += len(res.proven)
         loc_counts["exhausted"] += res.exhausted
@@ -369,7 +396,11 @@ def main():
         """Localize m again with its coordinates reversed: a PROVEN box of
         either run holds a fixed point, so it must meet an enclosure of the
         other (the reversal maps each run's boxes to the other's)."""
-        other = localize_fixed_points(*reversed_problem(m, rect), tol=1e-6, budget=20000)
+        swapped, swapped_rect = reversed_problem(m, rect)
+        other = localize_fixed_points(swapped, swapped_rect, tol=1e-6, budget=20000)
+        for enc in other.enclosures:
+            if enc.unique is not None:
+                unique_check(swapped, enc.unique)
         for a, b in ((res, other), (other, res)):
             for enc in a.proven:
                 box = permute_box(enc.box, (1, 0))
@@ -443,6 +474,8 @@ def main():
             if got != pairs_or_error(m.eval_pairs, slab.box, Interval(t)):
                 violation(m, f"map at t = {t} gives {got} on {slab.box.bounds()}, "
                              "not its value there")
+            if slab.unique is not None:
+                unique_check(m, slab.unique, slab.t)
             if slab.status == PROVEN:
                 trace_counts["PROVEN"] += 1
                 if not on_branch(coeffs, slab):
@@ -458,6 +491,7 @@ def main():
     elapsed = time.perf_counter() - t0
     print(f"{n_localize} planted branch traces in {elapsed:.1f}s: "
           + ", ".join(f"{k}={v}" for k, v in trace_counts.items()))
+    print(f"unique checks={unique['checks']} (undecided {unique['undecided']})")
 
     rng = random.Random(f"{args.seed}:edge")
     edge_counts = dict.fromkeys(counts, 0)
