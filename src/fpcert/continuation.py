@@ -4,12 +4,13 @@ The parameter range is cut into grid cells; on each cell the fixed points
 of psi(t, .) are enclosed jointly for every t in the cell (the parameter
 enters localization as an interval), giving slabs in (t, x) space.
 
-A slab that the Krawczyk test proves (`localize_fixed_points`) comes
-with a uniqueness box U: for every t of its cell, U holds exactly one
-fixed point x(t), which lies in the slab and is continuous in t.  Two
-such slabs of consecutive cells glue when one slab's box lies in the
-other's U: at the shared t the two fixed points then both lie in that U,
-so they are equal and the two branches join continuously.  A chain of
+A slab that the Hansen-Sengupta test proves (`localize_fixed_points`;
+Hansen & Sengupta 1981; Neumaier 1990, chapter 5) comes with a
+uniqueness box U: for every t of its cell, U holds exactly one fixed
+point x(t), which lies in the slab and is continuous in t.  Two such
+slabs of consecutive cells glue when one slab's box lies in the other's
+U: at the shared t the two fixed points then both lie in that U, so they
+are equal and the two branches join continuously.  A chain of
 glued slabs from the t = a side to the t = b side is therefore a proof
 of a continuous branch of fixed points across the parameter range, and
 the witness reports it `proven`.
@@ -176,7 +177,7 @@ def _grid_point(a: float, width: float, j: int, grid: int) -> float:
 
 
 def _glue(u, v) -> bool:
-    """Whether slabs u and v of consecutive cells are both Krawczyk-proven
+    """Whether slabs u and v of consecutive cells are both proven unique
     and one's box lies in the other's uniqueness box."""
     return (u.unique is not None and v.unique is not None
             and (u.box.is_subset(v.unique) or v.box.is_subset(u.unique)))

@@ -34,9 +34,8 @@ half disjoint from K(X) is discarded without being queued, and every
 other half is cut to K(X) on each axis, except an axis that the cut would
 leave at most tol wide.  This is sound because K(X) holds every fixed
 point of g in X, for any preconditioner, and for every t in T when the
-map takes t.  So a leaf
-with no proof id may lie off the 27/53 grid too, and no axis is cut below
-tol.
+map takes t.  So a leaf with no proof id may lie off the 27/53 grid too,
+and no axis is cut below tol.
 
 Every search evaluates the map through its memo view
 (`mapdsl.MapSpec.memo_view`), built once per map, on the coordinate tuple
@@ -121,8 +120,8 @@ class Enclosure:
         self.status = status  # PROVEN | CANDIDATE
         self._residual = residual
         # For a box PROVEN by the operator, the box X at which K(X) inside
-        # int X held: it holds exactly one fixed point (for every t in T), the one
-        # in box.  None otherwise.  Not part of the JSON output.
+        # int X held: it holds exactly one fixed point (for every t in T),
+        # the one in box.  None otherwise.  Not part of the JSON output.
         self.unique = unique
         # (plain map, coordinate tuple) of a residual not yet computed, or None
         self._deferred = deferred
@@ -327,14 +326,14 @@ def _krawczyk(f: MapSpec, jac, xs):
     Interval Methods for Systems of Equations, chapters 4 and 5);
     (2) so an H_i that misses X_i proves X holds none;
     (3) H inside int X proves X holds exactly one (Hansen & Sengupta 1981;
-    Neumaier 1990, chapter 5): the widths of the sweep then make A an H-matrix,
-    so every matrix in F'(X) is regular and two fixed points in X are one,
-    and the homotopy to an affine map of the family keeps every zero in
-    H, off the boundary of X, so the degree of F on X is +-1;
-    (4) with the same Y, H & X lies in Krawczyk's K & X on every axis whose
-    A_ii excludes 0 (Neumaier 1990, chapter 4): w = u/a in X_i - m_i gives w = u
-    + (1 - a) w.  Returns (None, 2.0) when an evaluation raises, mid F'(X)
-    is singular or H is not finite.
+    Neumaier 1990, chapter 5): the widths of the sweep then make A an
+    H-matrix, so every matrix in F'(X) is regular and two fixed points in
+    X are one, and the homotopy to an affine map of the family keeps every
+    zero in H, off the boundary of X, so the degree of F on X is +-1;
+    (4) with the same Y, H & X lies in Krawczyk's K & X on every axis
+    whose A_ii excludes 0 (Neumaier 1990, chapter 4): w = u/a in X_i - m_i
+    gives w = u + (1 - a) w.  Returns (None, 2.0) when an evaluation
+    raises, mid F'(X) is singular or H is not finite.
     """
     n = f.dim
     ms = [xs[i].mid for i in range(n)]

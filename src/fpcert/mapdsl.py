@@ -426,7 +426,7 @@ def derivative(e: Expr, j: int) -> "Expr | None":
     denominator, so the evaluation raises instead where e may be singular.
     At abs(u), min(u, v) and max(u, v) it is a Select on the sign of u or
     u - v, whose naive extension encloses Clarke's generalized gradient,
-    as the Krawczyk test's mean value theorem needs (Clarke 1983, 2.6.5).
+    as the operator test's mean value theorem needs (Clarke 1983, 2.6.5).
     abs's Select holds u' once, as pos, its neg None mirroring it: every
     rule reaches a child derivative once, so no walk doubles per level.
     """
