@@ -90,7 +90,8 @@ SECONDS = 10  # perfbench run length, as BENCHMARK.json runs it
 # A map line's lexemes, counted as the work of a parse: numbers, words, any other character.
 LEXEME = re.compile(r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?|[A-Za-z_]\w*|\S")
 TRACE_GRID, TRACE_TOL = 16, 0.2  # the trace-poly workload's cells and 2-D tolerance
-# The pair kernels that localize's operator step calls itself, map evaluations aside.
+# The pair kernels that localize's operator step calls itself, map evaluations aside;
+# mul_up is the Krawczyk formula's, for a --root checkout from before the sweep.
 SWEEP_KERNELS = ("scale_pair", "mul_pair", "div_pair", "mul_up")
 RESULT_COUNTS = ("krawczyk_tests", "krawczyk_proofs", "krawczyk_exclusions",
                  "krawczyk_undecided", "halves_cut", "halves_discarded")
