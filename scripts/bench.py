@@ -23,12 +23,13 @@ search.  Layer rows (one process, gc off while timing):
 - the add, mul, sqr, div, sin, exp and tanh pair kernels, per call, over
   fixed seeded operands;
 - one evaluation of the baseline trig map, plain and through its memo view,
-  one `localize._krawczyk` step and one `localize._residual_pairs` call,
-  each replayed on the coordinate tuples that a localize search of the trig
-  map on [-2, 2]^2 at tol 1e-7 hands to those functions, in search order,
-  and one `certify._mean_value_pairs` call on each residual-test box; the
-  step row's work adds the calls that one replay of the steps makes to the
-  pair kernels `localize` binds (SWEEP_KERNELS), map evaluations aside;
+  one `localize._hansen_sengupta` step and one `localize._residual_pairs`
+  call, each replayed on the coordinate tuples that a localize search of
+  the trig map on [-2, 2]^2 at tol 1e-7 hands to those functions, in search
+  order, and one `certify._mean_value_pairs` call on each residual-test
+  box; the step row's work adds the calls that one replay of the steps
+  makes to the pair kernels `localize` binds (SWEEP_KERNELS), map
+  evaluations aside;
 - one `subdivision.adaptive_cover` run proving a fixed-point-free box with
   the residual test; its throughput is work["boxes"] / median_s;
 - the cover boxes of one holed-ball certificate (the first holed ball of
@@ -38,16 +39,15 @@ search.  Layer rows (one process, gc off while timing):
   `certify_holes` does; its work is the boxes, so a cheaper bound per box
   tells apart from a smaller cover;
 - the front end of the certify-batch workload at --seed, per problem: the
-  argv dispatch of `cli.main` (the `--format json --stable` argv of every
-  problem; a checkout without `cli._parse` runs the cached parser's
-  `parse_args`), `mapdsl.parse_program` on every program (work: the tokens
-  and literals of its map lines), and each certify task's JSON report
-  (`Certificate.to_json(stable=True)`, certified once untimed; work: the
-  characters written);
+  argv dispatch of `cli.main` (`cli._parse` on the `--format json
+  --stable` argv of every problem), `mapdsl.parse_program` on every
+  program (work: the tokens and literals of its map lines), and each
+  certify task's JSON report (`Certificate.to_json(stable=True)`,
+  certified once untimed; work: the characters written);
 - one trace cell: the 16 cells of one fixed 2-D trace-poly family (the
   second family of seed 1, whatever --seed is), each localized over its t
   cell at the workload's tol as `trace_continuum` does, per cell; its work
-  is the cells, and the Krawczyk steps (contraction steps included) and
+  is the cells, and the operator steps (contraction steps included) and
   residual tests of one untimed run of them.
 
 End-to-end rows run `perfbench/run.py --trace 0` once per workload, in a
@@ -55,11 +55,10 @@ fresh process (editing nothing under perfbench/): median_s is the
 latency_p50 and repeats the problems timed, and the row keeps every metric,
 the answer digest and whether the answers checked.  Its work is counted in
 a separate untimed pass over the workload's problems: the boxes of every
-`adaptive_cover` run, the localize searches, their boxes, Krawczyk steps
+`adaptive_cover` run, the localize searches, their boxes, operator steps
 (contraction steps included) and residual tests, the LocalizeResult work
-counts where the checkout has them, and the `div_pair` calls through every
-fpcert module that binds it.  The last row is tier-1 (pytest),
-timed once.
+counts, and the `div_pair` calls through every fpcert module that binds
+it.  The last row is tier-1 (pytest), timed once.
 """
 
 from __future__ import annotations
@@ -90,11 +89,10 @@ SECONDS = 10  # perfbench run length, as BENCHMARK.json runs it
 # A map line's lexemes, counted as the work of a parse: numbers, words, any other character.
 LEXEME = re.compile(r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?|[A-Za-z_]\w*|\S")
 TRACE_GRID, TRACE_TOL = 16, 0.2  # the trace-poly workload's cells and 2-D tolerance
-# The pair kernels that localize's operator step calls itself, map evaluations aside;
-# mul_up is the Krawczyk formula's, for a --root checkout from before the sweep.
-SWEEP_KERNELS = ("scale_pair", "mul_pair", "div_pair", "mul_up")
-RESULT_COUNTS = ("krawczyk_tests", "krawczyk_proofs", "krawczyk_exclusions",
-                 "krawczyk_undecided", "halves_cut", "halves_discarded")
+# The pair kernels that localize's operator step calls itself, map evaluations aside.
+SWEEP_KERNELS = ("scale_pair", "mul_pair", "div_pair")
+RESULT_COUNTS = ("operator_tests", "operator_proofs", "operator_exclusions",
+                 "operator_undecided", "halves_cut", "halves_discarded")
 
 
 def timed(body, per: int) -> float:
@@ -216,7 +214,7 @@ def kernel_rows(interval):
 
 
 def search_rows(fp):
-    """The map, Krawczyk and residual rows, replayed on the tuples of one
+    """The map, operator and residual rows, replayed on the tuples of one
     search of the trig map, and the adaptive_cover row."""
     localize, mapdsl = fp["localize"], fp["mapdsl"]
     m = mapdsl.parse_map(TRIG)
@@ -231,7 +229,7 @@ def search_rows(fp):
             return call
         return wrap
 
-    with wrapped([(localize, "_krawczyk", recorder(steps)),
+    with wrapped([(localize, "_hansen_sengupta", recorder(steps)),
                   (localize, "_residual_pairs", recorder(tests))]):
         localize.localize_fixed_points(m, rect, tol=1e-7)
     evals = steps + tests
@@ -247,14 +245,14 @@ def search_rows(fp):
                 for comp in f.components:
                     comp.eval_pair(xs)
 
-    def krawczyk():
+    def operator():
         with m.memo_view() as (f, jac):
             for xs in steps:
-                localize._krawczyk(f, jac, xs)
+                localize._hansen_sengupta(f, jac, xs)
 
     step_work = {"steps": len(steps)}
     with wrapped(kernel_counts([localize], SWEEP_KERNELS, step_work)):
-        krawczyk()
+        operator()
 
     def residual():
         with m.memo_view() as (f, _jac):
@@ -287,7 +285,7 @@ def search_rows(fp):
               {"evaluations": len(evals)}),
         entry("mapdsl.memo_view.eval_pair", timed(memo, len(evals)), REPEATS,
               {"evaluations": len(evals)}),
-        entry("localize._krawczyk", timed(krawczyk, len(steps)), REPEATS, step_work),
+        entry("localize._hansen_sengupta", timed(operator, len(steps)), REPEATS, step_work),
         entry("localize._residual_pairs", timed(residual, len(tests)), REPEATS,
               {"calls": len(tests)}),
         entry("certify._mean_value_pairs", timed(mean_value, len(boxes)), REPEATS,
@@ -346,7 +344,6 @@ def front_end_rows(fp, seed: int):
     cli, mapdsl, geometry = fp["cli"], fp["mapdsl"], fp["geometry"]
     problems = gen.certify_batch(seed, 20)  # the workload's 1,000 problems, 20 blocks of 50
     argvs = [[p.task, f"p{p.pid:05d}.fp", "--format", "json", "--stable"] for p in problems]
-    parse_argv = getattr(cli, "_parse", None) or cli._parser().parse_args
     sources = [p.source for p in problems]
     lexemes = [lexeme for source in sources for line in source.splitlines()
                if line.startswith("map") for lexeme in LEXEME.findall(line.split("=", 1)[1])]
@@ -360,7 +357,7 @@ def front_end_rows(fp, seed: int):
 
     def dispatch():
         for argv in argvs:
-            parse_argv(argv)
+            cli._parse(argv)
 
     def parse():
         for source in sources:
@@ -385,7 +382,7 @@ def trace_cell_row(fp):
     """The trace-cell row: the 16 cells of one fixed 2-D trace-poly family
     (the second family of seed 1), each localized over its t cell as
     trace_continuum does, timed per cell; its work is the cells, and the
-    Krawczyk steps and residual tests of one untimed run of them."""
+    operator steps and residual tests of one untimed run of them."""
     import gen  # perfbench's, from the checkout measured (see main)
 
     localize = fp["localize"]
@@ -395,13 +392,13 @@ def trace_cell_row(fp):
     rect = fp["geometry"].parse_domain(program.domain_line, m.dim, program.domain_line_no)
     interval = fp["interval"].Interval
     cells = [interval(j / TRACE_GRID, (j + 1) / TRACE_GRID) for j in range(TRACE_GRID)]
-    work = {"cells": len(cells), "krawczyk_steps": 0, "residual_tests": 0}
+    work = {"cells": len(cells), "operator_steps": 0, "residual_tests": 0}
 
     def run():
         for t in cells:
             localize.localize_fixed_points(m, rect, TRACE_TOL, t=t)
 
-    with wrapped([(localize, "_krawczyk", counting(work, "krawczyk_steps")),
+    with wrapped([(localize, "_hansen_sengupta", counting(work, "operator_steps")),
                   (localize, "_residual_pairs", counting(work, "residual_tests"))]):
         run()
     return entry("continuation.trace_cell", timed(run, len(cells)), REPEATS, work,
@@ -411,12 +408,12 @@ def trace_cell_row(fp):
 def counted_pass(fp, workload: str, seed: int):
     """The work of one untimed pass over the workload's problems: the boxes
     of every adaptive_cover run, the localize searches with their boxes,
-    Krawczyk steps, residual tests and LocalizeResult counts, and the
+    operator steps, residual tests and LocalizeResult counts, and the
     div_pair calls."""
     import workloads  # perfbench's, from the checkout measured (see main)
 
     localize = fp["localize"]
-    work = dict.fromkeys(("cover_boxes", "searches", "boxes", "krawczyk_steps",
+    work = dict.fromkeys(("cover_boxes", "searches", "boxes", "operator_steps",
                           "residual_tests"), 0)
 
     def cover(fn):
@@ -432,15 +429,14 @@ def counted_pass(fp, workload: str, seed: int):
             work["searches"] += 1
             work["boxes"] += res.boxes_examined
             for key in RESULT_COUNTS:
-                if hasattr(res, key):
-                    work[key] = work.get(key, 0) + getattr(res, key)
+                work[key] = work.get(key, 0) + getattr(res, key)
             return res
         return call
 
     # Every binding a pass calls through: certify and degree import adaptive_cover.
     patches = [(fp[name], "adaptive_cover", cover) for name in ("certify", "degree")]
     patches += [(localize, "_search", search),
-                (localize, "_krawczyk", counting(work, "krawczyk_steps")),
+                (localize, "_hansen_sengupta", counting(work, "operator_steps")),
                 (localize, "_residual_pairs", counting(work, "residual_tests"))]
     patches += kernel_counts(fp.values(), ("div_pair",), work)
     wl = workloads.WORKLOADS[workload](fp)

@@ -128,9 +128,10 @@ from fpcert.degree import (  # noqa: E402
     fixed_point_index,
     holes_index_cross_check,
 )
-from fpcert.geometry import HoledBallSpec, RectDomain, flip_coordinates  # noqa: E402
+from fpcert.geometry import HoledBallSpec, RectDomain  # noqa: E402
 from fpcert.interval import Box, Interval  # noqa: E402
 from fpcert.localize import PROVEN, localize_fixed_points  # noqa: E402
+from fpcert.mapdsl import flip_coordinates  # noqa: E402
 
 
 def main():

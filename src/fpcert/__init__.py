@@ -29,7 +29,6 @@ from .geometry import (
     HoledBallSpec,
     RectDomain,
     face,
-    flip_coordinates,
     parse_domain,
 )
 from .interval import (
@@ -50,6 +49,7 @@ from .mapdsl import (
     MapSpec,
     ParseError,
     UnknownIdentifierError,
+    flip_coordinates,
     parse_map,
     parse_program,
 )

@@ -164,6 +164,14 @@ _ENTRIES = [
         exit=1,
     ),
     CatalogEntry(
+        "localize-degenerate-root",
+        "x - (x - 0.3)^3: I - Dg is singular at 0.3, so the face test proves that root",
+        "localize",
+        "dim 1\nmap g1 = x1 - (x1 - 0.3)^3\ndomain rect [0,1]\n",
+        {"tol": 1e-3},
+        exit=0,
+    ),
+    CatalogEntry(
         "index-constant-inside",
         "constant map into the rectangle: index 1",
         "index",

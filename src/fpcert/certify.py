@@ -89,7 +89,6 @@ from .geometry import (
     RectDomain,
     dist2_pair,
     face,
-    flip_coordinates,
 )
 from .interval import (
     Box,
@@ -104,7 +103,7 @@ from .interval import (
     sub_down,
     sub_up,
 )
-from .mapdsl import MapSpec
+from .mapdsl import MapSpec, flip_coordinates
 from .subdivision import (
     IRRELEVANT,
     UNDECIDABLE,
@@ -151,10 +150,10 @@ class EvidenceEntry(Record):
 class CertStats:
     __slots__ = ("boxes", "depth", "seconds")
 
-    def __init__(self, boxes: int = 0, depth: int = 0, seconds: float = 0.0):
-        self.boxes = boxes
-        self.depth = depth
-        self.seconds = seconds
+    def __init__(self):
+        self.boxes = 0
+        self.depth = 0
+        self.seconds = 0.0
 
 
 class Certificate:

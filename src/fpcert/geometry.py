@@ -3,9 +3,8 @@
 Rectangles carry their faces, cylinders a height interval over a box base,
 cone shells live in the nonnegative orthant between two level sets of a
 functional (the coordinate sum, the sup norm or the euclidean norm), and
-holed balls are planar disks minus disjoint holes.  The module also builds
-the coordinate flip of a map (2*x_i - g_i); on the height coordinate it is
-the cylinder duality transform.
+holed balls are planar disks minus disjoint holes.  No map is built here:
+the height flip of the cylinder duality is `mapdsl.flip_coordinates`.
 
 The enclosures the certifiers take over boxes, the squared distance to a
 point (`dist2_pair`) and a shell functional (`Functional.value_pair`), work
@@ -47,14 +46,7 @@ from .interval import (
     sub_down,
     sub_up,
 )
-from .mapdsl import (
-    NUMBER,
-    BinOp,
-    MapSpec,
-    ParseError,
-    Var,
-    float_const,
-)
+from .mapdsl import NUMBER, ParseError
 
 
 _INF = math.inf
@@ -94,42 +86,6 @@ def face(box: Box, axis: int, sign: str) -> Box:
     c = box.coords[axis]
     pinned = c.lo if sign == "-" else c.hi
     return box.replace_coord(axis, Interval(pinned))
-
-
-# ---------------------------------------------------------------------------
-# Coordinate flips
-# ---------------------------------------------------------------------------
-
-
-def _flip_component(expr, axis: int):
-    # Unwrapping 2*x_i - e back to e makes the flip an exact involution.
-    if (
-        isinstance(expr, BinOp)
-        and expr.op == "-"
-        and isinstance(expr.left, BinOp)
-        and expr.left.op == "*"
-        and getattr(expr.left.left, "value", None) == 2.0
-        and type(expr.left.right) is Var
-        and expr.left.right.index == axis
-    ):
-        return expr.right
-    return BinOp("-", BinOp("*", float_const(2.0), Var(axis)), expr)
-
-
-def flip_coordinates(m: MapSpec, flip_axes) -> MapSpec:
-    """Replace g_i by 2*x_i - g_i for each i in flip_axes (0-based).
-
-    Fixed points are preserved exactly, and applying the same flip twice
-    returns a map that evaluates identically to the original.
-    """
-    axes = set(flip_axes)
-    for axis in axes:
-        if not 0 <= axis < m.dim:
-            raise IndexError(f"axis {axis} out of range for dimension {m.dim}")
-    comps = tuple(
-        _flip_component(c, i) if i in axes else c for i, c in enumerate(m.components)
-    )
-    return MapSpec(m.dim, comps, m.has_param)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ to the requested width, or until no coordinate has a float strictly inside
 it to split at.
 
 With the upgrade on, every box also takes the operator test, one
-Hansen-Sengupta step (`_krawczyk`; Hansen & Sengupta 1981; Neumaier
+Hansen-Sengupta step (`_hansen_sengupta`; Hansen & Sengupta 1981; Neumaier
 1990, chapter 5), with Clarke's generalized gradient at abs, min and max
 (see `mapdsl.derivative`).  It discards boxes, proves that a box holds
 exactly one fixed point, and contracts a proven box far below the
@@ -147,14 +147,14 @@ class Enclosure:
 
 class LocalizeResult:
     __slots__ = ("enclosures", "total_volume", "discarded_volume", "surviving_volume",
-                 "boxes_examined", "exhausted", "krawczyk_tests", "krawczyk_proofs",
-                 "krawczyk_exclusions", "krawczyk_undecided", "halves_cut",
+                 "boxes_examined", "exhausted", "operator_tests", "operator_proofs",
+                 "operator_exclusions", "operator_undecided", "halves_cut",
                  "halves_discarded")
 
     def __init__(self, enclosures: list, total_volume: float, discarded_volume: float,
                  surviving_volume: float, boxes_examined: int, exhausted: bool,
-                 krawczyk_tests: int = 0, krawczyk_proofs: int = 0,
-                 krawczyk_exclusions: int = 0, krawczyk_undecided: int = 0,
+                 operator_tests: int = 0, operator_proofs: int = 0,
+                 operator_exclusions: int = 0, operator_undecided: int = 0,
                  halves_cut: int = 0, halves_discarded: int = 0):
         self.enclosures = enclosures
         self.total_volume = total_volume
@@ -168,10 +168,10 @@ class LocalizeResult:
         # found K(X) but neither proved nor excluded; the halves of such an
         # undecided box that were cut to K(X), and those discarded as
         # disjoint from it.
-        self.krawczyk_tests = krawczyk_tests
-        self.krawczyk_proofs = krawczyk_proofs
-        self.krawczyk_exclusions = krawczyk_exclusions
-        self.krawczyk_undecided = krawczyk_undecided
+        self.operator_tests = operator_tests
+        self.operator_proofs = operator_proofs
+        self.operator_exclusions = operator_exclusions
+        self.operator_undecided = operator_undecided
         self.halves_cut = halves_cut
         self.halves_discarded = halves_discarded
 
@@ -308,7 +308,7 @@ def _inverse2(a):
     return inv if all(math.isfinite(v) for v in (e0, e1, f0, f1)) else None
 
 
-def _krawczyk(f: MapSpec, jac, xs):
+def _hansen_sengupta(f: MapSpec, jac, xs):
     """The Hansen-Sengupta image H of F = Id - g over the box X whose
     coordinate tuple is xs (X's coordinates, then T if f takes t): with m
     X's midpoint, F'(X) the naive enclosure of the Jacobian `jac` over X,
@@ -404,15 +404,16 @@ def _krawczyk(f: MapSpec, jac, xs):
 
 
 def _contract(f: MapSpec, jac, box: Box, K, tol: float, tail):
-    """Iterate X <- K(X) & X, which keeps every fixed point in X, while the
-    width at least halves; tail is () or (T,), the coordinates after X's.
-    Returns (X, leaf), or (None, True) once some K(X) misses X, which then
-    holds no fixed point.  X is a leaf once it is at most tol wide, has no
-    splittable axis, or a step left it unchanged: then the rounding of K is
-    as wide as X, and no sub-box can be proven.  With T given, X is also a
-    leaf where it stops halving or K raises: the fixed point moves with t
-    across T, so X cannot shrink below that motion, and splitting X would
-    leave two boxes with one proof between them, neither proven."""
+    """Iterate X <- K(X) & X on a box with a proof id, which keeps every
+    fixed point in X, while the width at least halves; tail is () or (T,),
+    the coordinates after X's.  Returns (X, leaf), or (None, True) once some
+    K(X) misses X, which then holds no fixed point.  X is a leaf once it is
+    at most tol wide, has no splittable axis, or a step left it unchanged:
+    then the rounding of K is as wide as X, and no sub-box can be proven.
+    With T given, X is also a leaf where it stops halving or K raises: the
+    fixed point moves with t across T, so X cannot shrink below that
+    motion, and splitting X would leave two boxes with one proof between
+    them, neither proven."""
     while True:
         if any(hi < c.lo or lo > c.hi for (lo, hi), c in zip(K, box.coords)):
             return None, True
@@ -423,7 +424,7 @@ def _contract(f: MapSpec, jac, box: Box, K, tol: float, tail):
         if x.width > 0.5 * box.width:
             return x, bool(tail)
         box = x
-        K, _rho = _krawczyk(f, jac, box.coords + tail)
+        K, _rho = _hansen_sengupta(f, jac, box.coords + tail)
         if K is None:
             return box, bool(tail)
 
@@ -557,24 +558,29 @@ def _search(g: MapSpec, f: MapSpec, jac, rect: RectDomain, tol: float, budget: i
         else:  # out of budget: keep the box unless the residual test discards it
             exhausted = True
         width = box.width
-        krawczyk = (not exhausted and jac is not None and tol < width
+        operator = (not exhausted and jac is not None and tol < width
                     and (proof is not None or width <= limit))
         # The root takes the residual test only where the operator cannot decide it.
-        pairs = _UNTESTED if krawczyk and examined == 1 else _residual_pairs(f, box.coords + tail)
+        pairs = _UNTESTED if operator and examined == 1 else _residual_pairs(f, box.coords + tail)
         x, leaf = box, exhausted or width <= tol
         undecided = None  # K(X) of a test that neither proves nor excludes
         fresh = False  # this box's own test gave it its proof id
-        if krawczyk and pairs is not _PRUNED:
+        if operator and pairs is not _PRUNED:
             tests += 1
-            K, rho = _krawczyk(f, jac, box.coords + tail)
-            if K is not None and proof is None and all(
-                    c.lo < lo and hi < c.hi for (lo, hi), c in zip(K, box.coords)):
-                proofs += 1
-                proof = len(proven_boxes)
-                proven_boxes.append(box)
-                fresh = True
-            if K is not None and (proof is not None or any(
-                    hi < c.lo or lo > c.hi for (lo, hi), c in zip(K, box.coords))):
+            K, rho = _hansen_sengupta(f, jac, box.coords + tail)
+            if K is not None and proof is None:
+                if any(hi < c.lo or lo > c.hi for (lo, hi), c in zip(K, box.coords)):
+                    exclusions += 1
+                    pairs = _PRUNED
+                elif all(c.lo < lo and hi < c.hi for (lo, hi), c in zip(K, box.coords)):
+                    proofs += 1
+                    proof = len(proven_boxes)
+                    proven_boxes.append(box)
+                    fresh = True
+                else:
+                    undecided = K
+                    undecided_tests += 1
+            if K is not None and proof is not None:
                 x, leaf = _contract(f, jac, box, K, tol, tail)
                 if x is None:
                     exclusions += 1
@@ -583,10 +589,7 @@ def _search(g: MapSpec, f: MapSpec, jac, rect: RectDomain, tol: float, budget: i
                     pairs = _DEFERRED
                 else:
                     pairs = _residual_pairs(f, x.coords + tail)
-            else:
-                if K is not None:  # proof is None here
-                    undecided = K
-                    undecided_tests += 1
+            elif pairs is not _PRUNED:
                 if pairs is _UNTESTED:
                     pairs = _residual_pairs(f, box.coords + tail)
                 if proof is None and rho > 1.0:  # 2.0 after an error or singular matrix
@@ -638,10 +641,10 @@ def _search(g: MapSpec, f: MapSpec, jac, rect: RectDomain, tol: float, budget: i
         surviving_volume=surviving_volume,
         boxes_examined=examined,
         exhausted=exhausted,
-        krawczyk_tests=tests,
-        krawczyk_proofs=proofs,
-        krawczyk_exclusions=exclusions,
-        krawczyk_undecided=undecided_tests,
+        operator_tests=tests,
+        operator_proofs=proofs,
+        operator_exclusions=exclusions,
+        operator_undecided=undecided_tests,
         halves_cut=halves_cut,
         halves_discarded=halves_discarded,
     )

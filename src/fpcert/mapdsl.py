@@ -26,6 +26,9 @@ component (``MapSpec.eval_pairs`` returns the component pairs themselves).
 ``MapSpec.at(t)`` substitutes a float t for the parameter: the plain map
 it returns reads the constant [t, t] where the map read the coordinate
 Interval(t), so it evaluates bit for bit as the map at that t.
+``flip_coordinates`` replaces g_i by 2*x_i - g_i, which keeps the fixed
+points (on a cylinder's height, the duality transform).  No other module
+builds expression nodes: the others evaluate the trees built here.
 ``MapSpec.memo_view()`` gives, for one search, an evaluation-only view of
 the map and of its Jacobian (``MemoView``) that evaluates as they do, bit
 for bit, errors included.  Built in one walk that merges equal subtrees,
@@ -845,6 +848,19 @@ class MapSpec(Record):
         for i, comp in enumerate(self.components):
             lines.append(f"map g{i + 1} = {comp.to_source(0)}")
         return "\n".join(lines) + "\n"
+
+
+def flip_coordinates(m: MapSpec, flip_axes) -> MapSpec:
+    """m with g_i replaced by 2*x_i - g_i for each i in flip_axes (0-based),
+    which has the same fixed points.  On the height axis 0 of a cylinder
+    it is the duality transform: a compressive map becomes expansive."""
+    axes = set(flip_axes)
+    for axis in axes:
+        if not 0 <= axis < m.dim:
+            raise IndexError(f"axis {axis} out of range for dimension {m.dim}")
+    comps = tuple(BinOp("-", BinOp("*", _TWO, Var(i)), c) if i in axes else c
+                  for i, c in enumerate(m.components))
+    return MapSpec(m.dim, comps, m.has_param)
 
 
 # ---------------------------------------------------------------------------

@@ -41,22 +41,20 @@ class CoverResult:
     __slots__ = ("status", "verified", "violation", "unresolved", "unresolved_count",
                  "boxes_examined", "depth_reached")
 
-    def __init__(self, status: str, verified: "list | None" = None,
-                 violation: "tuple | None" = None, unresolved: "list | None" = None,
-                 unresolved_count: int = 0, boxes_examined: int = 0, depth_reached: int = 0):
-        self.status = status  # 'verified' | 'violated' | 'indeterminate'
-        self.verified = [] if verified is None else verified  # (box, payload)
-        self.violation = violation  # (box, payload)
-        self.unresolved = [] if unresolved is None else unresolved  # (box, payload)
-        self.unresolved_count = unresolved_count
-        self.boxes_examined = boxes_examined
-        self.depth_reached = depth_reached
+    def __init__(self):
+        self.status = "verified"  # 'verified' | 'violated' | 'indeterminate'
+        self.verified = []  # (box, payload)
+        self.violation = None  # (box, payload)
+        self.unresolved = []  # (box, payload)
+        self.unresolved_count = 0
+        self.boxes_examined = 0
+        self.depth_reached = 0
 
 
 def adaptive_cover(seeds, classify, max_depth: int, max_boxes: int) -> CoverResult:
     if max_depth < 0:
         raise ValueError(f"max_depth must be nonnegative, not {max_depth}")
-    result = CoverResult(status="verified")
+    result = CoverResult()
     queue = deque((box, 0) for box in seeds)
     while queue:
         if result.boxes_examined >= max_boxes:

@@ -51,11 +51,10 @@ from fpcert.geometry import (
     Functional,
     HoledBallSpec,
     RectDomain,
-    flip_coordinates,
 )
 from fpcert.interval import Box, Interval
 from fpcert.localize import localize_fixed_points, region_fixed_point_free
-from fpcert.mapdsl import EvaluationError, parse_map
+from fpcert.mapdsl import EvaluationError, flip_coordinates, parse_map
 from fpcert.interval import DomainError
 
 from oracles import bisect_root, grid_zoom_min, winding_circle

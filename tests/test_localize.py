@@ -227,7 +227,7 @@ def test_budget_tail_discards_boxes_a_component_excludes():
 
 
 # ---------------------------------------------------------------------------
-# The Krawczyk test
+# The operator test
 # ---------------------------------------------------------------------------
 
 _TRIG = ("dim 2\nmap g1 = 0.9*sin(3*x1) + 0.3*x2^2\n"
@@ -256,10 +256,10 @@ def test_trig_map_fixed_points_are_proven():
     assert res.boxes_examined < bisected.boxes_examined / 4
     # Operator tests, proofs, exclusions and undecided tests; halves cut to
     # an undecided image and halves discarded as disjoint from it.
-    assert (res.krawczyk_tests, res.krawczyk_proofs, res.krawczyk_exclusions,
-            res.krawczyk_undecided, res.halves_cut, res.halves_discarded) == (17, 3, 5, 9, 7, 3)
+    assert (res.operator_tests, res.operator_proofs, res.operator_exclusions,
+            res.operator_undecided, res.halves_cut, res.halves_discarded) == (17, 3, 5, 9, 7, 3)
     assert res.boxes_examined == 116
-    assert "krawczyk_tests" not in res.to_json() and "halves_cut" not in res.to_json()
+    assert "operator_tests" not in res.to_json() and "halves_cut" not in res.to_json()
 
 
 def test_undecided_krawczyk_image_discards_a_half_it_misses():
@@ -271,7 +271,7 @@ def test_undecided_krawczyk_image_discards_a_half_it_misses():
     m = parse_map("dim 2\nmap g1 = 0.5*x1 + 0.5\nmap g2 = x2^2\n")
     split = -2.0 + 4.0 * 27.0 / 53.0
     one = localize_fixed_points(m, rect((-2, 2), (-1, 1.5)), tol=1e-7, budget=1)
-    assert (one.krawczyk_undecided, one.halves_discarded, one.halves_cut) == (1, 1, 0)
+    assert (one.operator_undecided, one.halves_discarded, one.halves_cut) == (1, 1, 0)
     assert [e.box.bounds() for e in one.enclosures] == [[[split, 2.0], [-1.0, 1.5]]]
     assert one.discarded_volume == (split + 2.0) * 2.5
     res = localize_fixed_points(m, rect((-2, 2), (-1, 1.5)), tol=1e-7)
@@ -313,7 +313,7 @@ def test_krawczyk_exclusion_keeps_the_volume_tiled():
 
 
 def _exact_sweep(m, X, y):
-    """The sweep of localize._krawczyk over the box X with the
+    """The sweep of localize._hansen_sengupta over the box X with the
     preconditioner y, in exact rational interval arithmetic: the image of
     each row, X's own where the row's diagonal entry holds 0, up to the
     first row whose image misses X, and None after it."""
@@ -400,7 +400,7 @@ def test_krawczyk_image_encloses_the_exact_operator(monkeypatch):
             bounds.append((lo, lo + 2 * w if k % 4 < 2 else lo + w))
         X = Box.from_bounds(bounds).coords
         ys.clear()
-        H, _rho = localize._krawczyk(m, jacobian(m), X)
+        H, _rho = localize._hansen_sengupta(m, jacobian(m), X)
         if H is None:
             continue
         want = _exact_sweep(m, X, ys[0])
@@ -498,7 +498,7 @@ def _localize_planted(make, rng, count):
     """Localize count planted maps from make(rng, rect) and check that each
     planted point lies in an enclosure and that the volumes tile the
     rectangle; returns the number PROVEN.  The halves cut to an undecided
-    Krawczyk image, or discarded as disjoint from it, must include both
+    operator image, or discarded as disjoint from it, must include both
     kinds, so the corpus runs that cut."""
     proven = cut = discarded = 0
     for _ in range(count):
@@ -555,7 +555,7 @@ def test_maps_with_kinks_have_every_fixed_point_proven(source, bounds, count, kn
         assert any(box_contains(e.box, p) for e in res.proven), p
 
 
-# At x1 = 0.3, I - Dg is singular, so the Krawczyk test never passes; the
+# At x1 = 0.3, I - Dg is singular, so the operator test never passes; the
 # face test proves the leaf that holds the root.  In 2-D the root needs x2
 # off the faces of the rectangle: on x2 = 0, g2 - x2 is 0 and has no sign.
 _DEGENERATE = (
@@ -622,7 +622,7 @@ def test_a_continuum_of_fixed_points_has_no_uniqueness_claim(source, bounds):
     m = parse_map(source)
     root = Box.from_bounds(bounds)
     res = localize_fixed_points(m, RectDomain(root), tol=0.01)
-    assert not res.exhausted and res.krawczyk_proofs == 0 and not res.proven
+    assert not res.exhausted and res.operator_proofs == 0 and not res.proven
     assert all(e.unique is None for e in res.enclosures)
     for p in ((-1.0,), (-0.5,), (0.0,)):
         p += (0.0,) * (m.dim - 1)
@@ -654,7 +654,7 @@ def test_a_stalled_proof_is_inherited_by_its_descendants(monkeypatch):
     m = parse_map(_STALL)
     res = localize_fixed_points(m, rect((-1, 1), (-1, 1)), tol=1e-7)
     assert stalls[0] and len(stalls) > 1
-    assert (res.krawczyk_proofs, res.krawczyk_exclusions, res.boxes_examined) == (1, 1, 3)
+    assert (res.operator_proofs, res.operator_exclusions, res.boxes_examined) == (1, 1, 3)
     assert len(res.enclosures) == 1 and len(res.proven) == 1
     _assert_proven_boxes_hold_fixed_points(m, res)
 
@@ -708,23 +708,23 @@ def test_leaf_whose_face_evaluation_raises_stays_a_candidate(monkeypatch):
 
 
 def _spy_on_tests(monkeypatch):
-    """Record ("K", xs) for each _krawczyk call and ("R", xs, result) for
+    """Record ("K", xs) for each _hansen_sengupta call and ("R", xs, result) for
     each _residual_pairs call of the searches that follow."""
     from fpcert import localize
 
     calls = []
-    krawczyk, residual = localize._krawczyk, localize._residual_pairs
+    operator, residual = localize._hansen_sengupta, localize._residual_pairs
 
     def spy_k(f, jac, xs):
         calls.append(("K", xs))
-        return krawczyk(f, jac, xs)
+        return operator(f, jac, xs)
 
     def spy_r(f, xs):
         out = residual(f, xs)
         calls.append(("R", xs, out))
         return out
 
-    monkeypatch.setattr(localize, "_krawczyk", spy_k)
+    monkeypatch.setattr(localize, "_hansen_sengupta", spy_k)
     monkeypatch.setattr(localize, "_residual_pairs", spy_r)
     return calls
 
@@ -759,7 +759,7 @@ def test_a_root_that_krawczyk_proves_takes_one_residual_test(monkeypatch):
 
 
 def test_a_proven_leaf_reads_the_residual_its_search_would_have_taken(monkeypatch):
-    # No t: each leaf that its own Krawczyk test proved takes its residual
+    # No t: each leaf that its own operator test proved takes its residual
     # test on first read; the search's memo view, evaluating the leaf's
     # tuple where the search contracts it, gives the same bound.
     from corpus import random_planted_kinked_map, random_planted_trig_map

@@ -206,8 +206,8 @@ def test_searches_empty_the_caches_when_they_return_or_raise(monkeypatch):
             return real(*args, **kwargs)
         return fn
 
-    monkeypatch.setattr(localize_module, "_krawczyk",
-                        raising(localize_module._krawczyk, m._memo.caches))
+    monkeypatch.setattr(localize_module, "_hansen_sengupta",
+                        raising(localize_module._hansen_sengupta, m._memo.caches))
     with pytest.raises(RuntimeError):
         localize_fixed_points(m, _rect((-2.0, 2.0), (-2.0, 2.0)), tol=1e-7)
     assert not any(m._memo.caches)
@@ -238,7 +238,7 @@ def test_the_cells_of_one_family_share_its_view_and_leave_it_empty(monkeypatch):
         assert any(g._memo.caches), "the cell filled no cache"
         raise RuntimeError("stop")
 
-    # The root's Krawczyk test is the cell's first evaluation: raise in the
+    # The root's operator test is the cell's first evaluation: raise in the
     # contraction of its proof, which comes after it.
     monkeypatch.setattr(localize_module, "_contract", raising)
     with pytest.raises(RuntimeError):
