@@ -66,9 +66,19 @@ tanh, sqrt, * or /) of decimal literals, on a cylinder whose base has
 g2's computed bound as its top or bottom; for each CERTIFIED one the true
 value at the literals' exact values must lie on the base's side of that
 bound (``kernel_side``, mpmath at 200 bits; ``edge checks`` counts them).
-Only this stream can see an enclosure that misses by one ulp.  Any answer
-an oracle cannot confirm is a soundness bug and is printed with its
-problem source.
+Only this stream can see an enclosure that misses by one ulp.  Then, from
+a tenth stream, 1-D and 2-D maps with a planted degenerate fixed set and
+dyadic literals (``random_degenerate_map``: a segment of fixed points, a
+tangential root, or two roots closer than the tolerance) take the checks
+of the localize stream: a planted point, or a segment's ends or midpoint,
+that lies in no enclosure is a violation, and so is a uniqueness box that
+holds two planted points or meets the segment in more than one point
+(``planted checks`` counts the points, ``unique boxes`` the boxes).  Last,
+from an eleventh stream, planar maps with a sqrt or a division that raise
+on part of their rectangle take the same checks on a smaller budget
+(``raised`` counts the enclosures whose residual is None).  Any answer an
+oracle cannot confirm is a soundness bug and is printed with its problem
+source.
 
     python scripts/fuzz_soundness.py --n 2000 --seed 7
 """
@@ -86,16 +96,20 @@ import mpmath
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
 
 from corpus import (  # noqa: E402
+    box_contains,
+    box_meets_segment,
     branch_point,
     memo_view_mismatches,
     permute_box,
     permute_coordinates,
     random_cone_problem,
     random_cylinder_problem,
+    random_degenerate_map,
     random_edge_problem,
     random_expression_map,
     random_holed_ball_problem,
     random_norm_cone_problem,
+    random_partial_map,
     random_planted_branch_family,
     random_planted_kinked_map,
     random_planted_trig_map,
@@ -138,7 +152,6 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--n", type=int, default=1000, help="total problem count")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--residual", type=float, default=1e-6)
     args = ap.parse_args()
     n_holes = n_index = n_localize = n_norms = args.n // 10
     n_edge = 4 * args.n
@@ -197,10 +210,18 @@ def main():
     def reversed_problem(m, rect):
         return permuted_problem(m, rect, range(m.dim)[::-1])
 
+    def compare(m, cert, other, how):
+        """CERTIFIED against REFUTED, for a problem and a rerun that keeps
+        its fixed points, is a violation; a change to or from INDETERMINATE
+        is not.  Returns whether the outcome moved."""
+        if {cert.outcome, other.outcome} == {CERTIFIED, REFUTED}:
+            violation(m, f"{cert.outcome}, but {other.outcome} {how}")
+        return other.outcome != cert.outcome
+
     def confirm(cert, m, domain_bounds, keep):
         if cert.outcome == CERTIFIED:
             point, res = grid_zoom_min(m, domain_bounds, keep=keep)
-            if point is None or res > args.residual:
+            if point is None or res > 1e-6:
                 violation(m, f"oracle residual {res}")
 
     # The flipped axes, the offsets and the permutations come from side
@@ -221,34 +242,24 @@ def main():
             if m.dim >= 2:
                 rect_reversals += 1
                 other = certify_miranda(*reversed_problem(m, r), max_depth=12, max_boxes=3000)
-                if {cert.outcome, other.outcome} == {CERTIFIED, REFUTED}:
-                    violation(m, f"{cert.outcome}, but {other.outcome} with the coordinates "
-                                 "reversed")
+                compare(m, cert, other, "with the coordinates reversed")
             axes = set(flip_rng.sample(range(m.dim), flip_rng.randint(1, m.dim)))
             rect_flips += 1
             other = certify_miranda(flip_coordinates(m, axes), r, max_depth=12, max_boxes=3000)
-            flip_moves += other.outcome != cert.outcome
-            if {cert.outcome, other.outcome} == {CERTIFIED, REFUTED}:
-                violation(m, f"{cert.outcome}, but {other.outcome} with axes {sorted(axes)} "
-                             "flipped")
+            flip_moves += compare(m, cert, other, f"with axes {sorted(axes)} flipped")
             shift = [translate_rng.randint(-32, 32) / 16.0 for _axis in range(m.dim)]
             moved = translate_box(r.box, shift)
             if moved is not None:
                 rect_translations += 1
                 other = certify_miranda(translate_coordinates(m, shift), RectDomain(moved),
                                         max_depth=12, max_boxes=3000)
-                translate_moves += other.outcome != cert.outcome
-                if {cert.outcome, other.outcome} == {CERTIFIED, REFUTED}:
-                    violation(m, f"{cert.outcome}, but {other.outcome} translated by {shift}")
+                translate_moves += compare(m, cert, other, f"translated by {shift}")
             if m.dim == 3:
                 perm = permute_rng.choice(perms)
                 rect_perms += 1
                 other = certify_miranda(*permuted_problem(m, r, perm), max_depth=12,
                                         max_boxes=3000)
-                perm_moves += other.outcome != cert.outcome
-                if {cert.outcome, other.outcome} == {CERTIFIED, REFUTED}:
-                    violation(m, f"{cert.outcome}, but {other.outcome} with the coordinates "
-                                 f"permuted by {perm}")
+                perm_moves += compare(m, cert, other, f"with the coordinates permuted by {perm}")
             domain_bounds = [(c.lo, c.hi) for c in r.box.coords]
             keep = None
         elif roll < 0.85:
@@ -311,9 +322,8 @@ def main():
             m, [tests["relevant"] for _circle, _r2, tests in spec.circles()], boxes)
         # Reversed coordinates, and each hole's centre (cx, cy) -> (cy, cx).
         swapped = HoledBallSpec(spec.radius, tuple((cy, cx, r) for cx, cy, r in spec.holes))
-        other = certify_holes(permute_coordinates(m, (1, 0)), swapped)
-        if {cert.outcome, other.outcome} == {CERTIFIED, REFUTED}:
-            violation(m, f"{cert.outcome}, but {other.outcome} with the coordinates reversed")
+        compare(m, cert, certify_holes(permute_coordinates(m, (1, 0)), swapped),
+                "with the coordinates reversed")
         keep = lambda p, spec=spec: math.hypot(*p) <= spec.radius and all(  # noqa: E731
             math.hypot(p[0] - cx, p[1] - cy) >= r for cx, cy, r in spec.holes)
         confirm(cert, m, [(-spec.radius, spec.radius)] * 2, keep)
@@ -369,11 +379,18 @@ def main():
             violation(m, f"uniqueness box {box.bounds()}{where}: I - Dg over it holds "
                          "a singular matrix")
 
-    def localize_and_check(m, bounds, rect, loc_counts, planted=None):
-        res = localize_fixed_points(m, rect, tol=1e-6, budget=20000)
+    def unique_checks(m, res):
+        """unique_check on every uniqueness box of a localize result."""
         for enc in res.enclosures:
             if enc.unique is not None:
                 unique_check(m, enc.unique)
+
+    def localize_and_check(m, bounds, rect, loc_counts, planted=(), budget=20000):
+        """Localize m and check the result: uniqueness boxes, volume tiling,
+        the oracle on PROVEN boxes, and every planted point in an
+        enclosure."""
+        res = localize_fixed_points(m, rect, tol=1e-6, budget=budget)
+        unique_checks(m, res)
         loc_counts["enclosures"] += len(res.enclosures)
         loc_counts["PROVEN"] += len(res.proven)
         loc_counts["exhausted"] += res.exhausted
@@ -386,11 +403,11 @@ def main():
             _p, residual = grid_zoom_min(m, enc.box.bounds(), target=1e-13)
             if not residual <= 1e-9:
                 violation(m, f"PROVEN box {enc.box.bounds()} oracle residual {residual}")
-        # A planted fixed point is a decimal: its float may sit an ulp off.
-        if planted is not None and not any(
-                all(c.lo - 1e-12 <= v <= c.hi + 1e-12 for c, v in zip(e.box.coords, planted))
-                for e in res.enclosures):
-            violation(m, f"planted fixed point {planted} lies in no enclosure on {bounds}")
+        # A planted fixed point may be a decimal: its float may sit an ulp off.
+        for p in planted:
+            if not any(all(c.lo - 1e-12 <= v <= c.hi + 1e-12 for c, v in zip(e.box.coords, p))
+                       for e in res.enclosures):
+                violation(m, f"planted fixed point {p} lies in no enclosure on {bounds}")
         return res
 
     def reversal_check(m, rect, res):
@@ -399,9 +416,7 @@ def main():
         other (the reversal maps each run's boxes to the other's)."""
         swapped, swapped_rect = reversed_problem(m, rect)
         other = localize_fixed_points(swapped, swapped_rect, tol=1e-6, budget=20000)
-        for enc in other.enclosures:
-            if enc.unique is not None:
-                unique_check(swapped, enc.unique)
+        unique_checks(swapped, other)
         for a, b in ((res, other), (other, res)):
             for enc in a.proven:
                 box = permute_box(enc.box, (1, 0))
@@ -432,11 +447,12 @@ def main():
         for _ in range(n_localize):
             bounds, rect = random_rect(rng)
             m, p = make(rng, rect)
-            localize_and_check(m, bounds, rect, planted_counts, planted=p)
+            localize_and_check(m, bounds, rect, planted_counts, planted=(p,))
         elapsed = time.perf_counter() - t0
         label = "trig" if stream == "planted" else "kinked trig"
         print(f"{n_localize} planted {label} localizations in {elapsed:.1f}s: "
               + ", ".join(f"{k}={v}" for k, v in planted_counts.items()))
+
     def on_branch(coeffs, slab, samples=9):
         """Whether the slab holds the branch at every one of `samples`
         parameters of its cell (a decimal literal's float may sit an ulp
@@ -513,6 +529,48 @@ def main():
     print(f"{n_edge} edge-margin problems in {elapsed:.1f}s: "
           + ", ".join(f"{k}={v}" for k, v in edge_counts.items())
           + f" edge checks={edge_checks}")
+
+    rng = random.Random(f"{args.seed}:degenerate")
+    degenerate_counts = dict.fromkeys(loc_counts, 0)
+    planted_checks = unique_boxes = 0
+    t0 = time.perf_counter()
+    for k in range(n_localize):
+        m, rect, points, segment = random_degenerate_map(rng, 1 + k % 2)
+        bounds = rect.box.bounds()
+        samples = points
+        if segment is not None:
+            samples = segment + (tuple(0.5 * (a + b) for a, b in zip(*segment)),)
+        res = localize_and_check(m, bounds, rect, degenerate_counts, planted=samples)
+        planted_checks += len(samples)
+        for enc in res.enclosures:
+            if enc.unique is None:
+                continue
+            unique_boxes += 1
+            held = [p for p in points if box_contains(enc.unique, p)]
+            if len(held) > 1:
+                violation(m, f"uniqueness box {enc.unique.bounds()} holds the fixed points "
+                             f"{held}")
+            if segment is not None and box_meets_segment(enc.unique, segment):
+                violation(m, f"uniqueness box {enc.unique.bounds()} meets the segment of "
+                             f"fixed points {segment}")
+    elapsed = time.perf_counter() - t0
+    print(f"{n_localize} degenerate localizations in {elapsed:.1f}s: "
+          + ", ".join(f"{k}={v}" for k, v in degenerate_counts.items())
+          + f" planted checks={planted_checks} unique boxes={unique_boxes}")
+
+    rng = random.Random(f"{args.seed}:partial")
+    partial_counts = dict.fromkeys(loc_counts, 0)
+    raised = 0
+    t0 = time.perf_counter()
+    for _ in range(n_localize):
+        bounds, rect = random_rect(rng)
+        m = random_partial_map(rng, rect)
+        res = localize_and_check(m, bounds, rect, partial_counts, budget=2000)
+        raised += sum(enc.residual is None for enc in res.enclosures)
+    elapsed = time.perf_counter() - t0
+    print(f"{n_localize} partial-domain localizations in {elapsed:.1f}s: "
+          + ", ".join(f"{k}={v}" for k, v in partial_counts.items())
+          + f" raised={raised}")
     print(f"violations: {violations}")
     return 1 if violations else 0
 

@@ -75,7 +75,6 @@ REFUTED condition; an INDETERMINATE condition does not stop it.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from collections.abc import Callable
@@ -162,7 +161,7 @@ class Certificate:
 
     def __init__(self, kind: str, outcome: str, directions: "tuple | None", domain,
                  evidence: list, witness: "tuple | None", stats: CertStats,
-                 index: "int | None" = None):
+                 index: "int | None"):
         self.kind = kind
         self.outcome = outcome
         self.directions = directions
@@ -187,10 +186,6 @@ class Certificate:
             "witness": list(self.witness) if self.witness else None,
             "stats": stats,
         })
-
-    def to_json_dict(self, stable=False):
-        """The report as JSON data: the text of to_json, parsed."""
-        return json.loads(self.to_json(stable))
 
 
 # ---------------------------------------------------------------------------
@@ -524,10 +519,10 @@ def _corners(ds, ends) -> "tuple | None":
     return tuple(low), tuple(high)
 
 
-def _mean_value_pairs(T: MapSpec, jac, box: Box, naive=None) -> list:
+def _mean_value_pairs(T: MapSpec, jac, box: Box) -> list:
     """T's component pairs over the box X, each the naive enclosure
-    (`naive`, where the caller has it, else T.eval_pairs(box)) cut by a
-    second enclosure of g_i(X), read from g_i's Jacobian row Dg_i(X):
+    T.eval_pairs(box) cut by a second enclosure of g_i(X), read from g_i's
+    Jacobian row Dg_i(X):
 
     - a monotone row, where every entry is None or a pair >= 0 or <= 0,
       takes the lower end of g_i's enclosure at the corner c of
@@ -551,8 +546,7 @@ def _mean_value_pairs(T: MapSpec, jac, box: Box, naive=None) -> list:
     Raises DomainError where an evaluation raises (the naive pairs, a
     Jacobian row, the midpoint or a corner) or a pair is not finite."""
     xs = box.coords
-    if naive is None:
-        naive = T.eval_pairs(box)
+    naive = T.eval_pairs(box)
     ends = [(Interval(x.lo), Interval(x.hi)) for x in xs]
     point = None
     out = []
@@ -586,18 +580,11 @@ def _image_dist2(T: MapSpec, jac, cx: float, cy: float):
         (a, b), (c, d) = pairs
         return dist2_pair(a, b, c, d, cx, cy)
 
-    # The box the naive bound last evaluated, with its pairs: the
-    # mean-value bound runs on that same box and reuses them.
-    last = [None, None]
-
     def bound(box):
-        pairs = T.eval_pairs(box)
-        last[:] = box, pairs
-        return of_pairs(pairs)
+        return of_pairs(T.eval_pairs(box))
 
     def tighten(box):
-        naive = last[1] if last[0] is box else None
-        return of_pairs(_mean_value_pairs(T, jac, box, naive))
+        return of_pairs(_mean_value_pairs(T, jac, box))
 
     return bound, None if jac is None else tighten
 

@@ -39,7 +39,7 @@ class Slab:
     __slots__ = ("id", "cell", "t", "box", "status", "unique")
 
     def __init__(self, id: int, cell: int, t: Interval, box: Box, status: str,
-                 unique: "Box | None" = None):
+                 unique: "Box | None"):
         self.id = id
         self.cell = cell
         self.t = t
@@ -49,20 +49,24 @@ class Slab:
 
 
 class ContinuumWitness:
-    __slots__ = ("t_grid", "slabs", "chain", "complete", "max_t_reached", "exhausted",
-                 "start_index", "proven")
+    __slots__ = ("t_grid", "slabs", "chain", "max_t_reached", "exhausted", "start_index",
+                 "proven")
 
-    def __init__(self, t_grid: tuple, slabs: list, chain: list, complete: bool,
-                 max_t_reached: float, exhausted: bool = False,
-                 start_index: "int | None" = None, proven: bool = False):
+    def __init__(self, t_grid: tuple, slabs: list, chain: list, max_t_reached: float,
+                 exhausted: bool, start_index: "int | None", proven: bool):
         self.t_grid = t_grid
         self.slabs = slabs
         self.chain = chain  # slab ids, or empty
-        self.complete = complete
         self.max_t_reached = max_t_reached
         self.exhausted = exhausted
         self.start_index = start_index
         self.proven = proven  # the chain is glued: a proof of a continuous branch
+
+    @property
+    def complete(self) -> bool:
+        """Whether the chain reaches the t = b side: a chain is found only
+        when it does."""
+        return bool(self.chain)
 
     def chain_slabs(self):
         by_id = {s.id: s for s in self.slabs}
@@ -159,16 +163,11 @@ def trace_continuum(psi: MapSpec, t_range, x_box: Box, grid: int = 16,
     starts = [s.id for s in per_cell[0]] if per_cell else []
     proven_starts = [sid for sid in starts if slabs[sid].unique is not None]
     chain, _seen = _search(slabs, glued, proven_starts, grid - 1)
-    if chain:
-        return ContinuumWitness(t_grid, slabs, chain, True, b, exhausted, start_index,
-                                proven=True)
-    chain, seen = _search(slabs, adjacency, starts, grid - 1)
-    if chain:
-        return ContinuumWitness(t_grid, slabs, chain, True, b, exhausted, start_index)
-    max_t = a
-    for sid in seen:
-        max_t = max(max_t, slabs[sid].t.hi)
-    return ContinuumWitness(t_grid, slabs, [], False, max_t, exhausted, start_index)
+    proven = bool(chain)
+    if not proven:
+        chain, seen = _search(slabs, adjacency, starts, grid - 1)
+    max_t = b if chain else max([a] + [slabs[sid].t.hi for sid in seen])
+    return ContinuumWitness(t_grid, slabs, chain, max_t, exhausted, start_index, proven)
 
 
 def _grid_point(a: float, width: float, j: int, grid: int) -> float:

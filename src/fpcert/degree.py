@@ -255,8 +255,7 @@ def holes_index_cross_check(T: MapSpec, spec: HoledBallSpec,
     return value
 
 
-def fixed_point_index(f: MapSpec, rect: RectDomain,
-                      max_depth: int = 24, max_boxes: int = 40000) -> DegreeResult:
+def fixed_point_index(f: MapSpec, rect: RectDomain, max_depth: int = 24) -> DegreeResult:
     """Fixed point index of f over a rectangle: degree of Id - f.  A
     negative max_depth is refused in every dimension, though the 1-D rule
     runs no cover that would check it."""
@@ -265,5 +264,5 @@ def fixed_point_index(f: MapSpec, rect: RectDomain,
     if f.dim == 1:
         return degree_1d(f, rect)
     if f.dim == 2:
-        return winding_degree_2d(f, rect, max_depth=max_depth, max_boxes=max_boxes)
+        return winding_degree_2d(f, rect, max_depth=max_depth)
     raise DimensionMismatchError("fixed point index implemented for dimensions 1 and 2")

@@ -115,7 +115,7 @@ class Enclosure:
     __slots__ = ("box", "status", "_residual", "unique", "_deferred")
 
     def __init__(self, box: Box, status: str, residual: "Interval | None",
-                 unique: "Box | None" = None, deferred=None):
+                 unique: "Box | None", deferred=None):
         self.box = box
         self.status = status  # PROVEN | CANDIDATE
         self._residual = residual
@@ -153,9 +153,8 @@ class LocalizeResult:
 
     def __init__(self, enclosures: list, total_volume: float, discarded_volume: float,
                  surviving_volume: float, boxes_examined: int, exhausted: bool,
-                 operator_tests: int = 0, operator_proofs: int = 0,
-                 operator_exclusions: int = 0, operator_undecided: int = 0,
-                 halves_cut: int = 0, halves_discarded: int = 0):
+                 operator_tests: int, operator_proofs: int, operator_exclusions: int,
+                 operator_undecided: int, halves_cut: int, halves_discarded: int):
         self.enclosures = enclosures
         self.total_volume = total_volume
         self.discarded_volume = discarded_volume

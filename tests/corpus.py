@@ -421,6 +421,82 @@ def branch_point(coeffs, t: float):
     return tuple(c0 + c1 * t + c2 * t * t for c0, c1, c2 in coeffs)
 
 
+def _dyadic(rng: random.Random, lo: float, hi: float) -> float:
+    """A multiple of 1/64 in [lo, hi]: exact as a float and, through
+    _exact, as a decimal literal."""
+    return rng.randint(math.ceil(lo * 64), math.floor(hi * 64)) / 64
+
+
+def _exact(v: float) -> str:
+    """The decimal literal whose value is exactly the float v."""
+    return format(Decimal(v), "f")
+
+
+def random_degenerate_map(rng: random.Random, dim: int):
+    """A 1-D or 2-D map whose fixed set is degenerate, on a random
+    rectangle, with dyadic literals so that the planted set is exact.  Its
+    first component is one of
+      - min(x1, c) or max(x1, c): every x1 <= c, or every x1 >= c, is
+        fixed, a segment of fixed points;
+      - x1 + k*(x1 - p)^2: a tangential root p, where I - Dg vanishes;
+      - x1 + k*(x1 - p)*(x1 - q): two roots p and q = p + 2^-21, closer
+        than a search tolerance of 1e-6;
+    and in 2-D its second is 0.5*x2 + d, whose one fixed point y = 2d lies
+    inside the rectangle, so the fixed set is that of x1 at x2 = y.
+    Returns (map, rectangle, the planted points, the planted segment as
+    its two ends, which differ in x1 only, or None)."""
+    bounds = []
+    for _axis in range(dim):
+        lo = _dyadic(rng, -2.0, 1.0)
+        bounds.append((lo, lo + _dyadic(rng, 0.5, 2.5)))
+    x, *rest = (_dyadic(rng, lo + 0.125, hi - 0.125) for lo, hi in bounds)
+    k = _exact(rng.choice((-1, 1)) * _dyadic(rng, 0.25, 2.0))
+    kind = rng.randrange(3)
+    points, segment = (), None
+    if kind == 0:
+        fn = rng.choice(("min", "max"))
+        first = f"{fn}(x1, {_exact(x)})"
+        ends = (bounds[0][0], x) if fn == "min" else (x, bounds[0][1])
+        segment = tuple((e, *rest) for e in ends)
+    elif kind == 1:
+        first = f"x1 + {k}*(x1 - {_exact(x)})^2"
+        points = ((x, *rest),)
+    else:
+        q = x + 2.0 ** -21
+        first = f"x1 + {k}*(x1 - {_exact(x)})*(x1 - {_exact(q)})"
+        points = ((x, *rest), (q, *rest))
+    lines = [f"map g1 = {first}"] + [f"map g2 = 0.5*x2 + {_exact(y / 2)}" for y in rest]
+    m = parse_map(f"dim {dim}\n" + "\n".join(lines) + "\n")
+    return m, RectDomain(Box.from_bounds(bounds)), points, segment
+
+
+def box_meets_segment(box: Box, segment) -> bool:
+    """Whether the closed box meets the segment, given by two ends that
+    differ in x1 only, in more than one point."""
+    (a, *ys), (b, *_ys) = segment
+    x = box.coords[0]
+    return max(x.lo, a) < min(x.hi, b) and all(c.lo <= y <= c.hi
+                                                for c, y in zip(box.coords[1:], ys))
+
+
+def random_partial_map(rng: random.Random, rect: RectDomain) -> MapSpec:
+    """A planar map that raises on part of its rectangle: each component
+    contracts toward a point of the rectangle, plus a*sqrt(x_k - s), which
+    raises on a box where x_k < s, or a/(x_k - s), which raises on a box
+    that holds x_k = s, with s inside the rectangle's side k."""
+    coords = rect.box.coords
+    lines = []
+    for i, c in enumerate(coords):
+        p = _fmt(c.lo + rng.uniform(0.2, 0.8) * (c.hi - c.lo))
+        k = rng.randrange(2)
+        s = _fmt(coords[k].lo + rng.uniform(0.1, 0.9) * (coords[k].hi - coords[k].lo))
+        a = _fmt(rng.uniform(-0.5, 0.5))
+        term = f"{a}*sqrt(x{k + 1} - {s})" if rng.randrange(2) else f"{a}/(x{k + 1} - {s})"
+        slope = _fmt(rng.uniform(-0.6, 0.6))
+        lines.append(f"map g{i + 1} = {p} + {slope}*(x{i + 1} - {p}) + {term}")
+    return parse_map("dim 2\n" + "\n".join(lines) + "\n")
+
+
 EDGE_KERNELS = ("sin", "cos", "exp", "tanh", "sqrt", "*", "/")
 
 

@@ -288,7 +288,9 @@ def grid_zoom_min(m, bounds, rounds: int = 60, grid: int = 7, keep=None, t=None,
     on the round's best point.  A coordinate whose argmin sits on a window
     edge (away from the domain boundary) expands instead of shrinking, so
     the window cannot lose the minimizer.  Stops early at the target
-    residual.  Returns (point, residual); the point stays inside bounds.
+    residual.  A point where m raises, by overflow or by a DomainError (a
+    zero denominator, a negative root), is skipped.  Returns (point,
+    residual); the point stays inside bounds.
     """
     lo0 = [float(b[0]) for b in bounds]
     hi0 = [float(b[1]) for b in bounds]
@@ -311,7 +313,7 @@ def grid_zoom_min(m, bounds, rounds: int = 60, grid: int = 7, keep=None, t=None,
                 continue
             try:
                 r = residual_inf(m, p, t)
-            except ArithmeticError:
+            except (ArithmeticError, ValueError):
                 continue
             if r < round_r:
                 round_r, round_p, round_idx = r, p, idx
@@ -365,7 +367,7 @@ def _newton_polish(m, p, best_r, lo0, hi0, keep, t, target, steps=8):
             if keep is not None and not keep(q):
                 break
             r = residual_inf(m, q, t)
-        except ArithmeticError:
+        except (ArithmeticError, ValueError):
             break
         if not r < best_r:
             break
@@ -413,7 +415,7 @@ def _compass_refine(m, p, best_r, lo0, hi0, step, keep, t, target, max_iters=800
             return q, math.inf
         try:
             return q, residual_inf(m, q, t)
-        except ArithmeticError:
+        except (ArithmeticError, ValueError):
             return q, math.inf
 
     while iters < max_iters and best_r > target and step > 1e-15:

@@ -242,7 +242,8 @@ def _random_slabs(rng, dim, n, first_id, cuts):
             bounds.append((cuts[i], cuts[j]))
         if k == 0:
             bounds[0] = (cuts[0], cuts[-1])
-        slabs.append(Slab(first_id + k, 0, Interval(0.0), Box.from_bounds(bounds), "CANDIDATE"))
+        slabs.append(Slab(first_id + k, 0, Interval(0.0), Box.from_bounds(bounds), "CANDIDATE",
+                          None))
     rng.shuffle(slabs)
     return slabs
 
@@ -279,6 +280,7 @@ def test_sweep_window_is_rounded_outward():
     # fl(u.lo - fl(v.hi - v.lo)) lies above v.lo here, so a window rounded
     # to nearest would miss v, which touches u at 35.18...
     v = Slab(0, 0, Interval(0.0), Box.from_bounds([(-4.83958426667953e-12, 35.18167389270949)]),
-             "CANDIDATE")
-    u = Slab(1, 1, Interval(0.0), Box.from_bounds([(35.18167389270949, 40.0)]), "CANDIDATE")
+             "CANDIDATE", None)
+    u = Slab(1, 1, Interval(0.0), Box.from_bounds([(35.18167389270949, 40.0)]), "CANDIDATE",
+             None)
     assert [(a.id, b.id) for a, b in _touching_pairs([u], [v])] == [(1, 0)]

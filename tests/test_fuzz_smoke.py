@@ -1,7 +1,8 @@
 """The standing soundness experiment, small: scripts/fuzz_soundness.py on
 100 problems of seed 7 (volume tiling, PROVEN oracles, metamorphic, memo,
-region and edge-margin checks, and holed balls whose tighten step takes
-corner rows), in a subprocess as it is run from the command line."""
+region and edge-margin checks, holed balls whose tighten step takes
+corner rows, planted degenerate fixed sets, and maps that raise on part
+of their rectangle), in a subprocess as it is run from the command line."""
 
 import os
 import re
@@ -21,6 +22,8 @@ def test_fuzz_soundness_smoke_run_has_no_violation():
     assert out.stdout.splitlines()[-1] == "violations: 0", out.stdout
     for pattern in (r"^translate checks=(\d+) ", r"^permute checks=(\d+) ",
                     r"^\d+ holed balls .* corner rows=(\d+) ",
-                    r"^\d+ edge-margin problems .* edge checks=(\d+)$"):
+                    r"^\d+ edge-margin problems .* edge checks=(\d+)$",
+                    r"^\d+ degenerate localizations .* planted checks=(\d+) ",
+                    r"^\d+ partial-domain localizations .* raised=(\d+)$"):
         found = re.search(pattern, out.stdout, re.M)
         assert found and int(found.group(1)) > 0, (pattern, out.stdout)
